@@ -5,14 +5,10 @@ Measures, per design:
 * **simulation throughput** — pattern-cycles/second of the sequential
   simulator under each engine (identical outputs asserted);
 * **localization wall-clock** — a full detect→localize campaign under
-  each engine (interpreted, compiled, codegen); the localization
-  *compute* time (seed + probe picking + emulation, excluding the P&R
-  commits) is reported per probe, with the speedup and a bit-identical
-  check on every probe verdict and the final candidates;
-* **codegen emulate phase** — the exec-compiled engine's probe-verdict
-  replay time against the compiled tape's, plus the same codegen
-  campaign forced onto full-tape replay (cone slicing disabled) to
-  price the fanin-sliced probe kernels against their alternative;
+  each engine (interpreted, compiled); the localization *compute* time
+  (seed + probe picking + emulation, excluding the P&R commits) is
+  reported per probe, with the speedup and a bit-identical check on
+  every probe verdict and the final candidates;
 * **commit phase** — the per-probe-round place-and-route cost.  The
   interpreted campaign runs against a cleared tile-configuration cache
   (cold: every commit pays the fresh hot-loop P&R), the compiled
@@ -40,7 +36,9 @@ Measures, per design:
 
 Results land in ``BENCH_perf.json``; every run also *appends* a
 timestamped summary to the file's ``history`` list, so the perf
-trajectory accumulates across PRs instead of being overwritten.
+trajectory accumulates across PRs instead of being overwritten.  Each
+summary records ``src_lines``, the line count of the Python sources
+under ``src/``, so the history also tracks the code's size.
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_perf.py \
@@ -57,16 +55,9 @@ Acceptance gates (checked at the end, non-zero exit on failure):
 * >=2x warm-vs-cold submission latency through the debug service
   (``service_warm``) on the largest design, with the second submission
   hitting the worker's warm registry and the results bit-identical;
-* >=2x codegen-vs-compiled localization *emulate* speedup on at least
-  one benchmarked design (``codegen_emulate_speedup``; relaxed to a
-  regression canary under ``--quick``, whose millisecond emulate phase
-  is noise-dominated);
-* cone-sliced probe rounds within ``CONE_SLICE_TOLERANCE`` of the
-  same campaign on full-tape replay, on every design
-  (``codegen_cone_sliced``);
-* the warm codegen submission through the daemon serves kernels from
-  the digest-addressed cache — ``repro_codegen_cache_hits_total``
-  must move between submissions (``codegen_warm_kernel_hit``);
+* a routed-legal final layout on the largest design (``routed_legal``);
+* a fixed and proved two-fault run on every design
+  (``multi_error_fixed``);
 * <5% wall-clock overhead with tracing armed (``obs_overhead``).
 """
 
@@ -95,22 +86,12 @@ MULTI_ERROR_SEEDS = {"s9234": 4, "mips": 1, "des": 1, "9sym": 6}
 #: the "sat" strategy's cardinality-k pruner is benched on designs
 #: small enough for the all-instances relaxation
 MULTI_SAT_DESIGNS = {"s9234", "9sym"}
-ENGINES = ("interpreted", "compiled", "codegen")
+ENGINES = ("interpreted", "compiled")
 
 SPEEDUP_TARGET = 5.0
 COMMIT_SPEEDUP_TARGET = 2.0
 CAMPAIGN_SPEEDUP_TARGET = 2.5
 SERVICE_WARM_TARGET = 2.0
-#: codegen must beat the compiled tape on the localization emulate
-#: phase by this much on at least one benchmarked design; the quick
-#: (CI smoke) figure is a regression canary — the smallest design's
-#: emulate phase is milliseconds, so its ratio is noise-dominated
-CODEGEN_EMULATE_TARGET = 2.0
-CODEGEN_EMULATE_TARGET_QUICK = 0.5
-#: cone-sliced probe rounds may cost at most this much relative to
-#: the same campaign forced onto full-tape replay ("never slower",
-#: with headroom for millisecond-scale timing noise)
-CONE_SLICE_TOLERANCE = 1.25
 #: armed tracing may cost at most this much wall-clock over disarmed
 OBS_OVERHEAD_LIMIT_PCT = 5.0
 
@@ -126,8 +107,8 @@ def bench_sim_throughput(
     outputs = {}
     for engine in ENGINES:
         sim = SequentialSimulator(netlist, engine=engine)
-        # warm untimed: lowering happens at construction, codegen's
-        # exec-compile on first use — throughput is the steady state
+        # warm untimed: the first cycle pays any lazy set-up, so
+        # throughput is the steady state
         sim.reset(n_patterns)
         sim.run(stimulus[:1], n_patterns)
         sim.reset(n_patterns)
@@ -138,17 +119,14 @@ def bench_sim_throughput(
             "seconds": dt,
             "pattern_cycles_per_sec": n_cycles * n_patterns / dt,
         }
-    for engine in ENGINES[1:]:
-        assert outputs["interpreted"] == outputs[engine], (
-            f"{design}: {engine} disagrees with interpreted simulation"
-        )
+    assert outputs["interpreted"] == outputs["compiled"], (
+        f"{design}: compiled disagrees with interpreted simulation"
+    )
     out["identical_outputs"] = True
-    for engine in ("compiled", "codegen"):
-        out[f"{engine}_speedup"] = (
-            out[engine]["pattern_cycles_per_sec"]
-            / out["interpreted"]["pattern_cycles_per_sec"]
-        )
-    out["speedup"] = out["compiled_speedup"]
+    out["speedup"] = (
+        out["compiled"]["pattern_cycles_per_sec"]
+        / out["interpreted"]["pattern_cycles_per_sec"]
+    )
     return out
 
 
@@ -206,13 +184,12 @@ def bench_localization(design: str, error_seed: int,
 
     ri = results["interpreted"]
     rc = results["compiled"]
-    for engine in ENGINES[1:]:
-        assert ri.trajectory_key() == results[engine].trajectory_key(), (
-            f"{design}: {engine} probe trajectory diverges"
-        )
-        assert ri.candidates == results[engine].candidates, (
-            f"{design}: {engine} final candidate set diverges"
-        )
+    assert ri.trajectory_key() == rc.trajectory_key(), (
+        f"{design}: compiled probe trajectory diverges"
+    )
+    assert ri.candidates == rc.candidates, (
+        f"{design}: compiled final candidate set diverges"
+    )
     out["identical_results"] = True
     out["speedup"] = (
         ri.localization_seconds / rc.localization_seconds
@@ -221,32 +198,6 @@ def bench_localization(design: str, error_seed: int,
         out["interpreted"]["campaign_seconds"]
         / out["compiled"]["campaign_seconds"]
     )
-
-    # ---- codegen: emulate phase vs the compiled tape, cone slicing ----
-    from repro.debug.localize import ConeLocalizer
-
-    ConeLocalizer.use_cone_slicing = False
-    try:
-        unsliced, _ = _localization_campaign(
-            design, "codegen", error_seed, max_probes
-        )
-    finally:
-        ConeLocalizer.use_cone_slicing = True
-    assert ri.trajectory_key() == unsliced.trajectory_key(), (
-        f"{design}: unsliced codegen probe trajectory diverges"
-    )
-    emulate_compiled = rc.timings["localization"]["emulate"]
-    emulate_codegen = results["codegen"].timings["localization"]["emulate"]
-    emulate_unsliced = unsliced.timings["localization"]["emulate"]
-    out["codegen_phase"] = {
-        "emulate_compiled_seconds": round(emulate_compiled, 6),
-        "emulate_codegen_seconds": round(emulate_codegen, 6),
-        "emulate_speedup": emulate_compiled / emulate_codegen,
-        # the same codegen campaign forced onto full-tape replay for
-        # every probe verdict: cone slicing must never be slower
-        "emulate_unsliced_seconds": round(emulate_unsliced, 6),
-        "cone_sliced_ratio": emulate_codegen / emulate_unsliced,
-    }
 
     # ---- commit phase: cold (fresh P&R) vs warm (replayed configs) ----
     cold = ri.commit_seconds
@@ -346,20 +297,8 @@ _VOLATILE_RESULT_FIELDS = {
 }
 
 
-def _scrape_counter(client, name: str) -> float:
-    """One counter's value from the daemon's Prometheus text export."""
-    text = client.stats(metrics=True).get("metrics_text", "")
-    total = 0.0
-    for line in text.splitlines():
-        parts = line.split()
-        if len(parts) == 2 and parts[0].split("{")[0] == name:
-            total += float(parts[1])
-    return total
-
-
 def bench_service_warm(design: str, error_seed: int,
-                       max_probes: int = 12,
-                       engine: str = "compiled") -> dict:
+                       max_probes: int = 12) -> dict:
     """Warm-vs-cold submission latency through the service daemon.
 
     Starts a private daemon (one worker, fresh cache dir), submits the
@@ -369,12 +308,6 @@ def bench_service_warm(design: str, error_seed: int,
     configs — and reports client-observed latency for each.  Both
     results must be bit-identical modulo timing/attempt metadata:
     warm state is a cache, never a semantic input.
-
-    Under ``engine="codegen"`` the daemon's Prometheus export is
-    scraped around the warm submission: the re-run must serve its
-    kernels out of the worker's digest-addressed codegen cache
-    (``repro_codegen_cache_hits_total`` moves) instead of re-exec'ing
-    source.
     """
     import shutil
     import tempfile
@@ -384,7 +317,7 @@ def bench_service_warm(design: str, error_seed: int,
 
     spec = RunSpec(
         design=design, strategy="tiled", seed=1, preset="fast",
-        engine=engine, error_kind="table_bit", error_seed=error_seed,
+        engine="compiled", error_kind="table_bit", error_seed=error_seed,
         max_probes=max_probes,
     )
     tmp = tempfile.mkdtemp(prefix="repro-bench-service-")
@@ -409,17 +342,9 @@ def bench_service_warm(design: str, error_seed: int,
         t0 = time.perf_counter()
         cold_resp = client.run(spec, timeout_s=600.0)
         cold = time.perf_counter() - t0
-        hits_after_cold = (
-            _scrape_counter(client, "repro_codegen_cache_hits_total")
-            if engine == "codegen" else 0.0
-        )
         t0 = time.perf_counter()
         warm_resp = client.run(spec, fresh=True, timeout_s=600.0)
         warm = time.perf_counter() - t0
-        hits_after_warm = (
-            _scrape_counter(client, "repro_codegen_cache_hits_total")
-            if engine == "codegen" else 0.0
-        )
     finally:
         service.stop()
         shutil.rmtree(tmp, ignore_errors=True)
@@ -440,8 +365,7 @@ def bench_service_warm(design: str, error_seed: int,
     assert not diverged, (
         f"{design}: warm service result diverges from cold on {diverged}"
     )
-    out = {
-        "engine": engine,
+    return {
         "cold_seconds": round(cold, 6),
         "warm_seconds": round(warm, 6),
         "service_warm_speedup": cold / warm if warm > 0 else float("inf"),
@@ -449,15 +373,6 @@ def bench_service_warm(design: str, error_seed: int,
         "identical_results": True,
         "status": warm_result.get("status"),
     }
-    if engine == "codegen":
-        hits_delta = hits_after_warm - hits_after_cold
-        assert hits_delta > 0, (
-            f"{design}: warm codegen submission re-lowered every kernel "
-            "(repro_codegen_cache_hits_total never moved)"
-        )
-        out["codegen_cache_hits_warm_delta"] = hits_delta
-        out["codegen_warm_kernel_hit"] = True
-    return out
 
 
 def bench_obs_overhead(design: str, error_seed: int,
@@ -519,6 +434,21 @@ def bench_obs_overhead(design: str, error_seed: int,
     }
 
 
+def count_src_lines() -> int:
+    """Lines of Python under ``src/`` (``find src -name '*.py' | xargs
+    cat | wc -l``)."""
+    root = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+    )
+    total = 0
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
+
+
 def append_history(out_path: str, results: dict) -> list:
     """Load any existing run history and append this run's summary."""
     history = []
@@ -531,6 +461,7 @@ def append_history(out_path: str, results: dict) -> list:
     summary = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.localtime()),
         "quick": results["quick"],
+        "src_lines": count_src_lines(),
         "designs": {},
         "largest_design": results["largest_design"],
         "largest_localization_speedup": results[
@@ -538,17 +469,7 @@ def append_history(out_path: str, results: dict) -> list:
         ],
         "largest_commit_speedup": results["largest_commit_speedup"],
         "obs_overhead_pct": results["obs_overhead"]["overhead_pct"],
-        "best_codegen_emulate_speedup": round(
-            results["best_codegen_emulate_speedup"], 3
-        ),
         "gates_ok": results["gates_ok"],
-    }
-    swc = results["service_warm_codegen"]
-    summary["service_warm_codegen"] = {
-        "design": swc["design"],
-        "cold_seconds": swc["cold_seconds"],
-        "warm_seconds": swc["warm_seconds"],
-        "cache_hits_warm_delta": swc["codegen_cache_hits_warm_delta"],
     }
     for name, data in results["designs"].items():
         loc = data["localization"]
@@ -562,16 +483,7 @@ def append_history(out_path: str, results: dict) -> list:
                 "speedup": round(sw["service_warm_speedup"], 3),
             },
             "sim_speedup": round(data["sim_throughput"]["speedup"], 3),
-            "codegen_sim_speedup": round(
-                data["sim_throughput"]["codegen_speedup"], 3
-            ),
             "localization_speedup": round(loc["speedup"], 3),
-            "codegen_emulate_speedup": round(
-                loc["codegen_phase"]["emulate_speedup"], 3
-            ),
-            "cone_sliced_ratio": round(
-                loc["codegen_phase"]["cone_sliced_ratio"], 3
-            ),
             "campaign_speedup": round(loc["campaign_speedup"], 3),
             "commit_speedup": round(
                 loc["commit_phase"]["commit_speedup"], 3
@@ -643,12 +555,10 @@ def main(argv=None) -> int:
         sim = bench_sim_throughput(design)
         print(
             "  sim: interpreted {:.0f} pc/s, compiled {:.0f} pc/s "
-            "({:.1f}x), codegen {:.0f} pc/s ({:.1f}x, bit-identical)".format(
+            "({:.1f}x, bit-identical)".format(
                 sim["interpreted"]["pattern_cycles_per_sec"],
                 sim["compiled"]["pattern_cycles_per_sec"],
-                sim["compiled_speedup"],
-                sim["codegen"]["pattern_cycles_per_sec"],
-                sim["codegen_speedup"],
+                sim["speedup"],
             )
         )
         loc = bench_localization(
@@ -664,18 +574,6 @@ def main(argv=None) -> int:
                 loc["compiled"]["seconds_per_probe"],
                 loc["speedup"],
                 loc["compiled"]["n_probes"],
-            )
-        )
-        cg = loc["codegen_phase"]
-        print(
-            "  codegen emulate: compiled {:.3f}s -> codegen {:.3f}s "
-            "({:.1f}x); sliced/full-replay {:.2f} "
-            "(unsliced {:.3f}s)".format(
-                cg["emulate_compiled_seconds"],
-                cg["emulate_codegen_seconds"],
-                cg["emulate_speedup"],
-                cg["cone_sliced_ratio"],
-                cg["emulate_unsliced_seconds"],
             )
         )
         cp = loc["commit_phase"]
@@ -750,33 +648,6 @@ def main(argv=None) -> int:
     results["largest_service_warm_speedup"] = results["designs"][
         largest
     ]["service_warm"]["service_warm_speedup"]
-    # the codegen emulate gate wants the engine's best showing: slicing
-    # pays off with design size, and quick mode benches only the
-    # smallest design whose emulate phase is noise-dominated
-    results["codegen_emulate_target"] = (
-        CODEGEN_EMULATE_TARGET_QUICK if args.quick
-        else CODEGEN_EMULATE_TARGET
-    )
-    results["best_codegen_emulate_speedup"] = max(
-        data["localization"]["codegen_phase"]["emulate_speedup"]
-        for data in results["designs"].values()
-    )
-
-    # codegen through the daemon: the warm re-run must serve kernels
-    # out of the worker's digest-addressed cache (once is enough —
-    # cache behaviour is design-independent, so the smallest suffices)
-    svc_cg = bench_service_warm(
-        designs[0], ERROR_SEEDS.get(designs[0], 1),
-        max_probes=max_probes, engine="codegen",
-    )
-    results["service_warm_codegen"] = {"design": designs[0], **svc_cg}
-    print(
-        "service codegen ({}): cold {:.3f}s -> warm {:.3f}s, "
-        "{:.0f} kernel-cache hits on the warm submit".format(
-            designs[0], svc_cg["cold_seconds"], svc_cg["warm_seconds"],
-            svc_cg["codegen_cache_hits_warm_delta"],
-        )
-    )
 
     obs = bench_obs_overhead(
         largest, ERROR_SEEDS.get(largest, 1), max_probes=max_probes
@@ -805,19 +676,6 @@ def main(argv=None) -> int:
             >= COMMIT_SPEEDUP_TARGET
         ),
         "routed_legal": largest_loc["commit_phase"]["routed_legal"],
-        "codegen_emulate_speedup": (
-            results["best_codegen_emulate_speedup"]
-            >= results["codegen_emulate_target"]
-        ),
-        # cone-sliced probe rounds must never lose to full-tape replay
-        "codegen_cone_sliced": all(
-            data["localization"]["codegen_phase"]["cone_sliced_ratio"]
-            <= CONE_SLICE_TOLERANCE
-            for data in results["designs"].values()
-        ),
-        "codegen_warm_kernel_hit": results["service_warm_codegen"][
-            "codegen_warm_kernel_hit"
-        ],
         # the two-fault loop must land a verified fix on every design
         "multi_error_fixed": all(
             data["multi_error"]["fixed"] and data["multi_error"]["proved"]

@@ -899,10 +899,6 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
         chaos_scope,
         corrupt_cache_file,
     )
-    from repro.netlist.codegen import (
-        load_kernel_sources,
-        save_kernel_sources,
-    )
     from repro.resilience.degrade import next_degraded
     from repro.resilience.failure import RunFailure
     from repro.tiling.cache import (
@@ -937,10 +933,6 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
                         "chaos": fault.kind,
                     })
             load_tile_cache(spec.cache_dir, tile_cache)
-        if spec.cache_dir is not None and spec.engine == "codegen":
-            # warm codegen: seed the process-wide kernel cache from the
-            # content-addressed store so campaign children skip codegen
-            load_kernel_sources(spec.cache_dir)
 
     cache_before = (
         tile_cache.stats()
@@ -1063,8 +1055,6 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
         cache_delta = stats_delta(cache_before, tile_cache.stats())
         if spec.cache_dir is not None:
             save_tile_cache(tile_cache, spec.cache_dir)
-    if owns_cache and spec.cache_dir is not None and spec.engine == "codegen":
-        save_kernel_sources(spec.cache_dir)
 
     METRICS.inc("repro_runs_total", status=status)
     if ctx is not None:

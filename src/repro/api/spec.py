@@ -26,7 +26,7 @@ from repro.debug.strategies import STRATEGY_REGISTRY
 from repro.errors import SpecError
 from repro.pnr.effort import EFFORT_PRESETS
 
-ENGINE_NAMES = ("codegen", "compiled", "interpreted")
+ENGINE_NAMES = ("compiled", "interpreted")
 CACHE_POLICIES = ("shared", "private", "off")
 #: pipeline stages a per-stage budget (``stage_timeouts``) may target
 STAGE_NAMES = ("detect", "localize", "correct", "verify", "diagnose")
@@ -102,7 +102,7 @@ class RunSpec:
     strategy: str = "tiled"
     #: effort preset name (see ``repro.pnr.effort.EFFORT_PRESETS``)
     preset: str = "normal"
-    #: combinational engine: "codegen", "compiled" or "interpreted"
+    #: combinational engine: "compiled" or "interpreted"
     engine: str = "compiled"
     #: campaign seed (stimulus, P&R move sequences)
     seed: int = 1

@@ -26,21 +26,19 @@ upstream error might be masked there.  Wide pattern words (default 64)
 make that unlikely; the debug session re-runs localization if the fix
 verdict disagrees.
 
-Three engines drive the loop (bit-identical verdicts and candidates):
+Two engines drive the loop (bit-identical verdicts and candidates):
 
-* ``engine="codegen"`` — the compiled path below, plus the probe
-  re-emulation runs a **cone-sliced kernel**: only the sequential
-  fanin slice of the observed probe output is compiled (straight-line
-  exec'd source, :mod:`repro.netlist.codegen`) and replayed, instead
-  of the whole tape, which is where the emulate phase's wall-clock
-  goes on the large designs;
 * ``engine="compiled"`` — one shared instruction-tape kernel
   (:mod:`repro.netlist.compiled`) is kept current across probe commits
   via incremental recompile, and a :class:`~repro.netlist.cones.ConeIndex`
   turns per-candidate cone queries into single big-int operations, so
-  probe selection is O(V+E) per round instead of O(V·E);
+  probe selection is O(V+E) per round instead of O(V·E).  Each probe
+  verdict replays a **cone slice** of the tape — only the sequential
+  fanin of the observed probe output — instead of the whole design,
+  which is where the emulate phase's wall-clock goes on the large
+  designs;
 * ``engine="interpreted"`` — the retained baseline: per-candidate BFS
-  cone walks and the instance-walking simulator.
+  cone walks and full replay on the instance-walking simulator.
 
 Per-phase wall-clock (seed / pick / emulate / commit) accumulates in
 ``LocalizationResult.timings`` for the performance benchmark.  The
@@ -128,11 +126,6 @@ class ConeLocalizer:
     net-history computation (golden model and stimulus never change
     between rounds).
     """
-
-    #: codegen probe verdicts replay the fanin slice of the observed
-    #: port instead of the full design; the perf benchmark flips this
-    #: off to price the slicing against full-tape replay
-    use_cone_slicing = True
 
     def __init__(
         self,
@@ -288,7 +281,7 @@ class ConeLocalizer:
         netlist = self.strategy.packed.netlist
         t0 = time.perf_counter()
         ops: _CandidateOps
-        if self.engine in ("compiled", "codegen"):
+        if self.engine == "compiled":
             ops = _BitsetCandidateOps(self, netlist)
         else:
             ops = _SetCandidateOps(self, netlist)
@@ -351,7 +344,7 @@ class ConeLocalizer:
                     emulator = Emulator(
                         self.strategy.layout, engine=self.engine
                     )
-                    if self.engine in ("compiled", "codegen"):
+                    if self.engine == "compiled":
                         # sync the shared kernel incrementally rather
                         # than letting first use pay a full recompile
                         emulator.refresh(changes=changes)
@@ -460,33 +453,11 @@ class ConeLocalizer:
     ) -> bool:
         """Emulate and compare the probe output to the golden net value."""
         probe_port = f"obs_probe_{obs_name}"
-        if self.engine == "codegen" and self.use_cone_slicing:
-            # cone-sliced probe round: replay only the sequential fanin
-            # slice of the observed output — bit-identical verdict (the
-            # slice is fanin-closed), a fraction of the evaluation
-            runner = emulator.cone_runner((probe_port,))
-            if runner is not None:
-                return self._sliced_probe_disagrees(
-                    runner, probe_net, probe_port
-                )
-        emulator.reset(self.n_patterns)
-        for cycle, cycle_in in enumerate(self.stimulus):
-            inputs = {
-                name: cycle_in.get(name, 0) for name in self._input_names
-            }
-            outputs = emulator.step(inputs, self.n_patterns)
-            probe_value = outputs.get(probe_port)
-            golden_value = self._golden_nets[cycle].get(probe_net)
-            if probe_value is None or golden_value is None:
-                continue
-            if probe_value != golden_value:
-                return True
-        return False
-
-    def _sliced_probe_disagrees(
-        self, runner, probe_net: str, probe_port: str
-    ) -> bool:
-        """Cone-sliced twin of :meth:`_probe_disagrees` (same verdict)."""
+        # replay only the sequential fanin slice of the observed output
+        # when the engine offers one — bit-identical verdict (the slice
+        # is fanin-closed), a fraction of the evaluation; otherwise the
+        # whole design steps
+        runner = emulator.cone_runner((probe_port,)) or emulator
         runner.reset(self.n_patterns)
         for cycle, cycle_in in enumerate(self.stimulus):
             inputs = {

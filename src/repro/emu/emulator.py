@@ -27,10 +27,10 @@ OBS_PREFIX = "obs_flag"
 class Emulator:
     """Executes a placed-and-routed design cycle by cycle.
 
-    ``engine`` selects the combinational evaluator: ``"codegen"`` (the
-    exec-compiled straight-line kernel), ``"compiled"`` (the
-    instruction-tape kernel, shared per netlist and kept current across
-    ECO edits) or ``"interpreted"`` (the retained reference engine).
+    ``engine`` selects the combinational evaluator: ``"compiled"`` (the
+    instruction-tape kernel, shared per netlist, kept current across
+    ECO edits, and able to replay cone slices) or ``"interpreted"``
+    (the retained reference engine).
     Long-lived consumers like the localizer construct one emulator and
     call :meth:`refresh` after each committed change instead of
     rebuilding — construction re-checks the whole configuration and
@@ -78,15 +78,15 @@ class Emulator:
                 )
             self.layout = layout
         self._check_configuration()
-        if self.engine in ("compiled", "codegen") and changes is not None:
-            self._comb.apply_changeset(changes)
-        elif self.engine == "interpreted":
+        if self.engine == "interpreted":
             # re-levelize: the interpreted engine snapshots topo order
             self._comb = make_engine(self.netlist, self.engine)
+        elif changes is not None:
+            self._comb.apply_changeset(changes)
 
     def cone_runner(self, ports):
         """A fanin-sliced sequential runner for ``ports``, if the
-        active engine supports one (codegen does); ``None`` otherwise.
+        active engine supports one (compiled does); ``None`` otherwise.
         """
         maker = getattr(self._comb, "cone_runner", None)
         return None if maker is None else maker(tuple(ports))

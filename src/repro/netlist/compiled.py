@@ -45,6 +45,16 @@ lowered region appended after the surviving prefix while preserving
 topological validity.  Mutations made without a changeset are caught by
 the :class:`~repro.netlist.core.Netlist` revision counter and trigger a
 full recompile, so the kernel can never silently run stale.
+
+Cone slicing
+============
+
+:meth:`CompiledKernel.cone_runner` restricts sequential replay to the
+fanin cone of a set of observed output ports.  The returned
+:class:`ConeRunner` holds the cone's tape entries (in tape order, so
+still topologically valid) and its own FF state, which lets a
+localization probe verdict replay only the logic that can reach the
+probe — with the same verdict as full replay.
 """
 
 from __future__ import annotations
@@ -193,9 +203,6 @@ class CompiledKernel:
     emulator, sequential simulator and localizer.
     """
 
-    #: metric label distinguishing this kernel from subclasses
-    engine_name = "compiled"
-
     def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
         #: diagnostics: full lowerings / incremental re-lowerings done
@@ -225,8 +232,7 @@ class CompiledKernel:
         self._rebuild_tape()
         self._revision = nl.revision
         self.compile_count += 1
-        METRICS.inc("repro_kernel_compiles_total",
-                    engine=self.engine_name, kind="full")
+        METRICS.inc("repro_kernel_compiles_total", kind="full")
 
     def _slot(self, net_name: str) -> int:
         slot = self._slot_of_net.get(net_name)
@@ -363,8 +369,7 @@ class CompiledKernel:
         self._rebuild_tape()
         self._revision = nl.revision
         self.incremental_count += 1
-        METRICS.inc("repro_kernel_compiles_total",
-                    engine=self.engine_name, kind="incremental")
+        METRICS.inc("repro_kernel_compiles_total", kind="incremental")
 
     def _region_topo(self, region: set[str]) -> list[Instance]:
         """Topological order of the region's combinational instances."""
@@ -426,17 +431,9 @@ class CompiledKernel:
             else:
                 word &= mask
             v[slot_q] = word
-        self._replay(v, mask)
-        return v
-
-    def _replay(self, v: list[int], mask: int) -> None:
-        """Evaluate the lowered combinational logic in place.
-
-        The codegen subclass overrides this with one straight-line
-        generated function call; here it is the tape replay loop.
-        """
         for fn, s, d in self._tape:
             v[d] = fn(v, s, mask)
+        return v
 
     def run(
         self,
@@ -476,6 +473,90 @@ class CompiledKernel:
     @property
     def n_instructions(self) -> int:
         return len(self._ops)
+
+    # -- cone slicing --------------------------------------------------
+
+    def cone_runner(self, ports) -> ConeRunner | None:
+        """Sliced runner for the sequential fanin cone of ``ports``.
+
+        The runner replays the subset of this revision's tape whose
+        instances reach a port, so a localization probe verdict
+        evaluates only the logic that can affect the probe.  ``None``
+        when a port is not a primary output of the netlist.
+        """
+        self.ensure_current()
+        nl = self.netlist
+        by_port = {port_name(po): po for po in nl.primary_outputs()}
+        if any(port not in by_port for port in ports):
+            return None
+        cone = nl.fanin_cone(
+            [by_port[port] for port in ports], stop_at_ffs=False
+        )
+        tape = [
+            entry for entry, name in zip(self._tape, self._instr_names)
+            if name in cone
+        ]
+        inputs = [
+            (port_name(pi), self._slot_of_net[pi.output.name])
+            for pi in nl.primary_inputs()
+            if pi.name in cone
+        ]
+        ffs = [entry for entry in self._ffs if entry[0] in cone]
+        outs = [
+            (port, self._slot_of_net[by_port[port].inputs[0].name])
+            for port in ports
+        ]
+        return ConeRunner(tape, inputs, ffs, outs, self._n_slots)
+
+
+class ConeRunner:
+    """Sequential replay restricted to one observed-port fanin slice.
+
+    Bit-identical to stepping the full kernel and reading the same
+    ports: the sequential fanin cone is closed under fanin, so every
+    value a slice gate or slice FF reads is itself computed by the
+    slice (or filled from a leaf).  Holds its own FF state — callers
+    ``reset`` then ``step`` it exactly like an emulator.
+    """
+
+    def __init__(self, tape, inputs, ffs, outs, n_slots: int) -> None:
+        self._tape = tape  # [(micro_fn, srcs, dest)], a kernel tape slice
+        self._inputs = inputs  # [(port, slot)]
+        self._ffs = ffs  # [(name, slot_q, init, slot_d)]
+        self._outs = outs  # [(port, slot)]
+        self._n_slots = n_slots
+        self.state: dict[str, int] = {}
+
+    def reset(self, n_patterns: int = 1) -> None:
+        mask = (1 << n_patterns) - 1
+        self.state = {
+            name: (mask if init else 0)
+            for name, _, init, _ in self._ffs
+        }
+
+    def step(
+        self, inputs: dict[str, int], n_patterns: int = 1
+    ) -> dict[str, int]:
+        if n_patterns < 1:
+            raise NetlistError("need at least one pattern")
+        mask = (1 << n_patterns) - 1
+        v = [0] * self._n_slots
+        for port, slot in self._inputs:
+            v[slot] = inputs.get(port, 0) & mask
+        state = self.state
+        for name, slot_q, init, _ in self._ffs:
+            word = state.get(name)
+            if word is None:
+                word = mask if init else 0
+            else:
+                word &= mask
+            v[slot_q] = word
+        for fn, s, d in self._tape:
+            v[d] = fn(v, s, mask)
+        self.state = {
+            name: v[slot_d] for name, _, _, slot_d in self._ffs
+        }
+        return {port: v[slot] for port, slot in self._outs}
 
 
 # ----------------------------------------------------------------------

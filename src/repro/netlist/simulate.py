@@ -5,18 +5,15 @@ signal value under test pattern ``i``.  A single pass therefore evaluates
 an arbitrary number of patterns at once, which keeps golden-model
 emulation of the thousand-CLB designs fast enough for the debug loop.
 
-Three combinational engines are provided behind one interface
+Two combinational engines are provided behind one interface
 (``run`` / ``next_state`` / ``probe``):
 
 * :class:`CombinationalSimulator` — the retained interpreted engine,
   walking instances and dispatching through ``eval_gate``;
 * :class:`repro.netlist.compiled.CompiledKernel` — the instruction-tape
-  engine (bit-exact, much faster); selected with ``engine="compiled"``
-  and shared per netlist via :func:`repro.netlist.compiled.kernel_for`;
-* :class:`repro.netlist.codegen.CodegenKernel` — the tape lowered once
-  more into one exec-compiled straight-line function per revision
-  (bit-exact, fastest); selected with ``engine="codegen"`` and shared
-  via :func:`repro.netlist.codegen.codegen_kernel_for`.
+  engine (bit-exact, much faster, and able to replay a cone slice for
+  probe verdicts); selected with ``engine="compiled"`` and shared per
+  netlist via :func:`repro.netlist.compiled.kernel_for`.
 
 :class:`SequentialSimulator` layers flip-flop state on either engine and
 is the reference model for :mod:`repro.emu`.
@@ -45,26 +42,19 @@ def initial_state(netlist: Netlist, n_patterns: int) -> dict[str, int]:
 
 
 def make_engine(netlist: Netlist, engine: str = "compiled"):
-    """Combinational engine factory: ``"codegen"``, ``"compiled"`` or
-    ``"interpreted"``.
+    """Combinational engine factory: ``"compiled"`` or ``"interpreted"``.
 
-    The codegen and compiled engines are shared per netlist (one
-    lowering reused by every consumer); the interpreted engine is
-    constructed fresh.
+    The compiled engine is shared per netlist (one lowering reused by
+    every consumer); the interpreted engine is constructed fresh.
     """
     if engine == "compiled":
         from repro.netlist.compiled import kernel_for
 
         return kernel_for(netlist)
-    if engine == "codegen":
-        from repro.netlist.codegen import codegen_kernel_for
-
-        return codegen_kernel_for(netlist)
     if engine == "interpreted":
         return CombinationalSimulator(netlist)
     raise NetlistError(
-        f"unknown engine {engine!r}; "
-        "choose 'codegen', 'compiled' or 'interpreted'"
+        f"unknown engine {engine!r}; choose 'compiled' or 'interpreted'"
     )
 
 

@@ -8,13 +8,8 @@ against:
 
 * ``strategy``   ``sat``      → ``tiled``        (SAT pruning off)
 * ``correction`` ``cegis``    → ``oracle``       (back-annotation)
-* ``engine``     ``codegen``  → ``compiled``     (no exec-compiled source)
 * ``engine``     ``compiled`` → ``interpreted``  (reference simulator)
 * ``cache``      ``shared``/``private`` → ``off`` (fresh P&R, no replay)
-
-The engine ladder is stepwise — a codegen failure first retries on the
-instruction-tape kernel, and only a failure there falls all the way to
-the interpreted reference.
 
 Each applied rung is recorded as a ``degradation`` note on the result
 (never a silent swallow), and a run that finished only thanks to a
@@ -47,8 +42,6 @@ class Rung:
 DEGRADATION_LADDER = (
     Rung("strategy", ("sat",), "tiled", ("localize", "diagnose")),
     Rung("correction", ("cegis",), "oracle", ("correct", "diagnose")),
-    Rung("engine", ("codegen",), "compiled",
-         ("detect", "localize", "correct", "verify", "diagnose")),
     Rung("engine", ("compiled",), "interpreted",
          ("detect", "localize", "correct", "verify", "diagnose")),
     Rung("cache", ("shared", "private"), "off",

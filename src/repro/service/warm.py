@@ -47,11 +47,6 @@ import hashlib
 import json
 from collections import OrderedDict
 
-from repro.netlist.codegen import (
-    KernelCache,
-    load_kernel_sources,
-    save_kernel_sources,
-)
 from repro.netlist.cones import ConeMemo
 from repro.obs.metrics import METRICS
 from repro.tiling.cache import (
@@ -149,11 +144,6 @@ class WarmRegistry:
         self._entries: OrderedDict[tuple, WarmEntry] = OrderedDict()
         #: shared cone-index memo; the worker installs it process-wide
         self.cone_memo = ConeMemo()
-        #: digest-addressed codegen kernel cache; the worker installs
-        #: it process-wide so every ``engine="codegen"`` job shares the
-        #: generated functions, and repeat submissions skip codegen
-        self.codegen_cache = KernelCache()
-        self.kernels_written = 0
         #: the worker-resident tile cache, warmed once from disk; every
         #: ``cache="shared"`` job reads and feeds it
         self.tile_cache = TileConfigCache()
@@ -162,9 +152,6 @@ class WarmRegistry:
         if cache_dir is not None:
             load_tile_cache(cache_dir, self.tile_cache)
             self.store = TileConfigStore(cache_file_path(cache_dir))
-            # kernel sources persist beside the tile-config store,
-            # content-addressed by tape digest
-            load_kernel_sources(cache_dir, self.codegen_cache)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -241,17 +228,9 @@ class WarmRegistry:
         return self.tile_cache
 
     def write_back(self) -> int:
-        """Persist new tile configs to the store (0 without a store).
-
-        Codegen kernel sources ride along: new digests land beside the
-        tile configs so the next worker generation starts warm.
-        """
+        """Persist new tile configs to the store (0 without a store)."""
         if self.store is None:
             return 0
-        if self.cache_dir is not None:
-            self.kernels_written += save_kernel_sources(
-                self.cache_dir, self.codegen_cache
-            )
         return self.store.write_back(self.tile_cache)
 
     # -- introspection -------------------------------------------------
@@ -265,7 +244,5 @@ class WarmRegistry:
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "cone_memo": self.cone_memo.stats(),
-            "codegen_cache": self.codegen_cache.stats(),
-            "kernels_written": self.kernels_written,
             "tile_cache": self.tile_cache.stats(),
         }

@@ -134,7 +134,6 @@ class _EventHooks:
 def serve_jobs(stdin=None) -> int:
     """The worker loop: init line, ``ready``, then jobs until EOF."""
     from repro.api.pipeline import run_spec
-    from repro.netlist.codegen import set_active_kernel_cache
     from repro.netlist.cones import set_active_cone_memo
     from repro.service.warm import WarmRegistry, warm_key
 
@@ -165,7 +164,6 @@ def serve_jobs(stdin=None) -> int:
         }, lock)
         return 1
     set_active_cone_memo(registry.cone_memo)
-    set_active_kernel_cache(registry.codegen_cache)
     beat = threading.Thread(
         target=heartbeat_loop, args=(lock, stop, interval_s), daemon=True
     )

@@ -99,6 +99,14 @@ class TestRunSpec:
         with pytest.raises(SpecError):
             spec.replaced(strategy="nonesuch")
 
+    def test_retired_codegen_engine_rejected(self):
+        # no alias: old codegen specs fail validation and name the
+        # engines that remain
+        with pytest.raises(SpecError, match="compiled, interpreted"):
+            RunSpec(engine="codegen")
+        with pytest.raises(SpecError):
+            RunSpec.from_dict({"design": "9sym", "engine": "codegen"})
+
 
 # ----------------------------------------------------------------------
 # strategy registry
@@ -188,11 +196,26 @@ class TestPipeline:
         for f in dataclasses.fields(RunResult):
             assert getattr(restored, f.name) == getattr(result, f.name)
 
-    def test_engines_bit_identical(self):
-        compiled = run_spec(fast_spec(engine="compiled"))
-        interpreted = run_spec(fast_spec(engine="interpreted"))
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"design": "9sym", "error_seed": 3},
+        {"design": "9sym", "error_seed": 7},
+        {"design": "s9234", "error_seed": 3},
+        {"design": "s9234", "error_seed": 5},
+        {"design": "9sym", "error_seed": 6, "n_errors": 2,
+         "strategy": "sat", "verify": "prove"},
+    ], ids=["9sym-1", "9sym-3", "9sym-7", "s9234-3", "s9234-5",
+            "9sym-6-k2-sat"])
+    def test_engines_bit_identical(self, overrides):
+        # compiled probe verdicts replay cone slices, interpreted ones
+        # replay the whole design: the outcomes must not tell them apart
+        compiled = run_spec(fast_spec(engine="compiled", **overrides))
+        interpreted = run_spec(fast_spec(engine="interpreted", **overrides))
+        assert compiled.n_probes > 0
         assert compiled.trajectory_key() == interpreted.trajectory_key()
         assert compiled.candidates == interpreted.candidates
+        assert compiled.fixed == interpreted.fixed
+        assert compiled.proved == interpreted.proved
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +448,12 @@ class TestCli:
 
     def test_bad_spec_exits_2(self, capsys):
         assert cli_main(["run", "--design", "nonesuch"]) == 2
+
+    def test_retired_codegen_engine_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--design", "9sym", "--engine", "codegen"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'codegen'" in capsys.readouterr().err
 
     def test_undetected_run_exits_1(self, tmp_path):
         code = cli_main([

@@ -1,12 +1,11 @@
-"""Three-engine equivalence (property-based).
+"""Compiled-vs-interpreted engine equivalence (property-based).
 
-The compiled instruction-tape kernel and the codegen straight-line
-kernel must both be bit-exact against the interpreted reference on
-outputs, probe words and next-FF-state — for randomized designs,
-across error kinds and stimulus seeds, before and after ECO edits
-(error injection, observation-point insertion, control points,
-correction), and whether the edits reach the kernel incrementally or
-force a full recompile.  The codegen engine's cone-sliced probe
+The compiled instruction-tape kernel must be bit-exact against the
+interpreted reference on outputs, probe words and next-FF-state — for
+randomized designs, across error kinds and stimulus seeds, before and
+after ECO edits (error injection, observation-point insertion, control
+points, correction), and whether the edits reach the kernel
+incrementally or force a full recompile.  Its cone-sliced probe
 runners must agree with full replay on the sliced ports.
 """
 
@@ -17,16 +16,12 @@ from repro.debug.instrument import add_control_point, add_observation_point
 from repro.errors import DebugFlowError
 from repro.generators.random_logic import random_sequential_netlist
 from repro.netlist import CombinationalSimulator, CompiledKernel, initial_state
-from repro.netlist.codegen import CodegenKernel
 from repro.netlist.simulate import SequentialSimulator, replay_outputs
 from repro.rng import make_rng
 from repro.synth import map_to_luts
 from repro.tiling.eco import ChangeRecorder
 
-#: both lowered kernels; every kernel test runs against each
-KERNEL_CLASSES = (CompiledKernel, CodegenKernel)
-
-ALL_ENGINES = ("interpreted", "compiled", "codegen")
+ALL_ENGINES = ("interpreted", "compiled")
 
 
 def _random_design(seed: int, mapped: bool):
@@ -62,8 +57,7 @@ def _assert_equivalent(netlist, kernel, seed, n_patterns=64, n_cycles=3):
 @settings(max_examples=15, deadline=None)
 def test_engines_agree_on_random_designs(seed, mapped):
     netlist = _random_design(seed, mapped)
-    for kernel_cls in KERNEL_CLASSES:
-        _assert_equivalent(netlist, kernel_cls(netlist), seed)
+    _assert_equivalent(netlist, CompiledKernel(netlist), seed)
 
 
 @given(
@@ -72,8 +66,8 @@ def test_engines_agree_on_random_designs(seed, mapped):
     stim_seed=st.integers(0, 1_000),
 )
 @settings(max_examples=12, deadline=None)
-def test_three_engine_replay_identity(seed, kind, stim_seed):
-    """interpreted vs compiled vs codegen over designs × errors × stimuli."""
+def test_engine_replay_identity(seed, kind, stim_seed):
+    """interpreted vs compiled over designs × errors × stimuli."""
     netlist = _random_design(seed, mapped=True)
     try:
         inject_error(netlist, kind, seed=seed)
@@ -87,19 +81,18 @@ def test_three_engine_replay_identity(seed, kind, stim_seed):
     replays = [
         replay_outputs(netlist, stim, 48, engine=e) for e in ALL_ENGINES
     ]
-    assert replays[0] == replays[1] == replays[2]
+    assert replays[0] == replays[1]
 
 
 @given(
     seed=st.integers(0, 5_000),
     kind=st.sampled_from(ERROR_KINDS),
-    kernel_cls=st.sampled_from(KERNEL_CLASSES),
 )
 @settings(max_examples=15, deadline=None)
-def test_engines_agree_across_eco_edits(seed, kind, kernel_cls):
+def test_engines_agree_across_eco_edits(seed, kind):
     """Inject → observe → control → correct, applied incrementally."""
     netlist = _random_design(seed, mapped=True)
-    kernel = kernel_cls(netlist)
+    kernel = CompiledKernel(netlist)
     _assert_equivalent(netlist, kernel, seed)
 
     with ChangeRecorder(netlist, "inject") as rec:
@@ -133,19 +126,16 @@ def test_engines_agree_across_eco_edits(seed, kind, kernel_cls):
     assert kernel.incremental_count == 4
 
 
-@given(
-    seed=st.integers(0, 5_000),
-    kernel_cls=st.sampled_from(KERNEL_CLASSES),
-)
+@given(seed=st.integers(0, 5_000))
 @settings(max_examples=10, deadline=None)
-def test_incremental_matches_full_recompile(seed, kernel_cls):
+def test_incremental_matches_full_recompile(seed):
     """The incrementally patched kernel equals a from-scratch lowering."""
     netlist = _random_design(seed, mapped=True)
-    kernel = kernel_cls(netlist)
+    kernel = CompiledKernel(netlist)
     with ChangeRecorder(netlist, "inject") as rec:
         inject_error(netlist, "table_bit", seed=seed)
     kernel.apply_changeset(rec.changes)
-    fresh = kernel_cls(netlist)
+    fresh = CompiledKernel(netlist)
     rng = make_rng(seed, "ifull")
     names = _input_names(netlist)
     inputs = {n: rng.getrandbits(64) for n in names}
@@ -156,15 +146,12 @@ def test_incremental_matches_full_recompile(seed, kernel_cls):
     )
 
 
-@given(
-    seed=st.integers(0, 5_000),
-    kernel_cls=st.sampled_from(KERNEL_CLASSES),
-)
+@given(seed=st.integers(0, 5_000))
 @settings(max_examples=8, deadline=None)
-def test_untracked_mutations_trigger_full_recompile(seed, kernel_cls):
+def test_untracked_mutations_trigger_full_recompile(seed):
     """Edits made without a changeset are caught by the revision check."""
     netlist = _random_design(seed, mapped=True)
-    kernel = kernel_cls(netlist)
+    kernel = CompiledKernel(netlist)
     inject_error(netlist, "output_invert", seed=seed)
     # no apply_changeset: next use must notice the revision bump
     _assert_equivalent(netlist, kernel, seed)
@@ -179,7 +166,7 @@ def test_cone_runner_matches_full_replay(seed):
     inject_error(netlist, "table_bit", seed=seed)
     watch = netlist.primary_outputs()[0].inputs[0].name
     add_observation_point(netlist, [watch], "cr", sticky=False)
-    kernel = CodegenKernel(netlist)
+    kernel = CompiledKernel(netlist)
     port = "obs_probe_cr"
     runner = kernel.cone_runner((port,))
     assert runner is not None
@@ -193,8 +180,6 @@ def test_cone_runner_matches_full_replay(seed):
         out_full = full.step(inputs, 32)
         out_slice = runner.step(inputs, 32)
         assert out_slice[port] == out_full[port]
-    # the same (revision, observed-set) request reuses the memo entry
-    assert kernel.cone_runner((port,)) is runner
 
 
 @given(seed=st.integers(0, 5_000), engine=st.sampled_from(ALL_ENGINES))
