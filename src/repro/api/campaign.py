@@ -469,14 +469,12 @@ class CampaignRunner:
         notes: list = []
         slots, pending = self._partition_resume(specs, notes)
         caches: list[TileConfigCache] = []
-        before: list[dict] = []
         if self.executor == "thread":
             # resolve every cache before the fan-out so disk loads
-            # happen exactly once and the stats deltas bracket the runs
+            # happen exactly once
             for _, spec in pending:
                 self._cache_for(spec)
             caches = self._campaign_caches()
-            before = [cache.stats() for cache in caches]
         aborted = False
         interrupted = False
         t0 = time.perf_counter()
@@ -564,15 +562,12 @@ class CampaignRunner:
                         )
         wall = time.perf_counter() - t0
         results = [slots[i] for i in sorted(slots)]
-        if self.executor == "thread":
-            cache_delta = self._thread_cache_delta(caches, before)
-        else:
-            cache_delta = self._process_cache_delta(results)
+        executed = [slots[i] for i, _ in pending if i in slots]
         return CampaignResult(
             results=results,
             wall_seconds=wall,
             workers=self.workers,
-            cache=cache_delta,
+            cache=self._cache_delta(executed),
             notes=notes,
             aborted=aborted,
             interrupted=interrupted,
@@ -580,36 +575,14 @@ class CampaignRunner:
         )
 
     @staticmethod
-    def _thread_cache_delta(caches: list[TileConfigCache],
-                            before: list[dict]) -> dict | None:
-        if not caches:
-            return None
-        deltas = [
-            stats_delta(b, cache.stats())
-            for b, cache in zip(before, caches)
-        ]
-        cache_delta = {
-            k: sum(d[k] for d in deltas)
-            for k in ("hits", "misses", "stores", "rejected", "entries")
-        }
-        looked = cache_delta["hits"] + cache_delta["misses"]
-        cache_delta["hit_rate"] = (
-            cache_delta["hits"] / looked if looked else 0.0
-        )
-        return cache_delta
-
-    @staticmethod
-    def _process_cache_delta(results: list[RunResult]) -> dict | None:
-        """Campaign cache counters = sum of the workers' per-run deltas."""
+    def _cache_delta(results: list[RunResult]) -> dict | None:
+        """Campaign cache counters: the sum of the executed runs' own
+        deltas (each run counts its lookups whatever the executor), with
+        the largest entry count any of them closed on."""
         per_run = [r.cache for r in results if r.cache is not None]
         if not per_run:
             return None
-        keys = ("hits", "misses", "stores", "rejected", "entries")
-        cache_delta = {
-            k: sum(d.get(k, 0) for d in per_run) for k in keys
-        }
-        looked = cache_delta["hits"] + cache_delta["misses"]
-        cache_delta["hit_rate"] = (
-            cache_delta["hits"] / looked if looked else 0.0
-        )
-        return cache_delta
+        zero = dict.fromkeys(("hits", "misses", "stores", "rejected"), 0.0)
+        total = {k: sum(d[k] for d in per_run) for k in zero}
+        total["entries"] = max(d["entries"] for d in per_run)
+        return stats_delta(zero, total)

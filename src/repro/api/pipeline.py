@@ -902,20 +902,20 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     from repro.resilience.degrade import next_degraded
     from repro.resilience.failure import RunFailure
     from repro.tiling.cache import (
+        RunCacheView,
         cache_file_path,
         load_tile_cache,
         save_tile_cache,
-        stats_delta,
     )
 
     chaos_cfg = ChaosConfig.coerce(chaos if chaos is not None else spec.chaos)
     fired = chaos_cfg.select(spec) if chaos_cfg is not None else []
     degradations: list = []
 
-    # cache-dir persistence and the per-run stats delta only make sense
-    # when this run owns its cache; a caller-supplied cache (e.g. the
-    # campaign runner's, shared across concurrent workers) is loaded,
-    # saved, and accounted at the caller's level instead
+    # cache-dir persistence only makes sense when this run owns its
+    # cache; a caller-supplied cache (e.g. the campaign runner's, shared
+    # across concurrent workers) is loaded and saved at the caller's
+    # level instead
     owns_cache = tile_cache is _UNSET
     if owns_cache:
         tile_cache = resolve_tile_cache(spec)
@@ -933,11 +933,9 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
                         "chaos": fault.kind,
                     })
             load_tile_cache(spec.cache_dir, tile_cache)
-
-    cache_before = (
-        tile_cache.stats()
-        if owns_cache and tile_cache is not None else None
-    )
+    # the run's own lookups, counted apart from anything else sharing
+    # the cache, become RunResult.cache
+    cache_view = RunCacheView(tile_cache) if tile_cache is not None else None
 
     # worker kinds ride along: ChaosInjector only fires them inside a
     # supervised worker process (inert under the thread executor)
@@ -957,7 +955,7 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     attempts_allowed = spec.retries + 1
     failures: list[RunFailure] = []
     current = spec
-    run_cache = tile_cache
+    run_cache = cache_view
     rejecting: ReplayRejectingCache | None = None
     ctx: RunContext | None = None
     status = "failed"
@@ -1050,11 +1048,9 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     if status == "ok" and degradations:
         status = "degraded"
 
-    cache_delta = None
-    if cache_before is not None:
-        cache_delta = stats_delta(cache_before, tile_cache.stats())
-        if spec.cache_dir is not None:
-            save_tile_cache(tile_cache, spec.cache_dir)
+    cache_delta = cache_view.delta() if cache_view is not None else None
+    if owns_cache and tile_cache is not None and spec.cache_dir is not None:
+        save_tile_cache(tile_cache, spec.cache_dir)
 
     METRICS.inc("repro_runs_total", status=status)
     if ctx is not None:

@@ -35,9 +35,10 @@ def block_logic_config(packed: PackedDesign, block_index: int) -> bytes:
     """Canonical byte encoding of one block's logic configuration.
 
     For a CLB this is the per-BLE frame content (LUT truth tables and
-    input wiring, FF inits and D nets) — the same bytes the bitstream
-    frames hash, which is why the :class:`~repro.tiling.cache.TileConfigCache`
-    keys on it: equal bytes means an identical reconfiguration target.
+    input wiring, FF inits and D nets) — the bytes the bitstream frames
+    hash, read from the live netlist.  The P&R caches deliberately do
+    not key on it (placement and routing never read logic content), so
+    a replayed layout still carries the current logic into its frames.
     IOBs encode their direction and pad name.
     """
     block = packed.blocks[block_index]

@@ -29,6 +29,7 @@ Tiling hooks:
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass, field
 
 from repro.arch.device import Device
@@ -101,11 +102,19 @@ class _Fabric:
                 nbr[cid] = tuple(flat)
         self.nbr = nbr
         self._region_masks: dict[Rect, bytearray] = {}
-        # generation-stamped A* scratch (avoids per-call dict hashing)
-        self._best = [0.0] * n
-        self._parent = [0] * n
-        self._stamp = [0] * n
-        self._generation = 0
+        self._local = threading.local()
+
+    def astar_scratch(self) -> "_AStarScratch":
+        """This thread's A* scratch arrays.
+
+        Per thread because campaign threads route on one shared fabric
+        at once: shared parent pointers would splice their searches
+        into a cycle that the path walk never leaves.
+        """
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            scratch = self._local.scratch = _AStarScratch(self.n_cells)
+        return scratch
 
     def cell_id(self, cell: tuple[int, int]) -> int:
         return (cell[0] + 1) * self.h + (cell[1] + 1)
@@ -134,6 +143,18 @@ class _Fabric:
                     mask[base + y] = 1
             self._region_masks[region] = mask
         return mask
+
+
+class _AStarScratch:
+    """Generation-stamped A* arrays (avoids per-call dict hashing)."""
+
+    __slots__ = ("best", "parent", "stamp", "generation")
+
+    def __init__(self, n_cells: int) -> None:
+        self.best = [0.0] * n_cells
+        self.parent = [0] * n_cells
+        self.stamp = [0] * n_cells
+        self.generation = 0
 
 
 _FABRICS: dict[tuple[int, int], _Fabric] = {}
@@ -450,11 +471,12 @@ def _astar(
     tid = (tx + 1) * h + (ty + 1)
     mask = fab.region_mask(region) if region is not None else None
 
-    fab._generation += 1
-    gen = fab._generation
-    best = fab._best
-    parent = fab._parent
-    stamp = fab._stamp
+    scratch = fab.astar_scratch()
+    scratch.generation += 1
+    gen = scratch.generation
+    best = scratch.best
+    parent = scratch.parent
+    stamp = scratch.stamp
 
     open_heap: list[tuple[float, int, int]] = []
     counter = 0

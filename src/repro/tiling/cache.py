@@ -16,16 +16,20 @@ Key contents (a stale entry can never match, let alone apply):
 * effort preset and commit seed (the fresh path is deterministic in
   them, so a hit reproduces exactly what the fresh path would build);
 * the affected tile rectangles;
-* the logic content of every movable block
-  (:func:`repro.emu.bitstream.block_logic_config` — the same bytes the
-  bitstream frames hash);
+* the kind and name of every movable block — connectivity only: the
+  placer and router never read LUT truth tables or pin order, so a new
+  logic-only error (``table_bit``, ``wrong_function``, ``output_invert``,
+  ``input_swap``) on a known design replays its P&R, while logic still
+  reaches the emulator and the bitstream frames from the live netlist;
 * per rerouted net: its name, the sites of its locked terminals, the
   names of its still-unplaced terminals, and the locked route fragments
   outside the affected region (the paper's tile *interface*).
 
 Invalidation is structural, not temporal: entries are immortal until
 evicted (bounded LRU) because a lookup can only hit when the current
-netlist, placement and locked routes present byte-identical context.
+block connectivity, placement and locked routes present byte-identical
+context.  The whole-design keys (:func:`full_pnr_key`) follow the same
+rule: connectivity, device, preset, seed and constraints, never logic.
 On top of that, :func:`repro.pnr.flow.apply_region_config` re-verifies
 site legality, terminal membership and channel capacity before touching
 the layout, and the tiling manager skips the cache outright when a
@@ -264,6 +268,45 @@ def stats_delta(before: dict, after: dict) -> dict:
     delta["hit_rate"] = delta["hits"] / looked if looked else 0.0
     delta["entries"] = after["entries"]
     return delta
+
+
+class RunCacheView:
+    """One run's window onto a (possibly shared) :class:`TileConfigCache`.
+
+    Every call goes to ``inner``, but the counters are the run's own, so
+    a run reports its own delta even while campaign threads or earlier
+    daemon jobs use the same cache.
+    """
+
+    def __init__(self, inner: TileConfigCache) -> None:
+        self.inner = inner
+        self.hits = self.misses = self.stores = self.rejected = 0
+
+    def lookup(self, key: str) -> TileConfig | None:
+        config = self.inner.lookup(key)
+        self.hits += config is not None
+        self.misses += config is None
+        return config
+
+    def store(self, key: str, config: TileConfig) -> None:
+        self.inner.store(key, config)
+        self.stores += 1
+
+    def note_rejected(self) -> None:
+        self.inner.note_rejected()
+        self.rejected += 1
+        self.hits -= 1
+        self.misses += 1
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def delta(self) -> dict:
+        """This run's counters, shaped like :func:`stats_delta`."""
+        zero = dict.fromkeys(("hits", "misses", "stores", "rejected"), 0.0)
+        now = {k: float(getattr(self, k)) for k in zero}
+        now["entries"] = float(len(self.inner))
+        return stats_delta(zero, now)
 
 
 # ----------------------------------------------------------------------
@@ -621,23 +664,20 @@ def full_pnr_key(packed, device, seed, preset, constraints=None,
                  context: str = "", strict_routing: bool = False) -> str:
     """Digest of everything a from-scratch place-and-route depends on.
 
-    Covers the full design: every block's logic configuration, every
-    block net's terminals, the device, the effort preset, the placement
-    seed, and any region/lock constraints.  Identical digests mean the
-    deterministic P&R would recompute the identical layout.
+    Covers the full design's connectivity — every block's kind and
+    name, every block net's terminals — plus the device, the effort
+    preset, the placement seed, and any region/lock constraints.  Those
+    are all the placer and router read, so identical digests mean the
+    deterministic P&R would recompute the identical layout; a logic-only
+    change (a LUT table or pin order) keeps the digest.
     """
-    from repro.emu.bitstream import block_logic_config
-
     h = hashlib.sha256()
     h.update(
         f"full-pnr|{context}|{pnr_key_header(packed, device, preset, seed)}"
         f"|strict{int(strict_routing)}\n".encode()
     )
     for block in packed.blocks:
-        h.update(block.name.encode())
-        h.update(b"=")
-        h.update(block_logic_config(packed, block.index))
-        h.update(b"\n")
+        h.update(f"{block.kind}:{block.name}\n".encode())
     for idx in sorted(packed.nets):
         net = packed.nets[idx]
         h.update(

@@ -24,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.arch.device import Device
-from repro.emu.bitstream import block_logic_config
 from repro.errors import TilingError
 from repro.geometry import Rect
 from repro.pnr.effort import EffortMeter, EffortPreset, EFFORT_PRESETS
@@ -99,8 +98,6 @@ class TiledLayout:
         self._synced_revision: int | None = getattr(
             layout.packed.netlist, "revision", None
         )
-        #: per-block logic signatures, invalidated by each changeset
-        self._block_sig: dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
     # construction (paper steps 4-8)
@@ -282,10 +279,10 @@ class TiledLayout:
 
         Before running step 4-5 from scratch, the commit is looked up in
         the tile-configuration cache: when an identical reconfiguration
-        (same tile logic content, same locked interface signature, same
-        seed/preset) was committed before, its precomputed configuration
-        is verified and replayed — the paper's spare-configuration
-        mechanism — and the P&R is skipped entirely.
+        (same movable blocks and net terminals, same locked interface
+        signature, same seed/preset) was committed before, its
+        precomputed configuration is verified and replayed — the paper's
+        spare-configuration mechanism — and the P&R is skipped entirely.
         """
         preset = preset or EFFORT_PRESETS["normal"]
         meter = EffortMeter()
@@ -346,11 +343,6 @@ class TiledLayout:
         use_cache = cache is not None and not changes.stale_for(
             self._synced_revision
         )
-        if use_cache:
-            for b in changed_blocks | new_blocks:
-                self._block_sig.pop(b, None)
-        else:
-            self._block_sig.clear()
         key = None
         cache_hit = False
         if use_cache:
@@ -410,14 +402,16 @@ class TiledLayout:
     ) -> str:
         """Digest of everything the commit's *result* is keyed on.
 
-        Covers design/device/effort/seed, the tile rectangles, the
-        byte-identical logic content of every movable block, and the
-        locked interface of every net that will be rerouted (terminal
-        sites and outside route fragments).  Deliberately *not* covered:
-        transient congestion context — channel usage and negotiation
-        history of unaffected nets.  A hit therefore replays a
-        previously computed *legal* configuration for this content and
-        interface (the paper's precomputed spare configuration), not
+        Covers design/device/effort/seed, the tile rectangles, the kind
+        and name of every movable block, and the locked interface of
+        every net that will be rerouted (terminal sites and outside route
+        fragments).  Connectivity only: block logic content (LUT tables,
+        pin order) never steers placement or routing, so it stays out of
+        the key and a logic-only change replays.  Deliberately *not*
+        covered: transient congestion context — channel usage and
+        negotiation history of unaffected nets.  A hit therefore replays
+        a previously computed *legal* configuration for these blocks and
+        this interface (the paper's precomputed spare configuration), not
         necessarily the byte-identical result a fresh P&R would produce
         under the current congestion; apply-time verification enforces
         terminal and capacity legality before anything is touched.
@@ -431,16 +425,9 @@ class TiledLayout:
         )
         rects = sorted((r.x0, r.y0, r.x1, r.y1) for r in regions)
         h.update(repr(rects).encode())
-        block_sig = self._block_sig
         for b in sorted(movable):
-            sig = block_sig.get(b)
-            if sig is None:
-                sig = block_logic_config(packed, b)
-                block_sig[b] = sig
-            h.update(packed.blocks[b].name.encode())
-            h.update(b"=")
-            h.update(sig)
-            h.update(b"\n")
+            block = packed.blocks[b]
+            h.update(f"{block.kind}:{block.name}\n".encode())
 
         pos = placement.pos
 

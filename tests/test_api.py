@@ -19,6 +19,7 @@ from repro.debug.session import EmulationDebugSession, run_campaign
 from repro.errors import DebugFlowError, SpecError
 from repro.generators import build_design
 from repro.pnr.effort import EFFORT_PRESETS
+from repro.tiling.cache import TileConfigCache
 
 FAST = dict(preset="fast", max_probes=6, cache="private")
 
@@ -310,8 +311,14 @@ class TestCampaign:
     def test_workers_do_not_change_results(self):
         specs = expand_matrix(fast_spec(), error_seeds=[1, 3, 5])
         serial = CampaignRunner(workers=1).run(specs)
-        threaded = CampaignRunner(workers=4).run(specs)
+        shared = TileConfigCache()
+        threaded = CampaignRunner(workers=4, tile_cache=shared).run(specs)
         assert serial.n_runs == threaded.n_runs == 3
+        # each run counts only its own lookups, even with four threads
+        # sharing one cache: together they account for all of its
+        for key in ("hits", "misses", "stores", "rejected"):
+            total = sum(r.cache[key] for r in threaded.results)
+            assert total == threaded.cache[key] == getattr(shared, key)
         for a, b in zip(serial.results, threaded.results):
             assert a.trajectory_key() == b.trajectory_key()
             assert a.candidates == b.candidates
@@ -341,6 +348,33 @@ class TestCampaign:
         for a, b in zip(cold.results, warm.results):
             assert a.trajectory_key() == b.trajectory_key()
             assert a.candidates == b.candidates
+
+    def test_caching_never_changes_the_answer(self):
+        """New error seeds on one design replay its P&R, and the
+        replayed runs report exactly what cold runs compute."""
+        from perfbench.checks import comparable
+
+        seeds = list(range(1, 7))
+        cached = CampaignRunner().run(
+            expand_matrix(fast_spec(cache="private"), error_seeds=seeds)
+        )
+        cold = CampaignRunner().run(
+            expand_matrix(fast_spec(cache="off"), error_seeds=seeds)
+        )
+        assert [r.spec["error_seed"] for r in cached.results] == seeds
+        assert all(r.cache["hits"] > 0 for r in cached.results[1:])
+        assert all(r.cache is None for r in cold.results)
+
+        def answer(result):
+            # the spec differs in its cache policy, and the commit hit
+            # count is a cache counter, not an outcome
+            fields = comparable(result)
+            for name in ("spec", "n_commit_cache_hits"):
+                fields.pop(name)
+            return fields
+
+        for a, b in zip(cached.results, cold.results):
+            assert answer(a) == answer(b)
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):

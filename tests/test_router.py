@@ -136,3 +136,42 @@ def test_routing_state_add_remove_roundtrip():
     assert state.usage[((0, 0), (0, 1))] == 1
     state.remove(tree)
     assert not state.usage
+
+
+def test_concurrent_routing_on_one_fabric_matches_serial():
+    """Threads routing on one device share its fabric tables; each must
+    still get exactly the serial routes (A* scratch is per thread)."""
+    import sys
+    import threading
+
+    packed, device, placement = placed_design()
+
+    def edges_by_net(routes):
+        return {idx: sorted(tree.edges) for idx, tree in routes.items()}
+
+    expected = edges_by_net(route_nets(packed, device, placement))
+    got, errors = [], []
+
+    def worker():
+        try:
+            for _ in range(3):
+                got.append(
+                    edges_by_net(route_nets(packed, device, placement))
+                )
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(got) == 18
+    assert all(routes == expected for routes in got)

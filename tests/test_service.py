@@ -271,6 +271,23 @@ def test_daemon_cold_warm_bit_identity_dedup_and_events(tmp_path):
         assert stats["workers"][0]["jobs_done"] == 2
 
 
+def test_warm_daemon_replays_pnr_for_a_new_error_seed(tmp_path):
+    """A new error seed on a design the worker already implemented
+    replays its P&R from the worker-resident tile cache."""
+    first = RunSpec(**dict(FAST, cache="shared"))
+    second = RunSpec(**dict(FAST, cache="shared", error_seed=2))
+    with service(tmp_path) as (svc, client):
+        assert client.run(first)["result"]["status"] == "ok"
+        response = client.run(second)
+    result = response["result"]
+    # error seed 2 is never excited, so its one lookup is the initial
+    # P&R — and it hits on the layout the seed-1 job stored
+    assert not result["detected"]
+    assert result["cache"]["hits"] == 1 and result["cache"]["misses"] == 0
+    cold = run_spec(second, tile_cache=None)
+    assert stable(result) == stable(cold.to_dict())
+
+
 def test_daemon_worker_death_requeues_once_and_completes(tmp_path):
     # the fault SIGKILLs the worker in localize on the first dispatch;
     # its finite fires-budget died with that process, so the re-queued

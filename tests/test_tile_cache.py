@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch import pick_device
+from repro.debug.errors import ERROR_KINDS
 from repro.emu import frames_for_tiles
 from repro.netlist.cells import CellKind
 from repro.pnr import EFFORT_PRESETS
@@ -42,19 +43,19 @@ def flip_first_lut(mapped):
     return rec.changes
 
 
-def placement_by_name(tiled):
-    packed = tiled.packed
+def placement_by_name(layout):
+    packed = layout.packed
     return {
         packed.blocks[b].name: site
-        for b, site in tiled.layout.placement.pos.items()
+        for b, site in layout.placement.pos.items()
     }
 
 
-def routes_by_name(tiled):
-    packed = tiled.packed
+def routes_by_name(layout):
+    packed = layout.packed
     return {
         packed.nets[idx].name: (set(t.cells), set(t.edges))
-        for idx, t in tiled.layout.routes.items()
+        for idx, t in layout.routes.items()
     }
 
 
@@ -73,8 +74,8 @@ def test_identical_commit_replays_from_cache():
     assert r2.cache_hit
     assert r2.affected_tiles == r1.affected_tiles
     # the replayed configuration is byte-identical to the computed one
-    assert placement_by_name(tiled2) == placement_by_name(tiled1)
-    assert routes_by_name(tiled2) == routes_by_name(tiled1)
+    assert placement_by_name(tiled2.layout) == placement_by_name(tiled1.layout)
+    assert routes_by_name(tiled2.layout) == routes_by_name(tiled1.layout)
     rects = [t.rect for t in tiled1.tiles]
     assert frames_for_tiles(tiled1.layout, rects) == frames_for_tiles(
         tiled2.layout, rects
@@ -213,8 +214,8 @@ def test_save_load_round_trip(tmp_path):
     changes2 = flip_first_lut(mapped2)
     tiled2.apply_changeset(changes2, seed=5, preset=EFFORT_PRESETS["fast"])
     assert fresh.hits > before
-    assert placement_by_name(tiled2) == placement_by_name(tiled)
-    assert routes_by_name(tiled2) == routes_by_name(tiled)
+    assert placement_by_name(tiled2.layout) == placement_by_name(tiled.layout)
+    assert routes_by_name(tiled2.layout) == routes_by_name(tiled.layout)
     assert_layout_legal(tiled2.layout)
 
 
@@ -504,3 +505,74 @@ def test_load_tile_cache_migrates_legacy_pickle(tmp_path):
     fresh = TileConfigCache()
     assert TileConfigStore(cache_file_path(cache_dir)).merge_into(fresh) == 1
     assert fresh.lookup("legacy-key") is not None
+
+
+# ----------------------------------------------------------------------
+# connectivity-only keys: a new error on a known design replays its P&R
+# ----------------------------------------------------------------------
+
+#: error kinds that leave every block net's terminals alone (they edit a
+#: LUT's table or its pin order), so the P&R keys must not change
+LOGIC_ONLY_KINDS = ("table_bit", "wrong_function", "output_invert",
+                    "input_swap")
+
+
+def implement_9sym(cache, kind=None, error_seed=1):
+    """Initial P&R + tiled relayout of 9sym, as the tiled pipeline does
+    them, optionally after injecting one ``kind`` error.
+
+    Returns ``(initial layout, tiled layout, changed block-net ids)``.
+    """
+    from repro.api import RunSpec
+    from repro.api.pipeline import RunContext
+    from repro.debug.errors import inject_errors
+    from repro.synth.pack import refresh_block_nets
+
+    ctx = RunContext.from_spec(
+        RunSpec(design="9sym", preset="fast"), tile_cache=cache
+    )
+    changed = set()
+    if kind is not None:
+        inject_errors(ctx.packed.netlist, [kind], seed=error_seed)
+        _, changed, _ = refresh_block_nets(ctx.packed)
+    initial = ctx.strategy.build_initial()
+    ctx.strategy.prepare_for_debug()
+    return initial, ctx.strategy.tiled, changed
+
+
+@pytest.fixture(scope="module")
+def clean_9sym_entries():
+    """Cache entries a clean (error-free) 9sym implementation stores."""
+    cache = TileConfigCache()
+    implement_9sym(cache)
+    assert cache.stores == 2  # initial P&R + tiled relayout
+    return list(cache._entries.items())
+
+
+@pytest.mark.parametrize("kind", ERROR_KINDS)
+def test_new_error_replays_clean_twin_pnr(kind, clean_9sym_entries):
+    """Replaying a clean twin's P&R equals computing it fresh, per kind;
+    only an error that rewires block nets misses."""
+    warm = TileConfigCache()
+    for key, config in clean_9sym_entries:
+        warm.store_quietly(key, config)
+    fresh_initial, fresh_tiled, changed = implement_9sym(None, kind)
+    warm_initial, warm_tiled, _ = implement_9sym(warm, kind)
+
+    if kind in LOGIC_ONLY_KINDS:
+        assert not changed
+        assert (warm.hits, warm.misses, warm.rejected) == (2, 0, 0)
+    else:
+        assert kind == "wrong_source" and changed
+        assert warm.hits == 0 and warm.misses == 2
+
+    rects = [t.rect for t in fresh_tiled.tiles]
+    assert [t.rect for t in warm_tiled.tiles] == rects
+    for fresh, replayed in ((fresh_initial, warm_initial),
+                            (fresh_tiled.layout, warm_tiled.layout)):
+        assert placement_by_name(replayed) == placement_by_name(fresh)
+        assert routes_by_name(replayed) == routes_by_name(fresh)
+        assert frames_for_tiles(
+            replayed, rects, include_routing=True
+        ) == frames_for_tiles(fresh, rects, include_routing=True)
+        assert_layout_legal(replayed, check_capacity=False)
