@@ -15,9 +15,6 @@ API surface:
   processes, journaled for ``--resume``;
 * the ``python -m repro`` CLI (``run`` / ``campaign`` / ``bench`` /
   ``report`` / ``cache verify``) built on all of the above.
-
-Legacy entry points (`EmulationDebugSession`, `run_campaign`) are thin
-shims over these stages and stay bit-identical.
 """
 
 from repro.api.campaign import (

@@ -322,10 +322,7 @@ class CampaignRunner:
             return self.tile_cache
         cache = self._policy_caches.get(spec.cache)
         if cache is None:
-            cache = (
-                TileConfigCache() if spec.cache == "private"
-                else resolve_tile_cache(spec)
-            )
+            cache = resolve_tile_cache(spec)
             if self.cache_dir is not None:
                 load_tile_cache(self.cache_dir, cache)
             self._policy_caches[spec.cache] = cache

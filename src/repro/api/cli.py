@@ -339,8 +339,7 @@ def cmd_cache_verify(args: argparse.Namespace) -> int:
             f"{args.path}: {report['valid']} valid entr"
             f"{'y' if report['valid'] == 1 else 'ies'}, "
             f"{len(report['corrupt'])} corrupt, "
-            f"{len(report['quarantined'])} quarantined, "
-            f"{report['legacy_entries']} legacy"
+            f"{len(report['quarantined'])} quarantined"
         )
         for kind in ("corrupt", "quarantined"):
             for entry in report[kind]:
@@ -897,8 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_verify = cache_sub.add_parser(
         "verify",
-        help="damage report for a --cache-dir, store directory, entry "
-             "file, or legacy cache pickle (exit 1 on damage)",
+        help="damage report for a --cache-dir, store directory, or "
+             "entry file (exit 1 on damage)",
     )
     p_verify.add_argument("path", help="cache directory or file to verify")
     p_verify.set_defaults(func=cmd_cache_verify)

@@ -20,10 +20,9 @@ per round (or several at once, when CEGIS lands a joint repair),
 retiring the previous round's stale observation points before new
 probes go in.
 
-`EmulationDebugSession.run`, the `python -m repro` CLI, and the
-campaign runner all execute these same stage objects, which is what
-keeps the legacy entry points bit-identical to the facade: there is
-only one implementation of the loop.
+:func:`run_spec`, the `python -m repro` CLI, the campaign runner and
+the debug service all execute these same stage objects: there is only
+one implementation of the loop.
 
 Observers subclass :class:`PipelineHooks` and receive
 ``on_stage_start`` / ``on_stage_end`` / ``on_probe`` / ``on_commit``
@@ -127,7 +126,7 @@ class RoundRecord:
 class RunContext:
     """Shared state the stages read and grow.
 
-    Construction fields mirror the historical session/run signatures;
+    Construction fields are the run inputs (see :meth:`from_spec`);
     result fields are filled in stage order.
     """
 
@@ -290,13 +289,19 @@ class RunContext:
         )
 
 
-def resolve_tile_cache(spec) -> TileConfigCache | None:
-    """Map a spec's cache policy onto a cache object (or None)."""
+def resolve_tile_cache(
+    spec, shared: TileConfigCache = DEFAULT_TILE_CACHE
+) -> TileConfigCache | None:
+    """Map a spec's cache policy onto a cache object (or None).
+
+    ``"shared"`` maps to ``shared``: the process default, or a daemon
+    worker's resident cache.
+    """
     if spec.cache == "off":
         return None
     if spec.cache == "private":
         return TileConfigCache()
-    return DEFAULT_TILE_CACHE
+    return shared
 
 
 class Stage:

@@ -77,9 +77,9 @@ _TILING_KEYS = (
 class RunSpec:
     """Everything that defines one detect→localize→correct→verify run.
 
-    Defaults mirror the historical `EmulationDebugSession` defaults so
-    a default-constructed spec reproduces the legacy entry points
-    bit-for-bit.
+    Every field has a default, so a spec names only what differs from
+    the stock run (s9234, tiled strategy, compiled engine, ``normal``
+    preset).
     """
 
     #: registry benchmark name (see :func:`repro.generators.build_design`)
@@ -96,7 +96,7 @@ class RunSpec:
     device: str | None = None
     #: routing channel width override (``None`` = family default)
     channel_width: int | None = None
-    #: device slack used by the auto-pick (the session's historical 0.35)
+    #: device slack used by the auto-pick
     device_overhead: float = 0.35
     #: back-end strategy (see ``repro.debug.STRATEGY_REGISTRY``)
     strategy: str = "tiled"

@@ -11,8 +11,10 @@ The paper's four-step cycle around the tiled substrate:
   points, each costing one tile-confined re-place-and-route;
 * :mod:`repro.debug.correct` — applying the fix (steps 11-13);
 * :mod:`repro.debug.strategies` — back-end strategies under test:
-  tiled (the contribution), Quick_ECO, incremental, full re-P&R;
-* :mod:`repro.debug.session` — the end-to-end debug loop (steps 1-22).
+  tiled (the contribution), Quick_ECO, incremental, full re-P&R.
+
+The end-to-end loop (steps 1-22) that drives them is
+:func:`repro.api.run_spec`.
 """
 
 from repro.debug.errors import (
@@ -45,11 +47,6 @@ from repro.debug.strategies import (
     TiledStrategy,
     make_strategy,
 )
-from repro.debug.session import (
-    DebugReport,
-    EmulationDebugSession,
-    run_campaign,
-)
 
 __all__ = [
     "ERROR_KINDS",
@@ -75,7 +72,4 @@ __all__ = [
     "STRATEGY_REGISTRY",
     "TiledStrategy",
     "make_strategy",
-    "DebugReport",
-    "EmulationDebugSession",
-    "run_campaign",
 ]

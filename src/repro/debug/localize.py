@@ -23,8 +23,10 @@ so the historical trajectories are reproduced bit-for-bit.
 The comparison is heuristic in the presence of reconvergent masking: a
 probe matching the golden value removes its cone even though an
 upstream error might be masked there.  Wide pattern words (default 64)
-make that unlikely; the debug session re-runs localization if the fix
-verdict disagrees.
+make that unlikely.  Nothing re-runs localization when it happens: the
+oracle correction (:class:`repro.api.pipeline.CorrectStage`) falls back
+to the next uncorrected injected error, and the re-detect after each fix
+decides whether another diagnosis round runs.
 
 Two engines drive the loop (bit-identical verdicts and candidates):
 
@@ -58,7 +60,7 @@ from repro.debug.instrument import add_observation_point
 from repro.debug.strategies import BaseStrategy
 from repro.emu.emulator import Emulator
 from repro.errors import DebugFlowError
-from repro.netlist.cones import ConeIndex, cone_index_for
+from repro.netlist.cones import ConeIndex
 from repro.netlist.core import Netlist, port_name
 from repro.netlist.simulate import initial_state, make_engine
 from repro.obs.metrics import METRICS
@@ -95,7 +97,7 @@ class LocalizationResult:
     #: failing outputs deferred to a later round (no common cone)
     deferred_outputs: list[str] = field(default_factory=list)
     #: observation-point names committed by this run (``loc<i>``) — the
-    #: session retires them before the next round's probes go in
+    #: pipeline retires them before the next round's probes go in
     probe_points: list[str] = field(default_factory=list)
     #: SAT-feasible candidate pairs as joint two-fault explanations,
     #: best first (multi-error diagnosis only)
@@ -381,7 +383,7 @@ class ConeLocalizer:
                 # with several live faults a matched probe may sit
                 # downstream of one fault yet masked by another, so the
                 # cone arithmetic can legitimately drain; surrender the
-                # round and let the session fall back to back-annotation
+                # round and let the pipeline fall back to back-annotation
                 result.drained = True
                 break
         result.candidates = ops.names()
@@ -542,7 +544,7 @@ class _BitsetCandidateOps(_CandidateOps):
 
     def __init__(self, localizer: ConeLocalizer, netlist: Netlist) -> None:
         self.localizer = localizer
-        self.cones = cone_index_for(netlist, stop_at_ffs=False)
+        self.cones = ConeIndex(netlist)
         self.candidates = 0
         self.group: list[str] = []
         self.deferred: list[str] = []

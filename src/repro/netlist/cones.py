@@ -23,9 +23,6 @@ rounds; :attr:`revision` records the snapshot for staleness checks.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
-
 from repro.netlist.core import Netlist
 
 
@@ -110,121 +107,6 @@ class ConeIndex:
 
     def fanin_by_index(self, index: int) -> int:
         return self._cones[index]
-
-    # -- warm reuse ----------------------------------------------------
-
-    def rebind(self, netlist: Netlist) -> "ConeIndex":
-        """A copy of this index bound to ``netlist``.
-
-        Only sound when ``netlist`` has the *identical connectivity* the
-        index was built from — same instance names in the same
-        topological order, same fanin edges, same FF/IO flags — which is
-        exactly what an equal :func:`connectivity_digest` certifies.
-        Every derived field (bitsets, masks, orderings) is then
-        byte-identical by construction, so the rebind shares them.
-        """
-        clone = ConeIndex.__new__(ConeIndex)
-        clone.__dict__.update(self.__dict__)
-        clone.netlist = netlist
-        clone.revision = netlist.revision
-        return clone
-
-
-def connectivity_digest(netlist: Netlist, stop_at_ffs: bool = False) -> str:
-    """SHA-256 over everything a :class:`ConeIndex` is derived from.
-
-    Covers the instance names in topological order, each instance's
-    FF/IO classification, and its fanin edge list — the complete input
-    of the bitset construction.  Logic *content* (LUT tables, FF init
-    values) is deliberately excluded: cones are reachability sets, so
-    two netlists that differ only in block logic (e.g. the same design
-    under different ``table_bit`` error seeds) share their cone index.
-    O(V+E) string hashing, much cheaper than the Tarjan + bitset
-    propagation it lets a warm worker skip.
-    """
-    adj = netlist.adjacency()
-    order = netlist.topo_order()
-    h = hashlib.sha256()
-    h.update(b"stop1" if stop_at_ffs else b"stop0")
-    for i, name in enumerate(adj.names):
-        inst = order[i]
-        flag = b"f" if inst.is_ff else (b"o" if inst.is_io else b"l")
-        h.update(name.encode())
-        h.update(b"|")
-        h.update(flag)
-        h.update(",".join(map(str, adj.fanin[i])).encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
-class ConeMemo:
-    """Bounded LRU of :class:`ConeIndex` objects keyed by connectivity.
-
-    The warm-state registry of :mod:`repro.service` installs one per
-    worker process so jobs against structurally identical netlists —
-    the same design under different error seeds, or repeat submissions
-    — transplant the precomputed bitsets instead of re-running Tarjan
-    and the OR-propagation.  Hits are rebound to the requesting netlist
-    (:meth:`ConeIndex.rebind`); invalidation is structural: any rewiring
-    changes the digest and simply misses.
-    """
-
-    def __init__(self, max_entries: int = 32) -> None:
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[str, ConeIndex] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def index_for(self, netlist: Netlist,
-                  stop_at_ffs: bool = False) -> ConeIndex:
-        digest = connectivity_digest(netlist, stop_at_ffs=stop_at_ffs)
-        cached = self._entries.get(digest)
-        if cached is not None:
-            self._entries.move_to_end(digest)
-            self.hits += 1
-            return cached.rebind(netlist)
-        self.misses += 1
-        index = ConeIndex(netlist, stop_at_ffs=stop_at_ffs)
-        self._entries[digest] = index
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return index
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-
-#: process-wide memo consulted by :func:`cone_index_for`; ``None`` (the
-#: default) keeps every caller on the historical build-fresh path
-_ACTIVE_MEMO: ConeMemo | None = None
-
-
-def set_active_cone_memo(memo: ConeMemo | None) -> ConeMemo | None:
-    """Install (or clear) the process-wide cone memo; returns the old one.
-
-    Only long-lived worker processes (:mod:`repro.service.worker`)
-    install one — everything else keeps the exact historical code path.
-    """
-    global _ACTIVE_MEMO
-    previous = _ACTIVE_MEMO
-    _ACTIVE_MEMO = memo
-    return previous
-
-
-def cone_index_for(netlist: Netlist, stop_at_ffs: bool = False) -> ConeIndex:
-    """A :class:`ConeIndex` for ``netlist`` — memoized when a memo is
-    installed, freshly built (bit-identical either way) when not."""
-    memo = _ACTIVE_MEMO
-    if memo is None:
-        return ConeIndex(netlist, stop_at_ffs=stop_at_ffs)
-    return memo.index_for(netlist, stop_at_ffs=stop_at_ffs)
 
 
 def _reachability_bitsets(pred: tuple) -> list[int]:

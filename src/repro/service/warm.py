@@ -3,8 +3,7 @@
 A cold :func:`~repro.api.pipeline.run_spec` rebuilds, per call: the
 design bundle (generate → map → pack), the device (and with it the
 process-wide ``_Fabric`` tables), a golden-model copy whose compiled
-emulation kernel is keyed per netlist *object*, the localizer's
-:class:`~repro.netlist.cones.ConeIndex` bitsets, and — when a
+emulation kernel is keyed per netlist *object*, and — when a
 ``cache_dir`` is set — a full tile-config store load.  In a long-lived
 service worker every one of those is reusable, but only under precise
 invalidation rules; this module owns them.
@@ -26,15 +25,15 @@ logic); each job gets a **fork** — ``mapped.copy()`` re-packed — which
 is structurally identical by construction and 4–10x cheaper than a
 rebuild.  The golden model *is* shared across jobs (the pipeline only
 reads it), so its compiled kernel — keyed by netlist object in
-:func:`~repro.emulate.kernel.kernel_for`'s ``WeakKeyDictionary`` — and
+:func:`~repro.netlist.compiled.kernel_for`'s ``WeakKeyDictionary`` — and
 its simulation net-history stay warm; a revision guard invalidates the
 entry if any future code path mutates it.
 
 Registry-wide (not per entry): one :class:`TileConfigCache` warmed once
-from the daemon's ``--cache-dir``, its open
-:class:`~repro.tiling.cache.TileConfigStore` handle, and a
-:class:`~repro.netlist.cones.ConeMemo` so structurally identical
-netlists (same design, different error seeds) transplant cone bitsets.
+from the daemon's ``--cache-dir`` (``cache="shared"`` jobs get it via
+:func:`~repro.api.pipeline.resolve_tile_cache`) and its open
+:class:`~repro.tiling.cache.TileConfigStore` handle.  The localizer's
+cone index is rebuilt per job; it is cheap next to a diagnosis round.
 
 Everything here is a cache, never a semantic input: a hit must produce
 artifacts *exactly* equal to what ``RunContext.from_spec`` would build
@@ -47,7 +46,6 @@ import hashlib
 import json
 from collections import OrderedDict
 
-from repro.netlist.cones import ConeMemo
 from repro.obs.metrics import METRICS
 from repro.tiling.cache import (
     TileConfigCache,
@@ -142,8 +140,6 @@ class WarmRegistry:
         self.evictions = 0
         self.invalidations = 0
         self._entries: OrderedDict[tuple, WarmEntry] = OrderedDict()
-        #: shared cone-index memo; the worker installs it process-wide
-        self.cone_memo = ConeMemo()
         #: the worker-resident tile cache, warmed once from disk; every
         #: ``cache="shared"`` job reads and feeds it
         self.tile_cache = TileConfigCache()
@@ -214,19 +210,6 @@ class WarmRegistry:
 
     # -- tile cache ----------------------------------------------------
 
-    def cache_for(self, spec) -> TileConfigCache | None:
-        """The tile cache a job should run with, per the spec policy.
-
-        Mirrors :func:`~repro.api.pipeline.resolve_tile_cache`, except
-        "shared" maps to the worker-resident cache (pre-warmed from the
-        daemon's ``--cache-dir``) rather than the process default.
-        """
-        if spec.cache == "off":
-            return None
-        if spec.cache == "private":
-            return TileConfigCache()
-        return self.tile_cache
-
     def write_back(self) -> int:
         """Persist new tile configs to the store (0 without a store)."""
         if self.store is None:
@@ -243,6 +226,5 @@ class WarmRegistry:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "cone_memo": self.cone_memo.stats(),
             "tile_cache": self.tile_cache.stats(),
         }

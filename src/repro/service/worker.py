@@ -133,8 +133,7 @@ class _EventHooks:
 
 def serve_jobs(stdin=None) -> int:
     """The worker loop: init line, ``ready``, then jobs until EOF."""
-    from repro.api.pipeline import run_spec
-    from repro.netlist.cones import set_active_cone_memo
+    from repro.api.pipeline import resolve_tile_cache, run_spec
     from repro.service.warm import WarmRegistry, warm_key
 
     stdin = stdin if stdin is not None else sys.stdin
@@ -163,7 +162,6 @@ def serve_jobs(stdin=None) -> int:
             ).to_dict(),
         }, lock)
         return 1
-    set_active_cone_memo(registry.cone_memo)
     beat = threading.Thread(
         target=heartbeat_loop, args=(lock, stop, interval_s), daemon=True
     )
@@ -198,7 +196,9 @@ def serve_jobs(stdin=None) -> int:
             result = run_spec(
                 current,
                 hooks=hooks,
-                tile_cache=registry.cache_for(current),
+                tile_cache=resolve_tile_cache(
+                    current, shared=registry.tile_cache
+                ),
                 warm=registry,
                 tracer=tracer,
             )

@@ -57,15 +57,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 #: Bumped whenever the on-disk payload layout changes; files written by
-#: another version are silently ignored on load.
+#: another version are quarantined on load.
 CACHE_FORMAT_VERSION = 1
 
-_CACHE_FORMAT_NAME = "repro-tile-config-cache"
 _ENTRY_FORMAT_NAME = "repro-tile-config-entry"
-
-#: Legacy whole-cache pickle name inside a ``--cache-dir`` directory
-#: (still read for migration; new write-backs go to the entry store).
-CACHE_FILE_NAME = "tile_configs.pkl"
 
 #: Directory name of the content-addressed entry store inside a
 #: ``--cache-dir`` directory.
@@ -157,81 +152,6 @@ class TileConfigCache:
         with self._lock:
             self._entries.clear()
             self.hits = self.misses = self.stores = self.rejected = 0
-
-    # -- persistence ---------------------------------------------------
-
-    def save(self, path: str) -> int:
-        """Write every entry to ``path``; returns the entry count.
-
-        The file is a pickled wrapper carrying a format name, a format
-        version, and a SHA-256 digest of the pickled entry payload, so
-        :meth:`load` can reject truncated, corrupted, or incompatible
-        files without crashing.  The write is atomic (temp + rename).
-        """
-        with self._lock:
-            entries = list(self._entries.items())
-        payload = pickle.dumps(
-            entries, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        wrapper = {
-            "format": _CACHE_FORMAT_NAME,
-            "version": CACHE_FORMAT_VERSION,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "payload": payload,
-        }
-        # pid + thread id: concurrent saves (campaign workers) must not
-        # share a temp file, or interleaved writes corrupt it and the
-        # losing os.replace raises
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "wb") as fh:
-            pickle.dump(wrapper, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-        return len(entries)
-
-    def load(self, path: str) -> int:
-        """Merge entries previously :meth:`save`-d at ``path``.
-
-        Returns the number of entries merged.  A missing, corrupt,
-        digest-mismatched, or version-mismatched file is ignored (0),
-        never fatal — a cold start is always a safe fallback.
-        """
-        try:
-            with open(path, "rb") as fh:
-                wrapper = pickle.load(fh)
-            if not isinstance(wrapper, dict):
-                return 0
-            if wrapper.get("format") != _CACHE_FORMAT_NAME:
-                return 0
-            if wrapper.get("version") != CACHE_FORMAT_VERSION:
-                return 0
-            payload = wrapper.get("payload")
-            if (
-                not isinstance(payload, bytes)
-                or hashlib.sha256(payload).hexdigest()
-                != wrapper.get("sha256")
-            ):
-                return 0
-            entries = pickle.loads(payload)
-            if not isinstance(entries, list):
-                return 0
-        except Exception:
-            # a cold start is always safe; corrupt pickle streams can
-            # raise nearly anything (TypeError, KeyError, custom
-            # constructor errors), and the contract is "never fatal"
-            return 0
-        loaded = 0
-        with self._lock:
-            for key, config in entries:
-                if not isinstance(key, str) or not isinstance(
-                    config, TileConfig
-                ):
-                    continue
-                self._entries[key] = config
-                self._entries.move_to_end(key)
-                loaded += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        return loaded
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -335,12 +255,29 @@ def _file_lock(path: str):
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
 
+def _writer_alive(temp_name: str) -> bool:
+    """Whether the process named in a ``<entry>.tmp.<pid>.<tid>`` temp
+    file is still running (this process always is)."""
+    try:
+        pid = int(temp_name.rsplit(".tmp.", 1)[1].split(".", 1)[0])
+    except (IndexError, ValueError):
+        return False
+    if pid == os.getpid():
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
+
+
 class TileConfigStore:
     """Content-addressed per-digest store of :class:`TileConfig` entries.
 
-    The crash-safe replacement for the historical whole-cache pickle:
-    every entry lives in its own file named by the SHA-256 of its cache
-    key (``<root>/<aa>/<digest>.pkl``), written atomically via a
+    The only on-disk form of a tile cache: every entry lives in its own
+    file named by the SHA-256 of its cache key (``<root>/<aa>/<digest>.pkl``), written atomically via a
     temp-file + ``os.replace``.  That makes cross-process sharing a
     non-event — two workers storing the same digest write byte-identical
     files, a worker killed mid-write leaves only a temp file behind
@@ -438,9 +375,9 @@ class TileConfigStore:
     def read_entry(path: str):
         """``(key, TileConfig)`` from one entry file, or ``None``.
 
-        Verification mirrors :meth:`TileConfigCache.load`: format name,
-        format version, and the payload digest must all check out, and
-        the unpickled objects must have the expected types.  Any damage
+        The format name, format version, and payload digest must all
+        check out, and the unpickled objects must have the expected
+        types.  Any damage
         yields ``None`` — the caller decides whether to quarantine.
         """
         try:
@@ -489,7 +426,11 @@ class TileConfigStore:
         )
 
     def _sweep_temp_files(self) -> None:
-        """Remove temp droppings a killed writer left behind."""
+        """Remove temp droppings a killed writer left behind.
+
+        Writers do not take the store lock, so a temp file whose writer
+        process is still alive may be mid-write and is left alone.
+        """
         if not os.path.isdir(self.root):
             return
         for shard in os.listdir(self.root):
@@ -497,7 +438,7 @@ class TileConfigStore:
             if len(shard) != 2 or not os.path.isdir(shard_dir):
                 continue
             for name in os.listdir(shard_dir):
-                if ".pkl.tmp." in name:
+                if ".pkl.tmp." in name and not _writer_alive(name):
                     try:
                         os.remove(os.path.join(shard_dir, name))
                     except OSError:  # pragma: no cover - racing sweeper
@@ -573,31 +514,19 @@ class TileConfigStore:
 def cache_file_path(cache_dir: str) -> str:
     """The persistence target inside a ``--cache-dir`` directory.
 
-    Since the content-addressed store replaced the whole-cache pickle
-    this is the store *directory*; :func:`verify_cache_file` and the
-    chaos harness accept it directly.
+    This is the entry store *directory*; :func:`verify_cache_file` and
+    the chaos harness accept it directly.
     """
     return os.path.join(cache_dir, CACHE_STORE_NAME)
 
 
-def legacy_cache_file_path(cache_dir: str) -> str:
-    """The pre-store whole-cache pickle (read for migration only)."""
-    return os.path.join(cache_dir, CACHE_FILE_NAME)
-
-
 def load_tile_cache(cache_dir: str, cache: TileConfigCache | None = None
                     ) -> TileConfigCache:
-    """Warm ``cache`` (default: a fresh one) from ``cache_dir``.
-
-    Merges the content-addressed entry store, then any legacy
-    whole-cache pickle left by an older version (its entries migrate
-    into the store on the next write-back).
-    """
+    """Warm ``cache`` (default: a fresh one) from ``cache_dir``'s
+    content-addressed entry store; nothing else in ``cache_dir`` is
+    opened."""
     cache = cache if cache is not None else TileConfigCache()
     TileConfigStore(cache_file_path(cache_dir)).merge_into(cache)
-    legacy = legacy_cache_file_path(cache_dir)
-    if os.path.exists(legacy):
-        cache.load(legacy)
     return cache
 
 
@@ -616,33 +545,25 @@ def save_tile_cache(cache: TileConfigCache, cache_dir: str) -> int:
 def verify_cache_file(path: str) -> int:
     """How many entries ``path`` yields to a fresh load (0 = unusable).
 
-    ``path`` may be a store directory (per-digest layout), a single
-    entry file, or a legacy whole-cache pickle; damage is tolerated
-    with the same hostile-file discipline as the load paths, so callers
-    (CI smoke checks, chaos tests) can assert a write-back survived
-    without touching any shared cache state.
+    ``path`` may be a store directory (per-digest layout) or a single
+    entry file; damage is tolerated with the same hostile-file
+    discipline as the load paths, so callers (CI smoke checks, chaos
+    tests) can assert a write-back survived without touching any shared
+    cache state.
     """
     if os.path.isdir(path):
         return TileConfigStore(path).verify()["valid"]
-    if TileConfigStore.read_entry(path) is not None:
-        return 1
-    return TileConfigCache().load(path)
+    return int(TileConfigStore.read_entry(path) is not None)
 
 
 def verify_cache_store(cache_dir: str) -> dict:
     """Full damage report for a ``--cache-dir`` directory.
 
-    ``{"valid", "corrupt", "quarantined", "legacy_entries"}`` — the
-    store's :meth:`TileConfigStore.verify` report plus the entry count
-    of any legacy whole-cache pickle still present.  Read-only: nothing
-    is moved or deleted (the next load quarantines ``corrupt`` files).
+    ``{"valid", "corrupt", "quarantined"}`` — the entry store's
+    :meth:`TileConfigStore.verify` report.  Read-only: nothing is moved
+    or deleted (the next load quarantines ``corrupt`` files).
     """
-    report = TileConfigStore(cache_file_path(cache_dir)).verify()
-    legacy = legacy_cache_file_path(cache_dir)
-    report["legacy_entries"] = (
-        TileConfigCache().load(legacy) if os.path.exists(legacy) else 0
-    )
-    return report
+    return TileConfigStore(cache_file_path(cache_dir)).verify()
 
 
 # ----------------------------------------------------------------------

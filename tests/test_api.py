@@ -15,10 +15,8 @@ from repro.api import (
 )
 from repro.api.cli import main as cli_main
 from repro.debug import STRATEGY_REGISTRY, make_strategy
-from repro.debug.session import EmulationDebugSession, run_campaign
 from repro.errors import DebugFlowError, SpecError
 from repro.generators import build_design
-from repro.pnr.effort import EFFORT_PRESETS
 from repro.tiling.cache import TileConfigCache
 
 FAST = dict(preset="fast", max_probes=6, cache="private")
@@ -217,60 +215,6 @@ class TestPipeline:
         assert compiled.candidates == interpreted.candidates
         assert compiled.fixed == interpreted.fixed
         assert compiled.proved == interpreted.proved
-
-
-# ----------------------------------------------------------------------
-# deprecation shims stay bit-identical
-# ----------------------------------------------------------------------
-
-def _legacy_signature(report):
-    loc = report.localization
-    steps = [] if loc is None else [
-        (s.probe_instance, s.mismatch, s.candidates_before,
-         s.candidates_after)
-        for s in loc.steps
-    ]
-    candidates = [] if loc is None else sorted(loc.candidates)
-    return steps, candidates, report.detected, report.fixed
-
-
-def _facade_signature(result):
-    return (
-        [tuple(t) for t in result.trajectory_key()],
-        list(result.candidates),
-        result.detected,
-        result.fixed,
-    )
-
-
-class TestShimEquivalence:
-    @pytest.mark.parametrize("seed", [1, 3])
-    def test_session_matches_facade_on_s9234(self, seed):
-        session = EmulationDebugSession(
-            build_design("s9234").packed, strategy="tiled", seed=seed,
-            preset=EFFORT_PRESETS["fast"], tile_cache=None,
-        )
-        report = session.run(error_kind="table_bit", error_seed=seed)
-        result = run_spec(RunSpec(
-            design="s9234", strategy="tiled", seed=seed, error_seed=seed,
-            preset="fast", cache="off",
-        ))
-        assert _legacy_signature(report) == _facade_signature(result)
-
-    def test_run_campaign_matches_campaign_runner_on_s9234(self):
-        reports = run_campaign(
-            lambda: build_design("s9234").packed, ["tiled", "quick_eco"],
-            error_kind="table_bit", seed=3, preset=EFFORT_PRESETS["fast"],
-        )
-        specs = expand_matrix(
-            RunSpec(design="s9234", seed=3, error_seed=3, preset="fast"),
-            strategies=["tiled", "quick_eco"],
-        )
-        campaign = CampaignRunner().run(specs)
-        for result in campaign.results:
-            report = reports[result.strategy]
-            assert _legacy_signature(report) == _facade_signature(result)
-            assert report.n_commits == result.n_commits
 
 
 # ----------------------------------------------------------------------

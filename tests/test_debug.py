@@ -1,17 +1,17 @@
 """Debug package: injection, test generation, instrumentation, detection,
-localization, correction, and the full session."""
+localization, correction, and the full loop."""
 
 import pytest
 
 from repro.debug import (
     ERROR_KINDS,
-    EmulationDebugSession,
     add_control_point,
     add_observation_point,
     apply_correction,
     compare_runs,
     exhaustive_patterns,
     inject_error,
+    make_strategy,
     random_patterns,
     random_stimulus,
 )
@@ -174,32 +174,42 @@ class TestDetection:
         assert compare_runs(a, b) == []
 
 
+def run_adder_loop(strategy, seed, error_kind, error_seed):
+    """The full pipeline on a mapped 6-bit adder (not a registry design,
+    so the context is built by hand instead of from a spec)."""
+    from repro.api.design import device_for
+    from repro.api.pipeline import DebugPipeline, RunContext
+    from repro.pnr.effort import EFFORT_PRESETS
+
+    packed = pack_netlist(mapped_adder(6))
+    device = device_for(packed)
+    ctx = RunContext(
+        packed=packed,
+        device=device,
+        golden=packed.netlist.copy(f"{packed.netlist.name}.golden"),
+        strategy=make_strategy(
+            strategy, packed, device, seed=seed,
+            preset=EFFORT_PRESETS["fast"],
+        ),
+        seed=seed, n_cycles=5, n_patterns=64,
+        error_kind=error_kind, error_seed=error_seed,
+    )
+    DebugPipeline().execute(ctx)
+    return ctx
+
+
 class TestSession:
     @pytest.mark.parametrize("strategy", ["tiled", "quick_eco", "incremental"])
     def test_full_loop_fixes_error(self, strategy):
-        from repro.pnr.effort import EFFORT_PRESETS
-
-        packed = pack_netlist(mapped_adder(6))
-        session = EmulationDebugSession(
-            packed, strategy=strategy, seed=11,
-            preset=EFFORT_PRESETS["fast"], n_cycles=5, n_patterns=64,
-        )
-        from repro.tiling.partition import TilingOptions
-
-        report = session.run(error_kind="output_invert", error_seed=2)
-        assert report.detected
-        assert report.fixed
-        assert report.total_effort.work_units > 0
+        ctx = run_adder_loop(strategy, seed=11, error_kind="output_invert",
+                             error_seed=2)
+        assert ctx.detected
+        assert ctx.fixed
+        assert ctx.strategy.total_effort.work_units > 0
 
     def test_tiled_session_localizes(self):
-        from repro.pnr.effort import EFFORT_PRESETS
-
-        packed = pack_netlist(mapped_adder(6))
-        session = EmulationDebugSession(
-            packed, strategy="tiled", seed=13,
-            preset=EFFORT_PRESETS["fast"], n_cycles=5, n_patterns=64,
-        )
-        report = session.run(error_kind="wrong_function", error_seed=7)
-        assert report.detected and report.fixed
-        assert report.localization is not None
-        assert report.localization.candidates
+        ctx = run_adder_loop("tiled", seed=13, error_kind="wrong_function",
+                             error_seed=7)
+        assert ctx.detected and ctx.fixed
+        assert ctx.localization is not None
+        assert ctx.localization.candidates

@@ -2,60 +2,53 @@
 
 import pytest
 
-from repro.debug import EmulationDebugSession
-from repro.debug.session import run_campaign
+from repro.api import CampaignRunner, RunSpec, expand_matrix, run_spec
 from repro.emu import frames_for_tiles
-from repro.generators import build_design
 from repro.pnr.effort import EFFORT_PRESETS
-from repro.tiling.partition import TilingOptions
 
 
 @pytest.mark.slow
 def test_styr_campaign_tiled_beats_quick_eco():
     """The headline claim on a real MCNC benchmark."""
-
-    def factory():
-        return build_design("styr").packed
-
-    reports = run_campaign(
-        factory,
-        ["tiled", "quick_eco"],
-        error_kind="wrong_function",
-        seed=3,
-        preset=EFFORT_PRESETS["fast"],
-        n_cycles=5,
-        n_patterns=64,
+    specs = expand_matrix(
+        RunSpec(
+            design="styr", error_kind="wrong_function", seed=3,
+            error_seed=3, preset="fast", n_cycles=5, n_patterns=64,
+            cache="private",
+        ),
+        strategies=["tiled", "quick_eco"],
     )
-    tiled = reports["tiled"]
-    quick = reports["quick_eco"]
+    campaign = CampaignRunner().run(specs)
+    tiled, quick = campaign.results
+    assert (tiled.strategy, quick.strategy) == ("tiled", "quick_eco")
     assert tiled.fixed and quick.fixed
     assert tiled.n_commits == quick.n_commits  # same debugging work
     assert (
-        tiled.total_effort.work_units < quick.total_effort.work_units
+        tiled.effort["debug"]["work_units"]
+        < quick.effort["debug"]["work_units"]
     ), "tiling must reduce back-end effort"
 
 
 def test_lock_invariant_across_debug_session():
-    """Unaffected tile frames stay byte-identical through a whole session."""
-    bundle = build_design("9sym")
-    session = EmulationDebugSession(
-        bundle.packed, strategy="tiled", seed=2,
-        preset=EFFORT_PRESETS["fast"], n_cycles=4, n_patterns=64,
-        tiling=TilingOptions(n_tiles=6, area_overhead=0.3),
+    """Unaffected tile frames stay byte-identical through a whole run."""
+    result, ctx = run_spec(
+        RunSpec(
+            design="9sym", strategy="tiled", seed=2, preset="fast",
+            n_cycles=4, n_patterns=64,
+            tiling={"n_tiles": 6, "area_overhead": 0.3},
+            error_kind="output_invert", error_seed=4, max_probes=3,
+        ),
+        return_context=True,
     )
-    report = session.run(
-        error_kind="output_invert", error_seed=4, max_probes=3
-    )
-    assert report.detected
-    strategy = session.strategy
-    tiled = strategy.tiled
+    assert result.detected
+    tiled = ctx.strategy.tiled
     assert tiled is not None
 
     # one more committed change with frame snapshots around it
     from repro.netlist.cells import CellKind
     from repro.tiling.eco import ChangeRecorder
 
-    netlist = bundle.packed.netlist
+    netlist = ctx.packed.netlist
     lut = next(
         i for i in netlist.instances()
         if i.kind is CellKind.LUT and i.inputs
@@ -73,13 +66,10 @@ def test_lock_invariant_across_debug_session():
 
 
 def test_incremental_strategy_end_to_end():
-    bundle = build_design("9sym")
-    session = EmulationDebugSession(
-        bundle.packed, strategy="incremental", seed=6,
-        preset=EFFORT_PRESETS["fast"], n_cycles=4, n_patterns=64,
-    )
-    report = session.run(
-        error_kind="wrong_function", error_seed=1, max_probes=3
-    )
-    assert report.detected
-    assert report.fixed
+    result = run_spec(RunSpec(
+        design="9sym", strategy="incremental", seed=6, preset="fast",
+        n_cycles=4, n_patterns=64, error_kind="wrong_function",
+        error_seed=1, max_probes=3,
+    ))
+    assert result.detected
+    assert result.fixed

@@ -1,5 +1,9 @@
 """TileConfigCache: replay identity, guards, and fallback behavior."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.arch import pick_device
@@ -192,23 +196,24 @@ def test_cache_lru_eviction_and_stats():
 
 
 # ----------------------------------------------------------------------
-# persistence (save/load across processes)
+# persistence through the entry store (across processes)
 # ----------------------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):
+    """A twin build warmed from disk replays every configuration."""
+    from repro.tiling.cache import load_tile_cache, save_tile_cache
+
     cache = TileConfigCache()
     mapped, packed, tiled = build_tiled(cache)
     changes = flip_first_lut(mapped)
     tiled.apply_changeset(changes, seed=5, preset=EFFORT_PRESETS["fast"])
     assert cache.stores > 0
-    path = str(tmp_path / "cache.pkl")
-    assert cache.save(path) == len(cache)
+    cache_dir = str(tmp_path / "cache")
+    assert save_tile_cache(cache, cache_dir) == len(cache)
 
-    fresh = TileConfigCache()
-    assert fresh.load(path) == len(cache)
+    fresh = load_tile_cache(cache_dir)
     assert len(fresh) == len(cache)
 
-    # a twin build against the loaded cache replays every configuration
     mapped2, packed2, tiled2 = build_tiled(fresh)
     before = fresh.hits
     changes2 = flip_first_lut(mapped2)
@@ -219,160 +224,194 @@ def test_save_load_round_trip(tmp_path):
     assert_layout_legal(tiled2.layout)
 
 
-def test_load_missing_file_is_ignored(tmp_path):
-    cache = TileConfigCache()
-    assert cache.load(str(tmp_path / "nonexistent.pkl")) == 0
-    assert len(cache) == 0
+def _rewrap(path, **fields):
+    """Rewrite one entry file's wrapper with ``fields`` replaced."""
+    import pickle
+
+    with open(path, "rb") as fh:
+        wrapper = pickle.load(fh)
+    wrapper.update(fields)
+    with open(path, "wb") as fh:
+        pickle.dump(wrapper, fh)
 
 
-def test_load_corrupt_file_is_ignored(tmp_path):
-    path = tmp_path / "corrupt.pkl"
-    path.write_bytes(b"this is not a pickle at all \x00\xff")
-    cache = TileConfigCache()
-    assert cache.load(str(path)) == 0
-    assert len(cache) == 0
+def _flip_payload_byte(path):
+    import pickle
+
+    with open(path, "rb") as fh:
+        payload = bytearray(pickle.load(fh)["payload"])
+    payload[len(payload) // 2] ^= 0x40
+    _rewrap(path, payload=bytes(payload))
 
 
-def test_load_truncated_file_is_ignored(tmp_path):
-    cache = TileConfigCache()
-    cache.store("k", TileConfig({}, {}, {}))
-    path = str(tmp_path / "trunc.pkl")
-    cache.save(path)
+def _truncate(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     with open(path, "wb") as fh:
         fh.write(blob[: len(blob) // 2])
-    fresh = TileConfigCache()
-    assert fresh.load(path) == 0
 
 
-def test_load_version_mismatch_is_ignored(tmp_path, monkeypatch):
-    import repro.tiling.cache as cache_mod
+def _overwrite(blob):
+    def damage(path):
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    return damage
 
+
+def _append_to_payload(path):
+    import pickle
+
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)["payload"]
+    _rewrap(path, payload=payload + b"tamper")
+
+
+def assert_damaged_entry_is_contained(tmp_path, damage):
+    """One damaged entry file next to a good one: the reader rejects it,
+    a merge quarantines exactly it and keeps the rest, and verification
+    counts it out."""
+    from repro.tiling.cache import TileConfigStore, verify_cache_file
+
+    store = TileConfigStore(str(tmp_path / "store"))
+    store.write_entry("good", TileConfig({"a": (0, 1)}, {}, {}))
+    store.write_entry("bad", TileConfig({"b": (1, 2)}, {}, {}))
+    bad = store.entry_path("bad")
+    damage(bad)
+
+    assert store.read_entry(bad) is None
+    assert verify_cache_file(bad) == 0
+    assert verify_cache_file(store.root) == 1
     cache = TileConfigCache()
-    cache.store("k", TileConfig({}, {}, {}))
-    path = str(tmp_path / "versioned.pkl")
-    cache.save(path)
-    monkeypatch.setattr(cache_mod, "CACHE_FORMAT_VERSION", 9999)
-    fresh = TileConfigCache()
-    assert fresh.load(path) == 0
+    assert store.merge_into(cache) == 1
+    assert cache.lookup("good") is not None
+    assert len(cache) == 1
+    quarantined = store.quarantined_files()
+    assert [os.path.basename(q) for q in quarantined] == [
+        os.path.basename(bad) + ".corrupt"
+    ]
+    assert store.entry_files() == [store.entry_path("good")]
+
+
+def test_load_missing_file_is_ignored(tmp_path):
+    from repro.tiling.cache import (
+        TileConfigStore,
+        load_tile_cache,
+        verify_cache_file,
+    )
+
+    missing = str(tmp_path / "nonexistent.pkl")
+    assert TileConfigStore.read_entry(missing) is None
+    assert verify_cache_file(missing) == 0
+    assert len(load_tile_cache(str(tmp_path / "no-such-dir"))) == 0
+
+
+def test_load_corrupt_file_is_ignored(tmp_path):
+    assert_damaged_entry_is_contained(
+        tmp_path, _overwrite(b"this is not a pickle at all \x00\xff")
+    )
+
+
+def test_load_truncated_file_is_ignored(tmp_path):
+    assert_damaged_entry_is_contained(tmp_path, _truncate)
+
+
+def test_load_version_mismatch_is_ignored(tmp_path):
+    from repro.tiling.cache import CACHE_FORMAT_VERSION
+
+    assert_damaged_entry_is_contained(
+        tmp_path, lambda path: _rewrap(path, version=CACHE_FORMAT_VERSION + 1)
+    )
 
 
 def test_load_digest_mismatch_is_ignored(tmp_path):
-    import pickle
+    assert_damaged_entry_is_contained(tmp_path, _append_to_payload)
 
-    cache = TileConfigCache()
-    cache.store("k", TileConfig({}, {}, {}))
-    path = str(tmp_path / "tampered.pkl")
-    cache.save(path)
-    with open(path, "rb") as fh:
-        wrapper = pickle.load(fh)
-    wrapper["payload"] = wrapper["payload"] + b"tamper"
-    with open(path, "wb") as fh:
-        pickle.dump(wrapper, fh)
-    fresh = TileConfigCache()
-    assert fresh.load(path) == 0
 
 def test_load_wrong_format_is_ignored(tmp_path):
-    import pickle
-
-    path = str(tmp_path / "alien.pkl")
-    with open(path, "wb") as fh:
-        pickle.dump(
-            {"format": "some-other-tool", "version": 1,
-             "sha256": "", "payload": b""},
-            fh,
-        )
-    fresh = TileConfigCache()
-    assert fresh.load(path) == 0
-    assert len(fresh) == 0
+    assert_damaged_entry_is_contained(
+        tmp_path, lambda path: _rewrap(path, format="some-other-tool")
+    )
 
 
 def test_load_empty_file_is_ignored(tmp_path):
-    path = tmp_path / "empty.pkl"
-    path.write_bytes(b"")
-    fresh = TileConfigCache()
-    assert fresh.load(str(path)) == 0
-    assert len(fresh) == 0
+    assert_damaged_entry_is_contained(tmp_path, _overwrite(b""))
 
 
 def test_load_flipped_payload_byte_is_ignored(tmp_path):
     """A single flipped bit inside the payload trips the digest guard."""
-    import pickle
-
-    cache = TileConfigCache()
-    cache.store("k", TileConfig({"b": (1, 2)}, {}, {}))
-    path = str(tmp_path / "flipped.pkl")
-    cache.save(path)
-    with open(path, "rb") as fh:
-        wrapper = pickle.load(fh)
-    payload = bytearray(wrapper["payload"])
-    payload[len(payload) // 2] ^= 0x40
-    wrapper["payload"] = bytes(payload)
-    with open(path, "wb") as fh:
-        pickle.dump(wrapper, fh)
-    fresh = TileConfigCache()
-    assert fresh.load(path) == 0
-    assert len(fresh) == 0
+    assert_damaged_entry_is_contained(tmp_path, _flip_payload_byte)
 
 
 def test_verify_cache_file(tmp_path):
-    from repro.tiling.cache import verify_cache_file
+    from repro.tiling.cache import TileConfigStore, verify_cache_file
 
-    path = str(tmp_path / "cache.pkl")
+    store = TileConfigStore(str(tmp_path / "store"))
+    path = store.entry_path("a")
     assert verify_cache_file(path) == 0  # missing
-    cache = TileConfigCache()
-    cache.store("a", TileConfig({}, {}, {}))
-    cache.store("b", TileConfig({}, {}, {}))
-    cache.save(path)
-    assert verify_cache_file(path) == 2
+    store.write_entry("a", TileConfig({}, {}, {}))
+    assert verify_cache_file(path) == 1
     with open(path, "wb") as fh:
         fh.write(b"garbage")
     assert verify_cache_file(path) == 0
 
 
 def test_concurrent_save_load_store_stress(tmp_path):
-    """Campaign workers hammering one cache + disk file lose nothing."""
-    import os
+    """Campaign workers writing back to and merging from one store lose
+    no entry and leave no temp files behind."""
     import threading
 
-    path = str(tmp_path / "stress.pkl")
-    cache = TileConfigCache(max_entries=4096)
+    from repro.tiling.cache import TileConfigStore
+
+    root = str(tmp_path / "store")
     errors = []
 
     def writer(worker):
         try:
+            cache = TileConfigCache(max_entries=4096)
             for n in range(25):
                 cache.store(f"w{worker}.k{n}", TileConfig({}, {}, {}))
-                if n % 5 == 0:
-                    cache.save(path)
+                if n % 5 == 4:
+                    # a fresh handle per write-back, as separate
+                    # processes would have
+                    TileConfigStore(root).write_back(cache)
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
     def reader():
         try:
             for _ in range(25):
-                other = TileConfigCache(max_entries=4096)
-                other.load(path)
-                cache.load(path)
+                TileConfigStore(root).merge_into(
+                    TileConfigCache(max_entries=4096)
+                )
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
     threads = [
         threading.Thread(target=writer, args=(w,)) for w in range(4)
     ] + [threading.Thread(target=reader) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
-    # every stored key survived in memory (loads only ever merge)
-    assert len(cache) == 4 * 25
-    cache.save(path)
-    fresh = TileConfigCache(max_entries=4096)
-    assert fresh.load(path) == 4 * 25
-    # atomic save leaves no temp droppings behind
-    assert [f for f in os.listdir(tmp_path) if ".tmp" in f] == []
+    store = TileConfigStore(root)
+    merged = TileConfigCache(max_entries=4096)
+    assert store.merge_into(merged) == 4 * 25
+    assert {f"w{w}.k{n}" for w in range(4) for n in range(25)} == set(
+        merged._entries
+    )
+    assert store.quarantined_files() == []
+    leftovers = [
+        name for _, _, names in os.walk(tmp_path) for name in names
+        if ".tmp." in name
+    ]
+    assert leftovers == []
 
 
 # ----------------------------------------------------------------------
@@ -435,19 +474,23 @@ def test_store_write_back_merges_across_workers(tmp_path):
 
 
 def test_store_crash_leftovers_are_swept(tmp_path):
-    import os
-
     from repro.tiling.cache import TileConfigStore
 
     store = TileConfigStore(str(tmp_path / "store"))
     store.write_entry("k", TileConfig({}, {}, {}))
     shard = os.path.dirname(store.entry_path("k"))
     # a worker killed mid-write leaves a temp file, never an entry
-    with open(os.path.join(shard, "dead.pkl.tmp.999.1"), "wb") as fh:
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()
+    with open(os.path.join(shard, f"dead.pkl.tmp.{dead.pid}.1"), "wb") as fh:
+        fh.write(b"partial")
+    # a live writer's temp file is mid-write: the sweep leaves it alone
+    live = f"live.pkl.tmp.{os.getpid()}.1"
+    with open(os.path.join(shard, live), "wb") as fh:
         fh.write(b"partial")
     cache = TileConfigCache()
     assert store.merge_into(cache) == 1
-    assert not any(".tmp." in n for n in os.listdir(shard))
+    assert [n for n in os.listdir(shard) if ".tmp." in n] == [live]
 
 
 def test_verify_cache_file_accepts_store_dir_and_entry(tmp_path):
@@ -480,31 +523,49 @@ def test_verify_cache_store_reports_damage_read_only(tmp_path):
     assert report["valid"] == 1
     assert report["corrupt"] == [store.entry_path("broken")]
     assert report["quarantined"] == []
-    assert report["legacy_entries"] == 0
     # read-only: the damaged file is still in place afterwards
     assert len(store) == 2
 
 
-def test_load_tile_cache_migrates_legacy_pickle(tmp_path):
-    from repro.tiling.cache import (
-        TileConfigStore,
-        cache_file_path,
-        legacy_cache_file_path,
-        load_tile_cache,
-        save_tile_cache,
-    )
+class _WritesMarker:
+    """Unpickling an instance creates ``marker``: the canary for any
+    code path that opens a stray pickle in a cache directory."""
 
-    cache_dir = str(tmp_path)
-    old = TileConfigCache()
-    old.store("legacy-key", TileConfig({}, {}, {}))
-    old.save(legacy_cache_file_path(cache_dir))
-    cache = load_tile_cache(cache_dir)
-    assert cache.lookup("legacy-key") is not None
-    save_tile_cache(cache, cache_dir)
-    # the migrated entry now lives in the content-addressed store
-    fresh = TileConfigCache()
-    assert TileConfigStore(cache_file_path(cache_dir)).merge_into(fresh) == 1
-    assert fresh.lookup("legacy-key") is not None
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+def test_planted_cache_pickle_is_never_opened(tmp_path):
+    """``tile_configs.pkl`` (the retired whole-cache format) is never
+    unpickled by any cache-dir entry point."""
+    import pickle
+
+    from repro.api import RunSpec, run_spec
+    from repro.api.cli import main as cli_main
+    from repro.tiling.cache import load_tile_cache, verify_cache_store
+
+    cache_dir = str(tmp_path / "cache")
+    os.makedirs(cache_dir)
+    marker = str(tmp_path / "unpickled")
+    with open(os.path.join(cache_dir, "tile_configs.pkl"), "wb") as fh:
+        pickle.dump(_WritesMarker(marker), fh)
+
+    assert len(load_tile_cache(cache_dir)) == 0
+    assert not os.path.exists(marker)
+    report = verify_cache_store(cache_dir)
+    assert not os.path.exists(marker)
+    assert report == {"valid": 0, "corrupt": [], "quarantined": []}
+    assert cli_main(["cache", "verify", cache_dir]) == 0
+    assert not os.path.exists(marker)
+    result = run_spec(RunSpec(
+        design="9sym", error_seed=1, preset="fast", max_probes=6,
+        cache="private", cache_dir=cache_dir,
+    ))
+    assert not os.path.exists(marker)
+    assert result.status == "ok"
 
 
 # ----------------------------------------------------------------------
