@@ -303,7 +303,7 @@ def bench_service_warm(design: str, error_seed: int,
 
     Starts a private daemon (one worker, fresh cache dir), submits the
     same spec twice — the first pays every cold-start cost (bundle
-    build, kernel lowering, fabric tables, cone bitsets, fresh P&R),
+    build, kernel lowering, fabric tables, fresh P&R),
     the second must hit the worker's warm registry and replay tile
     configs — and reports client-observed latency for each.  Both
     results must be bit-identical modulo timing/attempt metadata:

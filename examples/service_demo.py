@@ -2,8 +2,8 @@
 """Debug-as-a-service tour: warm daemon, streamed events, batches.
 
 The service keeps the expensive per-design state — bundle, device
-tables, the golden model's compiled kernel, cone bitsets, the tile
-cache — resident in long-lived workers, so every run after the first
+tables, the golden model's compiled kernel, the tile cache —
+resident in long-lived workers, so every run after the first
 on a design skips straight to the actual debugging.  This demo:
 
 1. starts a daemon in-process (one worker, a temp cache dir);

@@ -5,12 +5,17 @@ chaos harness.
 The in-process half — structured :class:`RunFailure` records,
 cooperative deadlines, retries and degradation, deterministic chaos —
 landed first; :mod:`repro.resilience.supervisor` adds the hard half:
-campaign runs executed in spawned child processes whose crashes,
-hangs, and OOM-kills fold back into the same structured failure
-taxonomy (stage ``"worker"``) instead of taking the campaign down.
+campaign runs and service jobs executed in spawned child processes
+whose crashes, hangs, and OOM-kills fold back into the same structured
+failure taxonomy (stage ``"worker"``) instead of taking the caller
+down.
 Every failure mode stays exercisable in CI
 (:mod:`repro.resilience.chaos`, including ``worker_kill`` /
 ``worker_hang``).
+
+The supervisor is not re-exported here: it doubles as the one-shot
+child's ``python -m`` entry point, which must not be imported by its
+own package before it runs.
 """
 
 from repro.resilience.budget import (
@@ -40,7 +45,6 @@ from repro.resilience.failure import (
     RunFailure,
     traceback_digest,
 )
-from repro.resilience.supervisor import hard_timeout_for, run_supervised
 
 __all__ = [
     "CHAOS_KINDS",
@@ -62,9 +66,7 @@ __all__ = [
     "clamp_backoff",
     "corrupt_cache_file",
     "deadline_scope",
-    "hard_timeout_for",
     "in_supervised_worker",
     "next_degraded",
-    "run_supervised",
     "traceback_digest",
 ]

@@ -4,8 +4,7 @@ The paper's pitch is fast turnaround: precomputed spare configurations
 make the *next* debug iteration cheap.  This package extends that idea
 from tile configs to every per-process artifact a cold ``run_spec``
 pays for — compiled emulation kernels, ``_Fabric`` routing tables,
-:class:`~repro.netlist.cones.ConeIndex` bitsets, the open
-:class:`~repro.tiling.cache.TileConfigStore` — by keeping a pool of
+the open :class:`~repro.tiling.cache.TileConfigStore` — by keeping a pool of
 long-lived worker processes resident behind a unix-socket daemon.
 
 Layout:

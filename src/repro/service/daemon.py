@@ -5,19 +5,23 @@
 answering the :mod:`repro.service.protocol` verbs, a
 :class:`~repro.service.queue.JobQueue` with a crash-safe spool under
 ``<cache-dir>/service/``, and ``N`` long-lived
-``python -m repro.service.worker`` children, each supervised with the
-exact policy :func:`~repro.resilience.supervisor.run_supervised`
-applies to one-shot campaign workers — heartbeat-silence watchdog,
-per-spec hard wall-clock ceiling, SIGKILL + reap — just re-applied per
-*job* instead of per process lifetime.
+``python -m repro.service.worker`` children.  Each worker is a
+:class:`~repro.resilience.supervisor.SupervisedChild`, the same object
+:func:`~repro.resilience.supervisor.run_supervised` uses for one-shot
+campaign workers, and each job is judged by its ``watch`` — heartbeat
+watchdog, per-spec hard wall-clock ceiling, SIGKILL + reap, death
+decoding — re-armed per *job* instead of per process lifetime.  This
+module keeps only daemon state: readiness, the current job, job and
+death counts.
 
 Worker death mid-job is a first-class event, not an error path: the
-dispatcher folds the death into a stage-``"worker"``
-:class:`~repro.resilience.failure.RunFailure`, re-queues the job once
-(``max_requeues``), respawns the worker, and only after repeated death
-settles the job as ``status="failed"`` carrying every death record.  A
-hard-timeout kill settles immediately as ``status="timeout"`` — a job
-that blew a 3x wall-clock ceiling once will blow it again.
+watch's stage-``"worker"`` :class:`~repro.resilience.failure.RunFailure`
+re-queues the job once (``max_requeues``), the worker is respawned, and
+only repeated death settles the job as ``status="failed"`` carrying
+every death record.  A hard-timeout kill settles immediately as
+``status="timeout"`` — a job that blew a 3x wall-clock ceiling once
+will blow it again.  An ``error`` event from a worker that stays alive
+settles the job as failed and keeps the worker.
 
 Shutdown drains politely: the socket answers ``{"ok": true}`` first,
 workers get a ``stop`` line + stdin EOF (finishing their current job),
@@ -27,11 +31,8 @@ restart-resume is the spool's whole point.
 
 from __future__ import annotations
 
-import json
 import os
 import socketserver
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -40,19 +41,21 @@ from repro.api.result import RunResult
 from repro.api.spec import RunSpec
 from repro.errors import ReproError
 from repro.obs.metrics import METRICS
-from repro.resilience.failure import WORKER_STAGE, RunFailure
+from repro.resilience.failure import RunFailure
 from repro.resilience.supervisor import (
     DEFAULT_HEARTBEAT_TIMEOUT_S,
     HEARTBEAT_INTERVAL_S,
+    SupervisedChild,
     hard_timeout_for,
-    kill_process,
-    worker_env,
 )
 from repro.service import protocol
 from repro.service.queue import DONE, Job, JobQueue
 
-#: dispatcher poll period while waiting on a worker
+#: poll period while waiting on a worker to report ready
 _POLL_S = 0.05
+#: seconds a fresh worker gets to report ready before its first job
+#: is sent anyway (the job's heartbeat watch then judges it)
+_READY_S = 120.0
 #: seconds a worker gets to finish its current job at shutdown
 _DRAIN_S = 30.0
 
@@ -96,113 +99,54 @@ class ServiceConfig:
 
 
 class WorkerHandle:
-    """One resident worker process and its liveness bookkeeping."""
+    """One resident worker: a :class:`SupervisedChild` plus the
+    daemon's bookkeeping for it."""
 
     def __init__(self, index: int, config: ServiceConfig,
                  queue: JobQueue) -> None:
         self.index = index
         self.config = config
         self.queue = queue
-        self.proc: subprocess.Popen | None = None
-        self.lock = threading.Lock()
-        self.last_event = time.monotonic()
+        self.child: SupervisedChild | None = None
         self.ready = threading.Event()
-        self.job_done = threading.Event()
-        self.job_result: dict | None = None
         self.current_job: str | None = None
         self.started_at: float | None = None
         self.jobs_done = 0
         self.deaths = 0
-        self.stderr_tail: list[str] = []
-
-    # -- lifecycle -----------------------------------------------------
 
     def spawn(self) -> None:
         self.ready.clear()
-        self.proc = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.service.worker"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=worker_env(),
-            text=True,
-        )
+        self.child = SupervisedChild("repro.service.worker",
+                                     on_event=self._on_event)
         self.started_at = time.monotonic()  # uptime is a duration
-        self.last_event = time.monotonic()
-        threading.Thread(target=self._read_events, daemon=True).start()
-        threading.Thread(target=self._read_stderr, daemon=True).start()
-        self._send({
+        self.child.send({
             "op": "init",
             "cache_dir": self.config.cache_dir,
             "heartbeat_interval_s": self.config.heartbeat_interval_s,
             "warm_max_entries": self.config.warm_max_entries,
         })
 
+    def _on_event(self, event: dict) -> None:
+        if event.get("event") == "ready":
+            self.ready.set()
+        elif event.get("job"):
+            # stage/probe/commit/span — stream into the job's buffer
+            self.queue.add_event(event["job"], event)
+
+    def wait_ready(self) -> None:
+        """Block until the worker reports ready, dies, or
+        :data:`_READY_S` passes; the job's watch judges the rest."""
+        deadline = time.monotonic() + _READY_S
+        while self.alive() and time.monotonic() < deadline:
+            if self.ready.wait(_POLL_S):
+                return
+
     def alive(self) -> bool:
-        return self.proc is not None and self.proc.poll() is None
+        return self.child is not None and self.child.alive()
 
     def kill(self) -> None:
-        if self.proc is not None:
-            kill_process(self.proc)
-
-    def stop(self) -> None:
-        """Polite stop: stop line + EOF; the worker finishes its job."""
-        if self.proc is None:
-            return
-        try:
-            self.proc.stdin.write(json.dumps({"op": "stop"}) + "\n")
-            self.proc.stdin.close()
-        except (BrokenPipeError, OSError, ValueError):
-            pass
-
-    # -- I/O -----------------------------------------------------------
-
-    def _send(self, payload: dict) -> bool:
-        try:
-            self.proc.stdin.write(json.dumps(payload) + "\n")
-            self.proc.stdin.flush()
-            return True
-        except (BrokenPipeError, OSError, ValueError):
-            return False
-
-    def _read_events(self) -> None:
-        proc = self.proc
-        for line in proc.stdout:
-            self.last_event = time.monotonic()
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(event, dict):
-                continue
-            kind = event.get("event")
-            if kind == "heartbeat":
-                continue
-            if kind == "ready":
-                self.ready.set()
-                continue
-            job = event.get("job")
-            if kind in ("result", "job_error"):
-                with self.lock:
-                    if job == self.current_job:
-                        self.job_result = event
-                        self.job_done.set()
-                continue
-            if job:
-                # stage/probe/commit — stream into the job's buffer
-                self.queue.add_event(job, event)
-
-    def _read_stderr(self) -> None:
-        proc = self.proc
-        for line in proc.stderr:
-            self.stderr_tail.append(line.rstrip("\n"))
-            del self.stderr_tail[:-20]
-
-    def silent_for(self) -> float:
-        return time.monotonic() - self.last_event
+        if self.child is not None:
+            self.child.kill()
 
     def uptime_s(self) -> float:
         if self.started_at is None:
@@ -212,7 +156,7 @@ class WorkerHandle:
     def stats(self) -> dict:
         return {
             "worker": self.index,
-            "pid": self.proc.pid if self.proc else None,
+            "pid": self.child.pid if self.child else None,
             "alive": self.alive(),
             "ready": self.ready.is_set(),
             "uptime_s": round(self.uptime_s(), 3),
@@ -231,6 +175,7 @@ class ReproService:
         self.workers: list[WorkerHandle] = []
         self._dispatchers: list[threading.Thread] = []
         self._stopping = threading.Event()
+        self._stop_lock = threading.Lock()
         self._server: socketserver.ThreadingUnixStreamServer | None = None
         self._server_thread: threading.Thread | None = None
         self.started_at = time.time()  # wall clock, display only
@@ -282,23 +227,29 @@ class ReproService:
         self._server_thread.start()
 
     def stop(self) -> None:
-        """Drain workers, close the socket, keep the spool for resume."""
-        if self._stopping.is_set():
-            return
-        self._stopping.set()
-        for handle in self.workers:
-            handle.stop()
-        deadline = time.monotonic() + _DRAIN_S
-        for handle in self.workers:
-            while handle.alive() and time.monotonic() < deadline:
-                time.sleep(_POLL_S)
-            if handle.alive():
-                handle.kill()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            if os.path.exists(self.config.socket_path):
-                os.unlink(self.config.socket_path)
+        """Drain workers, close the socket, keep the spool for resume.
+
+        Every caller returns only once the drain is complete, so the
+        foreground process never exits under the ``shutdown`` verb's
+        stop thread and leaves a stale socket behind.
+        """
+        with self._stop_lock:
+            if self._stopping.is_set():
+                return
+            self._stopping.set()
+            # polite stop: each worker finishes its current job, exits
+            for handle in self.workers:
+                if handle.child is not None:
+                    handle.child.send({"op": "stop"})
+            deadline = time.monotonic() + _DRAIN_S
+            for handle in self.workers:
+                if handle.child is not None:
+                    handle.child.reap(deadline - time.monotonic())
+            if self._server is not None:
+                self._server.shutdown()
+                self._server.server_close()
+                if os.path.exists(self.config.socket_path):
+                    os.unlink(self.config.socket_path)
 
     def serve_until_shutdown(self) -> None:
         """Block until a ``shutdown`` verb (or KeyboardInterrupt)."""
@@ -333,128 +284,43 @@ class ReproService:
     def _run_job(self, handle: WorkerHandle, job: Job) -> None:
         if not handle.alive():
             handle.spawn()
-        if not handle.ready.wait(timeout=120.0):
-            self._settle_death(handle, job, RunFailure(
-                stage=WORKER_STAGE, error="WorkerNotReady",
-                message=f"worker {handle.index} never reported ready",
-                elapsed_s=0.0,
-            ), elapsed=0.0)
-            self._respawn(handle)
-            return
-        with handle.lock:
-            handle.current_job = job.digest
-            handle.job_result = None
-            handle.job_done.clear()
+        handle.wait_ready()
+        handle.current_job = job.digest
         job.worker = handle.index
-        sent = handle._send({
+        handle.child.send({
             "op": "job",
             "job": job.digest,
             "spec": job.spec.to_dict(),
             "attempt": job.attempts,
             "trace": job.trace,
         })
-        t0 = time.perf_counter()
-        ceiling = hard_timeout_for(job.spec, self.config.hard_timeout_s)
-        failure: RunFailure | None = None
-        status = "failed"
-        if not sent:
-            failure = RunFailure(
-                stage=WORKER_STAGE, error="WorkerCrashed",
-                message=f"worker {handle.index} pipe closed before "
-                        "dispatch", elapsed_s=0.0,
-            )
-        while failure is None:
-            if handle.job_done.wait(timeout=_POLL_S):
-                break
-            elapsed = time.perf_counter() - t0
-            if not handle.alive():
-                # grace period: the result line may still be in flight
-                handle.job_done.wait(timeout=1.0)
-                if handle.job_done.is_set():
-                    break
-                failure = self._death_failure(handle, elapsed)
-                break
-            if ceiling is not None and elapsed > ceiling:
-                handle.kill()
-                status = "timeout"
-                failure = RunFailure(
-                    stage=WORKER_STAGE, error="WorkerHardTimeout",
-                    message=f"job exceeded hard wall-clock limit "
-                            f"{ceiling:.1f}s on worker {handle.index}; "
-                            "killed", elapsed_s=round(elapsed, 6),
-                )
-                break
-            if handle.silent_for() > self.config.heartbeat_timeout_s:
-                handle.kill()
-                failure = RunFailure(
-                    stage=WORKER_STAGE, error="WorkerHeartbeatLost",
-                    message=f"no worker event for "
-                            f"{self.config.heartbeat_timeout_s:.1f}s "
-                            "(hung or stopped); killed",
-                    elapsed_s=round(elapsed, 6),
-                )
-                break
-
-        elapsed = time.perf_counter() - t0
-        with handle.lock:
-            event = handle.job_result
-            handle.current_job = None
-
-        if failure is None and event is not None:
-            if event.get("event") == "result":
-                handle.jobs_done += 1
-                result = event.get("result") or {}
-                # fold the worker's per-job metrics delta into the
-                # daemon's registry — deltas never double-count
-                metrics = event.get("metrics")
-                if metrics is not None:
-                    METRICS.merge(metrics)
-                METRICS.inc("repro_service_jobs_total",
-                            status=result.get("status") or "unknown")
-                self.queue.finish(job, result, warm=event.get("warm"))
-                return
-            # job_error: the worker survived but the job blew up at the
-            # protocol level — settle as failed, keep the worker
-            raw = event.get("failure")
-            try:
-                failure = RunFailure.from_dict(raw)
-            except (TypeError, ValueError):
-                failure = RunFailure(
-                    stage=WORKER_STAGE, error="WorkerProtocolError",
-                    message="worker job_error did not deserialize",
-                    elapsed_s=round(elapsed, 6),
-                )
-            self._settle_failed(job, failure, status="failed",
-                                elapsed=elapsed)
-            return
-
-        if failure is None:  # pragma: no cover — loop always sets one
-            failure = self._death_failure(handle, elapsed)
-
-        if status == "timeout":
-            # no re-queue: a ceiling blown once will blow again
-            self._settle_failed(job, failure, status="timeout",
-                                elapsed=elapsed)
-            self._respawn(handle)
-            return
-        self._settle_death(handle, job, failure, elapsed)
-        self._respawn(handle)
-
-    def _death_failure(self, handle: WorkerHandle,
-                       elapsed: float) -> RunFailure:
-        rc = handle.proc.returncode if handle.proc else None
-        detail = (f"worker {handle.index} died mid-job "
-                  f"(exit code {rc})")
-        tail = "\n".join(handle.stderr_tail).strip()
-        if tail:
-            detail += f"; stderr tail: {tail[-500:]}"
-        return RunFailure(
-            stage=WORKER_STAGE, error="WorkerCrashed", message=detail,
-            elapsed_s=round(elapsed, 6),
+        verdict = handle.child.watch(
+            ceiling=hard_timeout_for(job.spec, self.config.hard_timeout_s),
+            heartbeat_timeout_s=self.config.heartbeat_timeout_s,
         )
+        handle.current_job = None
 
-    def _settle_death(self, handle: WorkerHandle, job: Job,
-                      failure: RunFailure, elapsed: float) -> None:
+        if verdict.failure is None:
+            handle.jobs_done += 1
+            result = verdict.event["result"]
+            METRICS.inc("repro_service_jobs_total",
+                        status=result.get("status") or "unknown")
+            self.queue.finish(job, result, warm=verdict.event.get("warm"))
+        elif verdict.status == "timeout":
+            # no re-queue: a ceiling blown once will blow again
+            self._settle_failed(job, verdict.failure, status="timeout",
+                                elapsed=verdict.elapsed_s)
+            self._respawn(handle)
+        elif handle.alive():
+            # the worker survived a job-level error: settle, keep it
+            self._settle_failed(job, verdict.failure, status="failed",
+                                elapsed=verdict.elapsed_s)
+        else:
+            self._settle_death(job, verdict.failure, verdict.elapsed_s)
+            self._respawn(handle)
+
+    def _settle_death(self, job: Job, failure: RunFailure,
+                      elapsed: float) -> None:
         """Re-queue after a death, or fold repeated deaths into failed."""
         job.death_failures.append(failure.to_dict())
         if job.attempts <= self.config.max_requeues:

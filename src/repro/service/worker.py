@@ -1,13 +1,17 @@
 """The service worker — a supervised child that *loops* over jobs.
 
-``python -m repro.service.worker`` is the looping sibling of
-``python -m repro.resilience.supervisor``: same JSONL-on-stdio contract
-(heartbeats + structured events, so the daemon reuses the supervisor's
-liveness and kill policy verbatim), but instead of one spec → exit it
-reads an ``init`` line, builds its :class:`~repro.service.warm.
-WarmRegistry`, reports ``ready``, and then serves ``job`` lines until
-stdin closes.  Everything warm — compiled kernels, fabric tables, cone
-bitsets, the tile-config cache — lives and accumulates here.
+``python -m repro.service.worker`` is the looping sibling of the
+one-shot ``python -m repro.resilience.supervisor`` child.  Both speak
+the supervisor's JSONL vocabulary on stdout — heartbeats, progress
+events, one terminal ``result`` or ``error`` event per unit of work —
+so the daemon judges each job with the same
+:meth:`~repro.resilience.supervisor.SupervisedChild.watch` that
+``run_supervised`` uses.  Instead of one spec → exit, this child reads
+an ``init`` line, builds its :class:`~repro.service.warm.WarmRegistry`,
+reports ``ready``, and then serves ``job`` lines until a ``stop`` line
+or stdin EOF.  Everything warm — the forked design bundle, fabric
+tables, the warm golden kernel, the tile-config cache — lives and
+accumulates here.
 
 Per job the worker:
 
@@ -20,11 +24,13 @@ Per job the worker:
    to the daemon as they happen), the registry's tile cache per the
    spec's cache policy, and the registry as the warm source;
 3. writes newly produced tile configs back to the store and emits one
-   ``result`` event carrying the RunResult plus warm-hit telemetry.
+   ``result`` event carrying the RunResult, warm-hit telemetry and the
+   job's metrics delta.
 
 A job whose pipeline raises still answers (``run_spec`` never throws
-for pipeline faults; a protocol-level exception emits ``job_error``)
-— the worker only exits on EOF or a kill from above.
+for pipeline faults; a protocol-level exception emits an ``error``
+event tagged with the job) — the worker only exits on ``stop``, EOF,
+or a kill from above.
 """
 
 from __future__ import annotations
@@ -38,11 +44,11 @@ import time
 from repro.api.spec import RunSpec
 from repro.obs.metrics import METRICS
 from repro.obs.trace import Tracer
-from repro.resilience.failure import WORKER_STAGE, RunFailure
 from repro.resilience.supervisor import (
     HEARTBEAT_INTERVAL_S,
+    emit_error,
     emit_event,
-    heartbeat_loop,
+    start_heartbeat,
 )
 
 
@@ -138,7 +144,6 @@ def serve_jobs(stdin=None) -> int:
 
     stdin = stdin if stdin is not None else sys.stdin
     lock = threading.Lock()
-    stop = threading.Event()
 
     init_line = stdin.readline()
     if not init_line:
@@ -155,17 +160,9 @@ def serve_jobs(stdin=None) -> int:
             max_entries=int(init.get("warm_max_entries") or 8),
         )
     except BaseException as exc:  # noqa: BLE001 — report, don't crash
-        emit_event({
-            "event": "error",
-            "failure": RunFailure.from_exception(
-                exc, stage=WORKER_STAGE
-            ).to_dict(),
-        }, lock)
+        emit_error(exc, lock)
         return 1
-    beat = threading.Thread(
-        target=heartbeat_loop, args=(lock, stop, interval_s), daemon=True
-    )
-    beat.start()
+    stop = start_heartbeat(lock, interval_s)
     started = time.perf_counter()  # monotonic: uptime is a duration
     emit_event({"event": "ready", "pid": os.getpid()}, lock)
 
@@ -221,13 +218,7 @@ def serve_jobs(stdin=None) -> int:
         except BaseException as exc:  # noqa: BLE001
             if isinstance(exc, KeyboardInterrupt):
                 break
-            emit_event({
-                "event": "job_error",
-                "job": job_id,
-                "failure": RunFailure.from_exception(
-                    exc, stage=WORKER_STAGE
-                ).to_dict(),
-            }, lock)
+            emit_error(exc, lock, job=job_id)
     stop.set()
     emit_event({
         "event": "bye",

@@ -12,6 +12,7 @@ is a facet of that invariant.
 import contextlib
 import json
 import os
+import threading
 
 import pytest
 
@@ -320,6 +321,57 @@ def test_daemon_persistent_death_folds_into_worker_failure(tmp_path):
                    for f in result["failures"])
         assert all(f["error"] == "WorkerCrashed"
                    for f in result["failures"])
+        # each death names its signal, as the one-shot supervisor does
+        assert all("SIGKILL" in f["message"] for f in result["failures"])
+
+
+@pytest.mark.parametrize("fault, overrides, verdict", [
+    # an in-pipeline hang that keeps heartbeating: only the per-job
+    # hard ceiling ends it, and a blown ceiling is never re-queued
+    ({"kind": "hang", "stage": "localize", "hang_s": 60.0},
+     {"hard_timeout_s": 2.0}, "WorkerHardTimeout"),
+    # a frozen worker stops beating: the watchdog kills it and the job
+    # re-runs clean (the fault's single fire died with the worker)
+    ({"kind": "worker_hang", "stage": "localize", "fires": 1},
+     {"heartbeat_timeout_s": 1.5}, "WorkerHeartbeatLost"),
+], ids=["hard_timeout", "heartbeat_lost"])
+def test_daemon_kill_paths(tmp_path, fault, overrides, verdict):
+    spec = RunSpec(**dict(FAST, chaos={"faults": [fault]}))
+    with service(tmp_path, **overrides) as (svc, client):
+        response = client.run(spec, timeout_s=300.0)
+        result = response["result"]
+        requeues = [e for e in client.events(response["job"])
+                    if e.get("event") == "requeued"]
+        if verdict == "WorkerHardTimeout":
+            assert result["status"] == "timeout"
+            assert result["failures"][0]["stage"] == WORKER_STAGE
+            assert result["failures"][0]["error"] == verdict
+            assert requeues == []
+            assert svc.workers[0].deaths == 1
+            # the respawned worker serves the next job normally
+            after = client.run(RunSpec(**dict(FAST, error_seed=3)),
+                               timeout_s=300.0)
+            assert after["result"]["status"] == "ok"
+        else:
+            assert result["status"] == "ok"
+            assert response["attempts"] == 2
+            assert [e["error"] for e in requeues] == [verdict]
+            assert svc.workers[0].deaths == 1
+
+
+def test_daemon_stop_waits_for_a_concurrent_drain(tmp_path):
+    # the shutdown verb drains on its own thread while the foreground
+    # loop calls stop() too: that second call must not return (and let
+    # the process exit) before the drain has removed the socket
+    with service(tmp_path) as (svc, client):
+        client.ping()
+        drain = threading.Thread(target=svc.stop)
+        drain.start()
+        assert svc._stopping.wait(timeout=5.0)
+        svc.stop()
+        assert not os.path.exists(svc.config.socket_path)
+        assert not svc.workers[0].alive()
+        drain.join()
 
 
 def test_daemon_restart_resumes_spool_without_duplicates(tmp_path):

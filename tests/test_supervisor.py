@@ -72,6 +72,16 @@ def test_worker_kill_becomes_structured_worker_failure():
     assert "SIGKILL" in failure["message"]
 
 
+def test_worker_crash_report_is_not_drowned_by_import_warnings():
+    # the stderr tail is the crash report: a child entry point imported
+    # by its own package prints a runpy RuntimeWarning that would fill it
+    spec = RunSpec(design="9sym", preset="fast", max_probes=6,
+                   cache="off", error_seed=2, chaos=KILL_SECOND)
+    message = run_supervised(spec).failures[0]["message"]
+    assert "found in sys.modules" not in message
+    assert "RuntimeWarning" not in message
+
+
 def test_worker_hang_trips_heartbeat_and_is_killed():
     chaos = {"faults": [{"kind": "worker_hang", "stage": "localize"}]}
     spec = RunSpec(design="9sym", preset="fast", max_probes=6,
