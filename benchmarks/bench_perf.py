@@ -30,9 +30,10 @@ Measures, per design:
   every per-process cost, warm must hit the worker's warm registry,
   answer bit-identically, and land ``service_warm_speedup`` >= 2x;
 * **observability overhead** — the largest design's campaign with and
-  without an armed :class:`~repro.obs.trace.Tracer`; the armed run
-  must stay within ``OBS_OVERHEAD_LIMIT_PCT`` of the disarmed one and
-  answer bit-identically.
+  without an armed :class:`~repro.obs.trace.Tracer`, measured as
+  ``OBS_OVERHEAD_PAIRS`` interleaved plain/traced pairs; the median
+  paired overhead must stay within ``OBS_OVERHEAD_LIMIT_PCT`` and every
+  armed run must answer bit-identically.
 
 Results land in ``BENCH_perf.json``; every run also *appends* a
 timestamped summary to the file's ``history`` list, so the perf
@@ -58,14 +59,17 @@ Acceptance gates (checked at the end, non-zero exit on failure):
 * a routed-legal final layout on the largest design (``routed_legal``);
 * a fixed and proved two-fault run on every design
   (``multi_error_fixed``);
-* <5% wall-clock overhead with tracing armed (``obs_overhead``).
+* <5% median paired wall-clock overhead with tracing armed
+  (``obs_overhead``).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -94,6 +98,8 @@ CAMPAIGN_SPEEDUP_TARGET = 2.5
 SERVICE_WARM_TARGET = 2.0
 #: armed tracing may cost at most this much wall-clock over disarmed
 OBS_OVERHEAD_LIMIT_PCT = 5.0
+#: interleaved plain/traced pairs the overhead gate takes the median of
+OBS_OVERHEAD_PAIRS = 15
 
 
 def bench_sim_throughput(
@@ -376,15 +382,20 @@ def bench_service_warm(design: str, error_seed: int,
 
 
 def bench_obs_overhead(design: str, error_seed: int,
-                       max_probes: int = 12, iters: int = 2) -> dict:
+                       max_probes: int = 12,
+                       pairs: int = OBS_OVERHEAD_PAIRS) -> dict:
     """Wall-clock cost of an armed tracer on a full campaign run.
 
     The observability layer promises "zero-cost when disarmed" (the
     default path never touches a tracer) and "cheap when armed".  This
-    section prices the armed half: the same spec run with and without a
-    :class:`~repro.obs.trace.Tracer`, min-of-``iters`` per arm to shed
-    scheduler noise, with semantic bit-identity asserted between arms —
-    tracing observes the run, it must never steer it.
+    section prices the armed half.  After one untimed warm-up, the same
+    spec runs as ``pairs`` interleaved plain/traced pairs.  The order
+    alternates from pair to pair, so drift in machine speed hits both
+    arms alike, and every timed run starts after a full garbage
+    collection.  Semantic bit-identity is asserted within each pair:
+    tracing observes the run, it must never steer it.  The gate reads
+    the median per-pair overhead; the interquartile range is recorded
+    beside it.
     """
     from repro.api import run_spec
     from repro.obs.trace import Tracer
@@ -397,37 +408,48 @@ def bench_obs_overhead(design: str, error_seed: int,
     run_spec(spec)  # warm-up: imports + kernel lowering, untimed
 
     def timed(tracer):
+        # collect the previous run's garbage outside the timed region,
+        # so neither arm pays for the other's cyclic collection
+        gc.collect()
         t0 = time.perf_counter()
         result = run_spec(spec, tracer=tracer)
         return time.perf_counter() - t0, result
 
-    plain_s, plain_result = min(
-        (timed(None) for _ in range(iters)), key=lambda t: t[0]
-    )
-    tracers = [Tracer() for _ in range(iters)]
-    traced_s, traced_result = min(
-        (timed(t) for t in tracers), key=lambda t: t[0]
-    )
-    n_events = max(len(t.to_chrome_trace()["traceEvents"])
-                   for t in tracers)
+    plain_times, traced_times, overheads = [], [], []
+    n_events = 0
+    for i in range(pairs):
+        tracer = Tracer()
+        if i % 2:
+            traced_s, traced_result = timed(tracer)
+            plain_s, plain_result = timed(None)
+        else:
+            plain_s, plain_result = timed(None)
+            traced_s, traced_result = timed(tracer)
+        n_events = max(n_events,
+                       len(tracer.to_chrome_trace()["traceEvents"]))
 
-    plain_dict = plain_result.to_dict()
-    traced_dict = traced_result.to_dict()
-    diverged = sorted(
-        k for k in plain_dict
-        if k not in _VOLATILE_RESULT_FIELDS
-        and plain_dict[k] != traced_dict.get(k)
-    )
-    assert not diverged, (
-        f"{design}: traced run diverges from untraced on {diverged}"
-    )
-    overhead_pct = 100.0 * (traced_s - plain_s) / plain_s
+        plain_dict = plain_result.to_dict()
+        traced_dict = traced_result.to_dict()
+        diverged = sorted(
+            k for k in plain_dict
+            if k not in _VOLATILE_RESULT_FIELDS
+            and plain_dict[k] != traced_dict.get(k)
+        )
+        assert not diverged, (
+            f"{design}: traced run diverges from untraced on {diverged}"
+        )
+        plain_times.append(plain_s)
+        traced_times.append(traced_s)
+        overheads.append(100.0 * (traced_s - plain_s) / plain_s)
+    q1, median, q3 = statistics.quantiles(overheads, n=4)
     return {
         "design": design,
-        "iters": iters,
-        "plain_seconds": round(plain_s, 6),
-        "traced_seconds": round(traced_s, 6),
-        "overhead_pct": round(overhead_pct, 3),
+        "pairs": pairs,
+        "plain_seconds": round(statistics.median(plain_times), 6),
+        "traced_seconds": round(statistics.median(traced_times), 6),
+        "overhead_pct": round(median, 3),
+        "overhead_iqr_pct": round(q3 - q1, 3),
+        "pair_overheads_pct": [round(o, 3) for o in overheads],
         "overhead_limit_pct": OBS_OVERHEAD_LIMIT_PCT,
         "n_trace_events": n_events,
         "identical_results": True,
@@ -654,11 +676,12 @@ def main(argv=None) -> int:
     )
     results["obs_overhead"] = obs
     print(
-        "obs overhead ({}): plain {:.3f}s -> traced {:.3f}s "
-        "({:+.2f}%, {} events, bit-identical; limit {:.0f}%)".format(
+        "obs overhead ({}): plain {:.3f}s -> traced {:.3f}s, median "
+        "{:+.2f}% (IQR {:.2f}) over {} pairs, {} events, bit-identical; "
+        "limit {:.0f}%".format(
             largest, obs["plain_seconds"], obs["traced_seconds"],
-            obs["overhead_pct"], obs["n_trace_events"],
-            OBS_OVERHEAD_LIMIT_PCT,
+            obs["overhead_pct"], obs["overhead_iqr_pct"], obs["pairs"],
+            obs["n_trace_events"], OBS_OVERHEAD_LIMIT_PCT,
         )
     )
 

@@ -397,77 +397,6 @@ def run_ablation_slack(
     return rows
 
 
-# ----------------------------------------------------------------------
-# debug-campaign strategy comparison (facade-driven)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StrategyComparisonRow:
-    design: str
-    strategy: str
-    detected: bool
-    localized: bool
-    fixed: bool
-    n_probes: int
-    n_commits: int
-    debug_work_units: float
-    speedup_vs_strategy: dict  # strategy name -> work-unit speedup
-
-
-def run_strategy_comparison(
-    designs: list[str],
-    strategies: tuple[str, ...] = ("tiled", "quick_eco"),
-    error_kind: str = "table_bit",
-    seed: int = 1,
-    preset: str = "fast",
-    n_tiles: int = 10,
-    workers: int = 1,
-) -> list[StrategyComparisonRow]:
-    """Debug-loop effort per back-end strategy (the Figure-5 question
-    asked end-to-end), driven through :class:`repro.api.CampaignRunner`.
-
-    Each (design, strategy) cell is one full detect→localize→correct→
-    verify run; the per-row ``speedup_vs_strategy`` compares debugging
-    work units within the same design.
-    """
-    from repro.api import CampaignRunner, expand_matrix
-
-    if not designs:
-        raise ValueError("designs must name at least one design")
-    base = RunSpec(
-        design=designs[0], error_kind=error_kind, seed=seed,
-        error_seed=seed, preset=preset, tiling={"n_tiles": n_tiles},
-    )
-    specs = expand_matrix(base, designs=list(designs),
-                          strategies=list(strategies))
-    campaign = CampaignRunner(workers=workers).run(specs)
-    by_cell = {
-        (r.design, r.strategy): r for r in campaign.results
-    }
-    rows: list[StrategyComparisonRow] = []
-    for result in campaign.results:
-        work = result.effort["debug"]["work_units"]
-        speedups = {}
-        for other in strategies:
-            peer = by_cell.get((result.design, other))
-            if peer is None or other == result.strategy:
-                continue
-            peer_work = peer.effort["debug"]["work_units"]
-            speedups[other] = peer_work / work if work else float("inf")
-        rows.append(StrategyComparisonRow(
-            design=result.design,
-            strategy=result.strategy,
-            detected=result.detected,
-            localized=result.localized,
-            fixed=result.fixed,
-            n_probes=result.n_probes,
-            n_commits=result.n_commits,
-            debug_work_units=work,
-            speedup_vs_strategy=speedups,
-        ))
-    return rows
-
-
 @dataclass(frozen=True)
 class BoundaryAblationRow:
     design: str

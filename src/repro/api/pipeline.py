@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.device import Device
 from repro.debug.correct import apply_correction
-from repro.debug.detect import Mismatch, detect_on_layout
+from repro.debug.detect import GoldenTrace, Mismatch, detect_on_layout
 from repro.debug.errors import ErrorRecord, inject_errors
 from repro.debug.instrument import remove_observation_points
 from repro.debug.localize import ConeLocalizer, LocalizationResult
@@ -169,7 +169,9 @@ class RunContext:
     #: the first injected error (legacy single-fault view)
     error: ErrorRecord | None = None
     initial_effort: EffortMeter = field(default_factory=EffortMeter)
-    stimulus: list | None = None
+    #: the golden model's response to the current stimulus; every
+    #: stimulus change (widened retry, proof re-arm) installs a new one
+    trace: GoldenTrace | None = None
     mismatches: list[Mismatch] = field(default_factory=list)
     detected: bool = False
     #: mismatches driving the *current* diagnosis round
@@ -185,8 +187,6 @@ class RunContext:
     corrected: list = field(default_factory=list)
     #: observation points still in the fabric (retired next round)
     live_probes: list = field(default_factory=list)
-    #: golden net history shared by every round's localizer
-    golden_history: list | None = None
     #: instances corrected by the round in flight (reset per round)
     round_corrected: list = field(default_factory=list)
     #: stale probes retired at the start of the round in flight
@@ -283,10 +283,7 @@ class RunContext:
 
     def detect(self) -> list[Mismatch]:
         """Golden-vs-layout comparison on the current stimulus."""
-        return detect_on_layout(
-            self.strategy.layout, self.golden, self.stimulus,
-            self.n_patterns, engine=self.engine,
-        )
+        return detect_on_layout(self.strategy.layout, self.trace)
 
 
 def resolve_tile_cache(
@@ -373,16 +370,22 @@ class DetectStage(Stage):
 
         ctx.strategy.build_initial(meter=ctx.initial_effort)
 
-        ctx.stimulus = random_stimulus(
+        stimulus = random_stimulus(
             ctx.golden, ctx.n_cycles, ctx.n_patterns, seed=ctx.seed
+        )
+        ctx.trace = GoldenTrace(
+            ctx.golden, stimulus, ctx.n_patterns, ctx.engine
         )
         mismatches = ctx.detect()
         if not mismatches:
             # widen the net: longer run, more patterns
             ctx.notes.append("first stimulus missed the error; widened")
-            ctx.stimulus = random_stimulus(
+            stimulus = random_stimulus(
                 ctx.golden, ctx.n_cycles * 4, ctx.n_patterns,
                 seed=ctx.seed + 1,
+            )
+            ctx.trace = GoldenTrace(
+                ctx.golden, stimulus, ctx.n_patterns, ctx.engine
             )
             mismatches = ctx.detect()
         ctx.mismatches = mismatches
@@ -411,13 +414,10 @@ class LocalizeStage(Stage):
         self._retire_stale_probes(ctx)
         remaining = max(1, ctx.n_errors - len(ctx.corrected))
         localizer = ConeLocalizer(
-            ctx.strategy, ctx.golden, ctx.stimulus, ctx.n_patterns,
-            goal_size=ctx.goal_size, engine=ctx.engine,
-            n_errors=remaining, golden_history=ctx.golden_history,
-            tolerate_drain=ctx.n_errors > 1,
+            ctx.strategy, ctx.trace, goal_size=ctx.goal_size,
+            n_errors=remaining, tolerate_drain=ctx.n_errors > 1,
             want_pairs=ctx.correction == "cegis",
         )
-        ctx.golden_history = localizer.golden_history
         result = localizer.run(
             ctx.round_mismatches, max_probes=ctx.max_probes,
             on_probe=lambda step: hooks.on_probe(ctx, step),
@@ -565,11 +565,11 @@ class CorrectStage(Stage):
             f"{ctx.packed.netlist.name}.fallback"
         )
         apply_correction(scratch, error)
+        trace = ctx.trace
         return len(compare_runs(
-            replay_outputs(scratch, ctx.stimulus, ctx.n_patterns,
-                           engine=ctx.engine),
-            replay_outputs(ctx.golden, ctx.stimulus, ctx.n_patterns,
-                           engine=ctx.engine),
+            replay_outputs(scratch, trace.stimulus, trace.n_patterns,
+                           engine=trace.engine),
+            trace.outputs,
         ))
 
     @staticmethod
@@ -591,9 +591,8 @@ class CorrectStage(Stage):
             # a repair must not be rejected for leaving them broken
             ignore_outputs = set(loc.deferred_outputs)
         return synthesize_lut_fix(
-            ctx.packed.netlist, ctx.golden, candidates,
-            ctx.round_mismatches, ctx.stimulus, ctx.n_patterns,
-            engine=ctx.engine, seed=ctx.seed,
+            ctx.packed.netlist, ctx.trace, candidates,
+            ctx.round_mismatches, seed=ctx.seed,
             max_luts=max_luts, pair_hints=pair_hints,
             ignore_outputs=ignore_outputs,
         )
@@ -711,18 +710,17 @@ class DiagnoseLoop(Stage):
             return None
         # one more pattern word carrying the counterexample, alongside
         # the random patterns every later verdict still leans on
-        pattern_bit = 1 << ctx.n_patterns
+        stimulus, n_patterns = ctx.trace.stimulus, ctx.trace.n_patterns
+        pattern_bit = 1 << n_patterns
         merged = []
-        for t in range(max(len(ctx.stimulus), len(cex))):
-            cycle = dict(ctx.stimulus[t]) if t < len(ctx.stimulus) else {}
+        for t in range(max(len(stimulus), len(cex))):
+            cycle = dict(stimulus[t]) if t < len(stimulus) else {}
             if t < len(cex):
                 for port, bit in cex[t].items():
                     if bit:
                         cycle[port] = cycle.get(port, 0) | pattern_bit
             merged.append(cycle)
-        ctx.stimulus = merged
-        ctx.n_patterns += 1
-        ctx.golden_history = None  # widths changed; recompute next round
+        ctx.trace = GoldenTrace(ctx.golden, merged, n_patterns + 1, ctx.engine)
         residual = ctx.detect()
         if residual:
             ctx.notes.append(

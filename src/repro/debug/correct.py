@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.debug.detect import Mismatch
+from repro.debug.detect import GoldenTrace, Mismatch
 from repro.debug.errors import ErrorRecord
 from repro.errors import DebugFlowError
 from repro.netlist.cells import CellKind
@@ -105,12 +105,9 @@ class FixSynthesis:
 
 def synthesize_lut_fix(
     netlist: Netlist,
-    golden: Netlist,
+    trace: GoldenTrace,
     candidates,
     mismatches: list[Mismatch],
-    stimulus: list[dict[str, int]],
-    n_patterns: int,
-    engine: str = "compiled",
     max_iterations: int = 12,
     seed: int = 0,
     max_luts: int = 1,
@@ -121,16 +118,16 @@ def synthesize_lut_fix(
     """Search the candidate LUTs for a truth-table repair.
 
     Single candidates are tried in sorted order; the first whose
-    synthesized table clears *every* (non-exempted) mismatch on the
-    full stimulus wins and is applied to ``netlist``.  With
-    ``max_luts >= 2`` the search continues over candidate pairs —
-    ``pair_hints`` (e.g. the SAT diagnoser's feasible pairs) are tried
-    first, then sorted combinations, up to ``max_pairs`` joint
-    attempts.  ``ignore_outputs`` exempts outputs owned by other
-    not-yet-fixed errors from the specification.  Returns ``None`` when
-    no candidate set admits a table fix (the error is structural, or
-    lies outside the candidates) — the pipeline then falls back to
-    back-annotation.
+    synthesized table clears *every* (non-exempted) mismatch against
+    ``trace`` (the golden model's response to the full stimulus) wins
+    and is applied to ``netlist``.  With ``max_luts >= 2`` the search
+    continues over candidate pairs — ``pair_hints`` (e.g. the SAT
+    diagnoser's feasible pairs) are tried first, then sorted
+    combinations, up to ``max_pairs`` joint attempts.
+    ``ignore_outputs`` exempts outputs owned by other not-yet-fixed
+    errors from the specification.  Returns ``None`` when no candidate
+    set admits a table fix (the error is structural, or lies outside
+    the candidates) — the pipeline then falls back to back-annotation.
     """
     from repro.sat.cegis import synthesize_tables
 
@@ -167,8 +164,8 @@ def synthesize_lut_fix(
     for group in attempts:
         tried.append("+".join(group))
         outcome = synthesize_tables(
-            netlist, golden, list(group), mismatches, stimulus, n_patterns,
-            engine=engine, max_iterations=max_iterations, seed=seed,
+            netlist, trace, list(group), mismatches,
+            max_iterations=max_iterations, seed=seed,
             ignore_outputs=ignore_outputs,
         )
         if not outcome.succeeded:

@@ -1,7 +1,14 @@
 """Error detection: golden-model vs emulation comparison (step 21).
 
-Detection compares the DUT's emulated outputs with the golden reference
-cycle by cycle and pattern by pattern.  The result is a list of
+One reference judges every verdict of the debug loop: the golden
+model's response to the stimulus.  :class:`GoldenTrace` simulates it
+once per stimulus, through the engine's all-net ``probe`` view, and
+serves both views the loop reads — every net's word per cycle (probe
+verdicts, SAT observations) and the primary-output projection
+(detection, fix checks).  A new stimulus is a new trace.
+
+Detection compares the DUT's emulated outputs with the trace's
+outputs cycle by cycle and pattern by pattern.  The result is a list of
 :class:`Mismatch` records — which output, which cycle, which patterns —
 the raw material localization works from.
 """
@@ -9,10 +16,11 @@ the raw material localization works from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.emu.emulator import Emulator
-from repro.netlist.core import Netlist
-from repro.netlist.simulate import SequentialSimulator
+from repro.netlist.core import Netlist, port_name
+from repro.netlist.simulate import initial_state, make_engine
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,56 @@ class Mismatch:
     @property
     def n_patterns_failing(self) -> int:
         return bin(self.diff_mask).count("1")
+
+
+class GoldenTrace:
+    """The golden model's response to one stimulus, simulated once.
+
+    The simulation runs lazily, on first read of :attr:`nets` or
+    :attr:`outputs`.  Input ports missing from a cycle's map read 0,
+    the emulator's contract for disabled control inputs.
+    """
+
+    def __init__(
+        self,
+        golden: Netlist,
+        stimulus: list[dict[str, int]],
+        n_patterns: int,
+        engine: str = "compiled",
+    ) -> None:
+        self.golden = golden
+        self.stimulus = stimulus
+        self.n_patterns = n_patterns
+        self.engine = engine
+
+    @cached_property
+    def nets(self) -> list[dict[str, int]]:
+        """Golden word on every net, per cycle."""
+        comb = make_engine(self.golden, self.engine)
+        state = initial_state(self.golden, self.n_patterns)
+        names = {port_name(pi) for pi in self.golden.primary_inputs()}
+        flops = self.golden.flip_flops()
+        history = []
+        for cycle_in in self.stimulus:
+            inputs = {name: cycle_in.get(name, 0) for name in names}
+            values = comb.probe(inputs, self.n_patterns, state)
+            history.append(values)
+            # the probe view already carries every FF's D-net word, so
+            # the next state comes for free (no second full evaluation)
+            state = {ff.name: values[ff.inputs[0].name] for ff in flops}
+        return history
+
+    @cached_property
+    def outputs(self) -> list[dict[str, int]]:
+        """Golden primary-output words, per cycle."""
+        ports = [
+            (port_name(po), po.inputs[0].name)
+            for po in self.golden.primary_outputs()
+        ]
+        return [
+            {port: values[net] for port, net in ports}
+            for values in self.nets
+        ]
 
 
 def compare_runs(
@@ -46,38 +104,24 @@ def compare_runs(
     return mismatches
 
 
-def detect_on_layout(
-    layout,
-    golden: Netlist,
-    stimulus: list[dict[str, int]],
-    n_patterns: int,
-    engine: str = "compiled",
-) -> list[Mismatch]:
-    """Emulate the layout against the golden netlist on ``stimulus``.
+def detect_on_layout(layout, trace: GoldenTrace) -> list[Mismatch]:
+    """Emulate the layout on the trace's stimulus and compare.
 
-    The golden model may lack the DUT's instrumentation inputs; control
-    inputs default to 0 (disabled) on the DUT side when missing from
-    the stimulus, and observation outputs are excluded by
-    :func:`compare_runs`.  ``engine`` selects the combinational
-    evaluator for both sides (see :func:`repro.netlist.make_engine`).
+    Control inputs missing from the stimulus default to 0 (disabled) on
+    the DUT side, and observation outputs are excluded by
+    :func:`compare_runs`.  The DUT runs on the trace's engine (see
+    :func:`repro.netlist.make_engine`).
     """
-    emulator = Emulator(layout, engine=engine)
-    golden_sim = SequentialSimulator(golden, engine=engine)
-    golden_sim.reset(n_patterns)
+    n_patterns = trace.n_patterns
+    emulator = Emulator(layout, engine=trace.engine)
     emulator.reset(n_patterns)
-
     dut_names = {
-        pi.name.split(":", 1)[-1] for pi in layout.packed.netlist.primary_inputs()
+        port_name(pi) for pi in layout.packed.netlist.primary_inputs()
     }
-    golden_names = {
-        pi.name.split(":", 1)[-1] for pi in golden.primary_inputs()
-    }
-
-    dut_out: list[dict[str, int]] = []
-    gold_out: list[dict[str, int]] = []
-    for cycle_in in stimulus:
-        dut_in = {name: cycle_in.get(name, 0) for name in dut_names}
-        gold_in = {name: cycle_in.get(name, 0) for name in golden_names}
-        dut_out.append(emulator.step(dut_in, n_patterns))
-        gold_out.append(golden_sim.step(gold_in, n_patterns))
-    return compare_runs(dut_out, gold_out)
+    dut_out = [
+        emulator.step(
+            {name: cycle_in.get(name, 0) for name in dut_names}, n_patterns
+        )
+        for cycle_in in trace.stimulus
+    ]
+    return compare_runs(dut_out, trace.outputs)

@@ -12,6 +12,12 @@ the error lies upstream.  The localizer mechanizes the designer:
    either the probe's cone or its complement;
 3. stop when the candidates fit the goal size or probes run out.
 
+A probe verdict compares the observed net with the golden model's word
+on it, read from the round's :class:`~repro.debug.detect.GoldenTrace`
+— the one golden simulation of the stimulus that detection, SAT pruning
+and correction also read.  The localizer never simulates the golden
+model itself.
+
 **Multiple interacting faults** break the intersection step: outputs
 failing because of *different* errors share no common cone.  Seeding is
 therefore greedy — failing outputs are folded in sorted order and an
@@ -28,7 +34,8 @@ oracle correction (:class:`repro.api.pipeline.CorrectStage`) falls back
 to the next uncorrected injected error, and the re-detect after each fix
 decides whether another diagnosis round runs.
 
-Two engines drive the loop (bit-identical verdicts and candidates):
+Two engines drive the loop — the trace's engine, bit-identical
+verdicts and candidates:
 
 * ``engine="compiled"`` — one shared instruction-tape kernel
   (:mod:`repro.netlist.compiled`) is kept current across probe commits
@@ -55,14 +62,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.debug.detect import Mismatch
+from repro.debug.detect import GoldenTrace, Mismatch
 from repro.debug.instrument import add_observation_point
 from repro.debug.strategies import BaseStrategy
 from repro.emu.emulator import Emulator
 from repro.errors import DebugFlowError
 from repro.netlist.cones import ConeIndex
 from repro.netlist.core import Netlist, port_name
-from repro.netlist.simulate import initial_state, make_engine
 from repro.obs.metrics import METRICS
 from repro.obs.trace import maybe_span
 from repro.resilience.budget import check_deadline
@@ -122,32 +128,25 @@ class LocalizationResult:
 class ConeLocalizer:
     """Drives observation-point bisection on top of a strategy.
 
-    ``n_errors`` is the number of faults still believed live in the
-    DUT; it sizes the SAT pruner's cardinality bound.
-    ``golden_history`` lets multi-round sessions reuse the golden
-    net-history computation (golden model and stimulus never change
-    between rounds).
+    ``trace`` is the golden model's response to the round's stimulus;
+    probe verdicts compare against its per-net words, and the DUT runs
+    on its engine.  ``n_errors`` is the number of faults still believed
+    live in the DUT; it sizes the SAT pruner's cardinality bound.
     """
 
     def __init__(
         self,
         strategy: BaseStrategy,
-        golden: Netlist,
-        stimulus: list[dict[str, int]],
-        n_patterns: int,
+        trace: GoldenTrace,
         goal_size: int = 4,
-        engine: str = "compiled",
         n_errors: int = 1,
-        golden_history: list[dict[str, int]] | None = None,
         tolerate_drain: bool | None = None,
         want_pairs: bool = False,
     ) -> None:
         self.strategy = strategy
-        self.golden = golden
-        self.stimulus = stimulus
-        self.n_patterns = n_patterns
+        self.trace = trace
+        self.engine = trace.engine
         self.goal_size = goal_size
-        self.engine = engine
         self.n_errors = max(1, n_errors)
         #: surrender (instead of raise) when probe verdicts drain the
         #: candidate set; defaults to on whenever several faults are live
@@ -162,33 +161,6 @@ class ConeLocalizer:
             port_name(pi)
             for pi in strategy.packed.netlist.primary_inputs()
         }
-        self._golden_nets = (
-            golden_history if golden_history is not None
-            else self._golden_net_history()
-        )
-
-    @property
-    def golden_history(self) -> list[dict[str, int]]:
-        """Golden value of every net, per cycle — reusable across rounds."""
-        return self._golden_nets
-
-    # ------------------------------------------------------------------
-
-    def _golden_net_history(self) -> list[dict[str, int]]:
-        """Golden value of every net, per cycle (for probe comparison)."""
-        comb = make_engine(self.golden, self.engine)
-        state = initial_state(self.golden, self.n_patterns)
-        names = {port_name(pi) for pi in self.golden.primary_inputs()}
-        flops = self.golden.flip_flops()
-        history = []
-        for cycle_in in self.stimulus:
-            inputs = {name: cycle_in.get(name, 0) for name in names}
-            values = comb.probe(inputs, self.n_patterns, state)
-            history.append(values)
-            # the probe view already carries every FF's D-net word, so
-            # the next state comes for free (no second full evaluation)
-            state = {ff.name: values[ff.inputs[0].name] for ff in flops}
-        return history
 
     def seed_candidates(
         self, mismatches: list[Mismatch]
@@ -307,8 +279,8 @@ class ConeLocalizer:
 
             timings["sat"] = 0.0
             pruner = SuspectPruner(
-                netlist, self.golden, self.stimulus, group_mismatches,
-                self._golden_nets, seed=self.strategy.seed,
+                netlist, self.trace, group_mismatches,
+                seed=self.strategy.seed,
                 n_errors=self.n_errors,
             )
 
@@ -460,14 +432,17 @@ class ConeLocalizer:
         # is fanin-closed), a fraction of the evaluation; otherwise the
         # whole design steps
         runner = emulator.cone_runner((probe_port,)) or emulator
-        runner.reset(self.n_patterns)
-        for cycle, cycle_in in enumerate(self.stimulus):
+        n_patterns = self.trace.n_patterns
+        runner.reset(n_patterns)
+        for cycle_in, golden_nets in zip(
+            self.trace.stimulus, self.trace.nets
+        ):
             inputs = {
                 name: cycle_in.get(name, 0) for name in self._input_names
             }
-            outputs = runner.step(inputs, self.n_patterns)
+            outputs = runner.step(inputs, n_patterns)
             probe_value = outputs.get(probe_port)
-            golden_value = self._golden_nets[cycle].get(probe_net)
+            golden_value = golden_nets.get(probe_net)
             if probe_value is None or golden_value is None:
                 continue
             if probe_value != golden_value:

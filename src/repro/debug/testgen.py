@@ -79,9 +79,3 @@ def random_stimulus(
         for _ in range(n_cycles)
     ]
 
-
-def held_stimulus(
-    inputs: dict[str, int], n_cycles: int
-) -> list[dict[str, int]]:
-    """The same input word held for ``n_cycles`` (pipelined designs)."""
-    return [dict(inputs) for _ in range(n_cycles)]

@@ -32,7 +32,7 @@ def initial_state(netlist: Netlist, n_patterns: int) -> dict[str, int]:
     """Every FF's init value replicated across ``n_patterns`` patterns.
 
     The single source of truth for reset state, shared by the
-    sequential simulator, the emulator and the localizer's golden run.
+    sequential simulator, the emulator and the golden trace.
     """
     mask = (1 << n_patterns) - 1
     return {
@@ -189,8 +189,10 @@ def replay_outputs(
     """Per-cycle outputs of a run from reset over ``stimulus``.
 
     Ports missing from a cycle's map read 0 — the emulator's contract
-    for disabled control inputs, shared by detection, counterexample
-    replay and the CEGIS check so all three judge the same interface.
+    for disabled control inputs, which
+    :class:`repro.debug.detect.GoldenTrace` shares, so the DUT replays
+    of counterexamples and CEGIS checks judge the same interface as
+    detection.
     """
     sim = SequentialSimulator(netlist, engine=engine)
     sim.reset(n_patterns)

@@ -14,19 +14,20 @@ The loop is the classic alternation, run on one incremental solver:
 
 1. **solve** — find tables consistent with every counterexample seen;
 2. **simulate-check** — retable a scratch copy and run the *full*
-   multi-pattern stimulus through the simulation kernel against golden;
+   multi-pattern stimulus through the simulation kernel against the
+   golden trace's outputs (:class:`repro.debug.detect.GoldenTrace`,
+   simulated once per stimulus and shared by every suspect set);
 3. **refine** — a surviving mismatch becomes a new counterexample
    constraint, plus a blocking clause on the failed joint assignment so
    progress is guaranteed even before the new constraint bites.
 
-:func:`synthesize_table` repairs one LUT (the historical single-fault
-entry point); :func:`synthesize_tables` repairs several *jointly* — one
+:func:`synthesize_tables` repairs one LUT or several *jointly* — one
 shared solver, per-candidate table variables, one blocking clause over
 the concatenated assignment — which is what interacting multi-error
 rounds need: neither table alone clears the mismatches, but the pair
-does.  ``target_outputs``/``ignore_outputs`` scope the specification to
-the outputs a diagnosis round owns, so a repair is not rejected for
-failing to fix a *different* fault's outputs.
+does.  ``ignore_outputs`` scopes the specification to the outputs a
+diagnosis round owns, so a repair is not rejected for failing to fix a
+*different* fault's outputs.
 
 UNSAT means no table assignment at these locations explains the
 evidence — the caller moves to the next suspect set (or falls back to
@@ -36,9 +37,8 @@ back-annotation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
-from repro.debug.detect import Mismatch, compare_runs
+from repro.debug.detect import GoldenTrace, Mismatch, compare_runs
 from repro.netlist.cells import CellKind
 from repro.netlist.core import Netlist, port_name
 from repro.obs.metrics import METRICS
@@ -72,106 +72,33 @@ class TableSynthesis:
         return self.table is not None
 
 
-#: per-golden memo of replay outputs; ``synthesize_lut_fix`` retries
-#: many candidate groups against one (golden, stimulus) pair, and the
-#: golden replay is identical across all of them
-_GOLDEN_REPLAYS: "WeakKeyDictionary[Netlist, dict]" = WeakKeyDictionary()
-_GOLDEN_REPLAY_LIMIT = 8
-
-
-def _stimulus_key(stimulus: list[dict[str, int]]) -> tuple:
-    """Hashable identity of a stimulus (cycle-ordered sorted items)."""
-    return tuple(
-        tuple(sorted(cycle.items())) for cycle in stimulus
-    )
-
-
-def _golden_replay(
-    golden: Netlist,
-    stimulus: list[dict[str, int]],
-    n_patterns: int,
-    engine: str,
-) -> list[dict[str, int]]:
-    """Memoized ``replay_outputs(golden, ...)`` — keyed per golden
-    object by (revision, stimulus identity, n_patterns).
-
-    The engine is excluded from the key on purpose: all engines are
-    bit-identical, so a memo hit returns exactly what a fresh replay
-    under any engine would.  The revision guard invalidates if a future
-    code path ever mutates the shared golden.
-    """
-    from repro.netlist.simulate import replay_outputs
-
-    per_golden = _GOLDEN_REPLAYS.get(golden)
-    if per_golden is None:
-        per_golden = _GOLDEN_REPLAYS[golden] = {}
-    key = (golden.revision, _stimulus_key(stimulus), n_patterns)
-    cached = per_golden.get(key)
-    if cached is not None:
-        METRICS.inc("repro_cegis_golden_replay_hits_total")
-        return cached
-    METRICS.inc("repro_cegis_golden_replay_misses_total")
-    outputs = replay_outputs(golden, stimulus, n_patterns, engine=engine)
-    if len(per_golden) >= _GOLDEN_REPLAY_LIMIT:
-        per_golden.clear()
-    per_golden[key] = outputs
-    return outputs
-
-
 def _first_failure(mismatches: list[Mismatch]) -> tuple[int, str, int]:
     first = min(mismatches, key=lambda m: (m.cycle, m.output))
     pattern = (first.diff_mask & -first.diff_mask).bit_length() - 1
     return first.cycle, first.output, pattern
 
 
-def synthesize_table(
-    netlist: Netlist,
-    golden: Netlist,
-    candidate: str,
-    mismatches: list[Mismatch],
-    stimulus: list[dict[str, int]],
-    n_patterns: int,
-    engine: str = "compiled",
-    max_iterations: int = 12,
-    seed: int = 0,
-    ignore_outputs=None,
-) -> TableSynthesis:
-    """CEGIS a replacement truth table for ``candidate`` in ``netlist``.
-
-    ``netlist`` is the faulty DUT (left unmodified — checks run on a
-    scratch copy); ``golden`` supplies the intended behavior;
-    ``mismatches`` seed the first counterexample.  Deterministic for a
-    given seed.
-    """
-    return synthesize_tables(
-        netlist, golden, [candidate], mismatches, stimulus, n_patterns,
-        engine=engine, max_iterations=max_iterations, seed=seed,
-        ignore_outputs=ignore_outputs,
-    )
-
-
 def synthesize_tables(
     netlist: Netlist,
-    golden: Netlist,
+    trace: GoldenTrace,
     candidates: list[str],
     mismatches: list[Mismatch],
-    stimulus: list[dict[str, int]],
-    n_patterns: int,
-    engine: str = "compiled",
     max_iterations: int = 12,
     seed: int = 0,
     ignore_outputs=None,
 ) -> TableSynthesis:
     """Jointly CEGIS replacement truth tables for every ``candidate``.
 
-    All candidate LUTs get their own table variables on one shared
-    solver; a satisfying assignment retables all of them at once and
-    must survive the full-stimulus check together.  ``ignore_outputs``
-    names primary outputs exempted from the specification (outputs a
+    ``netlist`` is the faulty DUT (left unmodified — checks run on a
+    scratch copy); ``trace`` supplies the intended behavior on its
+    stimulus; ``mismatches`` seed the first counterexample.  All
+    candidate LUTs get their own table variables on one shared solver;
+    a satisfying assignment retables all of them at once and must
+    survive the full-stimulus check together.  ``ignore_outputs`` names
+    primary outputs exempted from the specification (outputs a
     *different*, not-yet-fixed error owns in a multi-fault session) —
     they are neither asserted in counterexample encodings nor counted
-    as check failures.  With one candidate and no exemptions this is
-    bit-identical to the historical single-LUT loop.
+    as check failures.  Deterministic for a given seed.
     """
     candidates = list(candidates)
     if not candidates:
@@ -189,7 +116,6 @@ def synthesize_tables(
     if not mismatches:
         raise SatError("every mismatch lies on an ignored output")
 
-    golden_out = _golden_replay(golden, stimulus, n_patterns, engine)
     gb = GateBuilder(CNF())
     table_map: dict[str, list[int]] = {}
     all_vars: list[int] = []
@@ -208,8 +134,7 @@ def synthesize_tables(
 
     def add_counterexample(cycle: int, pattern: int) -> None:
         _encode_counterexample(
-            gb, netlist, golden, table_map,
-            stimulus, pattern, cycle, golden_out, ignore,
+            gb, netlist, trace, table_map, pattern, cycle, ignore,
         )
 
     first_cycle, first_output, first_pattern = _first_failure(mismatches)
@@ -236,9 +161,7 @@ def synthesize_tables(
                 tables.append(table)
             for scratch_inst, table in zip(scratch_insts, tables):
                 scratch.set_params(scratch_inst, {"table": table})
-            remaining = _check_against_golden(
-                scratch, golden_out, stimulus, n_patterns, engine, ignore
-            )
+            remaining = _check_against_golden(scratch, trace, ignore)
             if not remaining:
                 result.table = tables[0]
                 result.tables = tables
@@ -265,19 +188,15 @@ def synthesize_tables(
 # ----------------------------------------------------------------------
 
 def _check_against_golden(
-    scratch: Netlist,
-    golden_out: list[dict[str, int]],
-    stimulus,
-    n_patterns: int,
-    engine: str,
-    ignore: set | None = None,
+    scratch: Netlist, trace: GoldenTrace, ignore: set | None = None,
 ) -> list[Mismatch]:
     """Full-stimulus, all-patterns comparison of the retabled DUT."""
     from repro.netlist.simulate import replay_outputs
 
     remaining = compare_runs(
-        replay_outputs(scratch, stimulus, n_patterns, engine=engine),
-        golden_out,
+        replay_outputs(scratch, trace.stimulus, trace.n_patterns,
+                       engine=trace.engine),
+        trace.outputs,
     )
     if ignore:
         remaining = [m for m in remaining if m.output not in ignore]
@@ -287,12 +206,10 @@ def _check_against_golden(
 def _encode_counterexample(
     gb: GateBuilder,
     netlist: Netlist,
-    golden: Netlist,
+    trace: GoldenTrace,
     table_map: dict[str, list[int]],
-    stimulus,
     pattern: int,
     cycle: int,
-    golden_out: list[dict[str, int]],
     ignore: set,
 ) -> None:
     """One unrolled DUT copy under the counterexample's constants.
@@ -303,7 +220,7 @@ def _encode_counterexample(
     """
 
     def const_input(port: str, frame: int) -> int:
-        word = stimulus[frame].get(port, 0)
+        word = trace.stimulus[frame].get(port, 0)
         return gb.const((word >> pattern) & 1)
 
     def relax(inst, frame, in_lits, lit):
@@ -314,12 +231,12 @@ def _encode_counterexample(
 
     enc = CircuitEncoder(netlist, gb, inputs=const_input, relax=relax)
     shared = {
-        port_name(po) for po in golden.primary_outputs()
+        port_name(po) for po in trace.golden.primary_outputs()
     } & set(enc.output_names())
     shared -= ignore
     for t in range(cycle + 1):
         for port in sorted(shared):
-            bit = (golden_out[t][port] >> pattern) & 1
+            bit = (trace.outputs[t][port] >> pattern) & 1
             lit = enc.output_lit(port, t)
             gb.clause([lit] if bit else [-lit])
 

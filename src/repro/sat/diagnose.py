@@ -57,7 +57,7 @@ solver are all functions of the run's inputs, which is what keeps the
 
 from __future__ import annotations
 
-from repro.debug.detect import Mismatch
+from repro.debug.detect import GoldenTrace, Mismatch
 from repro.netlist.cones import ConeIndex
 from repro.netlist.core import Netlist, port_name
 from repro.resilience.budget import check_deadline
@@ -70,6 +70,9 @@ from repro.sat.solver import Solver
 class SuspectPruner:
     """Per-localization helper; one instance drives every probe round.
 
+    ``trace`` is the golden model's response to the round's stimulus:
+    the encoding unrolls its golden netlist under its stimulus and
+    reads its per-net words as the observed golden values.
     ``n_errors`` is the number of faults the diagnosis must account for
     simultaneously — the cardinality bound of the relaxation.
     ``max_relax`` caps the multi-fault encoding: when the golden
@@ -80,19 +83,16 @@ class SuspectPruner:
     def __init__(
         self,
         dut: Netlist,
-        golden: Netlist,
-        stimulus: list[dict[str, int]],
+        trace: GoldenTrace,
         mismatches: list[Mismatch],
-        golden_history: list[dict[str, int]],
         max_checks: int = 4,
         seed: int = 0,
         n_errors: int = 1,
         max_relax: int = 1200,
     ) -> None:
         self.dut = dut
-        self.golden = golden
-        self.stimulus = stimulus
-        self.golden_history = golden_history
+        self.trace = trace
+        self.golden = trace.golden
         self.max_checks = max_checks
         self.seed = seed
         self.n_errors = max(1, n_errors)
@@ -106,7 +106,7 @@ class SuspectPruner:
         self._diff = {(m.cycle, m.output): m.diff_mask for m in mismatches}
         self._out_net = {
             port_name(po): po.inputs[0].name
-            for po in golden.primary_outputs()
+            for po in self.golden.primary_outputs()
         }
         #: counters surfaced through LocalizationResult
         self.n_checks = 0
@@ -222,7 +222,7 @@ class SuspectPruner:
         p = self.pattern
 
         def const_input(port: str, frame: int) -> int:
-            word = self.stimulus[frame].get(port, 0)
+            word = self.trace.stimulus[frame].get(port, 0)
             return gb.const((word >> p) & 1)
 
         selector = {name: gb.cnf.new_var() for name in relaxed}
@@ -285,7 +285,7 @@ class SuspectPruner:
         """Unit-clause everything the DUT run actually showed us."""
         p = self.pattern
         for t in range(self.cycle + 1):
-            values = self.golden_history[t]
+            values = self.trace.nets[t]
             for port in sorted(self._out_net):
                 net = self._out_net[port]
                 bit = (values[net] >> p) & 1

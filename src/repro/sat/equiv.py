@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.debug.detect import Mismatch, compare_runs
+from repro.debug.detect import GoldenTrace, Mismatch, compare_runs
 from repro.netlist.core import Netlist, port_name
 from repro.netlist.simulate import replay_outputs
 from repro.resilience.budget import check_deadline
@@ -202,5 +202,5 @@ def counterexample_mismatches(
     """
     return compare_runs(
         replay_outputs(impl, stimulus, engine=engine),
-        replay_outputs(golden, stimulus, engine=engine),
+        GoldenTrace(golden, stimulus, 1, engine).outputs,
     )

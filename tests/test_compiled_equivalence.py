@@ -6,12 +6,14 @@ randomized designs, across error kinds and stimulus seeds, before and
 after ECO edits (error injection, observation-point insertion, control
 points, correction), and whether the edits reach the kernel
 incrementally or force a full recompile.  Its cone-sliced probe
-runners must agree with full replay on the sliced ports.
+runners must agree with full replay on the sliced ports, and the
+golden trace's output projection must equal a plain replay.
 """
 
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.debug import ERROR_KINDS, apply_correction, inject_error
+from repro.debug.detect import GoldenTrace
 from repro.debug.instrument import add_control_point, add_observation_point
 from repro.errors import DebugFlowError
 from repro.generators.random_logic import random_sequential_netlist
@@ -78,10 +80,14 @@ def test_engine_replay_identity(seed, kind, stim_seed):
     stim = [
         {n: rng.getrandbits(48) for n in names} for _ in range(4)
     ]
+    # one cycle whose map lacks an input port: every replay reads it as 0
+    stim.append({n: rng.getrandbits(48) for n in sorted(names)[1:]})
     replays = [
         replay_outputs(netlist, stim, 48, engine=e) for e in ALL_ENGINES
     ]
     assert replays[0] == replays[1]
+    for engine, replay in zip(ALL_ENGINES, replays):
+        assert GoldenTrace(netlist, stim, 48, engine).outputs == replay
 
 
 @given(

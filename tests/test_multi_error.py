@@ -10,7 +10,7 @@ import pytest
 from repro.api import RunSpec, expand_matrix, run_spec
 from repro.api.cli import main as cli_main
 from repro.debug.correct import apply_correction, synthesize_lut_fix
-from repro.debug.detect import compare_runs
+from repro.debug.detect import GoldenTrace, compare_runs
 from repro.debug.errors import (
     ERROR_KINDS,
     inject_error,
@@ -23,8 +23,7 @@ from repro.debug.instrument import (
 from repro.debug.testgen import random_stimulus
 from repro.errors import DebugFlowError, SpecError
 from repro.generators import build_design
-from repro.netlist.core import port_name
-from repro.netlist.simulate import initial_state, make_engine, replay_outputs
+from repro.netlist.simulate import replay_outputs
 from repro.sat.cnf import CNF, add_at_most_k
 from repro.sat.diagnose import SuspectPruner
 from repro.sat.solver import Solver
@@ -221,37 +220,22 @@ class TestAtMostK:
 # cardinality-k pruner soundness
 # ----------------------------------------------------------------------
 
-def _golden_history(golden, stimulus, n_patterns):
-    comb = make_engine(golden, "compiled")
-    state = initial_state(golden, n_patterns)
-    names = {port_name(pi) for pi in golden.primary_inputs()}
-    flops = golden.flip_flops()
-    history = []
-    for cycle_in in stimulus:
-        values = comb.probe(
-            {n: cycle_in.get(n, 0) for n in names}, n_patterns, state
-        )
-        history.append(values)
-        state = {ff.name: values[ff.inputs[0].name] for ff in flops}
-    return history
-
-
 def _double_fault_case(design, seed, n_patterns=32, n_cycles=4):
-    """(dut, golden, stimulus, mismatches, history, truth) or None."""
+    """(dut, trace, mismatches, truth) or None."""
     bundle = build_design(design)
     netlist = bundle.packed.netlist
     golden = netlist.copy(netlist.name + ".golden")
     records = inject_errors(netlist, "table_bit", seed=seed, n_errors=2)
     stimulus = random_stimulus(golden, n_cycles, n_patterns, seed=1)
+    trace = GoldenTrace(golden, stimulus, n_patterns)
     mismatches = compare_runs(
         replay_outputs(netlist, stimulus, n_patterns),
         replay_outputs(golden, stimulus, n_patterns),
     )
     if not mismatches:
         return None
-    history = _golden_history(golden, stimulus, n_patterns)
     truth = {r.instance for r in records}
-    return netlist, golden, stimulus, mismatches, history, truth
+    return netlist, trace, mismatches, truth
 
 
 class TestPrunerSoundness:
@@ -265,14 +249,14 @@ class TestPrunerSoundness:
                 case = _double_fault_case(design, seed)
                 if case is None:
                     continue
-                dut, golden, stimulus, mismatches, history, truth = case
+                dut, trace, mismatches, truth = case
                 candidates = {
                     i.name for i in dut.instances()
                     if not i.is_io and not i.is_ff and i.output is not None
-                    and golden.has_instance(i.name)
+                    and trace.golden.has_instance(i.name)
                 }
                 pruner = SuspectPruner(
-                    dut, golden, stimulus, mismatches, history,
+                    dut, trace, mismatches,
                     seed=seed, n_errors=2, max_checks=6,
                 )
                 eliminated = pruner.prune(candidates, [])
@@ -288,9 +272,9 @@ class TestPrunerSoundness:
     def test_k1_mode_unchanged(self):
         case = _double_fault_case("9sym", 1)
         assert case is not None
-        dut, golden, stimulus, mismatches, history, truth = case
+        dut, trace, mismatches, truth = case
         pruner = SuspectPruner(
-            dut, golden, stimulus, mismatches, history, seed=1, n_errors=1,
+            dut, trace, mismatches, seed=1, n_errors=1,
         )
         # single-fault mode still runs the legacy one-hot queries
         pruner.prune({next(iter(truth)), "nonesuch"} | truth, [])
@@ -342,15 +326,15 @@ class TestJointCegis:
             replay_outputs(golden, stimulus, n_patterns),
         )
         assert mismatches
+        trace = GoldenTrace(golden, stimulus, n_patterns)
         single = synthesize_lut_fix(
-            dut.copy("single"), golden, ["g1", "g2"], mismatches,
-            stimulus, n_patterns, max_luts=1,
+            dut.copy("single"), trace, ["g1", "g2"], mismatches,
+            max_luts=1,
         )
         # neither AND alone can express OR^AND over the exhaustive set
         assert single is None
         joint = synthesize_lut_fix(
-            dut, golden, ["g1", "g2"], mismatches, stimulus, n_patterns,
-            max_luts=2,
+            dut, trace, ["g1", "g2"], mismatches, max_luts=2,
         )
         assert joint is not None
         assert sorted(joint.instances) == ["g1", "g2"]
@@ -373,7 +357,8 @@ class TestJointCegis:
             replay_outputs(golden, stimulus, n_patterns),
         )
         fix = synthesize_lut_fix(
-            dut, golden, ["g1"], mismatches, stimulus, n_patterns,
+            dut, GoldenTrace(golden, stimulus, n_patterns), ["g1"],
+            mismatches,
         )
         assert fix is not None and fix.instances == ["g1"]
         assert fix.table == 0b1000

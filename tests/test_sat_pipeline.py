@@ -197,15 +197,12 @@ class TestCegisCorrection:
         DebugPipeline(stages=(DetectStage(), LocalizeStage())).execute(ctx)
         assert ctx.detected and ctx.localization is not None
         fix = synthesize_lut_fix(
-            ctx.packed.netlist, ctx.golden,
+            ctx.packed.netlist, ctx.trace,
             sorted(ctx.localization.candidates), ctx.mismatches,
-            ctx.stimulus, ctx.n_patterns,
         )
         assert fix is not None
         assert fix.changes.changed_instances == {fix.instance}
         # the applied retable clears every mismatch on the stimulus
         ctx.strategy.commit(fix.changes, anchor_instance=fix.instance)
-        remaining = detect_on_layout(
-            ctx.strategy.layout, ctx.golden, ctx.stimulus, ctx.n_patterns,
-        )
+        remaining = detect_on_layout(ctx.strategy.layout, ctx.trace)
         assert remaining == []
