@@ -6,10 +6,12 @@ API surface:
 * :class:`RunSpec` — frozen, JSON-round-trippable definition of a run
   (design, device, error model, engine, strategy, budgets, seeds,
   cache policy);
-* the staged pipeline — :class:`DetectStage` → :class:`LocalizeStage`
-  → :class:`CorrectStage` → :class:`VerifyStage` over a shared
-  :class:`RunContext`, observable through :class:`PipelineHooks`;
-* :func:`run_spec` — one spec in, one :class:`RunResult` out;
+* the staged pipeline — :class:`DetectStage` → :class:`DiagnoseLoop`
+  (:class:`LocalizeStage` → :class:`CorrectStage` per round) →
+  :class:`VerifyStage` over a :class:`RunContext` whose ``spec`` is the
+  run's only input, observable through :class:`PipelineHooks`;
+* :func:`run_spec` — one spec in, one :class:`RunResult` out; its
+  ``tracer=`` and ``profile=`` are the only observability switches;
 * :class:`CampaignRunner` / :func:`expand_matrix` — fan spec grids
   through the pipeline with worker threads or supervised worker
   processes, journaled for ``--resume``;
@@ -36,7 +38,6 @@ from repro.api.pipeline import (
     RunContext,
     Stage,
     VerifyStage,
-    default_stages,
     run_spec,
 )
 from repro.api.result import RunResult
@@ -70,7 +71,6 @@ __all__ = [
     "RunSpec",
     "Stage",
     "VerifyStage",
-    "default_stages",
     "device_for",
     "expand_matrix",
     "load_bundle",

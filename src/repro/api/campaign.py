@@ -351,13 +351,11 @@ class CampaignRunner:
         except Exception as exc:
             from repro.resilience.failure import RunFailure
 
-            return RunResult(
-                spec=spec.to_dict(), status="failed",
+            return RunResult.from_spec(
+                spec, status="failed",
                 failures=[
                     RunFailure.from_exception(exc, stage="campaign").to_dict()
                 ],
-                design=spec.design_label, strategy=spec.strategy,
-                engine=spec.engine, error_kind=spec.error_kind,
             )
 
     def _apply_cache_chaos(self, specs: list[RunSpec],

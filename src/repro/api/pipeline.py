@@ -22,7 +22,11 @@ probes go in.
 
 :func:`run_spec`, the `python -m repro` CLI, the campaign runner and
 the debug service all execute these same stage objects: there is only
-one implementation of the loop.
+one implementation of the loop.  The :class:`RunContext` carries the
+run's :class:`~repro.api.spec.RunSpec` as its only input, and every
+stage — the loop's inner ones included — crosses one boundary,
+:func:`run_timed_stage`, which checks the deadline, scopes the stage
+budget, fires chaos and opens the stage's span and profile scope.
 
 Observers subclass :class:`PipelineHooks` and receive
 ``on_stage_start`` / ``on_stage_end`` / ``on_probe`` / ``on_commit``
@@ -36,6 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.api.spec import RunSpec
 from repro.arch.device import Device
 from repro.debug.correct import apply_correction
 from repro.debug.detect import GoldenTrace, Mismatch, detect_on_layout
@@ -48,8 +53,13 @@ from repro.netlist.core import Netlist
 from repro.netlist.validate import check_netlist
 from repro.errors import DeadlineExceeded
 from repro.obs.metrics import METRICS
-from repro.obs.profile import ProfilingHooks, StageProfiler
-from repro.obs.trace import TracingHooks, maybe_span, tracer_scope
+from repro.obs.profile import StageProfiler, maybe_profile, profiler_scope
+from repro.obs.trace import (
+    maybe_instant,
+    maybe_set_attrs,
+    maybe_span,
+    tracer_scope,
+)
 from repro.pnr.effort import EffortMeter
 from repro.resilience.budget import Deadline, check_deadline, deadline_scope
 from repro.resilience.chaos import chaos_stage_event
@@ -126,37 +136,17 @@ class RoundRecord:
 class RunContext:
     """Shared state the stages read and grow.
 
-    Construction fields are the run inputs (see :meth:`from_spec`);
-    result fields are filled in stage order.
+    ``spec`` is the run's only input: stages read every setting from
+    it.  ``packed``/``device``/``golden``/``strategy`` are the objects
+    :meth:`from_spec` builds from it; the remaining fields are filled
+    in stage order.
     """
 
     packed: PackedDesign
     device: Device
     golden: Netlist
     strategy: BaseStrategy
-    engine: str = "compiled"
-    seed: int = 1
-    n_patterns: int = 64
-    n_cycles: int = 8
-    error_kind: str = "table_bit"
-    error_seed: int = 0
-    #: number of simultaneous design errors to inject
-    n_errors: int = 1
-    #: per-error kinds (``None`` = ``error_kind`` repeated)
-    error_kinds: list | None = None
-    #: diagnose→fix→re-detect round budget (``None`` = ``n_errors``)
-    max_rounds: int | None = None
-    max_probes: int = 8
-    goal_size: int = 4
-    #: fix verification mode: "simulate" | "prove" | "both"
-    verify: str = "simulate"
-    #: proof unrolling depth; ``None`` falls back to ``n_cycles``
-    prove_frames: int | None = None
-    #: fix synthesis mode: "oracle" | "cegis"
-    correction: str = "oracle"
-    #: per-stage wall-clock budgets (stage name → seconds)
-    stage_timeouts: dict | None = None
-    spec: object | None = None
+    spec: RunSpec
     #: 1-based attempt number under the resilient executor
     attempt: int = 1
     #: stage currently executing ("setup" before the stage walk) — the
@@ -248,33 +238,8 @@ class RunContext:
             preset=spec.effort_preset(), tiling=spec.tiling_options(),
             tile_cache=tile_cache,
         )
-        return cls(
-            packed=packed, device=device, golden=golden, strategy=strategy,
-            engine=spec.engine, seed=spec.seed,
-            n_patterns=spec.n_patterns, n_cycles=spec.n_cycles,
-            error_kind=spec.error_kind, error_seed=spec.error_seed,
-            n_errors=spec.n_errors, error_kinds=spec.error_kinds,
-            max_rounds=spec.max_rounds,
-            max_probes=spec.max_probes, goal_size=spec.goal_size,
-            verify=spec.verify, prove_frames=spec.prove_frames,
-            correction=spec.correction,
-            stage_timeouts=spec.stage_timeouts,
-            spec=spec,
-        )
-
-    def resolved_error_kinds(self) -> list[str]:
-        """The per-error kind list the injector consumes."""
-        from repro.api.spec import resolve_error_kinds
-
-        return resolve_error_kinds(
-            self.error_kind, self.error_kinds, self.n_errors
-        )
-
-    def effective_max_rounds(self) -> int:
-        """The round budget: explicit, or one round per injected error."""
-        from repro.api.spec import resolve_max_rounds
-
-        return resolve_max_rounds(self.max_rounds, self.n_errors)
+        return cls(packed=packed, device=device, golden=golden,
+                   strategy=strategy, spec=spec)
 
     def remaining_errors(self) -> list[ErrorRecord]:
         """Injected errors not yet corrected, in injection order."""
@@ -304,8 +269,9 @@ def resolve_tile_cache(
 class Stage:
     """One pipeline stage: a name and a ``run(ctx, hooks)``.
 
-    ``composite`` stages orchestrate inner stages themselves (timing
-    and hook events included); the pipeline runs them untimed.
+    A ``composite`` stage runs inner stages itself (the diagnose loop
+    runs localize and correct once per round); the hooks and
+    ``stage_seconds`` see only those inner stages.
     """
 
     name = "stage"
@@ -317,40 +283,45 @@ class Stage:
 
 def run_timed_stage(stage: Stage, ctx: RunContext,
                     hooks: PipelineHooks) -> None:
-    """Run one stage with hook events and accumulated wall-clock.
+    """Run one stage across the pipeline's only stage boundary.
 
-    Shared by the pipeline's top-level walk and the diagnose loop's
-    per-round inner walk, so stage accounting has one definition.
+    Every stage, top-level or inside the diagnose loop, crosses here.
+    The boundary opens the stage's span (a no-op unless a tracer is
+    armed), checks the cooperative run deadline, scopes the per-stage
+    budget (``RunSpec.stage_timeouts``), opens the stage's profile
+    scope (a no-op unless ``run_spec(profile=True)`` armed a profiler)
+    and fires any armed chaos fault.  Chaos fires inside the stage
+    budget: an injected hang must trip the per-stage deadline, not
+    stall before it is armed.
 
-    Stage boundaries are also the resilience substrate's yield points:
-    the cooperative run deadline is checked, armed chaos faults fire,
-    and a per-stage budget (``RunSpec.stage_timeouts``) is scoped over
-    the stage body.  Timing and the ``on_stage_end`` event land in a
-    ``finally`` so a stage that dies mid-flight still accounts for the
-    wall-clock it consumed — partial results stay truthful.
+    A non-composite stage also fires ``on_stage_start`` /
+    ``on_stage_end`` and adds its wall-clock to ``ctx.stage_seconds``.
+    Both land in a ``finally``, so a stage that dies mid-flight still
+    accounts for the time it consumed.  The profile scope closes before
+    ``on_stage_end`` fires, so hook work never lands in a profile.
     """
-    hooks.on_stage_start(stage, ctx)
-    ctx.current_stage = stage.name
-    check_deadline(stage.name)
-    stage_budget = (ctx.stage_timeouts or {}).get(stage.name)
-    stage_deadline = (
-        Deadline(stage_budget, label=f"stage:{stage.name}")
-        if stage_budget else None
-    )
-    t0 = time.perf_counter()
-    try:
-        with deadline_scope(stage_deadline):
-            # chaos faults model the stage itself misbehaving, so they
-            # fire inside its budget — an injected hang must trip the
-            # per-stage deadline, not stall before it is armed
-            chaos_stage_event(stage.name)
-            stage.run(ctx, hooks)
-    finally:
-        seconds = time.perf_counter() - t0
-        ctx.stage_seconds[stage.name] = (
-            ctx.stage_seconds.get(stage.name, 0.0) + seconds
-        )
-        hooks.on_stage_end(stage, ctx, seconds)
+    name = stage.name
+    timed = not stage.composite
+    budget = (ctx.spec.stage_timeouts or {}).get(name)
+    with maybe_span(name, category="stage"):
+        if timed:
+            hooks.on_stage_start(stage, ctx)
+        ctx.current_stage = name
+        check_deadline(name)
+        t0 = time.perf_counter()
+        try:
+            with deadline_scope(
+                Deadline(budget, label=f"stage:{name}") if budget else None
+            ), maybe_profile(name):
+                chaos_stage_event(name)
+                stage.run(ctx, hooks)
+        finally:
+            if timed:
+                seconds = time.perf_counter() - t0
+                ctx.stage_seconds[name] = (
+                    ctx.stage_seconds.get(name, 0.0) + seconds
+                )
+                hooks.on_stage_end(stage, ctx, seconds)
 
 
 class DetectStage(Stage):
@@ -359,10 +330,11 @@ class DetectStage(Stage):
     name = "detect"
 
     def run(self, ctx: RunContext, hooks: PipelineHooks) -> None:
+        spec = ctx.spec
         netlist = ctx.packed.netlist
         ctx.errors = inject_errors(
-            netlist, ctx.resolved_error_kinds(), seed=ctx.error_seed,
-            n_errors=ctx.n_errors,
+            netlist, spec.resolved_error_kinds(), seed=spec.error_seed,
+            n_errors=spec.n_errors,
         )
         ctx.error = ctx.errors[0]
         check_netlist(netlist)
@@ -371,21 +343,21 @@ class DetectStage(Stage):
         ctx.strategy.build_initial(meter=ctx.initial_effort)
 
         stimulus = random_stimulus(
-            ctx.golden, ctx.n_cycles, ctx.n_patterns, seed=ctx.seed
+            ctx.golden, spec.n_cycles, spec.n_patterns, seed=spec.seed
         )
         ctx.trace = GoldenTrace(
-            ctx.golden, stimulus, ctx.n_patterns, ctx.engine
+            ctx.golden, stimulus, spec.n_patterns, spec.engine
         )
         mismatches = ctx.detect()
         if not mismatches:
             # widen the net: longer run, more patterns
             ctx.notes.append("first stimulus missed the error; widened")
             stimulus = random_stimulus(
-                ctx.golden, ctx.n_cycles * 4, ctx.n_patterns,
-                seed=ctx.seed + 1,
+                ctx.golden, spec.n_cycles * 4, spec.n_patterns,
+                seed=spec.seed + 1,
             )
             ctx.trace = GoldenTrace(
-                ctx.golden, stimulus, ctx.n_patterns, ctx.engine
+                ctx.golden, stimulus, spec.n_patterns, spec.engine
             )
             mismatches = ctx.detect()
         ctx.mismatches = mismatches
@@ -412,14 +384,14 @@ class LocalizeStage(Stage):
         # steps 4-8: the tiled strategy locks its boundaries now
         ctx.strategy.prepare_for_debug()
         self._retire_stale_probes(ctx)
-        remaining = max(1, ctx.n_errors - len(ctx.corrected))
+        remaining = max(1, ctx.spec.n_errors - len(ctx.corrected))
         localizer = ConeLocalizer(
-            ctx.strategy, ctx.trace, goal_size=ctx.goal_size,
-            n_errors=remaining, tolerate_drain=ctx.n_errors > 1,
-            want_pairs=ctx.correction == "cegis",
+            ctx.strategy, ctx.trace, goal_size=ctx.spec.goal_size,
+            n_errors=remaining, tolerate_drain=ctx.spec.n_errors > 1,
+            want_pairs=ctx.spec.correction == "cegis",
         )
         result = localizer.run(
-            ctx.round_mismatches, max_probes=ctx.max_probes,
+            ctx.round_mismatches, max_probes=ctx.spec.max_probes,
             on_probe=lambda step: hooks.on_probe(ctx, step),
         )
         result.round = len(ctx.rounds) + 1
@@ -474,7 +446,7 @@ class CorrectStage(Stage):
         ctx.round_corrected = []
         fix: ChangeSet | None = None
         anchor: str | None = None
-        if ctx.correction == "cegis":
+        if ctx.spec.correction == "cegis":
             synthesized = self._synthesize(ctx)
             if synthesized is not None:
                 fix = synthesized.changes
@@ -548,7 +520,7 @@ class CorrectStage(Stage):
             if not ordered:
                 return None
         target = ordered[0]
-        if ctx.n_errors > 1 and target.instance not in candidates:
+        if ctx.spec.n_errors > 1 and target.instance not in candidates:
             ctx.notes.append(
                 "round candidates missed every remaining error; "
                 f"back-annotating {target.instance}"
@@ -583,8 +555,8 @@ class CorrectStage(Stage):
         max_luts = 1
         pair_hints = None
         ignore_outputs = None
-        if ctx.n_errors > 1:
-            remaining = max(1, ctx.n_errors - len(ctx.corrected))
+        if ctx.spec.n_errors > 1:
+            remaining = max(1, ctx.spec.n_errors - len(ctx.corrected))
             max_luts = min(2, remaining)
             pair_hints = [tuple(p) for p in (loc.sat_pairs or [])]
             # outputs deferred to later rounds belong to other faults —
@@ -592,7 +564,7 @@ class CorrectStage(Stage):
             ignore_outputs = set(loc.deferred_outputs)
         return synthesize_lut_fix(
             ctx.packed.netlist, ctx.trace, candidates,
-            ctx.round_mismatches, seed=ctx.seed,
+            ctx.round_mismatches, seed=ctx.spec.seed,
             max_luts=max_luts, pair_hints=pair_hints,
             ignore_outputs=ignore_outputs,
         )
@@ -604,10 +576,11 @@ class DiagnoseLoop(Stage):
     Runs :class:`LocalizeStage` then :class:`CorrectStage`, re-detects,
     and iterates until the stimulus comes back clean or the round
     budget (``max_rounds``, default one round per injected error) is
-    exhausted.  Inner stages are individually timed and announced
-    through the hooks exactly like top-level stages, so a single-fault
-    run observes the historical ``detect, localize, correct, verify``
-    sequence unchanged.
+    exhausted.  Both inner stages cross :func:`run_timed_stage` like
+    the top-level ones, so the hooks and ``stage_seconds`` see
+    ``detect, localize, correct, verify`` and never ``diagnose``.  The
+    loop's own work — its re-detects and in-loop proofs — lands in the
+    ``diagnose`` span and profile row.
 
     With ``verify="prove"|"both"`` a clean stimulus does not end the
     loop early: while rounds remain, the bounded-equivalence proof runs
@@ -620,20 +593,17 @@ class DiagnoseLoop(Stage):
 
     name = "diagnose"
     composite = True
-
-    def __init__(self, localize: Stage | None = None,
-                 correct: Stage | None = None) -> None:
-        self.localize = localize if localize is not None else LocalizeStage()
-        self.correct = correct if correct is not None else CorrectStage()
+    #: one round's inner stages, in order
+    round_stages = (LocalizeStage(), CorrectStage())
 
     def run(self, ctx: RunContext, hooks: PipelineHooks) -> None:
-        budget = ctx.effective_max_rounds()
+        budget = ctx.spec.effective_max_rounds()
         while True:
             check_deadline("diagnose.round")
             round_no = len(ctx.rounds) + 1
             ctx.probes_retired_this_round = 0
             with maybe_span("round", category="diagnose", round=round_no):
-                for stage in (self.localize, self.correct):
+                for stage in self.round_stages:
                     run_timed_stage(stage, ctx, hooks)
                 if not ctx.detected:
                     return
@@ -656,7 +626,7 @@ class DiagnoseLoop(Stage):
                 ))
                 if not residual:
                     if (
-                        ctx.verify in ("prove", "both")
+                        ctx.spec.verify in ("prove", "both")
                         and len(ctx.rounds) < budget
                     ):
                         residual = self._proof_redetect(ctx)
@@ -687,9 +657,10 @@ class DiagnoseLoop(Stage):
             prove_equivalence,
         )
 
-        frames = ctx.prove_frames or ctx.n_cycles
+        spec = ctx.spec
         proof = prove_equivalence(
-            ctx.packed.netlist, ctx.golden, frames=frames, seed=ctx.seed,
+            ctx.packed.netlist, ctx.golden,
+            frames=spec.prove_frames or spec.n_cycles, seed=spec.seed,
         )
         if proof.proved:
             ctx.proved = True
@@ -700,7 +671,7 @@ class DiagnoseLoop(Stage):
             return None
         cex = proof.counterexample
         confirmed = counterexample_mismatches(
-            ctx.packed.netlist, ctx.golden, cex, engine=ctx.engine,
+            ctx.packed.netlist, ctx.golden, cex, engine=spec.engine,
         )
         if not confirmed:
             ctx.notes.append(
@@ -720,7 +691,7 @@ class DiagnoseLoop(Stage):
                     if bit:
                         cycle[port] = cycle.get(port, 0) | pattern_bit
             merged.append(cycle)
-        ctx.trace = GoldenTrace(ctx.golden, merged, n_patterns + 1, ctx.engine)
+        ctx.trace = GoldenTrace(ctx.golden, merged, n_patterns + 1, spec.engine)
         residual = ctx.detect()
         if residual:
             ctx.notes.append(
@@ -733,8 +704,7 @@ class DiagnoseLoop(Stage):
 class VerifyStage(Stage):
     """Judge the fix (step 21): stimulus replay, SAT proof, or both.
 
-    ``verify="simulate"`` judges the diagnose loop's final re-detection
-    (re-running it when no loop ran — custom stage lists).
+    ``verify="simulate"`` judges the diagnose loop's final re-detection.
     ``verify="prove"`` builds a corrected-vs-golden miter per output
     cone (:func:`repro.sat.equiv.prove_equivalence`) and either proves
     bounded equivalence from reset or extracts a counterexample, which
@@ -749,15 +719,13 @@ class VerifyStage(Stage):
         if not ctx.detected:
             return
         sim_ok = True
-        if ctx.verify in ("simulate", "both"):
-            if not ctx.rounds:
-                ctx.remaining = ctx.detect()
+        if ctx.spec.verify in ("simulate", "both"):
             sim_ok = not ctx.remaining
             if not sim_ok:
                 ctx.notes.append(
                     f"{len(ctx.remaining)} mismatches persist after fix"
                 )
-        if ctx.verify in ("prove", "both"):
+        if ctx.spec.verify in ("prove", "both"):
             self._prove(ctx)
             ctx.fixed = sim_ok and bool(ctx.proved)
         else:
@@ -777,9 +745,10 @@ class VerifyStage(Stage):
             and ctx.proof_revision == revision
         ):
             return  # the diagnose loop already proved this netlist
-        frames = ctx.prove_frames or ctx.n_cycles
+        spec = ctx.spec
         proof = prove_equivalence(
-            ctx.packed.netlist, ctx.golden, frames=frames, seed=ctx.seed,
+            ctx.packed.netlist, ctx.golden,
+            frames=spec.prove_frames or spec.n_cycles, seed=spec.seed,
         )
         ctx.proved = proof.proved
         ctx.proof = proof.to_dict()
@@ -788,10 +757,10 @@ class VerifyStage(Stage):
         ctx.counterexample = proof.counterexample
         mismatches = counterexample_mismatches(
             ctx.packed.netlist, ctx.golden, proof.counterexample,
-            engine=ctx.engine,
+            engine=spec.engine,
         )
         ctx.counterexample_confirmed = bool(mismatches)
-        if ctx.verify == "prove":
+        if spec.verify == "prove":
             # the replayed counterexample is the regression stimulus
             ctx.remaining = mismatches
         ctx.notes.append(
@@ -801,47 +770,36 @@ class VerifyStage(Stage):
         )
 
 
-def default_stages() -> tuple[Stage, ...]:
-    return (DetectStage(), DiagnoseLoop(), VerifyStage())
-
-
 class DebugPipeline:
-    """Runs stages over a context, timing each and firing hooks.
+    """Walks detect → :class:`DiagnoseLoop` → verify over a context.
 
-    Composite stages (the diagnose loop) time and announce their inner
-    stages themselves, so per-stage accounting stays keyed by
-    ``detect`` / ``localize`` / ``correct`` / ``verify``.
+    Each stage crosses :func:`run_timed_stage`, so per-stage accounting
+    stays keyed by ``detect`` / ``localize`` / ``correct`` / ``verify``.
+    Every physical-design commit of the walk fires ``on_commit`` and,
+    when a tracer is armed, a ``commit`` instant in the open span.
     """
 
-    def __init__(self, stages: tuple[Stage, ...] | None = None,
-                 hooks: PipelineHooks | None = None) -> None:
-        self.stages = tuple(stages) if stages is not None else default_stages()
+    #: the one stage walk every entry point runs
+    stages = (DetectStage(), DiagnoseLoop(), VerifyStage())
+
+    def __init__(self, hooks: PipelineHooks | None = None) -> None:
         self.hooks = hooks or PipelineHooks()
 
     def execute(self, ctx: RunContext) -> RunContext:
         hooks = self.hooks
+
+        def on_commit(record) -> None:
+            maybe_instant(
+                "commit", category="route",
+                description=record.description,
+                cache_hit="(cached config)" in (record.detail or ""),
+            )
+            hooks.on_commit(ctx, record)
+
         previous_listener = ctx.strategy.commit_listener
-        ctx.strategy.commit_listener = (
-            lambda record: hooks.on_commit(ctx, record)
-        )
+        ctx.strategy.commit_listener = on_commit
         try:
             for stage in self.stages:
-                if stage.composite:
-                    # composite stages time and announce their inner
-                    # stages themselves, but deadline/chaos boundary
-                    # checks still apply to the composite as a whole
-                    ctx.current_stage = stage.name
-                    check_deadline(stage.name)
-                    budget = (ctx.stage_timeouts or {}).get(stage.name)
-                    scope = (
-                        Deadline(budget, label=f"stage:{stage.name}")
-                        if budget else None
-                    )
-                    with deadline_scope(scope), \
-                            maybe_span(stage.name, category="stage"):
-                        chaos_stage_event(stage.name)
-                        stage.run(ctx, hooks)
-                    continue
                 run_timed_stage(stage, ctx, hooks)
         finally:
             ctx.strategy.commit_listener = previous_listener
@@ -850,7 +808,7 @@ class DebugPipeline:
 
 def run_spec(spec, hooks: PipelineHooks | None = None,
              tile_cache=_UNSET, return_context: bool = False,
-             chaos=None, warm=None, tracer=None, profile: bool = False):
+             warm=None, tracer=None, profile: bool = False):
     """The facade: one spec in, one JSON-ready result out — always.
 
     Builds the design, runs the staged pipeline (with the diagnose
@@ -872,9 +830,9 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     down the exact historical code path, bit-identical to the pre-
     resilience pipeline.
 
-    ``chaos`` overrides ``spec.chaos`` (the campaign runner passes its
-    own config through here); fault selection is deterministic per
-    spec, so re-running a chaos campaign reproduces the same failures.
+    ``spec.chaos`` is the only chaos input; fault selection is
+    deterministic per spec, so re-running a chaos campaign reproduces
+    the same failures.
 
     ``warm`` is an optional warm-state registry
     (:class:`repro.service.warm.WarmRegistry`): each attempt asks it
@@ -883,12 +841,14 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     the result is bit-identical with or without it.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) arms structured tracing
-    for the run: a root ``run`` span per attempt, stage/round/probe
-    spans beneath it, closed with status ``timeout``/``error`` when an
-    attempt dies mid-flight.  ``profile`` scopes a per-stage cProfile
-    over the pipeline and lands the top-N aggregation in
-    ``RunResult.profile``.  Both are strictly additive — observation
-    never changes the computed result.
+    for the run: a root ``run`` span per attempt, with stage, round,
+    probe and commit spans beneath it; a span an attempt dies in
+    closes with status ``timeout`` or ``error``.  ``profile`` arms a
+    :class:`~repro.obs.StageProfiler` that every stage boundary scopes
+    (``diagnose`` included) and lands the top-N aggregation in
+    ``RunResult.profile``.  These two are the only observability
+    switches, and both are strictly additive: observation never
+    changes the computed result.
     """
     from repro.api.result import RunResult
     from repro.resilience.budget import backoff_seconds, clamp_backoff
@@ -911,7 +871,7 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
         save_tile_cache,
     )
 
-    chaos_cfg = ChaosConfig.coerce(chaos if chaos is not None else spec.chaos)
+    chaos_cfg = ChaosConfig.coerce(spec.chaos)
     fired = chaos_cfg.select(spec) if chaos_cfg is not None else []
     degradations: list = []
 
@@ -949,12 +909,6 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     reject_replay = any(f.kind == "replay_reject" for f in fired)
 
     profiler = StageProfiler() if profile else None
-    run_hooks = hooks
-    if profiler is not None:
-        run_hooks = ProfilingHooks(profiler, inner=run_hooks)
-    if tracer is not None:
-        run_hooks = TracingHooks(tracer, inner=run_hooks)
-
     attempts_allowed = spec.retries + 1
     failures: list[RunFailure] = []
     current = spec
@@ -982,30 +936,20 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
                 Deadline(current.timeout_s, label="run")
                 if current.timeout_s else None
             )
-            with tracer_scope(tracer):
-                run_span = None
-                if tracer is not None:
-                    run_span = tracer.begin(
-                        "run", category="run",
-                        design=current.design_label,
-                        digest=current.digest(),
-                        strategy=current.strategy,
-                        error_seed=current.error_seed,
-                        n_errors=current.n_errors,
-                        attempt=attempt,
-                    )
-                with deadline_scope(run_deadline), chaos_scope(injector):
-                    DebugPipeline(hooks=run_hooks).execute(ctx)
-                if tracer is not None:
-                    tracer.end(
-                        run_span, status="ok", fixed=ctx.fixed,
-                        rounds=len(ctx.rounds),
-                    )
+            with tracer_scope(tracer), profiler_scope(profiler), \
+                    maybe_span("run", category="run",
+                               design=current.design_label,
+                               digest=current.digest(),
+                               strategy=current.strategy,
+                               error_seed=current.error_seed,
+                               n_errors=current.n_errors,
+                               attempt=attempt), \
+                    deadline_scope(run_deadline), chaos_scope(injector):
+                DebugPipeline(hooks=hooks).execute(ctx)
+                maybe_set_attrs(fixed=ctx.fixed, rounds=len(ctx.rounds))
             status = "ok"
             break
         except DeadlineExceeded as exc:
-            if tracer is not None:
-                tracer.unwind("timeout")
             failures.append(RunFailure.from_exception(
                 exc, stage=ctx.current_stage if ctx is not None else "setup",
                 elapsed_s=time.perf_counter() - t0, attempt=attempt,
@@ -1016,8 +960,6 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
             status = "timeout"
             break
         except Exception as exc:
-            if tracer is not None:
-                tracer.unwind("error")
             stage = ctx.current_stage if ctx is not None else "setup"
             failures.append(RunFailure.from_exception(
                 exc, stage=stage,
@@ -1077,13 +1019,10 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     else:
         # the run never materialized a context (design build / strategy
         # construction failed): a minimal, spec-complete record
-        result = RunResult(
-            spec=spec.to_dict(), status=status, failures=failure_dicts,
+        result = RunResult.from_spec(
+            spec, status=status, failures=failure_dicts,
             degradations=degradations, attempts=attempt,
-            design=spec.design_label, strategy=spec.strategy,
-            engine=spec.engine, error_kind=spec.error_kind,
-            wall_seconds=round(wall, 6), cache=cache_delta,
-            profile=profile_data,
+            wall_seconds=wall, cache=cache_delta, profile=profile_data,
         )
     if return_context:
         return result, ctx

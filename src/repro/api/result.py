@@ -109,16 +109,11 @@ class RunResult:
         timed-out or failed run) packages cleanly — whatever stages
         completed contribute their trajectories and timings.
         """
-        locs = list(getattr(ctx, "localizations", []) or [])
-        if not locs and ctx.localization is not None:
-            locs = [ctx.localization]
-        loc = locs[-1] if locs else None
         trajectory = []
         loc_timings: dict = {}
-        candidates: list = []
         n_probes = 0
         n_sat_eliminated = 0
-        for one in locs:
+        for one in ctx.localizations:
             trajectory.extend(
                 {
                     "probe": s.probe_instance,
@@ -134,27 +129,22 @@ class RunResult:
             for key, value in one.timings.items():
                 loc_timings[key] = loc_timings.get(key, 0.0) + value
         loc_timings = {k: round(v, 6) for k, v in loc_timings.items()}
-        if loc is not None:
-            candidates = sorted(loc.candidates)
-        spec_dict = None
-        design = ctx.packed.netlist.name
-        if ctx.spec is not None:
-            spec_dict = ctx.spec.to_dict()
-            design = ctx.spec.design_label
+        loc = ctx.localization
+        candidates = sorted(loc.candidates) if loc is not None else []
         errors = [
             {"kind": e.kind, "instance": e.instance, "detail": e.detail}
-            for e in getattr(ctx, "errors", [])
+            for e in ctx.errors
         ]
-        rounds = [r.to_dict() for r in getattr(ctx, "rounds", [])]
+        rounds = [r.to_dict() for r in ctx.rounds]
         return cls(
-            spec=spec_dict,
+            spec=ctx.spec.to_dict(),
             status=status,
             failures=list(failures or []),
             degradations=list(degradations or []),
             attempts=attempts,
-            design=design,
+            design=ctx.spec.design_label,
             strategy=ctx.strategy.name,
-            engine=ctx.engine,
+            engine=ctx.spec.engine,
             error_kind=ctx.error.kind if ctx.error else "",
             error_instance=ctx.error.instance if ctx.error else "",
             error_detail=ctx.error.detail if ctx.error else "",
@@ -162,7 +152,7 @@ class RunResult:
             errors=errors,
             detected=ctx.detected,
             localized=ctx.localized_correctly,
-            errors_found=sorted(getattr(ctx, "errors_found", ())),
+            errors_found=sorted(ctx.errors_found),
             rounds=rounds,
             n_rounds=len(rounds),
             residual_mismatches=len(ctx.remaining),
@@ -172,7 +162,7 @@ class RunResult:
             counterexample=ctx.counterexample,
             counterexample_confirmed=ctx.counterexample_confirmed,
             correction=ctx.correction_info,
-            corrections=list(getattr(ctx, "corrections", [])),
+            corrections=list(ctx.corrections),
             n_sat_eliminated=n_sat_eliminated,
             candidates=candidates,
             probe_trajectory=trajectory,
@@ -196,23 +186,24 @@ class RunResult:
         )
 
     @classmethod
-    def worker_failure(cls, spec, failure, status: str = "failed",
-                       wall_seconds: float = 0.0) -> "RunResult":
-        """A spec-complete result for a run whose executor died.
+    def from_spec(cls, spec, wall_seconds: float = 0.0,
+                  **fields) -> "RunResult":
+        """A spec-complete result for a run with no context to package.
 
-        Used when no :class:`RunContext` exists to package — the worker
-        process crashed, was killed, or never produced a result — so
-        campaign aggregation still sees a structurally complete record.
+        Used when no :class:`RunContext` exists: the design build
+        failed, the campaign caught an escaped exception, or a worker
+        process died.  Campaign aggregation still sees a structurally
+        complete record; ``fields`` fill the rest (``status``,
+        ``failures``, ...).
         """
         return cls(
             spec=spec.to_dict(),
-            status=status,
-            failures=[failure.to_dict()],
             design=spec.design_label,
             strategy=spec.strategy,
             engine=spec.engine,
             error_kind=spec.error_kind,
             wall_seconds=round(wall_seconds, 6),
+            **fields,
         )
 
     # -- derived views -------------------------------------------------

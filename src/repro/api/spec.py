@@ -48,24 +48,6 @@ _DEVICE_NAMES = tuple(spec.name for spec in XC4000_FAMILY)
 #: already finished.
 RESUME_EXCLUDED_FIELDS = ("chaos", "cache_dir")
 
-
-def resolve_error_kinds(error_kind: str, error_kinds, n_errors: int) -> list:
-    """The per-error kind list the injector consumes.
-
-    One definition shared by :class:`RunSpec` and the pipeline's
-    ``RunContext`` so the error-model resolution rules cannot diverge.
-    """
-    if error_kinds:
-        return list(error_kinds)
-    return [error_kind] * n_errors
-
-
-def resolve_max_rounds(max_rounds, n_errors: int) -> int:
-    """Round budget: explicit, or one round per injected error."""
-    if max_rounds is not None:
-        return max_rounds
-    return max(n_errors, 1)
-
 #: keys accepted in the ``tiling`` sub-dict (TilingOptions fields)
 _TILING_KEYS = (
     "n_tiles", "tile_clbs", "tile_fraction", "area_overhead",
@@ -378,13 +360,15 @@ class RunSpec:
 
     def resolved_error_kinds(self) -> list:
         """The per-error kind list the injector consumes."""
-        return resolve_error_kinds(
-            self.error_kind, self.error_kinds, self.n_errors
-        )
+        if self.error_kinds:
+            return list(self.error_kinds)
+        return [self.error_kind] * self.n_errors
 
     def effective_max_rounds(self) -> int:
         """Round budget: explicit, or one round per injected error."""
-        return resolve_max_rounds(self.max_rounds, self.n_errors)
+        if self.max_rounds is not None:
+            return self.max_rounds
+        return max(self.n_errors, 1)
 
     @property
     def design_label(self) -> str:

@@ -12,17 +12,18 @@ Three cooperating pieces, all standard-library only:
 * :mod:`repro.obs.profile` — opt-in per-stage cProfile aggregation
   landing in ``RunResult.profile``.
 
-Everything is zero-cost when disarmed: tracing checks one
-thread-local, profiling is opt-in, and metrics increment only at
-coarse pipeline events.
+Stage spans and profile scopes both open at the pipeline's one stage
+boundary (``repro.api.pipeline.run_timed_stage``), armed per thread by
+``run_spec(tracer=..., profile=...)``.  Everything is zero-cost when
+disarmed: tracing and profiling each check one thread-local, and
+metrics increment only at coarse pipeline events.
 """
 
 from repro.obs.metrics import METRICS, Histogram, MetricsRegistry
-from repro.obs.profile import ProfilingHooks, StageProfiler
+from repro.obs.profile import StageProfiler, maybe_profile, profiler_scope
 from repro.obs.trace import (
     Span,
     Tracer,
-    TracingHooks,
     active_tracer,
     maybe_instant,
     maybe_set_attrs,
@@ -37,15 +38,15 @@ __all__ = [
     "METRICS",
     "Histogram",
     "MetricsRegistry",
-    "ProfilingHooks",
     "Span",
     "StageProfiler",
     "Tracer",
-    "TracingHooks",
     "active_tracer",
     "maybe_instant",
+    "maybe_profile",
     "maybe_set_attrs",
     "maybe_span",
+    "profiler_scope",
     "render_chrome_tree",
     "render_span_tree",
     "set_active_tracer",

@@ -1,14 +1,16 @@
 """Opt-in per-stage profiling for the debug pipeline.
 
 :class:`StageProfiler` scopes a :class:`cProfile.Profile` to each
-pipeline stage, driven by the same ``PipelineHooks`` boundary events
-tracing uses (:class:`ProfilingHooks`).  Composite stages nest — the
-diagnose loop wraps localize/correct — and CPython allows only one
-active profiler, so the profiler keeps a stack: entering an inner
-stage suspends the outer profile and resumes it on the way out.  A
-stage's numbers therefore *exclude* its children, which is the useful
-attribution (the diagnose row shows loop overhead, not localize's
-work).
+pipeline stage.  ``run_spec(profile=True)`` arms one for the run's
+thread (:func:`profiler_scope`), and the pipeline's one stage
+boundary, ``run_timed_stage``, opens :func:`maybe_profile` around
+every stage body — the same boundary that opens the stage spans.
+Stages nest — the diagnose loop wraps localize/correct — and CPython
+allows only one active profiler, so the profiler keeps a stack:
+entering an inner stage suspends the outer profile and resumes it on
+the way out.  A stage's numbers therefore *exclude* its children,
+which is the useful attribution: the ``diagnose`` row holds the loop's
+own work (its re-detects and in-loop proofs), not localize's.
 
 Per-function self/cumulative times are folded across rounds by
 function identity, and :meth:`StageProfiler.result` returns the top-N
@@ -26,8 +28,10 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+import threading
+from contextlib import contextmanager, nullcontext
 
-__all__ = ["ProfilingHooks", "StageProfiler"]
+__all__ = ["StageProfiler", "maybe_profile", "profiler_scope"]
 
 #: rows retained per stage in the aggregated result
 TOP_N = 15
@@ -38,26 +42,27 @@ class StageProfiler:
 
     def __init__(self, top_n: int = TOP_N) -> None:
         self.top_n = top_n
-        self._stack: list[tuple[str, cProfile.Profile]] = []
+        self._stack: list[cProfile.Profile] = []
         # stage -> func -> [ncalls, tottime, cumtime]
         self._stats: dict[str, dict[str, list]] = {}
 
-    def start(self, stage_name: str) -> None:
+    @contextmanager
+    def scope(self, stage_name: str):
+        """Profile the body as ``stage_name``; an enclosing stage's
+        profile is suspended until the body exits."""
         if self._stack:
-            self._stack[-1][1].disable()
+            self._stack[-1].disable()
         profile = cProfile.Profile()
-        self._stack.append((stage_name, profile))
+        self._stack.append(profile)
         profile.enable()
-
-    def stop(self, stage_name: str) -> None:
-        while self._stack:
-            name, profile = self._stack.pop()
+        try:
+            yield
+        finally:
             profile.disable()
-            self._fold(name, profile)
-            if name == stage_name:
-                break
-        if self._stack:
-            self._stack[-1][1].enable()
+            self._stack.pop()
+            self._fold(stage_name, profile)
+            if self._stack:
+                self._stack[-1].enable()
 
     def _fold(self, stage_name: str, profile: cProfile.Profile) -> None:
         stats = pstats.Stats(profile)
@@ -91,32 +96,26 @@ class StageProfiler:
         return {"profiler": "cProfile", "stages": stages}
 
 
-class ProfilingHooks:
-    """``PipelineHooks`` duck-type scoping the profiler per stage.
+# -- thread-local arming ----------------------------------------------
 
-    The profiler starts after delegating ``on_stage_start`` and stops
-    before delegating ``on_stage_end``, so inner-hook work never
-    pollutes a stage's profile.
-    """
+_ACTIVE = threading.local()
+_NULL_SCOPE = nullcontext()
 
-    def __init__(self, profiler: StageProfiler, inner=None) -> None:
-        self.profiler = profiler
-        self.inner = inner
 
-    def on_stage_start(self, stage, ctx) -> None:
-        if self.inner is not None:
-            self.inner.on_stage_start(stage, ctx)
-        self.profiler.start(stage.name)
+@contextmanager
+def profiler_scope(profiler: StageProfiler | None):
+    """``with profiler_scope(profiler):`` — arm for the dynamic extent."""
+    previous = getattr(_ACTIVE, "profiler", None)
+    _ACTIVE.profiler = profiler
+    try:
+        yield profiler
+    finally:
+        _ACTIVE.profiler = previous
 
-    def on_stage_end(self, stage, ctx, seconds: float) -> None:
-        self.profiler.stop(stage.name)
-        if self.inner is not None:
-            self.inner.on_stage_end(stage, ctx, seconds)
 
-    def on_probe(self, ctx, step) -> None:
-        if self.inner is not None:
-            self.inner.on_probe(ctx, step)
-
-    def on_commit(self, ctx, record) -> None:
-        if self.inner is not None:
-            self.inner.on_commit(ctx, record)
+def maybe_profile(stage_name: str):
+    """The armed profiler's scope for one stage, a no-op otherwise."""
+    profiler = getattr(_ACTIVE, "profiler", None)
+    if profiler is None:
+        return _NULL_SCOPE
+    return profiler.scope(stage_name)

@@ -16,10 +16,12 @@ Arming is thread-local and cooperative, mirroring
 :mod:`repro.resilience.budget`: instrumented code calls
 :func:`maybe_span`, which is a single thread-local attribute read
 returning a shared no-op context manager when no tracer is active —
-the disarmed path stays bit-identical and effectively free.  The
-pipeline's stage boundaries are captured without touching stage code
-at all via :class:`TracingHooks`, an adapter over the existing
-``PipelineHooks`` observer protocol.
+the disarmed path stays bit-identical and effectively free.  Every
+stage span opens at the pipeline's one stage boundary
+(``repro.api.pipeline.run_timed_stage``), the run span in ``run_spec``
+and the ``commit`` instants in the pipeline's commit listener; a span
+an exception leaves through closes with status ``timeout`` (a tripped
+cooperative deadline) or ``error``.
 
 Durations come from :func:`time.perf_counter_ns` (monotonic); wall
 timestamps are recorded only at span boundaries, so exported traces
@@ -39,7 +41,6 @@ from repro.errors import DeadlineExceeded
 __all__ = [
     "Span",
     "Tracer",
-    "TracingHooks",
     "active_tracer",
     "maybe_span",
     "render_chrome_tree",
@@ -234,12 +235,6 @@ class Tracer:
         if span is not None:
             span.attrs.update(attrs)
 
-    def unwind(self, status: str) -> None:
-        """Close every span still open on this thread (error paths)."""
-        stack = self._stack()
-        while stack:
-            self.end(stack[-1], status=status)
-
     # -- export --------------------------------------------------------
 
     def _events(self) -> list[dict]:
@@ -345,54 +340,6 @@ def maybe_set_attrs(**attrs) -> None:
     tracer = getattr(_ACTIVE, "tracer", None)
     if tracer is not None:
         tracer.set_attrs(**attrs)
-
-
-# -- PipelineHooks adapter --------------------------------------------
-
-
-class TracingHooks:
-    """Adapts the ``PipelineHooks`` observer protocol onto a tracer.
-
-    Structural duck-type of :class:`repro.api.pipeline.PipelineHooks`
-    (not a subclass, to keep :mod:`repro.obs` import-cycle-free) that
-    opens a span per stage and records probes/commits as point events,
-    delegating every callback to ``inner`` so user hooks keep firing.
-
-    ``on_stage_end`` fires inside ``run_timed_stage``'s ``finally``, so
-    during exception unwind :func:`sys.exc_info` still names the
-    in-flight exception — the stage span closes with status
-    ``"timeout"`` for a tripped cooperative deadline and ``"error"``
-    for anything else, with no pipeline signature changes.
-    """
-
-    def __init__(self, tracer: Tracer, inner=None) -> None:
-        self.tracer = tracer
-        self.inner = inner
-
-    def on_stage_start(self, stage, ctx) -> None:
-        self.tracer.begin(stage.name, category="stage")
-        if self.inner is not None:
-            self.inner.on_stage_start(stage, ctx)
-
-    def on_stage_end(self, stage, ctx, seconds: float) -> None:
-        try:
-            if self.inner is not None:
-                self.inner.on_stage_end(stage, ctx, seconds)
-        finally:
-            self.tracer.end(status=_status_for(sys.exc_info()[0]))
-
-    def on_probe(self, ctx, step) -> None:
-        if self.inner is not None:
-            self.inner.on_probe(ctx, step)
-
-    def on_commit(self, ctx, record) -> None:
-        self.tracer.instant(
-            "commit", category="route",
-            description=record.description,
-            cache_hit="(cached config)" in (record.detail or ""),
-        )
-        if self.inner is not None:
-            self.inner.on_commit(ctx, record)
 
 
 # -- rendering --------------------------------------------------------

@@ -379,8 +379,8 @@ def run_supervised(
         child.reap(_EXIT_GRACE_S)
     if verdict.failure is None:
         return verdict.result
-    return RunResult.worker_failure(
-        spec, verdict.failure, status=verdict.status,
+    return RunResult.from_spec(
+        spec, status=verdict.status, failures=[verdict.failure.to_dict()],
         wall_seconds=verdict.elapsed_s,
     )
 

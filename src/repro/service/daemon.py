@@ -335,9 +335,9 @@ class ReproService:
 
     def _settle_failed(self, job: Job, failure: RunFailure,
                        status: str, elapsed: float) -> None:
-        result = RunResult.worker_failure(
-            job.spec, failure, status=status,
-            wall_seconds=round(elapsed, 6),
+        result = RunResult.from_spec(
+            job.spec, status=status, failures=[failure.to_dict()],
+            wall_seconds=elapsed,
         ).to_dict()
         if len(job.death_failures) > 1:
             # every death this job caused, oldest first

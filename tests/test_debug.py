@@ -179,8 +179,12 @@ def run_adder_loop(strategy, seed, error_kind, error_seed):
     so the context is built by hand instead of from a spec)."""
     from repro.api.design import device_for
     from repro.api.pipeline import DebugPipeline, RunContext
-    from repro.pnr.effort import EFFORT_PRESETS
+    from repro.api.spec import RunSpec
 
+    # the spec carries the run settings; its design fields go unused
+    spec = RunSpec(strategy=strategy, preset="fast", seed=seed,
+                   n_cycles=5, n_patterns=64, error_kind=error_kind,
+                   error_seed=error_seed)
     packed = pack_netlist(mapped_adder(6))
     device = device_for(packed)
     ctx = RunContext(
@@ -189,10 +193,9 @@ def run_adder_loop(strategy, seed, error_kind, error_seed):
         golden=packed.netlist.copy(f"{packed.netlist.name}.golden"),
         strategy=make_strategy(
             strategy, packed, device, seed=seed,
-            preset=EFFORT_PRESETS["fast"],
+            preset=spec.effort_preset(),
         ),
-        seed=seed, n_cycles=5, n_patterns=64,
-        error_kind=error_kind, error_seed=error_seed,
+        spec=spec,
     )
     DebugPipeline().execute(ctx)
     return ctx

@@ -14,7 +14,7 @@ import re
 
 from repro.api.campaign import CampaignRunner, expand_matrix
 from repro.api.cli import main as cli_main
-from repro.api.pipeline import run_spec
+from repro.api.pipeline import PipelineHooks, run_spec
 from repro.api.spec import RunSpec
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -178,6 +178,33 @@ def test_profile_lands_per_stage_top_functions():
 
     again = RunResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert again.profile == profile
+
+
+def test_profile_covers_the_diagnose_loop_but_hooks_do_not():
+    # every stage boundary opens a profile scope, the composite loop's
+    # included; the hooks and stage timings see only the paper's stages
+    seen = []
+
+    class Recorder(PipelineHooks):
+        def on_stage_start(self, stage, ctx):
+            seen.append(("start", stage.name))
+
+        def on_stage_end(self, stage, ctx, seconds):
+            seen.append(("end", stage.name))
+
+    spec = RunSpec(**TWO_ROUND, strategy="sat", correction="cegis",
+                   verify="prove")
+    result = run_spec(spec, hooks=Recorder(), profile=True)
+    assert result.status == "ok" and result.n_rounds == 2
+    assert set(result.profile["stages"]) == {
+        "detect", "diagnose", "localize", "correct", "verify"
+    }
+    assert result.profile["stages"]["diagnose"], "loop work was profiled"
+    walk = ["detect", "localize", "correct", "localize", "correct",
+            "verify"]
+    assert seen == [(phase, name) for name in walk
+                    for phase in ("start", "end")]
+    assert set(result.timings["stages"]) == set(walk)
 
 
 # ----------------------------------------------------------------------

@@ -93,12 +93,14 @@ class TestFormalVerify:
         # error was never corrected must produce a counterexample the
         # compiled simulator reproduces
         from repro.api.pipeline import (
-            DebugPipeline, DetectStage, RunContext, VerifyStage,
+            DetectStage, PipelineHooks, RunContext, VerifyStage,
+            run_timed_stage,
         )
 
         spec = fast_spec(verify="prove")
         ctx = RunContext.from_spec(spec)
-        DebugPipeline(stages=(DetectStage(), VerifyStage())).execute(ctx)
+        for stage in (DetectStage(), VerifyStage()):
+            run_timed_stage(stage, ctx, PipelineHooks())
         assert ctx.detected
         assert ctx.proved is False
         assert ctx.counterexample is not None
@@ -189,12 +191,14 @@ class TestCegisCorrection:
 
     def test_synthesize_lut_fix_direct(self):
         from repro.api.pipeline import (
-            DebugPipeline, DetectStage, LocalizeStage, RunContext,
+            DetectStage, LocalizeStage, PipelineHooks, RunContext,
+            run_timed_stage,
         )
 
         spec = fast_spec()
         ctx = RunContext.from_spec(spec)
-        DebugPipeline(stages=(DetectStage(), LocalizeStage())).execute(ctx)
+        for stage in (DetectStage(), LocalizeStage()):
+            run_timed_stage(stage, ctx, PipelineHooks())
         assert ctx.detected and ctx.localization is not None
         fix = synthesize_lut_fix(
             ctx.packed.netlist, ctx.trace,

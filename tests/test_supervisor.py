@@ -181,11 +181,16 @@ def test_worker_failure_result_is_spec_complete():
     spec = RunSpec(**FAST)
     failure = RunFailure(stage=WORKER_STAGE, error="WorkerCrashed",
                          message="killed")
-    result = RunResult.worker_failure(spec, failure, wall_seconds=1.25)
+    result = RunResult.from_spec(spec, status="failed",
+                                 failures=[failure.to_dict()],
+                                 wall_seconds=1.25)
     assert result.status == "failed"
     assert result.spec == spec.to_dict()
     assert result.design == "9sym"
     assert result.strategy == spec.strategy
+    assert result.engine == spec.engine
+    assert result.error_kind == spec.error_kind
+    assert result.wall_seconds == 1.25
     assert result.failures == [failure.to_dict()]
     # JSON-complete like every other result
     assert RunResult.from_json(result.to_json()).failures == result.failures
