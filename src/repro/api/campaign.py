@@ -42,10 +42,11 @@ from repro.api.result import RunResult
 from repro.api.spec import RunSpec
 from repro.obs.metrics import METRICS
 from repro.tiling.cache import (
+    CACHE_COUNTERS,
     TileConfigCache,
+    cache_summary,
     load_tile_cache,
     save_tile_cache,
-    stats_delta,
 )
 
 
@@ -572,12 +573,12 @@ class CampaignRunner:
     @staticmethod
     def _cache_delta(results: list[RunResult]) -> dict | None:
         """Campaign cache counters: the sum of the executed runs' own
-        deltas (each run counts its lookups whatever the executor), with
-        the largest entry count any of them closed on."""
+        deltas (each run counts its replay verdicts whatever the
+        executor), with the largest entry count any of them closed on."""
         per_run = [r.cache for r in results if r.cache is not None]
         if not per_run:
             return None
-        zero = dict.fromkeys(("hits", "misses", "stores", "rejected"), 0.0)
-        total = {k: sum(d[k] for d in per_run) for k in zero}
-        total["entries"] = max(d["entries"] for d in per_run)
-        return stats_delta(zero, total)
+        return cache_summary(
+            {k: sum(d[k] for d in per_run) for k in CACHE_COUNTERS},
+            max(d["entries"] for d in per_run),
+        )

@@ -1,6 +1,6 @@
 """``python -m repro`` — the command-line face of the facade.
 
-Four subcommands, all built on :mod:`repro.api`:
+The subcommands, all built on :mod:`repro.api`:
 
 * ``run`` — one spec through the pipeline; ``--json -`` streams the
   :class:`RunResult` to stdout (human summary goes to stderr).
@@ -8,8 +8,6 @@ Four subcommands, all built on :mod:`repro.api`:
 * ``campaign`` — a spec matrix (designs x strategies x engines x error
   seeds x seeds) through :class:`CampaignRunner`; writes a results
   JSON that ``report`` re-loads.
-* ``bench`` — the same campaign under both engines, asserting
-  bit-identical trajectories and reporting the speedup.
 * ``report`` — pretty-print a results file written by ``run`` or
   ``campaign``, a ``.jsonl`` journal, or a whole directory of either.
 * ``cache verify`` — damage report for a persisted tile-config store
@@ -348,60 +346,6 @@ def cmd_cache_verify(args: argparse.Namespace) -> int:
     n = verify_cache_file(path)
     print(f"{path}: {n} valid entr{'y' if n == 1 else 'ies'}")
     return 0 if n else 1
-
-
-#: bench reference engine: every other engine's speedup is against it
-_BENCH_BASELINE = "interpreted"
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Every engine over the same matrix; assert bit-identity, report.
-
-    Columns are derived from ``ENGINE_NAMES`` — a new engine shows up
-    here (``<engine>_seconds`` / ``<engine>_speedup`` vs the
-    interpreted baseline) without any CLI edits.
-    """
-    base = _spec_from_args(args)
-    designs = _parse_csv(args.designs) or [base.design]
-    rows = []
-    ok = True
-    for design in designs:
-        per_engine: dict[str, RunResult] = {}
-        for engine in ENGINE_NAMES:
-            spec = base.replaced(design=design, engine=engine)
-            per_engine[engine] = run_spec(spec)
-        ref = per_engine[_BENCH_BASELINE]
-        identical = all(
-            r.trajectory_key() == ref.trajectory_key()
-            and r.candidates == ref.candidates
-            for r in per_engine.values()
-        )
-        ok = ok and identical
-        loc_base = ref.localization_seconds
-        row = {
-            "design": design,
-            "identical_results": identical,
-            "n_probes": ref.n_probes,
-        }
-        parts = []
-        for engine in ENGINE_NAMES:
-            loc = per_engine[engine].localization_seconds
-            row[f"{engine}_seconds"] = round(loc, 6)
-            if engine == _BENCH_BASELINE:
-                parts.append(f"{engine} {loc:.3f}s")
-            else:
-                speedup = loc_base / loc if loc > 0 else float("inf")
-                row[f"{engine}_speedup"] = round(speedup, 3)
-                parts.append(f"{engine} {loc:.3f}s ({speedup:.1f}x)")
-        rows.append(row)
-        print(
-            f"{design:<10} localization {' | '.join(parts)} "
-            f"over {ref.n_probes} probes, identical={identical}",
-            file=sys.stderr if args.json == "-" else sys.stdout,
-        )
-    if args.json:
-        _emit_json({"rows": rows, "identical_all": ok}, args.json)
-    return 0 if ok else 1
 
 
 def _load_report_file(path: str) -> tuple[list, "CampaignResult | None"]:
@@ -745,14 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the campaign results JSON")
     p_camp.add_argument("--verbose", action="store_true")
     p_camp.set_defaults(func=cmd_campaign)
-
-    p_bench = sub.add_parser(
-        "bench", help="compare both engines on the same campaign"
-    )
-    _add_spec_arguments(p_bench)
-    p_bench.add_argument("--designs", help="comma-separated design names")
-    p_bench.add_argument("--json", metavar="PATH|-")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_rep = sub.add_parser(
         "report",

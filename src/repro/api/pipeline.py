@@ -792,7 +792,7 @@ class DebugPipeline:
             maybe_instant(
                 "commit", category="route",
                 description=record.description,
-                cache_hit="(cached config)" in (record.detail or ""),
+                cache_hit=record.cache_hit,
             )
             hooks.on_commit(ctx, record)
 
@@ -854,11 +854,8 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     from repro.resilience.budget import backoff_seconds, clamp_backoff
     from repro.resilience.chaos import (
         CACHE_FILE_KINDS,
-        PIPELINE_KINDS,
-        WORKER_KINDS,
         ChaosConfig,
         ChaosInjector,
-        ReplayRejectingCache,
         chaos_scope,
         corrupt_cache_file,
     )
@@ -896,40 +893,32 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
                         "chaos": fault.kind,
                     })
             load_tile_cache(spec.cache_dir, tile_cache)
-    # the run's own lookups, counted apart from anything else sharing
+    # the run's own replay verdicts, counted apart from anything sharing
     # the cache, become RunResult.cache
     cache_view = RunCacheView(tile_cache) if tile_cache is not None else None
 
-    # worker kinds ride along: ChaosInjector only fires them inside a
-    # supervised worker process (inert under the thread executor)
-    pipeline_faults = [
-        f for f in fired if f.kind in PIPELINE_KINDS + WORKER_KINDS
-    ]
-    injector = ChaosInjector(pipeline_faults) if pipeline_faults else None
-    reject_replay = any(f.kind == "replay_reject" for f in fired)
+    # stage, worker and replay faults fire through one injector shared
+    # by every attempt (worker kinds only inside a supervised worker
+    # process; inert under the thread executor)
+    injector = ChaosInjector(fired) if fired else None
 
     profiler = StageProfiler() if profile else None
     attempts_allowed = spec.retries + 1
     failures: list[RunFailure] = []
     current = spec
     run_cache = cache_view
-    rejecting: ReplayRejectingCache | None = None
     ctx: RunContext | None = None
     status = "failed"
     attempt = 1
     t_run = time.perf_counter()
     for attempt in range(1, attempts_allowed + 1):
-        attempt_cache = run_cache
-        if reject_replay and attempt_cache is not None:
-            rejecting = ReplayRejectingCache(attempt_cache)
-            attempt_cache = rejecting
         ctx = None
         t0 = time.perf_counter()
         try:
             warm_parts = (
                 warm.context_parts(current) if warm is not None else {}
             )
-            ctx = RunContext.from_spec(current, tile_cache=attempt_cache,
+            ctx = RunContext.from_spec(current, tile_cache=run_cache,
                                        **warm_parts)
             ctx.attempt = attempt
             run_deadline = (
@@ -985,10 +974,10 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
                 time.sleep(delay)
     wall = time.perf_counter() - t_run
 
-    if rejecting is not None and rejecting.denied:
+    if injector is not None and injector.denied:
         degradations.append({
             "field": "cache_replay", "from": "replay", "to": "fresh-pnr",
-            "stage": "commit", "denied": rejecting.denied, "chaos": True,
+            "stage": "commit", "denied": injector.denied, "chaos": True,
         })
     if status == "ok" and degradations:
         status = "degraded"

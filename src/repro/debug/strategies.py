@@ -52,6 +52,8 @@ class CommitRecord:
     description: str
     effort: EffortMeter
     detail: str = ""
+    #: served by a precomputed tile configuration (tiled only)
+    cache_hit: bool = False
 
 
 def _absorb_changes(
@@ -194,9 +196,10 @@ class TiledStrategy(BaseStrategy):
         if report.cache_hit:
             self.cache_hits += 1
             detail += " (cached config)"
-        self._record_commit(
-            CommitRecord(changes.description, report.effort, detail=detail)
-        )
+        self._record_commit(CommitRecord(
+            changes.description, report.effort, detail=detail,
+            cache_hit=report.cache_hit,
+        ))
         return report.effort
 
 

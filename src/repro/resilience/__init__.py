@@ -32,7 +32,6 @@ from repro.resilience.chaos import (
     ChaosConfig,
     ChaosFault,
     ChaosInjector,
-    ReplayRejectingCache,
     chaos_scope,
     chaos_stage_event,
     corrupt_cache_file,
@@ -53,7 +52,6 @@ __all__ = [
     "ChaosInjector",
     "DEGRADATION_LADDER",
     "Deadline",
-    "ReplayRejectingCache",
     "RUN_STATUSES",
     "RunFailure",
     "WORKER_KINDS",

@@ -14,7 +14,10 @@ every failure mode yields a structured ``failed`` / ``degraded`` /
   deadline the hang simply delays ``hang_s`` seconds and continues);
 * ``replay_reject`` — deny every tile-configuration cache replay as if
   apply-time verification had rejected it (forces the fresh-P&R rung
-  of the degradation ladder);
+  of the degradation ladder).  It fires through the armed
+  :class:`ChaosInjector` at the one verification point
+  (:func:`repro.tiling.manager.replay_or_compute`), for every replay of
+  the run whatever ``fires`` says;
 * ``cache_truncate`` / ``cache_corrupt`` — damage the persisted tile
   cache on disk (truncation / deterministic byte flip of a seed-chosen
   store entry), proving the hostile-file load path quarantines and
@@ -229,7 +232,8 @@ _SCOPE = threading.local()
 
 
 class ChaosInjector:
-    """Per-run firing state for a spec's selected pipeline faults.
+    """Per-run firing state for a spec's selected pipeline and replay
+    faults.
 
     Created once per ``run_spec`` call and shared across retry attempts
     so a ``fires: 1`` fault hits the first attempt and lets the retry
@@ -245,6 +249,17 @@ class ChaosInjector:
         }
         #: (stage, kind) pairs that actually triggered
         self.fired: list = []
+        #: a ``replay_reject`` fault denies every cache replay of the run
+        self.rejects_replays = any(f.kind == "replay_reject" for f in faults)
+        #: replays denied so far, over every attempt of the run
+        self.denied = 0
+
+    def deny_replay(self) -> bool:
+        """Called where a stored configuration would be verified: True
+        (and counted) when a ``replay_reject`` fault denies it."""
+        if self.rejects_replays:
+            self.denied += 1
+        return self.rejects_replays
 
     def stage_event(self, stage: str) -> None:
         """Called by the pipeline at the start of every stage."""
@@ -306,37 +321,16 @@ def chaos_stage_event(stage: str) -> None:
         injector.stage_event(stage)
 
 
+def replay_denied() -> bool:
+    """Replay hook point: does an armed ``replay_reject`` fault deny
+    this stored configuration?"""
+    injector = getattr(_SCOPE, "injector", None)
+    return injector is not None and injector.deny_replay()
+
+
 # ----------------------------------------------------------------------
 # cache faults
 # ----------------------------------------------------------------------
-
-class ReplayRejectingCache:
-    """Tile-cache proxy that denies every replay (verification reject).
-
-    Lookups that would have hit are counted against the inner cache as
-    rejected replays (the accounting a real apply-time verification
-    failure produces) and return ``None``, forcing the fresh-P&R path.
-    Stores still land, so the run keeps warming the cache it is denied.
-    """
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        #: replays denied (would-have-hit lookups)
-        self.denied = 0
-
-    def lookup(self, key):
-        config = self.inner.lookup(key)
-        if config is not None:
-            self.inner.note_rejected()
-            self.denied += 1
-        return None
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
 
 def corrupt_cache_file(path: str, kind: str, seed: int = 0) -> bool:
     """Deterministically damage the persisted cache at ``path``.

@@ -162,13 +162,16 @@ class JobQueue:
 
         An existing queued/running job for the same digest always wins
         (the submission coalesces).  A *done* job is returned as-is
-        unless ``fresh`` is set, which resets it and re-queues — the
-        path warm-latency measurements use.
+        unless ``fresh`` is set, which resets it and re-queues it with
+        the resubmitted spec — the path warm-latency measurements use.
         """
         with self._lock:
             job = self._jobs.get(spec.digest())
             if job is not None:
                 if job.state == DONE and fresh:
+                    # the digest ignores harness fields (chaos,
+                    # cache_dir): the resubmitted spec is the one to run
+                    job.spec = spec
                     job.state = QUEUED
                     job.priority = priority
                     job.trace = trace

@@ -30,12 +30,19 @@ evicted (bounded LRU) because a lookup can only hit when the current
 block connectivity, placement and locked routes present byte-identical
 context.  The whole-design keys (:func:`full_pnr_key`) follow the same
 rule: connectivity, device, preset, seed and constraints, never logic.
-On top of that, :func:`repro.pnr.flow.apply_region_config` re-verifies
-site legality, terminal membership and channel capacity before touching
-the layout, and the tiling manager skips the cache outright when a
+On top of that, the tiling manager skips the cache outright when a
 :class:`~repro.tiling.eco.ChangeSet` reports a ``base_revision`` that
 does not line up with the last committed netlist revision (untracked
 mutations).
+
+Every replay — whole-design P&R (:func:`cached_full_place_and_route`)
+and tile commits alike — crosses one path,
+:func:`repro.tiling.manager.replay_or_compute`.  It trusts a stored
+entry only after :func:`repro.pnr.flow.apply_region_config` has verified
+site legality, terminal membership and channel capacity against the
+live layout, and only then records the verdict (:meth:`TileConfigCache.record`:
+hit, miss, or rejected).  :meth:`TileConfigCache.lookup` itself counts
+nothing.
 """
 
 from __future__ import annotations
@@ -91,6 +98,30 @@ class TileConfig:
     over_allow: dict = field(default_factory=dict)
 
 
+#: the counters a run's (or a campaign's) cache delta reports
+CACHE_COUNTERS = ("hits", "misses", "stores", "rejected")
+
+
+def cache_summary(counts: dict, entries: float) -> dict:
+    """``counts`` (one value per :data:`CACHE_COUNTERS` name) plus the
+    hit rate they imply and the closing entry count."""
+    summary = {k: float(counts[k]) for k in CACHE_COUNTERS}
+    looked = summary["hits"] + summary["misses"]
+    summary["hit_rate"] = summary["hits"] / looked if looked else 0.0
+    summary["entries"] = entries
+    return summary
+
+
+def _tally(counters, verdict: str) -> None:
+    """Add one replay verdict to ``counters``: ``hit``, ``miss`` or
+    ``rejected`` (an entry that failed verification, also a miss)."""
+    if verdict == "hit":
+        counters.hits += 1
+    else:
+        counters.misses += 1
+        counters.rejected += verdict == "rejected"
+
+
 @dataclass
 class TileConfigCache:
     """Bounded LRU of :class:`TileConfig` entries with hit accounting."""
@@ -108,18 +139,22 @@ class TileConfigCache:
     )
 
     def lookup(self, key: str) -> TileConfig | None:
+        """The stored entry for ``key`` (refreshing its LRU slot), or
+        ``None``.  Uncounted: the caller records the verdict with
+        :meth:`record` once the entry has been verified."""
         with self._lock:
             config = self._entries.get(key)
-            if config is None:
-                self.misses += 1
-            else:
+            if config is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
-        if config is None:
-            METRICS.inc("repro_commit_cache_misses_total")
-            return None
-        METRICS.inc("repro_commit_cache_hits_total")
         return config
+
+    def record(self, verdict: str) -> None:
+        """Count one replay verdict (see :func:`_tally`); the only
+        place the ``repro_commit_cache_*`` metrics move."""
+        with self._lock:
+            _tally(self, verdict)
+        METRICS.inc("repro_commit_cache_hits_total" if verdict == "hit"
+                    else "repro_commit_cache_misses_total")
 
     def store(self, key: str, config: TileConfig) -> None:
         with self._lock:
@@ -129,25 +164,6 @@ class TileConfigCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
 
-    def store_quietly(self, key: str, config: TileConfig) -> None:
-        """Merge one entry without touching the ``stores`` counter.
-
-        The load/merge paths use this so warming from disk never skews
-        the per-run accounting the campaign deltas are computed from.
-        """
-        with self._lock:
-            self._entries[key] = config
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def note_rejected(self) -> None:
-        """A hit failed apply-time verification (counts as a miss)."""
-        with self._lock:
-            self.rejected += 1
-            self.hits -= 1
-            self.misses += 1
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -156,38 +172,16 @@ class TileConfigCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict[str, float]:
-        return {
-            "entries": float(len(self._entries)),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "stores": float(self.stores),
-            "rejected": float(self.rejected),
-            "hit_rate": self.hit_rate,
-        }
+        return cache_summary(
+            {k: getattr(self, k) for k in CACHE_COUNTERS},
+            float(len(self._entries)),
+        )
 
 
 #: Process-wide default used by :class:`~repro.tiling.manager.TiledLayout`
 #: unless a caller supplies its own (or ``tile_cache=None`` to disable).
 DEFAULT_TILE_CACHE = TileConfigCache()
-
-
-def stats_delta(before: dict, after: dict) -> dict:
-    """Counter delta between two :meth:`TileConfigCache.stats` snapshots
-    (plus the recomputed hit rate and the closing entry count)."""
-    delta = {
-        k: after[k] - before[k]
-        for k in ("hits", "misses", "stores", "rejected")
-    }
-    looked = delta["hits"] + delta["misses"]
-    delta["hit_rate"] = delta["hits"] / looked if looked else 0.0
-    delta["entries"] = after["entries"]
-    return delta
 
 
 class RunCacheView:
@@ -202,31 +196,23 @@ class RunCacheView:
         self.inner = inner
         self.hits = self.misses = self.stores = self.rejected = 0
 
-    def lookup(self, key: str) -> TileConfig | None:
-        config = self.inner.lookup(key)
-        self.hits += config is not None
-        self.misses += config is None
-        return config
+    def record(self, verdict: str) -> None:
+        self.inner.record(verdict)
+        _tally(self, verdict)
 
     def store(self, key: str, config: TileConfig) -> None:
         self.inner.store(key, config)
         self.stores += 1
 
-    def note_rejected(self) -> None:
-        self.inner.note_rejected()
-        self.rejected += 1
-        self.hits -= 1
-        self.misses += 1
-
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def delta(self) -> dict:
-        """This run's counters, shaped like :func:`stats_delta`."""
-        zero = dict.fromkeys(("hits", "misses", "stores", "rejected"), 0.0)
-        now = {k: float(getattr(self, k)) for k in zero}
-        now["entries"] = float(len(self.inner))
-        return stats_delta(zero, now)
+        """This run's counters, shaped by :func:`cache_summary`."""
+        return cache_summary(
+            {k: getattr(self, k) for k in CACHE_COUNTERS},
+            float(len(self.inner)),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -467,7 +453,7 @@ class TileConfigStore:
                     continue
                 key, config = entry
                 self._known.add(self.address(key))
-                cache.store_quietly(key, config)
+                cache.store(key, config)
                 merged += 1
         return merged
 
@@ -639,63 +625,36 @@ def cached_full_place_and_route(
     precomputation (e.g. the same campaign re-run under another
     simulation engine) replays the stored whole-design configuration —
     placement and routes — instead of annealing and maze-routing again.
-    A replay is verified exactly like a tile reconfiguration
-    (:func:`repro.pnr.flow.apply_region_config` onto an empty layout)
-    and falls back to the fresh path on any mismatch.
+    The replay crosses the same path as a tile reconfiguration
+    (:func:`repro.tiling.manager.replay_or_compute`): every block is
+    movable onto an empty layout, so a verified replay places every
+    block, and any mismatch falls back to the fresh path.
     """
     from repro.pnr.effort import EFFORT_PRESETS, EffortMeter
-    from repro.pnr.flow import (
-        Layout,
-        apply_region_config,
-        capture_region_config,
-        full_place_and_route,
-    )
+    from repro.pnr.flow import Layout, full_place_and_route
     from repro.pnr.placement import Placement
     from repro.pnr.router import RoutingState
+    from repro.tiling.manager import replay_or_compute
 
     preset = preset or EFFORT_PRESETS["normal"]
     meter = meter if meter is not None else EffortMeter()
-
     key = None
     if cache is not None:
         key = full_pnr_key(
             packed, device, seed, preset, constraints=constraints,
             context=context, strict_routing=strict_routing,
         )
-        config = cache.lookup(key)
-        if config is not None:
-            clbs = {b.index for b in packed.clb_blocks()}
-            iobs = {b.index for b in packed.io_blocks()}
-            ids = sorted(packed.nets)
-            layout = Layout(
-                packed, device, Placement(device, packed), {},
-                RoutingState(device),
-            )
-            meter.begin_invocation()
-            ok = apply_region_config(
-                layout, clbs, iobs, ids, [device.clb_region],
-                config.sites, config.io_slots, config.routes,
-                config.over_allow,
-            )
-            if ok:
-                try:
-                    layout.placement.check_complete()
-                except Exception:
-                    ok = False
-            meter.end_invocation()
-            if ok:
-                return layout
-            cache.note_rejected()
-
-    layout = full_place_and_route(
-        packed, device, seed=seed, preset=preset, meter=meter,
-        constraints=constraints, strict_routing=strict_routing,
+    empty = Layout(
+        packed, device, Placement(device, packed), {}, RoutingState(device),
     )
-    if cache is not None and key is not None:
-        clbs = {b.index for b in packed.clb_blocks()}
-        iobs = {b.index for b in packed.io_blocks()}
-        sites, io_slots, routes, over_allow = capture_region_config(
-            layout, clbs, iobs, sorted(packed.nets)
-        )
-        cache.store(key, TileConfig(sites, io_slots, routes, over_allow))
+    layout, _ = replay_or_compute(
+        cache, key, empty,
+        {b.index for b in packed.clb_blocks()},
+        {b.index for b in packed.io_blocks()},
+        sorted(packed.nets), [device.clb_region], meter,
+        lambda: full_place_and_route(
+            packed, device, seed=seed, preset=preset, meter=meter,
+            constraints=constraints, strict_routing=strict_routing,
+        ),
+    )
     return layout

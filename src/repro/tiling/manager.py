@@ -10,7 +10,14 @@ This is the paper's global flow (§3.1) made executable:
   interfaces of every other tile locked, then re-lock;
 * :meth:`TiledLayout.affected_tiles_for_logic` /
   :meth:`TiledLayout.max_logic_for_test_points` — the analytical models
-  behind Figures 3 and 4.
+  behind Figures 3 and 4;
+* :func:`replay_or_compute` — the one precomputed-configuration path.
+  Tile commits and whole-design P&R
+  (:func:`repro.tiling.cache.cached_full_place_and_route`) both replay a
+  stored :class:`~repro.tiling.cache.TileConfig` through it, or compute,
+  capture and store a fresh one; it records each verdict once, after
+  verification, and is where the ``replay_reject`` chaos fault denies a
+  replay.
 
 The lock invariant — configuration frames of unaffected tiles are
 byte-identical across a change — is checked by
@@ -22,6 +29,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.arch.device import Device
 from repro.errors import TilingError
@@ -34,6 +42,7 @@ from repro.pnr.flow import (
     replace_region,
 )
 from repro.pnr.placement import PlaceConstraints
+from repro.resilience.chaos import replay_denied
 from repro.synth.pack import (
     PackedDesign,
     extend_packing,
@@ -56,6 +65,57 @@ from repro.tiling.partition import (
     refine_boundaries,
 )
 from repro.tiling.tile import Tile, TileStats
+
+
+def replay_or_compute(
+    cache: TileConfigCache | None,
+    key: str | None,
+    layout: Layout,
+    movable: set[int],
+    io_blocks: set[int],
+    net_ids: list[int],
+    regions: list[Rect],
+    meter: EffortMeter,
+    fresh: Callable[[], Layout],
+) -> tuple[Layout, bool]:
+    """The one precomputed-configuration path: replay or compute, once.
+
+    The stored :class:`TileConfig` for ``key`` is trusted only after
+    :func:`apply_region_config` has verified it against ``layout``
+    (block and net names, sites inside ``regions``, terminal membership,
+    channel capacity) and installed it; an armed ``replay_reject`` chaos
+    fault denies it before that.  Otherwise ``fresh()`` places and
+    routes from scratch and returns the layout holding the result, and
+    its configuration of ``movable``, ``io_blocks`` and ``net_ids`` is
+    captured and stored under ``key``.  The verdict — hit, miss, or
+    rejected — is recorded exactly once, after verification.  With no
+    ``cache`` this is just ``fresh()``.
+
+    Returns ``(layout, replayed)``.
+    """
+    if cache is None:
+        return fresh(), False
+    config = cache.lookup(key)
+    verdict = "miss"
+    if config is not None:
+        verdict = "rejected"
+        if not replay_denied():
+            meter.begin_invocation()
+            replayed = apply_region_config(
+                layout, movable, io_blocks, net_ids, regions,
+                config.sites, config.io_slots, config.routes,
+                config.over_allow,
+            )
+            meter.end_invocation()
+            if replayed:
+                cache.record("hit")
+                return layout, True
+    cache.record(verdict)
+    layout = fresh()
+    cache.store(key, TileConfig(
+        *capture_region_config(layout, movable, io_blocks, net_ids)
+    ))
+    return layout, False
 
 
 @dataclass
@@ -340,28 +400,15 @@ class TiledLayout:
             | set(extra)
         )
         cache = self.tile_cache
-        use_cache = cache is not None and not changes.stale_for(
-            self._synced_revision
-        )
+        if changes.stale_for(self._synced_revision):
+            cache = None  # untracked mutations: never replay, never store
         key = None
-        cache_hit = False
-        if use_cache:
+        if cache is not None:
             key = self._commit_key(
                 movable, regions, affected_ids, seed, preset
             )
-            config = cache.lookup(key)
-            if config is not None:
-                meter.begin_invocation()
-                cache_hit = apply_region_config(
-                    self.layout, movable, new_iobs, affected_ids, regions,
-                    config.sites, config.io_slots, config.routes,
-                    config.over_allow,
-                )
-                meter.end_invocation()
-                if not cache_hit:
-                    cache.note_rejected()
 
-        if not cache_hit:
+        def fresh() -> Layout:
             replace_region(
                 self.layout,
                 movable,
@@ -372,13 +419,12 @@ class TiledLayout:
                 confine_routing=True,
                 extra_nets=extra,
             )
-            if use_cache and key is not None:
-                sites, io_slots, routes, over_allow = capture_region_config(
-                    self.layout, movable, new_iobs, affected_ids
-                )
-                cache.store(
-                    key, TileConfig(sites, io_slots, routes, over_allow)
-                )
+            return self.layout
+
+        _, cache_hit = replay_or_compute(
+            cache, key, self.layout, movable, new_iobs, affected_ids,
+            regions, meter, fresh,
+        )
 
         self._synced_revision = getattr(packed.netlist, "revision", None)
 

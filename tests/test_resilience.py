@@ -17,6 +17,7 @@ from repro.api.pipeline import run_spec
 from repro.api.result import RunResult
 from repro.api.spec import RunSpec, SpecError
 from repro.errors import ChaosError, DeadlineExceeded
+from repro.obs.metrics import METRICS
 from repro.resilience.budget import (
     Deadline,
     active_deadline,
@@ -28,8 +29,9 @@ from repro.resilience.chaos import (
     ChaosConfig,
     ChaosFault,
     ChaosInjector,
-    ReplayRejectingCache,
+    chaos_scope,
     corrupt_cache_file,
+    replay_denied,
 )
 from repro.resilience.degrade import next_degraded
 from repro.resilience.failure import RUN_STATUSES, RunFailure
@@ -198,16 +200,20 @@ def test_chaos_injector_fires_budget():
     assert injector.fired == [("localize", "exception")]
 
 
-def test_replay_rejecting_cache_denies_hits():
-    inner = TileConfigCache()
-    inner.store("k", object())
-    proxy = ReplayRejectingCache(inner)
-    assert proxy.lookup("k") is None
-    assert proxy.lookup("missing") is None
-    assert proxy.denied == 1
-    assert inner.rejected == 1 and inner.misses == 2 and inner.hits == 0
-    proxy.store("k2", object())  # stores pass through
-    assert len(proxy) == 2
+def test_replay_reject_denies_every_replay_through_the_injector():
+    fault = ChaosFault.from_dict({"kind": "replay_reject"})
+    injector = ChaosInjector([fault])
+    assert not replay_denied()  # nothing armed: replays go ahead
+    with chaos_scope(injector):
+        # every replay is denied, whatever the fault's fires budget
+        assert replay_denied() and replay_denied()
+        injector.stage_event("localize")  # not a stage fault: inert
+    assert not replay_denied()
+    assert injector.denied == 2 and injector.fired == []
+    idle = ChaosInjector([ChaosFault.from_dict({"kind": "exception"})])
+    with chaos_scope(idle):
+        assert not replay_denied()
+    assert idle.denied == 0
 
 
 def test_corrupt_cache_file_is_deterministic(tmp_path):
@@ -330,6 +336,8 @@ def test_replay_reject_forces_fresh_pnr_degraded(tmp_path):
     warm = run_spec(base, tile_cache=shared)  # warm the cache
     assert warm.status == "ok"
     assert shared.stores > 0
+    hits_before = METRICS.counter_value("repro_commit_cache_hits_total")
+    misses_before = METRICS.counter_value("repro_commit_cache_misses_total")
     denied = run_spec(
         base.replaced(chaos={"kind": "replay_reject"}), tile_cache=shared
     )
@@ -337,6 +345,15 @@ def test_replay_reject_forces_fresh_pnr_degraded(tmp_path):
     [note] = denied.degradations
     assert note["field"] == "cache_replay"
     assert note["denied"] > 0
+    # a denied replay is a miss and a rejection, in the run's own delta
+    # and in the process metrics alike
+    assert denied.cache["hits"] == 0
+    assert denied.cache["rejected"] == note["denied"]
+    assert METRICS.counter_value(
+        "repro_commit_cache_hits_total") - hits_before == denied.cache["hits"]
+    assert METRICS.counter_value(
+        "repro_commit_cache_misses_total"
+    ) - misses_before == denied.cache["misses"]
     # denial only slows the run; the debug outcome is bit-identical
     assert denied.trajectory_key() == warm.trajectory_key()
     assert denied.candidates == warm.candidates

@@ -211,10 +211,18 @@ def test_queue_priority_dedup_and_fresh():
     queue.finish(job_a, {"status": "ok"})
     done, deduped = queue.submit(a)
     assert deduped and done.state == DONE
-    fresh, deduped = queue.submit(a, fresh=True)
+    # the digest ignores harness fields: a fresh resubmit that adds
+    # chaos and a cache dir must queue them, not the finished spec
+    resubmitted = a.replaced(chaos={"kind": "replay_reject"},
+                             cache_dir="resubmit-cache")
+    assert resubmitted.digest() == a.digest()
+    fresh, deduped = queue.submit(resubmitted, fresh=True)
     assert not deduped and fresh is job_a
     assert fresh.state == QUEUED and fresh.result is None
     assert fresh.attempts == 0 and not len(fresh.events)
+    assert fresh.spec.chaos == resubmitted.chaos
+    assert fresh.spec.cache_dir == "resubmit-cache"
+    assert queue.claim(timeout_s=1.0).spec is resubmitted
 
 
 def test_queue_spool_survives_restart_without_duplicates(tmp_path):

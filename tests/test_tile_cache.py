@@ -189,8 +189,13 @@ def test_cache_lru_eviction_and_stats():
     assert cache.lookup("k0") is None  # evicted
     assert cache.lookup("k2") is not None
     assert cache.stores == 3
+    # lookups are uncounted: the replay path records verdicts
+    assert cache.hits == cache.misses == 0
+    for verdict in ("hit", "miss", "rejected"):
+        cache.record(verdict)
     stats = cache.stats()
-    assert stats["hits"] == 1.0 and stats["misses"] == 1.0
+    assert stats["hits"] == 1.0 and stats["misses"] == 2.0
+    assert stats["rejected"] == 1.0
     cache.clear()
     assert len(cache) == 0 and cache.hits == 0
 
@@ -448,8 +453,9 @@ def test_store_merge_quarantines_damage(tmp_path):
     cache = TileConfigCache()
     assert store.merge_into(cache) == 1
     assert cache.lookup("good") is not None
-    # loads must not skew campaign stats: merge bumps no counters
-    assert cache.stores == 0
+    # a load is a plain store; it counts no lookup verdict
+    assert cache.stores == 1
+    assert cache.hits == cache.misses == cache.rejected == 0
     # the damaged entry moved aside and stays out of future loads
     assert len(store.quarantined_files()) == 1
     assert len(store) == 1
@@ -616,7 +622,7 @@ def test_new_error_replays_clean_twin_pnr(kind, clean_9sym_entries):
     only an error that rewires block nets misses."""
     warm = TileConfigCache()
     for key, config in clean_9sym_entries:
-        warm.store_quietly(key, config)
+        warm.store(key, config)
     fresh_initial, fresh_tiled, changed = implement_9sym(None, kind)
     warm_initial, warm_tiled, _ = implement_9sym(warm, kind)
 
