@@ -35,11 +35,6 @@ class PlaceConstraints:
     def region_of(self, block: int, device: Device) -> Rect:
         return self.regions.get(block, device.clb_region)
 
-    def allows_site(self, block: int, site: tuple[int, int], device: Device) -> bool:
-        if self.free_sites is not None and site not in self.free_sites:
-            return False
-        return self.region_of(block, device).contains(*site)
-
 
 class Placement:
     """Mutable block-to-site assignment."""

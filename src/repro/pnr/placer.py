@@ -12,7 +12,8 @@ Key features:
 * **region constraints** per block (tile rectangles) and **locked**
   blocks (the paper's "all resources are locked" default);
 * wirelength cost = half-perimeter per net scaled by the usual
-  fanout correction factor;
+  fanout correction factor, kept incrementally from per-net coordinate
+  histograms so no move ever rescans a net's terminals;
 * every proposed move is charged to an :class:`EffortMeter`, which is
   how Figure 5's effort comparison is measured.
 """
@@ -164,16 +165,20 @@ def _check_unmovable_placed(
 class _NetModel:
     """Net structures + incrementally maintained bounding-box costs.
 
-    The classic VPR speedup: each active net caches its terminal
-    bounding box as ``(xmin, n_xmin, xmax, n_xmax, ymin, n_ymin,
-    ymax, n_ymax)`` — extremes plus the number of terminals sitting on
-    each extreme — so a proposed move updates the box in O(1) and only
-    falls back to a full terminal scan when a sole extreme terminal
-    moves away.  Costs are byte-identical with the full recompute
-    (integer span times the same crossing factor).
+    Each active net keeps, per axis, a histogram of its terminals'
+    coordinates (index ``coordinate + 1``, so the IOB ring at ``-1``
+    lands on 0) and its bounding box ``(xmin, xmax, ymin, ymax)`` in
+    those indices.  A proposed move shifts the moved terminals between
+    histogram buckets, widens each extreme to a new coordinate beyond
+    it, and walks a drained extreme inward to the next non-empty bucket
+    — no net's terminals are ever rescanned.  Costs are byte-identical
+    with a full recompute (integer span times the same crossing factor).
     """
 
-    def __init__(self, packed: PackedDesign, movable: set[int]) -> None:
+    def __init__(
+        self, packed: PackedDesign, device: Device, movable: set[int]
+    ) -> None:
+        self.width = (device.nx + 2, device.ny + 2)
         self.nets_of_block: dict[int, list[int]] = {b: [] for b in movable}
         self.net_sets_of_block: dict[int, set[int]] = {b: set() for b in movable}
         self.active_nets: list[int] = []
@@ -190,72 +195,27 @@ class _NetModel:
                 if b in movable:
                     self.nets_of_block[b].append(net.index)
                     self.net_sets_of_block[b].add(net.index)
-        self.bbox: dict[int, tuple] = {}
+        self.xhist: dict[int, list[int]] = {}
+        self.yhist: dict[int, list[int]] = {}
+        self.bbox: dict[int, tuple[int, int, int, int]] = {}
         self.cost: dict[int, float] = {}
 
     def rebuild(self, pos: dict[int, tuple[int, int]]) -> None:
+        wx, wy = self.width
         for n in self.active_nets:
-            entry = self.scan(n, pos)
-            self.bbox[n] = entry
-            self.cost[n] = self.cost_of(n, entry)
-
-    def scan(self, net_idx: int, pos) -> tuple:
-        xs = [pos[b][0] for b in self.terminals[net_idx]]
-        ys = [pos[b][1] for b in self.terminals[net_idx]]
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        return (
-            xmin, xs.count(xmin), xmax, xs.count(xmax),
-            ymin, ys.count(ymin), ymax, ys.count(ymax),
-        )
-
-    def cost_of(self, net_idx: int, entry: tuple) -> float:
-        span = (entry[2] - entry[0]) + (entry[6] - entry[4])
-        return span * self.q[net_idx]
+            xh, yh = [0] * wx, [0] * wy
+            for b in self.terminals[n]:
+                x, y = pos[b]
+                xh[x + 1] += 1
+                yh[y + 1] += 1
+            xs = [i for i, count in enumerate(xh) if count]
+            ys = [i for i, count in enumerate(yh) if count]
+            box = (xs[0], xs[-1], ys[0], ys[-1])
+            self.xhist[n], self.yhist[n], self.bbox[n] = xh, yh, box
+            self.cost[n] = ((box[1] - box[0]) + (box[3] - box[2])) * self.q[n]
 
     def total(self) -> float:
         return sum(self.cost.values())
-
-
-def _bbox_shift(entry: tuple, old: tuple[int, int], new: tuple[int, int]):
-    """Bounding box after moving one terminal ``old`` → ``new``.
-
-    Returns None when a drained extreme forces a terminal rescan.
-    """
-    xmin, nxmin, xmax, nxmax, ymin, nymin, ymax, nymax = entry
-    ox, oy = old
-    nx, ny = new
-    if ox != nx:
-        if ox == xmin:
-            nxmin -= 1
-        if ox == xmax:
-            nxmax -= 1
-        if nxmin == 0 or nxmax == 0:
-            return None
-        if nx < xmin:
-            xmin, nxmin = nx, 1
-        elif nx == xmin:
-            nxmin += 1
-        if nx > xmax:
-            xmax, nxmax = nx, 1
-        elif nx == xmax:
-            nxmax += 1
-    if oy != ny:
-        if oy == ymin:
-            nymin -= 1
-        if oy == ymax:
-            nymax -= 1
-        if nymin == 0 or nymax == 0:
-            return None
-        if ny < ymin:
-            ymin, nymin = ny, 1
-        elif ny == ymin:
-            nymin += 1
-        if ny > ymax:
-            ymax, nymax = ny, 1
-        elif ny == ymax:
-            nymax += 1
-    return (xmin, nxmin, xmax, nxmax, ymin, nymin, ymax, nymax)
 
 
 def _anneal(
@@ -268,14 +228,16 @@ def _anneal(
     preset: EffortPreset,
     meter: EffortMeter,
 ) -> None:
-    model = _NetModel(packed, movable)
+    model = _NetModel(packed, device, movable)
     if not model.active_nets:
         return
     model.rebuild(placement.pos)
 
     movable_list = sorted(movable)
+    bounds = _region_bounds(constraints, device, movable_list)
+    free_sites = constraints.free_sites
     temperature = _initial_temperature(
-        placement, constraints, device, movable_list, movable, model, rng,
+        placement, device, movable_list, bounds, free_sites, model, rng,
         meter,
     )
     total = model.total()
@@ -291,8 +253,8 @@ def _anneal(
         for _ in range(moves_per_temp):
             meter.place_moves += 1
             delta = _try_move(
-                placement, device, constraints, movable, movable_list,
-                model, rng, temperature, rlim,
+                placement, movable_list, bounds, free_sites, model, rng,
+                temperature, rlim,
             )
             if delta is not None:
                 total += delta
@@ -312,15 +274,26 @@ def _anneal(
     for _ in range(moves_per_temp):
         meter.place_moves += 1
         delta = _try_move(
-            placement, device, constraints, movable, movable_list,
-            model, rng, 0.0, max(1.0, rlim),
+            placement, movable_list, bounds, free_sites, model, rng,
+            0.0, max(1.0, rlim),
         )
         if delta is not None:
             total += delta
 
 
+def _region_bounds(
+    constraints: PlaceConstraints, device: Device, blocks: list[int]
+) -> dict[int, tuple[int, int, int, int]]:
+    """Each block's allowed region as ``(x0, x1, y0, y1)``."""
+    bounds = {}
+    for b in blocks:
+        r = constraints.region_of(b, device)
+        bounds[b] = (r.x0, r.x1, r.y0, r.y1)
+    return bounds
+
+
 def _initial_temperature(
-    placement, constraints, device, movable_list, movable, model, rng, meter,
+    placement, device, movable_list, bounds, free_sites, model, rng, meter,
 ) -> float:
     """VPR rule: T0 = 20 x stddev of cost over a random-move sample.
 
@@ -335,8 +308,8 @@ def _initial_temperature(
     for _ in range(samples):
         meter.place_moves += 1
         delta = _try_move(
-            placement, device, constraints, movable, movable_list,
-            model, rng, temperature=float("inf"),
+            placement, movable_list, bounds, free_sites, model, rng,
+            temperature=float("inf"),
             rlim=float(max(device.nx, device.ny)),
         )
         if delta is not None:
@@ -368,70 +341,93 @@ def _cooling_factor(acceptance_rate: float) -> float:
 
 def _try_move(
     placement: Placement,
-    device: Device,
-    constraints: PlaceConstraints,
-    movable: set[int],
     movable_list: list[int],
+    bounds: dict[int, tuple[int, int, int, int]],
+    free_sites: set[tuple[int, int]] | None,
     model: _NetModel,
     rng,
     temperature: float,
     rlim: float,
 ) -> float | None:
-    """Propose one displace/swap; returns accepted delta or None."""
+    """Propose one displace/swap; returns accepted delta or None.
+
+    ``bounds`` holds every movable block's region (see
+    :func:`_region_bounds`).  The moved terminals shift the affected
+    nets' histograms tentatively; a rejected move shifts them back, and
+    only an accepted one touches ``placement``.
+    """
     block = movable_list[rng.randrange(len(movable_list))]
     old_site = placement.pos[block]
     bx, by = old_site
-    region = constraints.region_of(block, device)
+    x0, x1, y0, y1 = bounds[block]
     span = max(1, int(rlim))
-    xlo, xhi = max(region.x0, bx - span), min(region.x1, bx + span)
-    ylo, yhi = max(region.y0, by - span), min(region.y1, by + span)
-    site = (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
+    xlo, xhi = max(x0, bx - span), min(x1, bx + span)
+    ylo, yhi = max(y0, by - span), min(y1, by + span)
+    site = (rng.randrange(xlo, xhi + 1), rng.randrange(ylo, yhi + 1))
     if site == old_site:
         return None
-    if constraints.free_sites is not None and site not in constraints.free_sites:
+    if free_sites is not None and site not in free_sites:
         return None
 
     occupant = placement.clb_at.get(site)
     if occupant is not None:
-        if occupant not in movable:
+        # the occupant swaps into old_site: it must be movable and allowed there
+        ob = bounds.get(occupant)
+        if ob is None or not (ob[0] <= bx <= ob[1] and ob[2] <= by <= ob[3]):
             return None
-        if not constraints.allows_site(occupant, old_site, device):
+        if free_sites is not None and old_site not in free_sites:
             return None
 
+    # one histogram shift per affected net, in indices coordinate + 1
+    # (see _NetModel); a net holding both swapped blocks keeps its box,
+    # so skipping it adds exactly 0.0 to delta
+    bx += 1
+    by += 1
+    sx, sy = site[0] + 1, site[1] + 1
     nets_of_block = model.nets_of_block
-    affected = list(nets_of_block[block])
-    if occupant is not None:
-        block_nets = model.net_sets_of_block[block]
-        affected.extend(
-            n for n in nets_of_block[occupant] if n not in block_nets
-        )
-
     if occupant is None:
-        placement.move_clb(block, site)
-        moved = ((block, old_site, site),)
+        shifts = [(n, bx, by, sx, sy) for n in nets_of_block[block]]
     else:
-        placement.swap_clbs(block, occupant)
-        moved = ((block, old_site, site), (occupant, site, old_site))
+        block_nets = model.net_sets_of_block[block]
+        occupant_nets = model.net_sets_of_block[occupant]
+        shifts = [
+            (n, bx, by, sx, sy)
+            for n in nets_of_block[block] if n not in occupant_nets
+        ]
+        shifts += [
+            (n, sx, sy, bx, by)
+            for n in nets_of_block[occupant] if n not in block_nets
+        ]
 
-    # incremental bounding-box update per affected net (scan fallback)
-    pos = placement.pos
-    bbox = model.bbox
-    cost_cache = model.cost
-    net_sets = model.net_sets_of_block
+    xhist, yhist, bbox = model.xhist, model.yhist, model.bbox
+    cost_cache, q = model.cost, model.q
     delta = 0.0
     new_state: list[tuple[int, tuple, float]] = []
-    for n in affected:
-        entry = bbox[n]
-        for b, frm, to in moved:
-            if n not in net_sets[b]:
-                continue
-            entry = _bbox_shift(entry, frm, to)
-            if entry is None:
-                break
-        if entry is None:
-            entry = model.scan(n, pos)
-        c = model.cost_of(n, entry)
-        new_state.append((n, entry, c))
+    for n, fx, fy, tx, ty in shifts:
+        xh, yh = xhist[n], yhist[n]
+        xmin, xmax, ymin, ymax = bbox[n]
+        xh[fx] -= 1
+        xh[tx] += 1
+        yh[fy] -= 1
+        yh[ty] += 1
+        if tx < xmin:
+            xmin = tx
+        elif tx > xmax:
+            xmax = tx
+        if ty < ymin:
+            ymin = ty
+        elif ty > ymax:
+            ymax = ty
+        while not xh[xmin]:
+            xmin += 1
+        while not xh[xmax]:
+            xmax -= 1
+        while not yh[ymin]:
+            ymin += 1
+        while not yh[ymax]:
+            ymax -= 1
+        c = ((xmax - xmin) + (ymax - ymin)) * q[n]
+        new_state.append((n, (xmin, xmax, ymin, ymax), c))
         delta += c - cost_cache[n]
 
     accept = delta <= 0 or (
@@ -439,13 +435,19 @@ def _try_move(
         and rng.random() < math.exp(-delta / temperature)
     )
     if not accept:
-        if occupant is None:
-            placement.move_clb(block, old_site)
-        else:
-            placement.swap_clbs(block, occupant)
+        for n, fx, fy, tx, ty in shifts:
+            xh, yh = xhist[n], yhist[n]
+            xh[tx] -= 1
+            xh[fx] += 1
+            yh[ty] -= 1
+            yh[fy] += 1
         return None
 
-    for n, entry, c in new_state:
-        bbox[n] = entry
+    if occupant is None:
+        placement.move_clb(block, site)
+    else:
+        placement.swap_clbs(block, occupant)
+    for n, box, c in new_state:
+        bbox[n] = box
         cost_cache[n] = c
     return delta

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.api.design import device_for
 from repro.arch import custom_device, pick_device
 from repro.errors import PlacementError
+from repro.generators import build_design
 from repro.geometry import Rect
 from repro.pnr import EFFORT_PRESETS, EffortMeter, PlaceConstraints, Placement
 from repro.pnr.placer import place_design, q_factor
@@ -125,48 +127,141 @@ def test_initial_temperature_restores_placement():
     placement = place_design(packed, device, seed=7,
                              preset=EFFORT_PRESETS["fast"])
     movable = {b.index for b in packed.clb_blocks()}
-    model = placer_mod._NetModel(packed, movable)
+    movable_list = sorted(movable)
+    model = placer_mod._NetModel(packed, device, movable)
     model.rebuild(placement.pos)
     before_pos = dict(placement.pos)
     before_clb_at = dict(placement.clb_at)
     before_costs = dict(model.cost)
 
     temperature = placer_mod._initial_temperature(
-        placement, PlaceConstraints(), device, sorted(movable), movable,
-        model, make_rng(7, "t0-test"), EffortMeter(),
+        placement, device, movable_list,
+        placer_mod._region_bounds(PlaceConstraints(), device, movable_list),
+        None, model, make_rng(7, "t0-test"), EffortMeter(),
     )
     assert temperature > 0
     assert placement.pos == before_pos
     assert placement.clb_at == before_clb_at
     # cost caches were rebuilt against the restored placement
     assert model.cost == before_costs
-    fresh = placer_mod._NetModel(packed, movable)
+    fresh = placer_mod._NetModel(packed, device, movable)
     fresh.rebuild(placement.pos)
     assert fresh.bbox == model.bbox
+    assert fresh.xhist == model.xhist
+    assert fresh.yhist == model.yhist
 
 
-def test_bbox_shift_matches_scan():
-    """Incremental bbox updates agree with a full terminal rescan."""
-    from repro.pnr.placer import _bbox_shift
+class _CountingRng:
+    """Forwards to a real stream; counts ``random()`` draws."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.random_calls = 0
+
+    def randrange(self, *args):
+        return self._rng.randrange(*args)
+
+    def random(self):
+        self.random_calls += 1
+        return self._rng.random()
+
+
+def test_net_model_matches_rebuild():
+    """Every _try_move leaves the incremental model equal to a rebuild.
+
+    Overlapping per-block regions and a ``free_sites`` subset make both
+    displacements and swaps legal; a mid temperature makes the moves
+    that raise the cost both accepted and rejected.
+    """
+    from repro.pnr import placer as placer_mod
     from repro.rng import make_rng
 
-    rng = make_rng(11, "bbox")
-    points = [(rng.randrange(12), rng.randrange(12)) for _ in range(6)]
+    packed = build_design("9sym").packed
+    device = device_for(packed)
+    free_sites = {(x, y) for x in range(device.nx) for y in range(device.ny)
+                  if (x + 2 * y) % 5}
+    cut = (2 * device.nx) // 3
+    regions = {
+        b.index: (Rect(0, 0, cut, device.ny - 1) if i % 2
+                  else Rect(device.nx - 1 - cut, 0, device.nx - 1,
+                            device.ny - 1))
+        for i, b in enumerate(packed.clb_blocks())
+    }
+    constraints = PlaceConstraints(regions=regions, free_sites=free_sites)
+    placement = place_design(packed, device, seed=4,
+                             preset=EFFORT_PRESETS["fast"],
+                             constraints=constraints)
+    movable = set(regions)
+    movable_list = sorted(movable)
+    bounds = placer_mod._region_bounds(constraints, device, movable_list)
+    model = placer_mod._NetModel(packed, device, movable)
+    model.rebuild(placement.pos)
+    rng = _CountingRng(make_rng(11, "net-model"))
 
-    def scan(pts):
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        return (min(xs), xs.count(min(xs)), max(xs), xs.count(max(xs)),
-                min(ys), ys.count(min(ys)), max(ys), ys.count(max(ys)))
+    accepted = swaps = uphill_accepted = 0
+    for _ in range(2000):
+        before_pos = dict(placement.pos)
+        before_clb_at = dict(placement.clb_at)
+        delta = placer_mod._try_move(
+            placement, movable_list, bounds, free_sites, model, rng,
+            temperature=2.0, rlim=float(device.nx),
+        )
+        if delta is None:
+            assert placement.pos == before_pos
+            assert placement.clb_at == before_clb_at
+        else:
+            accepted += 1
+            uphill_accepted += delta > 0
+            moved = [b for b in movable if placement.pos[b] != before_pos[b]]
+            swaps += len(moved) == 2
+        fresh = placer_mod._NetModel(packed, device, movable)
+        fresh.rebuild(placement.pos)
+        assert model.bbox == fresh.bbox
+        assert model.cost == fresh.cost
+        assert model.xhist == fresh.xhist
+        assert model.yhist == fresh.yhist
+    placement.check_complete()
+    for b in movable:
+        assert placement.pos[b] in free_sites
+        assert regions[b].contains(*placement.pos[b])
+    assert accepted > 0 and swaps > 0
+    assert uphill_accepted > 0
+    # every random() draw decides an uphill move; more draws than
+    # uphill accepts means some evaluated moves were rejected
+    assert rng.random_calls > uphill_accepted
 
-    entry = scan(points)
-    for _ in range(500):
-        i = rng.randrange(len(points))
-        new = (rng.randrange(12), rng.randrange(12))
-        shifted = _bbox_shift(entry, points[i], new)
-        points[i] = new
-        entry = scan(points) if shifted is None else shifted
-        assert entry == scan(points)
+
+def test_mixed_region_swaps_respected():
+    """Swaps never carry a block out of its own region or off free_sites.
+
+    Blocks alternate between two disjoint half-device regions; every
+    third block is unconstrained, so it can propose a site across the
+    cut whose confined occupant must then refuse the swap.
+    """
+    packed = build_design("9sym").packed
+    device = device_for(packed)
+    half = device.nx // 2
+    left = Rect(0, 0, half - 1, device.ny - 1)
+    right = Rect(half, 0, device.nx - 1, device.ny - 1)
+    regions = {
+        b.index: (left, right)[i % 2]
+        for i, b in enumerate(packed.clb_blocks()) if i % 3
+    }
+    allowed = {(x, y) for x in range(device.nx) for y in range(device.ny)
+               if (x + 2 * y) % 5}
+    for side in (left, right):
+        need = sum(1 for r in regions.values() if r is side)
+        assert sum(1 for s in allowed if side.contains(*s)) >= need
+    placement = place_design(
+        packed, device, seed=3, preset=EFFORT_PRESETS["fast"],
+        constraints=PlaceConstraints(regions=regions, free_sites=allowed),
+    )
+    placement.check_complete()
+    for block in packed.clb_blocks():
+        site = placement.site_of(block.index)
+        assert site in allowed
+        if block.index in regions:
+            assert regions[block.index].contains(*site)
 
 
 def test_placement_site_bookkeeping():
@@ -180,3 +275,65 @@ def test_placement_site_bookkeeping():
     assert (3, 4) not in placement.clb_at
     placement.remove(clb.index)
     assert not placement.is_placed(clb.index)
+
+
+#: sha256 of ``repr(sorted(placement.pos.items()))`` and ``place_moves``
+#: for a full ``fast`` placement and a lower-left-window re-place.  Any
+#: change to a pin changes every placement downstream; make it on
+#: purpose and say why.
+PLACEMENT_PINS = {
+    ("9sym", 1): (
+        ("487779429f110fdc9bd0bbc78c3b4f06790de788c9b0f3742607cb3047407932", 336),
+        ("487779429f110fdc9bd0bbc78c3b4f06790de788c9b0f3742607cb3047407932", 149),
+    ),
+    ("9sym", 2): (
+        ("838c19a4215eaec5930a2b71117ce098f469adb522532b0fdec2a42a79c6ee6c", 292),
+        ("838c19a4215eaec5930a2b71117ce098f469adb522532b0fdec2a42a79c6ee6c", 0),
+    ),
+    ("s9234", 1): (
+        ("9fcaba04f580955aeba4f485753bc1637138d29b7177a1a2abe979d5c1b4c9b2", 3000),
+        ("21ba3d03a7f2f176c3b4824003dfef92dd67d960346bd238e693a1d894066b86", 206),
+    ),
+    ("s9234", 2): (
+        ("9ce902db25d28ae80ebdaac03d057c5649cb2a3c9e968eb9aa5b989a14ab4641", 3420),
+        ("8d73d78ae88bb92dba9620e634cc7897cf443a44c1cb307cce640dc5fbe422d6", 255),
+    ),
+}
+
+
+def test_placement_fingerprint_pinned():
+    """Placements are byte-identical to the pinned ones."""
+    import hashlib
+
+    def fingerprint(placement, meter):
+        text = repr(sorted(placement.pos.items()))
+        return hashlib.sha256(text.encode()).hexdigest(), meter.place_moves
+
+    fast = EFFORT_PRESETS["fast"]
+    got = {}
+    for name in ("9sym", "s9234"):
+        packed = build_design(name).packed
+        device = device_for(packed)
+        window = Rect(0, 0, device.nx // 4 - 1, device.ny // 4 - 1)
+        for seed in (1, 2):
+            meter = EffortMeter()
+            full = place_design(packed, device, seed=seed, preset=fast,
+                                meter=meter)
+            blocks = set(full.blocks_in_region(window))
+            initial = full.copy()
+            for b in blocks:
+                initial.remove(b)
+            window_meter = EffortMeter()
+            replaced = place_design(
+                packed, device, seed=seed, preset=fast, meter=window_meter,
+                initial=initial, movable=blocks,
+                constraints=PlaceConstraints(
+                    regions={b: window for b in blocks},
+                    free_sites=set(window.sites()),
+                ),
+            )
+            got[name, seed] = (
+                fingerprint(full, meter),
+                fingerprint(replaced, window_meter),
+            )
+    assert got == PLACEMENT_PINS
