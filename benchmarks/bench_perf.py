@@ -79,7 +79,7 @@ from repro.errors import DebugFlowError
 from repro.generators import build_design
 from repro.netlist.simulate import SequentialSimulator
 from repro.pnr.flow import layout_legality_errors
-from repro.tiling.cache import DEFAULT_TILE_CACHE
+from repro.tiling.cache import TileConfigCache
 
 DEFAULT_DESIGNS = ("s9234", "mips", "des")
 QUICK_DESIGNS = ("s9234",)
@@ -137,7 +137,7 @@ def bench_sim_throughput(
 
 
 def _localization_campaign(design: str, engine: str, error_seed: int,
-                           max_probes: int):
+                           max_probes: int, cache: TileConfigCache):
     """One detect→localize→correct campaign; fresh design per engine.
 
     Driven through the :mod:`repro.api` pipeline.  Context
@@ -149,7 +149,7 @@ def _localization_campaign(design: str, engine: str, error_seed: int,
         engine=engine, error_kind="table_bit", error_seed=error_seed,
         max_probes=max_probes,
     )
-    ctx = RunContext.from_spec(spec)
+    ctx = RunContext.from_spec(spec, tile_cache=cache)
     t0 = time.perf_counter()
     DebugPipeline().execute(ctx)
     total = time.perf_counter() - t0
@@ -164,10 +164,10 @@ def bench_localization(design: str, error_seed: int,
     # the interpreted campaign runs cold (fresh cache); the compiled
     # campaign re-presents the identical commit sequence and replays the
     # precomputed configurations — the commit-phase comparison
-    DEFAULT_TILE_CACHE.clear()
+    cache = TileConfigCache()
     for engine in ENGINES:
         result, ctx = _localization_campaign(
-            design, engine, error_seed, max_probes
+            design, engine, error_seed, max_probes, cache
         )
         results[engine] = result
         contexts[engine] = ctx

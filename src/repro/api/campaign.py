@@ -245,15 +245,19 @@ class CampaignRunner:
     re-executing only the rest — failed, timed-out, and never-started
     runs.
 
-    Cache policy is honored per spec: ``"shared"`` runs use the
-    process-wide default cache, ``"private"`` runs share one
-    campaign-local cache (isolated from the rest of the process, but
-    warm across the campaign's own runs), and ``"off"`` runs get none.
-    Each cache in play is warmed from ``cache_dir`` once up front and
-    written back once at the end — inside a ``try/finally``, so a run
-    that dies can no longer skip persisting the warm entries completed
-    runs accumulated; ``CampaignResult.cache`` reports the counter
-    delta over the whole campaign.
+    The runner owns its tile caches, one per policy; a caller hands it
+    none.  ``"shared"`` runs use the process-wide cache, ``"private"``
+    runs share one campaign-local cache (isolated from the rest of the
+    process, but warm across the campaign's own runs), and ``"off"``
+    runs get none.  Under the thread executor each cache in play is
+    warmed from the campaign's ``cache_dir`` once up front and written
+    back once at the end — inside a ``try/finally``, so a run that dies
+    cannot skip persisting the warm entries completed runs accumulated
+    — and a spec's own ``cache_dir`` is never read.  Under
+    the process executor each worker owns its run's cache and persists
+    it to the spec's ``cache_dir``, which defaults to the campaign's.
+    ``CampaignResult.cache`` reports the counter delta over the whole
+    campaign.
 
     Failures are *isolated*: a run that raises (or exhausts its
     retries) becomes a structured ``status="failed"`` result in spec
@@ -267,7 +271,6 @@ class CampaignRunner:
         self,
         workers: int = 1,
         hooks: PipelineHooks | None = None,
-        tile_cache: TileConfigCache | None = None,
         cache_dir: str | None = None,
         on_error: str = "continue",
         executor: str = "thread",
@@ -306,9 +309,7 @@ class CampaignRunner:
         self.hard_timeout_s = hard_timeout_s
         self.journal = journal
         self.resume = resume
-        #: caller-supplied override: used for every cache-enabled run
-        self.tile_cache = tile_cache
-        self._override_loaded = False
+        #: the caches this runner owns, one per policy, in first-use order
         self._policy_caches: dict[str, TileConfigCache] = {}
         #: signals in-flight supervised workers to die on interrupt
         self._stop = threading.Event()
@@ -316,11 +317,6 @@ class CampaignRunner:
     def _cache_for(self, spec: RunSpec) -> TileConfigCache | None:
         if spec.cache == "off":
             return None
-        if self.tile_cache is not None:
-            if self.cache_dir is not None and not self._override_loaded:
-                load_tile_cache(self.cache_dir, self.tile_cache)
-                self._override_loaded = True
-            return self.tile_cache
         cache = self._policy_caches.get(spec.cache)
         if cache is None:
             cache = resolve_tile_cache(spec)
@@ -328,16 +324,6 @@ class CampaignRunner:
                 load_tile_cache(self.cache_dir, cache)
             self._policy_caches[spec.cache] = cache
         return cache
-
-    def _campaign_caches(self) -> list[TileConfigCache]:
-        """Distinct caches in play, in first-use order."""
-        caches: list[TileConfigCache] = []
-        if self.tile_cache is not None:
-            caches.append(self.tile_cache)
-        for cache in self._policy_caches.values():
-            if all(cache is not c for c in caches):
-                caches.append(cache)
-        return caches
 
     def _run_one(self, spec: RunSpec) -> RunResult:
         return run_spec(spec, hooks=self.hooks,
@@ -470,7 +456,7 @@ class CampaignRunner:
             # happen exactly once
             for _, spec in pending:
                 self._cache_for(spec)
-            caches = self._campaign_caches()
+            caches = list(self._policy_caches.values())
         aborted = False
         interrupted = False
         t0 = time.perf_counter()

@@ -67,8 +67,9 @@ from repro.synth.pack import PackedDesign, refresh_block_nets
 from repro.tiling.cache import DEFAULT_TILE_CACHE, TileConfigCache
 from repro.tiling.eco import ChangeSet
 
-#: sentinel for "resolve the tile cache from the spec's policy"
-_UNSET = object()
+#: ``run_spec``'s default cache: the run resolves its own from the
+#: spec's policy and owns its ``cache_dir`` persistence
+_OWN_CACHE = object()
 
 
 class PipelineHooks:
@@ -156,8 +157,6 @@ class RunContext:
     # -- produced by the stages ---------------------------------------
     #: every injected error, in injection order
     errors: list = field(default_factory=list)
-    #: the first injected error (legacy single-fault view)
-    error: ErrorRecord | None = None
     initial_effort: EffortMeter = field(default_factory=EffortMeter)
     #: the golden model's response to the current stimulus; every
     #: stimulus change (widened retry, proof re-arm) installs a new one
@@ -207,10 +206,12 @@ class RunContext:
     stage_seconds: dict = field(default_factory=dict)
 
     @classmethod
-    def from_spec(cls, spec, tile_cache=_UNSET, bundle=None, device=None,
+    def from_spec(cls, spec, tile_cache, bundle=None, device=None,
                   golden=None) -> "RunContext":
         """Materialize a context: build the design, device, strategy.
 
+        ``tile_cache`` is the caller's: the strategy replays from and
+        stores into it, and None computes every implementation fresh.
         ``bundle``/``device``/``golden`` let a warm-state registry
         (:mod:`repro.service.warm`) inject pre-built artifacts instead
         of rebuilding them per run; they must be exactly what this
@@ -220,8 +221,6 @@ class RunContext:
         """
         from repro.api.design import device_for, load_bundle
 
-        if tile_cache is _UNSET:
-            tile_cache = resolve_tile_cache(spec)
         if bundle is None:
             bundle = load_bundle(spec)
         packed = bundle.packed
@@ -256,8 +255,9 @@ def resolve_tile_cache(
 ) -> TileConfigCache | None:
     """Map a spec's cache policy onto a cache object (or None).
 
-    ``"shared"`` maps to ``shared``: the process default, or a daemon
-    worker's resident cache.
+    ``"shared"`` maps to ``shared``: the process-wide cache, or a daemon
+    worker's resident cache.  This policy is the only way into the
+    process-wide cache; nothing below :mod:`repro.api` reaches it.
     """
     if spec.cache == "off":
         return None
@@ -336,7 +336,6 @@ class DetectStage(Stage):
             netlist, spec.resolved_error_kinds(), seed=spec.error_seed,
             n_errors=spec.n_errors,
         )
-        ctx.error = ctx.errors[0]
         check_netlist(netlist)
         refresh_block_nets(ctx.packed)
 
@@ -807,7 +806,7 @@ class DebugPipeline:
 
 
 def run_spec(spec, hooks: PipelineHooks | None = None,
-             tile_cache=_UNSET, return_context: bool = False,
+             tile_cache=_OWN_CACHE, return_context: bool = False,
              warm=None, tracer=None, profile: bool = False):
     """The facade: one spec in, one JSON-ready result out — always.
 
@@ -876,7 +875,7 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     # cache; a caller-supplied cache (e.g. the campaign runner's, shared
     # across concurrent workers) is loaded and saved at the caller's
     # level instead
-    owns_cache = tile_cache is _UNSET
+    owns_cache = tile_cache is _OWN_CACHE
     if owns_cache:
         tile_cache = resolve_tile_cache(spec)
         if spec.cache_dir is not None and tile_cache is not None:

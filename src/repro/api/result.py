@@ -136,6 +136,7 @@ class RunResult:
             for e in ctx.errors
         ]
         rounds = [r.to_dict() for r in ctx.rounds]
+        first = ctx.errors[0] if ctx.errors else None
         return cls(
             spec=ctx.spec.to_dict(),
             status=status,
@@ -145,9 +146,9 @@ class RunResult:
             design=ctx.spec.design_label,
             strategy=ctx.strategy.name,
             engine=ctx.spec.engine,
-            error_kind=ctx.error.kind if ctx.error else "",
-            error_instance=ctx.error.instance if ctx.error else "",
-            error_detail=ctx.error.detail if ctx.error else "",
+            error_kind=first.kind if first else "",
+            error_instance=first.instance if first else "",
+            error_detail=first.detail if first else "",
             n_errors_injected=len(errors) or 1,
             errors=errors,
             detected=ctx.detected,

@@ -121,7 +121,11 @@ class RunSpec:
     #: inside a `CampaignRunner` — use "off" for fully cold runs), or
     #: "off" (no cache)
     cache: str = "shared"
-    #: directory for cross-process cache persistence (``--cache-dir``)
+    #: directory for cross-process cache persistence (``--cache-dir``).
+    #: It, like the cache-file chaos kinds, takes effect only when
+    #: ``run_spec`` owns its cache: a thread campaign persists to the
+    #: campaign's ``cache_dir`` and a daemon job to the daemon's
+    #: ``--cache-dir``, whatever the spec says
     cache_dir: str | None = None
     #: per-run wall-clock budget in seconds (``None`` = unbounded);
     #: enforced cooperatively at stage boundaries and inside the

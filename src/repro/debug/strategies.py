@@ -37,7 +37,6 @@ from repro.synth.pack import (
     retire_instances,
 )
 from repro.tiling.cache import (
-    DEFAULT_TILE_CACHE,
     TileConfigCache,
     cached_full_place_and_route,
 )
@@ -90,16 +89,16 @@ class BaseStrategy:
         seed: int = 1,
         preset: EffortPreset | None = None,
         tiling: TilingOptions | None = None,
-        tile_cache: TileConfigCache | None = DEFAULT_TILE_CACHE,
+        tile_cache: TileConfigCache | None = None,
     ) -> None:
         self.packed = packed
         self.device = device
         self.seed = seed
         self.preset = preset or EFFORT_PRESETS["normal"]
         self.tiling_options = tiling or TilingOptions(n_tiles=10)
-        #: configuration cache for initial P&R and tile commits; pass
-        #: None to force every implementation to be computed fresh
-        #: (e.g. when comparing effort meters across repeated runs)
+        #: configuration cache for initial P&R and tile commits, owned
+        #: by the caller; None (the default) computes every
+        #: implementation fresh and replays nothing
         self.tile_cache = tile_cache
         self.commit_history: list[CommitRecord] = []
         #: commits served from the tile-configuration cache (tiled only)
@@ -303,7 +302,7 @@ def make_strategy(
     seed: int = 1,
     preset: EffortPreset | None = None,
     tiling: TilingOptions | None = None,
-    tile_cache: TileConfigCache | None = DEFAULT_TILE_CACHE,
+    tile_cache: TileConfigCache | None = None,
 ) -> BaseStrategy:
     """Factory keyed by strategy name (see :data:`STRATEGY_REGISTRY`)."""
     try:

@@ -24,7 +24,7 @@ from repro.tiling.partition import (
     plan_tile_grid,
     refine_boundaries,
 )
-from repro.tiling.cache import DEFAULT_TILE_CACHE, TileConfig, TileConfigCache
+from repro.tiling.cache import TileConfig, TileConfigCache
 from repro.tiling.manager import TiledLayout
 from repro.tiling.eco import ChangeSet
 
@@ -35,7 +35,6 @@ __all__ = [
     "assign_blocks_to_tiles",
     "plan_tile_grid",
     "refine_boundaries",
-    "DEFAULT_TILE_CACHE",
     "TileConfig",
     "TileConfigCache",
     "TiledLayout",

@@ -179,8 +179,9 @@ class TileConfigCache:
         )
 
 
-#: Process-wide default used by :class:`~repro.tiling.manager.TiledLayout`
-#: unless a caller supplies its own (or ``tile_cache=None`` to disable).
+#: The process-wide cache.  Only the ``cache="shared"`` policy reaches it
+#: (:func:`repro.api.pipeline.resolve_tile_cache`); every layer below
+#: :mod:`repro.api` uses the cache its caller hands it, and none by default.
 DEFAULT_TILE_CACHE = TileConfigCache()
 
 
@@ -615,7 +616,7 @@ def cached_full_place_and_route(
     meter=None,
     constraints=None,
     strict_routing: bool = True,
-    cache: TileConfigCache | None = DEFAULT_TILE_CACHE,
+    cache: TileConfigCache | None = None,
     context: str = "",
 ):
     """:func:`repro.pnr.flow.full_place_and_route` behind the config cache.

@@ -50,7 +50,6 @@ from repro.synth.pack import (
     retire_instances,
 )
 from repro.tiling.cache import (
-    DEFAULT_TILE_CACHE,
     TileConfig,
     TileConfigCache,
     cached_full_place_and_route,
@@ -142,7 +141,7 @@ class TiledLayout:
         layout: Layout,
         tiles: list[Tile],
         options: TilingOptions,
-        tile_cache: TileConfigCache | None = DEFAULT_TILE_CACHE,
+        tile_cache: TileConfigCache | None = None,
     ) -> None:
         self.layout = layout
         self.tiles = tiles
@@ -173,7 +172,7 @@ class TiledLayout:
         preset: EffortPreset | None = None,
         meter: EffortMeter | None = None,
         initial_layout: Layout | None = None,
-        tile_cache: TileConfigCache | None = DEFAULT_TILE_CACHE,
+        tile_cache: TileConfigCache | None = None,
     ) -> "TiledLayout":
         """Tile a design: plan boundaries, re-place with slack, lock.
 

@@ -17,7 +17,6 @@ from repro.api.cli import main as cli_main
 from repro.debug import STRATEGY_REGISTRY, make_strategy
 from repro.errors import DebugFlowError, SpecError
 from repro.generators import build_design
-from repro.tiling.cache import TileConfigCache
 
 FAST = dict(preset="fast", max_probes=6, cache="private")
 
@@ -255,11 +254,13 @@ class TestCampaign:
     def test_workers_do_not_change_results(self):
         specs = expand_matrix(fast_spec(), error_seeds=[1, 3, 5])
         serial = CampaignRunner(workers=1).run(specs)
-        shared = TileConfigCache()
-        threaded = CampaignRunner(workers=4, tile_cache=shared).run(specs)
+        runner = CampaignRunner(workers=4)
+        threaded = runner.run(specs)
         assert serial.n_runs == threaded.n_runs == 3
         # each run counts only its own lookups, even with four threads
-        # sharing one cache: together they account for all of its
+        # sharing the campaign's one private cache: together they
+        # account for all of its
+        (shared,) = runner._policy_caches.values()
         for key in ("hits", "misses", "stores", "rejected"):
             total = sum(r.cache[key] for r in threaded.results)
             assert total == threaded.cache[key] == getattr(shared, key)

@@ -1,5 +1,6 @@
 """Experiment drivers reproduce the paper's qualitative shapes (small cfg)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -82,6 +83,28 @@ def test_figure5_speedups(suite):
     agg = fig5_aggregate(rows)
     assert all("mean" in v and "median" in v for v in agg.values())
     assert "tile size" in format_figure5(rows)
+
+
+def test_figure5_is_history_free():
+    """A second call in one process measures its commits afresh.
+
+    Each call builds its own suite, so nothing it reports may depend on
+    an earlier call: no stored configuration replays the commit the
+    figure is timing.
+    """
+
+    def measure():
+        rows = run_figure5(
+            ExperimentConfig(designs=["9sym", "styr"]),
+            tile_fractions=(0.10, 0.25),
+        )
+        return [
+            {k: v for k, v in dataclasses.asdict(r).items()
+             if not k.endswith("_seconds")}
+            for r in rows
+        ]
+
+    assert measure() == measure()
 
 
 def test_infeasible_fractions_reported(suite):

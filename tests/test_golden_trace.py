@@ -82,7 +82,7 @@ def golden_simulations(monkeypatch):
     monkeypatch.setattr(equiv, "GoldenTrace", _CounterexampleTrace)
 
     def run(spec):
-        ctx = RunContext.from_spec(spec)
+        ctx = RunContext.from_spec(spec, tile_cache=None)
         builds.clear()
         passes.clear()
         DebugPipeline().execute(ctx)

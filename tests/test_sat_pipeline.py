@@ -98,7 +98,7 @@ class TestFormalVerify:
         )
 
         spec = fast_spec(verify="prove")
-        ctx = RunContext.from_spec(spec)
+        ctx = RunContext.from_spec(spec, tile_cache=None)
         for stage in (DetectStage(), VerifyStage()):
             run_timed_stage(stage, ctx, PipelineHooks())
         assert ctx.detected
@@ -196,7 +196,7 @@ class TestCegisCorrection:
         )
 
         spec = fast_spec()
-        ctx = RunContext.from_spec(spec)
+        ctx = RunContext.from_spec(spec, tile_cache=None)
         for stage in (DetectStage(), LocalizeStage()):
             run_timed_stage(stage, ctx, PipelineHooks())
         assert ctx.detected and ctx.localization is not None
