@@ -195,9 +195,8 @@ def _reroute_affected(
     meter: EffortMeter,
 ) -> None:
     packed, device = layout.packed, layout.device
-
-    def inside(cell: tuple[int, int]) -> bool:
-        return any(r.contains(*cell) for r in regions)
+    fab = layout.state.fabric
+    mask = fab.cells_in(regions)
 
     confined: list[int] = []
     for net_idx in net_indices:
@@ -207,13 +206,13 @@ def _reroute_affected(
         if old is not None:
             layout.state.remove(old)
 
-        if all(inside(t) for t in terminals):
+        if all(mask[fab.cell_id(t)] for t in terminals):
             confined.append(net_idx)
             continue
 
         if confine_routing and old is not None:
             tree = _reroute_with_locked_interface(
-                layout, net_idx, old, inside, union_region, meter
+                layout, net_idx, old, mask, union_region, meter
             )
         else:
             tree = None
@@ -241,18 +240,23 @@ def _reroute_with_locked_interface(
     layout: Layout,
     net_idx: int,
     old: RouteTree,
-    inside,
+    mask: bytearray,
     union_region: Rect,
     meter: EffortMeter,
 ) -> RouteTree | None:
     """Keep the route outside the region; rebuild only the inside part.
 
-    Returns None when the old route never touched the region (shouldn't
-    happen for affected nets) or reconnection fails, in which case the
-    caller falls back to a global reroute.
+    ``mask`` marks the fabric cells inside the regions.  Returns None
+    when the old route never touched the region (shouldn't happen for
+    affected nets) or reconnection fails, in which case the caller falls
+    back to a global reroute.
     """
     packed = layout.packed
     net = packed.nets[net_idx]
+    h = layout.state.fabric.h
+
+    def inside(cell: tuple[int, int]) -> bool:
+        return mask[(cell[0] + 1) * h + cell[1] + 1]
 
     # a brand-new terminal outside the region (e.g. a fresh observation
     # pin on the IOB ring) cannot hang off the kept fragment — reroute
@@ -265,6 +269,8 @@ def _reroute_with_locked_interface(
     if driver_site_check not in old.cells and not inside(driver_site_check):
         return None
 
+    # the kept edges keep their tuples: a rebuilt tuple would outlive the
+    # commit in layouts and captured configurations
     outside_edges = {e for e in old.edges if not (inside(e[0]) and inside(e[1]))}
     # boundary anchors: cells of kept edges that sit inside the region,
     # plus outside fragment cells adjacent to the region
@@ -297,16 +303,27 @@ def _reroute_with_locked_interface(
         targets = inside_sinks + [a for a in anchors if a not in seeds]
 
     try:
-        cells, edges, hops = grow_steiner_tree(
+        cells, edges, hops, eids = grow_steiner_tree(
             layout.device, seeds, targets, layout.state,
             region=union_region, meter=meter,
         )
     except RoutingError:
         return None
 
+    # an edge id's endpoints are cells eid >> 1 and one step east (+h)
+    # or north (+1) of it
+    kept = tuple(
+        eid for eid in layout.state._edge_ids(old)
+        if not (mask[eid >> 1] and mask[(eid >> 1) + (1 if eid & 1 else h)])
+    )
     tree = RouteTree(net_idx)
     tree.cells = cells | outside_cells | anchors
     tree.edges = edges | outside_edges
+    tree.eids = eids + kept
+    if len(tree.eids) != len(tree.edges):
+        # the new part ran along a kept edge outside the regions but
+        # inside their bounding rectangle
+        tree.eids = tuple(set(tree.eids))
     tree.sink_hops = dict(old.sink_hops)
     for s in net.sinks:
         site = layout.placement.site_of(s)
@@ -325,8 +342,9 @@ def layout_legality_errors(
     """Full legality audit; returns human-readable violations (empty = legal).
 
     Checks placement completeness, every routed net's terminal
-    connectivity over unit-length edges, channel-usage bookkeeping
-    consistency against a recount, and (optionally) channel capacity.
+    connectivity over unit-length edges, that each tree's stored edge
+    ids match its edges, channel-usage bookkeeping consistency against
+    a recount, and (optionally) channel capacity.
     Shared by the perf benchmark's ``routed_legal`` gate and the tests.
     """
     errors: list[str] = []
@@ -335,6 +353,7 @@ def layout_legality_errors(
     except PlacementError as exc:
         errors.append(str(exc))
     pos = layout.placement.pos
+    edge_id = layout.state.fabric.edge_id
     recount: dict[Edge, int] = {}
     for idx, tree in layout.routes.items():
         net = layout.packed.nets.get(idx)
@@ -355,6 +374,10 @@ def layout_legality_errors(
                 errors.append(f"net {net.name}: edge {a}-{b} off tree cells")
             key = (a, b) if a <= b else (b, a)
             recount[key] = recount.get(key, 0) + 1
+        if tree.eids is not None and sorted(tree.eids) != sorted(
+            edge_id(a, b) for a, b in tree.edges
+        ):
+            errors.append(f"net {net.name}: edge ids differ from edges")
     if recount != layout.state.usage:
         errors.append("channel-usage bookkeeping diverged from routes")
     if check_capacity:
@@ -449,11 +472,12 @@ def apply_region_config(
         return False
     target_site: dict[int, tuple[int, int]] = {}
     seen_sites: set[tuple[int, int]] = set()
+    in_regions = state.fabric.cells_in(regions)
     for b in movable_blocks:
         site = sites[name_of[b]]
         if not device.is_clb_site(*site):
             return False
-        if not any(r.contains(*site) for r in regions):
+        if not in_regions[state.fabric.cell_id(site)]:
             return False
         if site in seen_sites:
             return False

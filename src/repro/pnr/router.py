@@ -10,12 +10,15 @@ PathFinder-style negotiation: nets are routed with a congestion cost
 over-capacity edges are ripped up and re-routed with a larger
 ``pres_fac`` until the solution is feasible.
 
-Performance substrate (PR 2): the grid is lowered once per device
-geometry into a :class:`_Fabric` — flat cell ids, per-cell neighbor/edge
-tables and cached region masks — and :class:`RoutingState` keeps dense
-edge-indexed occupancy/history arrays plus an *incrementally maintained*
+Performance substrate: the grid is lowered once per device geometry
+into a :class:`_Fabric` — flat cell ids, per-cell neighbor/edge tables
+and region masks — and :class:`RoutingState` keeps dense edge-indexed
+occupancy/history arrays plus an *incrementally maintained*
 over-capacity set, so congestion lookups inside A* are two list reads
-and convergence checks never scan the edge universe.
+and convergence checks never scan the edge universe.  A* records the
+edge id it crossed into each cell, so every tree the router builds
+carries its edge ids (:attr:`RouteTree.eids`) and occupancy updates,
+negotiation and tile commits never convert edge tuples back to ids.
 
 Tiling hooks:
 
@@ -135,24 +138,33 @@ class _Fabric:
         """Cached 0/1 cell-inclusion mask for a confinement rectangle."""
         mask = self._region_masks.get(region)
         if mask is None:
-            mask = bytearray(self.n_cells)
-            h = self.h
+            mask = self._region_masks[region] = self.cells_in([region])
+        return mask
+
+    def cells_in(self, regions: list[Rect]) -> bytearray:
+        """A fresh 0/1 mask of the cells inside any of ``regions``."""
+        mask = bytearray(self.n_cells)
+        for region in regions:
+            ones = b"\x01" * region.height
             for x in range(region.x0, region.x1 + 1):
-                base = (x + 1) * h + 1
-                for y in range(region.y0, region.y1 + 1):
-                    mask[base + y] = 1
-            self._region_masks[region] = mask
+                base = (x + 1) * self.h + region.y0 + 1
+                mask[base:base + region.height] = ones
         return mask
 
 
 class _AStarScratch:
-    """Generation-stamped A* arrays (avoids per-call dict hashing)."""
+    """Generation-stamped A* arrays (avoids per-call dict hashing).
 
-    __slots__ = ("best", "parent", "stamp", "generation")
+    ``via[c]`` is the id of the edge the search crossed into cell ``c``
+    from ``parent[c]``.
+    """
+
+    __slots__ = ("best", "parent", "via", "stamp", "generation")
 
     def __init__(self, n_cells: int) -> None:
         self.best = [0.0] * n_cells
         self.parent = [0] * n_cells
+        self.via = [0] * n_cells
         self.stamp = [0] * n_cells
         self.generation = 0
 
@@ -173,10 +185,12 @@ def fabric_of(device: Device) -> _Fabric:
 class RouteTree:
     """One net's route: tree cells, edges, and per-sink path lengths.
 
-    ``eids`` optionally carries the fabric edge ids of ``edges`` in a
-    matching (but unordered) multiset — replayed configurations
-    precompute them so occupancy bookkeeping skips the id arithmetic.
-    It must be dropped (set to None) whenever ``edges`` changes.
+    ``eids`` holds the fabric edge ids of ``edges`` as a matching (but
+    unordered) multiset.  Every tree built by routing, tile commits or
+    configuration replay carries it, so occupancy bookkeeping never
+    recomputes ids; :meth:`RoutingState._edge_ids` falls back to the
+    arithmetic only for hand-built trees that leave it None.  Nothing
+    edits ``edges`` of a built tree in place.
     """
 
     net_index: int
@@ -190,12 +204,10 @@ class RouteTree:
         return len(self.edges)
 
     def copy(self) -> "RouteTree":
-        # the copy's sets are mutable, so the eids shortcut is dropped —
-        # a later in-place edit of copy.edges must not leave a stale
-        # id multiset behind
+        # eids stays valid: trees are replaced, never edited in place
         return RouteTree(
             self.net_index, set(self.cells), set(self.edges),
-            dict(self.sink_hops),
+            dict(self.sink_hops), self.eids,
         )
 
 
@@ -206,8 +218,8 @@ class RoutingState:
     over-capacity edges is maintained incrementally by :meth:`add` /
     :meth:`remove`, so feasibility checks are O(1) and
     :meth:`overused_edges` never scans the edge universe.  The mapping
-    views :attr:`usage` / :attr:`history` are materialized on demand for
-    inspection and tests — hot paths read the arrays directly.
+    view :attr:`usage` is materialized on demand for inspection and
+    tests — hot paths read the arrays directly.
     """
 
     def __init__(self, device: Device) -> None:
@@ -225,12 +237,6 @@ class RoutingState:
         """Edge-tuple view of current occupancy (built on demand)."""
         tup = self.fabric.edge_tuple
         return {tup(eid): self._usage[eid] for eid in self._used}
-
-    @property
-    def history(self) -> dict[Edge, float]:
-        """Edge-tuple view of accumulated history cost (on demand)."""
-        tup = self.fabric.edge_tuple
-        return {tup(eid): self._history[eid] for eid in self._hist_ids}
 
     def _edge_ids(self, route: RouteTree):
         eids = route.eids
@@ -275,14 +281,6 @@ class RoutingState:
     def overused_edges(self) -> list[Edge]:
         tup = self.fabric.edge_tuple
         return [tup(eid) for eid in sorted(self.overused_ids)]
-
-    def congestion_cost(self, edge: Edge, pres_fac: float) -> float:
-        eid = self.fabric.edge_id(*edge)
-        over = self._usage[eid] + 1 - self.capacity
-        cost = 1.0 + self._history[eid]
-        if over > 0:
-            cost += pres_fac * over
-        return cost
 
     def bump_history(self, hist_fac: float = 0.4) -> None:
         history = self._history
@@ -347,9 +345,10 @@ def route_nets(
             break
         state.bump_history()
         pres_fac *= 2.0
-        over = set(state.overused_edges())
+        over = state.overused_ids
         todo = [
-            idx for idx, tree in routes.items() if tree.edges & over
+            idx for idx, tree in routes.items()
+            if not over.isdisjoint(tree.eids)
         ]
         if not todo:
             break
@@ -357,9 +356,10 @@ def route_nets(
     if strict and state.overused_ids:
         # Single residual check: fail only when one of *our* nets sits
         # on an over-capacity edge (locked congestion is pre-existing).
-        over = set(state.overused_edges())
+        over = state.overused_ids
         involved = {
-            e for tree in routes.values() for e in tree.edges & over
+            eid for tree in routes.values() for eid in tree.eids
+            if eid in over
         }
         if involved:
             raise RoutingError(
@@ -377,17 +377,21 @@ def grow_steiner_tree(
     region: Rect | None = None,
     pres_fac: float = 2.0,
     meter: EffortMeter | None = None,
-) -> tuple[set[tuple[int, int]], set[Edge], dict[tuple[int, int], int]]:
+) -> tuple[
+    set[tuple[int, int]], set[Edge], dict[tuple[int, int], int],
+    tuple[int, ...],
+]:
     """Grow a tree from ``seed_cells`` reaching every target cell.
 
     This is the primitive behind interface-preserving tile reroutes: the
     seeds are the locked boundary-crossing cells (or the driver site) and
     the targets are the sinks inside the tile plus the remaining
-    crossings.  Returns (cells, edges, hops per target).
+    crossings.  Returns (cells, edges, hops per target, edge ids).
     """
     meter = meter if meter is not None else EffortMeter()
     cells = set(seed_cells)
     edges: set[Edge] = set()
+    eids: list[int] = []
     hops: dict[tuple[int, int], int] = {}
     for target in sorted(
         targets, key=lambda t: min((manhattan(t, s) for s in cells), default=0)
@@ -395,19 +399,21 @@ def grow_steiner_tree(
         if target in cells:
             hops[target] = 0
             continue
-        path = _astar(cells, target, state, region, pres_fac, meter)
-        if path is None:
+        found = _astar(cells, target, state, region, pres_fac, meter)
+        if found is None:
             raise RoutingError(
                 f"no path to {target}"
                 + (f" within region {region}" if region else "")
             )
+        path, path_eids = found
         hops[target] = len(path) - 1
         prev = path[0]
         for cell in path[1:]:
             edges.add(_edge(prev, cell))
             cells.add(cell)
             prev = cell
-    return cells, edges, hops
+        eids += path_eids
+    return cells, edges, hops, tuple(eids)
 
 
 def _route_one(
@@ -425,6 +431,7 @@ def _route_one(
     sinks = [(placement.site_of(s), s) for s in net.sinks]
     tree = RouteTree(net_idx)
     tree.cells.add(source)
+    eids: list[int] = []
 
     for target, sink_block in sorted(
         sinks, key=lambda item: (manhattan(source, item[0]), item[1])
@@ -432,20 +439,23 @@ def _route_one(
         if target in tree.cells:
             tree.sink_hops[sink_block] = 0
             continue
-        path = _astar(
+        found = _astar(
             tree.cells, target, state, region, pres_fac, meter
         )
-        if path is None:
+        if found is None:
             raise RoutingError(
                 f"net {net.name}: no path from tree to {target}"
                 + (f" within region {region}" if region else "")
             )
+        path, path_eids = found
         tree.sink_hops[sink_block] = len(path) - 1
         prev = path[0]
         for cell in path[1:]:
             tree.edges.add(_edge(prev, cell))
             tree.cells.add(cell)
             prev = cell
+        eids += path_eids
+    tree.eids = tuple(eids)
     return tree
 
 
@@ -457,10 +467,14 @@ def _astar(
     pres_fac: float,
     meter: EffortMeter,
 ):
-    """Multi-source A* over the fabric cell ids; returns a tuple path.
+    """Multi-source A* over the fabric cell ids.
 
-    The device geometry comes entirely from ``state.fabric`` — neighbor
+    Returns ``(path, eids)`` — the cells from a source to ``target`` and
+    the ids of the edges between consecutive cells — or None.  The
+    device geometry comes entirely from ``state.fabric`` — neighbor
     tables, region masks and the generation-stamped scratch arrays.
+    Heap entries carry the cost ``g`` they were pushed with, so a stale
+    entry (its cell since reached more cheaply) is a comparison away.
     """
     fab = state.fabric
     h = fab.h
@@ -476,39 +490,44 @@ def _astar(
     gen = scratch.generation
     best = scratch.best
     parent = scratch.parent
+    via = scratch.via
     stamp = scratch.stamp
 
-    open_heap: list[tuple[float, int, int]] = []
-    counter = 0
-    for cx, cy in sources:
-        cid = (cx + 1) * h + (cy + 1)
-        open_heap.append((abs(cx - tx) + abs(cy - ty), counter, cid))
-        counter += 1
+    # the set's iteration order numbers the sources, which breaks ties
+    open_heap: list[tuple[float, int, int, float]] = [
+        (abs(cx - tx) + abs(cy - ty), counter, (cx + 1) * h + cy + 1, 0.0)
+        for counter, (cx, cy) in enumerate(sources)
+    ]
+    for entry in open_heap:
+        cid = entry[2]
         best[cid] = 0.0
         parent[cid] = -1
         stamp[cid] = gen
+    counter = len(open_heap)
     heapq.heapify(open_heap)
 
     push = heapq.heappush
     pop = heapq.heappop
     expansions = 0
     while open_heap:
-        f, _, cid = pop(open_heap)
-        g = best[cid]
-        if f - (abs(xs[cid] - tx) + abs(ys[cid] - ty)) > g + 1e-9:
+        _, _, cid, g = pop(open_heap)
+        if g > best[cid] + 1e-9:
             continue  # stale entry
         expansions += 1
         if cid == tid:
             meter.route_expansions += expansions
             xy = fab.xy
             path = [xy[cid]]
+            eids = []
             nxt = parent[cid]
             while nxt != -1:
+                eids.append(via[cid])
                 cid = nxt
                 path.append(xy[cid])
                 nxt = parent[cid]
             path.reverse()
-            return path
+            eids.reverse()
+            return path, eids
         for ncid, eid in nbr_table[cid]:
             if mask is not None and not mask[ncid] and ncid != tid:
                 continue
@@ -522,10 +541,14 @@ def _astar(
             ):
                 best[ncid] = cost
                 parent[ncid] = cid
+                via[ncid] = eid
                 stamp[ncid] = gen
                 push(
                     open_heap,
-                    (cost + abs(xs[ncid] - tx) + abs(ys[ncid] - ty), counter, ncid),
+                    (
+                        cost + abs(xs[ncid] - tx) + abs(ys[ncid] - ty),
+                        counter, ncid, cost,
+                    ),
                 )
                 counter += 1
     meter.route_expansions += expansions

@@ -487,11 +487,7 @@ class TiledLayout:
         # region-inclusion mask over fabric cell ids (cheap edge tests)
         fab = self.layout.state.fabric
         hs = fab.h
-        combined = bytearray(fab.n_cells)
-        for r in regions:
-            for i, v in enumerate(fab.region_mask(r)):
-                if v:
-                    combined[i] = 1
+        combined = fab.cells_in(regions)
 
         routes = self.layout.routes
         for idx in affected_ids:

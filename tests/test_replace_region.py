@@ -132,3 +132,62 @@ def test_legality_with_multiple_regions():
         preset=EFFORT_PRESETS["fast"], confine_routing=True,
     )
     assert_layout_legal(layout)
+
+
+def test_stale_edge_ids_are_reported():
+    from repro.pnr.flow import layout_legality_errors
+
+    packed, device, layout, _, _ = confined_context()
+    assert not layout_legality_errors(layout)
+    idx, tree = next(
+        (i, t) for i, t in layout.routes.items() if len(t.eids) >= 2
+    )
+    tree.eids = tree.eids[:1] * 2 + tree.eids[2:]
+    assert layout_legality_errors(layout) == [
+        f"net {packed.nets[idx].name}: edge ids differ from edges"
+    ]
+
+
+def test_reroute_along_a_kept_edge_counts_it_once():
+    """Between two regions, the rebuilt part may run along a kept edge;
+    the tree's edge ids and the channel usage count that edge once."""
+    from repro.api.design import device_for
+    from repro.generators import build_design
+    from repro.pnr import EffortMeter, Layout, RoutingState
+    from repro.pnr.flow import _reroute_affected
+    from repro.pnr.placement import Placement
+    from repro.pnr.router import RouteTree
+
+    packed = build_design("9sym").packed
+    device = device_for(packed)
+    net = next(
+        n for n in packed.nets.values()
+        if len(n.sinks) == 2 and n.driver not in n.sinks
+        and all(packed.blocks[b].is_clb for b in (n.driver, *n.sinks))
+    )
+    placement = Placement(device, packed)
+    for block, site in zip((net.driver, *net.sinks), ((0, 0), (0, 2), (3, 1))):
+        placement.place_clb(block, site)
+    # driver and first sink sit in two regions; the old route joins them
+    # through the gap row y=1 and leaves it for the second sink
+    path = [(0, 0), (0, 1), (0, 2)]
+    branch = [(0, 1), (1, 1), (2, 1), (3, 1)]
+    old = RouteTree(net.index)
+    old.cells = set(path) | set(branch)
+    old.edges = {
+        (a, b) for cells in (path, branch) for a, b in zip(cells, cells[1:])
+    }
+    old.sink_hops = {net.sinks[0]: 2, net.sinks[1]: 4}
+    state = RoutingState(device)
+    state.add(old)
+    layout = Layout(packed, device, placement, {net.index: old}, state)
+
+    _reroute_affected(
+        layout, [net.index], [Rect(0, 0, 1, 0), Rect(0, 2, 1, 2)],
+        Rect(0, 0, 1, 2), True, EFFORT_PRESETS["fast"], EffortMeter(),
+    )
+    tree = layout.routes[net.index]
+    assert tree.edges == old.edges
+    fab = state.fabric
+    assert sorted(tree.eids) == sorted(fab.edge_id(*e) for e in tree.edges)
+    assert state.usage == {e: 1 for e in tree.edges}

@@ -89,10 +89,11 @@ def test_expansions_metered():
 def test_grow_steiner_tree_reaches_targets():
     device = custom_device(8, 8)
     state = RoutingState(device)
-    cells, edges, hops = grow_steiner_tree(
+    cells, edges, hops, eids = grow_steiner_tree(
         device, {(0, 0)}, [(4, 4), (7, 0)], state
     )
     assert (4, 4) in cells and (7, 0) in cells
+    assert sorted(eids) == sorted(state.fabric.edge_id(*e) for e in edges)
     # hop counts measure the path from the *tree*, so each is at least 1
     # and the first-reached target is at least its Manhattan distance
     assert min(hops.values()) >= 1
@@ -175,3 +176,65 @@ def test_concurrent_routing_on_one_fabric_matches_serial():
     assert not errors
     assert len(got) == 18
     assert all(routes == expected for routes in got)
+
+
+ROUTE_PINS = {
+    ("9sym", 1): (
+        ("4db21ecbe482aaa4e42f87463ceb7f697832f2f30adf51c70f8010716170bb50", 1548),
+        ("a47aa503699d8d4bf192815890c48d472c8bc54a5986054d9ea35cc38092508d", 0),
+    ),
+    ("9sym", 2): (
+        ("128229125d4ae0066bb68458f7a01d1f1a12dc28aeb4936570a2d55c196eb894", 1855),
+        ("128229125d4ae0066bb68458f7a01d1f1a12dc28aeb4936570a2d55c196eb894", 0),
+    ),
+    ("s9234", 1): (
+        ("d3f8323b536337c62a937a9ea87a67dc9fd13da9ee9eeba9df8b3cee41f52dec", 9822),
+        ("24e78676a7ad7f3a3b7d77ccd5ad0c0bef07354c15aeedbdf31f7e4c3149aa36", 50),
+    ),
+    ("s9234", 2): (
+        ("b625c449bfc533f2e4916d6183bc782635fad7014c6998c5e3980d518830a04b", 9499),
+        ("9789f8480bf130de6603454fe2427a769643c5f7431e42454bf6be544bd63473", 10),
+    ),
+}
+
+
+def test_route_fingerprint_pinned():
+    """Routes are byte-identical to the pinned ones."""
+    import hashlib
+
+    from repro.api.design import device_for
+    from repro.generators import build_design
+    from repro.pnr.flow import Layout, replace_region
+
+    def fingerprint(routes, meter):
+        text = repr([
+            (idx, sorted(tree.edges), sorted(tree.sink_hops.items()))
+            for idx, tree in sorted(routes.items())
+        ])
+        return (
+            hashlib.sha256(text.encode()).hexdigest(),
+            meter.route_expansions,
+        )
+
+    fast = EFFORT_PRESETS["fast"]
+    got = {}
+    for name in ("9sym", "s9234"):
+        packed = build_design(name).packed
+        device = device_for(packed)
+        window = Rect(0, 0, device.nx // 4 - 1, device.ny // 4 - 1)
+        for seed in (1, 2):
+            placement = place_design(packed, device, seed=seed, preset=fast)
+            state = RoutingState(device)
+            meter = EffortMeter()
+            routes = route_nets(packed, device, placement, state=state,
+                                preset=fast, meter=meter)
+            full = fingerprint(routes, meter)
+            layout = Layout(packed, device, placement, routes, state)
+            window_meter = EffortMeter()
+            replace_region(
+                layout, set(placement.blocks_in_region(window)), [window],
+                seed=seed, preset=fast, meter=window_meter,
+                confine_routing=True,
+            )
+            got[name, seed] = (full, fingerprint(layout.routes, window_meter))
+    assert got == ROUTE_PINS

@@ -643,3 +643,29 @@ def test_new_error_replays_clean_twin_pnr(kind, clean_9sym_entries):
             replayed, rects, include_routing=True
         ) == frames_for_tiles(fresh, rects, include_routing=True)
         assert_layout_legal(replayed, check_capacity=False)
+
+
+def test_every_route_tree_carries_edge_ids():
+    """Fresh and replayed builds and commits leave every tree with edge
+    ids that match its edges (the legality audit compares them)."""
+    from repro.api.design import device_for
+    from repro.generators import build_design
+
+    fast = EFFORT_PRESETS["fast"]
+    cache = TileConfigCache()
+    hits = []
+    for _ in range(2):  # computed, then replayed from the cache
+        bundle = build_design("des")
+        tiled = TiledLayout.create(
+            bundle.packed, device_for(bundle.packed),
+            TilingOptions(n_tiles=10), seed=1, preset=fast, tile_cache=cache,
+        )
+        assert all(t.eids is not None for t in tiled.layout.routes.values())
+        report = tiled.apply_changeset(
+            flip_first_lut(bundle.mapped), seed=1, preset=fast
+        )
+        hits.append(report.cache_hit)
+        assert all(t.eids is not None for t in tiled.layout.routes.values())
+        assert_layout_legal(tiled.layout, check_capacity=False)
+    assert hits == [False, True]
+    assert cache.stats()["hits"] >= 3
