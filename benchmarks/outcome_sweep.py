@@ -1,12 +1,20 @@
 """Outcome sweep: shows that two trees produce byte-identical runs.
 
 Runs a fixed set of specs and writes, per spec, the run's ``comparable``
-result (``perfbench.checks``: every outcome field, no timings) and a
-sha256 over every ``route_nets`` and ``grow_steiner_tree`` result of
-the run together with the router expansions each call charged.  The
-specs are every error kind on 9sym and s9234, des and mips, and three
-two-fault SAT runs on 9sym, each at error seeds 1-2 (1-3 for SAT),
-preset ``fast`` with a private tile cache, so every P&R step computes.
+result (``perfbench.checks``: every outcome field, no timings) and one
+sha256 per P&R kernel over every result the run got from it:
+
+* ``route_digest`` — every ``route_nets`` and ``grow_steiner_tree``
+  result with the router expansions each call charged;
+* ``place_digest`` — every ``place_design`` placement (sorted block
+  positions) with the annealer moves each call charged;
+* ``tiling_digest`` — every ``refine_boundaries`` move count with the
+  tile membership it left.
+
+The specs are every error kind on 9sym and s9234, des and mips, and
+three two-fault SAT runs on 9sym, each at error seeds 1-2 (1-3 for
+SAT), preset ``fast`` with a private tile cache, so every P&R step
+computes.
 
 Run it once from each tree root and compare the outputs::
 
@@ -29,8 +37,8 @@ from perfbench.checks import comparable  # noqa: E402
 from repro.api.pipeline import run_spec  # noqa: E402
 from repro.api.spec import RunSpec  # noqa: E402
 from repro.debug.errors import ERROR_KINDS  # noqa: E402
-from repro.errors import RoutingError  # noqa: E402
 from repro.pnr import flow  # noqa: E402
+from repro.tiling import manager  # noqa: E402
 
 
 def sweep_specs() -> list[dict]:
@@ -43,52 +51,80 @@ def sweep_specs() -> list[dict]:
     return specs
 
 
-def _routes_shape(routes):
+def _routes_shape(routes, args):
     return [
         (idx, sorted(t.cells), sorted(t.edges), sorted(t.sink_hops.items()))
         for idx, t in sorted(routes.items())
     ]
 
 
-def _steiner_shape(result):
+def _steiner_shape(result, args):
     cells, edges, hops = result[:3]
     return sorted(cells), sorted(edges), sorted(hops.items())
 
 
-def _digesting(fn, shape, digest):
-    """``fn`` feeding each call's outcome and expansion count to ``digest``."""
+def _place_shape(placement, args):
+    return sorted(placement.pos.items())
+
+
+def _refine_shape(moves, args):
+    tiles = args[1]
+    return moves, [sorted(t.blocks) for t in tiles]
+
+
+def _digesting(fn, shape, digests, key, counter=None):
+    """``fn`` feeding each call's outcome to ``digests[key]``.
+
+    ``shape(result, args)`` renders the outcome; with ``counter`` the
+    digest also takes the effort the call charged to that meter field.
+    """
     def call(*args, **kwargs):
-        meter = kwargs["meter"]
-        before = meter.route_expansions
+        meter = kwargs.get("meter")
+        before = getattr(meter, counter) if counter else None
 
         def record(outcome):
-            spent = meter.route_expansions - before
-            digest[0].update(repr((fn.__name__, outcome, spent)).encode())
+            spent = getattr(meter, counter) - before if counter else None
+            digests[key].update(repr((fn.__name__, outcome, spent)).encode())
 
         try:
             result = fn(*args, **kwargs)
-        except RoutingError as exc:
-            record(("raised", str(exc)))
+        except Exception as exc:
+            record(("raised", type(exc).__name__, str(exc)))
             raise
-        record(shape(result))
+        record(shape(result, args))
         return result
     return call
 
 
+KERNELS = ("route_digest", "place_digest", "tiling_digest")
+
+
 def main(out: str) -> None:
-    digest = [hashlib.sha256()]
-    flow.route_nets = _digesting(flow.route_nets, _routes_shape, digest)
+    digests = {}
+    flow.route_nets = _digesting(
+        flow.route_nets, _routes_shape, digests, "route_digest",
+        "route_expansions",
+    )
     flow.grow_steiner_tree = _digesting(
-        flow.grow_steiner_tree, _steiner_shape, digest
+        flow.grow_steiner_tree, _steiner_shape, digests, "route_digest",
+        "route_expansions",
+    )
+    flow.place_design = _digesting(
+        flow.place_design, _place_shape, digests, "place_digest",
+        "place_moves",
+    )
+    manager.refine_boundaries = _digesting(
+        manager.refine_boundaries, _refine_shape, digests, "tiling_digest",
     )
     results = {}
     for spec in sweep_specs():
-        digest[0] = hashlib.sha256()
+        for key in KERNELS:
+            digests[key] = hashlib.sha256()
         result = run_spec(RunSpec(preset="fast", cache="private", **spec))
-        results[json.dumps(spec, sort_keys=True)] = {
-            "result": comparable(result),
-            "route_digest": digest[0].hexdigest(),
-        }
+        entry = {"result": comparable(result)}
+        for key in KERNELS:
+            entry[key] = digests[key].hexdigest()
+        results[json.dumps(spec, sort_keys=True)] = entry
     with open(out, "w") as fh:
         json.dump(results, fh, indent=1, sort_keys=True, default=str)
 

@@ -15,7 +15,11 @@ Key features:
   fanout correction factor, kept incrementally from per-net coordinate
   histograms so no move ever rescans a net's terminals;
 * every proposed move is charged to an :class:`EffortMeter`, which is
-  how Figure 5's effort comparison is measured.
+  how Figure 5's effort comparison is measured;
+* a move's three uniform draws read ``rng.getrandbits`` inline with
+  :meth:`random.Random.randrange`'s own rejection rule (``k =
+  n.bit_length()`` bits, redrawn while ``>= n``), so they consume the
+  identical stream without its two Python call layers per draw.
 """
 
 from __future__ import annotations
@@ -354,16 +358,37 @@ def _try_move(
     ``bounds`` holds every movable block's region (see
     :func:`_region_bounds`).  The moved terminals shift the affected
     nets' histograms tentatively; a rejected move shifts them back, and
-    only an accepted one touches ``placement``.
+    only an accepted one touches ``placement``.  Each draw is
+    ``rng.randrange`` unrolled (see the module docstring).
     """
-    block = movable_list[rng.randrange(len(movable_list))]
+    bits = rng.getrandbits
+    n = len(movable_list)
+    if not n:
+        raise ValueError("empty range for randrange()")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    block = movable_list[r]
     old_site = placement.pos[block]
     bx, by = old_site
     x0, x1, y0, y1 = bounds[block]
     span = max(1, int(rlim))
     xlo, xhi = max(x0, bx - span), min(x1, bx + span)
     ylo, yhi = max(y0, by - span), min(y1, by + span)
-    site = (rng.randrange(xlo, xhi + 1), rng.randrange(ylo, yhi + 1))
+    if xhi < xlo or yhi < ylo:
+        raise ValueError("empty range for randrange()")
+    n = xhi + 1 - xlo
+    k = n.bit_length()
+    rx = bits(k)
+    while rx >= n:
+        rx = bits(k)
+    n = yhi + 1 - ylo
+    k = n.bit_length()
+    ry = bits(k)
+    while ry >= n:
+        ry = bits(k)
+    site = (xlo + rx, ylo + ry)
     if site == old_site:
         return None
     if free_sites is not None and site not in free_sites:

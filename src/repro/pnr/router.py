@@ -19,6 +19,11 @@ and convergence checks never scan the edge universe.  A* records the
 edge id it crossed into each cell, so every tree the router builds
 carries its edge ids (:attr:`RouteTree.eids`) and occupancy updates,
 negotiation and tile commits never convert edge tuples back to ids.
+A* seeds its sources lazily: their heuristics come from per-device
+distance tables, one stable sort orders them, and only the next
+source waits in the heap, so a search that ends after a few dozen
+expansions never queues or marks the rest of a large tree
+(:func:`_astar` explains why pop order is unchanged).
 
 Tiling hooks:
 
@@ -51,6 +56,19 @@ def _edge(a: tuple[int, int], b: tuple[int, int]) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
+def _distance_table(n: int) -> list[list[int]]:
+    """``table[t][c] == abs(c - t)`` for grid coordinates ``-1 .. n``.
+
+    Both indices are coordinates: ``0 .. n`` index their own slot and
+    the IOB ring's ``-1`` indexes the last one, as Python's negative
+    indexing does.  Lists, not ``bytes``: the interpreter indexes a
+    list of cached small ints fastest, and the largest family member's
+    two tables hold about 60 KB.
+    """
+    coords = [*range(n + 1), -1]
+    return [[abs(c - t) for c in coords] for t in coords]
+
+
 class _Fabric:
     """Precomputed routing-graph tables for one device geometry.
 
@@ -59,7 +77,9 @@ class _Fabric:
     gets the id ``2 * cell_id(lower_endpoint) + axis`` (axis 0 = east,
     1 = north), so dense arrays can carry per-edge state.  Neighbor
     tables preserve the legacy expansion order (E, W, N, S) so routed
-    trees are bit-identical with the pre-fabric router.
+    trees are bit-identical with the pre-fabric router.  ``dist_x[tx]``
+    and ``dist_y[ty]`` are the per-axis Manhattan distances to a target
+    (see :func:`_distance_table`): A*'s heuristic is two table reads.
     """
 
     def __init__(self, device: Device) -> None:
@@ -104,6 +124,8 @@ class _Fabric:
                     flat.append((ncid, eid))
                 nbr[cid] = tuple(flat)
         self.nbr = nbr
+        self.dist_x = _distance_table(device.nx)
+        self.dist_y = _distance_table(device.ny)
         self._region_masks: dict[Rect, bytearray] = {}
         self._local = threading.local()
 
@@ -156,14 +178,14 @@ class _AStarScratch:
     """Generation-stamped A* arrays (avoids per-call dict hashing).
 
     ``via[c]`` is the id of the edge the search crossed into cell ``c``
-    from ``parent[c]``.
+    (-1 for a source).  The edge id names both endpoints, so it doubles
+    as the parent pointer: the path walk steps to its other endpoint.
     """
 
-    __slots__ = ("best", "parent", "via", "stamp", "generation")
+    __slots__ = ("best", "via", "stamp", "generation")
 
     def __init__(self, n_cells: int) -> None:
         self.best = [0.0] * n_cells
-        self.parent = [0] * n_cells
         self.via = [0] * n_cells
         self.stamp = [0] * n_cells
         self.generation = 0
@@ -472,10 +494,27 @@ def _astar(
     Returns ``(path, eids)`` — the cells from a source to ``target`` and
     the ids of the edges between consecutive cells — or None.  The
     device geometry comes entirely from ``state.fabric`` — neighbor
-    tables, region masks and the generation-stamped scratch arrays.
-    Heap entries carry the cost ``g`` they were pushed with, so a stale
-    entry (its cell since reached more cheaply) is a comparison away.
+    tables, distance tables, region masks and the generation-stamped
+    scratch arrays.  Heap entries are ``(f, counter, cell, g)``; they
+    carry the cost ``g`` they were pushed with, so a stale entry (its
+    cell since reached more cheaply) is a comparison away.
+
+    Sources are seeded lazily, in the order of a heap holding all of
+    them: ``(h, i)``, where ``i`` numbers the set's iteration order and
+    is the source's counter.  Only the next source waits in the heap;
+    when it pops it is marked (cost 0, no parent) and its successor is
+    queued.  Expanded entries count on from ``len(sources)``, so a
+    source still ties ahead of every one of them.  An expansion may
+    reach a source that is not seeded yet and queue it with cost >= 1;
+    that entry has ``f > h`` and so pops only after the source's own
+    seed, when it is stale.  Pop order, paths, edge ids and the
+    expansion count are therefore those of a search that queues every
+    source up front (the router tests keep one as the reference).
     """
+    srcs = list(sources)
+    n_src = len(srcs)
+    if not n_src:
+        return None
     fab = state.fabric
     h = fab.h
     xs, ys, nbr_table = fab.xs, fab.ys, fab.nbr
@@ -483,35 +522,39 @@ def _astar(
     cap = state.capacity
     tx, ty = target
     tid = (tx + 1) * h + (ty + 1)
+    dist_x, dist_y = fab.dist_x[tx], fab.dist_y[ty]
     mask = fab.region_mask(region) if region is not None else None
 
     scratch = fab.astar_scratch()
     scratch.generation += 1
     gen = scratch.generation
     best = scratch.best
-    parent = scratch.parent
     via = scratch.via
     stamp = scratch.stamp
 
-    # the set's iteration order numbers the sources, which breaks ties
-    open_heap: list[tuple[float, int, int, float]] = [
-        (abs(cx - tx) + abs(cy - ty), counter, (cx + 1) * h + cy + 1, 0.0)
-        for counter, (cx, cy) in enumerate(sources)
-    ]
-    for entry in open_heap:
-        cid = entry[2]
-        best[cid] = 0.0
-        parent[cid] = -1
-        stamp[cid] = gen
-    counter = len(open_heap)
-    heapq.heapify(open_heap)
+    src_h = [dist_x[x] + dist_y[y] for x, y in srcs]
+    order = sorted(range(n_src), key=src_h.__getitem__)  # stable: (h, i)
+    i = order[0]
+    x, y = srcs[i]
+    open_heap = [(src_h[i], i, (x + 1) * h + y + 1, 0.0)]
+    seeded = 1
+    counter = n_src
 
     push = heapq.heappush
     pop = heapq.heappop
     expansions = 0
     while open_heap:
-        _, _, cid, g = pop(open_heap)
-        if g > best[cid] + 1e-9:
+        _, i, cid, g = pop(open_heap)
+        if i < n_src:
+            best[cid] = 0.0
+            via[cid] = -1
+            stamp[cid] = gen
+            if seeded < n_src:
+                i = order[seeded]
+                seeded += 1
+                x, y = srcs[i]
+                push(open_heap, (src_h[i], i, (x + 1) * h + y + 1, 0.0))
+        elif g > best[cid] + 1e-9:
             continue  # stale entry
         expansions += 1
         if cid == tid:
@@ -519,12 +562,13 @@ def _astar(
             xy = fab.xy
             path = [xy[cid]]
             eids = []
-            nxt = parent[cid]
-            while nxt != -1:
-                eids.append(via[cid])
-                cid = nxt
+            eid = via[cid]
+            while eid != -1:
+                eids.append(eid)
+                low = eid >> 1
+                cid = low if low != cid else cid + (1 if eid & 1 else h)
                 path.append(xy[cid])
-                nxt = parent[cid]
+                eid = via[cid]
             path.reverse()
             eids.reverse()
             return path, eids
@@ -540,13 +584,12 @@ def _astar(
                 stamp[ncid] != gen or cost < best[ncid] - 1e-12
             ):
                 best[ncid] = cost
-                parent[ncid] = cid
                 via[ncid] = eid
                 stamp[ncid] = gen
                 push(
                     open_heap,
                     (
-                        cost + abs(xs[ncid] - tx) + abs(ys[ncid] - ty),
+                        cost + dist_x[xs[ncid]] + dist_y[ys[ncid]],
                         counter, ncid, cost,
                     ),
                 )

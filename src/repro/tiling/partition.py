@@ -243,6 +243,14 @@ def refine_boundaries(
     Only moves between *adjacent* tiles are considered (tiles stay
     contiguous rectangles; membership, not geometry, is refined).
     Returns the number of moves applied.
+
+    A net whose other placed terminals (``tile_of``; IOBs have none)
+    span tiles ``S`` is cut before a move src→dst unless ``S == {src}``
+    and after it unless ``S == {dst}``; with no such terminal it is
+    never cut.  So the cut-count gain of a move is ``alone[dst] -
+    alone[src]``, where ``alone[t]`` counts the block's nets whose other
+    terminals all sit in tile ``t`` — one pass over the block's nets
+    serves every destination.
     """
     tile_of: dict[int, int] = {}
     for tile in tiles:
@@ -251,25 +259,31 @@ def refine_boundaries(
     adjacency = {t.index: set(t.neighbors(tiles)) for t in tiles}
     limit = {t.index: max(1, int(t.capacity * max_fill)) for t in tiles}
 
-    nets_of_block: dict[int, list] = {}
+    # a block on a net twice (driver and sink) counts the net twice
+    nets_of_block: dict[int, list[tuple[int, ...]]] = {}
     for net in packed.nets.values():
-        for b in (net.driver, *net.sinks):
-            nets_of_block.setdefault(b, []).append(net)
+        ends = (net.driver, *net.sinks)
+        for b in ends:
+            nets_of_block.setdefault(b, []).append(ends)
 
     moves = 0
     for _ in range(passes):
         improved = False
         for tile in tiles:
             for block in sorted(tile.blocks):
+                alone: dict[int, int] = {}
+                for ends in nets_of_block.get(block, ()):
+                    seen = {tile_of.get(b) for b in ends if b != block}
+                    seen.discard(None)
+                    if len(seen) == 1:
+                        (t,) = seen
+                        alone[t] = alone.get(t, 0) + 1
+                stay = alone.get(tile.index, 0)
                 best_gain, best_dest = 0, None
                 for dest_idx in adjacency[tile.index]:
-                    dest = tiles[dest_idx]
-                    if dest.used >= limit[dest_idx]:
+                    if tiles[dest_idx].used >= limit[dest_idx]:
                         continue
-                    gain = _move_gain(
-                        nets_of_block.get(block, ()), block, tile.index,
-                        dest_idx, tile_of,
-                    )
+                    gain = alone.get(dest_idx, 0) - stay
                     if gain > best_gain:
                         best_gain, best_dest = gain, dest_idx
                 if best_dest is not None and tile.used > 1:
@@ -281,22 +295,3 @@ def refine_boundaries(
         if not improved:
             break
     return moves
-
-
-def _move_gain(
-    nets, block: int, src: int, dst: int, tile_of: dict[int, int]
-) -> int:
-    """Cut-count change (positive = better) if ``block`` moves src→dst."""
-    gain = 0
-    for net in nets:
-        others = [
-            tile_of.get(b)
-            for b in (net.driver, *net.sinks)
-            if b != block and tile_of.get(b) is not None
-        ]
-        if not others:
-            continue
-        before = len(set(others + [src])) > 1
-        after = len(set(others + [dst])) > 1
-        gain += int(before) - int(after)
-    return gain

@@ -152,14 +152,18 @@ def test_initial_temperature_restores_placement():
 
 
 class _CountingRng:
-    """Forwards to a real stream; counts ``random()`` draws."""
+    """Forwards to a real stream; counts ``random()`` draws.
+
+    ``_try_move`` draws its block and site from ``getrandbits`` directly
+    (``randrange`` unrolled), so that is the call to forward.
+    """
 
     def __init__(self, rng):
         self._rng = rng
         self.random_calls = 0
 
-    def randrange(self, *args):
-        return self._rng.randrange(*args)
+    def getrandbits(self, k):
+        return self._rng.getrandbits(k)
 
     def random(self):
         self.random_calls += 1
@@ -231,6 +235,72 @@ def test_net_model_matches_rebuild():
     assert rng.random_calls > uphill_accepted
 
 
+def test_inlined_draws_reproduce_randrange():
+    """``_try_move`` proposes exactly the block and site that
+    ``randrange`` on a twin ``Random`` draws, and leaves both streams in
+    step — for movable lists of length 1, a power of two and neither,
+    and for ranges of width 1 up to the whole device."""
+    import random
+
+    from repro.pnr import placer as placer_mod
+
+    class _SiteSpy:
+        """A ``free_sites`` that admits no site and records each query."""
+
+        def __init__(self):
+            self.asked = []
+
+        def __contains__(self, site):
+            self.asked.append(site)
+            return False
+
+    packed = build_design("9sym").packed
+    device = device_for(packed)
+    placement = place_design(packed, device, seed=1,
+                             preset=EFFORT_PRESETS["fast"])
+    movable = {b.index for b in packed.clb_blocks()}
+    model = placer_mod._NetModel(packed, device, movable)
+    model.rebuild(placement.pos)
+    bounds = {}
+    for i, b in enumerate(sorted(movable)):
+        bx, by = placement.pos[b]
+        bounds[b] = [
+            (bx, bx, by, by),
+            (bx, bx, 0, device.ny - 1),
+            (0, device.nx - 1, 0, device.ny - 1),
+        ][i % 3]
+    spy = _SiteSpy()
+    rng, twin = random.Random(5), random.Random(5)
+    for size in (1, 8, 13, len(movable)):
+        movable_list = sorted(movable)[:size]
+        for i in range(300):
+            rlim = float(1 + i % device.nx)
+            span = max(1, int(rlim))
+            block = movable_list[twin.randrange(len(movable_list))]
+            bx, by = placement.pos[block]
+            x0, x1, y0, y1 = bounds[block]
+            site = (
+                twin.randrange(max(x0, bx - span), min(x1, bx + span) + 1),
+                twin.randrange(max(y0, by - span), min(y1, by + span) + 1),
+            )
+            asked = len(spy.asked)
+            assert placer_mod._try_move(
+                placement, movable_list, bounds, spy, model, rng,
+                temperature=1.0, rlim=rlim,
+            ) is None
+            assert spy.asked[asked:] == ([] if site == (bx, by) else [site])
+            assert rng.getstate() == twin.getstate()
+    assert len(spy.asked) > 300
+    # empty ranges raise as randrange does instead of redrawing forever
+    far = {b: (x + 5, x + 6, y, y) for b, (x, y) in placement.pos.items()}
+    for movable_list, block_bounds in (([], bounds), (sorted(movable), far)):
+        with pytest.raises(ValueError):
+            placer_mod._try_move(
+                placement, movable_list, block_bounds, None, model, rng,
+                temperature=1.0, rlim=1.0,
+            )
+
+
 def test_mixed_region_swaps_respected():
     """Swaps never carry a block out of its own region or off free_sites.
 
@@ -298,6 +368,10 @@ PLACEMENT_PINS = {
         ("9ce902db25d28ae80ebdaac03d057c5649cb2a3c9e968eb9aa5b989a14ab4641", 3420),
         ("8d73d78ae88bb92dba9620e634cc7897cf443a44c1cb307cce640dc5fbe422d6", 255),
     ),
+    ("des", 1): (
+        ("85eb642ff29beddae04ce0bdf2da894b21b4ae1f59ba4a70404e81dfbacfeaf1", 32284),
+        ("e7b201654f02f2627110e9fdfc39477c5262d4cb11e630ab72cf6fc88b847fa1", 224),
+    ),
 }
 
 
@@ -311,29 +385,28 @@ def test_placement_fingerprint_pinned():
 
     fast = EFFORT_PRESETS["fast"]
     got = {}
-    for name in ("9sym", "s9234"):
+    for name, seed in PLACEMENT_PINS:
         packed = build_design(name).packed
         device = device_for(packed)
         window = Rect(0, 0, device.nx // 4 - 1, device.ny // 4 - 1)
-        for seed in (1, 2):
-            meter = EffortMeter()
-            full = place_design(packed, device, seed=seed, preset=fast,
-                                meter=meter)
-            blocks = set(full.blocks_in_region(window))
-            initial = full.copy()
-            for b in blocks:
-                initial.remove(b)
-            window_meter = EffortMeter()
-            replaced = place_design(
-                packed, device, seed=seed, preset=fast, meter=window_meter,
-                initial=initial, movable=blocks,
-                constraints=PlaceConstraints(
-                    regions={b: window for b in blocks},
-                    free_sites=set(window.sites()),
-                ),
-            )
-            got[name, seed] = (
-                fingerprint(full, meter),
-                fingerprint(replaced, window_meter),
-            )
+        meter = EffortMeter()
+        full = place_design(packed, device, seed=seed, preset=fast,
+                            meter=meter)
+        blocks = set(full.blocks_in_region(window))
+        initial = full.copy()
+        for b in blocks:
+            initial.remove(b)
+        window_meter = EffortMeter()
+        replaced = place_design(
+            packed, device, seed=seed, preset=fast, meter=window_meter,
+            initial=initial, movable=blocks,
+            constraints=PlaceConstraints(
+                regions={b: window for b in blocks},
+                free_sites=set(window.sites()),
+            ),
+        )
+        got[name, seed] = (
+            fingerprint(full, meter),
+            fingerprint(replaced, window_meter),
+        )
     assert got == PLACEMENT_PINS

@@ -178,6 +178,117 @@ def test_concurrent_routing_on_one_fabric_matches_serial():
     assert all(routes == expected for routes in got)
 
 
+def _reference_astar(sources, target, state, region, pres_fac):
+    """Plain multi-source A* that queues every source up front.
+
+    Same costs and tie-breaks as the router (``(f, counter)`` with the
+    sources numbered in set order first), but dict bookkeeping and no
+    lazy seeding.  Returns ``((path, eids) or None, expansions)``.
+    """
+    import heapq
+
+    from repro.geometry import manhattan
+
+    fab = state.fabric
+    tid = fab.cell_id(target)
+    mask = fab.cells_in([region]) if region is not None else None
+    heap, best, parent, via = [], {}, {}, {}
+    for counter, cell in enumerate(sources):
+        cid = fab.cell_id(cell)
+        heap.append((manhattan(cell, target), counter, cid, 0.0))
+        best[cid], parent[cid] = 0.0, None
+    counter = len(heap)
+    heapq.heapify(heap)
+    expansions = 0
+    while heap:
+        _, _, cid, g = heapq.heappop(heap)
+        if g > best[cid] + 1e-9:
+            continue
+        expansions += 1
+        if cid == tid:
+            path, eids = [fab.xy[cid]], []
+            while parent[cid] is not None:
+                eids.append(via[cid])
+                cid = parent[cid]
+                path.append(fab.xy[cid])
+            return (path[::-1], eids[::-1]), expansions
+        for ncid, eid in fab.nbr[cid]:
+            if mask is not None and not mask[ncid] and ncid != tid:
+                continue
+            cost = g + 1.0 + state._history[eid]
+            over = state._usage[eid] + 1 - state.capacity
+            if over > 0:
+                cost += pres_fac * over
+            if ncid not in best or cost < best[ncid] - 1e-12:
+                best[ncid], parent[ncid], via[ncid] = cost, cid, eid
+                f = cost + manhattan(fab.xy[ncid], target)
+                heapq.heappush(heap, (f, counter, ncid, cost))
+                counter += 1
+    return None, expansions
+
+
+def test_astar_matches_queue_every_source_reference():
+    """Lazy source seeding gives the reference's paths, eids and effort.
+
+    Randomized cases cover large trees with many equal-``h`` sources
+    (rings around the target), congested usage and history, region
+    masks, a target unreachable inside its mask, and no sources.
+    """
+    import random
+
+    from repro.pnr.router import _astar
+
+    rng = random.Random(2024)
+    device = custom_device(11, 8, channel_width=2)
+    cells = [
+        (x, y) for x in range(-1, device.nx + 1)
+        for y in range(-1, device.ny + 1) if device.is_routable(x, y)
+    ]
+    kinds = ("ring", "tree", "region", "unreachable", "empty")
+    seen = {kind: 0 for kind in kinds}
+    for trial in range(400):
+        kind = kinds[trial % len(kinds)]
+        state = RoutingState(device)
+        for eid in rng.sample(range(state.fabric.n_edges), 60):
+            state._usage[eid] = rng.randrange(0, 5)
+            state._history[eid] = rng.choice((0.0, 0.4, 1.2))
+        target = rng.choice(cells)
+        region = None
+        if kind == "ring":
+            d = rng.randrange(1, 6)
+            ring = [c for c in cells if abs(c[0] - target[0])
+                    + abs(c[1] - target[1]) in (d, d + 1)]
+            sources = set(ring) | set(rng.sample(cells, 10))
+        elif kind == "tree":
+            sources = set(rng.sample(cells, rng.randrange(20, 70)))
+        elif kind == "region":
+            x0, y0 = rng.randrange(0, 6), rng.randrange(0, 4)
+            region = Rect(x0, y0, x0 + rng.randrange(2, 5),
+                          y0 + rng.randrange(2, 4))
+            inside = list(region.sites())
+            sources = set(rng.sample(inside, rng.randrange(1, 8)))
+            target = rng.choice(inside + [(region.x1 + 1, region.y0)])
+        elif kind == "unreachable":
+            region = Rect(0, 0, 3, 2)
+            sources = set(rng.sample(list(region.sites()), 4))
+            target = (rng.randrange(6, device.nx), rng.randrange(5, device.ny))
+        else:
+            sources = set()
+        pres_fac = rng.choice((0.5, 2.0, 8.0))
+        meter = EffortMeter()
+        got = _astar(sources, target, state, region, pres_fac, meter)
+        want, want_expansions = _reference_astar(
+            sources, target, state, region, pres_fac
+        )
+        assert got == want, (trial, kind)
+        assert meter.route_expansions == want_expansions, (trial, kind)
+        seen[kind] += got is not None
+    # every kind that can connect did, and unreachable never did
+    assert seen["ring"] == seen["tree"] == 80
+    assert seen["region"] > 0
+    assert seen["unreachable"] == seen["empty"] == 0
+
+
 ROUTE_PINS = {
     ("9sym", 1): (
         ("4db21ecbe482aaa4e42f87463ceb7f697832f2f30adf51c70f8010716170bb50", 1548),
@@ -194,6 +305,11 @@ ROUTE_PINS = {
     ("s9234", 2): (
         ("b625c449bfc533f2e4916d6183bc782635fad7014c6998c5e3980d518830a04b", 9499),
         ("9789f8480bf130de6603454fe2427a769643c5f7431e42454bf6be544bd63473", 10),
+    ),
+    # a des-sized design: large multi-sink trees, where A* seeding costs
+    ("des", 1): (
+        ("2d7ae770b70b382df729680b9ba32f1fe4e4c03c61910ace6a89922f16a63dcc", 154540),
+        ("edb897266075df27f9dca8434cb6bbfd033e96a71e740d7af91b7997d7b021d2", 1292),
     ),
 }
 
@@ -218,23 +334,22 @@ def test_route_fingerprint_pinned():
 
     fast = EFFORT_PRESETS["fast"]
     got = {}
-    for name in ("9sym", "s9234"):
+    for name, seed in ROUTE_PINS:
         packed = build_design(name).packed
         device = device_for(packed)
         window = Rect(0, 0, device.nx // 4 - 1, device.ny // 4 - 1)
-        for seed in (1, 2):
-            placement = place_design(packed, device, seed=seed, preset=fast)
-            state = RoutingState(device)
-            meter = EffortMeter()
-            routes = route_nets(packed, device, placement, state=state,
-                                preset=fast, meter=meter)
-            full = fingerprint(routes, meter)
-            layout = Layout(packed, device, placement, routes, state)
-            window_meter = EffortMeter()
-            replace_region(
-                layout, set(placement.blocks_in_region(window)), [window],
-                seed=seed, preset=fast, meter=window_meter,
-                confine_routing=True,
-            )
-            got[name, seed] = (full, fingerprint(layout.routes, window_meter))
+        placement = place_design(packed, device, seed=seed, preset=fast)
+        state = RoutingState(device)
+        meter = EffortMeter()
+        routes = route_nets(packed, device, placement, state=state,
+                            preset=fast, meter=meter)
+        full = fingerprint(routes, meter)
+        layout = Layout(packed, device, placement, routes, state)
+        window_meter = EffortMeter()
+        replace_region(
+            layout, set(placement.blocks_in_region(window)), [window],
+            seed=seed, preset=fast, meter=window_meter,
+            confine_routing=True,
+        )
+        got[name, seed] = (full, fingerprint(layout.routes, window_meter))
     assert got == ROUTE_PINS

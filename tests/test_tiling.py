@@ -141,3 +141,84 @@ class TestAssignment:
         refine_boundaries(packed, fresh, passes=2)
         seen = [b for t in fresh for b in t.blocks]
         assert len(seen) == len(set(seen)) == packed.n_clbs
+
+
+def _reference_move_gain(nets, block, src, dst, tile_of):
+    """Cut-count change if ``block`` moves src→dst, net by net."""
+    gain = 0
+    for net in nets:
+        others = [
+            tile_of.get(b)
+            for b in (net.driver, *net.sinks)
+            if b != block and tile_of.get(b) is not None
+        ]
+        if not others:
+            continue
+        before = len(set(others + [src])) > 1
+        after = len(set(others + [dst])) > 1
+        gain += int(before) - int(after)
+    return gain
+
+
+def _reference_refine(packed, tiles, passes=2, max_fill=0.95):
+    """``refine_boundaries`` scoring every destination with its own
+    per-net recount (:func:`_reference_move_gain`)."""
+    tile_of = {b: t.index for t in tiles for b in t.blocks}
+    adjacency = {t.index: set(t.neighbors(tiles)) for t in tiles}
+    limit = {t.index: max(1, int(t.capacity * max_fill)) for t in tiles}
+    nets_of_block = {}
+    for net in packed.nets.values():
+        for b in (net.driver, *net.sinks):
+            nets_of_block.setdefault(b, []).append(net)
+    moves = 0
+    for _ in range(passes):
+        improved = False
+        for tile in tiles:
+            for block in sorted(tile.blocks):
+                best_gain, best_dest = 0, None
+                for dest_idx in adjacency[tile.index]:
+                    if tiles[dest_idx].used >= limit[dest_idx]:
+                        continue
+                    gain = _reference_move_gain(
+                        nets_of_block.get(block, ()), block, tile.index,
+                        dest_idx, tile_of,
+                    )
+                    if gain > best_gain:
+                        best_gain, best_dest = gain, dest_idx
+                if best_dest is not None and tile.used > 1:
+                    tile.blocks.remove(block)
+                    tiles[best_dest].blocks.add(block)
+                    tile_of[block] = best_dest
+                    moves += 1
+                    improved = True
+        if not improved:
+            break
+    return moves
+
+
+def test_refinement_matches_per_destination_recount():
+    """The one-pass ``alone`` gains move exactly the blocks that
+    recounting every net per destination moves, in the same order."""
+    from repro.api.design import device_for
+    from repro.generators import build_design
+    from repro.pnr.placer import place_design
+
+    total_moves = 0
+    for name in ("9sym", "s9234", "des"):
+        packed = build_design(name).packed
+        device = device_for(packed)
+        for seed in (1, 2):
+            placement = place_design(
+                packed, device, seed=seed, preset=EFFORT_PRESETS["fast"]
+            )
+            for n_tiles in (4, 10):
+                rects = plan_tile_grid(
+                    packed.n_clbs, device, TilingOptions(n_tiles=n_tiles)
+                )
+                tiles = assign_blocks_to_tiles(packed, placement, rects)
+                want = [Tile(t.index, t.rect, set(t.blocks)) for t in tiles]
+                moves = refine_boundaries(packed, tiles, passes=2)
+                assert moves == _reference_refine(packed, want, passes=2)
+                assert [t.blocks for t in tiles] == [t.blocks for t in want]
+                total_moves += moves
+    assert total_moves > 0
