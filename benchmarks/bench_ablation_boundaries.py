@@ -1,4 +1,4 @@
-"""Ablation B: uniform vs min-cut-refined tile boundaries (DESIGN.md).
+"""Ablation B: uniform vs min-cut-refined tile boundaries.
 
 The paper requires "inter-tile interconnect is minimized"; this bench
 quantifies what the KL-style refinement pass buys over purely geometric

@@ -1,4 +1,4 @@
-"""Ablation C: effort-model decomposition (DESIGN.md).
+"""Ablation C: effort-model decomposition.
 
 Breaks one tiled commit and one Quick_ECO commit into their components
 (fixed invocation overhead / placer moves / router expansions) so the

@@ -1,4 +1,4 @@
-"""Ablation A: slack budget vs Figure-3 staircases (DESIGN.md).
+"""Ablation A: slack budget vs Figure-3 staircases.
 
 More slack per tile means fewer tiles are pulled into a change of the
 same size — the quantitative justification for the paper's 20 % default

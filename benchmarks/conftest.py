@@ -5,8 +5,8 @@ Environment knobs:
 * ``REPRO_BENCH_DESIGNS`` — comma-separated subset (default: all nine
   paper designs; e.g. ``REPRO_BENCH_DESIGNS=9sym,styr,s9234`` for a
   quick pass);
-* ``REPRO_BENCH_PRESET`` — effort preset (default ``fast``; the numbers
-  recorded in EXPERIMENTS.md were produced with ``normal``).
+* ``REPRO_BENCH_PRESET`` — effort preset (default ``fast``, as are the
+  numbers in ROADMAP.md's "The paper's figures" list unless noted).
 
 Each benchmark regenerates one table/figure of the paper and prints it,
 so ``pytest benchmarks/ --benchmark-only -s`` reproduces the evaluation

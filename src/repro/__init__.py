@@ -9,7 +9,7 @@ affected tiles.
 The package is a complete, self-contained FPGA CAD substrate plus the
 paper's contribution:
 
-* :mod:`repro.netlist` — logic netlists, simulation, BLIF I/O, hierarchy.
+* :mod:`repro.netlist` — logic netlists, simulation, BLIF I/O.
 * :mod:`repro.generators` — the nine benchmark designs of the paper.
 * :mod:`repro.synth` — 4-LUT technology mapping and XC4000 CLB packing.
 * :mod:`repro.arch` — the XC4000-style CLB-grid architecture model.

@@ -2,7 +2,8 @@
 
 * :mod:`repro.analysis.experiments` — one driver per table/figure:
   :func:`run_table1`, :func:`run_figure3`, :func:`run_figure4`,
-  :func:`run_figure5`, plus the ablations listed in DESIGN.md;
+  :func:`run_figure5`, plus the slack and boundary ablations
+  (:func:`run_ablation_slack`, :func:`run_ablation_boundaries`);
 * :mod:`repro.analysis.report` — ASCII rendering in the paper's shape.
 """
 

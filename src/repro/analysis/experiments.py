@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from repro.api.design import device_for, load_bundle
 from repro.api.spec import RunSpec
 from repro.arch.device import Device
-from repro.debug.errors import inject_error
-from repro.debug.correct import apply_correction
 from repro.errors import TilingError
 from repro.generators.registry import paper_design_names
 from repro.netlist.cells import CellKind

@@ -18,7 +18,6 @@ from repro.generators.fsm import make_fsm
 from repro.generators.mips import make_mips
 from repro.generators.random_logic import random_sequential_netlist
 from repro.generators.registry import DesignBundle, build_design
-from repro.netlist.hierarchy import HierNode
 from repro.synth.pack import pack_netlist
 from repro.synth.techmap import map_to_luts
 
@@ -34,16 +33,12 @@ GENERATOR_BUILDERS = {
 
 def _bundle_from_netlist(name: str, netlist, kind: str = "custom",
                          paper_clbs: int = 0) -> DesignBundle:
-    """Front end (map → pack) plus a flat one-block hierarchy."""
+    """Front end (map → pack) for a netlist outside the registry."""
     mapped = map_to_luts(netlist)
     packed = pack_netlist(mapped)
-    root = HierNode(name)
-    root.add_child("top").assign(
-        inst.name for inst in mapped.logic_instances()
-    )
     return DesignBundle(
         name=name, netlist=netlist, mapped=mapped, packed=packed,
-        hierarchy=root, paper_clbs=paper_clbs, kind=kind,
+        paper_clbs=paper_clbs, kind=kind,
     )
 
 

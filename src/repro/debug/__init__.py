@@ -11,7 +11,7 @@ The paper's four-step cycle around the tiled substrate:
   points, each costing one tile-confined re-place-and-route;
 * :mod:`repro.debug.correct` — applying the fix (steps 11-13);
 * :mod:`repro.debug.strategies` — back-end strategies under test:
-  tiled (the contribution), Quick_ECO, incremental, full re-P&R.
+  tiled (the contribution), SAT-guided tiled, Quick_ECO, incremental.
 
 The end-to-end loop (steps 1-22) that drives them is
 :func:`repro.api.run_spec`.
@@ -41,7 +41,6 @@ from repro.debug.strategies import (
     STRATEGY_REGISTRY,
     BaseStrategy,
     CommitRecord,
-    FullStrategy,
     IncrementalStrategy,
     QuickEcoStrategy,
     TiledStrategy,
@@ -65,7 +64,6 @@ __all__ = [
     "apply_correction",
     "BaseStrategy",
     "CommitRecord",
-    "FullStrategy",
     "IncrementalStrategy",
     "QuickEcoStrategy",
     "STRATEGY_NAMES",

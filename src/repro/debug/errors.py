@@ -34,7 +34,6 @@ from repro.errors import DebugFlowError
 from repro.netlist.cells import CellKind, lut_table_for_gate
 from repro.netlist.core import Netlist
 from repro.rng import make_rng
-from repro.tiling.eco import ChangeSet
 
 ERROR_KINDS = (
     "table_bit",
@@ -53,12 +52,6 @@ class ErrorRecord:
     instance: str
     detail: str
     undo: dict = field(default_factory=dict)
-
-    def as_changeset(self, description: str | None = None) -> ChangeSet:
-        return ChangeSet(
-            description=description or f"{self.kind} @ {self.instance}",
-            changed_instances={self.instance},
-        )
 
 
 def inject_error(

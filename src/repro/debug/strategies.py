@@ -11,9 +11,7 @@ interface:
   Per paper §6 each experimental design is one functional block, so the
   whole design is re-implemented;
 * :class:`IncrementalStrategy` — incremental P&R: rip up a window around
-  the change, growing it to make room, with global rerouting;
-* :class:`FullStrategy` — the historical worst case: full re-place-and-
-  route of everything on every change.
+  the change, growing it to make room, with global rerouting.
 
 Each commit returns an :class:`EffortMeter`; histories accumulate in
 ``commit_history`` for the experiment drivers.
@@ -21,7 +19,7 @@ Each commit returns an :class:`EffortMeter`; histories accumulate in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from typing import Callable
 
@@ -243,12 +241,6 @@ class QuickEcoStrategy(BaseStrategy):
         return meter
 
 
-class FullStrategy(QuickEcoStrategy):
-    """Everything re-implemented each time (pre-Quick_ECO practice)."""
-
-    name = "full"
-
-
 class IncrementalStrategy(BaseStrategy):
     """Window-based incremental place-and-route."""
 
@@ -289,7 +281,6 @@ STRATEGY_REGISTRY: dict[str, type[BaseStrategy]] = {
     "sat": SatTiledStrategy,
     "quick_eco": QuickEcoStrategy,
     "incremental": IncrementalStrategy,
-    "full": FullStrategy,
 }
 
 STRATEGY_NAMES = tuple(STRATEGY_REGISTRY)

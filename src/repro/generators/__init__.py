@@ -1,7 +1,8 @@
 """Benchmark design generators — the paper's nine experimental designs.
 
 The MCNC netlists and the two "real world" designs are not shipped with
-the paper, so each is rebuilt structurally (see DESIGN.md §2):
+the paper, so each is rebuilt structurally; each module's docstring
+records how it is calibrated to the paper's CLB footprint:
 
 * :mod:`repro.generators.parity` — 9sym as the true 9-input symmetric
   function;

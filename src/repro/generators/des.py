@@ -6,7 +6,7 @@ schedule (pure wiring: rotations and permutations), and the final
 permutation.  Pipeline registers separate rounds, matching the FPGA
 pipelined-DES designs of the era.
 
-Calibration (documented in DESIGN.md §2): the paper's DES occupies 1050
+Calibration: the paper's DES occupies 1050
 XC4000 CLBs.  On our mapper a full 16-round unroll exceeds that (our
 Shannon-decomposed S-boxes are costlier than hand-mapped XC4000 F/G/H
 tricks), so the registry instantiates :func:`make_des` with the number
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.generators.wide import logic_from_table, table_from_rows
 from repro.netlist.builder import NetlistBuilder, Word
-from repro.netlist.core import Net, Netlist
+from repro.netlist.core import Netlist
 
 # FIPS 46-3 tables (1-indexed, MSB-first as published) -----------------
 

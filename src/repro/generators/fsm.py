@@ -19,7 +19,7 @@ import math
 
 from repro.generators.random_logic import random_sequential_netlist
 from repro.netlist.builder import NetlistBuilder, Word
-from repro.netlist.core import Net, Netlist
+from repro.netlist.core import Netlist
 from repro.rng import make_rng
 
 

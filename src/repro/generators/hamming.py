@@ -17,7 +17,7 @@ syndrome equals ``position_code(i)``.
 from __future__ import annotations
 
 from repro.netlist.builder import NetlistBuilder, Word
-from repro.netlist.core import Net, Netlist
+from repro.netlist.core import Netlist
 
 N_DATA = 32
 N_CHECK = 7

@@ -7,17 +7,15 @@ a full ALU, and the main/ALU control decoders.  Instruction and data
 memories live off-chip (their buses are primary IOs), as they did on
 the emulation boards of the era.
 
-Calibration (DESIGN.md §2): a 32-bit datapath with a 16-entry register
+Calibration: a 32-bit datapath with a 16-entry register
 file packs to roughly the paper's 900 XC4000 CLBs on our mapper; the
-registry asserts the footprint within ±15 %.  The hierarchy returned by
-:func:`mips_hierarchy_blocks` mirrors the RTL module structure, which
-is what Quick_ECO-style functional-block tracing operates on.
+registry asserts the footprint within ±15 %.
 """
 
 from __future__ import annotations
 
 from repro.netlist.builder import NetlistBuilder, Word
-from repro.netlist.core import Net, Netlist
+from repro.netlist.core import Netlist
 
 #: opcode values (subset of the R2000 ISA used by the control decoder)
 OPCODES = {
@@ -155,27 +153,3 @@ def make_mips(
     netlist.add_output("branch_taken", take_branch)
     return netlist
 
-
-def mips_hierarchy_blocks(netlist: Netlist) -> dict[str, list[str]]:
-    """RTL-module partition of the flat netlist, by name prefix.
-
-    The generator names state elements by module (``pc``, ``rf``); the
-    remaining combinational cells are grouped by their proximity in the
-    creation order, which tracks the module structure above.
-    """
-    groups: dict[str, list[str]] = {
-        "pc_unit": [],
-        "regfile": [],
-        "alu": [],
-        "control": [],
-        "datapath": [],
-    }
-    for inst in netlist.logic_instances():
-        name = inst.name
-        if name.startswith("pc"):
-            groups["pc_unit"].append(name)
-        elif name.startswith("rf"):
-            groups["regfile"].append(name)
-        else:
-            groups["datapath"].append(name)
-    return {k: v for k, v in groups.items() if v}

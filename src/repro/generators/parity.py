@@ -9,8 +9,8 @@ which is also how the original benchmark is structured after synthesis.
 The paper lists 9sym at 56 CLBs, far more than the bare function needs;
 MCNC's two-level original is heavily redundant.  We reach the published
 footprint by instantiating the function over several disjoint input
-replicas and OR-combining them (preserving total symmetry per replica),
-a documented calibration device (DESIGN.md §2).
+replicas and OR-combining them (preserving total symmetry per replica);
+the registry (:mod:`repro.generators.registry`) sets the replica count.
 """
 
 from __future__ import annotations

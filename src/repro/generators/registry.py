@@ -17,10 +17,7 @@ MIPS R2000 processor core          900
 DES        crypto datapath         1050
 =========  ======================  ============
 
-:func:`build_design` runs the full front end (generate → map → pack) and
-attaches a design hierarchy.  Per paper §6, every design counts as a
-single functional block for the Quick_ECO baseline; the two real-world
-designs additionally expose their RTL module structure.
+:func:`build_design` runs the full front end (generate → map → pack).
 """
 
 from __future__ import annotations
@@ -33,11 +30,10 @@ from repro.generators.alu import make_c880
 from repro.generators.des import make_des
 from repro.generators.fsm import make_fsm
 from repro.generators.hamming import make_c499
-from repro.generators.mips import make_mips, mips_hierarchy_blocks
+from repro.generators.mips import make_mips
 from repro.generators.parity import make_9sym
 from repro.generators.random_logic import random_sequential_netlist
 from repro.netlist.core import Netlist
-from repro.netlist.hierarchy import HierNode
 from repro.synth.pack import PackedDesign, pack_netlist
 from repro.synth.techmap import map_to_luts
 
@@ -50,7 +46,6 @@ class PaperDesign:
     kind: str  # "combinational" | "sequential" | "core"
     paper_clbs: int
     factory: Callable[[int], Netlist]
-    hierarchy_fn: Callable[[Netlist], dict[str, list[str]]] | None = None
 
 
 @dataclass
@@ -61,7 +56,6 @@ class DesignBundle:
     netlist: Netlist
     mapped: Netlist
     packed: PackedDesign
-    hierarchy: HierNode
     paper_clbs: int
     kind: str
 
@@ -72,7 +66,7 @@ class DesignBundle:
 
 # State counts are calibration knobs: our FSM synthesis spends more
 # LUTs per state than the MCNC-era SIS mapping, so the published CLB
-# footprint is reached with proportionally fewer states (DESIGN.md §2).
+# footprint is reached with proportionally fewer states.
 
 def _styr(seed: int) -> Netlist:
     return make_fsm("styr", n_states=19, n_inputs=9, n_outputs=10, seed=seed)
@@ -110,8 +104,7 @@ PAPER_DESIGNS: dict[str, PaperDesign] = {
     ),
     "s9234": PaperDesign("s9234", "sequential", 235, _s9234),
     "mips": PaperDesign(
-        "mips", "core", 900, lambda seed: make_mips(seed=seed),
-        hierarchy_fn=mips_hierarchy_blocks,
+        "mips", "core", 900, lambda seed: make_mips(seed=seed)
     ),
     "des": PaperDesign(
         "des", "core", 1050, lambda seed: make_des(n_rounds=7, seed=seed)
@@ -131,7 +124,7 @@ def paper_design_names() -> list[str]:
 
 
 def build_design(name: str, seed: int = 0) -> DesignBundle:
-    """Generate, map and pack one benchmark; attach its hierarchy."""
+    """Generate, map and pack one benchmark."""
     try:
         entry = PAPER_DESIGNS[name]
     except KeyError:
@@ -141,23 +134,11 @@ def build_design(name: str, seed: int = 0) -> DesignBundle:
     netlist = entry.factory(seed)
     mapped = map_to_luts(netlist)
     packed = pack_netlist(mapped)
-
-    root = HierNode(name)
-    if entry.hierarchy_fn is not None:
-        for block_name, members in entry.hierarchy_fn(mapped).items():
-            root.add_child(block_name).assign(members)
-        root.adopt_new_instances(mapped, node_path="datapath")
-    else:
-        # per paper §6: one functional block per design
-        root.add_child("top").assign(
-            inst.name for inst in mapped.logic_instances()
-        )
     return DesignBundle(
         name=name,
         netlist=netlist,
         mapped=mapped,
         packed=packed,
-        hierarchy=root,
         paper_clbs=entry.paper_clbs,
         kind=entry.kind,
     )

@@ -10,8 +10,6 @@ The netlist is the common currency of the whole library:
 * :mod:`repro.netlist.validate` — structural checks.
 * :mod:`repro.netlist.simulate` — levelized bit-parallel simulation.
 * :mod:`repro.netlist.blif` — Berkeley BLIF (MCNC format) reader/writer.
-* :mod:`repro.netlist.hierarchy` — the design-hierarchy tree used for
-  back-annotation from HDL-level changes down to physical tiles.
 """
 
 from repro.netlist.cells import (
@@ -26,7 +24,6 @@ from repro.netlist.core import Adjacency, Instance, Net, Netlist, port_name
 from repro.netlist.builder import NetlistBuilder, Word
 from repro.netlist.compiled import CompiledKernel, kernel_for
 from repro.netlist.cones import ConeIndex
-from repro.netlist.hierarchy import HierNode, build_flat_hierarchy
 from repro.netlist.simulate import (
     CombinationalSimulator,
     SequentialSimulator,
@@ -53,8 +50,6 @@ __all__ = [
     "CompiledKernel",
     "kernel_for",
     "ConeIndex",
-    "HierNode",
-    "build_flat_hierarchy",
     "CombinationalSimulator",
     "SequentialSimulator",
     "initial_state",

@@ -72,12 +72,6 @@ class NetlistBuilder:
     def xor_(self, *bits: Net) -> Net:
         return self._nary(CellKind.XOR, bits)
 
-    def nand_(self, *bits: Net) -> Net:
-        return self.not_(self.and_(*bits))
-
-    def nor_(self, *bits: Net) -> Net:
-        return self.not_(self.or_(*bits))
-
     def and_word(self, a: Word, b: Word) -> Word:
         self._same_width(a, b)
         return [self.and_(x, y) for x, y in zip(a, b)]
@@ -111,10 +105,6 @@ class NetlistBuilder:
 
     def reduce_or(self, word: Word) -> Net:
         return self.or_(*word)
-
-    def reduce_xor(self, word: Word) -> Net:
-        """Parity; XOR trees associate freely so chunking is safe."""
-        return self.xor_(*word)
 
     # ------------------------------------------------------------------
     # selection
@@ -161,9 +151,6 @@ class NetlistBuilder:
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
-
-    def half_adder(self, a: Net, b: Net) -> tuple[Net, Net]:
-        return self.xor_(a, b), self.and_(a, b)
 
     def full_adder(self, a: Net, b: Net, cin: Net) -> tuple[Net, Net]:
         s = self.xor_(a, b, cin)

@@ -470,10 +470,6 @@ class CompiledKernel:
         v = self._evaluate(inputs, n_patterns, state or {})
         return {name: v[slot] for name, slot in self._probe_slots}
 
-    @property
-    def n_instructions(self) -> int:
-        return len(self._ops)
-
     # -- cone slicing --------------------------------------------------
 
     def cone_runner(self, ports) -> ConeRunner | None:

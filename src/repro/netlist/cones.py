@@ -45,7 +45,6 @@ class ConeIndex:
         else:
             pred = adj.fanin
         self._cones = _reachability_bitsets(pred)
-        self._all_mask = (1 << len(self._names)) - 1
         self._logic_mask = 0
         for i, inst in enumerate(netlist.topo_order()):
             if not inst.is_io:
@@ -89,10 +88,6 @@ class ConeIndex:
             out.add(names[i])
             mask ^= low
         return out
-
-    @property
-    def all_mask(self) -> int:
-        return self._all_mask
 
     @property
     def logic_mask(self) -> int:

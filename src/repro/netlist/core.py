@@ -23,14 +23,13 @@ Mutation API used by the debug flow:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import NetlistError, ValidationError
 from repro.netlist.cells import (
     CellKind,
     arity_of,
-    is_combinational,
     is_sequential,
 )
 
@@ -62,9 +61,6 @@ class Net:
     def fanout(self) -> int:
         return len(self.sinks)
 
-    def sink_instances(self) -> list["Instance"]:
-        return [inst for inst, _ in self.sinks]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         driver = self.driver.name if self.driver else "<none>"
         return f"Net({self.name!r}, driver={driver}, fanout={self.fanout})"
@@ -95,10 +91,6 @@ class Instance:
         self.params = params if params is not None else {}
 
     @property
-    def is_gate(self) -> bool:
-        return is_combinational(self.kind) and self.kind is not CellKind.LUT
-
-    @property
     def is_lut(self) -> bool:
         return self.kind is CellKind.LUT
 
@@ -125,12 +117,6 @@ class NetlistStats:
     n_ffs: int = 0
     n_nets: int = 0
     depth: int = 0
-
-    @property
-    def n_logic(self) -> int:
-        """Cells that occupy fabric resources (gates before mapping,
-        LUTs and FFs after)."""
-        return self.n_gates + self.n_luts + self.n_ffs
 
 
 @dataclass(frozen=True)

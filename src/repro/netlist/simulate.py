@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from repro.errors import NetlistError
 from repro.netlist.cells import CellKind, eval_gate
-from repro.netlist.core import Instance, Netlist, port_name
-
-_port_name = port_name  # retained alias
+from repro.netlist.core import Netlist, port_name
 
 
 def initial_state(netlist: Netlist, n_patterns: int) -> dict[str, int]:
@@ -74,7 +72,7 @@ class CombinationalSimulator:
             if inst.kind is not CellKind.OUTPUT
         ]
         self._outputs = [
-            (_port_name(po), po.inputs[0]) for po in netlist.primary_outputs()
+            (port_name(po), po.inputs[0]) for po in netlist.primary_outputs()
         ]
 
     def run(
@@ -124,7 +122,7 @@ class CombinationalSimulator:
         values: dict[str, int] = {}
         for inst in self._order:
             if inst.kind is CellKind.INPUT:
-                port = _port_name(inst)
+                port = port_name(inst)
                 if port not in inputs:
                     raise NetlistError(f"no stimulus for primary input {port!r}")
                 word = inputs[port] & mask

@@ -25,7 +25,8 @@ ROUTE_EXPANSION_WEIGHT = 0.4
 
 #: Fixed work-unit cost charged per back-end invocation.  Calibrated so
 #: that single-tile jobs on the paper's largest designs land in the
-#: paper's single-to-low-double-digit speedup band (see EXPERIMENTS.md).
+#: paper's single-to-low-double-digit speedup band (ROADMAP.md's "The
+#: paper's figures" list records the Figure 5 speedups it gives).
 INVOCATION_OVERHEAD_UNITS = 800.0
 
 

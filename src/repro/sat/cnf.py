@@ -116,9 +116,6 @@ class GateBuilder:
 
     # -- primitive nodes -----------------------------------------------
 
-    def lit_not(self, lit: int) -> int:
-        return -lit
-
     def lit_and(self, lits) -> int:
         """Conjunction with folding: drops trues, dedupes, spots a&~a."""
         kept: list[int] = []

@@ -31,7 +31,7 @@ activity tie-break ranks); ``seed=0`` keeps plain index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.metrics import METRICS
 from repro.obs.trace import maybe_span

@@ -99,7 +99,6 @@ def fork_bundle(bundle):
         netlist=bundle.netlist,
         mapped=mapped,
         packed=packed,
-        hierarchy=bundle.hierarchy,
         paper_clbs=bundle.paper_clbs,
         kind=bundle.kind,
     )

@@ -21,7 +21,7 @@ sink blocks.  Primary IOs become IOB blocks placed on the device ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import SynthesisError
@@ -159,9 +159,6 @@ class PackedDesign:
             ):
                 hits.append(net)
         return hits
-
-    def net_index_of(self, net_name: str) -> int | None:
-        return self._net_index_of_name.get(net_name)
 
     def clb_of_block(self, block_index: int) -> CLB:
         """The CLB packing record behind a CLB block.

@@ -128,10 +128,6 @@ class CommitReport:
     expanded: bool  # neighbor tiles were pulled in for extra slack
     cache_hit: bool = False  # served by a precomputed tile configuration
 
-    @property
-    def n_affected(self) -> int:
-        return len(self.affected_tiles)
-
 
 class TiledLayout:
     """A placed-and-routed design partitioned into locked tiles."""

@@ -79,6 +79,8 @@ class TestRunSpec:
         {"goal_size": 0},
         # 9sym takes no design_params (not a parameterizable generator)
         {"design": "9sym", "design_params": {"x": 1}},
+        # the old alias of quick_eco is gone
+        {"strategy": "full"},
     ])
     def test_validation_rejects(self, overrides):
         with pytest.raises(SpecError):
@@ -116,10 +118,11 @@ class TestStrategyRegistry:
         from repro.api import device_for
 
         device = device_for(bundle.packed)
-        with pytest.raises(ValueError) as excinfo:
-            make_strategy("nonesuch", bundle.packed, device)
-        for name in STRATEGY_REGISTRY:
-            assert name in str(excinfo.value)
+        for unknown in ("nonesuch", "full"):
+            with pytest.raises(ValueError) as excinfo:
+                make_strategy(unknown, bundle.packed, device)
+            listed = str(excinfo.value).split("valid strategies: ")[1]
+            assert listed == "incremental, quick_eco, sat, tiled"
 
     def test_unknown_strategy_still_a_debug_flow_error(self):
         bundle = build_design("9sym")
@@ -131,7 +134,7 @@ class TestStrategyRegistry:
 
     def test_registry_exported_from_debug_package(self):
         assert set(STRATEGY_REGISTRY) == {
-            "tiled", "sat", "quick_eco", "incremental", "full",
+            "tiled", "sat", "quick_eco", "incremental",
         }
 
 

@@ -53,11 +53,6 @@ def test_unknown_design_rejected():
         build_design("z80")
 
 
-def test_hierarchy_covers_mapped_netlist():
-    bundle = build_design("styr")
-    assert not bundle.hierarchy.check_covers(bundle.mapped)
-
-
 def test_9sym_function():
     bundle = build_design("9sym")
     rng = random.Random(5)

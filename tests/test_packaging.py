@@ -1,5 +1,8 @@
-"""Packaging metadata: pyproject.toml, src layout, dynamic version."""
+"""Packaging metadata: pyproject.toml, src layout, dynamic version;
+and no definition under ``src/repro`` that nothing references."""
 
+import ast
+import re
 import subprocess
 import sys
 import tomllib
@@ -8,6 +11,9 @@ from pathlib import Path
 from setuptools import find_packages
 
 REPO = Path(__file__).resolve().parent.parent
+
+#: where a reference to a ``src/repro`` definition may live
+REFERENCE_ROOTS = ("src", "tests", "benchmarks", "perfbench", "examples")
 
 
 def load_pyproject() -> dict:
@@ -45,3 +51,32 @@ def test_setup_py_resolves_metadata_offline():
     from repro._version import __version__
 
     assert lines[-2:] == ["repro", __version__]
+
+
+def test_every_definition_is_referenced():
+    # every function, method and class under src/repro must be named as
+    # a whole word on some line other than a line that defines that
+    # name (dunder methods are called by the interpreter, so they are
+    # skipped); a definition nothing names is dead code
+    lines: dict[tuple[Path, int], str] = {}
+    for root in REFERENCE_ROOTS:
+        for path in sorted((REPO / root).rglob("*.py")):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                lines[path, lineno] = line
+    def_lines: dict[str, set[tuple[Path, int]]] = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    def_lines.setdefault(node.name, set()).add(
+                        (path, node.lineno))
+    words = re.compile(r"\w+")
+    referenced = set()
+    for where, line in lines.items():
+        for word in set(words.findall(line)) & def_lines.keys():
+            if where not in def_lines[word]:
+                referenced.add(word)
+    unreferenced = sorted(def_lines.keys() - referenced)
+    assert not unreferenced, "unreferenced: " + ", ".join(unreferenced)

@@ -174,7 +174,7 @@ def test_spec_digest_ignores_harness_fields():
     assert spec.digest() == spec.replaced(chaos=KILL_SECOND).digest()
     assert spec.digest() == spec.replaced(cache_dir="/tmp/x").digest()
     assert spec.digest() != spec.replaced(error_seed=2).digest()
-    assert spec.digest() != spec.replaced(strategy="full").digest()
+    assert spec.digest() != spec.replaced(strategy="quick_eco").digest()
 
 
 def test_worker_failure_result_is_spec_complete():
