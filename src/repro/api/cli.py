@@ -205,6 +205,31 @@ def _parse_csv(text: str | None, convert=str) -> list | None:
     return values or None
 
 
+#: campaign-matrix axes shared by ``campaign`` and ``client
+#: submit-batch``: flag, ``expand_matrix`` keyword, help, value type
+_MATRIX_AXES = (
+    ("--designs", "designs", "comma-separated design names", str),
+    ("--strategies", "strategies", "comma-separated strategies", str),
+    ("--engines", "engines", "comma-separated engines", str),
+    ("--error-kinds", "error_kinds", "comma-separated error kinds", str),
+    ("--error-seeds", "error_seeds", "comma-separated error seeds", int),
+    ("--seeds", "seeds", "comma-separated campaign seeds", int),
+)
+
+
+def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
+    for flag, dest, help_text, _ in _MATRIX_AXES:
+        parser.add_argument(flag, dest=dest, help=help_text)
+
+
+def _matrix_axes(args: argparse.Namespace) -> dict:
+    """The parsed axis lists, keyed as ``expand_matrix`` takes them."""
+    return {
+        dest: _parse_csv(getattr(args, dest), convert)
+        for _, dest, _, convert in _MATRIX_AXES
+    }
+
+
 def _summary_line(result: RunResult) -> str:
     line = (
         f"{result.design:<10} {result.strategy:<12} {result.engine:<12} "
@@ -271,15 +296,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     base = _spec_from_args(args)
-    specs = expand_matrix(
-        base,
-        designs=_parse_csv(args.designs),
-        strategies=_parse_csv(args.strategies),
-        engines=_parse_csv(args.engines),
-        error_kinds=_parse_csv(args.error_kinds),
-        error_seeds=_parse_csv(args.error_seeds, int),
-        seeds=_parse_csv(args.seeds, int),
-    )
+    specs = expand_matrix(base, **_matrix_axes(args))
     hooks = _ProgressHooks() if args.verbose else None
     if hooks is not None and args.executor == "process":
         # stage hooks cannot observe across a process boundary
@@ -571,12 +588,7 @@ def cmd_client_submit_batch(args: argparse.Namespace) -> int:
         base,
         priority=args.priority,
         fresh=args.fresh,
-        designs=_parse_csv(args.designs),
-        strategies=_parse_csv(args.strategies),
-        engines=_parse_csv(args.engines),
-        error_kinds=_parse_csv(args.error_kinds),
-        error_seeds=_parse_csv(args.error_seeds, int),
-        seeds=_parse_csv(args.seeds, int),
+        **_matrix_axes(args),
     )
     jobs = response["jobs"]
     if not args.wait:
@@ -655,14 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp = sub.add_parser("campaign",
                             help="a spec matrix through the pipeline")
     _add_spec_arguments(p_camp)
-    p_camp.add_argument("--designs", help="comma-separated design names")
-    p_camp.add_argument("--strategies", help="comma-separated strategies")
-    p_camp.add_argument("--engines", help="comma-separated engines")
-    p_camp.add_argument("--error-kinds", dest="error_kinds",
-                        help="comma-separated error kinds")
-    p_camp.add_argument("--error-seeds", dest="error_seeds",
-                        help="comma-separated error seeds")
-    p_camp.add_argument("--seeds", help="comma-separated campaign seeds")
+    _add_matrix_arguments(p_camp)
     p_camp.add_argument("--workers", type=int, default=1)
     p_camp.add_argument("--executor", choices=list(EXECUTORS),
                         default="thread",
@@ -782,14 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c = _client_parser("submit-batch",
                          "expand a campaign matrix server-side")
     _add_spec_arguments(p_c)
-    p_c.add_argument("--designs", help="comma-separated design names")
-    p_c.add_argument("--strategies", help="comma-separated strategies")
-    p_c.add_argument("--engines", help="comma-separated engines")
-    p_c.add_argument("--error-kinds", dest="error_kinds",
-                     help="comma-separated error kinds")
-    p_c.add_argument("--error-seeds", dest="error_seeds",
-                     help="comma-separated error seeds")
-    p_c.add_argument("--seeds", help="comma-separated campaign seeds")
+    _add_matrix_arguments(p_c)
     p_c.add_argument("--priority", type=int, default=0)
     p_c.add_argument("--fresh", action="store_true")
     p_c.add_argument("--wait", action="store_true",

@@ -3,7 +3,8 @@
 One place turns a :class:`~repro.api.spec.RunSpec` (or plain arguments)
 into the front-end artifacts every downstream layer consumes: a
 :class:`~repro.generators.registry.DesignBundle` and a
-:class:`~repro.arch.device.Device`.  The experiment drivers in
+:class:`~repro.arch.device.Device` — and, through :func:`design_parts`,
+the golden model a run compares against.  The experiment drivers in
 :mod:`repro.analysis.experiments` resolve through the same functions,
 so "which designs exist and how they are built" has a single source of
 truth.
@@ -17,9 +18,10 @@ from repro.generators.des import make_des
 from repro.generators.fsm import make_fsm
 from repro.generators.mips import make_mips
 from repro.generators.random_logic import random_sequential_netlist
-from repro.generators.registry import DesignBundle, build_design
-from repro.synth.pack import pack_netlist
-from repro.synth.techmap import map_to_luts
+from repro.generators.registry import (
+    DesignBundle, build_design, bundle_netlist,
+)
+from repro.netlist.core import Netlist
 
 #: Generators that accept keyword parameters (``RunSpec.design_params``)
 #: for non-registry variants — e.g. a reduced 2-round DES demo.
@@ -29,17 +31,6 @@ GENERATOR_BUILDERS = {
     "fsm": make_fsm,
     "random": random_sequential_netlist,
 }
-
-
-def _bundle_from_netlist(name: str, netlist, kind: str = "custom",
-                         paper_clbs: int = 0) -> DesignBundle:
-    """Front end (map → pack) for a netlist outside the registry."""
-    mapped = map_to_luts(netlist)
-    packed = pack_netlist(mapped)
-    return DesignBundle(
-        name=name, netlist=netlist, mapped=mapped, packed=packed,
-        paper_clbs=paper_clbs, kind=kind,
-    )
 
 
 def load_bundle(spec) -> DesignBundle:
@@ -60,7 +51,7 @@ def load_bundle(spec) -> DesignBundle:
                 f"cannot read BLIF file {spec.blif_path!r}: {exc}"
             ) from exc
         netlist = read_blif(text, name=spec.design_label)
-        return _bundle_from_netlist(spec.design_label, netlist, kind="blif")
+        return bundle_netlist(spec.design_label, netlist, kind="blif")
     if spec.design_params is not None:
         builder = GENERATOR_BUILDERS[spec.design]
         params = dict(spec.design_params)
@@ -68,8 +59,25 @@ def load_bundle(spec) -> DesignBundle:
         # design_seed applies unless the params pin one explicitly
         params.setdefault("seed", spec.design_seed)
         netlist = builder(**params)
-        return _bundle_from_netlist(netlist.name, netlist, kind="custom")
+        return bundle_netlist(netlist.name, netlist, kind="custom")
     return build_design(spec.design, seed=spec.design_seed)
+
+
+def design_parts(spec) -> tuple[DesignBundle, Device, Netlist]:
+    """The ``(bundle, device, golden)`` a run of ``spec`` starts from.
+
+    The golden model is an untouched copy of the packed netlist: the
+    reference every detection, localization and proof compares against.
+    """
+    bundle = load_bundle(spec)
+    packed = bundle.packed
+    device = device_for(
+        packed, device=spec.device,
+        channel_width=spec.channel_width,
+        area_overhead=spec.device_overhead,
+    )
+    golden = packed.netlist.copy(f"{packed.netlist.name}.golden")
+    return bundle, device, golden
 
 
 def device_by_name(name: str, channel_width: int | None = None) -> Device:

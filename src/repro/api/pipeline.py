@@ -184,7 +184,6 @@ class RunContext:
     #: (lets VerifyStage skip recomputing it)
     proof_revision: int | None = None
     localized_correctly: bool = False
-    fix: ChangeSet | None = None
     #: how the committed fix was produced (FixSynthesis.to_dict form
     #: for CEGIS repairs; None for oracle back-annotation)
     correction_info: dict | None = None
@@ -214,24 +213,16 @@ class RunContext:
         stores into it, and None computes every implementation fresh.
         ``bundle``/``device``/``golden`` let a warm-state registry
         (:mod:`repro.service.warm`) inject pre-built artifacts instead
-        of rebuilding them per run; they must be exactly what this
-        method would construct from ``spec`` (warm state is a cache,
-        never a semantic input — the service's bit-identity tests hold
-        the registry to that).
+        of rebuilding them per run; given together, they must be exactly
+        what :func:`~repro.api.design.design_parts` builds from ``spec``
+        (warm state is a cache, never a semantic input — the service's
+        bit-identity tests hold the registry to that).
         """
-        from repro.api.design import device_for, load_bundle
+        from repro.api.design import design_parts
 
         if bundle is None:
-            bundle = load_bundle(spec)
+            bundle, device, golden = design_parts(spec)
         packed = bundle.packed
-        if device is None:
-            device = device_for(
-                packed, device=spec.device,
-                channel_width=spec.channel_width,
-                area_overhead=spec.device_overhead,
-            )
-        if golden is None:
-            golden = packed.netlist.copy(f"{packed.netlist.name}.golden")
         strategy = make_strategy(
             spec.strategy, packed, device, seed=spec.seed,
             preset=spec.effort_preset(), tiling=spec.tiling_options(),
@@ -484,7 +475,6 @@ class CorrectStage(Stage):
                 ctx.corrected.append(target.instance)
             ctx.round_corrected.append(target.instance)
         check_netlist(netlist)
-        ctx.fix = fix
         ctx.strategy.commit(fix, anchor_instance=anchor)
 
     @classmethod
@@ -664,9 +654,7 @@ class DiagnoseLoop(Stage):
         if proof.proved:
             ctx.proved = True
             ctx.proof = proof.to_dict()
-            ctx.proof_revision = getattr(
-                ctx.packed.netlist, "revision", None
-            )
+            ctx.proof_revision = ctx.packed.netlist.revision
             return None
         cex = proof.counterexample
         confirmed = counterexample_mismatches(
@@ -737,7 +725,7 @@ class VerifyStage(Stage):
             prove_equivalence,
         )
 
-        revision = getattr(ctx.packed.netlist, "revision", None)
+        revision = ctx.packed.netlist.revision
         if (
             ctx.proved
             and ctx.proof is not None

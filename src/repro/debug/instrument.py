@@ -56,7 +56,7 @@ def add_observation_point(
     # kind, wiring and tables), so the changeset is built directly from
     # the created names instead of diffing the whole netlist — probe
     # commits are the localization hot loop
-    base_revision = getattr(netlist, "revision", None)
+    base_revision = netlist.revision
     created: set[str] = set()
     nets = [netlist.net(n) for n in watch_nets]
     parity = _parity_tree(netlist, nets, prefix=f"obs_{name}", created=created)
@@ -106,7 +106,7 @@ def remove_observation_points(
 
     Returns the removal :class:`ChangeSet` (empty when nothing matched).
     """
-    base_revision = getattr(netlist, "revision", None)
+    base_revision = netlist.revision
     removed: set[str] = set()
     for name in names:
         prefix = f"obs_{name}_"

@@ -119,11 +119,6 @@ class LocalizationResult:
     def n_probes(self) -> int:
         return len(self.steps)
 
-    @property
-    def localization_seconds(self) -> float:
-        """Localization compute time — everything but the P&R commits."""
-        return sum(v for k, v in self.timings.items() if k != "commit")
-
 
 class ConeLocalizer:
     """Drives observation-point bisection on top of a strategy.

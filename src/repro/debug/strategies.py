@@ -28,19 +28,15 @@ from repro.errors import DebugFlowError, UnknownStrategyError
 from repro.pnr.effort import EffortMeter, EffortPreset, EFFORT_PRESETS
 from repro.pnr.flow import Layout, full_place_and_route, incremental_update
 from repro.rng import derive_seed
-from repro.synth.pack import (
-    PackedDesign,
-    extend_packing,
-    refresh_block_nets,
-    retire_instances,
-)
+from repro.synth.pack import PackedDesign
 from repro.tiling.cache import (
     TileConfigCache,
     cached_full_place_and_route,
 )
 from repro.tiling.eco import ChangeSet
-from repro.tiling.manager import TiledLayout
+from repro.tiling.manager import TiledLayout, absorb_changes
 from repro.tiling.partition import TilingOptions
+
 
 @dataclass
 class CommitRecord:
@@ -51,25 +47,6 @@ class CommitRecord:
     detail: str = ""
     #: served by a precomputed tile configuration (tiled only)
     cache_hit: bool = False
-
-
-def _absorb_changes(
-    packed: PackedDesign, layout: Layout | None, changes: ChangeSet
-) -> tuple[set[int], set[int], list[int]]:
-    """Update packing/netlist bookkeeping shared by all strategies.
-
-    Returns (changed blocks, new blocks, net indices needing routes).
-    """
-    changed_blocks = packed.blocks_of_instances(changes.touched_existing())
-    retire_instances(packed, changes.removed_instances)
-    new_blocks = extend_packing(packed, changes.new_instances)
-    new_ids, changed_ids, removed_ids = refresh_block_nets(packed)
-    if layout is not None:
-        for idx in removed_ids:
-            old = layout.routes.pop(idx, None)
-            if old is not None:
-                layout.state.remove(old)
-    return changed_blocks, new_blocks, sorted(new_ids | changed_ids)
 
 
 class BaseStrategy:
@@ -230,7 +207,7 @@ class QuickEcoStrategy(BaseStrategy):
     def commit(self, changes: ChangeSet, anchor_instance: str | None = None
                ) -> EffortMeter:
         meter = EffortMeter()
-        _absorb_changes(self.packed, self._layout, changes)
+        absorb_changes(self.packed, self._layout, changes)
         self._layout = full_place_and_route(
             self.packed, self.device, seed=self._next_seed(),
             preset=self.preset, meter=meter, strict_routing=False,
@@ -249,7 +226,7 @@ class IncrementalStrategy(BaseStrategy):
     def commit(self, changes: ChangeSet, anchor_instance: str | None = None
                ) -> EffortMeter:
         meter = EffortMeter()
-        changed, fresh, net_ids = _absorb_changes(
+        changed, fresh, net_ids = absorb_changes(
             self.packed, self._layout, changes
         )
         anchor_blocks = set(changed)

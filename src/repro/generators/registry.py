@@ -17,7 +17,8 @@ MIPS R2000 processor core          900
 DES        crypto datapath         1050
 =========  ======================  ============
 
-:func:`build_design` runs the full front end (generate → map → pack).
+:func:`build_design` runs the full front end (generate → map → pack);
+:func:`bundle_netlist` runs map → pack for any netlist.
 """
 
 from __future__ import annotations
@@ -131,14 +132,16 @@ def build_design(name: str, seed: int = 0) -> DesignBundle:
         known = ", ".join(PAPER_DESIGNS)
         raise ReproError(f"unknown design {name!r} (known: {known})") from None
 
-    netlist = entry.factory(seed)
+    return bundle_netlist(name, entry.factory(seed), entry.kind,
+                          entry.paper_clbs)
+
+
+def bundle_netlist(name: str, netlist: Netlist, kind: str = "custom",
+                   paper_clbs: int = 0) -> DesignBundle:
+    """The front end (map → pack) of any netlist, as a bundle."""
     mapped = map_to_luts(netlist)
     packed = pack_netlist(mapped)
     return DesignBundle(
-        name=name,
-        netlist=netlist,
-        mapped=mapped,
-        packed=packed,
-        paper_clbs=entry.paper_clbs,
-        kind=entry.kind,
+        name=name, netlist=netlist, mapped=mapped, packed=packed,
+        paper_clbs=paper_clbs, kind=kind,
     )

@@ -70,8 +70,6 @@ def full_place_and_route(
     preset: EffortPreset | None = None,
     meter: EffortMeter | None = None,
     constraints: PlaceConstraints | None = None,
-    initial: Placement | None = None,
-    movable: set[int] | None = None,
     strict_routing: bool = True,
 ) -> Layout:
     """Place and route from scratch; one metered tool invocation."""
@@ -85,9 +83,7 @@ def full_place_and_route(
             seed=seed,
             preset=preset,
             meter=meter,
-            initial=initial,
             constraints=constraints,
-            movable=movable,
         )
         state = RoutingState(device)
         routes = route_nets(
@@ -140,7 +136,7 @@ def replace_region(
 
         region_map = {b: union_region for b in movable_blocks}
         constraints = PlaceConstraints(
-            regions=region_map, locked=set(), free_sites=free_sites
+            regions=region_map, free_sites=free_sites
         )
         layout.placement = place_design(
             packed,
@@ -313,7 +309,7 @@ def _reroute_with_locked_interface(
     # an edge id's endpoints are cells eid >> 1 and one step east (+h)
     # or north (+1) of it
     kept = tuple(
-        eid for eid in layout.state._edge_ids(old)
+        eid for eid in old.eids
         if not (mask[eid >> 1] and mask[(eid >> 1) + (1 if eid & 1 else h)])
     )
     tree = RouteTree(net_idx)
@@ -374,9 +370,7 @@ def layout_legality_errors(
                 errors.append(f"net {net.name}: edge {a}-{b} off tree cells")
             key = (a, b) if a <= b else (b, a)
             recount[key] = recount.get(key, 0) + 1
-        if tree.eids is not None and sorted(tree.eids) != sorted(
-            edge_id(a, b) for a, b in tree.edges
-        ):
+        if sorted(tree.eids) != sorted(edge_id(a, b) for a, b in tree.edges):
             errors.append(f"net {net.name}: edge ids differ from edges")
     if recount != layout.state.usage:
         errors.append("channel-usage bookkeeping diverged from routes")
@@ -432,7 +426,7 @@ def capture_region_config(
                 for b, h in tree.sink_hops.items()
             )
         )
-        eids = tuple(state._edge_ids(tree))
+        eids = tree.eids
         routes[net.name] = (
             frozenset(tree.cells), frozenset(tree.edges), hops, eids,
         )
@@ -548,7 +542,7 @@ def apply_region_config(
     for idx in affected:
         tree = layout.routes.get(idx)
         if tree is not None:
-            for eid in state._edge_ids(tree):
+            for eid in tree.eids:
                 removed[eid] = removed.get(eid, 0) + 1
     added: dict[int, int] = {}
     for cells, edges, hops, eids in routes.values():

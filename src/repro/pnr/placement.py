@@ -3,9 +3,10 @@
 A :class:`Placement` maps every block of a :class:`PackedDesign` to a
 device site: CLB blocks to exclusive CLB-grid sites, IOB blocks to ring
 slots with per-slot capacity.  :class:`PlaceConstraints` carries what
-tiling needs from the placer: allowed regions per block and a set of
-immovable (locked) blocks — the physical-design constraints of paper
-§3.2 ("the default is that all resources are locked").
+tiling needs from the placer: allowed regions per block and the free
+sites of cleared tiles.  Which blocks stay locked — the physical-design
+constraints of paper §3.2 ("the default is that all resources are
+locked") — is :func:`~repro.pnr.placer.place_design`'s ``movable``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ class PlaceConstraints:
     """Constraints handed to the placer.
 
     ``regions`` limits each listed CLB block to a rectangle; unlisted
-    blocks may use the whole grid.  ``locked`` blocks keep their current
-    site.  ``free_sites`` (when given) restricts *all* movable blocks to
-    that site set — the tiling manager passes the cleared tiles here.
+    blocks may use the whole grid.  ``free_sites`` (when given)
+    restricts *all* movable blocks to that site set — the tiling manager
+    passes the cleared tiles here.
     """
 
     regions: dict[int, Rect] = field(default_factory=dict)
-    locked: set[int] = field(default_factory=set)
     free_sites: set[tuple[int, int]] | None = None
 
     def region_of(self, block: int, device: Device) -> Rect:

@@ -9,8 +9,9 @@ Key features:
 
 * classic adaptive schedule — starting temperature from sampled move
   statistics, acceptance-driven cooling, shrinking range limiter;
-* **region constraints** per block (tile rectangles) and **locked**
-  blocks (the paper's "all resources are locked" default);
+* **region constraints** per block (tile rectangles) and a **movable**
+  block set — every other block stays locked (the paper's "all
+  resources are locked" default);
 * wirelength cost = half-perimeter per net scaled by the usual
   fanout correction factor, kept incrementally from per-net coordinate
   histograms so no move ever rescans a net's terminals;
@@ -60,9 +61,9 @@ def place_design(
     """Place ``packed`` on ``device`` and return the placement.
 
     ``movable`` selects which CLB blocks the annealer may touch (default:
-    every CLB not locked by ``constraints``); all other blocks must
-    already be placed by ``initial``.  IOB blocks missing from
-    ``initial`` are spread deterministically around the ring.
+    every CLB); all other blocks stay locked and must already be placed
+    by ``initial``.  IOB blocks missing from ``initial`` are spread
+    deterministically around the ring.
     """
     preset = preset or EFFORT_PRESETS["normal"]
     meter = meter if meter is not None else EffortMeter()
@@ -72,10 +73,9 @@ def place_design(
     placement = initial.copy() if initial is not None else Placement(device, packed)
 
     clb_indices = {b.index for b in packed.clb_blocks()}
-    if movable is None:
-        movable_set = clb_indices - constraints.locked
-    else:
-        movable_set = set(movable) & clb_indices - constraints.locked
+    movable_set = (
+        clb_indices if movable is None else set(movable) & clb_indices
+    )
 
     _place_iobs(packed, device, placement)
     _seed_movable(packed, device, placement, constraints, movable_set, rng)

@@ -209,10 +209,9 @@ class RouteTree:
 
     ``eids`` holds the fabric edge ids of ``edges`` as a matching (but
     unordered) multiset.  Every tree built by routing, tile commits or
-    configuration replay carries it, so occupancy bookkeeping never
-    recomputes ids; :meth:`RoutingState._edge_ids` falls back to the
-    arithmetic only for hand-built trees that leave it None.  Nothing
-    edits ``edges`` of a built tree in place.
+    configuration replay carries it; occupancy bookkeeping reads only
+    it, so a hand-built tree must set it too (:meth:`_Fabric.edge_id`).
+    Nothing edits ``edges`` of a built tree in place.
     """
 
     net_index: int
@@ -260,24 +259,12 @@ class RoutingState:
         tup = self.fabric.edge_tuple
         return {tup(eid): self._usage[eid] for eid in self._used}
 
-    def _edge_ids(self, route: RouteTree):
-        eids = route.eids
-        if eids is not None:
-            return eids
-        h = self.fabric.h
-        return [
-            2 * ((a[0] + 1) * h + a[1] + 1) + (1 if b[1] != a[1] else 0)
-            if a <= b
-            else 2 * ((b[0] + 1) * h + b[1] + 1) + (1 if a[1] != b[1] else 0)
-            for a, b in route.edges
-        ]
-
     def add(self, route: RouteTree) -> None:
         usage = self._usage
         cap = self.capacity
         used_add = self._used.add
         over_add = self.overused_ids.add
-        for eid in self._edge_ids(route):
+        for eid in route.eids:
             u = usage[eid] + 1
             usage[eid] = u
             if u == 1:
@@ -290,7 +277,7 @@ class RoutingState:
         cap = self.capacity
         used_discard = self._used.discard
         over_discard = self.overused_ids.discard
-        for eid in self._edge_ids(route):
+        for eid in route.eids:
             u = usage[eid] - 1
             if u < 0:
                 u = 0

@@ -8,15 +8,17 @@ against:
 
 * ``strategy``   ``sat``      → ``tiled``        (SAT pruning off)
 * ``correction`` ``cegis``    → ``oracle``       (back-annotation)
-* ``engine``     ``compiled`` → ``interpreted``  (reference simulator)
 * ``cache``      ``shared``/``private`` → ``off`` (fresh P&R, no replay)
+
+No rung changes the engine: the engines are bit-identical, so a retry
+on the other one recomputes the same failure.
 
 Each applied rung is recorded as a ``degradation`` note on the result
 (never a silent swallow), and a run that finished only thanks to a
 fallback reports ``status="degraded"``.
 
 Rung selection is stage-aware: a failure inside ``correct`` suggests
-the CEGIS rung before the engine rung, a failure inside ``localize``
+the CEGIS rung before the cache rung, a failure inside ``localize``
 the SAT-strategy rung, and so on.  When no stage-matched rung applies
 the first applicable rung in ladder order is taken, so a retry always
 makes *some* change when one is available.
@@ -42,8 +44,6 @@ class Rung:
 DEGRADATION_LADDER = (
     Rung("strategy", ("sat",), "tiled", ("localize", "diagnose")),
     Rung("correction", ("cegis",), "oracle", ("correct", "diagnose")),
-    Rung("engine", ("compiled",), "interpreted",
-         ("detect", "localize", "correct", "verify", "diagnose")),
     Rung("cache", ("shared", "private"), "off",
          ("setup", "detect", "localize", "correct", "diagnose")),
 )

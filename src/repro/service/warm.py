@@ -46,6 +46,7 @@ import hashlib
 import json
 from collections import OrderedDict
 
+from repro.api.design import design_parts
 from repro.obs.metrics import METRICS
 from repro.tiling.cache import (
     TileConfigCache,
@@ -153,19 +154,6 @@ class WarmRegistry:
 
     # -- entry lifecycle -----------------------------------------------
 
-    def _build_entry(self, spec) -> WarmEntry:
-        from repro.api.design import device_for, load_bundle
-
-        bundle = load_bundle(spec)
-        packed = bundle.packed
-        device = device_for(
-            packed, device=spec.device,
-            channel_width=spec.channel_width,
-            area_overhead=spec.device_overhead,
-        )
-        golden = packed.netlist.copy(f"{packed.netlist.name}.golden")
-        return WarmEntry(bundle, device, golden)
-
     def lookup(self, spec) -> tuple[WarmEntry, bool]:
         """The entry for ``spec`` and whether it was a warm hit."""
         key = warm_key(spec)
@@ -183,7 +171,7 @@ class WarmRegistry:
             return entry, True
         self.misses += 1
         METRICS.inc("repro_warm_registry_misses_total")
-        entry = self._build_entry(spec)
+        entry = WarmEntry(*design_parts(spec))
         entry.uses += 1
         self._entries[key] = entry
         while len(self._entries) > self.max_entries:

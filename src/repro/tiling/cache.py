@@ -574,7 +574,7 @@ def full_pnr_key(packed, device, seed, preset, constraints=None,
 
     Covers the full design's connectivity — every block's kind and
     name, every block net's terminals — plus the device, the effort
-    preset, the placement seed, and any region/lock constraints.  Those
+    preset, the placement seed, and any region constraints.  Those
     are all the placer and router read, so identical digests mean the
     deterministic P&R would recompute the identical layout; a logic-only
     change (a LUT table or pin order) keeps the digest.
@@ -601,8 +601,6 @@ def full_pnr_key(packed, device, seed, preset, constraints=None,
             for b, r in constraints.regions.items()
         )
         h.update(repr(regions).encode())
-        locked = sorted(packed.blocks[b].name for b in constraints.locked)
-        h.update(repr(locked).encode())
         if constraints.free_sites is not None:
             h.update(repr(sorted(constraints.free_sites)).encode())
     return h.hexdigest()

@@ -35,29 +35,6 @@ class ChangeSet:
     removed_instances: set[str] = field(default_factory=set)
     base_revision: int | None = None
 
-    def merge(self, other: "ChangeSet") -> "ChangeSet":
-        """Union of two deltas (e.g. a fix plus fresh test logic)."""
-        merged = ChangeSet(
-            description=f"{self.description}; {other.description}".strip("; "),
-            changed_instances=set(self.changed_instances),
-            new_instances=set(self.new_instances),
-            removed_instances=set(self.removed_instances),
-            base_revision=(
-                None
-                if self.base_revision is None or other.base_revision is None
-                else min(self.base_revision, other.base_revision)
-            ),
-        )
-        merged.changed_instances |= other.changed_instances
-        merged.new_instances |= other.new_instances
-        merged.removed_instances |= other.removed_instances
-        # an instance both added and removed in one step cancels out
-        ghosts = merged.new_instances & merged.removed_instances
-        merged.new_instances -= ghosts
-        merged.removed_instances -= ghosts
-        merged.changed_instances -= merged.removed_instances
-        return merged
-
     @property
     def is_empty(self) -> bool:
         return not (
@@ -104,7 +81,7 @@ class ChangeRecorder:
 
     def __enter__(self) -> "ChangeRecorder":
         self._before = self._snapshot()
-        self._base_revision = getattr(self.netlist, "revision", None)
+        self._base_revision = self.netlist.revision
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

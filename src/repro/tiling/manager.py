@@ -117,6 +117,29 @@ def replay_or_compute(
     return layout, False
 
 
+def absorb_changes(
+    packed: PackedDesign, layout: Layout | None, changes: ChangeSet
+) -> tuple[set[int], set[int], list[int]]:
+    """Back-annotate ``changes`` into the packing and ``layout``.
+
+    Resolves the changed blocks, retires removed instances, packs new
+    ones into new blocks, re-derives the block nets and drops the routes
+    of retired nets.  Every strategy's commit starts here.
+
+    Returns (changed blocks, new blocks, net indices needing routes).
+    """
+    changed_blocks = packed.blocks_of_instances(changes.touched_existing())
+    retire_instances(packed, changes.removed_instances)
+    new_blocks = extend_packing(packed, changes.new_instances)
+    new_ids, changed_ids, removed_ids = refresh_block_nets(packed)
+    if layout is not None:
+        for idx in removed_ids:
+            old = layout.routes.pop(idx, None)
+            if old is not None:
+                layout.state.remove(old)
+    return changed_blocks, new_blocks, sorted(new_ids | changed_ids)
+
+
 @dataclass
 class CommitReport:
     """Result of one tile-confined debugging change."""
@@ -150,9 +173,7 @@ class TiledLayout:
         self._neighbor_cache: dict[int, list[int]] | None = None
         #: netlist revision at the end of the last commit — lets the
         #: ChangeSet.base_revision guard spot untracked mutations
-        self._synced_revision: int | None = getattr(
-            layout.packed.netlist, "revision", None
-        )
+        self._synced_revision: int = layout.packed.netlist.revision
 
     # ------------------------------------------------------------------
     # construction (paper steps 4-8)
@@ -262,27 +283,7 @@ class TiledLayout:
         """
         if n_new_clbs < 0:
             raise TilingError("logic size cannot be negative")
-        chosen: list[int] = []
-        seen: set[int] = set()
-        queue: deque[int] = deque([start_tile])
-        slack = 0
-        while queue:
-            idx = queue.popleft()
-            if idx in seen:
-                continue
-            seen.add(idx)
-            chosen.append(idx)
-            slack += self.tiles[idx].slack
-            if slack >= n_new_clbs:
-                return chosen
-            for nb in sorted(self.neighbors_of(idx)):
-                if nb not in seen:
-                    queue.append(nb)
-        if slack >= n_new_clbs:
-            return chosen
-        raise TilingError(
-            f"{n_new_clbs} CLBs exceed the design's total slack {slack}"
-        )
+        return self._expand_for_slack({start_tile}, n_new_clbs)
 
     # ------------------------------------------------------------------
     # Figure 4 model: test-point budget
@@ -343,19 +344,12 @@ class TiledLayout:
         meter = EffortMeter()
         packed = self.packed
 
-        changed_blocks = packed.blocks_of_instances(changes.touched_existing())
-        retire_instances(packed, changes.removed_instances)
-        new_blocks = extend_packing(packed, changes.new_instances)
+        changed_blocks, new_blocks, extra = absorb_changes(
+            packed, self.layout, changes
+        )
         new_clbs = {
             b for b in new_blocks if packed.blocks[b].is_clb
         }
-        new_ids, changed_ids, removed_ids = refresh_block_nets(packed)
-
-        # retired nets lose their routes
-        for idx in removed_ids:
-            old = self.layout.routes.pop(idx, None)
-            if old is not None:
-                self.layout.state.remove(old)
 
         # seed tiles from the change location
         seed_tiles = {
@@ -382,11 +376,6 @@ class TiledLayout:
                 b for b in self.tiles[t].blocks if packed.blocks[b].is_clb
             }
         regions = [self.tiles[t].rect for t in affected]
-
-        extra = sorted(
-            (new_ids | changed_ids)
-            - {n for n in removed_ids}
-        )
 
         # --- precomputed-configuration fast path -------------------------
         new_iobs = {b for b in new_blocks if not packed.blocks[b].is_clb}
@@ -421,7 +410,7 @@ class TiledLayout:
             regions, meter, fresh,
         )
 
-        self._synced_revision = getattr(packed.netlist, "revision", None)
+        self._synced_revision = packed.netlist.revision
 
         self._rebuild_membership(affected, movable)
         return CommitReport(
@@ -512,20 +501,15 @@ class TiledLayout:
     def _expand_for_slack(
         self, seed_tiles: set[int], n_new_clbs: int
     ) -> list[int]:
-        """Neighbor expansion until the affected set can host the logic."""
-        chosen: list[int] = []
-        seen: set[int] = set()
-        queue: deque[int] = deque(sorted(seed_tiles))
-        slack = 0
-        while queue:
-            idx = queue.popleft()
-            if idx in seen:
-                continue
-            seen.add(idx)
-            chosen.append(idx)
-            slack += self.tiles[idx].slack
-        if slack >= n_new_clbs:
-            return chosen
+        """Neighbor expansion until the affected set can host the logic.
+
+        The seed tiles, then their neighbors breadth-first in index
+        order, until the pooled slack covers ``n_new_clbs`` — the one
+        walk behind both commits and the Figure 3 model.
+        """
+        chosen = sorted(seed_tiles)
+        seen = set(chosen)
+        slack = sum(self.tiles[idx].slack for idx in chosen)
         frontier: deque[int] = deque(chosen)
         while frontier and slack < n_new_clbs:
             idx = frontier.popleft()

@@ -21,7 +21,6 @@ class Tile:
     index: int
     rect: Rect
     blocks: set[int]
-    locked: bool = True
 
     @property
     def capacity(self) -> int:

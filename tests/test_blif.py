@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import NetlistError
-from repro.netlist import Netlist, check_netlist, simulate_words
+from repro.netlist import check_netlist, simulate_words
 from repro.netlist.blif import read_blif, write_blif
 from tests.conftest import make_adder_netlist
 

@@ -1,7 +1,6 @@
 """Experiment drivers reproduce the paper's qualitative shapes (small cfg)."""
 
 import dataclasses
-import math
 
 import pytest
 

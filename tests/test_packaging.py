@@ -80,3 +80,33 @@ def test_every_definition_is_referenced():
                 referenced.add(word)
     unreferenced = sorted(def_lines.keys() - referenced)
     assert not unreferenced, "unreferenced: " + ", ".join(unreferenced)
+
+
+def test_no_unused_imports():
+    # every name a module's top-level imports bind must be read somewhere
+    # in that module; package ``__init__`` files re-export, so they are
+    # skipped, and ``__future__`` imports bind no usable name
+    unused = []
+    for root in ("src/repro", "tests"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imported: dict[str, int] = {}
+            for node in tree.body:
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) and (
+                        node.module == "__future__"):
+                    continue
+                for alias in node.names:
+                    if alias.name != "*":
+                        name = alias.asname or alias.name.split(".")[0]
+                        imported[name] = node.lineno
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            unused += [
+                f"{path.relative_to(REPO)}:{lineno} {name}"
+                for name, lineno in imported.items() if name not in used
+            ]
+    assert not unused, "unused imports: " + ", ".join(unused)

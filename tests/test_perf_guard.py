@@ -17,7 +17,6 @@ from repro.netlist import (
     CellKind,
     CombinationalSimulator,
     ConeIndex,
-    Netlist,
     SequentialSimulator,
     kernel_for,
 )

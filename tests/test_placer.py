@@ -88,7 +88,8 @@ def test_locked_blocks_do_not_move():
     frozen_sites = {b: base.site_of(b) for b in locked}
     result = place_design(
         packed, device, seed=9, preset=EFFORT_PRESETS["fast"],
-        initial=base, constraints=PlaceConstraints(locked=locked),
+        initial=base,
+        movable={b.index for b in packed.clb_blocks()} - locked,
     )
     for b, site in frozen_sites.items():
         assert result.site_of(b) == site

@@ -17,7 +17,6 @@ import pytest
 from repro.arch import pick_device
 from repro.geometry import Rect
 from repro.pnr import EFFORT_PRESETS, full_place_and_route, replace_region
-from repro.pnr.placer import place_design
 from tests.conftest import fresh_packed_design
 
 
@@ -172,13 +171,14 @@ def test_reroute_along_a_kept_edge_counts_it_once():
     # through the gap row y=1 and leaves it for the second sink
     path = [(0, 0), (0, 1), (0, 2)]
     branch = [(0, 1), (1, 1), (2, 1), (3, 1)]
+    state = RoutingState(device)
     old = RouteTree(net.index)
     old.cells = set(path) | set(branch)
     old.edges = {
         (a, b) for cells in (path, branch) for a, b in zip(cells, cells[1:])
     }
+    old.eids = tuple(state.fabric.edge_id(*e) for e in old.edges)
     old.sink_hops = {net.sinks[0]: 2, net.sinks[1]: 4}
-    state = RoutingState(device)
     state.add(old)
     layout = Layout(packed, device, placement, {net.index: old}, state)
 

@@ -34,7 +34,7 @@ from repro.resilience.chaos import (
     replay_denied,
 )
 from repro.resilience.degrade import next_degraded
-from repro.resilience.failure import RUN_STATUSES, RunFailure
+from repro.resilience.failure import RunFailure
 from repro.tiling.cache import (
     TileConfigCache,
     cache_file_path,
@@ -133,10 +133,10 @@ def test_ladder_falls_back_in_order_and_bottoms_out():
                    engine="compiled", cache="shared")
     degraded, note = next_degraded(spec, "setup")
     assert (note["field"], note["to"]) == ("cache", "off")
-    degraded2, note2 = next_degraded(degraded, "verify")
-    assert (note2["field"], note2["to"]) == ("engine", "interpreted")
-    bottom = degraded2.replaced(cache="off")
-    assert next_degraded(bottom, "verify") is None
+    # no rung changes the engine: the engines are bit-identical, so a
+    # retry on the other one recomputes the same outcome
+    assert degraded.engine == "compiled"
+    assert next_degraded(degraded, "verify") is None
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,7 @@ def test_zero_capacity_channels_track_overuse():
     state = RoutingState(device)
     tree = RouteTree(0)
     tree.edges = {((0, 0), (0, 1))}
+    tree.eids = tuple(state.fabric.edge_id(*e) for e in tree.edges)
     state.add(tree)
     assert state.overused_edges() == [((0, 0), (0, 1))]
     state.remove(tree)
@@ -133,6 +134,7 @@ def test_routing_state_add_remove_roundtrip():
 
     tree = RouteTree(0)
     tree.edges = {((0, 0), (0, 1)), ((0, 1), (0, 2))}
+    tree.eids = tuple(state.fabric.edge_id(*e) for e in tree.edges)
     state.add(tree)
     assert state.usage[((0, 0), (0, 1))] == 1
     state.remove(tree)

@@ -8,7 +8,6 @@ from repro.api import RunSpec, run_spec
 from repro.debug.correct import synthesize_lut_fix
 from repro.debug.detect import detect_on_layout
 from repro.errors import SpecError
-from repro.generators import build_design
 
 FAST = dict(preset="fast", max_probes=6, cache="private")
 

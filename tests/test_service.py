@@ -20,7 +20,6 @@ from repro.api.campaign import CampaignResult
 from repro.api.design import load_bundle
 from repro.api.journal import CampaignJournal, JsonlJournal
 from repro.api.pipeline import run_spec
-from repro.api.result import RunResult
 from repro.api.spec import RunSpec
 from repro.resilience.failure import WORKER_STAGE
 from repro.service.client import Client, ServiceError

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import NetlistError
 from repro.netlist import (
-    CellKind,
     CombinationalSimulator,
     Netlist,
     NetlistBuilder,

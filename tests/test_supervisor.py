@@ -6,9 +6,6 @@ they die (crash, hang, hard timeout), and journal-backed resume that
 re-executes only unfinished specs after an interrupt.
 """
 
-import json
-import os
-
 import pytest
 
 from repro.api.campaign import CampaignRunner, expand_matrix

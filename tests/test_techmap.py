@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.generators.random_logic import random_combinational_netlist
 from repro.netlist import CellKind, check_netlist, simulate_words
 from repro.synth import map_to_luts
-from tests.conftest import make_adder_netlist
 
 
 def assert_equivalent(original, mapped, n_patterns=64, seed=0):

@@ -1,5 +1,7 @@
 """Tiling: geometry planning, assignment, refinement, Tile accounting."""
 
+from collections import deque
+
 import pytest
 
 from repro.arch import custom_device, pick_device
@@ -222,3 +224,60 @@ def test_refinement_matches_per_destination_recount():
                 assert [t.blocks for t in tiles] == [t.blocks for t in want]
                 total_moves += moves
     assert total_moves > 0
+
+
+def _reference_affected_tiles(tiled, n_new_clbs, start_tile):
+    """The Figure 3 walk as it stood before it shared the commit path's
+    slack expansion: pop-time dedup, a slack check after every tile."""
+    if n_new_clbs < 0:
+        raise TilingError("logic size cannot be negative")
+    chosen, seen = [], set()
+    queue = deque([start_tile])
+    slack = 0
+    while queue:
+        idx = queue.popleft()
+        if idx in seen:
+            continue
+        seen.add(idx)
+        chosen.append(idx)
+        slack += tiled.tiles[idx].slack
+        if slack >= n_new_clbs:
+            return chosen
+        for nb in sorted(tiled.neighbors_of(idx)):
+            if nb not in seen:
+                queue.append(nb)
+    if slack >= n_new_clbs:
+        return chosen
+    raise TilingError(f"{n_new_clbs} CLBs exceed the total slack {slack}")
+
+
+def test_slack_walk_matches_reference_walk():
+    """``affected_tiles_for_logic`` (the commit path's slack walk from
+    one tile) visits, stops and fails exactly like the reference walk,
+    from every start tile at every size up to past the total slack."""
+    from repro.api.design import device_for
+    from repro.generators import build_design
+    from repro.tiling import TiledLayout
+
+    def outcome(walk, *args):
+        try:
+            return walk(*args)
+        except TilingError:
+            return "TilingError"
+
+    saturated = 0
+    for name in ("9sym", "styr", "s9234"):
+        packed = build_design(name).packed
+        tiled = TiledLayout.create(
+            packed, device_for(packed), TilingOptions(n_tiles=10),
+            preset=EFFORT_PRESETS["fast"],
+        )
+        for start in range(len(tiled.tiles)):
+            for size in range(tiled.total_slack() + 3):
+                want = outcome(_reference_affected_tiles, tiled, size, start)
+                got = outcome(tiled.affected_tiles_for_logic, size, start)
+                assert got == want, (name, start, size)
+                saturated += want == "TilingError"
+        with pytest.raises(TilingError):
+            tiled.affected_tiles_for_logic(-1, 0)
+    assert saturated > 0
