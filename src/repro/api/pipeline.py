@@ -51,7 +51,7 @@ from repro.debug.strategies import BaseStrategy, make_strategy
 from repro.debug.testgen import random_stimulus
 from repro.netlist.core import Netlist
 from repro.netlist.validate import check_netlist
-from repro.errors import DeadlineExceeded
+from repro.errors import DeadlineExceeded, LocalizationDrained
 from repro.obs.metrics import METRICS
 from repro.obs.profile import StageProfiler, maybe_profile, profiler_scope
 from repro.obs.trace import (
@@ -812,7 +812,9 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     stages produced, and ``retries > 0`` re-attempts a failed run —
     stepping down the degradation ladder
     (:func:`repro.resilience.degrade.next_degraded`) when a rung
-    applies, each step recorded in ``RunResult.degradations``.  A spec
+    applies, each step recorded in ``RunResult.degradations``.  A
+    localization drain (:class:`~repro.errors.LocalizationDrained`) is
+    retried only when the next rung changes the strategy.  A spec
     with no budgets, no retries, and no chaos takes a single attempt
     down the exact historical code path, bit-identical to the pre-
     resilience pipeline.
@@ -945,6 +947,14 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
                 status = "failed"
                 break
             step = next_degraded(current, stage)
+            if isinstance(exc, LocalizationDrained) and (
+                step is None or step[1]["field"] != "strategy"
+            ):
+                # only another localization strategy can change a
+                # drain; cache on/off and the correction method never
+                # change a localization verdict
+                status = "failed"
+                break
             if step is not None:
                 current, note = step
                 degradations.append(dict(note, attempt=attempt))

@@ -66,7 +66,7 @@ from repro.debug.detect import GoldenTrace, Mismatch
 from repro.debug.instrument import add_observation_point
 from repro.debug.strategies import BaseStrategy
 from repro.emu.emulator import Emulator
-from repro.errors import DebugFlowError
+from repro.errors import DebugFlowError, LocalizationDrained
 from repro.netlist.cones import ConeIndex
 from repro.netlist.core import Netlist, port_name
 from repro.obs.metrics import METRICS
@@ -343,7 +343,7 @@ class ConeLocalizer:
                     on_probe(step)
             if after == 0:
                 if not self.tolerate_drain:
-                    raise DebugFlowError(
+                    raise LocalizationDrained(
                         "localization eliminated every candidate "
                         "(reconvergent masking); rerun with more patterns"
                     )

@@ -42,6 +42,14 @@ class DebugFlowError(ReproError):
     """The emulation debug loop was driven into an invalid state."""
 
 
+class LocalizationDrained(DebugFlowError):
+    """Probe verdicts eliminated every localization candidate.
+
+    Deterministic for a spec: a retry drains the same way unless it
+    changes the localization strategy.
+    """
+
+
 class UnknownStrategyError(DebugFlowError, ValueError):
     """An unknown back-end strategy name was requested.
 

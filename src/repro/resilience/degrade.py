@@ -11,7 +11,9 @@ against:
 * ``cache``      ``shared``/``private`` → ``off`` (fresh P&R, no replay)
 
 No rung changes the engine: the engines are bit-identical, so a retry
-on the other one recomputes the same failure.
+on the other one recomputes the same failure.  For the same reason a
+localization drain is not retried on the cache or correction rung:
+neither changes a localization verdict, so only the strategy rung can.
 
 Each applied rung is recorded as a ``degradation`` note on the result
 (never a silent swallow), and a run that finished only thanks to a

@@ -12,7 +12,17 @@ variables, and 16-variable truth-table synthesis:
   asserting clause, backjump non-chronologically;
 * **VSIDS** — per-variable activity bumped during analysis and decayed
   geometrically; decisions pick the most active unassigned variable
-  (ties break on the lowest index, keeping runs deterministic);
+  (ties break on a unique per-variable rank, keeping runs
+  deterministic).  The pick comes from a lazy-deletion order heap of
+  ``(-activity, rank, var)`` entries rather than a scan: a bump leaves
+  the variable's old entry behind, stale, and the variable is re-queued
+  under its new key when backtracking unassigns it; the pick pops
+  entries until it meets one that is current and unassigned.  Ranks
+  are unique and every unassigned variable always has a current entry,
+  so the heap's pick is exactly the scan's minimum and the decision
+  sequence is unchanged.  New variables (with a seed, a rank
+  reshuffle) and an activity rescale rebuild the heap, and so does a
+  heap grown past ``_HEAP_SLACK`` entries per variable;
 * **phase saving** — a backtracked variable remembers its last
   polarity and is re-decided there;
 * **Luby restarts** — conflict budgets follow the Luby sequence times
@@ -25,12 +35,14 @@ variables, and 16-variable truth-table synthesis:
 
 Determinism: given the same CNF, the same assumption sequence and the
 same ``seed``, every solve makes the identical decision sequence.  The
-seed only perturbs the initial variable order (a seeded shuffle of the
-activity tie-break ranks); ``seed=0`` keeps plain index order.
+seed only perturbs the activity tie-break ranks: each time the variable
+count grows, a seeded shuffle reorders every rank; ``seed=0`` keeps
+plain index order.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.obs.metrics import METRICS
@@ -42,6 +54,10 @@ from repro.sat.cnf import CNF, SatError
 _UNASSIGNED = -1
 _VAR_DECAY = 0.95
 _RESCALE = 1e100
+#: the order heap is rebuilt from the unassigned variables once it holds
+#: more than this many entries per variable (stale and duplicate entries
+#: pile up between rebuilds)
+_HEAP_SLACK = 4
 
 
 @dataclass
@@ -66,12 +82,6 @@ class SolverStats:
         }
 
 
-@dataclass
-class _Clause:
-    lits: list[int]  # internal codes; lits[0:2] are the watched pair
-    learnt: bool = False
-
-
 def _luby(i: int) -> int:
     """The i-th (0-based) Luby number: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ..."""
     size, seq = 1, 0
@@ -89,7 +99,9 @@ class Solver:
     """CDCL over a (possibly still growing) :class:`CNF`.
 
     Literals at the API boundary are signed DIMACS ints; internally a
-    literal ``l`` is the code ``2*|l| + (l < 0)``.
+    literal ``l`` is the code ``2*|l| + (l < 0)``.  Values are kept per
+    literal code: ``_values[c]`` is 1, 0 or ``_UNASSIGNED``, so a
+    variable's value is its positive code's, ``_values[2*var]``.
     """
 
     def __init__(self, cnf: CNF | None = None, seed: int = 0,
@@ -101,14 +113,19 @@ class Solver:
         self.ok = True  # False once the formula is unsat at root level
 
         self._n_vars = 0
-        self._assigns: list[int] = [_UNASSIGNED]
+        self._values: list[int] = [_UNASSIGNED, _UNASSIGNED]
         self._levels: list[int] = [0]
         self._reasons: list[int] = [-1]
         self._activity: list[float] = [0.0]
         self._phase: list[int] = [0]
         self._rank: list[int] = [0]  # seeded tie-break order
+        #: the VSIDS order heap of (-activity, rank, var) entries
+        self._heap: list[tuple[float, int, int]] = []
+        #: 1 while the heap holds an entry with the variable's current key
+        self._queued = bytearray(1)
         self._watches: list[list[int]] = [[], []]
-        self._clauses: list[_Clause] = []
+        #: clause literal codes; lits[0:2] are the watched pair
+        self._clauses: list[list[int]] = []
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._prop_head = 0
@@ -124,9 +141,16 @@ class Solver:
         return self._n_vars
 
     def add_clause(self, lits) -> None:
-        """Add a clause directly (bypassing the CNF's list)."""
+        """Add a clause directly (bypassing the CNF's list).
+
+        Variables grow one literal at a time, in clause order; with a
+        seed, each growth step reshuffles the tie-break ranks.
+        """
+        clause = tuple(lits)
         self._backtrack(0)
-        self._attach_external(tuple(lits))
+        for lit in clause:
+            self._ensure_vars(abs(lit))
+        self._load((clause,))
 
     def solve(self, assumptions=()) -> bool:
         """True iff satisfiable under ``assumptions`` (signed literals).
@@ -173,7 +197,8 @@ class Solver:
     def _solve(self, assumptions=()) -> bool:
         self._sync()
         self._model = None
-        self.stats.solves += 1
+        stats = self.stats
+        stats.solves += 1
         if not self.ok:
             return False
         assumptions = [self._code(lit) for lit in assumptions]
@@ -181,6 +206,9 @@ class Solver:
         if self._propagate() >= 0:
             self.ok = False
             return False
+        values = self._values
+        trail = self._trail
+        trail_lim = self._trail_lim
         restart_no = 0
         budget = self.restart_base * _luby(restart_no)
         conflicts_here = 0
@@ -191,9 +219,9 @@ class Solver:
                 check_deadline("sat.solve")
             conflict = self._propagate()
             if conflict >= 0:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflicts_here += 1
-                if not self._trail_lim:
+                if not trail_lim:
                     self.ok = False
                     return False
                 learnt, bt_level = self._analyze(conflict)
@@ -201,11 +229,11 @@ class Solver:
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], -1)
                 else:
-                    ci = self._attach_internal(learnt, learnt=True)
+                    ci = self._attach_learnt(learnt)
                     self._enqueue(learnt[0], ci)
                 continue
             if conflicts_here >= budget:
-                self.stats.restarts += 1
+                stats.restarts += 1
                 restart_no += 1
                 budget = self.restart_base * _luby(restart_no)
                 conflicts_here = 0
@@ -214,16 +242,16 @@ class Solver:
             # place pending assumptions as the next decisions
             placed = False
             failed = False
-            while len(self._trail_lim) < len(assumptions):
-                code = assumptions[len(self._trail_lim)]
-                value = self._value_code(code)
+            while len(trail_lim) < len(assumptions):
+                code = assumptions[len(trail_lim)]
+                value = values[code]
                 if value == 1:
-                    self._trail_lim.append(len(self._trail))
+                    trail_lim.append(len(trail))
                     continue
                 if value == 0:
                     failed = True
                     break
-                self._trail_lim.append(len(self._trail))
+                trail_lim.append(len(trail))
                 self._enqueue(code, -1)
                 placed = True
                 break
@@ -234,11 +262,11 @@ class Solver:
                 continue
             var = self._pick_var()
             if var == 0:
-                self._model = list(self._assigns)
+                self._model = values[::2]
                 self._backtrack(0)
                 return True
-            self.stats.decisions += 1
-            self._trail_lim.append(len(self._trail))
+            stats.decisions += 1
+            trail_lim.append(len(trail))
             self._enqueue(2 * var + (0 if self._phase[var] else 1), -1)
 
     def value(self, var: int) -> int:
@@ -260,20 +288,25 @@ class Solver:
     # -- setup ----------------------------------------------------------
 
     def _sync(self) -> None:
-        """Pull variables and clauses the CNF grew since the last solve."""
-        self._ensure_vars(self.cnf.n_vars)
-        if self._synced < len(self.cnf.clauses):
+        """Pull variables and clauses the CNF grew since the last solve.
+
+        Every CNF clause ranges over ``1..cnf.n_vars``, so one growth
+        step covers the whole batch.
+        """
+        cnf = self.cnf
+        self._ensure_vars(cnf.n_vars)
+        clauses = cnf.clauses
+        if self._synced < len(clauses):
             self._backtrack(0)
-            while self._synced < len(self.cnf.clauses):
-                self._attach_external(self.cnf.clauses[self._synced])
-                self._synced += 1
+            self._load(clauses[self._synced:])
+            self._synced = len(clauses)
 
     def _ensure_vars(self, n: int) -> None:
         if n <= self._n_vars:
             return
-        rng = make_rng(self.seed, "sat.order") if self.seed else None
         for var in range(self._n_vars + 1, n + 1):
-            self._assigns.append(_UNASSIGNED)
+            self._values.append(_UNASSIGNED)
+            self._values.append(_UNASSIGNED)
             self._levels.append(0)
             self._reasons.append(-1)
             self._activity.append(0.0)
@@ -281,50 +314,59 @@ class Solver:
             self._rank.append(var)
             self._watches.append([])
             self._watches.append([])
-        if rng is not None:
-            ranks = self._rank[1:]
-            rng.shuffle(ranks)
-            self._rank[1:] = ranks
         self._n_vars = n
+        if self.seed:
+            ranks = self._rank[1:]
+            make_rng(self.seed, "sat.order").shuffle(ranks)
+            self._rank[1:] = ranks
+        self._rebuild_heap()
 
-    def _attach_external(self, clause: tuple[int, ...]) -> None:
-        """Simplify a user clause against root assignments, then attach."""
-        for lit in clause:
-            self._ensure_vars(abs(lit))
-        codes: list[int] = []
-        seen: set[int] = set()
-        for lit in clause:
-            code = self._code(lit)
-            if code in seen:
-                continue
-            if code ^ 1 in seen:
-                return  # tautology
-            value = self._value_code(code)
-            if value == 1 and self._levels[code >> 1] == 0:
-                return  # satisfied at root
-            if value == 0 and self._levels[code >> 1] == 0:
-                continue  # falsified at root: drop the literal
-            seen.add(code)
-            codes.append(code)
-        if not codes:
-            self.ok = False
-            return
-        if len(codes) == 1:
-            value = self._value_code(codes[0])
-            if value == 0:
-                self.ok = False
-            elif value == _UNASSIGNED:
-                self._enqueue(codes[0], -1)
-            return
-        self._attach_internal(codes, learnt=False)
+    def _load(self, clauses) -> None:
+        """Simplify clauses over known variables against the root
+        assignments, then attach them.
 
-    def _attach_internal(self, codes: list[int], learnt: bool) -> int:
+        The solver sits at level 0, so every assigned literal is
+        assigned at the root.
+        """
+        values = self._values
+        watches = self._watches
+        attached = self._clauses
+        for clause in clauses:
+            codes: list[int] = []
+            for lit in clause:
+                if lit > 0:
+                    code = 2 * lit
+                elif lit < 0:
+                    code = 1 - 2 * lit
+                else:
+                    raise SatError("0 is not a literal")
+                if code in codes:
+                    continue
+                if code ^ 1 in codes:
+                    break  # tautology
+                value = values[code]
+                if value == 1:
+                    break  # satisfied at root
+                if value == 0:
+                    continue  # falsified at root: drop the literal
+                codes.append(code)
+            else:
+                if len(codes) > 1:
+                    ci = len(attached)
+                    attached.append(codes)
+                    watches[codes[0]].append(ci)
+                    watches[codes[1]].append(ci)
+                elif codes:
+                    self._enqueue(codes[0], -1)
+                else:
+                    self.ok = False
+
+    def _attach_learnt(self, codes: list[int]) -> int:
         ci = len(self._clauses)
-        self._clauses.append(_Clause(list(codes), learnt))
+        self._clauses.append(codes)
         self._watches[codes[0]].append(ci)
         self._watches[codes[1]].append(ci)
-        if learnt:
-            self.stats.learned += 1
+        self.stats.learned += 1
         return ci
 
     # -- kernel ---------------------------------------------------------
@@ -335,93 +377,119 @@ class Solver:
             raise SatError("0 is not a literal")
         return 2 * lit if lit > 0 else -2 * lit + 1
 
-    def _value_code(self, code: int) -> int:
-        a = self._assigns[code >> 1]
-        if a == _UNASSIGNED:
-            return _UNASSIGNED
-        return a ^ (code & 1)
-
     def _enqueue(self, code: int, reason: int) -> None:
         var = code >> 1
-        self._assigns[var] = 0 if code & 1 else 1
+        self._values[code] = 1
+        self._values[code ^ 1] = 0
         self._levels[var] = len(self._trail_lim)
         self._reasons[var] = reason
         self._trail.append(code)
 
     def _propagate(self) -> int:
         """Unit propagation; returns a conflicting clause index or -1."""
-        while self._prop_head < len(self._trail):
-            false_code = self._trail[self._prop_head] ^ 1
-            self._prop_head += 1
-            self.stats.propagations += 1
-            wlist = self._watches[false_code]
+        trail = self._trail
+        head = self._prop_head
+        if head >= len(trail):
+            return -1
+        values = self._values
+        levels = self._levels
+        reasons = self._reasons
+        watches = self._watches
+        clauses = self._clauses
+        level = len(self._trail_lim)
+        start = head
+        conflict = -1
+        while head < len(trail):
+            false_code = trail[head] ^ 1
+            head += 1
+            wlist = watches[false_code]
+            n = len(wlist)
             j = 0
             i = 0
-            while i < len(wlist):
+            while i < n:
                 ci = wlist[i]
-                lits = self._clauses[ci].lits
-                if lits[0] == false_code:
-                    lits[0], lits[1] = lits[1], lits[0]
+                i += 1
+                lits = clauses[ci]
                 first = lits[0]
-                if self._value_code(first) == 1:
+                if first == false_code:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_code
+                value = values[first]
+                if value == 1:  # watch 0 is true
                     wlist[j] = ci
                     j += 1
-                    i += 1
                     continue
-                found = False
                 for k in range(2, len(lits)):
-                    if self._value_code(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lits[1]].append(ci)
-                        found = True
+                    code = lits[k]
+                    if values[code]:  # not false
+                        lits[1] = code
+                        lits[k] = false_code
+                        watches[code].append(ci)
                         break
-                if found:
-                    i += 1
-                    continue
-                wlist[j] = ci
-                j += 1
-                if self._value_code(first) == 0:
-                    i += 1
-                    while i < len(wlist):
-                        wlist[j] = wlist[i]
-                        j += 1
-                        i += 1
-                    del wlist[j:]
-                    return ci
-                self._enqueue(first, ci)
-                i += 1
+                else:
+                    wlist[j] = ci
+                    j += 1
+                    if value == 0:  # watch 0 is false
+                        conflict = ci
+                        break
+                    values[first] = 1
+                    values[first ^ 1] = 0
+                    var = first >> 1
+                    levels[var] = level
+                    reasons[var] = ci
+                    trail.append(first)
+            if conflict >= 0:
+                del wlist[j:i]
+                break
             del wlist[j:]
-        return -1
+        self._prop_head = head
+        self.stats.propagations += head - start
+        return conflict
 
     def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > _RESCALE:
+        """Raise ``var``'s activity.
+
+        Only assigned variables are bumped (they sit in the conflict's
+        implication graph), so the heap needs no new entry here: the
+        old one turns stale and :meth:`_backtrack` re-queues the
+        variable under its new key.
+        """
+        activity = self._activity
+        activity[var] += self._var_inc
+        self._queued[var] = 0
+        if activity[var] > _RESCALE:
             inv = 1.0 / _RESCALE
             for v in range(1, self._n_vars + 1):
-                self._activity[v] *= inv
+                activity[v] *= inv
             self._var_inc *= inv
+            self._rebuild_heap()
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """First-UIP learning; returns (asserting clause, backjump level)."""
+        levels = self._levels
+        trail = self._trail
+        clauses = self._clauses
+        bump = self._bump
         current = len(self._trail_lim)
         seen = bytearray(self._n_vars + 1)
         learnt: list[int] = []
         counter = 0
-        for code in self._clauses[conflict].lits:
+        for code in clauses[conflict]:
             var = code >> 1
-            if not seen[var] and self._levels[var] > 0:
+            if not seen[var] and levels[var] > 0:
                 seen[var] = 1
-                self._bump(var)
-                if self._levels[var] == current:
+                bump(var)
+                if levels[var] == current:
                     counter += 1
                 else:
                     learnt.append(code)
-        idx = len(self._trail) - 1
+        idx = len(trail) - 1
         uip = 0
         while True:
-            while not seen[self._trail[idx] >> 1]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            code = self._trail[idx]
+            code = trail[idx]
             idx -= 1
             var = code >> 1
             seen[var] = 0
@@ -429,14 +497,13 @@ class Solver:
             if counter == 0:
                 uip = code ^ 1
                 break
-            reason = self._reasons[var]
-            for rcode in self._clauses[reason].lits:
+            for rcode in clauses[self._reasons[var]]:
                 rvar = rcode >> 1
-                if rvar == var or seen[rvar] or self._levels[rvar] == 0:
+                if rvar == var or seen[rvar] or levels[rvar] == 0:
                     continue
                 seen[rvar] = 1
-                self._bump(rvar)
-                if self._levels[rvar] == current:
+                bump(rvar)
+                if levels[rvar] == current:
                     counter += 1
                 else:
                     learnt.append(rcode)
@@ -445,7 +512,7 @@ class Solver:
         if len(learnt) > 1:
             max_idx = 1
             for i in range(1, len(learnt)):
-                level = self._levels[learnt[i] >> 1]
+                level = levels[learnt[i] >> 1]
                 if level > bt_level:
                     bt_level, max_idx = level, i
             learnt[1], learnt[max_idx] = learnt[max_idx], learnt[1]
@@ -453,28 +520,67 @@ class Solver:
         return learnt, bt_level
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        """Undo every assignment above ``level``, saving phases and
+        re-queueing each variable whose current key left the heap."""
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        mark = self._trail_lim[level]
-        for idx in range(len(self._trail) - 1, mark - 1, -1):
-            code = self._trail[idx]
+        trail = self._trail
+        mark = trail_lim[level]
+        values = self._values
+        phase = self._phase
+        queued = self._queued
+        activity = self._activity
+        rank = self._rank
+        heap = self._heap
+        push = heapq.heappush
+        for idx in range(len(trail) - 1, mark - 1, -1):
+            code = trail[idx]
+            values[code] = values[code ^ 1] = _UNASSIGNED
             var = code >> 1
-            self._phase[var] = self._assigns[var]
-            self._assigns[var] = _UNASSIGNED
-            self._reasons[var] = -1
-        del self._trail[mark:]
-        del self._trail_lim[level:]
-        self._prop_head = len(self._trail)
+            phase[var] = (code & 1) ^ 1
+            if not queued[var]:
+                queued[var] = 1
+                push(heap, (-activity[var], rank[var], var))
+        del trail[mark:]
+        del trail_lim[level:]
+        self._prop_head = len(trail)
+        if len(heap) > _HEAP_SLACK * self._n_vars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One current entry per unassigned variable, heapified."""
+        activity = self._activity
+        rank = self._rank
+        values = self._values
+        queued = bytearray(self._n_vars + 1)
+        heap = []
+        for var in range(1, self._n_vars + 1):
+            if values[2 * var] == _UNASSIGNED:
+                queued[var] = 1
+                heap.append((-activity[var], rank[var], var))
+        heapq.heapify(heap)
+        self._heap = heap
+        self._queued = queued
 
     def _pick_var(self) -> int:
-        best, best_key = 0, None
+        """The unassigned variable with the highest activity (lowest
+        rank on ties), or 0 when every variable is assigned.
+
+        Pops stale entries (a bump since the push) and entries of
+        assigned variables; every unassigned variable keeps a current
+        entry, so the first current, unassigned entry is the minimum.
+        """
+        heap = self._heap
         activity = self._activity
-        assigns = self._assigns
-        rank = self._rank
-        for var in range(1, self._n_vars + 1):
-            if assigns[var] != _UNASSIGNED:
-                continue
-            key = (-activity[var], rank[var])
-            if best_key is None or key < best_key:
-                best, best_key = var, key
-        return best
+        values = self._values
+        queued = self._queued
+        pop = heapq.heappop
+        while heap:
+            neg_activity, _, var = pop(heap)
+            if -neg_activity != activity[var]:
+                continue  # stale
+            queued[var] = 0
+            if values[2 * var] == _UNASSIGNED:
+                return var
+        return 0

@@ -529,3 +529,37 @@ def test_cli_campaign_chaos_smoke(tmp_path, capsys):
     assert [r["status"] for r in data["results"]] == ["ok", "failed", "ok"]
     assert verify_cache_file(cache_file_path(cache_dir)) > 0
     assert "1 failed" in out.err
+
+
+# ----------------------------------------------------------------------
+# localization drains
+# ----------------------------------------------------------------------
+
+#: an s9234 error whose probe verdicts drain every candidate, under
+#: both the tiled and the SAT strategy
+DRAIN = dict(design="s9234", error_seed=6, preset="fast", cache="private",
+             retries=1)
+
+
+def test_drain_is_not_retried_on_the_cache_rung():
+    result = run_spec(RunSpec(**DRAIN))
+    assert result.status == "failed"
+    assert result.attempts == 1
+    [failure] = result.failures
+    assert failure["error"] == "LocalizationDrained"
+    assert failure["stage"] == "localize"
+    assert "eliminated every candidate" in failure["message"]
+    assert not any(n["field"] == "cache" for n in result.degradations)
+
+
+def test_sat_drain_still_takes_the_strategy_rung():
+    result = run_spec(RunSpec(**DRAIN, strategy="sat"))
+    assert result.status == "failed"
+    assert result.attempts == 2
+    assert [f["error"] for f in result.failures] == [
+        "LocalizationDrained", "LocalizationDrained",
+    ]
+    [note] = result.degradations
+    assert (note["field"], note["from"], note["to"]) == (
+        "strategy", "sat", "tiled",
+    )

@@ -1,12 +1,14 @@
 """The CDCL solver: correctness against brute force, incrementality."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from repro.sat.cnf import CNF, SatError
-from repro.sat.solver import Solver, _luby
+from repro.sat import solver as solver_module
+from repro.sat.solver import _UNASSIGNED, Solver, _luby
 
 
 def brute_force_sat(n_vars, clauses):
@@ -31,6 +33,31 @@ def make_random_cnf(n_vars, n_clauses, rng):
         clauses.append(clause)
         cnf.add_clause(clause)
     return cnf, clauses
+
+
+def random_3sat(n_vars, ratio, rng):
+    cnf = CNF()
+    for _ in range(n_vars):
+        cnf.new_var()
+    for _ in range(round(ratio * n_vars)):
+        chosen = rng.sample(range(1, n_vars + 1), 3)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
+    return cnf
+
+
+def pigeonhole(pigeons, holes):
+    cnf = CNF()
+    var = {
+        (p, h): cnf.new_var() for p in range(pigeons) for h in range(holes)
+    }
+    for p in range(pigeons):
+        cnf.add_clause([var[p, h] for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                cnf.add_clause([-var[p1, h], -var[p2, h]])
+    return cnf
+
 
 
 class TestSolverCorrectness:
@@ -71,17 +98,7 @@ class TestSolverCorrectness:
 
     def test_pigeonhole_unsat(self):
         # 4 pigeons in 3 holes: exercises learning and backjumping
-        cnf = CNF()
-        var = {
-            (p, h): cnf.new_var() for p in range(4) for h in range(3)
-        }
-        for p in range(4):
-            cnf.add_clause([var[p, h] for h in range(3)])
-        for h in range(3):
-            for p1 in range(4):
-                for p2 in range(p1 + 1, 4):
-                    cnf.add_clause([-var[p1, h], -var[p2, h]])
-        solver = Solver(cnf, seed=1)
+        solver = Solver(pigeonhole(4, 3), seed=1)
         assert solver.solve() is False
         assert solver.stats.conflicts > 0
         assert solver.stats.learned > 0
@@ -172,3 +189,147 @@ class TestDeterminism:
 
     def test_verdict_independent_of_seed(self):
         assert self._run(1)[0] == self._run(2)[0] == self._run(0)[0]
+
+
+def _trace_solve(solver, digest, assumptions=()):
+    """Solve once and fold (result, stats, full model) into ``digest``."""
+    sat = solver.solve(assumptions)
+    model = (
+        tuple(solver.value(v) for v in range(1, solver.n_vars + 1))
+        if sat else None
+    )
+    digest.update(repr((sat, solver.stats.snapshot(), model)).encode())
+
+
+def _incremental_trace(digest):
+    """A seeded solver whose formula grows between solves: CNF growth
+    (synced in) and public ``add_clause`` growth (one variable at a time,
+    each growth step reshuffling the seeded ranks), under assumptions."""
+    rng = random.Random(99)
+    cnf = random_3sat(60, 3.9, rng)
+    synced = Solver(cnf, seed=3)
+    direct = Solver(seed=5)
+    for clause in cnf.clauses:
+        direct.add_clause(clause)
+    for _ in range(10):
+        assumptions = [
+            v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, cnf.n_vars + 1), 3)
+        ]
+        _trace_solve(synced, digest, assumptions)
+        _trace_solve(direct, digest, assumptions)
+        fresh = [cnf.new_var() for _ in range(4)]
+        grown = []
+        for _ in range(6):
+            old = rng.sample(range(1, fresh[0]), 2)
+            clause = [rng.choice(fresh)] + [
+                v if rng.random() < 0.5 else -v for v in old
+            ]
+            rng.shuffle(clause)
+            cnf.add_clause(clause)
+            grown.append(clause)
+        for clause in grown:
+            direct.add_clause(clause)
+    _trace_solve(synced, digest)
+    _trace_solve(direct, digest)
+
+
+def test_search_trace_pinned():
+    """Every solve's result, stats and model are pinned: a kernel change
+    must make exactly the same decisions, conflicts and learned clauses."""
+    digest = hashlib.sha256()
+    for seed in range(6):
+        solver = Solver(random_3sat(80, 4.26, random.Random(seed)),
+                        seed=seed % 3)
+        _trace_solve(solver, digest)
+    _trace_solve(Solver(pigeonhole(7, 6), seed=1), digest)
+    _incremental_trace(digest)
+    assert digest.hexdigest() == (
+        "86c0a1e47284f73b3f33d4de321cce95b7843435ba6aa0733f43134a5411672b"
+    )
+
+
+def reference_pick(solver):
+    """The scan the order heap replaced: the most active unassigned
+    variable, ties broken on the lowest rank."""
+    best, best_key = 0, None
+    for var in range(1, solver.n_vars + 1):
+        if solver._values[2 * var] != _UNASSIGNED:
+            continue
+        key = (-solver._activity[var], solver._rank[var])
+        if best_key is None or key < best_key:
+            best, best_key = var, key
+    return best
+
+
+def check_every_pick(solver):
+    """Wrap ``solver``'s heap pick: each decision must equal the
+    reference scan, and the heap must stay under its compaction bound.
+    Returns the list the checked picks are appended to."""
+    picks = []
+    heap_pick = solver._pick_var
+
+    def checked():
+        expected = reference_pick(solver)
+        got = heap_pick()
+        assert got == expected
+        assert len(solver._heap) <= solver_module._HEAP_SLACK * solver.n_vars
+        picks.append(got)
+        return got
+
+    solver._pick_var = checked
+    return picks
+
+
+class TestOrderHeap:
+    def test_heap_pick_matches_scan_at_every_decision(self, monkeypatch):
+        # a low rescale threshold makes activity rescales (and the heap
+        # rebuilds they force) happen inside these small searches
+        monkeypatch.setattr(solver_module, "_RESCALE", 50.0)
+        rng = random.Random(17)
+        n_picks = 0
+        rescales = []
+        for trial in range(12):
+            cnf = random_3sat(40, 4.26, rng)
+            solver = Solver(cnf, seed=trial % 4)
+            picks = check_every_pick(solver)
+            bump = solver._bump
+
+            def counted(var, solver=solver, bump=bump):
+                before = solver._var_inc
+                bump(var)
+                if solver._var_inc < before:
+                    rescales.append(var)
+
+            solver._bump = counted
+            for _ in range(3):
+                assumptions = [
+                    v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, cnf.n_vars + 1), 2)
+                ]
+                solver.solve(assumptions)
+                new = cnf.new_var()
+                cnf.add_clause([new, -rng.randint(1, new - 1)])
+            solver.solve()
+            n_picks += len(picks)
+        assert n_picks > 500
+        assert len(rescales) >= 5
+
+    def test_heap_stays_bounded_through_pigeonhole(self):
+        solver = Solver(pigeonhole(7, 6), seed=1)
+        picks = check_every_pick(solver)
+        rebuilds = []
+        rebuild = solver._rebuild_heap
+
+        def counted():
+            rebuilds.append(len(solver._heap))
+            rebuild()
+
+        solver._rebuild_heap = counted
+        assert solver.solve() is False
+        assert solver.stats.conflicts > 1000
+        assert picks
+        # the bound was reached and the heap compacted, not merely small
+        bound = solver_module._HEAP_SLACK * solver.n_vars
+        assert any(size > bound for size in rebuilds)
+        assert len(solver._heap) <= bound
