@@ -16,6 +16,11 @@ three two-fault SAT runs on 9sym, each at error seeds 1-2 (1-3 for
 SAT), preset ``fast`` with a private tile cache, so every P&R step
 computes.
 
+The same spec list then runs once more through one ``CampaignRunner``
+(thread executor, one worker), whose runs share a private tile cache
+and the campaign's design memo; its ``comparable`` results make the
+``campaign`` section, so the comparison covers the memo path too.
+
 Run it once from each tree root and compare the outputs::
 
     python benchmarks/outcome_sweep.py parent.json   # in the parent tree
@@ -34,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.checks import comparable  # noqa: E402
+from repro.api.campaign import CampaignRunner  # noqa: E402
 from repro.api.pipeline import run_spec  # noqa: E402
 from repro.api.spec import RunSpec  # noqa: E402
 from repro.debug.errors import ERROR_KINDS  # noqa: E402
@@ -116,8 +122,9 @@ def main(out: str) -> None:
     manager.refine_boundaries = _digesting(
         manager.refine_boundaries, _refine_shape, digests, "tiling_digest",
     )
+    specs = sweep_specs()
     results = {}
-    for spec in sweep_specs():
+    for spec in specs:
         for key in KERNELS:
             digests[key] = hashlib.sha256()
         result = run_spec(RunSpec(preset="fast", cache="private", **spec))
@@ -125,6 +132,13 @@ def main(out: str) -> None:
         for key in KERNELS:
             entry[key] = digests[key].hexdigest()
         results[json.dumps(spec, sort_keys=True)] = entry
+    campaign = CampaignRunner().run(
+        [RunSpec(preset="fast", cache="private", **spec) for spec in specs]
+    )
+    results["campaign"] = {
+        json.dumps(spec, sort_keys=True): comparable(result)
+        for spec, result in zip(specs, campaign.results)
+    }
     with open(out, "w") as fh:
         json.dump(results, fh, indent=1, sort_keys=True, default=str)
 

@@ -1,12 +1,15 @@
 """`CampaignRunner` — fan a list of specs through the pipeline.
 
-A campaign is just N independent pipeline runs: each spec builds its
-own design copy, so runs share nothing but the tile configuration
-store.  That makes the fan-out embarrassingly parallel and
-deterministic: results come back in spec order and every run's
-candidates and probe trajectory are independent of worker count and
-executor (cache replays are verified bit-identical to the fresh path
-before they are applied).
+A campaign is just N independent pipeline runs: each run mutates its
+own design copy, so runs share nothing but caches — the tile
+configuration store and, under the thread executor, one design memo
+(:class:`~repro.api.design.DesignMemo`) that builds each design and
+simulates each golden stimulus once.  That makes the fan-out
+embarrassingly parallel and deterministic: results come back in spec
+order and every run's candidates and probe trajectory are independent
+of worker count and executor (cache replays are verified bit-identical
+to the fresh path before they are applied, and a memo hit hands out
+exactly what a cold build makes).
 
 Two executors share the same contract.  ``executor="thread"`` is the
 historical in-process fan-out — cheap, GIL-bound, bit-identical to
@@ -36,6 +39,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.api.design import DesignMemo
 from repro.api.journal import CampaignJournal
 from repro.api.pipeline import PipelineHooks, resolve_tile_cache, run_spec
 from repro.api.result import RunResult
@@ -259,6 +263,12 @@ class CampaignRunner:
     ``CampaignResult.cache`` reports the counter delta over the whole
     campaign.
 
+    A thread-executor runner also holds one
+    :class:`~repro.api.design.DesignMemo` for its lifetime: each design
+    is built on its first run and every later run gets a fork of it,
+    the shared golden model and its golden traces.  Process workers
+    build their own design, as a single CLI run does.
+
     Failures are *isolated*: a run that raises (or exhausts its
     retries) becomes a structured ``status="failed"`` result in spec
     order and the campaign keeps going.  ``on_error="abort"`` instead
@@ -313,6 +323,8 @@ class CampaignRunner:
         self._policy_caches: dict[str, TileConfigCache] = {}
         #: signals in-flight supervised workers to die on interrupt
         self._stop = threading.Event()
+        #: designs built once and shared by this runner's thread runs
+        self._memo = DesignMemo() if executor == "thread" else None
 
     def _cache_for(self, spec: RunSpec) -> TileConfigCache | None:
         if spec.cache == "off":
@@ -327,7 +339,7 @@ class CampaignRunner:
 
     def _run_one(self, spec: RunSpec) -> RunResult:
         return run_spec(spec, hooks=self.hooks,
-                        tile_cache=self._cache_for(spec))
+                        tile_cache=self._cache_for(spec), warm=self._memo)
 
     def _run_isolated(self, spec: RunSpec) -> RunResult:
         """One spec, never a raise: exceptions that escape the resilient

@@ -161,6 +161,10 @@ class RunContext:
     #: the golden model's response to the current stimulus; every
     #: stimulus change (widened retry, proof re-arm) installs a new one
     trace: GoldenTrace | None = None
+    #: random-stimulus golden traces by ``(n_cycles, n_patterns, seed,
+    #: engine)``: the run's own dict, or its design memo entry's
+    #: (:class:`~repro.api.design.GoldenTraces`), shared across runs
+    golden_traces: dict = field(default_factory=dict)
     mismatches: list[Mismatch] = field(default_factory=list)
     detected: bool = False
     #: mismatches driving the *current* diagnosis round
@@ -205,23 +209,26 @@ class RunContext:
     stage_seconds: dict = field(default_factory=dict)
 
     @classmethod
-    def from_spec(cls, spec, tile_cache, bundle=None, device=None,
-                  golden=None) -> "RunContext":
+    def from_spec(cls, spec, tile_cache, memo=None) -> "RunContext":
         """Materialize a context: build the design, device, strategy.
 
         ``tile_cache`` is the caller's: the strategy replays from and
         stores into it, and None computes every implementation fresh.
-        ``bundle``/``device``/``golden`` let a warm-state registry
-        (:mod:`repro.service.warm`) inject pre-built artifacts instead
-        of rebuilding them per run; given together, they must be exactly
-        what :func:`~repro.api.design.design_parts` builds from ``spec``
-        (warm state is a cache, never a semantic input — the service's
-        bit-identity tests hold the registry to that).
+        Without a ``memo`` the run builds its design with
+        :func:`~repro.api.design.design_parts` and simulates its golden
+        traces itself.  With one (a :class:`~repro.api.design.DesignMemo`,
+        held by thread-executor campaigns and daemon workers) it takes a
+        fork of the memo's pristine bundle, the shared device and
+        read-only golden, and the entry's golden traces.  The memo is a
+        pure cache: the run's result is the same either way.
         """
         from repro.api.design import design_parts
 
-        if bundle is None:
+        if memo is None:
             bundle, device, golden = design_parts(spec)
+            traces = {}
+        else:
+            bundle, device, golden, traces = memo.context_parts(spec)
         packed = bundle.packed
         strategy = make_strategy(
             spec.strategy, packed, device, seed=spec.seed,
@@ -229,7 +236,7 @@ class RunContext:
             tile_cache=tile_cache,
         )
         return cls(packed=packed, device=device, golden=golden,
-                   strategy=strategy, spec=spec)
+                   strategy=strategy, spec=spec, golden_traces=traces)
 
     def remaining_errors(self) -> list[ErrorRecord]:
         """Injected errors not yet corrected, in injection order."""
@@ -239,6 +246,26 @@ class RunContext:
     def detect(self) -> list[Mismatch]:
         """Golden-vs-layout comparison on the current stimulus."""
         return detect_on_layout(self.strategy.layout, self.trace)
+
+    def golden_trace(self, n_cycles: int, seed: int) -> GoldenTrace:
+        """The golden trace of the ``(n_cycles, seed)`` random stimulus.
+
+        The stimulus depends on the golden model and the spec's pattern
+        count and engine, never on the injected errors, so a design
+        memo's runs share one trace per stimulus.
+        """
+        spec = self.spec
+        key = (n_cycles, spec.n_patterns, seed, spec.engine)
+        trace = self.golden_traces.get(key)
+        if trace is None:
+            stimulus = random_stimulus(
+                self.golden, n_cycles, spec.n_patterns, seed=seed
+            )
+            trace = GoldenTrace(
+                self.golden, stimulus, spec.n_patterns, spec.engine
+            )
+            self.golden_traces[key] = trace
+        return trace
 
 
 def resolve_tile_cache(
@@ -332,23 +359,12 @@ class DetectStage(Stage):
 
         ctx.strategy.build_initial(meter=ctx.initial_effort)
 
-        stimulus = random_stimulus(
-            ctx.golden, spec.n_cycles, spec.n_patterns, seed=spec.seed
-        )
-        ctx.trace = GoldenTrace(
-            ctx.golden, stimulus, spec.n_patterns, spec.engine
-        )
+        ctx.trace = ctx.golden_trace(spec.n_cycles, spec.seed)
         mismatches = ctx.detect()
         if not mismatches:
             # widen the net: longer run, more patterns
             ctx.notes.append("first stimulus missed the error; widened")
-            stimulus = random_stimulus(
-                ctx.golden, spec.n_cycles * 4, spec.n_patterns,
-                seed=spec.seed + 1,
-            )
-            ctx.trace = GoldenTrace(
-                ctx.golden, stimulus, spec.n_patterns, spec.engine
-            )
+            ctx.trace = ctx.golden_trace(spec.n_cycles * 4, spec.seed + 1)
             mismatches = ctx.detect()
         ctx.mismatches = mismatches
         ctx.round_mismatches = list(mismatches)
@@ -823,11 +839,12 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     deterministic per spec, so re-running a chaos campaign reproduces
     the same failures.
 
-    ``warm`` is an optional warm-state registry
-    (:class:`repro.service.warm.WarmRegistry`): each attempt asks it
-    for pre-built design artifacts (bundle fork, device, shared golden)
-    keyed by the spec's design digest.  Warm state is a pure cache —
-    the result is bit-identical with or without it.
+    ``warm`` is an optional :class:`~repro.api.design.DesignMemo`, the
+    one a thread-executor campaign or a daemon worker holds: each
+    attempt takes its design from it (bundle fork, shared device and
+    golden, the golden traces of the design's random stimuli) instead
+    of building it.  The memo is a pure cache — the result is
+    bit-identical with or without it.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) arms structured tracing
     for the run: a root ``run`` span per attempt, with stage, round,
@@ -904,11 +921,8 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
         ctx = None
         t0 = time.perf_counter()
         try:
-            warm_parts = (
-                warm.context_parts(current) if warm is not None else {}
-            )
             ctx = RunContext.from_spec(current, tile_cache=run_cache,
-                                       **warm_parts)
+                                       memo=warm)
             ctx.attempt = attempt
             run_deadline = (
                 Deadline(current.timeout_s, label="run")

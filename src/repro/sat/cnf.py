@@ -28,6 +28,8 @@ twins.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import ReproError
 
 
@@ -226,31 +228,15 @@ class GateBuilder:
         ``j`` contributing bit ``j``, matching
         :func:`repro.netlist.cells.eval_lut`).  Constant inputs are
         cofactored away, don't-care inputs dropped, and input polarity
-        normalized before hashing.
+        normalized (:func:`_reduce_lut`) before hashing.
         """
-        lits = list(lits)
-        # cofactor out constant inputs
-        j = 0
-        while j < len(lits):
-            value = self.const_value(lits[j])
-            if value is None:
-                j += 1
-                continue
-            table = _cofactor(table, len(lits), j, value)
-            del lits[j]
-        # drop inputs the table does not depend on
-        j = 0
-        while j < len(lits):
-            if _cofactor(table, len(lits), j, 0) == _cofactor(table, len(lits), j, 1):
-                table = _cofactor(table, len(lits), j, 0)
-                del lits[j]
-            else:
-                j += 1
-        # normalize input polarity: a negated operand flips its variable
-        for j, lit in enumerate(lits):
-            if lit < 0:
-                table = _flip_var(table, len(lits), j)
-                lits[j] = -lit
+        t = self.cnf._true
+        lits = tuple(lits)
+        table, kept = _reduce_lut(table, tuple(
+            int(lit > 0) if abs(lit) == t else (_POS if lit > 0 else _NEG)
+            for lit in lits
+        ))
+        lits = [abs(lits[j]) for j in kept]
         k = len(lits)
         size = 1 << k
         full = (1 << size) - 1
@@ -333,6 +319,46 @@ def add_at_most_k(cnf: CNF, lits, k: int) -> None:
             cnf.add_clause((-s[i - 1][j], s[i][j]))
         cnf.add_clause((-lits[i], -s[i - 1][k - 1]))
     cnf.add_clause((-lits[n - 1], -s[n - 2][k - 1]))
+
+
+#: classes of a LUT input in a :func:`_reduce_lut` pattern; constant
+#: inputs are classed by their value (0 or 1)
+_POS, _NEG = 2, 3
+
+
+# bounded for long-lived processes (a daemon worker encodes design after
+# design); a two-fault campaign over 9sym and s9234 reads 877 entries
+@lru_cache(maxsize=4096)
+def _reduce_lut(table: int, pattern: tuple) -> tuple[int, tuple]:
+    """``table`` normalized for the input classes in ``pattern``.
+
+    Constant inputs are cofactored away, inputs the table does not
+    depend on dropped, and negative inputs complemented.  Returns the
+    reduced table and the indices of the inputs it still reads, in
+    order.  A pure function of its arguments, so LUT encodings share
+    one reduction per (table, pattern).
+    """
+    kept = list(range(len(pattern)))
+    j = 0
+    while j < len(kept):
+        value = pattern[kept[j]]
+        if value > 1:
+            j += 1
+            continue
+        table = _cofactor(table, len(kept), j, value)
+        del kept[j]
+    j = 0
+    while j < len(kept):
+        low = _cofactor(table, len(kept), j, 0)
+        if low == _cofactor(table, len(kept), j, 1):
+            table = low
+            del kept[j]
+        else:
+            j += 1
+    for j, index in enumerate(kept):
+        if pattern[index] == _NEG:
+            table = _flip_var(table, len(kept), j)
+    return table, tuple(kept)
 
 
 def _cofactor(table: int, k: int, j: int, value: int) -> int:

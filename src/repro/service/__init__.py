@@ -9,8 +9,8 @@ long-lived worker processes resident behind a unix-socket daemon.
 
 Layout:
 
-* :mod:`repro.service.warm` — per-worker warm-state registry
-  (LRU-bounded, invalidation by design digest / device / preset).
+* :mod:`repro.service.warm` — per-worker warm-state registry: the
+  design memo of :mod:`repro.api.design` plus the resident tile cache.
 * :mod:`repro.service.queue` — priority job queue with digest dedup
   and a crash-safe persistent spool.
 * :mod:`repro.service.protocol` — newline-delimited JSON framing and
@@ -28,9 +28,10 @@ spec (modulo timings and attempt metadata), which the service test
 suite asserts field-for-field.
 """
 
+from repro.api.design import design_digest
 from repro.service.client import Client
 from repro.service.daemon import ReproService, ServiceConfig
-from repro.service.warm import WarmRegistry, design_digest
+from repro.service.warm import WarmRegistry
 
 __all__ = [
     "Client",

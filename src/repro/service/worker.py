@@ -10,8 +10,8 @@ so the daemon judges each job with the same
 an ``init`` line, builds its :class:`~repro.service.warm.WarmRegistry`,
 reports ``ready``, and then serves ``job`` lines until a ``stop`` line
 or stdin EOF.  Everything warm — the forked design bundle, fabric
-tables, the warm golden kernel, the tile-config cache — lives and
-accumulates here.
+tables, the warm golden kernel and traces, the tile-config cache —
+lives and accumulates here.
 
 Per job the worker:
 
@@ -22,7 +22,8 @@ Per job the worker:
 2. runs :func:`~repro.api.pipeline.run_spec` with an event-forwarding
    hook (stage/probe/commit lines tagged with the job digest, streamed
    to the daemon as they happen), the registry's tile cache per the
-   spec's cache policy, and the registry as the warm source;
+   spec's cache policy, and the registry's design memo as the warm
+   source;
 3. writes newly produced tile configs back to the store and emits one
    ``result`` event carrying the RunResult, warm-hit telemetry and the
    job's metrics delta.
@@ -139,8 +140,9 @@ class _EventHooks:
 
 def serve_jobs(stdin=None) -> int:
     """The worker loop: init line, ``ready``, then jobs until EOF."""
+    from repro.api.design import warm_key
     from repro.api.pipeline import resolve_tile_cache, run_spec
-    from repro.service.warm import WarmRegistry, warm_key
+    from repro.service.warm import WarmRegistry
 
     stdin = stdin if stdin is not None else sys.stdin
     lock = threading.Lock()
@@ -182,7 +184,7 @@ def serve_jobs(stdin=None) -> int:
             spec = RunSpec.from_dict(request["spec"])
             attempt = int(request.get("attempt", 1))
             current = effective_spec(spec, attempt)
-            was_warm = registry.would_hit(current)
+            was_warm = registry.designs.would_hit(current)
             hooks = _EventHooks(job_id, lock)
             tracer = (
                 Tracer(listener=hooks.span_listener)
@@ -196,7 +198,7 @@ def serve_jobs(stdin=None) -> int:
                 tile_cache=resolve_tile_cache(
                     current, shared=registry.tile_cache
                 ),
-                warm=registry,
+                warm=registry.designs,
                 tracer=tracer,
             )
             written = registry.write_back()

@@ -322,9 +322,12 @@ def test_process_campaign_metrics_merge_equals_thread_mode():
     The same matrix runs bit-identically under both executors, so
     every deterministic counter the children ship back (runs, probes,
     rounds, solver work) must merge to exactly what the thread
-    executor records in-process.
+    executor records in-process.  The counters of the thread
+    campaign's design memo differ by exactly its predicted effect: it
+    builds each design, and lowers its golden kernel, once.
     """
     specs = expand_matrix(RunSpec(**FAST), error_seeds=[1, 2])
+    runs, designs = len(specs), 1
 
     before = METRICS.snapshot()
     thread_campaign = CampaignRunner(executor="thread").run(specs)
@@ -335,6 +338,13 @@ def test_process_campaign_metrics_merge_equals_thread_mode():
     process_counts = _counters(METRICS.delta(before))
 
     assert thread_campaign.n_fixed == process_campaign.n_fixed >= 1
+    full_compiles = ("repro_kernel_compiles_total", (("kind", "full"),))
+    memo = {("repro_warm_registry_hits_total", ()): runs - designs,
+            ("repro_warm_registry_misses_total", ()): designs}
+    assert {k: thread_counts.pop(k, 0) for k in memo} == memo
+    assert not any(k in process_counts for k in memo)
+    assert (thread_counts.pop(full_compiles)
+            == process_counts.pop(full_compiles) - (runs - designs))
     assert process_counts == thread_counts
     assert process_counts[
         ("repro_runs_total", (("status", "ok"),))

@@ -1,6 +1,7 @@
 """GateBuilder folding/hashing and the unrolled netlist encoder."""
 
 import itertools
+import random
 
 from repro.netlist.cells import CellKind
 from repro.netlist.core import Netlist
@@ -86,6 +87,136 @@ class TestGateBuilderFolding:
                     assert not solver.solve(
                         assume + [-out if want else out]
                     ), (k, table, bits)
+
+
+class _ReferenceLutBuilder(GateBuilder):
+    """``lit_lut`` with the per-call reduction loop it had before the
+    reduction became a cached pure function — the reference the
+    cached encoding must match clause for clause."""
+
+    def lit_lut(self, table, lits):
+        lits = list(lits)
+        j = 0
+        while j < len(lits):
+            value = self.const_value(lits[j])
+            if value is None:
+                j += 1
+                continue
+            table = _cofactor(table, len(lits), j, value)
+            del lits[j]
+        j = 0
+        while j < len(lits):
+            if (_cofactor(table, len(lits), j, 0)
+                    == _cofactor(table, len(lits), j, 1)):
+                table = _cofactor(table, len(lits), j, 0)
+                del lits[j]
+            else:
+                j += 1
+        for j, lit in enumerate(lits):
+            if lit < 0:
+                table = _flip_var(table, len(lits), j)
+                lits[j] = -lit
+        k = len(lits)
+        size = 1 << k
+        full = (1 << size) - 1
+        if k == 0:
+            return self.const(table & 1)
+        if table == 0:
+            return self.false
+        if table == full:
+            return self.true
+        if k == 1:
+            return lits[0] if table == 0b10 else -lits[0]
+        if k == 2:
+            ones = table & 0b1111
+            if ones == 0b0110:
+                return self._xor2(lits[0], lits[1])
+            if ones == 0b1001:
+                return -self._xor2(lits[0], lits[1])
+            count = bin(ones).count("1")
+            if count == 1:
+                m = ones.bit_length() - 1
+                return self.lit_and([lits[0] if m & 1 else -lits[0],
+                                     lits[1] if m & 2 else -lits[1]])
+            if count == 3:
+                m = (~ones & 0b1111).bit_length() - 1
+                return -self.lit_and([lits[0] if m & 1 else -lits[0],
+                                      lits[1] if m & 2 else -lits[1]])
+        key = ("lut", k, table, tuple(lits))
+        hit = self._nodes.get(key)
+        if hit is not None:
+            return hit
+        out = self.cnf.new_var()
+        for minterm in range(size):
+            clause = [-lits[j] if (minterm >> j) & 1 else lits[j]
+                      for j in range(k)]
+            clause.append(out if (table >> minterm) & 1 else -out)
+            self.cnf.add_clause(tuple(clause))
+        self._nodes[key] = out
+        return out
+
+
+def _lut_pattern_lits(gb, pattern, free):
+    """Literals for a pattern of input classes (0/1 constant,
+    2 positive, 3 negative) over the builder's free variables."""
+    lits = []
+    for cls, var in zip(pattern, free):
+        if cls < 2:
+            lits.append(gb.true if cls else gb.false)
+        else:
+            lits.append(var if cls == 2 else -var)
+    return lits
+
+
+def _assert_lut_encodings_match(cases, with_true=True):
+    """Both builders see the same calls in the same order; every
+    returned literal and the whole clause database must agree."""
+    new, ref = GateBuilder(), _ReferenceLutBuilder()
+    for gb in (new, ref):
+        if with_true:
+            gb.cnf.true
+        for _ in range(4):
+            gb.cnf.new_var()
+    first = 2 if with_true else 1
+    for table, pattern, aliases in cases:
+        free = [first + a for a in aliases]
+        got = new.lit_lut(table, _lut_pattern_lits(new, pattern, free))
+        want = ref.lit_lut(table, _lut_pattern_lits(ref, pattern, free))
+        assert got == want, (table, pattern, aliases)
+    assert new.cnf.clauses == ref.cnf.clauses
+    assert new.cnf.n_vars == ref.cnf.n_vars
+    assert new._nodes == ref._nodes
+
+
+class TestLutReduction:
+    def test_every_table_up_to_three_inputs_on_every_pattern(self):
+        for k in (1, 2, 3):
+            cases = [
+                (table, pattern, tuple(range(k)))
+                for table in range(1 << (1 << k))
+                for pattern in itertools.product(range(4), repeat=k)
+            ]
+            _assert_lut_encodings_match(cases)
+
+    def test_every_four_input_table_on_sampled_patterns(self):
+        rng = random.Random(4)
+        cases = []
+        for table in range(1 << 16):
+            pattern = tuple(rng.choice((0, 1, 2, 2, 3, 3))
+                            for _ in range(4))
+            # a repeated variable now and then: both encoders treat
+            # the inputs as independent positions
+            aliases = tuple(rng.choice((j, j, j, 0)) for j in range(4))
+            cases.append((table, pattern, aliases))
+        _assert_lut_encodings_match(cases)
+
+    def test_free_inputs_before_the_constant_exists(self):
+        cases = [
+            (table, pattern, (0, 1))
+            for table in range(16)
+            for pattern in itertools.product((2, 3), repeat=2)
+        ]
+        _assert_lut_encodings_match(cases, with_true=False)
 
 
 def _solve_inputs(enc, solver, stimulus, pattern):

@@ -17,7 +17,13 @@ import threading
 import pytest
 
 from repro.api.campaign import CampaignResult
-from repro.api.design import load_bundle
+from repro.api.design import (
+    DesignMemo,
+    design_digest,
+    fork_bundle,
+    load_bundle,
+    warm_key,
+)
 from repro.api.journal import CampaignJournal, JsonlJournal
 from repro.api.pipeline import run_spec
 from repro.api.spec import RunSpec
@@ -25,12 +31,7 @@ from repro.resilience.failure import WORKER_STAGE
 from repro.service.client import Client, ServiceError
 from repro.service.daemon import ReproService, ServiceConfig
 from repro.service.queue import DONE, QUEUED, JobQueue
-from repro.service.warm import (
-    WarmRegistry,
-    design_digest,
-    fork_bundle,
-    warm_key,
-)
+from repro.service.warm import WarmRegistry
 
 #: the cheapest spec that actually excites and fixes a bug
 #: (error_seed=0 on 9sym never excites — keep seeds >= 1)
@@ -118,7 +119,7 @@ def test_warm_key_covers_every_design_axis():
 
 
 def test_warm_lookup_hits_and_golden_mutation_invalidates():
-    registry = WarmRegistry()
+    registry = DesignMemo()
     spec = RunSpec(**FAST)
     entry, hit = registry.lookup(spec)
     assert not hit and registry.misses == 1
@@ -135,27 +136,27 @@ def test_warm_lookup_hits_and_golden_mutation_invalidates():
 
 
 def test_forked_bundle_is_structurally_identical_and_mutation_safe():
-    registry = WarmRegistry()
+    registry = DesignMemo()
     spec = RunSpec(**FAST)
-    parts = registry.context_parts(spec)
+    bundle, _, golden, _ = registry.context_parts(spec)
     cold = load_bundle(spec)
     # structural identity with a cold build — the whole reason a fork
     # can stand in for a rebuild
-    assert (netlist_digest(parts["bundle"].packed.netlist)
+    assert (netlist_digest(bundle.packed.netlist)
             == netlist_digest(cold.packed.netlist))
     # but never the pristine object itself: each job gets its own copy
     entry, _ = registry.lookup(spec)
-    assert parts["bundle"] is not entry.bundle
-    assert parts["bundle"].packed.netlist is not entry.bundle.packed.netlist
+    assert bundle is not entry.bundle
+    assert bundle.packed.netlist is not entry.bundle.packed.netlist
     second = fork_bundle(entry.bundle)
-    assert second.packed.netlist is not parts["bundle"].packed.netlist
+    assert second.packed.netlist is not bundle.packed.netlist
     # the golden *is* shared (read-only) — that is what keeps its
     # compiled kernel warm across jobs
-    assert registry.context_parts(spec)["golden"] is parts["golden"]
+    assert registry.context_parts(spec)[2] is golden
 
 
 def test_warm_runs_are_bit_identical_never_stale_replays():
-    registry = WarmRegistry()
+    registry = WarmRegistry().designs
     spec1 = RunSpec(**FAST)
     spec2 = RunSpec(**dict(FAST, error_seed=2))
     cold1 = run_spec(spec1)
@@ -171,7 +172,7 @@ def test_warm_runs_are_bit_identical_never_stale_replays():
 
 
 def test_warm_registry_lru_eviction_at_bound():
-    registry = WarmRegistry(max_entries=2)
+    registry = WarmRegistry(max_entries=2).designs
     specs = [RunSpec(**dict(FAST, device_overhead=ov))
              for ov in (0.35, 0.55, 0.75)]
     for spec in specs:
