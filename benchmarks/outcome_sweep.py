@@ -13,8 +13,11 @@ sha256 per P&R kernel over every result the run got from it:
 
 The specs are every error kind on 9sym and s9234, des and mips, and
 three two-fault SAT runs on 9sym, each at error seeds 1-2 (1-3 for
-SAT), preset ``fast`` with a private tile cache, so every P&R step
-computes.
+SAT); two error kinds on 9sym and s9234 on the interpreted engine
+(localization's name-set candidates), at error seeds 1-2; and two
+single-fault SAT runs on s9234 per engine that drain through the
+fallback probe pick.  All run at preset ``fast`` with a private tile
+cache, so every P&R step computes.
 
 The same spec list then runs once more through one ``CampaignRunner``
 (thread executor, one worker), whose runs share a private tile cache
@@ -54,6 +57,13 @@ def sweep_specs() -> list[dict]:
               for d in ("des", "mips") for s in (1, 2)]
     specs += [dict(design="9sym", error_seed=s, n_errors=2, strategy="sat",
                    correction="cegis", verify="prove") for s in (1, 2, 3)]
+    specs += [dict(design=d, error_kind=k, error_seed=s, engine="interpreted")
+              for d in ("9sym", "s9234")
+              for k in ("wrong_function", "wrong_source") for s in (1, 2)]
+    specs += [dict(design="s9234", error_kind=k, error_seed=s, strategy="sat",
+                   engine=e)
+              for k, s in (("wrong_function", 22), ("wrong_source", 9))
+              for e in ("compiled", "interpreted")]
     return specs
 
 

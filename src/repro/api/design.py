@@ -21,8 +21,9 @@ construction, plus device and preset — and hold:
 * the device, whose ``_Fabric`` routing tables stay warm;
 * the read-only golden model, shared, so its compiled kernel (keyed by
   netlist object in :func:`~repro.netlist.compiled.kernel_for`) is
-  lowered once; a revision guard drops the entry, traces included, if
-  anything ever mutates it;
+  lowered once, on the entry's first ``engine="compiled"`` lookup (an
+  interpreted run never reads it); a revision guard drops the entry,
+  traces included, if anything ever mutates it;
 * the golden traces of the design's random stimuli, keyed by
   ``(n_cycles, n_patterns, seed, engine)``: a stimulus never depends on
   the error seed, so a sweep simulates each one once.
@@ -230,6 +231,9 @@ class DesignEntry:
         self.golden = golden
         #: revision guard: the pipeline must never mutate the golden
         self.golden_revision = golden.revision
+        #: the golden's compiled kernel is lowered (set under the memo
+        #: lock, so no compiled run reads a half-built kernel)
+        self.kernel_ready = False
         self.traces = GoldenTraces()
 
     @property
@@ -243,10 +247,11 @@ class DesignMemo:
     :meth:`context_parts` is the one integration point with the
     pipeline (:meth:`RunContext.from_spec`'s ``memo``).  Entries are
     built lazily, on a spec's first lookup, under a lock, and published
-    only once their golden kernel and topological order exist, so
-    concurrent runs only ever read the shared golden.  Lookups are
-    counted under the ``repro_warm_registry_*`` metrics, the daemon
-    registry's names.
+    only once their golden topological order exists; the golden kernel
+    is lowered under the same lock before the first compiled lookup
+    returns, so concurrent runs only ever read the shared golden.
+    Lookups are counted under the ``repro_warm_registry_*`` metrics,
+    the daemon registry's names.
     """
 
     def __init__(self, max_entries: int = MEMO_ENTRIES) -> None:
@@ -280,13 +285,15 @@ class DesignMemo:
                 METRICS.inc("repro_warm_registry_misses_total")
                 bundle, device, golden = design_parts(spec)
                 golden.topo_order()
-                kernel_for(golden)
                 entry = DesignEntry(bundle, device, golden)
                 self._entries[key] = entry
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
                     self.evictions += 1
                     METRICS.inc("repro_warm_registry_evictions_total")
+            if spec.engine == "compiled" and not entry.kernel_ready:
+                kernel_for(entry.golden)
+                entry.kernel_ready = True
             return entry, hit
 
     def would_hit(self, spec) -> bool:

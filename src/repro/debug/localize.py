@@ -34,20 +34,27 @@ oracle correction (:class:`repro.api.pipeline.CorrectStage`) falls back
 to the next uncorrected injected error, and the re-detect after each fix
 decides whether another diagnosis round runs.
 
-Two engines drive the loop — the trace's engine, bit-identical
-verdicts and candidates:
+One algorithm, two candidate representations.  Seed, pick and verdict
+are written once, in :class:`ConeLocalizer`, over a small adapter chosen
+by the trace's engine.  Every cone holds its own root, so a verdict is
+``candidates & cone(probe)`` on a mismatch and ``candidates`` minus
+``cone(probe)`` on a match; the adapter supplies only ``cone``,
+``size``, ``members`` (in instance-name order), ``without``, ``logic``
+(drops IO instances) and the name conversions.  The engines therefore
+agree on every verdict and candidate set:
 
-* ``engine="compiled"`` — one shared instruction-tape kernel
+* ``engine="compiled"`` — candidates are an int bitset and a
+  :class:`~repro.netlist.cones.ConeIndex` answers each cone query with
+  one precomputed big int, so probe selection is O(V+E) per round
+  instead of O(V·E).  One shared instruction-tape kernel
   (:mod:`repro.netlist.compiled`) is kept current across probe commits
-  via incremental recompile, and a :class:`~repro.netlist.cones.ConeIndex`
-  turns per-candidate cone queries into single big-int operations, so
-  probe selection is O(V+E) per round instead of O(V·E).  Each probe
-  verdict replays a **cone slice** of the tape — only the sequential
-  fanin of the observed probe output — instead of the whole design,
-  which is where the emulate phase's wall-clock goes on the large
-  designs;
-* ``engine="interpreted"`` — the retained baseline: per-candidate BFS
-  cone walks and full replay on the instance-walking simulator.
+  via incremental recompile, and each probe verdict replays a **cone
+  slice** of the tape — only the sequential fanin of the observed
+  probe output — instead of the whole design, which is where the
+  emulate phase's wall-clock goes on the large designs;
+* ``engine="interpreted"`` — the retained baseline: candidates are a
+  set of instance names, each cone query a BFS walk, and each verdict
+  a full replay on the instance-walking simulator.
 
 Per-phase wall-clock (seed / pick / emulate / commit) accumulates in
 ``LocalizationResult.timings`` for the performance benchmark.  The
@@ -135,7 +142,8 @@ class ConeLocalizer:
         trace: GoldenTrace,
         goal_size: int = 4,
         n_errors: int = 1,
-        tolerate_drain: bool | None = None,
+        *,
+        tolerate_drain: bool,
         want_pairs: bool = False,
     ) -> None:
         self.strategy = strategy
@@ -144,10 +152,8 @@ class ConeLocalizer:
         self.goal_size = goal_size
         self.n_errors = max(1, n_errors)
         #: surrender (instead of raise) when probe verdicts drain the
-        #: candidate set; defaults to on whenever several faults are live
-        self.tolerate_drain = (
-            self.n_errors > 1 if tolerate_drain is None else tolerate_drain
-        )
+        #: candidate set — the pipeline's choice for multi-fault sessions
+        self.tolerate_drain = tolerate_drain
         #: run the k-subset pair-ranking queries after the probe loop —
         #: only worth the solver time when a consumer (joint CEGIS)
         #: will read ``LocalizationResult.sat_pairs``
@@ -157,80 +163,69 @@ class ConeLocalizer:
             for pi in strategy.packed.netlist.primary_inputs()
         }
 
-    def seed_candidates(
-        self, mismatches: list[Mismatch]
-    ) -> tuple[set[str], list[str], list[str]]:
+    def _seed(
+        self, rep, mismatches: list[Mismatch]
+    ) -> tuple[object, list[str], list[str]]:
         """Greedy common-cone intersection of the failing outputs.
 
-        Returns ``(candidates, group, deferred)``: the candidate
-        instance names, the outputs whose cones were folded in, and the
-        outputs deferred because their cone shares nothing with the
+        Returns ``(candidates, group, deferred)``: the logic instances
+        in the intersection, the outputs whose cones were folded in, and
+        the outputs deferred because their cone shares nothing with the
         running intersection (a *different* fault's symptom).  With one
-        fault every failing output joins the group, reproducing the
-        historical strict intersection bit-for-bit.
+        fault every failing output joins the group: the strict
+        intersection.
         """
         if not mismatches:
             raise DebugFlowError("cannot localize without a failing output")
-        netlist = self.strategy.packed.netlist
         po_by_name = {
-            port_name(po): po for po in netlist.primary_outputs()
+            port_name(po): po.name
+            for po in self.strategy.packed.netlist.primary_outputs()
         }
-        candidates: set[str] | None = None
+        candidates = None
         group: list[str] = []
         deferred: list[str] = []
         for name in sorted({m.output for m in mismatches}):
             po = po_by_name.get(name)
             if po is None:
                 continue
-            cone = netlist.fanin_cone([po], stop_at_ffs=False)
+            cone = rep.cone(rep.member(po))
             if candidates is None:
                 candidates, group = cone, [name]
             elif candidates & cone:
-                candidates &= cone
+                candidates = candidates & cone
                 group.append(name)
             else:
                 deferred.append(name)
         if not candidates:
             raise DebugFlowError("failing outputs have no common cone")
-        return (
-            {
-                n for n in candidates
-                if netlist.has_instance(n) and not netlist.instance(n).is_io
-            },
-            group,
-            deferred,
-        )
+        return rep.logic(candidates), group, deferred
 
-    def _seed_bitset(
-        self, cones: ConeIndex, mismatches: list[Mismatch]
-    ) -> tuple[int, list[str], list[str]]:
-        """Bitset twin of :meth:`seed_candidates` (identical result)."""
-        if not mismatches:
-            raise DebugFlowError("cannot localize without a failing output")
-        netlist = self.strategy.packed.netlist
-        po_by_name = {
-            port_name(po): po for po in netlist.primary_outputs()
-        }
-        candidates: int | None = None
-        group: list[str] = []
-        deferred: list[str] = []
-        for name in sorted({m.output for m in mismatches}):
-            po = po_by_name.get(name)
-            if po is None:
+    @staticmethod
+    def _pick(rep, candidates, n_candidates: int):
+        """The candidate whose cone splits the candidates most evenly."""
+        cone, size = rep.cone, rep.size
+        members = rep.members(candidates)
+        target = n_candidates / 2
+        best, best_score = None, n_candidates
+        for member in members:
+            # a cone holds its root, so it keeps at least one candidate;
+            # one keeping every candidate is a degenerate split
+            kept = size(cone(member) & candidates)
+            if kept == n_candidates:
                 continue
-            cone = cones.fanin(po.name)
-            if candidates is None:
-                candidates, group = cone, [name]
-            elif candidates & cone:
-                candidates &= cone
-                group.append(name)
-            else:
-                deferred.append(name)
-        if not candidates:
-            raise DebugFlowError("failing outputs have no common cone")
-        return candidates & cones.logic_mask, group, deferred
+            score = abs(kept - target)
+            if score < best_score:
+                best, best_score = member, score
+        if best is None:
+            # all cones degenerate: fall back to the middle candidate
+            return members[len(members) // 2]
+        return best
 
-    # ------------------------------------------------------------------
+    @staticmethod
+    def _verdict(rep, candidates, probe, mismatch: bool):
+        """Keep the probe's cone on a mismatch, clear it on a match."""
+        cone = rep.cone(probe)
+        return candidates & cone if mismatch else rep.without(candidates, cone)
 
     def run(
         self,
@@ -238,33 +233,30 @@ class ConeLocalizer:
         max_probes: int = 8,
         on_probe=None,
     ) -> LocalizationResult:
-        """One probe loop, two candidate representations.
+        """One probe loop over the engine's candidate representation.
 
-        The loop body (commit, emulate, verdict, bookkeeping) is shared;
-        only the candidate-set operations differ per engine, which is
-        what keeps the two engines bit-identical by construction.
-        ``on_probe``, when given, is called with each finished
-        :class:`ProbeStep` — the pipeline's progress hook.
+        Seed, pick and verdict are written once; only the adapter's
+        primitives differ per engine.  ``on_probe``, when given, is
+        called with each finished :class:`ProbeStep` — the pipeline's
+        progress hook.
         """
         timings = {"seed": 0.0, "pick": 0.0, "emulate": 0.0, "commit": 0.0}
         netlist = self.strategy.packed.netlist
         t0 = time.perf_counter()
-        ops: _CandidateOps
-        if self.engine == "compiled":
-            ops = _BitsetCandidateOps(self, netlist)
-        else:
-            ops = _SetCandidateOps(self, netlist)
-        ops.seed(mismatches)
+        rep = (
+            _BitsetCandidates(netlist) if self.engine == "compiled"
+            else _NameSetCandidates(netlist)
+        )
+        candidates, group, deferred = self._seed(rep, mismatches)
         timings["seed"] = time.perf_counter() - t0
-        result = LocalizationResult(candidates=set(), timings=timings)
-        result.group_outputs = list(ops.group)
-        result.deferred_outputs = list(ops.deferred)
+        result = LocalizationResult(
+            candidates=set(), timings=timings,
+            group_outputs=group, deferred_outputs=deferred,
+        )
         emulator: Emulator | None = None
 
         pruner = None
-        group_mismatches = [
-            m for m in mismatches if m.output in set(ops.group)
-        ]
+        group_mismatches = [m for m in mismatches if m.output in group]
         matched_probes: list[str] = []
         if (
             getattr(self.strategy, "sat_localization", False)
@@ -281,21 +273,22 @@ class ConeLocalizer:
 
         for probe_no in range(max_probes):
             check_deadline("localize.probe")
-            if pruner is not None and ops.count() > self.goal_size:
+            if pruner is not None and rep.size(candidates) > self.goal_size:
                 t0 = time.perf_counter()
-                removed = pruner.prune(ops.names(), matched_probes)
+                removed = pruner.prune(rep.names(candidates), matched_probes)
                 if removed:
-                    ops.remove(removed)
+                    candidates = rep.without(
+                        candidates, rep.of_names(removed)
+                    )
                     result.sat_eliminated += len(removed)
                 timings["sat"] += time.perf_counter() - t0
-            before = ops.count()
+            before = rep.size(candidates)
             if before <= self.goal_size:
                 break
             t0 = time.perf_counter()
-            probe = ops.pick()
+            member = self._pick(rep, candidates, before)
             timings["pick"] += time.perf_counter() - t0
-            if probe is None:
-                break
+            probe = rep.name(member)
             probe_net = netlist.instance(probe).output.name
 
             with maybe_span("probe", category="localize",
@@ -328,8 +321,8 @@ class ConeLocalizer:
 
                 if not mismatch:
                     matched_probes.append(probe_net)
-                ops.apply_verdict(probe, mismatch)
-                after = ops.count()
+                candidates = self._verdict(rep, candidates, member, mismatch)
+                after = rep.size(candidates)
                 step = ProbeStep(probe, mismatch, before, after)
                 result.steps.append(step)
                 METRICS.inc("repro_probes_total")
@@ -353,7 +346,7 @@ class ConeLocalizer:
                 # round and let the pipeline fall back to back-annotation
                 result.drained = True
                 break
-        result.candidates = ops.names()
+        result.candidates = rep.names(candidates)
         if pruner is not None:
             if (
                 self.want_pairs
@@ -370,52 +363,6 @@ class ConeLocalizer:
             result.sat_unsat = pruner.n_unsat
             result.sat_subsets_refuted = pruner.n_subset_refuted
         return result
-
-    def _pick_probe_bitset(
-        self, cones: ConeIndex, cand: int, n_cand: int
-    ) -> int | None:
-        """Bitset twin of :meth:`_pick_probe`: identical choice, one
-        int-AND + popcount per candidate instead of a BFS."""
-        target = n_cand / 2
-        best_idx, best_score = None, None
-        for i in cones.sorted_indices:
-            if not (cand >> i) & 1:
-                continue
-            cone_size = (cones.fanin_by_index(i) & cand).bit_count()
-            if cone_size == 0 or cone_size == n_cand:
-                continue
-            score = abs(cone_size - target)
-            if best_score is None or score < best_score:
-                best_idx, best_score = i, score
-        if best_idx is None:
-            ordered = [i for i in cones.sorted_indices if (cand >> i) & 1]
-            return ordered[len(ordered) // 2] if ordered else None
-        return best_idx
-
-    def _pick_probe(
-        self, netlist: Netlist, candidates: set[str]
-    ) -> str | None:
-        """Candidate whose cone splits the candidate set most evenly."""
-        target = len(candidates) / 2
-        best_name, best_score = None, None
-        for name in sorted(candidates):
-            inst = netlist.instance(name)
-            if inst.output is None:
-                continue
-            cone_size = len(
-                netlist.fanin_cone([inst], stop_at_ffs=False) & candidates
-            )
-            score = abs(cone_size - target)
-            # degenerate splits teach nothing
-            if cone_size in (0, len(candidates)):
-                continue
-            if best_score is None or score < best_score:
-                best_name, best_score = name, score
-        if best_name is None:
-            # all cones degenerate: fall back to any candidate
-            ordered = sorted(candidates)
-            return ordered[len(ordered) // 2] if ordered else None
-        return best_name
 
     def _probe_disagrees(
         self, emulator: Emulator, probe_net: str, obs_name: str
@@ -445,107 +392,61 @@ class ConeLocalizer:
         return False
 
 
-class _CandidateOps:
-    """Candidate-set operations the shared probe loop is written over."""
+class _BitsetCandidates:
+    """``compiled``: a candidate set is one int bitset over a
+    :class:`ConeIndex` (bit ``i`` = instance ``i``), so every cone
+    query is a list read and every set operation one big-int op."""
 
-    #: failing outputs folded into / deferred by the greedy seeding
-    group: list[str] = []
-    deferred: list[str] = []
+    size = staticmethod(int.bit_count)
 
-    def seed(self, mismatches: list[Mismatch]) -> None:
-        raise NotImplementedError
+    def __init__(self, netlist: Netlist) -> None:
+        index = ConeIndex(netlist)
+        self.cone = index.fanin_by_index
+        self.member = index.bit
+        self.name = index.name_of
+        self.names = index.names_of
+        self.of_names = index.mask_of
+        self._order = index.sorted_indices
+        self._logic = index.logic_mask
 
-    def count(self) -> int:
-        raise NotImplementedError
+    def members(self, candidates: int) -> list[int]:
+        """Candidate bit indices in instance-name order."""
+        return [i for i in self._order if candidates >> i & 1]
 
-    def pick(self) -> str | None:
-        raise NotImplementedError
+    @staticmethod
+    def without(candidates: int, other: int) -> int:
+        return candidates & ~other
 
-    def apply_verdict(self, probe: str, mismatch: bool) -> None:
-        raise NotImplementedError
-
-    def remove(self, names: set[str]) -> None:
-        raise NotImplementedError
-
-    def names(self) -> set[str]:
-        raise NotImplementedError
+    def logic(self, candidates: int) -> int:
+        return candidates & self._logic
 
 
-class _SetCandidateOps(_CandidateOps):
-    """Retained baseline: name sets and per-query BFS cone walks."""
+class _NameSetCandidates:
+    """``interpreted``: a candidate set is a set of instance names and
+    every cone query a :meth:`Netlist.fanin_cone` walk."""
 
-    def __init__(self, localizer: ConeLocalizer, netlist: Netlist) -> None:
-        self.localizer = localizer
+    size = staticmethod(len)
+    members = staticmethod(sorted)
+    names = of_names = staticmethod(set)
+
+    def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
-        self.candidates: set[str] = set()
-        self.group: list[str] = []
-        self.deferred: list[str] = []
 
-    def seed(self, mismatches: list[Mismatch]) -> None:
-        self.candidates, self.group, self.deferred = (
-            self.localizer.seed_candidates(mismatches)
+    def cone(self, name: str) -> set[str]:
+        return self.netlist.fanin_cone(
+            [self.netlist.instance(name)], stop_at_ffs=False
         )
 
-    def count(self) -> int:
-        return len(self.candidates)
+    @staticmethod
+    def member(name: str) -> str:
+        return name
 
-    def pick(self) -> str | None:
-        return self.localizer._pick_probe(self.netlist, self.candidates)
+    name = member
 
-    def apply_verdict(self, probe: str, mismatch: bool) -> None:
-        cone = self.netlist.fanin_cone(
-            [self.netlist.instance(probe)], stop_at_ffs=False
-        )
-        if mismatch:
-            self.candidates &= cone
-            self.candidates.add(probe)
-        else:
-            self.candidates -= (cone | {probe})
+    @staticmethod
+    def without(candidates: set[str], other: set[str]) -> set[str]:
+        return candidates - other
 
-    def remove(self, names: set[str]) -> None:
-        self.candidates -= names
-
-    def names(self) -> set[str]:
-        return self.candidates
-
-
-class _BitsetCandidateOps(_CandidateOps):
-    """Compiled-path twin: one int bitset, precomputed cone index."""
-
-    def __init__(self, localizer: ConeLocalizer, netlist: Netlist) -> None:
-        self.localizer = localizer
-        self.cones = ConeIndex(netlist)
-        self.candidates = 0
-        self.group: list[str] = []
-        self.deferred: list[str] = []
-
-    def seed(self, mismatches: list[Mismatch]) -> None:
-        self.candidates, self.group, self.deferred = (
-            self.localizer._seed_bitset(self.cones, mismatches)
-        )
-
-    def count(self) -> int:
-        return self.candidates.bit_count()
-
-    def pick(self) -> str | None:
-        idx = self.localizer._pick_probe_bitset(
-            self.cones, self.candidates, self.candidates.bit_count()
-        )
-        return None if idx is None else self.cones.name_of(idx)
-
-    def apply_verdict(self, probe: str, mismatch: bool) -> None:
-        idx = self.cones.bit(probe)
-        cone = self.cones.fanin_by_index(idx)
-        probe_bit = 1 << idx
-        if mismatch:
-            self.candidates = (self.candidates & cone) | probe_bit
-        else:
-            self.candidates &= ~(cone | probe_bit)
-
-    def remove(self, names: set[str]) -> None:
-        for name in names:
-            if self.cones.has(name):
-                self.candidates &= ~(1 << self.cones.bit(name))
-
-    def names(self) -> set[str]:
-        return self.cones.names_of(self.candidates)
+    def logic(self, candidates: set[str]) -> set[str]:
+        instance = self.netlist.instance
+        return {n for n in candidates if not instance(n).is_io}

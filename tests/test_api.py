@@ -205,16 +205,23 @@ class TestPipeline:
         {"design": "s9234", "error_seed": 5},
         {"design": "9sym", "error_seed": 6, "n_errors": 2,
          "strategy": "sat", "verify": "prove"},
+        {"design": "9sym", "error_seed": 13, "n_errors": 2,
+         "strategy": "sat", "verify": "prove"},
+        {"design": "s9234", "error_seed": 4, "n_errors": 2,
+         "strategy": "sat", "verify": "prove"},
     ], ids=["9sym-1", "9sym-3", "9sym-7", "s9234-3", "s9234-5",
-            "9sym-6-k2-sat"])
+            "9sym-6-k2-sat", "9sym-13-k2-sat", "s9234-4-k2-sat"])
     def test_engines_bit_identical(self, overrides):
         # compiled probe verdicts replay cone slices, interpreted ones
-        # replay the whole design: the outcomes must not tell them apart
+        # replay the whole design: the outcomes must not tell them apart.
+        # 9sym-13-k2-sat defers an output in round 1; both rounds of
+        # s9234-4-k2-sat drain through the fallback pick
         compiled = run_spec(fast_spec(engine="compiled", **overrides))
         interpreted = run_spec(fast_spec(engine="interpreted", **overrides))
         assert compiled.n_probes > 0
         assert compiled.trajectory_key() == interpreted.trajectory_key()
         assert compiled.candidates == interpreted.candidates
+        assert compiled.rounds == interpreted.rounds
         assert compiled.fixed == interpreted.fixed
         assert compiled.proved == interpreted.proved
 

@@ -15,6 +15,7 @@ from repro.api.campaign import CampaignRunner
 from repro.api.design import DesignMemo
 from repro.api.pipeline import run_spec
 from repro.api.spec import RunSpec
+from repro.obs.metrics import METRICS
 
 BASE = dict(preset="fast", max_probes=6, cache="off")
 TWO_FAULT = dict(n_errors=2, strategy="sat", correction="cegis",
@@ -113,3 +114,29 @@ def test_concurrent_lookups_build_each_design_once():
         assert len(entries) == 40 and len({id(e) for e in entries}) == 1
         # every thread stored a trace; the bound held under contention
         assert len(entries[0].traces) == entries[0].traces.bound
+
+
+def _full_compiles() -> float:
+    return METRICS.counter_value("repro_kernel_compiles_total", kind="full")
+
+
+def test_golden_kernel_is_lowered_only_for_compiled_runs():
+    """An interpreted run never reads the golden's compiled kernel, so
+    the memo lowers it on an entry's first compiled lookup only."""
+    specs = [RunSpec(design="9sym", error_seed=s, engine="interpreted",
+                     **BASE) for s in (1, 2, 3)]
+    before = _full_compiles()
+    CampaignRunner(workers=2).run(specs)
+    assert _full_compiles() == before
+    # one memo serving an interpreted run, then a compiled one
+    memo = DesignMemo()
+    interpreted = RunSpec(design="9sym", error_seed=1, engine="interpreted",
+                          **BASE)
+    compiled = RunSpec(design="9sym", error_seed=1, **BASE)
+    assert (comparable(run_spec(interpreted, warm=memo))
+            == comparable(run_spec(interpreted)))
+    entry, _ = memo.lookup(interpreted)
+    assert not entry.kernel_ready
+    assert (comparable(run_spec(compiled, warm=memo))
+            == comparable(run_spec(compiled)))
+    assert entry.kernel_ready and memo.misses == 1
