@@ -24,6 +24,11 @@ The same spec list then runs once more through one ``CampaignRunner``
 and the campaign's design memo; its ``comparable`` results make the
 ``campaign`` section, so the comparison covers the memo path too.
 
+Last, the spec list runs once into a fresh ``cache_dir`` and then again
+from it; the second runs' ``comparable`` results (their ``cache_dir``
+replaced by a placeholder) make the ``warm`` section, so the comparison
+covers replays read from the on-disk store.
+
 Run it once from each tree root and compare the outputs::
 
     python benchmarks/outcome_sweep.py parent.json   # in the parent tree
@@ -36,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,6 +155,16 @@ def main(out: str) -> None:
         json.dumps(spec, sort_keys=True): comparable(result)
         for spec, result in zip(specs, campaign.results)
     }
+    results["warm"] = {}
+    with tempfile.TemporaryDirectory() as cache_dir:
+        warm_specs = [RunSpec(preset="fast", cache="private",
+                              cache_dir=cache_dir, **spec) for spec in specs]
+        for spec in warm_specs:
+            run_spec(spec)
+        for spec, warm_spec in zip(specs, warm_specs):
+            entry = comparable(run_spec(warm_spec))
+            entry["spec"]["cache_dir"] = "CACHE_DIR"
+            results["warm"][json.dumps(spec, sort_keys=True)] = entry
     with open(out, "w") as fh:
         json.dump(results, fh, indent=1, sort_keys=True, default=str)
 

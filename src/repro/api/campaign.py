@@ -240,8 +240,8 @@ class CampaignRunner:
     ``failed`` result with stage ``"worker"`` — subject to the same
     ``on_error`` policy as in-process failures.  Process workers share
     warm tile configurations through the on-disk store under
-    ``cache_dir`` (each worker merges on load and writes back its new
-    entries atomically).
+    ``cache_dir`` (each worker reads entries on demand and writes back
+    its new ones atomically).
 
     A ``journal`` records every completed run as one flushed JSONL
     line; with ``resume=True`` the runner first loads it and skips
@@ -254,7 +254,7 @@ class CampaignRunner:
     runs share one campaign-local cache (isolated from the rest of the
     process, but warm across the campaign's own runs), and ``"off"``
     runs get none.  Under the thread executor each cache in play is
-    warmed from the campaign's ``cache_dir`` once up front and written
+    backed by the campaign's ``cache_dir`` once up front and written
     back once at the end — inside a ``try/finally``, so a run that dies
     cannot skip persisting the warm entries completed runs accumulated
     — and a spec's own ``cache_dir`` is never read.  Under
@@ -361,10 +361,9 @@ class CampaignRunner:
                            notes: list) -> None:
         """Fire any selected cache-file faults against ``cache_dir``.
 
-        Runs just before the final merge-load, so the write-back path
-        itself is exercised against a hostile file: the load must
-        cold-start (merging nothing) and the save must still produce a
-        valid file from the in-memory entries.
+        Runs just before the final write-back, so that path itself is
+        exercised against a hostile file: the save must still produce
+        valid files from the in-memory entries.
         """
         from repro.resilience.chaos import (
             CACHE_FILE_KINDS,
@@ -464,8 +463,8 @@ class CampaignRunner:
         slots, pending = self._partition_resume(specs, notes)
         caches: list[TileConfigCache] = []
         if self.executor == "thread":
-            # resolve every cache before the fan-out so disk loads
-            # happen exactly once
+            # resolve every cache before the fan-out so each store is
+            # attached exactly once
             for _, spec in pending:
                 self._cache_for(spec)
             caches = list(self._policy_caches.values())

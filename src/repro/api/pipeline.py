@@ -37,6 +37,7 @@ internals.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -880,24 +881,23 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
 
     # cache-dir persistence only makes sense when this run owns its
     # cache; a caller-supplied cache (e.g. the campaign runner's, shared
-    # across concurrent workers) is loaded and saved at the caller's
+    # across concurrent workers) is attached and saved at the caller's
     # level instead
     owns_cache = tile_cache is _OWN_CACHE
+    damaged: list[tuple[str, str]] = []
     if owns_cache:
         tile_cache = resolve_tile_cache(spec)
         if spec.cache_dir is not None and tile_cache is not None:
             for fault in fired:
-                # damage the persisted file *before* warming: the load
-                # must cold-start cleanly, never crash the run
-                if fault.kind in CACHE_FILE_KINDS and corrupt_cache_file(
-                    cache_file_path(spec.cache_dir), fault.kind,
-                    seed=chaos_cfg.seed,
-                ):
-                    degradations.append({
-                        "field": "cache_file", "from": "warm",
-                        "to": "cold", "stage": "setup",
-                        "chaos": fault.kind,
-                    })
+                # damage a stored entry *before* attaching the store: a
+                # read of it must quarantine it, never crash the run
+                if fault.kind in CACHE_FILE_KINDS:
+                    path = corrupt_cache_file(
+                        cache_file_path(spec.cache_dir), fault.kind,
+                        seed=chaos_cfg.seed,
+                    )
+                    if path is not None:
+                        damaged.append((fault.kind, path))
             load_tile_cache(spec.cache_dir, tile_cache)
     # the run's own replay verdicts, counted apart from anything sharing
     # the cache, become RunResult.cache
@@ -985,6 +985,14 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
                 time.sleep(delay)
     wall = time.perf_counter() - t_run
 
+    # a damaged entry degraded the run only if the run read it: that
+    # lookup quarantined the file, so it is gone from the store
+    for kind, path in damaged:
+        if not os.path.exists(path):
+            degradations.append({
+                "field": "cache_file", "from": "warm", "to": "cold",
+                "stage": "setup", "chaos": kind,
+            })
     if injector is not None and injector.denied:
         degradations.append({
             "field": "cache_replay", "from": "replay", "to": "fresh-pnr",

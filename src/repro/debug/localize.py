@@ -9,7 +9,9 @@ the error lies upstream.  The localizer mechanizes the designer:
 2. repeatedly pick the probe net whose cone splits the candidates most
    evenly, insert an observation point (one tile-confined commit —
    *this* is the CAD cost the paper attacks), re-emulate, and keep
-   either the probe's cone or its complement;
+   either the probe's cone or its complement (a probe picked again in
+   the same round reuses its verdict and commits nothing: the DUT's
+   logic does not change within a round);
 3. stop when the candidates fit the goal size or probes run out.
 
 A probe verdict compares the observed net with the golden model's word
@@ -258,6 +260,8 @@ class ConeLocalizer:
         pruner = None
         group_mismatches = [m for m in mismatches if m.output in group]
         matched_probes: list[str] = []
+        #: verdict per probe committed this round, for repeat picks
+        verdicts: dict[str, bool] = {}
         if (
             getattr(self.strategy, "sat_localization", False)
             and group_mismatches
@@ -293,31 +297,33 @@ class ConeLocalizer:
 
             with maybe_span("probe", category="localize",
                             probe=probe) as probe_span:
-                t0 = time.perf_counter()
-                changes, _ = add_observation_point(
-                    netlist, [probe_net], f"loc{probe_no}", sticky=False
-                )
-                self.strategy.commit(changes, anchor_instance=probe)
-                timings["commit"] += time.perf_counter() - t0
-                result.probe_points.append(f"loc{probe_no}")
+                mismatch = verdicts.get(probe)
+                if mismatch is None:
+                    t0 = time.perf_counter()
+                    changes, _ = add_observation_point(
+                        netlist, [probe_net], f"loc{probe_no}", sticky=False
+                    )
+                    self.strategy.commit(changes, anchor_instance=probe)
+                    timings["commit"] += time.perf_counter() - t0
+                    result.probe_points.append(f"loc{probe_no}")
 
-                t0 = time.perf_counter()
-                if emulator is None:
-                    emulator = Emulator(
-                        self.strategy.layout, engine=self.engine
+                    t0 = time.perf_counter()
+                    if emulator is None:
+                        emulator = Emulator(
+                            self.strategy.layout, engine=self.engine
+                        )
+                        if self.engine == "compiled":
+                            # sync the kernel incrementally, not by a
+                            # full recompile on first use
+                            emulator.refresh(changes=changes)
+                    else:
+                        emulator.refresh(
+                            layout=self.strategy.layout, changes=changes
+                        )
+                    mismatch = verdicts[probe] = self._probe_disagrees(
+                        emulator, probe_net, f"loc{probe_no}"
                     )
-                    if self.engine == "compiled":
-                        # sync the shared kernel incrementally rather
-                        # than letting first use pay a full recompile
-                        emulator.refresh(changes=changes)
-                else:
-                    emulator.refresh(
-                        layout=self.strategy.layout, changes=changes
-                    )
-                mismatch = self._probe_disagrees(
-                    emulator, probe_net, f"loc{probe_no}"
-                )
-                timings["emulate"] += time.perf_counter() - t0
+                    timings["emulate"] += time.perf_counter() - t0
 
                 if not mismatch:
                     matched_probes.append(probe_net)

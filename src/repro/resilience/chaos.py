@@ -20,8 +20,8 @@ every failure mode yields a structured ``failed`` / ``degraded`` /
   the run whatever ``fires`` says;
 * ``cache_truncate`` / ``cache_corrupt`` — damage the persisted tile
   cache on disk (truncation / deterministic byte flip of a seed-chosen
-  store entry), proving the hostile-file load path quarantines and
-  cold-starts instead of crashing;
+  store entry), proving that reading it quarantines it and recomputes
+  instead of crashing;
 * ``worker_kill`` / ``worker_hang`` — assassinate a supervised campaign
   worker *process* mid-stage (``SIGKILL`` self / ``SIGSTOP`` self, so
   heartbeats stop), proving the supervisor converts worker death into a
@@ -332,15 +332,16 @@ def replay_denied() -> bool:
 # cache faults
 # ----------------------------------------------------------------------
 
-def corrupt_cache_file(path: str, kind: str, seed: int = 0) -> bool:
+def corrupt_cache_file(path: str, kind: str, seed: int = 0) -> str | None:
     """Deterministically damage the persisted cache at ``path``.
 
     ``path`` may be a single file (damaged directly) or a
     content-addressed store directory, in which case one seed-chosen
-    entry file takes the damage — the load path must quarantine it and
-    cold-start that digest only.  ``cache_truncate`` halves the target
-    file; ``cache_corrupt`` flips one seed-chosen byte.  Returns False
-    (no-op) when there is nothing to corrupt — a cold start.
+    entry file takes the damage — the lookup that reads it must
+    quarantine it and recompute that digest only.  ``cache_truncate``
+    halves the target file; ``cache_corrupt`` flips one seed-chosen
+    byte.  Returns the damaged file's path, or None (no-op) when there
+    is nothing to corrupt — a cold start.
     """
     if kind not in CACHE_FILE_KINDS:
         raise ValueError(f"not a cache fault kind: {kind!r}")
@@ -349,7 +350,7 @@ def corrupt_cache_file(path: str, kind: str, seed: int = 0) -> bool:
 
         entries = TileConfigStore(path).entry_files()
         if not entries:
-            return False
+            return None
         target = entries[
             derive_seed(seed, "chaos.cache_target") % len(entries)
         ]
@@ -358,9 +359,9 @@ def corrupt_cache_file(path: str, kind: str, seed: int = 0) -> bool:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError:
-        return False
+        return None
     if not blob:
-        return False
+        return None
     if kind == "cache_truncate":
         blob = blob[: max(1, len(blob) // 2)]
     else:
@@ -372,4 +373,4 @@ def corrupt_cache_file(path: str, kind: str, seed: int = 0) -> bool:
         )
     with open(path, "wb") as fh:
         fh.write(blob)
-    return True
+    return path

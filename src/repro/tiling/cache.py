@@ -43,10 +43,16 @@ site legality, terminal membership and channel capacity against the
 live layout, and only then records the verdict (:meth:`TileConfigCache.record`:
 hit, miss, or rejected).  :meth:`TileConfigCache.lookup` itself counts
 nothing.
+
+A ``--cache-dir`` store is attached, not loaded (:func:`load_tile_cache`):
+a memory miss reads and checks the one entry file of the key looked up,
+and a damaged file is quarantined on that read, so the lookup misses and
+the fresh path recomputes it.  A run decodes only what it replays.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -137,15 +143,26 @@ class TileConfigCache:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+    #: the attached store (:func:`load_tile_cache`), read on a memory miss
+    backing: TileConfigStore | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def lookup(self, key: str) -> TileConfig | None:
-        """The stored entry for ``key`` (refreshing its LRU slot), or
-        ``None``.  Uncounted: the caller records the verdict with
-        :meth:`record` once the entry has been verified."""
+        """The entry for ``key`` (refreshing its LRU slot), or ``None``; a
+        memory miss reads it from the backing store, if any, and keeps it.
+        Uncounted: the caller records the verdict with :meth:`record`
+        once the entry has been verified."""
         with self._lock:
             config = self._entries.get(key)
             if config is not None:
                 self._entries.move_to_end(key)
+            backing = self.backing
+        if config is None and backing is not None:
+            config = backing.read(key)
+            if config is not None:
+                with self._lock:
+                    self._insert(key, config)
         return config
 
     def record(self, verdict: str) -> None:
@@ -158,24 +175,33 @@ class TileConfigCache:
 
     def store(self, key: str, config: TileConfig) -> None:
         with self._lock:
-            self._entries[key] = config
-            self._entries.move_to_end(key)
+            self._insert(key, config)
             self.stores += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+
+    def _insert(self, key: str, config: TileConfig) -> None:
+        self._entries[key] = config
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self.backing = None
             self.hits = self.misses = self.stores = self.rejected = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Entries in memory or the backing store (listed, not read)."""
+        with self._lock:
+            keys, backing = list(self._entries), self.backing
+        if backing is None:
+            return len(keys)
+        return len(backing.addresses() | set(map(backing.address, keys)))
 
     def stats(self) -> dict[str, float]:
         return cache_summary(
             {k: getattr(self, k) for k in CACHE_COUNTERS},
-            float(len(self._entries)),
+            float(len(self)),
         )
 
 
@@ -225,8 +251,9 @@ def _file_lock(path: str):
     """``fcntl`` advisory lock held for the enclosed block.
 
     Per-entry writes are already atomic (temp + ``os.replace``); the
-    lock only serializes the *compound* operations — directory scans
-    interleaved with quarantine moves — across worker processes.  On
+    lock only serializes the *compound* operations — the temp-file
+    sweep's directory scan, and a quarantine's re-check and move —
+    across worker processes.  On
     platforms without ``fcntl`` the lock degrades to a no-op, which
     costs nothing but a chance of double-quarantining a damaged entry.
     """
@@ -260,6 +287,9 @@ def _writer_alive(temp_name: str) -> bool:
     return True
 
 
+_DECODE_LOCK = threading.RLock()
+
+
 class TileConfigStore:
     """Content-addressed per-digest store of :class:`TileConfig` entries.
 
@@ -268,11 +298,12 @@ class TileConfigStore:
     temp-file + ``os.replace``.  That makes cross-process sharing a
     non-event — two workers storing the same digest write byte-identical
     files, a worker killed mid-write leaves only a temp file behind
-    (swept opportunistically), and merge-on-writeback is simply "write
-    the digests the disk does not have yet".  Entries that fail
+    (swept when a cache attaches the store), and merge-on-writeback is
+    simply "write the digests the disk does not have yet".  An entry is
+    read on a lookup of its key (:meth:`read`); entries that fail
     verification on read (bad wrapper, payload digest mismatch, version
     skew) are *quarantined* — moved aside into ``<root>.quarantine/`` so
-    they are inspected, never re-read, and never crash a load.
+    they are inspected, never re-read, and never crash a lookup.
     """
 
     def __init__(self, root: str) -> None:
@@ -299,8 +330,8 @@ class TileConfigStore:
         digest = self.address(key)
         return os.path.join(self.root, digest[:2], digest + ".pkl")
 
-    def entry_files(self) -> list[str]:
-        """Every entry file currently in the store, sorted."""
+    def _files(self) -> list[str]:
+        """Every file in the store's shard directories, sorted."""
         files = []
         if not os.path.isdir(self.root):
             return files
@@ -309,9 +340,16 @@ class TileConfigStore:
             if len(shard) != 2 or not os.path.isdir(shard_dir):
                 continue
             for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".pkl"):
-                    files.append(os.path.join(shard_dir, name))
+                files.append(os.path.join(shard_dir, name))
         return files
+
+    def entry_files(self) -> list[str]:
+        """Every entry file currently in the store, sorted."""
+        return [path for path in self._files() if path.endswith(".pkl")]
+
+    def addresses(self) -> set[str]:
+        """The content addresses of :meth:`entry_files` (nothing read)."""
+        return {os.path.basename(path)[:-4] for path in self.entry_files()}
 
     def __len__(self) -> int:
         return len(self.entry_files())
@@ -363,9 +401,10 @@ class TileConfigStore:
         """``(key, TileConfig)`` from one entry file, or ``None``.
 
         The format name, format version, and payload digest must all
-        check out, and the unpickled objects must have the expected
-        types.  Any damage
-        yields ``None`` — the caller decides whether to quarantine.
+        check out, the wrapper must name the key the file is addressed
+        by, and the unpickled objects must have the expected types.
+        Any damage yields ``None`` — the caller decides whether to
+        quarantine.
         """
         try:
             with open(path, "rb") as fh:
@@ -380,9 +419,22 @@ class TileConfigStore:
             payload = wrapper.get("payload")
             if not isinstance(key, str) or not isinstance(payload, bytes):
                 return None
+            if os.path.basename(path) != TileConfigStore.address(key) + ".pkl":
+                return None
             if hashlib.sha256(payload).hexdigest() != wrapper.get("sha256"):
                 return None
-            config = pickle.loads(payload)
+            # a decode makes many tuples and frozensets but no cycles,
+            # and collections over them would cost most of it; one
+            # decode at a time, so the one that paused the collector
+            # restores it (each holds the GIL anyway)
+            with _DECODE_LOCK:
+                was_enabled = gc.isenabled()
+                gc.disable()
+                try:
+                    config = pickle.loads(payload)
+                finally:
+                    if was_enabled:
+                        gc.enable()
             if not isinstance(config, TileConfig):
                 return None
             return key, config
@@ -391,17 +443,38 @@ class TileConfigStore:
             # contract is "damage is data, never an exception"
             return None
 
+    def read(self, key: str) -> TileConfig | None:
+        """``key``'s entry from its file, or ``None``; a file failing
+        :meth:`read_entry` (which checks it names ``key``) is quarantined."""
+        path = self.entry_path(key)
+        if not os.path.exists(path):
+            return None
+        entry = self.read_entry(path)
+        if entry is None:
+            self.quarantine(path)
+            return None
+        self._known.add(self.address(key))
+        return entry[1]
+
     def quarantine(self, path: str, reason: str = "corrupt") -> str | None:
-        """Move a damaged entry aside; returns its new path (or None)."""
+        """Move a damaged entry aside; returns its new path (or None).
+
+        The entry is re-checked under the store lock first: another
+        process may have quarantined it, recomputed it and written a
+        good file back since this one was read.
+        """
         os.makedirs(self.quarantine_dir, exist_ok=True)
         dest = os.path.join(
             self.quarantine_dir, f"{os.path.basename(path)}.{reason}"
         )
-        try:
-            os.replace(path, dest)
-        except OSError:
-            # a concurrent loader already moved it; nothing left to do
-            return None
+        with _file_lock(self._lock_path):
+            if self.read_entry(path) is not None:
+                return None
+            try:
+                os.replace(path, dest)
+            except OSError:
+                # a concurrent reader already moved it; nothing left to do
+                return None
         return dest
 
     def quarantined_files(self) -> list[str]:
@@ -412,51 +485,25 @@ class TileConfigStore:
             for name in os.listdir(self.quarantine_dir)
         )
 
-    def _sweep_temp_files(self) -> None:
+    def sweep_temp_files(self) -> None:
         """Remove temp droppings a killed writer left behind.
 
         Writers do not take the store lock, so a temp file whose writer
-        process is still alive may be mid-write and is left alone.
+        process is still alive may be mid-write and is left alone.  The
+        sweep itself runs under the store lock.
         """
         if not os.path.isdir(self.root):
             return
-        for shard in os.listdir(self.root):
-            shard_dir = os.path.join(self.root, shard)
-            if len(shard) != 2 or not os.path.isdir(shard_dir):
-                continue
-            for name in os.listdir(shard_dir):
+        with _file_lock(self._lock_path):
+            for path in self._files():
+                name = os.path.basename(path)
                 if ".pkl.tmp." in name and not _writer_alive(name):
                     try:
-                        os.remove(os.path.join(shard_dir, name))
+                        os.remove(path)
                     except OSError:  # pragma: no cover - racing sweeper
                         pass
 
     # -- bulk operations -----------------------------------------------
-
-    def merge_into(self, cache: TileConfigCache) -> int:
-        """Load every valid entry into ``cache``; quarantine the rest.
-
-        Returns the number of entries merged.  Damaged entries are
-        moved to the quarantine directory (under the store lock, so two
-        concurrent loaders do not race the move) and the load carries
-        on — a partially damaged store degrades to a partial warm
-        start, never a crash.
-        """
-        if not os.path.isdir(self.root):
-            return 0
-        merged = 0
-        with _file_lock(self._lock_path):
-            self._sweep_temp_files()
-            for path in self.entry_files():
-                entry = self.read_entry(path)
-                if entry is None:
-                    self.quarantine(path)
-                    continue
-                key, config = entry
-                self._known.add(self.address(key))
-                cache.store(key, config)
-                merged += 1
-        return merged
 
     def write_back(self, cache: TileConfigCache) -> int:
         """Persist ``cache``'s entries the store does not have yet.
@@ -481,8 +528,8 @@ class TileConfigStore:
 
         ``{"valid": n, "corrupt": [paths], "quarantined": [paths]}`` —
         ``corrupt`` lists entry files that currently fail verification
-        (they will be quarantined by the next load), ``quarantined``
-        lists entries a previous load already moved aside.
+        (the next lookup of their key quarantines them), ``quarantined``
+        lists entries a lookup already moved aside.
         """
         valid = 0
         corrupt: list[str] = []
@@ -509,32 +556,39 @@ def cache_file_path(cache_dir: str) -> str:
 
 def load_tile_cache(cache_dir: str, cache: TileConfigCache | None = None
                     ) -> TileConfigCache:
-    """Warm ``cache`` (default: a fresh one) from ``cache_dir``'s
-    content-addressed entry store; nothing else in ``cache_dir`` is
+    """Attach ``cache_dir``'s entry store to ``cache`` (default: a fresh
+    one) as its read-on-demand backing store, replacing any other: dead
+    writers' temp files are swept and nothing is decoded; each memory
+    miss then reads one entry file.  Nothing else in ``cache_dir`` is
     opened."""
     cache = cache if cache is not None else TileConfigCache()
-    TileConfigStore(cache_file_path(cache_dir)).merge_into(cache)
+    store = TileConfigStore(cache_file_path(cache_dir))
+    store.sweep_temp_files()
+    cache.backing = store
     return cache
 
 
 def save_tile_cache(cache: TileConfigCache, cache_dir: str) -> int:
-    """Write back ``cache`` under ``cache_dir`` (created if missing).
+    """Write back ``cache`` under ``cache_dir`` (created if missing),
+    through its backing store when that is ``cache_dir``'s.
 
     Only digests missing from the store are written (each atomically),
     so concurrent campaign workers — threads or processes — can all
     write back without clobbering one another, and a crash mid-
     write-back loses at most the single entry being written.
     """
-    os.makedirs(cache_dir, exist_ok=True)
-    return TileConfigStore(cache_file_path(cache_dir)).write_back(cache)
+    store = cache.backing
+    if store is None or store.root != cache_file_path(cache_dir):
+        store = TileConfigStore(cache_file_path(cache_dir))
+    return store.write_back(cache)
 
 
 def verify_cache_file(path: str) -> int:
-    """How many entries ``path`` yields to a fresh load (0 = unusable).
+    """How many valid entries ``path`` holds (0 = unusable).
 
     ``path`` may be a store directory (per-digest layout) or a single
     entry file; damage is tolerated with the same hostile-file
-    discipline as the load paths, so callers (CI smoke checks, chaos
+    discipline as the read path, so callers (CI smoke checks, chaos
     tests) can assert a write-back survived without touching any shared
     cache state.
     """
@@ -548,7 +602,7 @@ def verify_cache_store(cache_dir: str) -> dict:
 
     ``{"valid", "corrupt", "quarantined"}`` — the entry store's
     :meth:`TileConfigStore.verify` report.  Read-only: nothing is moved
-    or deleted (the next load quarantines ``corrupt`` files).
+    or deleted (a lookup of a ``corrupt`` entry's key quarantines it).
     """
     return TileConfigStore(cache_file_path(cache_dir)).verify()
 

@@ -216,3 +216,26 @@ class TestSession:
         assert ctx.detected and ctx.fixed
         assert ctx.localization is not None
         assert ctx.localization.candidates
+
+
+def test_repeat_probe_reuses_its_verdict():
+    """When no probe splits the candidates, the fallback pick repeats a
+    mismatching probe: each repeat reuses the round's verdict instead
+    of committing the same observation point again, and the trajectory
+    is unchanged (s9234 ``wrong_source`` 9 picks ``mux2$449`` eight
+    times, every verdict keeping all 319 candidates)."""
+    from repro.api import RunSpec, run_spec
+
+    result = run_spec(RunSpec(
+        design="s9234", error_kind="wrong_source", error_seed=9,
+        strategy="tiled", preset="fast", cache="private",
+    ))
+    assert [s["probe"] for s in result.probe_trajectory] == ["mux2$449"] * 8
+    assert all(s["mismatch"] and s["candidates_after"] == 319
+               for s in result.probe_trajectory)
+    assert result.n_probes == 8
+    # one observation point and the correction
+    assert result.n_commits == 2
+    assert (result.status, result.detected, result.localized,
+            result.fixed) == ("ok", True, True, True)
+    assert len(result.candidates) == 319

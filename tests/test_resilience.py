@@ -375,6 +375,39 @@ def test_cache_corrupt_chaos_cold_starts_and_rewrites(tmp_path):
     assert verify_cache_file(cache_file_path(cache_dir)) == entries
 
 
+def test_cache_chaos_on_an_entry_the_run_never_reads(tmp_path):
+    """A damaged entry of another design is not read: the run replays
+    everything, stays ``ok`` with no degradation note, and the damage
+    waits in place until a lookup of that key quarantines it."""
+    from repro.rng import derive_seed
+    from repro.tiling.cache import TileConfigStore, verify_cache_store
+
+    cache_dir = str(tmp_path / "cache")
+    store = TileConfigStore(cache_file_path(cache_dir))
+    styr = RunSpec(design="styr", error_seed=4, preset="fast",
+                   max_probes=6, cache="private", cache_dir=cache_dir)
+    assert run_spec(styr).status == "ok"
+    styr_files = set(store.entry_files())
+    nine = styr.replaced(design="9sym", error_seed=1)
+    assert run_spec(nine).status == "ok"
+    files = store.entry_files()
+    # a chaos seed whose damage lands on a styr entry
+    seed = next(s for s in range(64) if files[
+        derive_seed(s, "chaos.cache_target") % len(files)] in styr_files)
+    target = files[derive_seed(seed, "chaos.cache_target") % len(files)]
+
+    rerun = run_spec(nine.replaced(
+        chaos={"faults": [{"kind": "cache_truncate"}], "seed": seed}))
+    assert rerun.status == "ok" and rerun.degradations == []
+    assert rerun.cache["misses"] == 0 and rerun.cache["hits"] > 0
+    assert verify_cache_store(cache_dir)["corrupt"] == [target]
+    # the styr rerun reads it, quarantines it and rewrites it
+    assert run_spec(styr).status == "ok"
+    report = verify_cache_store(cache_dir)
+    assert report["corrupt"] == [] and len(report["quarantined"]) == 1
+    assert report["valid"] == len(files)
+
+
 def test_plain_run_unaffected_by_resilience_machinery():
     plain = run_spec(RunSpec(**FAST))
     budgeted = run_spec(RunSpec(**FAST, timeout_s=300.0, retries=2))

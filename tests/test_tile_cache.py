@@ -272,12 +272,19 @@ def _append_to_payload(path):
 
 
 def assert_damaged_entry_is_contained(tmp_path, damage):
-    """One damaged entry file next to a good one: the reader rejects it,
-    a merge quarantines exactly it and keeps the rest, and verification
-    counts it out."""
-    from repro.tiling.cache import TileConfigStore, verify_cache_file
+    """One damaged entry file next to a good one in an attached store:
+    the reader rejects it, a lookup of its key misses and quarantines
+    exactly it, the good entry still reads, and verification counts it
+    out."""
+    from repro.tiling.cache import (
+        TileConfigStore,
+        cache_file_path,
+        load_tile_cache,
+        verify_cache_file,
+    )
 
-    store = TileConfigStore(str(tmp_path / "store"))
+    cache_dir = str(tmp_path / "cache")
+    store = TileConfigStore(cache_file_path(cache_dir))
     store.write_entry("good", TileConfig({"a": (0, 1)}, {}, {}))
     store.write_entry("bad", TileConfig({"b": (1, 2)}, {}, {}))
     bad = store.entry_path("bad")
@@ -286,15 +293,19 @@ def assert_damaged_entry_is_contained(tmp_path, damage):
     assert store.read_entry(bad) is None
     assert verify_cache_file(bad) == 0
     assert verify_cache_file(store.root) == 1
-    cache = TileConfigCache()
-    assert store.merge_into(cache) == 1
-    assert cache.lookup("good") is not None
+    cache = load_tile_cache(cache_dir)
+    assert store.quarantined_files() == []  # attaching reads nothing
+    assert cache.lookup("bad") is None
+    assert cache.lookup("good").sites == {"a": (0, 1)}
     assert len(cache) == 1
+    # a read is neither a store nor a verdict
+    assert cache.stores == cache.hits == cache.misses == 0
     quarantined = store.quarantined_files()
     assert [os.path.basename(q) for q in quarantined] == [
         os.path.basename(bad) + ".corrupt"
     ]
     assert store.entry_files() == [store.entry_path("good")]
+    assert cache.lookup("bad") is None  # a quarantined key stays a miss
 
 
 def test_load_missing_file_is_ignored(tmp_path):
@@ -347,6 +358,14 @@ def test_load_flipped_payload_byte_is_ignored(tmp_path):
     assert_damaged_entry_is_contained(tmp_path, _flip_payload_byte)
 
 
+def test_load_wrapper_naming_another_key_is_ignored(tmp_path):
+    """An intact entry under another key's address (a misfiled copy)
+    never answers for the key it is filed under."""
+    assert_damaged_entry_is_contained(
+        tmp_path, lambda path: _rewrap(path, key="good")
+    )
+
+
 def test_verify_cache_file(tmp_path):
     from repro.tiling.cache import TileConfigStore, verify_cache_file
 
@@ -361,20 +380,45 @@ def test_verify_cache_file(tmp_path):
 
 
 def test_concurrent_save_load_store_stress(tmp_path):
-    """Campaign workers writing back to and merging from one store lose
-    no entry and leave no temp files behind."""
+    """Campaign workers writing back to one store lose no entry and
+    leave no temp files behind while another thread keeps attaching the
+    store (each attach sweeps temp files under the store lock), and
+    threads sharing one attached cache read entries on demand: every
+    lookup returns an equal config or ``None``, a damaged entry is
+    quarantined once, the counters add up, and the cycle collector ends
+    enabled."""
+    import gc
     import threading
 
-    from repro.tiling.cache import TileConfigStore
+    from repro.tiling.cache import (
+        TileConfigStore,
+        cache_file_path,
+        load_tile_cache,
+        save_tile_cache,
+    )
 
-    root = str(tmp_path / "store")
+    cache_dir = str(tmp_path / "cache")
+    root = cache_file_path(cache_dir)
     errors = []
+
+    def config(name, n):
+        return TileConfig({f"{name}.b": (n, n)}, {}, {})
+
+    seeded = TileConfigStore(root)
+    for n in range(20):
+        seeded.write_entry(f"s.k{n}", config("s", n))
+    seeded.write_entry("bad", config("bad", 0))
+    _truncate(seeded.entry_path("bad"))
+    # a small LRU keeps evicting, so the same keys are read again
+    shared = load_tile_cache(cache_dir, TileConfigCache(max_entries=6))
+    verdicts = {"hit": 0, "miss": 0}
+    verdict_lock = threading.Lock()
 
     def writer(worker):
         try:
             cache = TileConfigCache(max_entries=4096)
             for n in range(25):
-                cache.store(f"w{worker}.k{n}", TileConfig({}, {}, {}))
+                cache.store(f"w{worker}.k{n}", config(f"w{worker}", n))
                 if n % 5 == 4:
                     # a fresh handle per write-back, as separate
                     # processes would have
@@ -382,36 +426,98 @@ def test_concurrent_save_load_store_stress(tmp_path):
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
-    def reader():
+    def shared_writer():
         try:
-            for _ in range(25):
-                TileConfigStore(root).merge_into(
-                    TileConfigCache(max_entries=4096)
-                )
+            for n in range(25):
+                shared.store(f"x.k{n}", config("x", n))
+                save_tile_cache(shared, cache_dir)
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
-    threads = [
-        threading.Thread(target=writer, args=(w,)) for w in range(4)
-    ] + [threading.Thread(target=reader) for _ in range(2)]
+    def reader(names):
+        try:
+            for _ in range(10):
+                for name, n in names:
+                    got = shared.lookup(f"{name}.k{n}")
+                    if got is not None and got != config(name, n):
+                        raise AssertionError(f"{name}.k{n} read {got}")
+                    verdict = "miss" if got is None else "hit"
+                    shared.record(verdict)
+                    with verdict_lock:
+                        verdicts[verdict] += 1
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    def quarantiner():
+        try:
+            for _ in range(10):
+                assert shared.lookup("bad") is None
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    writers_done = threading.Event()
+    sweeps = []
+
+    def sweeper():
+        # a sweep must never delete a live writer's temp file: the
+        # writer's os.replace would then fail
+        try:
+            while not writers_done.is_set():
+                load_tile_cache(cache_dir)
+                sweeps.append(1)
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    names = [("s", n) for n in range(20)] + [
+        (f"w{w}", n) for w in range(4) for n in range(0, 25, 3)
+    ]
+    threads = (
+        [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+        + [threading.Thread(target=shared_writer)]
+        + [threading.Thread(target=reader, args=(names[i::3],))
+           for i in range(3)]
+        + [threading.Thread(target=quarantiner)]
+    )
+    sweep_thread = threading.Thread(target=sweeper)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        sweep_thread.start()
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=120)
     finally:
+        writers_done.set()
+        sweep_thread.join(timeout=120)
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    assert not any(t.is_alive() for t in threads + [sweep_thread])
     assert not errors
+    assert sweeps
+    assert gc.isenabled()
+    assert shared.hits == verdicts["hit"] and shared.misses == verdicts["miss"]
+    assert shared.hits + shared.misses == 10 * len(names)
+    assert shared.stores == 25 and shared.rejected == 0
+    # seeded entries were there all along: every lookup of one hit
+    assert shared.hits >= 10 * 20
     store = TileConfigStore(root)
-    merged = TileConfigCache(max_entries=4096)
-    assert store.merge_into(merged) == 4 * 25
-    assert {f"w{w}.k{n}" for w in range(4) for n in range(25)} == set(
-        merged._entries
-    )
-    assert store.quarantined_files() == []
+    expected = {f"w{w}.k{n}" for w in range(4) for n in range(25)}
+    expected |= {f"s.k{n}" for n in range(20)}
+    # the shared cache's own entries reach the store unless the small
+    # LRU evicted them before their write-back
+    written = {k for k in (f"x.k{n}" for n in range(25))
+               if os.path.exists(store.entry_path(k))}
+    expected |= written
+    assert written
+    assert store.addresses() == {store.address(k) for k in expected}
+    assert len(shared) == len(expected)
+    assert [os.path.basename(q) for q in store.quarantined_files()] == [
+        os.path.basename(store.entry_path("bad")) + ".corrupt"
+    ]
+    for key in sorted(expected):
+        got = load_tile_cache(cache_dir).lookup(key)
+        name, n = key.rsplit(".k", 1)
+        assert got == config(name, int(n))
     leftovers = [
         name for _, _, names in os.walk(tmp_path) for name in names
         if ".tmp." in name
@@ -442,7 +548,7 @@ def test_store_address_and_roundtrip(tmp_path):
     assert loaded.sites == config.sites
 
 
-def test_store_merge_quarantines_damage(tmp_path):
+def test_store_read_quarantines_damage(tmp_path):
     from repro.tiling.cache import TileConfigStore
 
     store = TileConfigStore(str(tmp_path / "store"))
@@ -450,16 +556,35 @@ def test_store_merge_quarantines_damage(tmp_path):
     store.write_entry("bad", TileConfig({}, {}, {}))
     with open(store.entry_path("bad"), "wb") as fh:
         fh.write(b"garbage")
-    cache = TileConfigCache()
-    assert store.merge_into(cache) == 1
+    cache = TileConfigCache(backing=store)
+    assert len(cache) == 2  # a directory listing, nothing read
     assert cache.lookup("good") is not None
-    # a load is a plain store; it counts no lookup verdict
-    assert cache.stores == 1
+    assert cache.lookup("missing") is None
+    assert cache.lookup("bad") is None
+    # a read is not a store, and a lookup counts no verdict
+    assert cache.stores == 0
     assert cache.hits == cache.misses == cache.rejected == 0
-    # the damaged entry moved aside and stays out of future loads
+    # the damaged entry moved aside and stays out of future reads
     assert len(store.quarantined_files()) == 1
-    assert len(store) == 1
-    assert store.merge_into(TileConfigCache()) == 1
+    assert len(store) == 1 and len(cache) == 1
+    assert TileConfigStore(store.root).read("bad") is None
+
+
+def test_quarantine_spares_an_entry_rewritten_since_its_read(tmp_path):
+    """A reader that found an entry damaged must not move aside the good
+    file another worker quarantined, recomputed and wrote back since."""
+    from repro.tiling.cache import TileConfigStore
+
+    store = TileConfigStore(str(tmp_path / "store"))
+    config = TileConfig({"b": (1, 2)}, {}, {})
+    store.write_entry("k", config)
+    path = store.entry_path("k")
+    assert store.quarantine(path) is None
+    assert store.quarantined_files() == []
+    assert TileConfigStore(store.root).read("k") == config
+    _truncate(path)
+    assert store.quarantine(path) == store.quarantined_files()[0]
+    assert not os.path.exists(path)
 
 
 def test_store_write_back_merges_across_workers(tmp_path):
@@ -475,8 +600,8 @@ def test_store_write_back_merges_across_workers(tmp_path):
     assert TileConfigStore(root).write_back(a) == 2
     # the overlapping digest is already present: only k3 is new
     assert TileConfigStore(root).write_back(b) == 1
-    merged = TileConfigCache()
-    assert TileConfigStore(root).merge_into(merged) == 3
+    store = TileConfigStore(root)
+    assert store.addresses() == {store.address(k) for k in ("k1", "k2", "k3")}
 
 
 def test_store_crash_leftovers_are_swept(tmp_path):
@@ -494,9 +619,9 @@ def test_store_crash_leftovers_are_swept(tmp_path):
     live = f"live.pkl.tmp.{os.getpid()}.1"
     with open(os.path.join(shard, live), "wb") as fh:
         fh.write(b"partial")
-    cache = TileConfigCache()
-    assert store.merge_into(cache) == 1
+    store.sweep_temp_files()
     assert [n for n in os.listdir(shard) if ".tmp." in n] == [live]
+    assert len(store) == 1
 
 
 def test_verify_cache_file_accepts_store_dir_and_entry(tmp_path):
@@ -531,6 +656,169 @@ def test_verify_cache_store_reports_damage_read_only(tmp_path):
     assert report["quarantined"] == []
     # read-only: the damaged file is still in place afterwards
     assert len(store) == 2
+
+
+#: collector states seen by :func:`_record_gc_state` calls
+_GC_SEEN: list = []
+
+
+def _record_gc_state():
+    import gc
+
+    _GC_SEEN.append(gc.isenabled())
+
+
+class _RecordsGcState:
+    """Unpickling an instance records whether the collector is on."""
+
+    def __reduce__(self):
+        return (_record_gc_state, ())
+
+
+class _RaisesOnLoad:
+    def __reduce__(self):
+        return (int, ("not a number",))
+
+
+def _write_raw_entry(store, key, obj):
+    """An entry file for ``key`` whose payload pickles ``obj`` (a valid
+    wrapper and digest, whatever ``obj`` is)."""
+    import hashlib
+    import pickle
+
+    from repro.tiling.cache import CACHE_FORMAT_VERSION
+
+    payload = pickle.dumps(obj)
+    path = store.entry_path(key)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as fh:
+        pickle.dump({
+            "format": "repro-tile-config-entry",
+            "version": CACHE_FORMAT_VERSION, "key": key,
+            "sha256": hashlib.sha256(payload).hexdigest(),
+            "payload": payload,
+        }, fh)
+    return path
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_entry_decode_pauses_and_restores_the_collector(tmp_path, enabled):
+    """The payload decodes with the cycle collector off, and the
+    collector's prior state is back afterwards, also when decode
+    raises."""
+    import gc
+
+    from repro.tiling.cache import TileConfigStore
+
+    store = TileConfigStore(str(tmp_path / "store"))
+    store.write_entry("good", TileConfig({"a": (0, 1)}, {}, {}))
+    _GC_SEEN.clear()
+    recorder = _write_raw_entry(store, "records", _RecordsGcState())
+    raiser = _write_raw_entry(store, "raises", _RaisesOnLoad())
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert store.read_entry(store.entry_path("good")) is not None
+        assert gc.isenabled() is enabled
+        # a payload that is no TileConfig is damage, read with GC off
+        assert store.read_entry(recorder) is None
+        assert _GC_SEEN == [False] and gc.isenabled() is enabled
+        assert store.read_entry(raiser) is None
+        assert gc.isenabled() is enabled
+        assert store.read("raises") is None  # quarantined, GC restored
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(store.quarantined_files()) == 1
+
+
+def _outcome(result):
+    """``comparable(result)`` without the count of cached commits, the
+    one outcome field a warm run changes."""
+    from perfbench.checks import comparable
+
+    data = comparable(result)
+    data.pop("n_commit_cache_hits")
+    return data
+
+
+def test_run_reads_only_its_own_entries(tmp_path, monkeypatch):
+    """A run against a store that also holds another design's entries
+    decodes only the entry files it replays — the ones its own cold run
+    wrote — each once, and every P&R step hits; its outcome equals the
+    cold run's."""
+    from repro.api import RunSpec, run_spec
+    from repro.tiling.cache import TileConfigStore, cache_file_path
+
+    cache_dir = str(tmp_path / "cache")
+    store = TileConfigStore(cache_file_path(cache_dir))
+    spec = RunSpec(design="9sym", error_seed=1, preset="fast",
+                   max_probes=6, cache="private", cache_dir=cache_dir)
+    cold = run_spec(spec)
+    own = set(store.entry_files())
+    assert cold.status == "ok" and own
+    other = run_spec(spec.replaced(design="styr", error_seed=4))
+    assert other.status == "ok"
+    assert set(store.entry_files()) > own
+
+    reads = []
+    read_entry = TileConfigStore.read_entry
+
+    def recording(path):
+        reads.append(path)
+        return read_entry(path)
+
+    monkeypatch.setattr(TileConfigStore, "read_entry",
+                        staticmethod(recording))
+    warm = run_spec(spec)
+    assert sorted(reads) == sorted(own)
+    assert warm.cache["misses"] == 0 and warm.cache["hits"] > 0
+    assert _outcome(warm) == _outcome(cold)
+
+
+def test_damaged_entry_read_by_a_run_is_quarantined(tmp_path):
+    """Each damage kind, hit through a run's lookup, is a miss: the run
+    recomputes that configuration, stays ``ok`` with the cold run's
+    outcome, quarantines the file and writes a good one back."""
+    from repro.api import RunSpec, run_spec
+    from repro.tiling.cache import (
+        CACHE_FORMAT_VERSION,
+        TileConfigStore,
+        cache_file_path,
+        verify_cache_store,
+    )
+
+    damages = (
+        _overwrite(b"this is not a pickle at all \x00\xff"), _truncate,
+        lambda path: _rewrap(path, version=CACHE_FORMAT_VERSION + 1),
+        _append_to_payload,
+        lambda path: _rewrap(path, format="some-other-tool"),
+        _overwrite(b""), _flip_payload_byte,
+    )
+    cache_dir = str(tmp_path / "cache")
+    store = TileConfigStore(cache_file_path(cache_dir))
+    spec = RunSpec(design="9sym", error_seed=1, preset="fast",
+                   max_probes=6, cache="private", cache_dir=cache_dir)
+    cold = run_spec(spec)
+    paths = store.entry_files()
+    assert len(paths) >= 2
+    # an identical rerun looks up every entry the cold run stored
+    first = paths[0]
+    misfiled = lambda path: _rewrap(  # noqa: E731
+        path, key=TileConfigStore.read_entry(paths[1])[0])
+    for damage in damages + (misfiled,):
+        damage(first)
+        with open(first, "rb") as fh:
+            damaged = fh.read()
+        warm = run_spec(spec)
+        assert warm.status == "ok"
+        assert warm.cache["misses"] >= 1 and warm.cache["hits"] >= 1
+        assert _outcome(warm) == _outcome(cold)
+        report = verify_cache_store(cache_dir)
+        [quarantined] = report["quarantined"]
+        with open(quarantined, "rb") as fh:
+            assert fh.read() == damaged
+        assert report["corrupt"] == [] and report["valid"] == len(paths)
 
 
 class _WritesMarker:
