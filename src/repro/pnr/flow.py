@@ -306,12 +306,7 @@ def _reroute_with_locked_interface(
     except RoutingError:
         return None
 
-    # an edge id's endpoints are cells eid >> 1 and one step east (+h)
-    # or north (+1) of it
-    kept = tuple(
-        eid for eid in old.eids
-        if not (mask[eid >> 1] and mask[(eid >> 1) + (1 if eid & 1 else h)])
-    )
+    kept = tuple(layout.state.fabric.outside_eids(old.eids, mask))
     tree = RouteTree(net_idx)
     tree.cells = cells | outside_cells | anchors
     tree.edges = edges | outside_edges

@@ -14,7 +14,9 @@ Key features:
   resources are locked" default);
 * wirelength cost = half-perimeter per net scaled by the usual
   fanout correction factor, kept incrementally from per-net coordinate
-  histograms so no move ever rescans a net's terminals;
+  histograms so no move ever rescans a net's terminals.  A proposed
+  move is scored read-only from the unchanged histograms; only an
+  accepted move updates them, so a rejected one needs no undo;
 * every proposed move is charged to an :class:`EffortMeter`, which is
   how Figure 5's effort comparison is measured;
 * a move's three uniform draws read ``rng.getrandbits`` inline with
@@ -26,6 +28,7 @@ Key features:
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from repro.arch.device import Device
 from repro.errors import PlacementError
@@ -169,14 +172,18 @@ def _check_unmovable_placed(
 class _NetModel:
     """Net structures + incrementally maintained bounding-box costs.
 
-    Each active net keeps, per axis, a histogram of its terminals'
+    Per-net state lives in lists indexed by the net's slot, its position
+    in ``active_nets``; ``nets_of_block`` and ``net_sets_of_block`` hold
+    slots.  Each active net keeps, per axis, a histogram of its terminals'
     coordinates (index ``coordinate + 1``, so the IOB ring at ``-1``
     lands on 0) and its bounding box ``(xmin, xmax, ymin, ymax)`` in
-    those indices.  A proposed move shifts the moved terminals between
-    histogram buckets, widens each extreme to a new coordinate beyond
-    it, and walks a drained extreme inward to the next non-empty bucket
-    — no net's terminals are ever rescanned.  Costs are byte-identical
-    with a full recompute (integer span times the same crossing factor).
+    those indices.  A proposed move reads the new box off the unchanged
+    histograms: a destination beyond an extreme becomes the extreme, and
+    an extreme whose last terminal leaves walks inward to the next
+    non-empty bucket or to the destination, whichever comes first — no
+    net's terminals are ever rescanned.  An accepted move then shifts
+    the terminal between buckets.  Costs are byte-identical with a full
+    recompute (integer span times the same crossing factor).
     """
 
     def __init__(
@@ -186,29 +193,31 @@ class _NetModel:
         self.nets_of_block: dict[int, list[int]] = {b: [] for b in movable}
         self.net_sets_of_block: dict[int, set[int]] = {b: set() for b in movable}
         self.active_nets: list[int] = []
-        self.terminals: dict[int, list[int]] = {}
-        self.q: dict[int, float] = {}
+        self.terminals: list[list[int]] = []
+        self.q: list[float] = []
         for net in packed.nets.values():
             blocks = [net.driver, *net.sinks]
             if not any(b in movable for b in blocks):
                 continue
+            slot = len(self.active_nets)
             self.active_nets.append(net.index)
-            self.terminals[net.index] = blocks
-            self.q[net.index] = q_factor(len(blocks))
+            self.terminals.append(blocks)
+            self.q.append(q_factor(len(blocks)))
             for b in blocks:
                 if b in movable:
-                    self.nets_of_block[b].append(net.index)
-                    self.net_sets_of_block[b].add(net.index)
-        self.xhist: dict[int, list[int]] = {}
-        self.yhist: dict[int, list[int]] = {}
-        self.bbox: dict[int, tuple[int, int, int, int]] = {}
-        self.cost: dict[int, float] = {}
+                    self.nets_of_block[b].append(slot)
+                    self.net_sets_of_block[b].add(slot)
+        n = len(self.active_nets)
+        self.xhist: list[list[int]] = [[]] * n
+        self.yhist: list[list[int]] = [[]] * n
+        self.bbox: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * n
+        self.cost: list[float] = [0.0] * n
 
     def rebuild(self, pos: dict[int, tuple[int, int]]) -> None:
         wx, wy = self.width
-        for n in self.active_nets:
+        for n, blocks in enumerate(self.terminals):
             xh, yh = [0] * wx, [0] * wy
-            for b in self.terminals[n]:
+            for b in blocks:
                 x, y = pos[b]
                 xh[x + 1] += 1
                 yh[y + 1] += 1
@@ -219,7 +228,7 @@ class _NetModel:
             self.cost[n] = ((box[1] - box[0]) + (box[3] - box[2])) * self.q[n]
 
     def total(self) -> float:
-        return sum(self.cost.values())
+        return sum(self.cost)
 
 
 def _anneal(
@@ -239,14 +248,15 @@ def _anneal(
 
     movable_list = sorted(movable)
     bounds = _region_bounds(constraints, device, movable_list)
-    free_sites = constraints.free_sites
+    move = _mover(
+        placement, movable_list, bounds, constraints.free_sites, model, rng
+    )
+    rlim = float(max(device.nx, device.ny))
     temperature = _initial_temperature(
-        placement, device, movable_list, bounds, free_sites, model, rng,
-        meter,
+        placement, movable_list, model, move, rlim, meter
     )
     total = model.total()
 
-    rlim = float(max(device.nx, device.ny))
     moves_per_temp = max(4, int(preset.inner_num * len(movable_list) ** (4 / 3)))
     # small problems converge in few temperatures; cap the schedule so a
     # six-CLB tile job really is cheap (the effect Figure 5 measures)
@@ -256,10 +266,7 @@ def _anneal(
         accepted = 0
         for _ in range(moves_per_temp):
             meter.place_moves += 1
-            delta = _try_move(
-                placement, movable_list, bounds, free_sites, model, rng,
-                temperature, rlim,
-            )
+            delta = move(temperature, rlim)
             if delta is not None:
                 total += delta
                 accepted += 1
@@ -277,10 +284,7 @@ def _anneal(
     # zero-temperature quench: greedy pass accepting only improvements
     for _ in range(moves_per_temp):
         meter.place_moves += 1
-        delta = _try_move(
-            placement, movable_list, bounds, free_sites, model, rng,
-            0.0, max(1.0, rlim),
-        )
+        delta = move(0.0, max(1.0, rlim))
         if delta is not None:
             total += delta
 
@@ -297,7 +301,7 @@ def _region_bounds(
 
 
 def _initial_temperature(
-    placement, device, movable_list, bounds, free_sites, model, rng, meter,
+    placement, movable_list, model, move, rlim, meter,
 ) -> float:
     """VPR rule: T0 = 20 x stddev of cost over a random-move sample.
 
@@ -311,11 +315,7 @@ def _initial_temperature(
     samples = min(60, 5 * len(movable_list))
     for _ in range(samples):
         meter.place_moves += 1
-        delta = _try_move(
-            placement, movable_list, bounds, free_sites, model, rng,
-            temperature=float("inf"),
-            rlim=float(max(device.nx, device.ny)),
-        )
+        delta = move(float("inf"), rlim)
         if delta is not None:
             deltas.append(delta)
 
@@ -343,136 +343,160 @@ def _cooling_factor(acceptance_rate: float) -> float:
     return 0.8
 
 
-def _try_move(
+def _mover(
     placement: Placement,
     movable_list: list[int],
     bounds: dict[int, tuple[int, int, int, int]],
     free_sites: set[tuple[int, int]] | None,
     model: _NetModel,
     rng,
-    temperature: float,
-    rlim: float,
-) -> float | None:
-    """Propose one displace/swap; returns accepted delta or None.
+) -> Callable[[float, float], float | None]:
+    """The anneal's move: ``move(temperature, rlim)`` proposes one
+    displace/swap and returns the accepted delta or None.
 
     ``bounds`` holds every movable block's region (see
-    :func:`_region_bounds`).  The moved terminals shift the affected
-    nets' histograms tentatively; a rejected move shifts them back, and
-    only an accepted one touches ``placement``.  Each draw is
-    ``rng.randrange`` unrolled (see the module docstring).
+    :func:`_region_bounds`).  The lookups a move needs are bound once
+    here, so ``model`` must be updated in place (as
+    :meth:`_NetModel.rebuild` does), never given new containers.  A
+    move is scored read-only: each affected net's new box comes from
+    its unchanged histograms, and only an accepted move shifts them and
+    touches ``placement``.  Each draw is ``rng.randrange`` unrolled
+    (see the module docstring).
     """
     bits = rng.getrandbits
-    n = len(movable_list)
-    if not n:
-        raise ValueError("empty range for randrange()")
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    block = movable_list[r]
-    old_site = placement.pos[block]
-    bx, by = old_site
-    x0, x1, y0, y1 = bounds[block]
-    span = max(1, int(rlim))
-    xlo, xhi = max(x0, bx - span), min(x1, bx + span)
-    ylo, yhi = max(y0, by - span), min(y1, by + span)
-    if xhi < xlo or yhi < ylo:
-        raise ValueError("empty range for randrange()")
-    n = xhi + 1 - xlo
-    k = n.bit_length()
-    rx = bits(k)
-    while rx >= n:
-        rx = bits(k)
-    n = yhi + 1 - ylo
-    k = n.bit_length()
-    ry = bits(k)
-    while ry >= n:
-        ry = bits(k)
-    site = (xlo + rx, ylo + ry)
-    if site == old_site:
-        return None
-    if free_sites is not None and site not in free_sites:
-        return None
-
-    occupant = placement.clb_at.get(site)
-    if occupant is not None:
-        # the occupant swaps into old_site: it must be movable and allowed there
-        ob = bounds.get(occupant)
-        if ob is None or not (ob[0] <= bx <= ob[1] and ob[2] <= by <= ob[3]):
-            return None
-        if free_sites is not None and old_site not in free_sites:
-            return None
-
-    # one histogram shift per affected net, in indices coordinate + 1
-    # (see _NetModel); a net holding both swapped blocks keeps its box,
-    # so skipping it adds exactly 0.0 to delta
-    bx += 1
-    by += 1
-    sx, sy = site[0] + 1, site[1] + 1
+    random = rng.random
+    exp = math.exp
+    n_movable = len(movable_list)
+    k_movable = n_movable.bit_length()
+    pos = placement.pos
+    occupant_at = placement.clb_at.get
     nets_of_block = model.nets_of_block
-    if occupant is None:
-        shifts = [(n, bx, by, sx, sy) for n in nets_of_block[block]]
-    else:
-        block_nets = model.net_sets_of_block[block]
-        occupant_nets = model.net_sets_of_block[occupant]
-        shifts = [
-            (n, bx, by, sx, sy)
-            for n in nets_of_block[block] if n not in occupant_nets
-        ]
-        shifts += [
-            (n, sx, sy, bx, by)
-            for n in nets_of_block[occupant] if n not in block_nets
-        ]
-
+    net_sets_of_block = model.net_sets_of_block
     xhist, yhist, bbox = model.xhist, model.yhist, model.bbox
     cost_cache, q = model.cost, model.q
-    delta = 0.0
-    new_state: list[tuple[int, tuple, float]] = []
-    for n, fx, fy, tx, ty in shifts:
-        xh, yh = xhist[n], yhist[n]
-        xmin, xmax, ymin, ymax = bbox[n]
-        xh[fx] -= 1
-        xh[tx] += 1
-        yh[fy] -= 1
-        yh[ty] += 1
-        if tx < xmin:
-            xmin = tx
-        elif tx > xmax:
-            xmax = tx
-        if ty < ymin:
-            ymin = ty
-        elif ty > ymax:
-            ymax = ty
-        while not xh[xmin]:
-            xmin += 1
-        while not xh[xmax]:
-            xmax -= 1
-        while not yh[ymin]:
-            ymin += 1
-        while not yh[ymax]:
-            ymax -= 1
-        c = ((xmax - xmin) + (ymax - ymin)) * q[n]
-        new_state.append((n, (xmin, xmax, ymin, ymax), c))
-        delta += c - cost_cache[n]
 
-    accept = delta <= 0 or (
-        temperature > 0
-        and rng.random() < math.exp(-delta / temperature)
-    )
-    if not accept:
-        for n, fx, fy, tx, ty in shifts:
-            xh, yh = xhist[n], yhist[n]
-            xh[tx] -= 1
-            xh[fx] += 1
-            yh[ty] -= 1
-            yh[fy] += 1
-        return None
+    def move(temperature: float, rlim: float) -> float | None:
+        if not n_movable:
+            raise ValueError("empty range for randrange()")
+        r = bits(k_movable)
+        while r >= n_movable:
+            r = bits(k_movable)
+        block = movable_list[r]
+        old_site = pos[block]
+        bx, by = old_site
+        x0, x1, y0, y1 = bounds[block]
+        span = max(1, int(rlim))
+        xlo, xhi = max(x0, bx - span), min(x1, bx + span)
+        ylo, yhi = max(y0, by - span), min(y1, by + span)
+        if xhi < xlo or yhi < ylo:
+            raise ValueError("empty range for randrange()")
+        n = xhi + 1 - xlo
+        k = n.bit_length()
+        rx = bits(k)
+        while rx >= n:
+            rx = bits(k)
+        n = yhi + 1 - ylo
+        k = n.bit_length()
+        ry = bits(k)
+        while ry >= n:
+            ry = bits(k)
+        site = (xlo + rx, ylo + ry)
+        if site == old_site:
+            return None
+        if free_sites is not None and site not in free_sites:
+            return None
 
-    if occupant is None:
-        placement.move_clb(block, site)
-    else:
-        placement.swap_clbs(block, occupant)
-    for n, box, c in new_state:
-        bbox[n] = box
-        cost_cache[n] = c
-    return delta
+        occupant = occupant_at(site)
+        if occupant is not None:
+            # the occupant swaps into old_site: it must be movable and
+            # allowed there
+            ob = bounds.get(occupant)
+            if ob is None or not (ob[0] <= bx <= ob[1] and ob[2] <= by <= ob[3]):
+                return None
+            if free_sites is not None and old_site not in free_sites:
+                return None
+
+        # each leg shifts one block's terminals, in indices coordinate
+        # + 1 (see _NetModel); a net holding both swapped blocks (in
+        # ``shared``) keeps its box, so skipping it adds exactly 0.0
+        bx += 1
+        by += 1
+        sx, sy = site[0] + 1, site[1] + 1
+        if occupant is None:
+            legs = ((nets_of_block[block], (), bx, by, sx, sy),)
+        else:
+            legs = (
+                (nets_of_block[block], net_sets_of_block[occupant],
+                 bx, by, sx, sy),
+                (nets_of_block[occupant], net_sets_of_block[block],
+                 sx, sy, bx, by),
+            )
+
+        # a moved extreme whose bucket empties walks inward to the next
+        # non-empty bucket or to the destination, whichever comes first
+        delta = 0.0
+        boxes: list[tuple[int, int, int, int]] = []
+        costs: list[float] = []
+        for nets, shared, fx, fy, tx, ty in legs:
+            for n in nets:
+                if n in shared:
+                    continue
+                xmin, xmax, ymin, ymax = bbox[n]
+                if fx != tx:
+                    xh = xhist[n]
+                    if tx < xmin:
+                        xmin = tx
+                    elif fx == xmin and xh[fx] == 1:
+                        xmin += 1
+                        while not xh[xmin] and xmin != tx:
+                            xmin += 1
+                    if tx > xmax:
+                        xmax = tx
+                    elif fx == xmax and xh[fx] == 1:
+                        xmax -= 1
+                        while not xh[xmax] and xmax != tx:
+                            xmax -= 1
+                if fy != ty:
+                    yh = yhist[n]
+                    if ty < ymin:
+                        ymin = ty
+                    elif fy == ymin and yh[fy] == 1:
+                        ymin += 1
+                        while not yh[ymin] and ymin != ty:
+                            ymin += 1
+                    if ty > ymax:
+                        ymax = ty
+                    elif fy == ymax and yh[fy] == 1:
+                        ymax -= 1
+                        while not yh[ymax] and ymax != ty:
+                            ymax -= 1
+                c = ((xmax - xmin) + (ymax - ymin)) * q[n]
+                boxes.append((xmin, xmax, ymin, ymax))
+                costs.append(c)
+                delta += c - cost_cache[n]
+
+        if delta > 0 and not (
+            temperature > 0 and random() < exp(-delta / temperature)
+        ):
+            return None
+
+        if occupant is None:
+            placement.move_clb(block, site)
+        else:
+            placement.swap_clbs(block, occupant)
+        i = 0
+        for nets, shared, fx, fy, tx, ty in legs:
+            for n in nets:
+                if n in shared:
+                    continue
+                xh, yh = xhist[n], yhist[n]
+                xh[fx] -= 1
+                xh[tx] += 1
+                yh[fy] -= 1
+                yh[ty] += 1
+                bbox[n] = boxes[i]
+                cost_cache[n] = costs[i]
+                i += 1
+        return delta
+
+    return move

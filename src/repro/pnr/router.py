@@ -11,11 +11,13 @@ over-capacity edges are ripped up and re-routed with a larger
 ``pres_fac`` until the solution is feasible.
 
 Performance substrate: the grid is lowered once per device geometry
-into a :class:`_Fabric` — flat cell ids, per-cell neighbor/edge tables
-and region masks — and :class:`RoutingState` keeps dense edge-indexed
-occupancy/history arrays plus an *incrementally maintained*
-over-capacity set, so congestion lookups inside A* are two list reads
-and convergence checks never scan the edge universe.  A* records the
+into a :class:`_Fabric` — flat cell ids, per-cell neighbor tables
+whose entries carry the neighbor's cell id, the crossed edge's id and
+the neighbor's coordinates, and region masks — and
+:class:`RoutingState` keeps dense edge-indexed occupancy/history arrays
+plus an *incrementally maintained* over-capacity set, so congestion
+lookups inside A* are two list reads and convergence checks never scan
+the edge universe.  A* records the
 edge id it crossed into each cell, so every tree the router builds
 carries its edge ids (:attr:`RouteTree.eids`) and occupancy updates,
 negotiation and tile commits never convert edge tuples back to ids.
@@ -75,11 +77,13 @@ class _Fabric:
     Cells (including the IOB ring) get flat ids
     ``(x + 1) * (ny + 2) + (y + 1)``; each undirected channel segment
     gets the id ``2 * cell_id(lower_endpoint) + axis`` (axis 0 = east,
-    1 = north), so dense arrays can carry per-edge state.  Neighbor
-    tables preserve the legacy expansion order (E, W, N, S) so routed
-    trees are bit-identical with the pre-fabric router.  ``dist_x[tx]``
-    and ``dist_y[ty]`` are the per-axis Manhattan distances to a target
-    (see :func:`_distance_table`): A*'s heuristic is two table reads.
+    1 = north), so dense arrays can carry per-edge state.  ``nbr[c]``
+    lists cell ``c``'s routable neighbors as ``(cell id, edge id, x,
+    y)`` in the legacy expansion order (E, W, N, S), so routed trees are
+    bit-identical with the pre-fabric router.  ``dist_x[tx]`` and
+    ``dist_y[ty]`` are the per-axis Manhattan distances to a target (see
+    :func:`_distance_table`): with the neighbor's coordinates in its
+    entry, A*'s heuristic is two table reads.
     """
 
     def __init__(self, device: Device) -> None:
@@ -91,22 +95,17 @@ class _Fabric:
         self.n_cells = n
         self.n_edges = 2 * n
         h = self.h
-        self.xs = [0] * n
-        self.ys = [0] * n
         self.xy: list[tuple[int, int]] = [(0, 0)] * n
-        nbr: list[tuple[tuple[int, int], ...]] = [()] * n
+        nbr: list[tuple[tuple[int, int, int, int], ...]] = [()] * n
         for x in range(-1, device.nx + 1):
             for y in range(-1, device.ny + 1):
-                cid = (x + 1) * h + (y + 1)
-                self.xs[cid] = x
-                self.ys[cid] = y
-                self.xy[cid] = (x, y)
+                self.xy[(x + 1) * h + (y + 1)] = (x, y)
         for x in range(-1, device.nx + 1):
             for y in range(-1, device.ny + 1):
                 if not device.is_routable(x, y):
                     continue
                 cid = (x + 1) * h + (y + 1)
-                flat: list[tuple[int, int]] = []
+                flat: list[tuple[int, int, int, int]] = []
                 # legacy neighbor order: E, W, N, S
                 for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                     cx, cy = x + dx, y + dy
@@ -121,7 +120,7 @@ class _Fabric:
                         eid = 2 * cid + 1
                     else:
                         eid = 2 * ncid + 1
-                    flat.append((ncid, eid))
+                    flat.append((ncid, eid, cx, cy))
                 nbr[cid] = tuple(flat)
         self.nbr = nbr
         self.dist_x = _distance_table(device.nx)
@@ -155,6 +154,18 @@ class _Fabric:
         if eid & 1:
             return ((x, y), (x, y + 1))
         return ((x, y), (x + 1, y))
+
+    def outside_eids(self, eids, mask: bytearray) -> list[int]:
+        """The ids in ``eids`` of edges with an endpoint off ``mask``.
+
+        An edge id's endpoints are cell ``eid >> 1`` and the cell one
+        step east (``+h``) or north (``+1``) of it; order is kept.
+        """
+        h = self.h
+        return [
+            eid for eid in eids
+            if not (mask[eid >> 1] and mask[(eid >> 1) + (1 if eid & 1 else h)])
+        ]
 
     def region_mask(self, region: Rect) -> bytearray:
         """Cached 0/1 cell-inclusion mask for a confinement rectangle."""
@@ -504,7 +515,7 @@ def _astar(
         return None
     fab = state.fabric
     h = fab.h
-    xs, ys, nbr_table = fab.xs, fab.ys, fab.nbr
+    nbr_table = fab.nbr
     usage, history = state._usage, state._history
     cap = state.capacity
     tx, ty = target
@@ -559,24 +570,33 @@ def _astar(
             path.reverse()
             eids.reverse()
             return path, eids
-        for ncid, eid in nbr_table[cid]:
+        # history and pres_fac are never negative, so every step costs
+        # at least 1.0; float addition is monotonic, so a neighbor
+        # already reached at <= g + 1.0 (within the improvement margin)
+        # cannot improve: skip pricing its edge
+        reach = g + 1.0
+        for ncid, eid, nx, ny in nbr_table[cid]:
             if mask is not None and not mask[ncid] and ncid != tid:
                 continue
+            if stamp[ncid] == gen:
+                bound = best[ncid] - 1e-12
+                if reach >= bound:
+                    continue
+            else:
+                bound = _INF
             step = 1.0 + history[eid]
             over = usage[eid] + 1 - cap
             if over > 0:
                 step += pres_fac * over
             cost = g + step
-            if (
-                stamp[ncid] != gen or cost < best[ncid] - 1e-12
-            ):
+            if cost < bound:
                 best[ncid] = cost
                 via[ncid] = eid
                 stamp[ncid] = gen
                 push(
                     open_heap,
                     (
-                        cost + dist_x[xs[ncid]] + dist_y[ys[ncid]],
+                        cost + dist_x[nx] + dist_y[ny],
                         counter, ncid, cost,
                     ),
                 )

@@ -27,6 +27,7 @@ byte-identical across a change — is checked by
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -435,9 +436,13 @@ class TiledLayout:
         Covers design/device/effort/seed, the tile rectangles, the kind
         and name of every movable block, and the locked interface of
         every net that will be rerouted (terminal sites and outside route
-        fragments).  Connectivity only: block logic content (LUT tables,
-        pin order) never steers placement or routing, so it stays out of
-        the key and a logic-only change replays.  Deliberately *not*
+        fragments).  A net's outside fragment is hashed as fabric edge
+        ids, which name edges one to one: the count, then the sorted ids
+        of the route edges with an endpoint outside the regions, as
+        machine 64-bit integers.  Connectivity only: block logic
+        content (LUT tables, pin order) never steers placement or
+        routing, so it stays out of the key and a logic-only change
+        replays.  Deliberately *not*
         covered: transient congestion context — channel usage and
         negotiation history of unaffected nets.  A hit therefore replays
         a previously computed *legal* configuration for these blocks and
@@ -471,7 +476,6 @@ class TiledLayout:
 
         # region-inclusion mask over fabric cell ids (cheap edge tests)
         fab = self.layout.state.fabric
-        hs = fab.h
         combined = fab.cells_in(regions)
 
         routes = self.layout.routes
@@ -485,16 +489,8 @@ class TiledLayout:
             )
             tree = routes.get(idx)
             if tree is not None:
-                outside = [
-                    (a, b)
-                    for a, b in tree.edges
-                    if not (
-                        combined[(a[0] + 1) * hs + a[1] + 1]
-                        and combined[(b[0] + 1) * hs + b[1] + 1]
-                    )
-                ]
-                outside.sort()
-                h.update(repr(outside).encode())
+                outside = sorted(fab.outside_eids(tree.eids, combined))
+                h.update(array("q", [len(outside), *outside]).tobytes())
             h.update(b"\n")
         return h.hexdigest()
 

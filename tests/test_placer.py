@@ -133,12 +133,16 @@ def test_initial_temperature_restores_placement():
     model.rebuild(placement.pos)
     before_pos = dict(placement.pos)
     before_clb_at = dict(placement.clb_at)
-    before_costs = dict(model.cost)
+    before_costs = list(model.cost)
 
-    temperature = placer_mod._initial_temperature(
-        placement, device, movable_list,
+    move = placer_mod._mover(
+        placement, movable_list,
         placer_mod._region_bounds(PlaceConstraints(), device, movable_list),
-        None, model, make_rng(7, "t0-test"), EffortMeter(),
+        None, model, make_rng(7, "t0-test"),
+    )
+    temperature = placer_mod._initial_temperature(
+        placement, movable_list, model, move,
+        float(max(device.nx, device.ny)), EffortMeter(),
     )
     assert temperature > 0
     assert placement.pos == before_pos
@@ -155,7 +159,7 @@ def test_initial_temperature_restores_placement():
 class _CountingRng:
     """Forwards to a real stream; counts ``random()`` draws.
 
-    ``_try_move`` draws its block and site from ``getrandbits`` directly
+    A move draws its block and site from ``getrandbits`` directly
     (``randrange`` unrolled), so that is the call to forward.
     """
 
@@ -172,11 +176,13 @@ class _CountingRng:
 
 
 def test_net_model_matches_rebuild():
-    """Every _try_move leaves the incremental model equal to a rebuild.
+    """Every move leaves the incremental model equal to a rebuild.
 
     Overlapping per-block regions and a ``free_sites`` subset make both
     displacements and swaps legal; a mid temperature makes the moves
-    that raise the cost both accepted and rejected.
+    that raise the cost both accepted and rejected.  Halfway through,
+    ``model.rebuild`` runs under the live mover (as the T0 sample's undo
+    does), and the moves after it must still keep the model exact.
     """
     from repro.pnr import placer as placer_mod
     from repro.rng import make_rng
@@ -202,21 +208,25 @@ def test_net_model_matches_rebuild():
     model = placer_mod._NetModel(packed, device, movable)
     model.rebuild(placement.pos)
     rng = _CountingRng(make_rng(11, "net-model"))
+    move = placer_mod._mover(
+        placement, movable_list, bounds, free_sites, model, rng
+    )
 
     accepted = swaps = uphill_accepted = 0
-    for _ in range(2000):
+    for i in range(2000):
+        if i == 1000:
+            model.rebuild(placement.pos)
         before_pos = dict(placement.pos)
         before_clb_at = dict(placement.clb_at)
-        delta = placer_mod._try_move(
-            placement, movable_list, bounds, free_sites, model, rng,
-            temperature=2.0, rlim=float(device.nx),
-        )
+        before_cost = model.total()
+        delta = move(2.0, float(device.nx))
         if delta is None:
             assert placement.pos == before_pos
             assert placement.clb_at == before_clb_at
         else:
             accepted += 1
             uphill_accepted += delta > 0
+            assert model.total() == pytest.approx(before_cost + delta)
             moved = [b for b in movable if placement.pos[b] != before_pos[b]]
             swaps += len(moved) == 2
         fresh = placer_mod._NetModel(packed, device, movable)
@@ -237,7 +247,7 @@ def test_net_model_matches_rebuild():
 
 
 def test_inlined_draws_reproduce_randrange():
-    """``_try_move`` proposes exactly the block and site that
+    """A move proposes exactly the block and site that
     ``randrange`` on a twin ``Random`` draws, and leaves both streams in
     step — for movable lists of length 1, a power of two and neither,
     and for ranges of width 1 up to the whole device."""
@@ -274,6 +284,9 @@ def test_inlined_draws_reproduce_randrange():
     rng, twin = random.Random(5), random.Random(5)
     for size in (1, 8, 13, len(movable)):
         movable_list = sorted(movable)[:size]
+        move = placer_mod._mover(
+            placement, movable_list, bounds, spy, model, rng
+        )
         for i in range(300):
             rlim = float(1 + i % device.nx)
             span = max(1, int(rlim))
@@ -285,21 +298,18 @@ def test_inlined_draws_reproduce_randrange():
                 twin.randrange(max(y0, by - span), min(y1, by + span) + 1),
             )
             asked = len(spy.asked)
-            assert placer_mod._try_move(
-                placement, movable_list, bounds, spy, model, rng,
-                temperature=1.0, rlim=rlim,
-            ) is None
+            assert move(1.0, rlim) is None
             assert spy.asked[asked:] == ([] if site == (bx, by) else [site])
             assert rng.getstate() == twin.getstate()
     assert len(spy.asked) > 300
     # empty ranges raise as randrange does instead of redrawing forever
     far = {b: (x + 5, x + 6, y, y) for b, (x, y) in placement.pos.items()}
     for movable_list, block_bounds in (([], bounds), (sorted(movable), far)):
+        move = placer_mod._mover(
+            placement, movable_list, block_bounds, None, model, rng
+        )
         with pytest.raises(ValueError):
-            placer_mod._try_move(
-                placement, movable_list, block_bounds, None, model, rng,
-                temperature=1.0, rlim=1.0,
-            )
+            move(1.0, 1.0)
 
 
 def test_mixed_region_swaps_respected():
@@ -372,6 +382,11 @@ PLACEMENT_PINS = {
     ("des", 1): (
         ("85eb642ff29beddae04ce0bdf2da894b21b4ae1f59ba4a70404e81dfbacfeaf1", 32284),
         ("e7b201654f02f2627110e9fdfc39477c5262d4cb11e630ab72cf6fc88b847fa1", 224),
+    ),
+    # a 242-terminal net and a swap-heavy anneal
+    ("mips", 1): (
+        ("be056284a832f23da466e193c484e95ab18064ab8599874d5d97739822e10144", 31578),
+        ("0bdbc67de75816440bd0c3880195ccd790bf21febfc0b36f486d1acce87c22e6", 232),
     ),
 }
 

@@ -214,7 +214,7 @@ def _reference_astar(sources, target, state, region, pres_fac):
                 cid = parent[cid]
                 path.append(fab.xy[cid])
             return (path[::-1], eids[::-1]), expansions
-        for ncid, eid in fab.nbr[cid]:
+        for ncid, eid, _, _ in fab.nbr[cid]:
             if mask is not None and not mask[ncid] and ncid != tid:
                 continue
             cost = g + 1.0 + state._history[eid]
@@ -312,6 +312,11 @@ ROUTE_PINS = {
     ("des", 1): (
         ("2d7ae770b70b382df729680b9ba32f1fe4e4c03c61910ace6a89922f16a63dcc", 154540),
         ("edb897266075df27f9dca8434cb6bbfd033e96a71e740d7af91b7997d7b021d2", 1292),
+    ),
+    # a 242-terminal net: the widest A* source sets of any design
+    ("mips", 1): (
+        ("ae244b2b4f1fa222b7c6be09cccdeb59207056b21fcaca2d25996acdbe373f95", 110233),
+        ("3629e7386b4f125274cb1364355d0ddae9c5f82430e6f4ca715da58456c962a3", 1672),
     ),
 }
 

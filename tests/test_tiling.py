@@ -281,3 +281,160 @@ def test_slack_walk_matches_reference_walk():
         with pytest.raises(TilingError):
             tiled.affected_tiles_for_logic(-1, 0)
     assert saturated > 0
+
+
+# ----------------------------------------------------------------------
+# commit cache key
+# ----------------------------------------------------------------------
+
+def _reference_outside_edges(fab, regions, edges):
+    """The edge-tuple filter the commit key hashed before edge ids: the
+    sorted route edges with an endpoint outside ``regions``."""
+    combined = fab.cells_in(regions)
+    return sorted(
+        (a, b) for a, b in edges
+        if not (combined[fab.cell_id(a)] and combined[fab.cell_id(b)])
+    )
+
+
+def _commit_args(tiled, t):
+    """A logic-only commit of tile ``t``: its CLBs, its rectangle and
+    the nets touching them, as ``apply_changeset`` derives them."""
+    packed = tiled.packed
+    movable = {b for b in tiled.tiles[t].blocks if packed.blocks[b].is_clb}
+    affected = sorted(n.index for n in packed.nets_touching_blocks(movable))
+    return movable, [tiled.tiles[t].rect], affected
+
+
+def _replace_edge(tiled, idx, old_eid, new_eid):
+    """Swap one edge id of net ``idx``'s route, keeping edges in step."""
+    fab = tiled.layout.state.fabric
+    tree = tiled.layout.routes[idx].copy()
+    tree.eids = tuple(new_eid if e == old_eid else e for e in tree.eids)
+    tree.edges = {fab.edge_tuple(e) for e in tree.eids}
+    tiled.layout.routes[idx] = tree
+
+
+def test_commit_key_covers_interface_only():
+    """The commit key: equal for identical builds; changed by one
+    outside route edge or one outside terminal site of an affected net;
+    unchanged by an inside edge, a LUT table or an unaffected net's
+    congestion."""
+    from repro.netlist.cells import CellKind
+    from tests.test_tile_cache import build_tiled
+
+    fast = EFFORT_PRESETS["fast"]
+    mapped, packed, tiled = build_tiled(None)
+    _, _, twin = build_tiled(None)
+    layout = tiled.layout
+    fab = layout.state.fabric
+
+    def key(t):
+        return tiled._commit_key(*_commit_args(tiled, t), 4, fast)
+
+    for t in range(len(tiled.tiles)):
+        assert key(t) == twin._commit_key(*_commit_args(twin, t), 4, fast)
+
+    # a tile with an affected net routed both inside and outside it
+    for t in range(len(tiled.tiles)):
+        movable, regions, affected = _commit_args(tiled, t)
+        mask = fab.cells_in(regions)
+        mixed = [
+            idx for idx in affected if idx in layout.routes
+            and 0 < len(fab.outside_eids(layout.routes[idx].eids, mask))
+            < len(layout.routes[idx].eids)
+        ]
+        if mixed:
+            break
+    idx = mixed[0]
+    base = key(t)
+    tree = layout.routes[idx]
+    outside = fab.outside_eids(tree.eids, mask)
+    inside = [e for e in tree.eids if e not in outside]
+
+    # one outside edge moved onto another net's outside edge
+    spare = next(
+        e for other, r in layout.routes.items() if other != idx
+        for e in fab.outside_eids(r.eids, mask) if e not in tree.eids
+    )
+    _replace_edge(tiled, idx, outside[0], spare)
+    assert key(t) != base
+    layout.routes[idx] = tree
+
+    # one inside edge moved onto another inside edge
+    spare = next(
+        eid for c in range(fab.n_cells) if mask[c]
+        for nc, eid, _, _ in fab.nbr[c]
+        if mask[nc] and eid not in tree.eids
+    )
+    _replace_edge(tiled, idx, inside[0], spare)
+    assert key(t) == base
+    layout.routes[idx] = tree
+
+    # one outside terminal moved to a free site outside the tile
+    placement = layout.placement
+    terminal = next(
+        b for n in affected
+        for b in (packed.nets[n].driver, *packed.nets[n].sinks)
+        if b not in movable and packed.blocks[b].is_clb
+    )
+    home = placement.pos[terminal]
+    free = next(
+        (x, y) for x in range(tiled.device.nx) for y in range(tiled.device.ny)
+        if tiled.device.is_clb_site(x, y) and (x, y) not in placement.clb_at
+        and not mask[fab.cell_id((x, y))]
+    )
+    placement.move_clb(terminal, free)
+    assert key(t) != base
+    placement.move_clb(terminal, home)
+    assert key(t) == base
+
+    # a LUT table inside the tile
+    lut = next(
+        i for i in mapped.instances()
+        if i.kind is CellKind.LUT and i.inputs
+        and packed.block_of_instance.get(i.name) in movable
+    )
+    lut.params = {"table": lut.params["table"] ^ 1}
+    assert key(t) == base
+
+    # usage and history of an unaffected net's channels
+    unaffected = next(r for n, r in layout.routes.items() if n not in affected)
+    layout.state.add(unaffected)
+    layout.state.bump_history(3.0)
+    for eid in unaffected.eids:
+        layout.state._history[eid] += 1.0
+    assert key(t) == base
+
+
+def test_commit_key_outside_filter_matches_tuple_filter(monkeypatch):
+    """On every affected net of a des debug run's commits, the key's
+    edge-id outside filter selects exactly the edges the edge-tuple
+    filter selects."""
+    from repro.api import RunSpec, run_spec
+    from repro.tiling import TiledLayout
+
+    real_key = TiledLayout._commit_key
+    outside_sizes = []
+
+    def checked_key(self, movable, regions, affected_ids, seed, preset):
+        fab = self.layout.state.fabric
+        mask = fab.cells_in(regions)
+        for idx in affected_ids:
+            tree = self.layout.routes.get(idx)
+            if tree is None:
+                continue
+            got = sorted(
+                fab.edge_tuple(e) for e in fab.outside_eids(tree.eids, mask)
+            )
+            assert got == _reference_outside_edges(fab, regions, tree.edges)
+            outside_sizes.append(len(got))
+        return real_key(self, movable, regions, affected_ids, seed, preset)
+
+    monkeypatch.setattr(TiledLayout, "_commit_key", checked_key)
+    result = run_spec(RunSpec(
+        design="des", error_seed=1, preset="fast", cache="private",
+    ))
+    assert result.n_commits > 1
+    assert len(outside_sizes) > 100
+    assert 0 in outside_sizes and max(outside_sizes) > 0
