@@ -16,8 +16,11 @@ three two-fault SAT runs on 9sym, each at error seeds 1-2 (1-3 for
 SAT); two error kinds on 9sym and s9234 on the interpreted engine
 (localization's name-set candidates), at error seeds 1-2; and two
 single-fault SAT runs on s9234 per engine that drain through the
-fallback probe pick.  All run at preset ``fast`` with a private tile
-cache, so every P&R step computes.
+fallback probe pick; and the perfbench ``warm_rerun`` specs (des error
+seed 1, mips error seed 2, at 64 cycles and 12 probes), whose long
+windows and full probe rounds exercise the localizer's round record of
+DUT words.  All run at preset ``fast`` with a private tile cache, so
+every P&R step computes.
 
 The same spec list then runs once more through one ``CampaignRunner``
 (thread executor, one worker), whose runs share a private tile cache
@@ -70,6 +73,8 @@ def sweep_specs() -> list[dict]:
                    engine=e)
               for k, s in (("wrong_function", 22), ("wrong_source", 9))
               for e in ("compiled", "interpreted")]
+    specs += [dict(design=d, error_seed=s, n_cycles=64, max_probes=12)
+              for d, s in (("des", 1), ("mips", 2))]
     return specs
 
 

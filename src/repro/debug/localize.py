@@ -52,8 +52,13 @@ agree on every verdict and candidate set:
   (:mod:`repro.netlist.compiled`) is kept current across probe commits
   via incremental recompile, and each probe verdict replays a **cone
   slice** of the tape — only the sequential fanin of the observed
-  probe output — instead of the whole design, which is where the
-  emulate phase's wall-clock goes on the large designs;
+  probe output — instead of the whole design.  The round keeps one
+  :class:`~repro.netlist.compiled.SlotRecord` of DUT words: a probe's
+  slice skips the logic earlier probes of the round already emulated
+  and reads those nets' recorded per-cycle words instead (probe commits
+  only add logic, so the DUT's words cannot change within a round).
+  After a mismatch every later candidate lies in the recorded cone, so
+  later probes evaluate nothing but their observation logic;
 * ``engine="interpreted"`` — the retained baseline: candidates are a
   set of instance names, each cone query a BFS walk, and each verdict
   a full replay on the instance-walking simulator.
@@ -76,6 +81,7 @@ from repro.debug.instrument import add_observation_point
 from repro.debug.strategies import BaseStrategy
 from repro.emu.emulator import Emulator
 from repro.errors import DebugFlowError, LocalizationDrained
+from repro.netlist.compiled import SlotRecord
 from repro.netlist.cones import ConeIndex
 from repro.netlist.core import Netlist, port_name
 from repro.obs.metrics import METRICS
@@ -256,6 +262,8 @@ class ConeLocalizer:
             group_outputs=group, deferred_outputs=deferred,
         )
         emulator: Emulator | None = None
+        #: the round's DUT words per slot, shared by its probe verdicts
+        record = SlotRecord(len(self.trace.stimulus))
 
         pruner = None
         group_mismatches = [m for m in mismatches if m.output in group]
@@ -321,7 +329,7 @@ class ConeLocalizer:
                             layout=self.strategy.layout, changes=changes
                         )
                     mismatch = verdicts[probe] = self._probe_disagrees(
-                        emulator, probe_net, f"loc{probe_no}"
+                        emulator, probe_net, f"loc{probe_no}", record
                     )
                     timings["emulate"] += time.perf_counter() - t0
 
@@ -371,17 +379,22 @@ class ConeLocalizer:
         return result
 
     def _probe_disagrees(
-        self, emulator: Emulator, probe_net: str, obs_name: str
+        self, emulator: Emulator, probe_net: str, obs_name: str,
+        record: SlotRecord,
     ) -> bool:
         """Emulate and compare the probe output to the golden net value."""
         probe_port = f"obs_probe_{obs_name}"
-        # replay only the sequential fanin slice of the observed output
-        # when the engine offers one — bit-identical verdict (the slice
-        # is fanin-closed), a fraction of the evaluation; otherwise the
-        # whole design steps
-        runner = emulator.cone_runner((probe_port,)) or emulator
+        # replay only the sequential fanin slice of the observed output,
+        # minus what the round's record holds, when the engine offers
+        # one — bit-identical verdict (the slice is fanin-closed), a
+        # fraction of the evaluation; otherwise the whole design steps.
+        # A slice steps the whole window so it can publish its words
+        runner = emulator.cone_runner((probe_port,), record)
+        full_window = runner is not None
+        runner = runner or emulator
         n_patterns = self.trace.n_patterns
         runner.reset(n_patterns)
+        disagrees = False
         for cycle_in, golden_nets in zip(
             self.trace.stimulus, self.trace.nets
         ):
@@ -394,8 +407,10 @@ class ConeLocalizer:
             if probe_value is None or golden_value is None:
                 continue
             if probe_value != golden_value:
-                return True
-        return False
+                disagrees = True
+                if not full_window:
+                    break
+        return disagrees
 
 
 class _BitsetCandidates:

@@ -84,12 +84,14 @@ class Emulator:
         elif changes is not None:
             self._comb.apply_changeset(changes)
 
-    def cone_runner(self, ports):
+    def cone_runner(self, ports, record):
         """A fanin-sliced sequential runner for ``ports``, if the
         active engine supports one (compiled does); ``None`` otherwise.
+        ``record`` is the engine's slot record shared by the runners of
+        one stimulus window (:class:`repro.netlist.compiled.SlotRecord`).
         """
         maker = getattr(self._comb, "cone_runner", None)
-        return None if maker is None else maker(tuple(ports))
+        return None if maker is None else maker(tuple(ports), record)
 
     def reset(self, n_patterns: int = 1) -> None:
         self.state = initial_state(self.netlist, n_patterns)

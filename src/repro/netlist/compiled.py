@@ -14,12 +14,10 @@ Instruction-tape layout
 Lowering assigns every net a dense integer *slot* in a flat value array
 ``v`` (bit-parallel pattern words, exactly the representation of the
 interpreted engine).  Each combinational instance becomes one tape entry
-across four parallel arrays, indexed by tape position:
-
-* ``ops[i]``    — integer opcode (one per :class:`CellKind`);
-* ``srcs[i]``   — tuple of operand slot indices (input pin order);
-* ``tables[i]`` — LUT truth table int, or ``None`` for fixed gates;
-* ``dests[i]``  — output slot index.
+``(fn, srcs, dest)``: its code-generated evaluator (below), the tuple of
+its operand slots (input pin order) and its output slot.  A parallel
+list holds the instance names, which incremental recompiles and cone
+slicing filter on.
 
 Primary inputs and DFF Q values are *leaves*: their slots are filled
 from the stimulus/state dicts before the tape runs, so the tape itself
@@ -55,10 +53,25 @@ fanin cone of a set of observed output ports.  The returned
 still topologically valid) and its own FF state, which lets a
 localization probe verdict replay only the logic that can reach the
 probe — with the same verdict as full replay.
+
+A :class:`SlotRecord` shared by the runners of one stimulus window
+(one localization round) narrows the slice further.  It maps a slot to
+its word on every cycle of the window.  A runner built against it
+drops every tape entry, FF and primary input whose slot is recorded and
+reads the recorded slots its remaining logic, its FFs' D pins and its
+ports need as per-cycle leaves; once it has stepped the whole window it
+publishes the slots it computed.  Recorded cones are fanin-closed, so
+the slice stays exact, and a probe whose cone earlier runners covered
+evaluates nothing.  A record is exact only while the kernel's edits are
+additive (no changed or removed instance feeds recorded logic), so it
+binds to :attr:`CompiledKernel.generation`, which a full compile or a
+non-additive incremental edit renews; :meth:`~CompiledKernel.cone_runner`
+empties a record whose generation is stale.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from weakref import WeakKeyDictionary
 
 from repro.errors import NetlistError
@@ -101,6 +114,9 @@ _KIND_TO_OP = {
 #: tape instructions exist only for these kinds; INPUT/DFF are leaves,
 #: OUTPUT markers are metadata
 _LEAF_KINDS = (CellKind.INPUT, CellKind.DFF, CellKind.OUTPUT)
+
+#: process-wide, so no two kernels ever share a generation number
+_GENERATIONS = count()
 
 
 # ----------------------------------------------------------------------
@@ -215,10 +231,7 @@ class CompiledKernel:
     def _compile_full(self) -> None:
         nl = self.netlist
         self._slot_of_net: dict[str, int] = {}
-        self._ops: list[int] = []
-        self._srcs: list[tuple[int, ...]] = []
-        self._tables: list[int | None] = []
-        self._dests: list[int] = []
+        self._tape: list[tuple] = []  # [(micro_fn, srcs, dest)]
         self._instr_names: list[str] = []
 
         order = nl.topo_order()
@@ -229,8 +242,10 @@ class CompiledKernel:
                 continue
             self._append_instr(inst)
         self._rebuild_metadata()
-        self._rebuild_tape()
         self._revision = nl.revision
+        #: renewed whenever slot words computed before may be stale:
+        #: here (slots renumber) and on a non-additive incremental edit
+        self.generation = next(_GENERATIONS)
         self.compile_count += 1
         METRICS.inc("repro_kernel_compiles_total", kind="full")
 
@@ -254,10 +269,7 @@ class CompiledKernel:
 
     def _append_instr(self, inst: Instance) -> None:
         op, srcs, table, dest = self._lower(inst)
-        self._ops.append(op)
-        self._srcs.append(srcs)
-        self._tables.append(table)
-        self._dests.append(dest)
+        self._tape.append((_fn_for(op, len(srcs), table), srcs, dest))
         self._instr_names.append(inst.name)
 
     def _rebuild_metadata(self) -> None:
@@ -280,28 +292,9 @@ class CompiledKernel:
             (port_name(po), self._slot(po.inputs[0].name))
             for po in nl.primary_outputs()
         ]
-        # probe view mirrors the interpreted engine: the output net of
-        # every non-OUTPUT instance
-        self._probe_slots = [
-            (inst.output.name, self._slot(inst.output.name))
-            for inst in nl.instances()
-            if inst.kind is not CellKind.OUTPUT
-        ]
+        # the all-instance probe view is built on the first probe()
+        self._probe_slots: list[tuple[str, int]] | None = None
         self._n_slots = len(self._slot_of_net)
-
-    def _rebuild_tape(self) -> None:
-        self._tape = list(
-            zip(
-                (
-                    _fn_for(op, len(srcs), table)
-                    for op, srcs, table in zip(
-                        self._ops, self._srcs, self._tables
-                    )
-                ),
-                self._srcs,
-                self._dests,
-            )
-        )
 
     # -- incremental recompile -----------------------------------------
 
@@ -347,16 +340,13 @@ class CompiledKernel:
         # prefix
         region = nl.fanout_cone(seeds, stop_at_ffs=True) if seeds else set()
         drop = region | gone
-        keep = [
-            i
-            for i, name in enumerate(self._instr_names)
+        kept = [
+            (entry, name)
+            for entry, name in zip(self._tape, self._instr_names)
             if name not in drop
         ]
-        self._ops = [self._ops[i] for i in keep]
-        self._srcs = [self._srcs[i] for i in keep]
-        self._tables = [self._tables[i] for i in keep]
-        self._dests = [self._dests[i] for i in keep]
-        self._instr_names = [self._instr_names[i] for i in keep]
+        self._tape = [entry for entry, _ in kept]
+        self._instr_names = [name for _, name in kept]
 
         # slots for any nets created by the edit
         for net in nl.nets():
@@ -366,8 +356,13 @@ class CompiledKernel:
         for inst in self._region_topo(region):
             self._append_instr(inst)
         self._rebuild_metadata()
-        self._rebuild_tape()
         self._revision = nl.revision
+        # additive: only new cells, none feeding an existing one, so no
+        # existing slot's words change and a SlotRecord stays exact
+        if changes.changed_instances or gone or not (
+            region <= changes.new_instances
+        ):
+            self.generation = next(_GENERATIONS)
         self.incremental_count += 1
         METRICS.inc("repro_kernel_compiles_total", kind="incremental")
 
@@ -467,42 +462,86 @@ class CompiledKernel:
     ) -> dict[str, int]:
         """The word on every driven net — used by error localization."""
         self.ensure_current()
+        if self._probe_slots is None:
+            # mirrors the interpreted engine: the output net of every
+            # non-OUTPUT instance
+            self._probe_slots = [
+                (inst.output.name, self._slot_of_net[inst.output.name])
+                for inst in self.netlist.instances()
+                if inst.kind is not CellKind.OUTPUT
+            ]
         v = self._evaluate(inputs, n_patterns, state or {})
         return {name: v[slot] for name, slot in self._probe_slots}
 
     # -- cone slicing --------------------------------------------------
 
-    def cone_runner(self, ports) -> ConeRunner | None:
+    def cone_runner(
+        self, ports, record: SlotRecord
+    ) -> ConeRunner | None:
         """Sliced runner for the sequential fanin cone of ``ports``.
 
         The runner replays the subset of this revision's tape whose
         instances reach a port, so a localization probe verdict
-        evaluates only the logic that can affect the probe.  ``None``
-        when a port is not a primary output of the netlist.
+        evaluates only the logic that can affect the probe.  Logic
+        whose slots ``record`` already holds is not replayed but read
+        from it (the record is emptied first if its generation is
+        stale; an empty record gives the whole cone).  ``None`` when a
+        port is not a primary output of the netlist.
         """
         self.ensure_current()
         nl = self.netlist
         by_port = {port_name(po): po for po in nl.primary_outputs()}
         if any(port not in by_port for port in ports):
             return None
+        if record.generation != self.generation:
+            record.words.clear()
+            record.generation = self.generation
+        known = record.words
         cone = nl.fanin_cone(
             [by_port[port] for port in ports], stop_at_ffs=False
         )
         tape = [
             entry for entry, name in zip(self._tape, self._instr_names)
-            if name in cone
+            if name in cone and entry[2] not in known
         ]
         inputs = [
-            (port_name(pi), self._slot_of_net[pi.output.name])
+            (port_name(pi), slot)
             for pi in nl.primary_inputs()
             if pi.name in cone
+            and (slot := self._slot_of_net[pi.output.name]) not in known
         ]
-        ffs = [entry for entry in self._ffs if entry[0] in cone]
+        ffs = [
+            entry for entry in self._ffs
+            if entry[0] in cone and entry[1] not in known
+        ]
         outs = [
             (port, self._slot_of_net[by_port[port].inputs[0].name])
             for port in ports
         ]
-        return ConeRunner(tape, inputs, ffs, outs, self._n_slots)
+        read = {slot for _, srcs, _ in tape for slot in srcs}
+        read.update(slot_d for _, _, _, slot_d in ffs)
+        read.update(slot for _, slot in outs)
+        leaves = [(slot, known[slot]) for slot in read if slot in known]
+        return ConeRunner(
+            tape, inputs, ffs, outs, self._n_slots, leaves,
+            record, self.generation,
+        )
+
+
+class SlotRecord:
+    """Slot words of one kernel over one stimulus window.
+
+    ``words`` maps a slot to its word on each of the window's
+    ``n_cycles`` cycles, as stepped from reset on one stimulus at one
+    pattern width — the caller's contract: every runner sharing a
+    record is stepped on the same stimulus.  ``generation`` is the
+    kernel generation the words belong to (``None`` until first use).
+    """
+
+    def __init__(self, n_cycles: int) -> None:
+        self.n_cycles = n_cycles
+        self.words: dict[int, tuple[int, ...]] = {}
+        self.generation: int | None = None
 
 
 class ConeRunner:
@@ -511,16 +550,32 @@ class ConeRunner:
     Bit-identical to stepping the full kernel and reading the same
     ports: the sequential fanin cone is closed under fanin, so every
     value a slice gate or slice FF reads is itself computed by the
-    slice (or filled from a leaf).  Holds its own FF state — callers
-    ``reset`` then ``step`` it exactly like an emulator.
+    slice, filled from a leaf, or read from the shared
+    :class:`SlotRecord`.  Holds its own FF state — callers ``reset``
+    then ``step`` it exactly like an emulator, for at most the record's
+    window; once it has stepped the whole window it publishes the slots
+    it computed to the record.
     """
 
-    def __init__(self, tape, inputs, ffs, outs, n_slots: int) -> None:
+    def __init__(
+        self, tape, inputs, ffs, outs, n_slots: int, leaves,
+        record: SlotRecord, generation: int,
+    ) -> None:
         self._tape = tape  # [(micro_fn, srcs, dest)], a kernel tape slice
         self._inputs = inputs  # [(port, slot)]
         self._ffs = ffs  # [(name, slot_q, init, slot_d)]
         self._outs = outs  # [(port, slot)]
         self._n_slots = n_slots
+        self._leaves = leaves  # [(slot, recorded words)]
+        self._record = record
+        self._generation = generation
+        # every slot this slice writes, published to the record
+        self._computed = (
+            [d for _, _, d in tape]
+            + [slot_q for _, slot_q, _, _ in ffs]
+            + [slot for _, slot in inputs]
+        )
+        self._rows: list[list[int]] = []
         self.state: dict[str, int] = {}
 
     def reset(self, n_patterns: int = 1) -> None:
@@ -529,14 +584,21 @@ class ConeRunner:
             name: (mask if init else 0)
             for name, _, init, _ in self._ffs
         }
+        self._rows = []
 
     def step(
         self, inputs: dict[str, int], n_patterns: int = 1
     ) -> dict[str, int]:
         if n_patterns < 1:
             raise NetlistError("need at least one pattern")
+        record = self._record
+        cycle = len(self._rows)
+        if cycle >= record.n_cycles:
+            raise NetlistError("stepped past the recorded window")
         mask = (1 << n_patterns) - 1
         v = [0] * self._n_slots
+        for slot, words in self._leaves:
+            v[slot] = words[cycle]
         for port, slot in self._inputs:
             v[slot] = inputs.get(port, 0) & mask
         state = self.state
@@ -552,6 +614,12 @@ class ConeRunner:
         self.state = {
             name: v[slot_d] for name, _, _, slot_d in self._ffs
         }
+        self._rows.append([v[slot] for slot in self._computed])
+        if (
+            cycle + 1 == record.n_cycles
+            and record.generation == self._generation
+        ):
+            record.words.update(zip(self._computed, zip(*self._rows)))
         return {port: v[slot] for port, slot in self._outs}
 
 

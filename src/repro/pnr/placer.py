@@ -217,13 +217,12 @@ class _NetModel:
         wx, wy = self.width
         for n, blocks in enumerate(self.terminals):
             xh, yh = [0] * wx, [0] * wy
-            for b in blocks:
-                x, y = pos[b]
+            xs, ys = zip(*(pos[b] for b in blocks))
+            for x in xs:
                 xh[x + 1] += 1
+            for y in ys:
                 yh[y + 1] += 1
-            xs = [i for i, count in enumerate(xh) if count]
-            ys = [i for i, count in enumerate(yh) if count]
-            box = (xs[0], xs[-1], ys[0], ys[-1])
+            box = (min(xs) + 1, max(xs) + 1, min(ys) + 1, max(ys) + 1)
             self.xhist[n], self.yhist[n], self.bbox[n] = xh, yh, box
             self.cost[n] = ((box[1] - box[0]) + (box[3] - box[2])) * self.q[n]
 

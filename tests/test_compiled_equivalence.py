@@ -6,18 +6,21 @@ randomized designs, across error kinds and stimulus seeds, before and
 after ECO edits (error injection, observation-point insertion, control
 points, correction), and whether the edits reach the kernel
 incrementally or force a full recompile.  Its cone-sliced probe
-runners must agree with full replay on the sliced ports, and the
-golden trace's output projection must equal a plain replay.
+runners must agree with full replay on the sliced ports, also when they
+share a round record of slot words, and the golden trace's output
+projection must equal a plain replay.
 """
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.debug import ERROR_KINDS, apply_correction, inject_error
 from repro.debug.detect import GoldenTrace
 from repro.debug.instrument import add_control_point, add_observation_point
-from repro.errors import DebugFlowError
+from repro.errors import DebugFlowError, NetlistError
 from repro.generators.random_logic import random_sequential_netlist
 from repro.netlist import CombinationalSimulator, CompiledKernel, initial_state
+from repro.netlist.compiled import SlotRecord
 from repro.netlist.simulate import SequentialSimulator, replay_outputs
 from repro.rng import make_rng
 from repro.synth import map_to_luts
@@ -164,28 +167,138 @@ def test_untracked_mutations_trigger_full_recompile(seed):
     assert kernel.compile_count == 2
 
 
+def _window(netlist, seed, n_cycles=6, n_patterns=32):
+    """One stimulus window: every runner sharing a record steps it."""
+    rng = make_rng(seed, "cone-stim")
+    names = sorted(_input_names(netlist))
+    return [
+        {n: rng.getrandbits(n_patterns) for n in names}
+        for _ in range(n_cycles)
+    ]
+
+
+def _replay_matches(netlist, runner, ports, stimulus, n_patterns=32):
+    """Each port's word on every cycle equals the interpreted replay."""
+    full = SequentialSimulator(netlist, engine="interpreted")
+    full.reset(n_patterns)
+    runner.reset(n_patterns)
+    for inputs in stimulus:
+        out_full = full.step(inputs, n_patterns)
+        out_slice = runner.step(inputs, n_patterns)
+        for port in ports:
+            assert out_slice[port] == out_full[port]
+
+
+def _observed_cone_luts(netlist, watch):
+    cone = netlist.fanin_cone([netlist.net(watch).driver], stop_at_ffs=False)
+    return sorted(
+        name for name in cone if netlist.instance(name).is_lut
+    )
+
+
 @given(seed=st.integers(0, 5_000))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=10, deadline=None)
 def test_cone_runner_matches_full_replay(seed):
-    """A cone-sliced probe runner reproduces full-replay port values."""
+    """Cone-sliced probe runners sharing one round record reproduce
+    full-replay port words through a sequence of observation points: a
+    single net, a 3-net parity point inside the recorded cone (its
+    slice is the parity LUT alone) and a sticky point on another output
+    (a new DFF, so the slice steps unrecorded flip-flops)."""
     netlist = _random_design(seed, mapped=True)
     inject_error(netlist, "table_bit", seed=seed)
-    watch = netlist.primary_outputs()[0].inputs[0].name
-    add_observation_point(netlist, [watch], "cr", sticky=False)
     kernel = CompiledKernel(netlist)
-    port = "obs_probe_cr"
-    runner = kernel.cone_runner((port,))
-    assert runner is not None
-    full = SequentialSimulator(netlist, engine="interpreted")
-    rng = make_rng(seed, "cone-stim")
-    names = _input_names(netlist)
-    full.reset(32)
+    stimulus = _window(netlist, seed)
+    record = SlotRecord(len(stimulus))
+    first, other = (po.inputs[0].name for po in netlist.primary_outputs()[:2])
+    inside = _observed_cone_luts(netlist, first)
+    assume(len(inside) >= 3)
+    inside = [netlist.instance(name).output.name for name in inside[:3]]
+    points = (
+        ("cr", [first], False),
+        ("crp", inside, False),
+        ("crs", [other], True),
+    )
+    for name, nets, sticky in points:
+        changes, ports = add_observation_point(
+            netlist, nets, name, sticky=sticky
+        )
+        kernel.apply_changeset(changes)
+        before = dict(record.words)
+        runner = kernel.cone_runner(tuple(ports), record)
+        assert runner is not None
+        _replay_matches(netlist, runner, ports, stimulus)
+        # additive edits keep every recorded word; the runner adds its own
+        assert before.items() <= record.words.items()
+        assert len(record.words) > len(before)
+        if name == "crp":
+            assert len(runner._tape) == 1 and not runner._ffs
+        if name == "crs":
+            assert "obs_crs_ff" in {ff[0] for ff in runner._ffs}
+    assert kernel.compile_count == 1
+
+
+@given(seed=st.integers(0, 5_000), edit=st.sampled_from(("full", "eco")))
+@settings(max_examples=10, deadline=None)
+def test_stale_record_is_emptied(seed, edit):
+    """A full recompile, or a changeset that changes an instance, between
+    probes empties the round record, and the next slice still matches
+    full replay.  The edit complements the table of the LUT driving the
+    observed net, so a kept record would serve inverted words."""
+    netlist = _random_design(seed, mapped=True)
+    kernel = CompiledKernel(netlist)
+    stimulus = _window(netlist, seed)
+    record = SlotRecord(len(stimulus))
+    watch = netlist.primary_outputs()[0].inputs[0].name
+    driver = netlist.net(watch).driver
+    assume(driver.is_lut)
+    changes, ports = add_observation_point(netlist, [watch], "st0", False)
+    kernel.apply_changeset(changes)
+    runner = kernel.cone_runner(tuple(ports), record)
+    _replay_matches(netlist, runner, ports, stimulus)
+    assert record.words
+    generation = kernel.generation
+
+    full_table = (1 << (1 << len(driver.inputs))) - 1
+    flipped = {**driver.params, "table": driver.params["table"] ^ full_table}
+    if edit == "eco":
+        with ChangeRecorder(netlist, "flip") as rec:
+            netlist.set_params(driver, flipped)
+        kernel.apply_changeset(rec.changes)
+    else:
+        netlist.set_params(driver, flipped)  # untracked: full recompile
+    runner = kernel.cone_runner(tuple(ports), record)
+    assert kernel.compile_count == (1 if edit == "eco" else 2)
+    assert kernel.generation != generation
+    assert not record.words
+    _replay_matches(netlist, runner, ports, stimulus)
+    assert record.words
+
+
+def test_record_publishes_whole_windows_only():
+    """A runner publishes once it has stepped the record's whole window,
+    never earlier, and cannot step past it; a later runner on the same
+    ports then reads every word from the record."""
+    netlist = _random_design(7, mapped=True)
+    kernel = CompiledKernel(netlist)
+    stimulus = _window(netlist, 7)
+    record = SlotRecord(len(stimulus))
+    watch = netlist.primary_outputs()[0].inputs[0].name
+    changes, ports = add_observation_point(netlist, [watch], "pw", False)
+    kernel.apply_changeset(changes)
+    runner = kernel.cone_runner(tuple(ports), record)
+    assert runner._tape
     runner.reset(32)
-    for _ in range(5):
-        inputs = {n: rng.getrandbits(32) for n in names}
-        out_full = full.step(inputs, 32)
-        out_slice = runner.step(inputs, 32)
-        assert out_slice[port] == out_full[port]
+    for inputs in stimulus[:-1]:
+        runner.step(inputs, 32)
+    assert not record.words
+    # a reset drops the partial window: it takes a whole one to publish
+    _replay_matches(netlist, runner, ports, stimulus)
+    assert record.words
+    with pytest.raises(NetlistError, match="past the recorded window"):
+        runner.step(stimulus[0], 32)
+    again = kernel.cone_runner(tuple(ports), record)
+    assert not again._tape and not again._ffs
+    _replay_matches(netlist, again, ports, stimulus)
 
 
 @given(seed=st.integers(0, 5_000), engine=st.sampled_from(ALL_ENGINES))

@@ -239,3 +239,31 @@ def test_repeat_probe_reuses_its_verdict():
     assert (result.status, result.detected, result.localized,
             result.fixed) == ("ok", True, True, True)
     assert len(result.candidates) == 319
+
+
+def test_probe_inside_recorded_cones_evaluates_nothing(monkeypatch):
+    """Probe verdicts of one round share a record of the DUT's words:
+    after a mismatch every later candidate lies inside the mismatching
+    probe's recorded cone, so each later probe's slice holds zero tape
+    entries (9sym error seed 1: two mismatches, then three matches)."""
+    from repro.api import RunSpec, run_spec
+    from repro.emu.emulator import Emulator
+
+    slices = []
+    cone_runner = Emulator.cone_runner
+
+    def logged(self, ports, record):
+        runner = cone_runner(self, ports, record)
+        slices.append(len(runner._tape))
+        return runner
+
+    monkeypatch.setattr(Emulator, "cone_runner", logged)
+    result = run_spec(RunSpec(
+        design="9sym", error_seed=1, preset="fast", cache="private",
+    ))
+    assert [s["mismatch"] for s in result.probe_trajectory] == [
+        True, True, False, False, False,
+    ]
+    assert slices[0] > 0
+    assert slices[1:] == [0, 0, 0, 0]
+    assert result.localized and result.fixed
