@@ -85,6 +85,7 @@ def add_observation_point(
         description=f"observe {name}",
         new_instances=created,
         base_revision=base_revision,
+        end_revision=netlist.revision,
     )
     return changes, outputs
 
@@ -107,14 +108,20 @@ def remove_observation_points(
     Returns the removal :class:`ChangeSet` (empty when nothing matched).
     """
     base_revision = netlist.revision
+    # one scan; an instance goes to the first name (in the given order)
+    # whose namespace holds it, as if each name were retired in turn
+    groups: dict[str, list] = {name: [] for name in names}
+    for inst in netlist.instances():
+        if not inst.name.startswith(("obs_", "po:obs_")):
+            continue
+        for name in groups:
+            if inst.name.startswith(f"obs_{name}_") or inst.name in (
+                f"po:obs_probe_{name}", f"po:obs_flag_{name}"
+            ):
+                groups[name].append(inst)
+                break
     removed: set[str] = set()
-    for name in names:
-        prefix = f"obs_{name}_"
-        markers = {f"po:obs_probe_{name}", f"po:obs_flag_{name}"}
-        targets = [
-            inst for inst in netlist.instances()
-            if inst.name.startswith(prefix) or inst.name in markers
-        ]
+    for targets in groups.values():
         # sinks (output markers, FF, hold) before drivers (parity tree)
         # keeps every intermediate state a valid netlist
         targets.sort(
@@ -129,6 +136,7 @@ def remove_observation_points(
         description=f"retire {len(names)} observation point(s)",
         removed_instances=removed,
         base_revision=base_revision,
+        end_revision=netlist.revision,
     )
 
 

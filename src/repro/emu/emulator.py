@@ -53,8 +53,9 @@ class Emulator:
             self.layout.placement.check_complete()
         except Exception as exc:
             raise EmulationError(f"cannot emulate: {exc}") from exc
-        for inst in packed.netlist.logic_instances():
-            if inst.name not in packed.block_of_instance:
+        configured = packed.block_of_instance
+        for inst in packed.netlist.instances():
+            if inst.name not in configured and not inst.is_io:
                 raise EmulationError(
                     f"instance {inst.name} has no configured block; "
                     "re-pack before emulating"

@@ -273,7 +273,11 @@ class CompiledKernel:
         self._instr_names.append(inst.name)
 
     def _rebuild_metadata(self) -> None:
-        """Leaf/IO slot maps; O(inputs + FFs + outputs), always rebuilt."""
+        """Leaf/IO slot maps; O(inputs + FFs + outputs), always rebuilt.
+
+        The netlist's per-kind registries hand over the three lists
+        without a scan of every instance.
+        """
         nl = self.netlist
         self._inputs = [
             (port_name(pi), self._slot(pi.output.name))
@@ -339,30 +343,30 @@ class CompiledKernel:
         # and appended after the surviving (still topologically sorted)
         # prefix
         region = nl.fanout_cone(seeds, stop_at_ffs=True) if seeds else set()
-        drop = region | gone
-        kept = [
-            (entry, name)
-            for entry, name in zip(self._tape, self._instr_names)
-            if name not in drop
-        ]
-        self._tape = [entry for entry, _ in kept]
-        self._instr_names = [name for _, name in kept]
+        # additive: only new cells, none feeding an existing one, so no
+        # existing slot's words change and a SlotRecord stays exact; no
+        # new cell is on the tape yet, so the tape keeps every entry
+        additive = (
+            not changes.changed_instances and not gone
+            and region <= changes.new_instances
+        )
+        if not additive:
+            drop = region | gone
+            kept = [
+                (entry, name)
+                for entry, name in zip(self._tape, self._instr_names)
+                if name not in drop
+            ]
+            self._tape = [entry for entry, _ in kept]
+            self._instr_names = [name for _, name in kept]
+            self.generation = next(_GENERATIONS)
 
-        # slots for any nets created by the edit
-        for net in nl.nets():
-            if net.name not in self._slot_of_net:
-                self._slot(net.name)
-
+        # nets created by the edit get their slots as the region is
+        # lowered (and as the metadata reads leaf and port nets)
         for inst in self._region_topo(region):
             self._append_instr(inst)
         self._rebuild_metadata()
         self._revision = nl.revision
-        # additive: only new cells, none feeding an existing one, so no
-        # existing slot's words change and a SlotRecord stays exact
-        if changes.changed_instances or gone or not (
-            region <= changes.new_instances
-        ):
-            self.generation = next(_GENERATIONS)
         self.incremental_count += 1
         METRICS.inc("repro_kernel_compiles_total", kind="incremental")
 

@@ -48,14 +48,17 @@ class Net:
     ``sinks`` holds ``(instance, input_index)`` pairs.  The driver is the
     instance whose output pin produces the signal, or ``None`` while the
     net is under construction (or after its driver was removed).
+    ``serial`` orders nets by creation in their netlist, which is the
+    order :meth:`Netlist.nets` yields them in.
     """
 
-    __slots__ = ("name", "driver", "sinks")
+    __slots__ = ("name", "driver", "sinks", "serial")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, serial: int = 0) -> None:
         self.name = name
         self.driver: Instance | None = None
         self.sinks: list[tuple[Instance, int]] = []
+        self.serial = serial
 
     @property
     def fanout(self) -> int:
@@ -71,10 +74,12 @@ class Instance:
 
     ``params`` carries kind-specific data: ``{"table": int}`` for LUTs,
     ``{"init": 0|1}`` for DFFs.  Input order is significant (MUX2 select,
-    LUT variable order).
+    LUT variable order).  ``serial`` orders instances the way
+    :meth:`Netlist.instances` yields them (a rename moves an instance
+    to the end).
     """
 
-    __slots__ = ("name", "kind", "inputs", "output", "params")
+    __slots__ = ("name", "kind", "inputs", "output", "params", "serial")
 
     def __init__(
         self,
@@ -83,12 +88,14 @@ class Instance:
         inputs: list[Net],
         output: Net | None,
         params: dict | None = None,
+        serial: int = 0,
     ) -> None:
         self.name = name
         self.kind = kind
         self.inputs = inputs
         self.output = output
         self.params = params if params is not None else {}
+        self.serial = serial
 
     @property
     def is_lut(self) -> bool:
@@ -138,6 +145,12 @@ class Adjacency:
     fanout: tuple[tuple[int, ...], ...]
 
 
+#: kinds with their own instance registry, so :meth:`Netlist.primary_inputs`,
+#: :meth:`Netlist.primary_outputs` and :meth:`Netlist.flip_flops` cost
+#: O(IO + FFs) rather than a scan of every instance
+_REGISTERED_KINDS = (CellKind.INPUT, CellKind.OUTPUT, CellKind.DFF)
+
+
 class Netlist:
     """A mutable flat netlist with consistent connectivity tables.
 
@@ -146,12 +159,20 @@ class Netlist:
     :attr:`revision` and drops the caches, so repeated simulator and
     emulator construction between ECO edits is O(1) instead of O(V+E).
     The returned cached objects must be treated as read-only.
+
+    INPUT, OUTPUT and DFF instances are also kept in per-kind
+    registries in instance order, maintained by every mutation that
+    adds, removes, renames or re-kinds an instance.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._instances: dict[str, Instance] = {}
         self._nets: dict[str, Net] = {}
+        self._by_kind: dict[CellKind, dict[str, Instance]] = {
+            kind: {} for kind in _REGISTERED_KINDS
+        }
+        self._serial = 0
         self._uid = 0
         self._revision = 0
         self._topo_cache: list[Instance] | None = None
@@ -168,6 +189,10 @@ class Netlist:
         self._topo_cache = None
         self._levels_cache = None
         self._adj_cache = None
+
+    def _next_serial(self) -> int:
+        self._serial += 1
+        return self._serial
 
     # ------------------------------------------------------------------
     # construction
@@ -186,7 +211,7 @@ class Netlist:
             name = self.fresh_name("n")
         if name in self._nets:
             raise NetlistError(f"net {name!r} already exists")
-        net = Net(name)
+        net = Net(name, self._next_serial())
         self._nets[name] = net
         self._mutated()
         return net
@@ -220,8 +245,13 @@ class Netlist:
         elif output.driver is not None:
             raise NetlistError(f"net {output.name!r} already has a driver")
 
-        inst = Instance(name, kind, input_list, output, params)
+        inst = Instance(
+            name, kind, input_list, output, params, self._next_serial()
+        )
         self._instances[name] = inst
+        registry = self._by_kind.get(kind)
+        if registry is not None:
+            registry[name] = inst
         if output is not None:
             output.driver = inst
         for idx, net in enumerate(input_list):
@@ -309,17 +339,17 @@ class Netlist:
         return len(self._instances)
 
     def primary_inputs(self) -> list[Instance]:
-        return [i for i in self._instances.values() if i.kind is CellKind.INPUT]
+        return list(self._by_kind[CellKind.INPUT].values())
 
     def primary_outputs(self) -> list[Instance]:
-        return [i for i in self._instances.values() if i.kind is CellKind.OUTPUT]
+        return list(self._by_kind[CellKind.OUTPUT].values())
 
     def logic_instances(self) -> list[Instance]:
         """Gates, LUTs and FFs — everything that consumes fabric area."""
         return [i for i in self._instances.values() if not i.is_io]
 
     def flip_flops(self) -> list[Instance]:
-        return [i for i in self._instances.values() if i.is_ff]
+        return list(self._by_kind[CellKind.DFF].values())
 
     # ------------------------------------------------------------------
     # mutation (ECO operations)
@@ -355,6 +385,17 @@ class Netlist:
         arity_of(kind, len(inst.inputs))
         if kind is CellKind.OUTPUT or inst.kind is CellKind.OUTPUT:
             raise NetlistError("cannot change to/from OUTPUT markers")
+        if kind is not inst.kind:
+            registry = self._by_kind.get(inst.kind)
+            if registry is not None:
+                del registry[inst.name]
+            registry = self._by_kind.get(kind)
+            if registry is not None:
+                # the instance keeps its place in instance order
+                registry[inst.name] = inst
+                self._by_kind[kind] = dict(
+                    sorted(registry.items(), key=lambda kv: kv[1].serial)
+                )
         inst.kind = kind
         inst.params = params if params is not None else {}
         self._mutated()
@@ -408,6 +449,9 @@ class Netlist:
         if inst.output is not None:
             inst.output.driver = None
         del self._instances[inst.name]
+        registry = self._by_kind.get(inst.kind)
+        if registry is not None:
+            del registry[inst.name]
         self._mutated()
 
     def remove_net(self, net: Net) -> None:
@@ -431,7 +475,12 @@ class Netlist:
         if new_name in self._instances:
             raise NetlistError(f"instance {new_name!r} already exists")
         del self._instances[inst.name]
+        registry = self._by_kind.get(inst.kind)
+        if registry is not None:
+            del registry[inst.name]
+            registry[new_name] = inst
         inst.name = new_name
+        inst.serial = self._next_serial()
         self._instances[new_name] = inst
         self._mutated()
 

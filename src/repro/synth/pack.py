@@ -101,9 +101,18 @@ class PackedDesign:
     """The placeable view of a mapped netlist.
 
     ``nets`` is keyed by a stable integer index: ECO refreshes
-    (:func:`refresh_block_nets`) keep the index of an unchanged net so
-    existing routes stay valid, retire removed nets, and allocate fresh
-    indices for new ones.
+    (:func:`refresh_block_nets`, :func:`refresh_touched_nets`) keep the
+    index of an unchanged net so existing routes stay valid, retire
+    removed nets, and allocate fresh indices for new ones, in netlist
+    net order; ``nets`` therefore iterates in ascending index order.
+
+    A block → net-index map (built on the first :meth:`nets_touching_blocks`
+    and kept current by every refresh) answers which nets touch a set
+    of blocks without a walk over every net.  ``revision`` is the
+    netlist revision the block nets reflect: a refresh sets it to the
+    netlist's revision, and a changeset that starts there (its
+    ``base_revision``) may be absorbed by re-deriving only the nets it
+    can have touched.
     """
 
     def __init__(
@@ -119,9 +128,11 @@ class PackedDesign:
         self.blocks = blocks
         self.nets = nets
         self.block_of_instance = block_of_instance
+        self.revision = netlist.revision
         self._net_index_of_name = {net.name: idx for idx, net in nets.items()}
         self._next_net_index = max(nets, default=-1) + 1
         self._clb_by_name = {clb.name: clb for clb in clbs}
+        self._nets_of_block: dict[int, set[int]] | None = None
 
     @property
     def n_clbs(self) -> int:
@@ -151,14 +162,50 @@ class PackedDesign:
                 found.add(idx)
         return found
 
-    def nets_touching_blocks(self, block_indices: set[int]) -> list[BlockNet]:
-        hits = []
-        for net in self.nets.values():
-            if net.driver in block_indices or any(
-                s in block_indices for s in net.sinks
-            ):
-                hits.append(net)
-        return hits
+    def nets_of_block(self) -> dict[int, set[int]]:
+        """Block index → indices of the block nets it drives or sinks.
+
+        Built on first use, then kept current by :meth:`_put_net` and
+        :meth:`_drop_net`; treat it as read-only.
+        """
+        if self._nets_of_block is None:
+            table: dict[int, set[int]] = {}
+            for net in self.nets.values():
+                for b in (net.driver, *net.sinks):
+                    table.setdefault(b, set()).add(net.index)
+            self._nets_of_block = table
+        return self._nets_of_block
+
+    def nets_touching_blocks(self, block_indices) -> list[BlockNet]:
+        """Block nets with a terminal in ``block_indices``, by index."""
+        table = self.nets_of_block()
+        hits: set[int] = set()
+        for b in block_indices:
+            hits.update(table.get(b, ()))
+        return [self.nets[idx] for idx in sorted(hits)]
+
+    def _put_net(self, net: BlockNet) -> None:
+        """Install ``net`` at its index, replacing any net there."""
+        old = self.nets.get(net.index)
+        self.nets[net.index] = net
+        self._net_index_of_name[net.name] = net.index
+        table = self._nets_of_block
+        if table is not None:
+            if old is not None:
+                for b in (old.driver, *old.sinks):
+                    table[b].discard(old.index)
+            for b in (net.driver, *net.sinks):
+                table.setdefault(b, set()).add(net.index)
+
+    def _drop_net(self, name: str) -> int:
+        """Retire the block net called ``name``; returns its index."""
+        idx = self._net_index_of_name.pop(name)
+        old = self.nets.pop(idx)
+        table = self._nets_of_block
+        if table is not None:
+            for b in (old.driver, *old.sinks):
+                table[b].discard(idx)
+        return idx
 
     def clb_of_block(self, block_index: int) -> CLB:
         """The CLB packing record behind a CLB block.
@@ -437,8 +484,8 @@ def retire_instances(packed: PackedDesign, removed_names) -> set[int]:
 
     Returns the indices of the blocks that lost instances.  Callers
     must resolve ``blocks_of_instances`` for the removal *before* this
-    runs (the mapping is consumed here), and run
-    :func:`refresh_block_nets` after.
+    runs (the mapping is consumed here), and refresh the block nets
+    after (:func:`repro.tiling.manager.absorb_changes` does all three).
     """
     touched: set[int] = set()
     for name in sorted(removed_names):
@@ -462,44 +509,84 @@ def retire_instances(packed: PackedDesign, removed_names) -> set[int]:
     return touched
 
 
+def _resync_nets(
+    packed: PackedDesign, nets, gone: list[str]
+) -> tuple[set[int], set[int], set[int]]:
+    """Re-derive the block nets of ``nets`` (netlist nets, in netlist
+    order) and retire the block nets named in ``gone`` (whose netlist
+    nets no longer exist).  Returns (new, changed, removed) indices."""
+    new_ids: set[int] = set()
+    changed_ids: set[int] = set()
+    removed_ids: set[int] = set()
+    index_of = packed._net_index_of_name
+    for net in nets:
+        old_idx = index_of.get(net.name)
+        idx = packed._next_net_index if old_idx is None else old_idx
+        blocknet = _derive_block_net(net, packed.block_of_instance, idx)
+        if blocknet is None:
+            if old_idx is not None:
+                removed_ids.add(packed._drop_net(net.name))
+        elif old_idx is None:
+            packed._next_net_index += 1
+            packed._put_net(blocknet)
+            new_ids.add(idx)
+        else:
+            old = packed.nets[idx]
+            if old.driver != blocknet.driver or old.sinks != blocknet.sinks:
+                packed._put_net(blocknet)
+                changed_ids.add(idx)
+    for name in gone:
+        removed_ids.add(packed._drop_net(name))
+    packed.revision = packed.netlist.revision
+    return new_ids, changed_ids, removed_ids
+
+
 def refresh_block_nets(
     packed: PackedDesign,
 ) -> tuple[set[int], set[int], set[int]]:
-    """Re-derive block nets after netlist ECO edits.
+    """Re-derive every block net after netlist ECO edits.
 
     Returns (new, changed, removed) net indices.  Unchanged nets keep
     their index *and* identity so existing routes remain valid.
+    :func:`refresh_touched_nets` is the same refresh restricted to the
+    nets a changeset can have touched.
     """
-    new_ids: set[int] = set()
-    changed_ids: set[int] = set()
-    seen_names: set[str] = set()
+    netlist = packed.netlist
+    gone = [
+        name for name in packed._net_index_of_name
+        if not netlist.has_net(name)
+    ]
+    return _resync_nets(packed, netlist.nets(), gone)
 
-    for net in packed.netlist.nets():
-        blocknet = _derive_block_net(net, packed.block_of_instance, -1)
-        if blocknet is None:
-            continue
-        seen_names.add(net.name)
-        old_idx = packed._net_index_of_name.get(net.name)
-        if old_idx is None:
-            idx = packed._next_net_index
-            packed._next_net_index += 1
-            packed.nets[idx] = BlockNet(
-                idx, blocknet.name, blocknet.driver, blocknet.sinks
-            )
-            packed._net_index_of_name[net.name] = idx
-            new_ids.add(idx)
-            continue
-        old = packed.nets[old_idx]
-        if old.driver != blocknet.driver or old.sinks != blocknet.sinks:
-            packed.nets[old_idx] = BlockNet(
-                old_idx, blocknet.name, blocknet.driver, blocknet.sinks
-            )
-            changed_ids.add(old_idx)
 
-    removed_ids: set[int] = set()
-    for name, idx in list(packed._net_index_of_name.items()):
-        if name not in seen_names:
-            removed_ids.add(idx)
-            del packed._net_index_of_name[name]
-            del packed.nets[idx]
-    return new_ids, changed_ids, removed_ids
+def refresh_touched_nets(
+    packed: PackedDesign, instance_names, block_indices
+) -> tuple[set[int], set[int], set[int]]:
+    """:func:`refresh_block_nets` restricted to the nets an ECO touched.
+
+    Re-derives the input and output nets of ``instance_names`` (the
+    changeset's new and changed instances) and every block net with a
+    terminal in ``block_indices`` (the blocks of changed and removed
+    instances, and the new blocks), in netlist net order, so fresh
+    indices match the full walk.  Valid when ``packed.revision`` is the
+    changeset's base revision and the changeset covers every edit
+    since: then no other net's driver, sinks or blocks moved, and the
+    returned indices and the packing equal the full refresh's.
+    """
+    netlist = packed.netlist
+    names: set[str] = set()
+    for inst_name in instance_names:
+        if netlist.has_instance(inst_name):
+            inst = netlist.instance(inst_name)
+            names.update(net.name for net in inst.inputs)
+            if inst.output is not None:
+                names.add(inst.output.name)
+    table = packed.nets_of_block()
+    for b in block_indices:
+        names.update(packed.nets[idx].name for idx in table.get(b, ()))
+    present = sorted(
+        (netlist.net(name) for name in names if netlist.has_net(name)),
+        key=lambda net: net.serial,
+    )
+    gone = [name for name in names if not netlist.has_net(name)]
+    return _resync_nets(packed, present, gone)

@@ -26,7 +26,10 @@ class ChangeSet:
     * ``base_revision`` — the netlist revision the delta starts from
       (``None`` when unknown); lets incremental consumers like the
       compiled simulation kernel verify the changeset covers every
-      mutation since they last synchronized.
+      mutation since they last synchronized;
+    * ``end_revision`` — the netlist revision right after the delta
+      (``None`` when unknown); with ``base_revision`` it shows that no
+      untracked mutation followed the delta either.
     """
 
     description: str = ""
@@ -34,6 +37,7 @@ class ChangeSet:
     new_instances: set[str] = field(default_factory=set)
     removed_instances: set[str] = field(default_factory=set)
     base_revision: int | None = None
+    end_revision: int | None = None
 
     @property
     def is_empty(self) -> bool:
@@ -100,6 +104,7 @@ class ChangeRecorder:
             new_instances=set(after) - set(before),
             removed_instances=set(before) - set(after),
             base_revision=getattr(self, "_base_revision", None),
+            end_revision=self.netlist.revision,
         )
 
     def _snapshot(self) -> dict[str, tuple]:

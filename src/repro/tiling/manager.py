@@ -48,6 +48,7 @@ from repro.synth.pack import (
     PackedDesign,
     extend_packing,
     refresh_block_nets,
+    refresh_touched_nets,
     retire_instances,
 )
 from repro.tiling.cache import (
@@ -127,12 +128,31 @@ def absorb_changes(
     ones into new blocks, re-derives the block nets and drops the routes
     of retired nets.  Every strategy's commit starts here.
 
+    The block-net refresh costs O(change) when ``changes`` provably is
+    every netlist mutation since the packing's last refresh: its
+    ``base_revision`` is ``packed.revision`` and its ``end_revision``
+    the netlist's current revision.  Then only the nets of new and
+    changed instances and the block nets touching changed, retired or
+    new blocks are re-derived (:func:`refresh_touched_nets`), with the
+    same result as the full walk.  Otherwise every net is re-derived
+    (:func:`refresh_block_nets`).
+
     Returns (changed blocks, new blocks, net indices needing routes).
     """
     changed_blocks = packed.blocks_of_instances(changes.touched_existing())
+    covered = (
+        changes.base_revision == packed.revision
+        and changes.end_revision == packed.netlist.revision
+    )
     retire_instances(packed, changes.removed_instances)
     new_blocks = extend_packing(packed, changes.new_instances)
-    new_ids, changed_ids, removed_ids = refresh_block_nets(packed)
+    if covered:
+        new_ids, changed_ids, removed_ids = refresh_touched_nets(
+            packed, changes.changed_instances | changes.new_instances,
+            changed_blocks | new_blocks,
+        )
+    else:
+        new_ids, changed_ids, removed_ids = refresh_block_nets(packed)
     if layout is not None:
         for idx in removed_ids:
             old = layout.routes.pop(idx, None)

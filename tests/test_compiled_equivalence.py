@@ -315,3 +315,44 @@ def test_sequential_simulator_engines_agree(seed, engine):
         inputs = {n: rng.getrandbits(32) for n in names}
         assert ref.step(inputs, 32) == dut.step(inputs, 32)
     assert ref.state == dut.state
+
+
+@given(seed=st.integers(0, 5_000))
+@settings(max_examples=10, deadline=None)
+def test_additive_edit_keeps_the_tape(seed):
+    """An observation point only adds cells, so the incremental edit
+    keeps every existing tape entry (the same objects, in order) and the
+    generation.  A rewire (control point) or a removal renews the
+    generation and stays bit-exact against the interpreted engine."""
+    from repro.debug.instrument import remove_observation_points
+
+    netlist = _random_design(seed, mapped=True)
+    kernel = CompiledKernel(netlist)
+    tape, names = list(kernel._tape), list(kernel._instr_names)
+    generation = kernel.generation
+    watch = [po.inputs[0].name for po in netlist.primary_outputs()[:3]]
+    changes, _ = add_observation_point(netlist, watch, "add", sticky=True)
+    kernel.apply_changeset(changes)
+    assert kernel.generation == generation
+    assert all(a is b for a, b in zip(kernel._tape, tape))
+    assert kernel._instr_names[: len(names)] == names
+    assert set(kernel._instr_names[len(names):]) <= changes.new_instances
+    _assert_equivalent(netlist, kernel, seed)
+
+    target = next(
+        i.output.name
+        for i in netlist.instances()
+        if i.is_lut and i.output.sinks and not i.name.startswith("obs_")
+    )
+    changes, _ = add_control_point(netlist, target, "rw")
+    kernel.apply_changeset(changes)
+    assert kernel.generation != generation
+    _assert_equivalent(netlist, kernel, seed + 1)
+
+    generation = kernel.generation
+    kernel.apply_changeset(remove_observation_points(netlist, ["add"]))
+    assert kernel.generation != generation
+    assert not any(name.startswith("obs_add_") for name in kernel._instr_names)
+    _assert_equivalent(netlist, kernel, seed + 2)
+    assert kernel.compile_count == 1
+    assert kernel.incremental_count == 3

@@ -188,6 +188,47 @@ class TestObservationPointRemoval:
         changes = remove_observation_points(netlist, ["nonesuch"])
         assert changes.is_empty
 
+    def test_one_scan_keeps_the_per_name_removal_order(self):
+        """Names in the given order, and within a name output markers
+        first, then by name; an instance under two overlapping
+        namespaces (``a`` and ``a_b``) goes with the earlier name."""
+        from repro.netlist.cells import CellKind
+
+        def reference(netlist, names):
+            # retire each name in turn with its own scan
+            for name in names:
+                markers = {f"po:obs_probe_{name}", f"po:obs_flag_{name}"}
+                targets = sorted(
+                    (i for i in netlist.instances()
+                     if i.name.startswith(f"obs_{name}_")
+                     or i.name in markers),
+                    key=lambda i: (0 if i.kind is CellKind.OUTPUT else 1,
+                                   i.name),
+                )
+                for inst in targets:
+                    netlist.remove_instance(inst)
+
+        orders = []
+        for retire in (reference, remove_observation_points):
+            netlist = build_design("9sym").packed.netlist
+            nets = sorted(
+                n.name for n in netlist.nets() if n.driver is not None
+                and not n.driver.is_io
+            )
+            for i, name in enumerate(("a_b", "a", "c", "a_b_c")):
+                add_observation_point(
+                    netlist, nets[3 * i:3 * i + 5], name, sticky=i % 2 == 0
+                )
+            order = []
+            remove = netlist.remove_instance
+            netlist.remove_instance = lambda inst: (
+                order.append(inst.name), remove(inst)
+            )
+            retire(netlist, ["c", "a", "a_b", "a", "zz"])
+            orders.append(order)
+        assert orders[0] == orders[1]
+        assert any(name.startswith("obs_a_b_c_") for name in orders[1])
+
 
 # ----------------------------------------------------------------------
 # cardinality constraint

@@ -174,3 +174,78 @@ class TestAnalysis:
         clone.change_kind(clone.instance("g1"), CellKind.OR)
         assert n.instance("g1").kind is CellKind.AND
         check_netlist(clone)
+
+
+class TestKindRegistries:
+    """``primary_inputs``/``primary_outputs``/``flip_flops`` read per-kind
+    registries that must always equal a scan of every instance."""
+
+    @staticmethod
+    def _assert_registries_match(n):
+        scan = list(n._instances.values())
+        assert n.primary_inputs() == [i for i in scan if i.kind is CellKind.INPUT]
+        assert n.primary_outputs() == [
+            i for i in scan if i.kind is CellKind.OUTPUT
+        ]
+        assert n.flip_flops() == [i for i in scan if i.kind is CellKind.DFF]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_edit_sequences(self, seed):
+        from repro.rng import make_rng
+
+        rng = make_rng(seed, "kind-registries")
+        n = tiny()
+        one_input = (CellKind.BUF, CellKind.NOT, CellKind.DFF)
+        no_input = (CellKind.CONST0, CellKind.CONST1, CellKind.INPUT)
+        for step in range(120):
+            insts = sorted(n.instances(), key=lambda i: i.name)
+            nets = sorted(n.nets(), key=lambda x: x.name)
+            op = rng.choice(
+                ("add", "add", "remove", "kind", "kind", "rename", "copy")
+            )
+            if op == "add" or not insts:
+                kind = rng.choice(
+                    (CellKind.DFF, CellKind.AND, CellKind.OUTPUT,
+                     CellKind.INPUT, CellKind.NOT)
+                )
+                if kind is CellKind.INPUT:
+                    n.add_input(f"in{step}")
+                elif kind is CellKind.OUTPUT:
+                    n.add_output(f"out{step}", rng.choice(nets))
+                elif kind is CellKind.AND:
+                    n.add_instance(kind, rng.sample(nets, 2), name=f"g{step}")
+                else:
+                    n.add_instance(kind, [rng.choice(nets)], name=f"u{step}")
+            elif op == "remove":
+                n.remove_instance(rng.choice(insts))
+            elif op == "kind":
+                inst = rng.choice(
+                    [i for i in insts if i.kind is not CellKind.OUTPUT]
+                    or insts
+                )
+                if inst.kind is CellKind.OUTPUT:
+                    continue
+                pool = {0: no_input, 1: one_input}.get(
+                    len(inst.inputs), (CellKind.AND, CellKind.OR)
+                )
+                n.change_kind(inst, rng.choice(pool))
+            elif op == "rename":
+                n.rename_instance(rng.choice(insts), f"r{step}")
+            else:
+                n = n.copy()
+            self._assert_registries_match(n)
+
+    def test_rename_moves_to_the_end_and_change_kind_keeps_place(self):
+        n = tiny()
+        a = n.instance("pi:a")
+        n.rename_instance(a, "pi:a2")
+        assert [i.name for i in n.primary_inputs()] == ["pi:b", "pi:c", "pi:a2"]
+        g1 = n.instance("g1")
+        n.set_input(g1, 1, g1.inputs[0])
+        n.change_kind(g1, CellKind.LUT, {"table": 0b1000})
+        n.change_kind(n.instance("g2"), CellKind.LUT, {"table": 0b0110})
+        buf = n.add_instance(CellKind.BUF, [n.net("a")], name="late")
+        n.add_dff(buf.output, name="ff_last")
+        n.change_kind(buf, CellKind.DFF, {"init": 0})
+        assert [i.name for i in n.flip_flops()] == ["ff", "late", "ff_last"]
+        self._assert_registries_match(n)

@@ -121,3 +121,204 @@ class TestEcoExtension:
         mapped.remove_instance(po)
         new_ids, changed_ids, removed_ids = refresh_block_nets(packed)
         assert removed_ids or changed_ids  # the PO's net lost its IOB sink
+
+
+# ----------------------------------------------------------------------
+# incremental block-net refresh (absorb_changes) vs the full walk
+# ----------------------------------------------------------------------
+
+
+def _reference_block_map(nets):
+    """Block → net indices, rebuilt from scratch."""
+    table = {}
+    for idx, net in nets.items():
+        for b in (net.driver, *net.sinks):
+            table.setdefault(b, set()).add(idx)
+    return table
+
+
+class _RefreshSpy:
+    """Wraps the two refreshes ``absorb_changes`` can call."""
+
+    def __init__(self, monkeypatch):
+        from repro.tiling import manager
+
+        self.touched = []
+        self.full = 0
+        touched, full = manager.refresh_touched_nets, manager.refresh_block_nets
+
+        def spy_touched(*args):
+            result = touched(*args)
+            self.touched.append(result)
+            return result
+
+        def spy_full(packed):
+            self.full += 1
+            return full(packed)
+
+        monkeypatch.setattr(manager, "refresh_touched_nets", spy_touched)
+        monkeypatch.setattr(manager, "refresh_block_nets", spy_full)
+
+
+def _absorb_both(packed, twin, changes, spy):
+    """Absorb ``changes`` into ``packed`` through ``absorb_changes`` and
+    into ``twin`` through the full walk; return both refresh results."""
+    from repro.synth.pack import retire_instances
+    from repro.tiling.manager import absorb_changes
+
+    n_touched = len(spy.touched)
+    absorb_changes(packed, None, changes)
+    retire_instances(twin, changes.removed_instances)
+    extend_packing(twin, changes.new_instances)
+    expected = refresh_block_nets(twin)
+    got = spy.touched[-1] if len(spy.touched) > n_touched else None
+    return got, expected
+
+
+def _assert_same_packing(packed, twin):
+    assert list(packed.nets.items()) == list(twin.nets.items())
+    assert list(packed._net_index_of_name.items()) == list(
+        twin._net_index_of_name.items()
+    )
+    assert packed._next_net_index == twin._next_net_index
+    assert packed.block_of_instance == twin.block_of_instance
+    assert packed.blocks == twin.blocks
+    # blocks are never deleted, so a block whose last net went away
+    # keeps an empty entry
+    kept = {b: ids for b, ids in packed.nets_of_block().items() if ids}
+    assert kept == _reference_block_map(twin.nets)
+    assert packed.revision == packed.netlist.revision
+
+
+def _random_eco(netlist, rng, step, live, pending):
+    """One seeded debugging edit; returns its ChangeSet."""
+    from repro.debug.correct import apply_correction
+    from repro.debug.errors import inject_error
+    from repro.debug.instrument import (
+        add_control_point,
+        add_observation_point,
+        remove_observation_points,
+        test_logic_block,
+    )
+    from repro.errors import DebugFlowError
+    from repro.tiling.eco import ChangeRecorder
+
+    driven = sorted(
+        n.name for n in netlist.nets()
+        if n.driver is not None and not n.driver.is_io
+    )
+    op = rng.choice(
+        ("observe", "observe", "control", "logic", "retire", "retable",
+         "inject", "fix")
+    )
+    if op == "retire" and live:
+        names = rng.sample(live, rng.randint(1, len(live)))
+        for name in names:
+            live.remove(name)
+        return remove_observation_points(netlist, names + ["never_added"])
+    if op == "control":
+        spliceable = [
+            name for name in driven
+            if netlist.net(name).sinks and not name.startswith("ctl_")
+        ]
+        changes, _ = add_control_point(
+            netlist, rng.choice(spliceable), f"c{step}"
+        )
+        return changes
+    if op == "logic":
+        return test_logic_block(
+            netlist, rng.randint(1, 2), rng.choice(driven), f"t{step}"
+        )
+    if op == "retable":
+        # a CEGIS-style truth-table repair of one LUT
+        lut = netlist.instance(rng.choice(sorted(
+            i.name for i in netlist.instances() if i.is_lut
+        )))
+        table = lut.params["table"] ^ 1
+        with ChangeRecorder(netlist, f"retable {lut.name}") as rec:
+            netlist.set_params(lut, {**lut.params, "table": table})
+        return rec.changes
+    if op == "inject":
+        kind = rng.choice(("wrong_source", "input_swap", "table_bit"))
+        with ChangeRecorder(netlist, f"inject {kind}") as rec:
+            try:
+                pending.append(inject_error(netlist, kind, seed=step))
+            except DebugFlowError:
+                pass
+        return rec.changes
+    if op == "fix" and pending:
+        # the oracle's back-annotated inverse (a retable or a rewire)
+        return apply_correction(netlist, pending.pop())
+    name = f"p{step}"
+    watch = rng.sample(driven, rng.randint(1, 5))
+    changes, _ = add_observation_point(
+        netlist, watch, name, sticky=rng.random() < 0.5,
+        expected_parity=rng.randint(0, 1),
+    )
+    live.append(name)
+    return changes
+
+
+@pytest.mark.parametrize("design", ["9sym", "s9234"])
+def test_incremental_refresh_matches_full_walk(design, monkeypatch):
+    """After every commit of a seeded ECO sequence, ``absorb_changes``
+    (incremental: it re-derives only the changeset's nets) leaves the
+    same block nets, indices and block → nets map as the full walk on a
+    twin packing, and reports the same (new, changed, removed) sets."""
+    from repro.generators import build_design
+    from repro.rng import make_rng
+
+    packed = build_design(design).packed
+    netlist = packed.netlist
+    twin = pack_netlist(netlist)
+    spy = _RefreshSpy(monkeypatch)
+    rng = make_rng(7, "eco-refresh", design)
+    live, pending = [], []
+    seen_nonempty = set()
+    for step in range(24):
+        changes = _random_eco(netlist, rng, step, live, pending)
+        got, expected = _absorb_both(packed, twin, changes, spy)
+        assert got == expected, changes.description
+        _assert_same_packing(packed, twin)
+        seen_nonempty.update(
+            label for label, ids in zip(("new", "changed", "removed"), got)
+            if ids
+        )
+    assert spy.full == 0
+    assert len(spy.touched) == 24
+    assert seen_nonempty == {"new", "changed", "removed"}
+
+
+def test_untracked_edit_takes_the_full_refresh(monkeypatch):
+    """A mutation no changeset records — before the changeset starts or
+    after it ends — sends ``absorb_changes`` down the full walk, which
+    still matches the twin."""
+    from repro.debug.instrument import add_observation_point
+    from repro.generators import build_design
+
+    packed = build_design("9sym").packed
+    netlist = packed.netlist
+    twin = pack_netlist(netlist)
+    spy = _RefreshSpy(monkeypatch)
+    luts = [i for i in netlist.instances() if i.is_lut]
+    watch = [luts[0].output.name, luts[1].output.name]
+
+    changes, _ = add_observation_point(netlist, watch, "ok")
+    got, expected = _absorb_both(packed, twin, changes, spy)
+    assert got == expected and spy.full == 0
+
+    # untracked retable between commits: the next changeset is stale
+    netlist.set_params(luts[2], {"table": luts[2].params["table"] ^ 1})
+    changes, _ = add_observation_point(netlist, watch, "before")
+    assert changes.base_revision != packed.revision
+    got, _ = _absorb_both(packed, twin, changes, spy)
+    assert got is None and spy.full == 1
+    _assert_same_packing(packed, twin)
+
+    # untracked rewire after the changeset ends
+    changes, _ = add_observation_point(netlist, watch, "after")
+    lut = luts[3]
+    netlist.set_input(lut, 0, netlist.net(watch[0]))
+    got, _ = _absorb_both(packed, twin, changes, spy)
+    assert got is None and spy.full == 2
+    _assert_same_packing(packed, twin)
