@@ -26,11 +26,15 @@ OUTPUT markers and DFF D pins are metadata (slot references), not
 instructions.
 
 Each ``(opcode, arity, table)`` signature is code-generated once into a
-tiny evaluator function (e.g. a 4-input XOR LUT becomes
-``lambda-like f(v, s, m): x0^x1^x2^x3`` with masked complements for
-SOP tables) and cached process-wide, so tape replay is one function
-call per gate — no per-gate kind dispatch, no dict lookups, no minterm
-loops.  Results are bit-exact against the interpreted engine.
+tiny evaluator function and cached process-wide, so tape replay is one
+function call per gate — no per-gate kind dispatch, no dict lookups, no
+minterm loops.  A LUT table is written as a recursive Shannon cofactor
+decomposition (:func:`_decompose`): a 3-input mux table becomes
+``(x1 & ~x0) | (x2 & x0)`` where its minterm sum-of-products needs four
+3-literal terms, and a 4-input XOR ``x0 ^ (x1 ^ (x2 ^ x3))``.  The
+minterm form is kept wherever it has fewer operators, and every new LUT
+evaluator must reproduce its table on the projection words before it is
+cached.  Results are bit-exact against the interpreted engine.
 
 Incremental recompile
 =====================
@@ -71,6 +75,8 @@ empties a record whose generation is stale.
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from itertools import count
 from weakref import WeakKeyDictionary
 
@@ -126,19 +132,109 @@ _GENERATIONS = count()
 _FN_CACHE: dict[tuple[int, int, int | None], object] = {}
 
 
-def _lut_expr(k: int, table: int) -> str:
-    """Masked sum-of-products expression for a k-input LUT table.
+def _cofactors(table: int, n: int, i: int) -> tuple[int, int]:
+    """Tables of ``table`` (over n inputs) with input i fixed to 0 / 1.
 
-    Uses ``x{j}`` / ``nx{j}`` names bound in the generated preamble;
+    Input i alternates runs of 2^i patterns at 0 and at 1, so each
+    cofactor is every other run, packed.
+    """
+    width = 1 << i
+    run = (1 << width) - 1
+    f0 = f1 = 0
+    for b in range(1 << (n - 1 - i)):
+        f0 |= ((table >> (2 * b * width)) & run) << (b * width)
+        f1 |= ((table >> ((2 * b + 1) * width)) & run) << (b * width)
+    return f0, f1
+
+
+def _group(expr: str) -> str:
+    return expr if expr.isidentifier() or expr == "0" else f"({expr})"
+
+
+@lru_cache(maxsize=1 << 12)
+def _decompose(table: int, names: tuple[str, ...]) -> tuple[int, str]:
+    """``(operator count, expression)`` of a table over input ``names``.
+
+    A recursive Shannon cofactor decomposition.  Bit p of ``table`` is
+    the output for the pattern that carries bit j of p on ``names[j]``.
+    Each level splits on the variable whose cofactors ``f0``/``f1``
+    give the cheapest expression: a variable the table ignores is
+    dropped; a constant cofactor becomes ``x & f1``, ``~x & f0``,
+    ``x | f0`` or ``(~x & m) | f1``; complementary cofactors become
+    ``x ^ f0``; anything else the mux ``(f0 & ~x) | (f1 & x)``.  Every
+    form stays within the mask ``m`` as long as its operands do.  Ties
+    go to the lowest input index, so the choice is deterministic.
+    """
+    n = len(names)
+    full = (1 << (1 << n)) - 1
+    if table == 0:
+        return 0, "0"
+    if table == full:
+        return 0, "m"
+    sub_full = (1 << (1 << (n - 1))) - 1
+    best = None
+    for i, x in enumerate(names):
+        rest = names[:i] + names[i + 1:]
+        f0, f1 = _cofactors(table, n, i)
+        if f0 == f1:
+            return _decompose(f0, rest)
+        if f0 == 0 and f1 == sub_full:
+            cand = (0, x)
+        elif f0 == 0:
+            cost, expr = _decompose(f1, rest)
+            cand = (cost + 1, f"{x} & {_group(expr)}")
+        elif f1 == 0:
+            cost, expr = _decompose(f0, rest)
+            cand = (cost + 2, f"~{x} & {_group(expr)}")
+        elif f1 == sub_full:
+            cost, expr = _decompose(f0, rest)
+            cand = (cost + 1, f"{x} | {_group(expr)}")
+        elif f0 == sub_full:
+            cost, expr = _decompose(f1, rest)
+            cand = (cost + 3, f"(~{x} & m) | {_group(expr)}")
+        elif f1 == f0 ^ sub_full:
+            cost, expr = _decompose(f0, rest)
+            cand = (cost + 1, f"{x} ^ {_group(expr)}")
+        else:
+            cost0, expr0 = _decompose(f0, rest)
+            cost1, expr1 = _decompose(f1, rest)
+            cand = (
+                cost0 + cost1 + 4,
+                f"({_group(expr0)} & ~{x}) | ({_group(expr1)} & {x})",
+            )
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best
+
+
+def _function(loads: list[str], body: str) -> str:
+    lines = ["def _f(v, s, m):"] + [f"    {load}" for load in loads]
+    return "\n".join(lines + [f"    return {body}"])
+
+
+def _op_count(source: str) -> int:
+    """Operators one call of a generated evaluator executes.
+
+    Each operator the generated sources use (``&``, ``|``, ``^``,
+    ``~``) is one character and one ``BinOp``/``UnaryOp`` node.
+    """
+    return sum(source.count(op) for op in "&|^~")
+
+
+def _lut_sop_source(k: int, table: int) -> str:
+    """The minterm sum-of-products evaluator of a k-input LUT table.
+
+    Binds ``nx{j} = ~x{j} & m`` in the preamble when a term needs it;
     picks the sparser of the ON-set and complemented OFF-set forms.
     """
     size = 1 << k
     full = (1 << size) - 1
     table &= full
+    loads = [f"x{j} = v[s[{j}]]" for j in range(k)]
     if table == 0:
-        return "0"
+        return _function(loads, "0")
     if table == full:
-        return "m"
+        return _function(loads, "m")
     ones = [mt for mt in range(size) if (table >> mt) & 1]
     invert = len(ones) > size // 2
     if invert:
@@ -149,15 +245,37 @@ def _lut_expr(k: int, table: int) -> str:
             f"x{j}" if (mt >> j) & 1 else f"nx{j}" for j in range(k)
         ]
         terms.append("(" + " & ".join(lits) + ")")
-    expr = " | ".join(terms)
+    body = " | ".join(terms)
     if invert:
-        expr = f"~({expr}) & m"
-    return expr
+        body = f"~({body}) & m"
+    if "nx" in body:
+        loads += [f"nx{j} = ~x{j} & m" for j in range(k)]
+    return _function(loads, body)
+
+
+def _lut_source(k: int, table: int) -> str:
+    """Evaluator source of a k-input LUT table.
+
+    The cofactor decomposition (:func:`_decompose`), loading only the
+    inputs it reads, unless the minterm sum-of-products has fewer
+    operators, so no table costs more than its SOP form.
+    """
+    table &= (1 << (1 << k)) - 1
+    _, body = _decompose(table, tuple(f"x{j}" for j in range(k)))
+    loads = [
+        f"x{j} = v[s[{j}]]" for j in range(k)
+        if re.search(rf"\bx{j}\b", body)
+    ]
+    return min(
+        (_function(loads, body), _lut_sop_source(k, table)), key=_op_count
+    )
 
 
 def _gen_source(op: int, k: int, table: int | None) -> str:
+    if op == OP_LUT:
+        return _lut_source(k, table or 0)
     xs = [f"x{i}" for i in range(k)]
-    loads = [f"    x{i} = v[s[{i}]]" for i in range(k)]
+    loads = [f"x{i} = v[s[{i}]]" for i in range(k)]
     if op == OP_CONST0:
         body = "0"
     elif op == OP_CONST1:
@@ -181,15 +299,44 @@ def _gen_source(op: int, k: int, table: int | None) -> str:
     elif op == OP_MUX2:
         # ports (sel, d0, d1); identical form to eval_gate for exactness
         body = "(x1 & ~x0) | (x2 & x0)"
-    elif op == OP_LUT:
-        expr = _lut_expr(k, table or 0)
-        if "nx" in expr:
-            loads += [f"    nx{i} = ~x{i} & m" for i in range(k)]
-        body = expr
     else:  # pragma: no cover - lowering rejects unknown kinds
         raise NetlistError(f"no micro-kernel for opcode {op}")
-    lines = ["def _f(v, s, m):"] + loads + [f"    return {body}"]
-    return "\n".join(lines)
+    return _function(loads, body)
+
+
+def _check_lut(fn, k: int, table: int) -> None:
+    """Raise unless ``fn`` reproduces ``table`` on the projection words.
+
+    Over the 2^k patterns, pattern p carries bit j of p on input j, so
+    the evaluator's output word must be the table itself.
+    """
+    size = 1 << k
+    full = (1 << size) - 1
+    words = [
+        sum(1 << p for p in range(size) if (p >> j) & 1) for j in range(k)
+    ]
+    got = fn(words, tuple(range(k)), full)
+    if got != table & full:
+        raise NetlistError(
+            f"micro-kernel for {k}-input LUT table {table:#x} "
+            f"evaluates to {got:#x}"
+        )
+
+
+def _build_fn(op: int, k: int, table: int | None):
+    """Generate and compile the evaluator of one signature.
+
+    A LUT evaluator is checked against its table (:func:`_check_lut`)
+    before it is returned.
+    """
+    namespace: dict = {}
+    source = _gen_source(op, k, table)
+    key = (op, k, table)
+    exec(compile(source, f"<microkernel {key}>", "exec"), namespace)
+    fn = namespace["_f"]
+    if op == OP_LUT:
+        _check_lut(fn, k, table or 0)
+    return fn
 
 
 def _fn_for(op: int, k: int, table: int | None):
@@ -197,11 +344,7 @@ def _fn_for(op: int, k: int, table: int | None):
     key = (op, k, table if op == OP_LUT else None)
     fn = _FN_CACHE.get(key)
     if fn is None:
-        namespace: dict = {}
-        source = _gen_source(op, k, table)
-        exec(compile(source, f"<microkernel {key}>", "exec"), namespace)
-        fn = namespace["_f"]
-        _FN_CACHE[key] = fn
+        fn = _FN_CACHE[key] = _build_fn(*key)
     return fn
 
 

@@ -8,8 +8,13 @@ points, correction), and whether the edits reach the kernel
 incrementally or force a full recompile.  Its cone-sliced probe
 runners must agree with full replay on the sliced ports, also when they
 share a round record of slot words, and the golden trace's output
-projection must equal a plain replay.
+projection must equal a plain replay.  Every LUT micro-kernel must equal
+the minterm reference ``eval_lut`` with no more operators than the
+minterm sum-of-products.
 """
+
+import ast
+import os
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,9 +23,18 @@ from repro.debug import ERROR_KINDS, apply_correction, inject_error
 from repro.debug.detect import GoldenTrace
 from repro.debug.instrument import add_control_point, add_observation_point
 from repro.errors import DebugFlowError, NetlistError
+from repro.generators import build_design
 from repro.generators.random_logic import random_sequential_netlist
 from repro.netlist import CombinationalSimulator, CompiledKernel, initial_state
-from repro.netlist.compiled import SlotRecord
+from repro.netlist.cells import CellKind, eval_lut
+from repro.netlist.compiled import (
+    OP_LUT,
+    SlotRecord,
+    _build_fn,
+    _gen_source,
+    _lut_sop_source,
+    _op_count,
+)
 from repro.netlist.simulate import SequentialSimulator, replay_outputs
 from repro.rng import make_rng
 from repro.synth import map_to_luts
@@ -356,3 +370,88 @@ def test_additive_edit_keeps_the_tape(seed):
     _assert_equivalent(netlist, kernel, seed + 2)
     assert kernel.compile_count == 1
     assert kernel.incremental_count == 3
+
+
+# ----------------------------------------------------------------------
+# LUT micro-kernels
+# ----------------------------------------------------------------------
+
+
+def _design_lut4_tables():
+    tables = set()
+    for name in ("9sym", "s9234", "des", "mips"):
+        for inst in build_design(name).mapped.instances():
+            if inst.kind == CellKind.LUT and len(inst.inputs) == 4:
+                tables.add(inst.params["table"])
+    return sorted(tables)
+
+
+def _assert_lut_kernel(k, table, rng):
+    """The generated kernel equals ``eval_lut`` on random words, also
+    past one 64-bit word, reading its operands through the slot tuple."""
+    fn = _build_fn(OP_LUT, k, table)
+    for n_patterns in (1, 64, 65):
+        mask = (1 << n_patterns) - 1
+        words = [rng.getrandbits(n_patterns) for _ in range(k)]
+        slots = tuple(range(k - 1, -1, -1))
+        got = fn(words[::-1], slots, mask)
+        assert got == eval_lut(table, words, mask), (k, hex(table), n_patterns)
+
+
+def _ast_ops(source):
+    return sum(
+        isinstance(node, (ast.BinOp, ast.UnaryOp))
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_lut_kernels_match_the_minterm_reference():
+    """Every table with k <= 3, every 4-input table of 9sym, s9234, des
+    and mips, and 1024 seeded other 4-input tables."""
+    design = _design_lut4_tables()
+    assert len(design) > 100
+    rng = make_rng(0, "lut-sample")
+    sample = set()
+    while len(sample) < 1024:
+        table = rng.getrandbits(16)
+        if table not in design:
+            sample.add(table)
+    tables = [(k, t) for k in range(4) for t in range(1 << (1 << k))]
+    tables += [(4, t) for t in design + sorted(sample)]
+    for k, table in tables:
+        _assert_lut_kernel(k, table, rng)
+        kernel = _gen_source(OP_LUT, k, table)
+        assert _ast_ops(kernel) == _op_count(kernel)
+        assert _ast_ops(kernel) <= _ast_ops(_lut_sop_source(k, table))
+
+
+def test_decomposition_shrinks_the_mux_and_xor_tables():
+    mux = _gen_source(OP_LUT, 3, 0xE4)
+    assert mux.endswith("return (x1 & ~x0) | (x2 & x0)")
+    des = _gen_source(OP_LUT, 4, 22170)
+    assert des.endswith("return x0 ^ ((x2 & ~x1) | (x3 & x1))")
+    # a table that ignores an input does not load it
+    assert "s[1]" not in _gen_source(OP_LUT, 2, 0b0101)
+
+
+def test_a_wrong_lut_kernel_is_refused(monkeypatch):
+    from repro.netlist import compiled
+
+    monkeypatch.setattr(
+        compiled, "_lut_source", lambda k, table: compiled._function([], "m")
+    )
+    with pytest.raises(NetlistError, match="LUT table 0x8"):
+        _build_fn(OP_LUT, 2, 0b1000)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_SLOW"),
+    reason="all 65,536 4-input tables; set REPRO_SLOW=1",
+)
+def test_every_4_input_lut_kernel():
+    rng = make_rng(1, "lut-sweep")
+    for table in range(1 << 16):
+        _assert_lut_kernel(4, table, rng)
+        kernel = _gen_source(OP_LUT, 4, table)
+        assert _op_count(kernel) <= _op_count(_lut_sop_source(4, table))
