@@ -77,7 +77,7 @@ from repro.api import DebugPipeline, RunContext, RunResult, RunSpec
 from repro.debug.testgen import random_stimulus
 from repro.errors import DebugFlowError
 from repro.generators import build_design
-from repro.netlist.simulate import SequentialSimulator
+from repro.netlist.simulate import initial_state, make_engine
 from repro.pnr.flow import layout_legality_errors
 from repro.tiling.cache import TileConfigCache
 
@@ -105,21 +105,25 @@ OBS_OVERHEAD_PAIRS = 15
 def bench_sim_throughput(
     design: str, n_cycles: int = 24, n_patterns: int = 64, seed: int = 1
 ) -> dict:
-    """Pattern-cycles/sec of the sequential simulator, both engines."""
+    """Pattern-cycles/sec of a run from reset, both engines."""
     bundle = build_design(design)
     netlist = bundle.mapped
     stimulus = random_stimulus(netlist, n_cycles, n_patterns, seed=seed)
     out = {"n_instances": len(netlist)}
     outputs = {}
     for engine in ENGINES:
-        sim = SequentialSimulator(netlist, engine=engine)
+        comb = make_engine(netlist, engine)
         # warm untimed: the first cycle pays any lazy set-up, so
         # throughput is the steady state
-        sim.reset(n_patterns)
-        sim.run(stimulus[:1], n_patterns)
-        sim.reset(n_patterns)
+        comb.next_state(
+            stimulus[0], n_patterns, initial_state(netlist, n_patterns)
+        )
+        state = initial_state(netlist, n_patterns)
+        cycles = outputs[engine] = []
         t0 = time.perf_counter()
-        outputs[engine] = sim.run(stimulus, n_patterns)
+        for inputs in stimulus:
+            words, state = comb.next_state(inputs, n_patterns, state)
+            cycles.append(words)
         dt = time.perf_counter() - t0
         out[engine] = {
             "seconds": dt,

@@ -20,7 +20,7 @@ from functools import cached_property
 
 from repro.emu.emulator import Emulator
 from repro.netlist.core import Netlist, port_name
-from repro.netlist.simulate import initial_state, make_engine
+from repro.netlist.simulate import initial_state, make_engine, stimulus_inputs
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,9 @@ class GoldenTrace:
     """The golden model's response to one stimulus, simulated once.
 
     The simulation runs lazily, on first read of :attr:`nets` or
-    :attr:`outputs`.  Input ports missing from a cycle's map read 0,
-    the emulator's contract for disabled control inputs.
+    :attr:`outputs`.  The stimulus is shaped by
+    :func:`repro.netlist.simulate.stimulus_inputs`: input ports missing
+    from a cycle's map read 0.
     """
 
     def __init__(
@@ -61,11 +62,9 @@ class GoldenTrace:
         """Golden word on every net, per cycle."""
         comb = make_engine(self.golden, self.engine)
         state = initial_state(self.golden, self.n_patterns)
-        names = {port_name(pi) for pi in self.golden.primary_inputs()}
         flops = self.golden.flip_flops()
         history = []
-        for cycle_in in self.stimulus:
-            inputs = {name: cycle_in.get(name, 0) for name in names}
+        for inputs in stimulus_inputs(self.golden, self.stimulus):
             values = comb.probe(inputs, self.n_patterns, state)
             history.append(values)
             # the probe view already carries every FF's D-net word, so
@@ -107,21 +106,17 @@ def compare_runs(
 def detect_on_layout(layout, trace: GoldenTrace) -> list[Mismatch]:
     """Emulate the layout on the trace's stimulus and compare.
 
-    Control inputs missing from the stimulus default to 0 (disabled) on
-    the DUT side, and observation outputs are excluded by
-    :func:`compare_runs`.  The DUT runs on the trace's engine (see
-    :func:`repro.netlist.make_engine`).
+    The DUT's stimulus is shaped by
+    :func:`repro.netlist.simulate.stimulus_inputs` (control inputs
+    missing from it read 0, disabled), and observation outputs are
+    excluded by :func:`compare_runs`.  The DUT runs on the trace's
+    engine (see :func:`repro.netlist.make_engine`).
     """
     n_patterns = trace.n_patterns
     emulator = Emulator(layout, engine=trace.engine)
     emulator.reset(n_patterns)
-    dut_names = {
-        port_name(pi) for pi in layout.packed.netlist.primary_inputs()
-    }
     dut_out = [
-        emulator.step(
-            {name: cycle_in.get(name, 0) for name in dut_names}, n_patterns
-        )
-        for cycle_in in trace.stimulus
+        emulator.step(inputs, n_patterns)
+        for inputs in stimulus_inputs(layout.packed.netlist, trace.stimulus)
     ]
     return compare_runs(dut_out, trace.outputs)

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.debug.detect import GoldenTrace, Mismatch
 from repro.debug.instrument import add_observation_point
@@ -84,6 +85,7 @@ from repro.errors import DebugFlowError, LocalizationDrained
 from repro.netlist.compiled import SlotRecord
 from repro.netlist.cones import ConeIndex
 from repro.netlist.core import Netlist, port_name
+from repro.netlist.simulate import stimulus_inputs
 from repro.obs.metrics import METRICS
 from repro.obs.trace import maybe_span
 from repro.resilience.budget import check_deadline
@@ -166,10 +168,6 @@ class ConeLocalizer:
         #: only worth the solver time when a consumer (joint CEGIS)
         #: will read ``LocalizationResult.sat_pairs``
         self.want_pairs = want_pairs
-        self._input_names = {
-            port_name(pi)
-            for pi in strategy.packed.netlist.primary_inputs()
-        }
 
     def _seed(
         self, rep, mismatches: list[Mismatch]
@@ -378,6 +376,14 @@ class ConeLocalizer:
             result.sat_subsets_refuted = pruner.n_subset_refuted
         return result
 
+    @cached_property
+    def _dut_stimulus(self) -> list[dict[str, int]]:
+        """The round's stimulus over the DUT's input ports, shaped once
+        for every probe verdict (probes add outputs, never inputs)."""
+        return stimulus_inputs(
+            self.strategy.packed.netlist, self.trace.stimulus
+        )
+
     def _probe_disagrees(
         self, emulator: Emulator, probe_net: str, obs_name: str,
         record: SlotRecord,
@@ -395,12 +401,7 @@ class ConeLocalizer:
         n_patterns = self.trace.n_patterns
         runner.reset(n_patterns)
         disagrees = False
-        for cycle_in, golden_nets in zip(
-            self.trace.stimulus, self.trace.nets
-        ):
-            inputs = {
-                name: cycle_in.get(name, 0) for name in self._input_names
-            }
+        for inputs, golden_nets in zip(self._dut_stimulus, self.trace.nets):
             outputs = runner.step(inputs, n_patterns)
             probe_value = outputs.get(probe_port)
             golden_value = golden_nets.get(probe_net)

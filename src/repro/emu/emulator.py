@@ -9,9 +9,10 @@ point of emulation), so any output divergence from the golden reference
 is a *design error*, not an artifact.
 
 Observation flags: instrumentation (:mod:`repro.debug.instrument`) adds
-primary outputs named ``obs_flag*``; :meth:`Emulator.run_with_flags`
-separates them from functional outputs so the detection step can watch
-the flags the way a logic analyzer would.
+primary outputs named ``obs_flag*`` and ``obs_probe_*``.
+:meth:`Emulator.step` returns them with the functional outputs, and
+detection (:func:`repro.debug.detect.compare_runs`) judges only the
+outputs the golden model also has.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from repro.errors import EmulationError
 from repro.netlist.simulate import initial_state, make_engine
 from repro.pnr.flow import Layout
 from repro.tiling.eco import ChangeSet
-
-OBS_PREFIX = "obs_flag"
 
 
 class Emulator:
@@ -44,7 +43,6 @@ class Emulator:
         self.netlist = layout.packed.netlist
         self._comb = make_engine(self.netlist, engine)
         self.state: dict[str, int] = {}
-        self.cycle = 0
         self.reset()
 
     def _check_configuration(self) -> None:
@@ -96,32 +94,9 @@ class Emulator:
 
     def reset(self, n_patterns: int = 1) -> None:
         self.state = initial_state(self.netlist, n_patterns)
-        self.cycle = 0
 
     def step(self, inputs: dict[str, int], n_patterns: int = 1) -> dict[str, int]:
         outputs, self.state = self._comb.next_state(
             inputs, n_patterns, self.state
         )
-        self.cycle += 1
         return outputs
-
-    def run(
-        self, stimulus: list[dict[str, int]], n_patterns: int = 1
-    ) -> list[dict[str, int]]:
-        return [self.step(cycle_in, n_patterns) for cycle_in in stimulus]
-
-    def run_with_flags(
-        self, stimulus: list[dict[str, int]], n_patterns: int = 1
-    ) -> tuple[list[dict[str, int]], list[dict[str, int]]]:
-        """Run and split outputs into (functional, observation flags)."""
-        functional: list[dict[str, int]] = []
-        flags: list[dict[str, int]] = []
-        for cycle_in in stimulus:
-            out = self.step(cycle_in, n_patterns)
-            functional.append(
-                {k: v for k, v in out.items() if not k.startswith(OBS_PREFIX)}
-            )
-            flags.append(
-                {k: v for k, v in out.items() if k.startswith(OBS_PREFIX)}
-            )
-        return functional, flags

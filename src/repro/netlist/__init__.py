@@ -26,10 +26,8 @@ from repro.netlist.compiled import CompiledKernel, kernel_for
 from repro.netlist.cones import ConeIndex
 from repro.netlist.simulate import (
     CombinationalSimulator,
-    SequentialSimulator,
     initial_state,
     make_engine,
-    simulate_words,
 )
 from repro.netlist.validate import check_netlist
 
@@ -51,9 +49,7 @@ __all__ = [
     "kernel_for",
     "ConeIndex",
     "CombinationalSimulator",
-    "SequentialSimulator",
     "initial_state",
     "make_engine",
-    "simulate_words",
     "check_netlist",
 ]

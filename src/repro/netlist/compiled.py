@@ -32,9 +32,11 @@ minterm loops.  A LUT table is written as a recursive Shannon cofactor
 decomposition (:func:`_decompose`): a 3-input mux table becomes
 ``(x1 & ~x0) | (x2 & x0)`` where its minterm sum-of-products needs four
 3-literal terms, and a 4-input XOR ``x0 ^ (x1 ^ (x2 ^ x3))``.  The
-minterm form is kept wherever it has fewer operators, and every new LUT
-evaluator must reproduce its table on the projection words before it is
-cached.  Results are bit-exact against the interpreted engine.
+complement of the complement's decomposition is taken wherever it has
+fewer operators (a NAND table is ``~(x0 & (x1 & x2)) & m``), and every
+new LUT evaluator must reproduce its table on the projection words
+before it is cached.  Results are bit-exact against the interpreted
+engine.
 
 Incremental recompile
 =====================
@@ -212,63 +214,27 @@ def _function(loads: list[str], body: str) -> str:
     return "\n".join(lines + [f"    return {body}"])
 
 
-def _op_count(source: str) -> int:
-    """Operators one call of a generated evaluator executes.
-
-    Each operator the generated sources use (``&``, ``|``, ``^``,
-    ``~``) is one character and one ``BinOp``/``UnaryOp`` node.
-    """
-    return sum(source.count(op) for op in "&|^~")
-
-
-def _lut_sop_source(k: int, table: int) -> str:
-    """The minterm sum-of-products evaluator of a k-input LUT table.
-
-    Binds ``nx{j} = ~x{j} & m`` in the preamble when a term needs it;
-    picks the sparser of the ON-set and complemented OFF-set forms.
-    """
-    size = 1 << k
-    full = (1 << size) - 1
-    table &= full
-    loads = [f"x{j} = v[s[{j}]]" for j in range(k)]
-    if table == 0:
-        return _function(loads, "0")
-    if table == full:
-        return _function(loads, "m")
-    ones = [mt for mt in range(size) if (table >> mt) & 1]
-    invert = len(ones) > size // 2
-    if invert:
-        ones = [mt for mt in range(size) if not (table >> mt) & 1]
-    terms = []
-    for mt in ones:
-        lits = [
-            f"x{j}" if (mt >> j) & 1 else f"nx{j}" for j in range(k)
-        ]
-        terms.append("(" + " & ".join(lits) + ")")
-    body = " | ".join(terms)
-    if invert:
-        body = f"~({body}) & m"
-    if "nx" in body:
-        loads += [f"nx{j} = ~x{j} & m" for j in range(k)]
-    return _function(loads, body)
-
-
 def _lut_source(k: int, table: int) -> str:
     """Evaluator source of a k-input LUT table.
 
-    The cofactor decomposition (:func:`_decompose`), loading only the
-    inputs it reads, unless the minterm sum-of-products has fewer
-    operators, so no table costs more than its SOP form.
+    The cheaper of the table's cofactor decomposition
+    (:func:`_decompose`) and ``~(...) & m`` over the decomposition of
+    its complement (two more operators; ties keep the direct form),
+    loading only the inputs it reads.  The complement form serves
+    tables such as NAND, whose complement is one chain of ``&``.
     """
-    table &= (1 << (1 << k)) - 1
-    _, body = _decompose(table, tuple(f"x{j}" for j in range(k)))
+    full = (1 << (1 << k)) - 1
+    table &= full
+    names = tuple(f"x{j}" for j in range(k))
+    cost, body = _decompose(table, names)
+    inv_cost, inv_body = _decompose(table ^ full, names)
+    if inv_cost + 2 < cost:
+        body = f"~{_group(inv_body)} & m"
     loads = [
         f"x{j} = v[s[{j}]]" for j in range(k)
         if re.search(rf"\bx{j}\b", body)
     ]
-    return min(
-        (_function(loads, body), _lut_sop_source(k, table)), key=_op_count
-    )
+    return _function(loads, body)
 
 
 def _gen_source(op: int, k: int, table: int | None) -> str:
@@ -356,10 +322,11 @@ def _fn_for(op: int, k: int, table: int | None):
 class CompiledKernel:
     """Lowered, replayable form of one netlist.
 
-    API-compatible with :class:`CombinationalSimulator` (``run``,
-    ``next_state``, ``probe``) and bit-exact against it.  Use
+    Offers the same two views as :class:`CombinationalSimulator`
+    (``next_state``, ``probe``) and is bit-exact against it.  Use
     :func:`kernel_for` to share one kernel per netlist across the
-    emulator, sequential simulator and localizer.
+    emulator, :func:`~repro.netlist.simulate.replay_outputs`, the golden
+    trace and the localizer.
     """
 
     def __init__(self, netlist: Netlist) -> None:
@@ -577,17 +544,6 @@ class CompiledKernel:
             v[d] = fn(v, s, mask)
         return v
 
-    def run(
-        self,
-        inputs: dict[str, int],
-        n_patterns: int,
-        state: dict[str, int] | None = None,
-    ) -> dict[str, int]:
-        """Primary-output words for the given input words."""
-        self.ensure_current()
-        v = self._evaluate(inputs, n_patterns, state or {})
-        return {name: v[slot] for name, slot in self._outputs}
-
     def next_state(
         self,
         inputs: dict[str, int],
@@ -607,7 +563,7 @@ class CompiledKernel:
         n_patterns: int,
         state: dict[str, int] | None = None,
     ) -> dict[str, int]:
-        """The word on every driven net — used by error localization."""
+        """The word on every driven net — read by the golden trace."""
         self.ensure_current()
         if self._probe_slots is None:
             # mirrors the interpreted engine: the output net of every

@@ -5,8 +5,9 @@ signal value under test pattern ``i``.  A single pass therefore evaluates
 an arbitrary number of patterns at once, which keeps golden-model
 emulation of the thousand-CLB designs fast enough for the debug loop.
 
-Two combinational engines are provided behind one interface
-(``run`` / ``next_state`` / ``probe``):
+Two combinational engines are provided behind one interface of two
+views, ``next_state`` (outputs and next FF state) and ``probe`` (the
+word on every net, read by :class:`repro.debug.detect.GoldenTrace`):
 
 * :class:`CombinationalSimulator` — the retained interpreted engine,
   walking instances and dispatching through ``eval_gate``;
@@ -15,8 +16,9 @@ Two combinational engines are provided behind one interface
   probe verdicts); selected with ``engine="compiled"`` and shared per
   netlist via :func:`repro.netlist.compiled.kernel_for`.
 
-:class:`SequentialSimulator` layers flip-flop state on either engine and
-is the reference model for :mod:`repro.emu`.
+:func:`replay_outputs` is the one netlist run from reset over a
+stimulus, and :func:`stimulus_inputs` the one place that shapes a
+stimulus to a netlist's input ports.
 """
 
 from __future__ import annotations
@@ -29,14 +31,29 @@ from repro.netlist.core import Netlist, port_name
 def initial_state(netlist: Netlist, n_patterns: int) -> dict[str, int]:
     """Every FF's init value replicated across ``n_patterns`` patterns.
 
-    The single source of truth for reset state, shared by the
-    sequential simulator, the emulator and the golden trace.
+    The single source of truth for reset state, shared by
+    :func:`replay_outputs`, the emulator and the golden trace.
     """
     mask = (1 << n_patterns) - 1
     return {
         ff.name: (mask if ff.params.get("init", 0) else 0)
         for ff in netlist.flip_flops()
     }
+
+
+def stimulus_inputs(
+    netlist: Netlist, stimulus: list[dict[str, int]]
+) -> list[dict[str, int]]:
+    """Each cycle's input map over exactly ``netlist``'s input ports.
+
+    Ports missing from a cycle's map read 0 — the emulator's contract
+    for disabled control inputs — and names that are not ports of
+    ``netlist`` are dropped.  Every run over a stimulus (replays, the
+    golden trace, detection, probe verdicts) shapes it here, so each
+    judges the same interface.
+    """
+    ports = [port_name(pi) for pi in netlist.primary_inputs()]
+    return [{port: cycle.get(port, 0) for port in ports} for cycle in stimulus]
 
 
 def make_engine(netlist: Netlist, engine: str = "compiled"):
@@ -59,9 +76,9 @@ def make_engine(netlist: Netlist, engine: str = "compiled"):
 class CombinationalSimulator:
     """Evaluate the combinational view of a netlist on pattern words.
 
-    Flip-flops are treated as pseudo-inputs (their Q value may be
-    supplied via ``state``) and pseudo-outputs (next-state D values are
-    returned when ``with_state`` is set).
+    Flip-flops are pseudo-inputs (their Q word comes from ``state``;
+    a missing FF reads its init value) and pseudo-outputs (their D
+    words are the next state).
     """
 
     def __init__(self, netlist: Netlist) -> None:
@@ -74,21 +91,6 @@ class CombinationalSimulator:
         self._outputs = [
             (port_name(po), po.inputs[0]) for po in netlist.primary_outputs()
         ]
-
-    def run(
-        self,
-        inputs: dict[str, int],
-        n_patterns: int,
-        state: dict[str, int] | None = None,
-    ) -> dict[str, int]:
-        """Return primary-output words for the given input words.
-
-        ``inputs`` maps primary-input port names to words; ``state`` maps
-        DFF instance names to current Q words (missing FFs use their init
-        value replicated across patterns).
-        """
-        values = self._evaluate(inputs, n_patterns, state or {})
-        return {name: values[net.name] for name, net in self._outputs}
 
     def next_state(
         self,
@@ -110,7 +112,7 @@ class CombinationalSimulator:
         n_patterns: int,
         state: dict[str, int] | None = None,
     ) -> dict[str, int]:
-        """Return the word on *every* net — used by error localization."""
+        """Return the word on *every* net — read by the golden trace."""
         return self._evaluate(inputs, n_patterns, state or {})
 
     def _evaluate(
@@ -141,43 +143,6 @@ class CombinationalSimulator:
         return values
 
 
-class SequentialSimulator:
-    """Cycle-accurate reference model with explicit FF state."""
-
-    def __init__(self, netlist: Netlist, engine: str = "compiled") -> None:
-        self._comb = make_engine(netlist, engine)
-        self.netlist = netlist
-        self.engine = engine
-        self.state: dict[str, int] = {}
-        self.cycle = 0
-        self.reset(n_patterns=1)
-
-    def reset(self, n_patterns: int = 1) -> None:
-        """Load every FF with its init value replicated over patterns."""
-        self.state = initial_state(self.netlist, n_patterns)
-        self.cycle = 0
-
-    def step(self, inputs: dict[str, int], n_patterns: int = 1) -> dict[str, int]:
-        """Advance one clock: returns this cycle's primary outputs."""
-        outputs, next_state = self._comb.next_state(inputs, n_patterns, self.state)
-        self.state = next_state
-        self.cycle += 1
-        return outputs
-
-    def run(
-        self, stimulus: list[dict[str, int]], n_patterns: int = 1
-    ) -> list[dict[str, int]]:
-        """Apply a list of per-cycle input maps; returns per-cycle outputs."""
-        return [self.step(cycle_inputs, n_patterns) for cycle_inputs in stimulus]
-
-
-def simulate_words(
-    netlist: Netlist, inputs: dict[str, int], n_patterns: int
-) -> dict[str, int]:
-    """One-shot combinational simulation convenience wrapper."""
-    return CombinationalSimulator(netlist).run(inputs, n_patterns)
-
-
 def replay_outputs(
     netlist: Netlist,
     stimulus: list[dict[str, int]],
@@ -186,16 +151,15 @@ def replay_outputs(
 ) -> list[dict[str, int]]:
     """Per-cycle outputs of a run from reset over ``stimulus``.
 
-    Ports missing from a cycle's map read 0 — the emulator's contract
-    for disabled control inputs, which
-    :class:`repro.debug.detect.GoldenTrace` shares, so the DUT replays
-    of counterexamples and CEGIS checks judge the same interface as
-    detection.
+    The inputs are shaped by :func:`stimulus_inputs`, as
+    :class:`repro.debug.detect.GoldenTrace` and detection shape theirs,
+    so the DUT replays of counterexamples and CEGIS checks judge the
+    same interface as detection.
     """
-    sim = SequentialSimulator(netlist, engine=engine)
-    sim.reset(n_patterns)
-    ports = {port_name(pi) for pi in netlist.primary_inputs()}
-    return [
-        sim.step({p: cycle.get(p, 0) for p in ports}, n_patterns)
-        for cycle in stimulus
-    ]
+    comb = make_engine(netlist, engine)
+    state = initial_state(netlist, n_patterns)
+    outputs = []
+    for inputs in stimulus_inputs(netlist, stimulus):
+        out, state = comb.next_state(inputs, n_patterns, state)
+        outputs.append(out)
+    return outputs

@@ -13,7 +13,7 @@ else.  That laziness is load-bearing three times over:
 * the diagnose encodings only materialize the frames up to the first
   observed failure.
 
-Frame semantics match :class:`repro.netlist.simulate.SequentialSimulator`
+Frame semantics match :func:`repro.netlist.simulate.replay_outputs`
 exactly: combinational logic is evaluated per frame, a DFF's Q at frame
 ``t`` is its D literal at frame ``t-1``, and frame 0 starts from the
 ``init`` parameter — the same reset state

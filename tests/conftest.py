@@ -7,6 +7,7 @@ import pytest
 from repro.arch import pick_device
 from repro.generators import build_design
 from repro.netlist import Netlist, NetlistBuilder
+from repro.netlist.simulate import replay_outputs
 from repro.pnr import EFFORT_PRESETS, full_place_and_route
 from repro.synth import map_to_luts, pack_netlist
 
@@ -16,6 +17,12 @@ def pytest_configure(config):
         "markers",
         "slow: long-running campaigns, opt in with REPRO_SLOW=1",
     )
+
+
+def comb_outputs(netlist: Netlist, inputs: dict, n_patterns: int) -> dict:
+    """Primary outputs of one interpreted cycle from reset."""
+    (out,) = replay_outputs(netlist, [inputs], n_patterns, engine="interpreted")
+    return out
 
 
 def make_adder_netlist(width: int = 4, registered: bool = False) -> Netlist:

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro.errors import NetlistError
-from repro.netlist import check_netlist, simulate_words
+from repro.netlist import check_netlist
 from repro.netlist.blif import read_blif, write_blif
-from tests.conftest import make_adder_netlist
+from repro.netlist.simulate import replay_outputs
+from tests.conftest import comb_outputs, make_adder_netlist
 
 
 SAMPLE = """
@@ -35,7 +36,7 @@ def test_read_basic_structure():
 
 def test_read_semantics():
     n = read_blif(SAMPLE)
-    out = simulate_words(n, {"a": 0b11, "b": 0b01}, 2)
+    out = comb_outputs(n, {"a": 0b11, "b": 0b01}, 2)
     # y = NOT(a AND b): pattern0 a=b=1 -> 0; pattern1 a=1,b=0 -> 1
     assert out["y"] == 0b10
 
@@ -51,7 +52,7 @@ def test_dont_care_cover():
 .end
 """
     n = read_blif(text)
-    out = simulate_words(n, {"a": 0b0011, "b": 0b0101, "c": 0b1111}, 4)
+    out = comb_outputs(n, {"a": 0b0011, "b": 0b0101, "c": 0b1111}, 4)
     # y = a OR (b AND c)
     for p in range(4):
         a, b, c = (0b0011 >> p) & 1, (0b0101 >> p) & 1, 1
@@ -67,7 +68,7 @@ def test_offset_cover():
 11 0
 """
     n = read_blif(text)
-    out = simulate_words(n, {"a": 0b0101, "b": 0b0011}, 4)
+    out = comb_outputs(n, {"a": 0b0101, "b": 0b0011}, 4)
     for p in range(4):
         a, b = (0b0101 >> p) & 1, (0b0011 >> p) & 1
         assert (out["y"] >> p) & 1 == (0 if (a and b) else 1)
@@ -84,7 +85,7 @@ def test_constant_names():
 .end
 """
     n = read_blif(text)
-    out = simulate_words(n, {"a": 0}, 1)
+    out = comb_outputs(n, {"a": 0}, 1)
     assert out["one"] == 1
     assert out["zero"] == 0
 
@@ -99,9 +100,9 @@ def test_wide_cover_expands_to_gates():
     n = read_blif(text)
     check_netlist(n)
     ones = {c: 1 for c in lits}
-    assert simulate_words(n, ones, 1)["y"] == 1
+    assert comb_outputs(n, ones, 1)["y"] == 1
     ones["d"] = 0
-    assert simulate_words(n, ones, 1)["y"] == 0
+    assert comb_outputs(n, ones, 1)["y"] == 0
 
 
 def test_malformed_directive_rejected():
@@ -116,16 +117,14 @@ def test_roundtrip_preserves_function():
     parsed = read_blif(text)
     check_netlist(parsed)
 
-    from repro.netlist import SequentialSimulator
-
-    sim_a = SequentialSimulator(original)
-    sim_b = SequentialSimulator(parsed)
+    stimulus = []
     for _ in range(4):
         ins = {f"a[{i}]": rng.getrandbits(16) for i in range(5)}
         ins |= {f"b[{i}]": rng.getrandbits(16) for i in range(5)}
-        out_a = sim_a.step(ins, 16)
-        out_b = sim_b.step(ins, 16)
-        assert out_a == out_b
+        stimulus.append(ins)
+    assert replay_outputs(original, stimulus, 16) == replay_outputs(
+        parsed, stimulus, 16
+    )
 
 
 def test_roundtrip_of_mapped_netlist(styr_bundle):

@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetlistError
-from repro.netlist import Netlist, NetlistBuilder, check_netlist, simulate_words
-from repro.netlist import SequentialSimulator
-
-
-def run_comb(netlist, inputs, n_patterns):
-    return simulate_words(netlist, inputs, n_patterns)
+from repro.netlist import Netlist, NetlistBuilder, check_netlist
+from repro.netlist.simulate import replay_outputs
+from tests.conftest import comb_outputs
 
 
 def word_inputs(prefix, values, width, n_patterns):
@@ -47,7 +44,7 @@ def test_adder_matches_integer_addition(a, b):
     n.add_output("cout", cout)
     check_netlist(n)
     ins = word_inputs("a", a, 8, 8) | word_inputs("b", b, 8, 8)
-    out = run_comb(n, ins, 8)
+    out = comb_outputs(n, ins, 8)
     for p in range(8):
         total = read_word(out, "s", 8, p) + (((out["cout"] >> p) & 1) << 8)
         assert total == a[p] + b[p]
@@ -68,7 +65,7 @@ def test_subtractor_and_comparator(a, b):
     n.add_output("lt", bd.less_than_unsigned(x, y))
     n.add_output("eq", bd.equals(x, y))
     ins = word_inputs("a", a, 6, 4) | word_inputs("b", b, 6, 4)
-    out = run_comb(n, ins, 4)
+    out = comb_outputs(n, ins, 4)
     for p in range(4):
         assert read_word(out, "d", 6, p) == (a[p] - b[p]) % 64
         assert (out["lt"] >> p) & 1 == int(a[p] < b[p])
@@ -83,7 +80,7 @@ def test_popcount_tree():
     cnt = bd.popcount(x)
     bd.output_word("c", cnt)
     vals = [rng.getrandbits(11) for _ in range(32)]
-    out = run_comb(n, word_inputs("x", vals, 11, 32), 32)
+    out = comb_outputs(n, word_inputs("x", vals, 11, 32), 32)
     for p in range(32):
         assert read_word(out, "c", len(cnt), p) == bin(vals[p]).count("1")
 
@@ -97,7 +94,7 @@ def test_mux_tree_selects_each_choice():
     bd.output_word("o", out_word)
     for code, expected in enumerate((3, 7, 12, 9)):
         ins = {"s[0]": code & 1, "s[1]": (code >> 1) & 1}
-        out = run_comb(n, ins, 1)
+        out = comb_outputs(n, ins, 1)
         assert read_word(out, "o", 4, 0) == expected
 
 
@@ -117,7 +114,7 @@ def test_decoder_one_hot():
     bd.output_word("h", hot)
     for code in range(8):
         ins = {f"s[{i}]": (code >> i) & 1 for i in range(3)}
-        out = run_comb(n, ins, 1)
+        out = comb_outputs(n, ins, 1)
         value = read_word(out, "h", 8, 0)
         assert value == 1 << code
 
@@ -129,7 +126,7 @@ def test_decoder_with_enable():
     en = n.add_input("en")
     hot = bd.decoder(sel, enable=en)
     bd.output_word("h", hot)
-    out = run_comb(n, {"s[0]": 1, "s[1]": 0, "en": 0}, 1)
+    out = comb_outputs(n, {"s[0]": 1, "s[1]": 0, "en": 0}, 1)
     assert read_word(out, "h", 4, 0) == 0
 
 
@@ -140,12 +137,11 @@ def test_register_with_enable_holds_value():
     en = n.add_input("en")
     q = bd.register(d, enable=en, name="r")
     bd.output_word("q", q)
-    sim = SequentialSimulator(n)
-    sim.step({"d[0]": 1, "d[1]": 1, "d[2]": 0, "d[3]": 0, "en": 1})
-    out = sim.step({"d[0]": 0, "d[1]": 0, "d[2]": 1, "d[3]": 1, "en": 0})
+    load = {"d[0]": 1, "d[1]": 1, "d[2]": 0, "d[3]": 0, "en": 1}
+    hold = {"d[0]": 0, "d[1]": 0, "d[2]": 1, "d[3]": 1, "en": 0}
+    _, out, again = replay_outputs(n, [load, hold, hold])
     assert read_word(out, "q", 4, 0) == 0b0011  # held despite new data
-    out = sim.step({"d[0]": 0, "d[1]": 0, "d[2]": 1, "d[3]": 1, "en": 0})
-    assert read_word(out, "q", 4, 0) == 0b0011
+    assert read_word(again, "q", 4, 0) == 0b0011
 
 
 def test_counter_counts():
@@ -153,8 +149,7 @@ def test_counter_counts():
     bd = NetlistBuilder(n)
     q = bd.counter(5, name="c")
     bd.output_word("q", q)
-    sim = SequentialSimulator(n)
-    seen = [read_word(sim.step({}), "q", 5, 0) for _ in range(6)]
+    seen = [read_word(out, "q", 5, 0) for out in replay_outputs(n, [{}] * 6)]
     assert seen == [0, 1, 2, 3, 4, 5]
 
 

@@ -8,9 +8,10 @@ points, correction), and whether the edits reach the kernel
 incrementally or force a full recompile.  Its cone-sliced probe
 runners must agree with full replay on the sliced ports, also when they
 share a round record of slot words, and the golden trace's output
-projection must equal a plain replay.  Every LUT micro-kernel must equal
-the minterm reference ``eval_lut`` with no more operators than the
-minterm sum-of-products.
+projection and detection on an unmodified layout must equal a plain
+replay.  Every LUT micro-kernel must equal the minterm reference
+``eval_lut`` with no more operators than the minterm sum-of-products
+(:func:`_sop_source`, kept here as the reference).
 """
 
 import ast
@@ -19,9 +20,11 @@ import os
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.arch import pick_device
 from repro.debug import ERROR_KINDS, apply_correction, inject_error
-from repro.debug.detect import GoldenTrace
+from repro.debug.detect import GoldenTrace, detect_on_layout
 from repro.debug.instrument import add_control_point, add_observation_point
+from repro.emu import Emulator
 from repro.errors import DebugFlowError, NetlistError
 from repro.generators import build_design
 from repro.generators.random_logic import random_sequential_netlist
@@ -31,13 +34,14 @@ from repro.netlist.compiled import (
     OP_LUT,
     SlotRecord,
     _build_fn,
+    _function,
     _gen_source,
-    _lut_sop_source,
-    _op_count,
 )
-from repro.netlist.simulate import SequentialSimulator, replay_outputs
+from repro.netlist.core import port_name
+from repro.netlist.simulate import replay_outputs
+from repro.pnr import EFFORT_PRESETS, full_place_and_route
 from repro.rng import make_rng
-from repro.synth import map_to_luts
+from repro.synth import map_to_luts, pack_netlist
 from repro.tiling.eco import ChangeRecorder
 
 ALL_ENGINES = ("interpreted", "compiled")
@@ -103,8 +107,27 @@ def test_engine_replay_identity(seed, kind, stim_seed):
         replay_outputs(netlist, stim, 48, engine=e) for e in ALL_ENGINES
     ]
     assert replays[0] == replays[1]
+    packed = pack_netlist(netlist)
+    device = pick_device(
+        packed.n_clbs, area_overhead=0.8, min_io=len(packed.io_blocks())
+    )
+    layout = full_place_and_route(
+        packed, device, seed=seed, preset=EFFORT_PRESETS["fast"],
+        strict_routing=False,
+    )
     for engine, replay in zip(ALL_ENGINES, replays):
-        assert GoldenTrace(netlist, stim, 48, engine).outputs == replay
+        trace = GoldenTrace(netlist, stim, 48, engine)
+        assert trace.outputs == replay
+        assert detect_on_layout(layout, trace) == []
+    # a probe verdict's slice of each output port, sharing one record
+    emulator = Emulator(layout, engine="compiled")
+    record = SlotRecord(len(stim))
+    for po in netlist.primary_outputs():
+        port = port_name(po)
+        runner = emulator.cone_runner((port,), record)
+        runner.reset(48)
+        sliced = [runner.step(cycle, 48)[port] for cycle in stim]
+        assert sliced == [cycle[port] for cycle in replays[0]]
 
 
 @given(
@@ -193,11 +216,9 @@ def _window(netlist, seed, n_cycles=6, n_patterns=32):
 
 def _replay_matches(netlist, runner, ports, stimulus, n_patterns=32):
     """Each port's word on every cycle equals the interpreted replay."""
-    full = SequentialSimulator(netlist, engine="interpreted")
-    full.reset(n_patterns)
+    full = replay_outputs(netlist, stimulus, n_patterns, engine="interpreted")
     runner.reset(n_patterns)
-    for inputs in stimulus:
-        out_full = full.step(inputs, n_patterns)
+    for inputs, out_full in zip(stimulus, full):
         out_slice = runner.step(inputs, n_patterns)
         for port in ports:
             assert out_slice[port] == out_full[port]
@@ -315,20 +336,17 @@ def test_record_publishes_whole_windows_only():
     _replay_matches(netlist, again, ports, stimulus)
 
 
-@given(seed=st.integers(0, 5_000), engine=st.sampled_from(ALL_ENGINES))
+@given(seed=st.integers(0, 5_000))
 @settings(max_examples=8, deadline=None)
-def test_sequential_simulator_engines_agree(seed, engine):
+def test_replay_engines_agree_on_gate_netlists(seed):
     netlist = _random_design(seed, mapped=False)
-    ref = SequentialSimulator(netlist, engine="interpreted")
-    dut = SequentialSimulator(netlist, engine=engine)
     rng = make_rng(seed, "seq")
     names = _input_names(netlist)
-    ref.reset(32)
-    dut.reset(32)
-    for _ in range(4):
-        inputs = {n: rng.getrandbits(32) for n in names}
-        assert ref.step(inputs, 32) == dut.step(inputs, 32)
-    assert ref.state == dut.state
+    stimulus = [{n: rng.getrandbits(32) for n in names} for _ in range(4)]
+    replays = [
+        replay_outputs(netlist, stimulus, 32, engine=e) for e in ALL_ENGINES
+    ]
+    assert replays[0] == replays[1]
 
 
 @given(seed=st.integers(0, 5_000))
@@ -398,6 +416,44 @@ def _assert_lut_kernel(k, table, rng):
         assert got == eval_lut(table, words, mask), (k, hex(table), n_patterns)
 
 
+def _sop_source(k: int, table: int) -> str:
+    """The minterm sum-of-products evaluator of a k-input LUT table.
+
+    Binds ``nx{j} = ~x{j} & m`` in the preamble when a term needs it;
+    picks the sparser of the ON-set and complemented OFF-set forms.
+    """
+    size = 1 << k
+    full = (1 << size) - 1
+    table &= full
+    loads = [f"x{j} = v[s[{j}]]" for j in range(k)]
+    if table == 0:
+        return _function(loads, "0")
+    if table == full:
+        return _function(loads, "m")
+    ones = [mt for mt in range(size) if (table >> mt) & 1]
+    invert = len(ones) > size // 2
+    if invert:
+        ones = [mt for mt in range(size) if not (table >> mt) & 1]
+    terms = []
+    for mt in ones:
+        lits = [
+            f"x{j}" if (mt >> j) & 1 else f"nx{j}" for j in range(k)
+        ]
+        terms.append("(" + " & ".join(lits) + ")")
+    body = " | ".join(terms)
+    if invert:
+        body = f"~({body}) & m"
+    if "nx" in body:
+        loads += [f"nx{j} = ~x{j} & m" for j in range(k)]
+    return _function(loads, body)
+
+
+def _op_count(source):
+    """Operators one call of a generated evaluator executes: each of
+    ``&``, ``|``, ``^``, ``~`` is one character and one AST node."""
+    return sum(source.count(op) for op in "&|^~")
+
+
 def _ast_ops(source):
     return sum(
         isinstance(node, (ast.BinOp, ast.UnaryOp))
@@ -422,7 +478,7 @@ def test_lut_kernels_match_the_minterm_reference():
         _assert_lut_kernel(k, table, rng)
         kernel = _gen_source(OP_LUT, k, table)
         assert _ast_ops(kernel) == _op_count(kernel)
-        assert _ast_ops(kernel) <= _ast_ops(_lut_sop_source(k, table))
+        assert _ast_ops(kernel) <= _ast_ops(_sop_source(k, table))
 
 
 def test_decomposition_shrinks_the_mux_and_xor_tables():
@@ -432,6 +488,9 @@ def test_decomposition_shrinks_the_mux_and_xor_tables():
     assert des.endswith("return x0 ^ ((x2 & ~x1) | (x3 & x1))")
     # a table that ignores an input does not load it
     assert "s[1]" not in _gen_source(OP_LUT, 2, 0b0101)
+    # a NAND table is the complement of its complement's decomposition
+    nand = _gen_source(OP_LUT, 3, 127)
+    assert nand.endswith("return ~(x0 & (x1 & x2)) & m")
 
 
 def test_a_wrong_lut_kernel_is_refused(monkeypatch):
@@ -454,4 +513,4 @@ def test_every_4_input_lut_kernel():
     for table in range(1 << 16):
         _assert_lut_kernel(4, table, rng)
         kernel = _gen_source(OP_LUT, 4, table)
-        assert _op_count(kernel) <= _op_count(_lut_sop_source(4, table))
+        assert _op_count(kernel) <= _op_count(_sop_source(4, table))

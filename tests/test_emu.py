@@ -5,20 +5,18 @@ import pytest
 from repro.emu import Bitstream, Emulator, frames_for_tiles
 from repro.errors import EmulationError
 from repro.geometry import Rect
-from repro.netlist.simulate import SequentialSimulator
+from repro.netlist.simulate import replay_outputs
 
 
 def test_emulator_matches_golden_model(small_layout):
     emulator = Emulator(small_layout)
-    golden = SequentialSimulator(small_layout.packed.netlist)
     inputs = {
         pi.name.split(":", 1)[-1]: 0b1011
         for pi in small_layout.packed.netlist.primary_inputs()
     }
+    golden = replay_outputs(small_layout.packed.netlist, [inputs] * 4, 4)
     emulator.reset(4)
-    golden.reset(4)
-    for _ in range(4):
-        assert emulator.step(inputs, 4) == golden.step(inputs, 4)
+    assert [emulator.step(inputs, 4) for _ in range(4)] == golden
 
 
 def test_emulator_rejects_incomplete_configuration(small_layout):
@@ -27,18 +25,6 @@ def test_emulator_rejects_incomplete_configuration(small_layout):
     broken.placement.remove(some_block)
     with pytest.raises(EmulationError):
         Emulator(broken)
-
-
-def test_run_with_flags_separates_observation(small_layout):
-    emulator = Emulator(small_layout)
-    names = {
-        pi.name.split(":", 1)[-1]
-        for pi in small_layout.packed.netlist.primary_inputs()
-    }
-    stim = [{n: 0 for n in names}] * 2
-    functional, flags = emulator.run_with_flags(stim)
-    assert len(functional) == 2
-    assert all(not k.startswith("obs_flag") for out in functional for k in out)
 
 
 class TestBitstream:

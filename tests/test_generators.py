@@ -19,8 +19,9 @@ from repro.generators.hamming import (
     reference_correct,
 )
 from repro.generators.parity import reference_9sym_value
-from repro.netlist import check_netlist, simulate_words
-from repro.netlist.simulate import SequentialSimulator
+from repro.netlist import check_netlist
+from repro.netlist.simulate import replay_outputs
+from tests.conftest import comb_outputs
 
 SMALL = ["9sym", "styr", "sand", "c499", "planet1", "c880", "s9234"]
 
@@ -64,7 +65,7 @@ def test_9sym_function():
         ins[name] = 0
     for i in range(9):
         ins[f"x0[{i}]"] = xs[i]
-    out = simulate_words(bundle.netlist, ins, W)
+    out = comb_outputs(bundle.netlist, ins, W)
     for p in range(W):
         bits = [(xs[i] >> p) & 1 for i in range(9)]
         assert (out["f0"] >> p) & 1 == reference_9sym_value(bits)
@@ -79,7 +80,7 @@ def test_c499_corrects_all_single_errors():
         ins = {f"d[{i}]": (rx >> i) & 1 for i in range(N_DATA)}
         ins |= {f"c[{j}]": (check >> j) & 1 for j in range(N_CHECK)}
         ins["en"] = 1
-        out = simulate_words(bundle.netlist, ins, 1)
+        out = comb_outputs(bundle.netlist, ins, 1)
         got = sum((out[f"q[{i}]"] & 1) << i for i in range(N_DATA))
         assert got == data == reference_correct(rx, check)
 
@@ -91,7 +92,7 @@ def test_c499_clean_word_untouched():
     ins = {f"d[{i}]": (data >> i) & 1 for i in range(N_DATA)}
     ins |= {f"c[{j}]": (check >> j) & 1 for j in range(N_CHECK)}
     ins["en"] = 1
-    out = simulate_words(bundle.netlist, ins, 1)
+    out = comb_outputs(bundle.netlist, ins, 1)
     got = sum((out[f"q[{i}]"] & 1) << i for i in range(N_DATA))
     assert got == data
     assert out["err"] == 0
@@ -111,7 +112,7 @@ def test_c880_alu_against_reference():
         # second slice inputs: zeros
         ins |= {f"a1[{i}]": 0 for i in range(width)}
         ins |= {f"b1[{i}]": 0 for i in range(width)}
-        out = simulate_words(bundle.netlist, ins, 1)
+        out = comb_outputs(bundle.netlist, ins, 1)
         got = sum((out[f"r0[{i}]"] & 1) << i for i in range(width))
         want, _ = reference_alu(a, b, op, 0, width)
         assert got == want, f"op={op}"
@@ -126,7 +127,7 @@ def test_des_known_answer_fips():
     netlist = make_des("ka", n_rounds=16, pipeline=False)
     ins = {f"pt[{i}]": (pt >> (63 - i)) & 1 for i in range(64)}
     ins |= {f"key[{i}]": (key56 >> (55 - i)) & 1 for i in range(56)}
-    out = simulate_words(netlist, ins, 1)
+    out = comb_outputs(netlist, ins, 1)
     ct = 0
     for i in range(64):
         ct = (ct << 1) | (out[f"ct[{i}]"] & 1)
@@ -137,11 +138,9 @@ def test_des_pipelined_matches_reference():
     key56 = _permute_int(0xAABB09182736CCDD, 64, PC1)
     pt = 0x123456ABCD132536
     netlist = make_des("pipe", n_rounds=5, pipeline=True)
-    sim = SequentialSimulator(netlist)
     ins = {f"pt[{i}]": (pt >> (63 - i)) & 1 for i in range(64)}
     ins |= {f"key[{i}]": (key56 >> (55 - i)) & 1 for i in range(56)}
-    for _ in range(5):
-        out = sim.step(ins)
+    out = replay_outputs(netlist, [ins] * 5)[-1]
     ct = 0
     for i in range(64):
         ct = (ct << 1) | (out[f"ct[{i}]"] & 1)
@@ -153,31 +152,26 @@ def test_mips_executes_addi_and_branch():
 
     netlist = make_mips(width=8, n_regs=4)
     check_netlist(netlist)
-    sim = SequentialSimulator(netlist)
 
-    def step(instr, mem=0):
+    def fetch(instr, mem=0):
         ins = {f"instr[{i}]": (instr >> i) & 1 for i in range(32)}
         ins |= {f"mem_rdata[{i}]": (mem >> i) & 1 for i in range(8)}
-        return sim.step(ins)
+        return ins
 
     def pc_of(out):
         return sum((out[f"pc_out[{i}]"] & 1) << i for i in range(8))
 
     # addi $1, $0, 5  (opcode 001000, rs=0, rt=1, imm=5)
     addi = (0b001000 << 26) | (0 << 21) | (1 << 16) | 5
-    out = step(addi)
-    assert pc_of(out) == 0
     # store $1 to observe it: sw $1, 0($0) -> mem_wdata = reg1
     sw = (0b101011 << 26) | (0 << 21) | (1 << 16) | 0
-    out = step(sw)
-    assert pc_of(out) == 4  # PC advanced
-    wdata = sum((out[f"mem_wdata[{i}]"] & 1) << i for i in range(8))
-    assert wdata == 5
-    assert out["mem_write"] == 1
-
     # beq $0, $0, +3 -> branch taken: pc = pc+4 + 3*4
     beq = (0b000100 << 26) | (0 << 21) | (0 << 16) | 3
-    out = step(beq)
-    pc_before = pc_of(out)
-    out = step(addi)
-    assert pc_of(out) == pc_before + 4 + 12
+    program = [fetch(instr) for instr in (addi, sw, beq, addi)]
+    at_addi, at_sw, at_beq, after_beq = replay_outputs(netlist, program)
+    assert pc_of(at_addi) == 0
+    assert pc_of(at_sw) == 4  # PC advanced
+    wdata = sum((at_sw[f"mem_wdata[{i}]"] & 1) << i for i in range(8))
+    assert wdata == 5
+    assert at_sw["mem_write"] == 1
+    assert pc_of(after_beq) == pc_of(at_beq) + 4 + 12

@@ -36,8 +36,8 @@ def golden_simulations(monkeypatch):
     """Run a spec while recording every engine built, per netlist.
 
     Returns ``run(spec) -> (ctx, builds, passes)``: ``builds`` lists
-    ``(netlist, inside_trace)`` for every ``make_engine`` call and
-    ``SequentialSimulator`` built during the run; ``passes`` lists
+    ``(netlist, inside_trace)`` for every ``make_engine`` call during
+    the run (every replay from reset builds through it); ``passes`` lists
     ``(stimulus key, is_counterexample)`` for every golden trace
     simulation.
     """
@@ -55,14 +55,6 @@ def golden_simulations(monkeypatch):
         if (name.startswith("repro")
                 and getattr(module, "make_engine", None) is real_make_engine):
             monkeypatch.setattr(module, "make_engine", make_engine)
-
-    real_init = simulate.SequentialSimulator.__init__
-
-    def init(self, netlist, engine="compiled"):
-        builds.append((netlist, inside[0]))
-        real_init(self, netlist, engine)
-
-    monkeypatch.setattr(simulate.SequentialSimulator, "__init__", init)
 
     real_nets = vars(detect.GoldenTrace)["nets"].func
 
@@ -143,3 +135,9 @@ def test_two_fault_cegis_run_simulates_golden_once_per_stimulus(
     assert ctx.trace.n_patterns == n_patterns + rearms
     stimuli = _run_stimulus_passes(ctx, builds, passes)
     assert len(stimuli) == 1 + rearms
+    if error_seed == 1:
+        # the oracle fallback's scratch replay is recorded too
+        assert any(
+            netlist.name.endswith(".fallback") and not inside
+            for netlist, inside in builds
+        )

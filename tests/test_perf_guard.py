@@ -17,10 +17,10 @@ from repro.netlist import (
     CellKind,
     CombinationalSimulator,
     ConeIndex,
-    SequentialSimulator,
     kernel_for,
 )
 from repro.netlist.compiled import CompiledKernel
+from repro.netlist.simulate import replay_outputs
 from repro.rng import make_rng
 from tests.conftest import make_adder_netlist
 
@@ -39,9 +39,7 @@ class TestStructureCaching:
         levels = netlist.levels()
         adj = netlist.adjacency()
         # simulate both engines and re-query: no recompute, no bump
-        sim = SequentialSimulator(netlist, engine="compiled")
-        sim.step({n.name.split(":", 1)[-1]: 0
-                  for n in netlist.primary_inputs()}, 1)
+        replay_outputs(netlist, [{}])
         CombinationalSimulator(netlist)
         netlist.stats()
         assert netlist.topo_order() is order
@@ -102,7 +100,7 @@ class TestCompiledKernelGuard:
         }
         rng = make_rng(0, "guard")
         inputs = {n: rng.getrandbits(16) for n in names}
-        kernel.run(inputs, 16)
+        kernel.next_state(inputs, 16, {})
         kernel.probe(inputs, 16)
         assert kernel.compile_count == count
 
@@ -142,7 +140,9 @@ class TestCompiledKernelGuard:
             pi.name.split(":", 1)[-1]: 0b1011
             for pi in mapped.primary_inputs()
         }
-        assert kernel.run(inputs, 4) == fresh.run(inputs, 4)
+        assert kernel.next_state(inputs, 4, {}) == fresh.next_state(
+            inputs, 4, {}
+        )
 
     def test_untracked_eco_forces_full_recompile(self):
         netlist = make_adder_netlist(6, registered=True)

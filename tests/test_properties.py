@@ -8,11 +8,12 @@ from repro.generators.random_logic import (
     random_combinational_netlist,
     random_sequential_netlist,
 )
-from repro.netlist import check_netlist, simulate_words
+from repro.netlist import check_netlist
 from repro.netlist.blif import read_blif, write_blif
-from repro.netlist.simulate import SequentialSimulator
+from repro.netlist.simulate import replay_outputs
 from repro.rng import make_rng
 from repro.synth import map_to_luts, pack_netlist
+from tests.conftest import comb_outputs
 
 
 @given(seed=st.integers(0, 10_000))
@@ -34,7 +35,7 @@ def test_blif_roundtrip_property(seed):
     parsed = read_blif(write_blif(n))
     rng = make_rng(seed, "stim")
     ins = {f"in{i}": rng.getrandbits(32) for i in range(6)}
-    assert simulate_words(n, ins, 32) == simulate_words(parsed, ins, 32)
+    assert comb_outputs(n, ins, 32) == comb_outputs(parsed, ins, 32)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -76,11 +77,12 @@ def test_inject_then_correct_is_identity(kind, seed):
     apply_correction(dut, record)
     check_netlist(dut)
     rng = make_rng(seed, "verify")
-    sim_g = SequentialSimulator(golden)
-    sim_d = SequentialSimulator(dut)
-    for _ in range(3):
-        ins = {f"in{i}": rng.getrandbits(32) for i in range(5)}
-        assert sim_d.step(ins, 32) == sim_g.step(ins, 32)
+    stimulus = [
+        {f"in{i}": rng.getrandbits(32) for i in range(5)} for _ in range(3)
+    ]
+    assert replay_outputs(dut, stimulus, 32) == replay_outputs(
+        golden, stimulus, 32
+    )
 
 
 @given(seed=st.integers(0, 500), n_tiles=st.integers(2, 8))

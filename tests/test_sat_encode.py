@@ -5,7 +5,7 @@ import random
 
 from repro.netlist.cells import CellKind
 from repro.netlist.core import Netlist
-from repro.netlist.simulate import SequentialSimulator, simulate_words
+from repro.netlist.simulate import replay_outputs
 from repro.sat.cnf import CNF, GateBuilder, _cofactor, _flip_var
 from repro.sat.encode import CircuitEncoder
 from repro.sat.solver import Solver
@@ -247,8 +247,8 @@ class TestCircuitEncoder:
         solver = Solver(gb.cnf)
         for bits in itertools.product([0, 1], repeat=3):
             inputs = dict(zip("abc", bits))
-            want = simulate_words(nl, inputs, 1)
             stim = [inputs]
+            (want,) = replay_outputs(nl, stim, 1, engine="interpreted")
             assert solver.solve(_solve_inputs(enc, solver, stim, 0))
             for name, lit in lits.items():
                 assert int(solver.lit_true(lit)) == want[name]
@@ -264,9 +264,7 @@ class TestCircuitEncoder:
         nl.add_output("y", q1)
         frames = 4
         stimulus = [{"a": p & 1} for p in (1, 0, 1, 1)]
-        sim = SequentialSimulator(nl, engine="interpreted")
-        sim.reset(1)
-        outs = sim.run(stimulus, 1)
+        outs = replay_outputs(nl, stimulus, 1, engine="interpreted")
         gb = GateBuilder(CNF())
         enc = CircuitEncoder(nl, gb)
         lits = [enc.output_lit("y", t) for t in range(frames)]

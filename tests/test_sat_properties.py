@@ -19,7 +19,7 @@ from repro.generators.random_logic import (
     random_combinational_netlist,
     random_sequential_netlist,
 )
-from repro.netlist.simulate import SequentialSimulator
+from repro.netlist.simulate import replay_outputs
 from repro.sat.cnf import CNF, GateBuilder
 from repro.sat.encode import CircuitEncoder
 from repro.sat.equiv import counterexample_mismatches, prove_equivalence
@@ -48,9 +48,7 @@ def test_cnf_agrees_with_compiled_kernel(seed, mapped):
     if mapped:
         netlist = map_to_luts(netlist)
     stimulus = random_stimulus(netlist, FRAMES, N_PATTERNS, seed=seed)
-    sim = SequentialSimulator(netlist, engine="compiled")
-    sim.reset(N_PATTERNS)
-    outputs = sim.run(stimulus, N_PATTERNS)
+    outputs = replay_outputs(netlist, stimulus, N_PATTERNS)
 
     gb = GateBuilder(CNF())
     enc = CircuitEncoder(netlist, gb)
@@ -77,9 +75,7 @@ def test_combinational_cnf_agrees_after_mapping(seed):
         )
     )
     stimulus = random_stimulus(netlist, 1, N_PATTERNS, seed=seed + 10)
-    sim = SequentialSimulator(netlist, engine="compiled")
-    sim.reset(N_PATTERNS)
-    outputs = sim.run(stimulus, N_PATTERNS)
+    outputs = replay_outputs(netlist, stimulus, N_PATTERNS)
     gb = GateBuilder(CNF())
     enc = CircuitEncoder(netlist, gb)
     lits = {name: enc.output_lit(name, 0) for name in enc.output_names()}
@@ -107,11 +103,7 @@ def test_injected_error_miter_is_sat_with_live_counterexample(seed):
         # the corrupted LUT drives no primary output: simulation must
         # agree the netlists are indistinguishable
         stim = random_stimulus(golden, 4, 32, seed=seed)
-        sims = []
-        for nl in (bad, golden):
-            sim = SequentialSimulator(nl, engine="compiled")
-            sim.reset(32)
-            sims.append(sim.run(stim, 32))
+        sims = [replay_outputs(nl, stim, 32) for nl in (bad, golden)]
         assert sims[0] == sims[1], record
         return
     mismatches = counterexample_mismatches(bad, golden, proof.counterexample)

@@ -5,8 +5,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.generators.random_logic import random_combinational_netlist
-from repro.netlist import CellKind, check_netlist, simulate_words
+from repro.netlist import CellKind, check_netlist
 from repro.synth import map_to_luts
+from tests.conftest import comb_outputs
 
 
 def assert_equivalent(original, mapped, n_patterns=64, seed=0):
@@ -15,7 +16,7 @@ def assert_equivalent(original, mapped, n_patterns=64, seed=0):
     for pi in original.primary_inputs():
         name = pi.name.split(":", 1)[-1]
         ins[name] = rng.getrandbits(n_patterns)
-    assert simulate_words(original, ins, n_patterns) == simulate_words(
+    assert comb_outputs(original, ins, n_patterns) == comb_outputs(
         mapped, ins, n_patterns
     )
 
@@ -67,7 +68,7 @@ def test_constants_are_folded():
     n.add_output("z", z)
     mapped = map_to_luts(n)
     check_netlist(mapped)
-    out = simulate_words(mapped, {"a": 0b10}, 2)
+    out = comb_outputs(mapped, {"a": 0b10}, 2)
     assert out["y"] == 0b10
     assert out["z"] == 0b10
 
@@ -80,7 +81,7 @@ def test_constant_feeding_output_becomes_lut0():
     n.add_input("a")
     n.add_output("one", b.const_bit(1))
     mapped = map_to_luts(n)
-    out = simulate_words(mapped, {"a": 0}, 1)
+    out = comb_outputs(mapped, {"a": 0}, 1)
     assert out["one"] == 1
 
 
@@ -93,9 +94,9 @@ def test_wide_gates_decomposed():
     mapped = map_to_luts(n)
     check_netlist(mapped)
     all_ones = {f"i{k}": 1 for k in range(8)}
-    assert simulate_words(mapped, all_ones, 1)["y"] == 0
+    assert comb_outputs(mapped, all_ones, 1)["y"] == 0
     all_ones["i3"] = 0
-    assert simulate_words(mapped, all_ones, 1)["y"] == 1
+    assert comb_outputs(mapped, all_ones, 1)["y"] == 1
 
 
 @given(seed=st.integers(0, 1000))
