@@ -53,6 +53,7 @@ from repro.debug.testgen import random_stimulus
 from repro.netlist.core import Netlist
 from repro.netlist.validate import check_netlist
 from repro.errors import DeadlineExceeded, LocalizationDrained
+from repro.obs.collector import run_scope
 from repro.obs.metrics import METRICS
 from repro.obs.profile import StageProfiler, maybe_profile, profiler_scope
 from repro.obs.trace import (
@@ -810,6 +811,7 @@ class DebugPipeline:
         return ctx
 
 
+@run_scope()
 def run_spec(spec, hooks: PipelineHooks | None = None,
              tile_cache=_OWN_CACHE, return_context: bool = False,
              warm=None, tracer=None, profile: bool = False):
@@ -856,6 +858,14 @@ def run_spec(spec, hooks: PipelineHooks | None = None,
     ``RunResult.profile``.  These two are the only observability
     switches, and both are strictly additive: observation never
     changes the computed result.
+
+    The whole call runs in :func:`repro.obs.collector.run_scope`: while
+    it is the only run in flight in the process, the automatic cyclic
+    collector is paused (what a run allocates mostly lives until it
+    ends, so a collection would rescan the design heap and free little);
+    while runs overlap (``CampaignRunner(workers>1)``) it is back in the
+    caller's state.  The caller's state returns when the run leaves,
+    however it ends.
     """
     from repro.api.result import RunResult
     from repro.resilience.budget import backoff_seconds, clamp_backoff

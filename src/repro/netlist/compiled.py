@@ -80,7 +80,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import count
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 from repro.errors import NetlistError
 from repro.netlist.cells import CellKind
@@ -330,11 +330,17 @@ class CompiledKernel:
     """
 
     def __init__(self, netlist: Netlist) -> None:
-        self.netlist = netlist
+        # weak: :data:`_KERNELS` maps each netlist to its kernel weakly,
+        # so a strong reference here would keep every netlist alive
+        self._netlist = ref(netlist)
         #: diagnostics: full lowerings / incremental re-lowerings done
         self.compile_count = 0
         self.incremental_count = 0
         self._compile_full()
+
+    @property
+    def netlist(self) -> Netlist:
+        return self._netlist()
 
     # -- lowering ------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """``repro.obs`` — dependency-free observability for the debug stack.
 
-Three cooperating pieces, all standard-library only:
+Four cooperating pieces, all standard-library only:
 
 * :mod:`repro.obs.trace` — structured tracing: nested spans
   (run → stage → round → probe/commit/SAT-solve/CEGIS-iteration)
@@ -10,7 +10,10 @@ Three cooperating pieces, all standard-library only:
   counters/gauges/histograms with snapshot/merge/delta movement and
   Prometheus text exposition;
 * :mod:`repro.obs.profile` — opt-in per-stage cProfile aggregation
-  landing in ``RunResult.profile``.
+  landing in ``RunResult.profile``;
+* :mod:`repro.obs.collector` — the one owner of the cyclic garbage
+  collector's pauses (``run_spec`` pauses it while a run is the only
+  one in flight) and its per-generation collection counters.
 
 Stage spans and profile scopes both open at the pipeline's one stage
 boundary (``repro.api.pipeline.run_timed_stage``), armed per thread by

@@ -52,7 +52,6 @@ the fresh path recomputes it.  A run decodes only what it replays.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import os
 import pickle
@@ -62,6 +61,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.obs.collector import paused
 from repro.obs.metrics import METRICS
 
 try:  # advisory locking is POSIX-only; the store degrades gracefully
@@ -287,9 +287,6 @@ def _writer_alive(temp_name: str) -> bool:
     return True
 
 
-_DECODE_LOCK = threading.RLock()
-
-
 class TileConfigStore:
     """Content-addressed per-digest store of :class:`TileConfig` entries.
 
@@ -424,17 +421,9 @@ class TileConfigStore:
             if hashlib.sha256(payload).hexdigest() != wrapper.get("sha256"):
                 return None
             # a decode makes many tuples and frozensets but no cycles,
-            # and collections over them would cost most of it; one
-            # decode at a time, so the one that paused the collector
-            # restores it (each holds the GIL anyway)
-            with _DECODE_LOCK:
-                was_enabled = gc.isenabled()
-                gc.disable()
-                try:
-                    config = pickle.loads(payload)
-                finally:
-                    if was_enabled:
-                        gc.enable()
+            # and collections over them would cost most of it
+            with paused():
+                config = pickle.loads(payload)
             if not isinstance(config, TileConfig):
                 return None
             return key, config
