@@ -65,9 +65,10 @@ from repro.obs.trace import (
 from repro.pnr.effort import EffortMeter
 from repro.resilience.budget import Deadline, check_deadline, deadline_scope
 from repro.resilience.chaos import chaos_stage_event
-from repro.synth.pack import PackedDesign, refresh_block_nets
+from repro.synth.pack import PackedDesign
 from repro.tiling.cache import DEFAULT_TILE_CACHE, TileConfigCache
 from repro.tiling.eco import ChangeSet
+from repro.tiling.manager import absorb_changes
 
 #: ``run_spec``'s default cache: the run resolves its own from the
 #: spec's policy and owns its ``cache_dir`` persistence
@@ -357,7 +358,7 @@ class DetectStage(Stage):
             n_errors=spec.n_errors,
         )
         check_netlist(netlist)
-        refresh_block_nets(ctx.packed)
+        absorb_changes(ctx.packed, None)
 
         ctx.strategy.build_initial(meter=ctx.initial_effort)
 

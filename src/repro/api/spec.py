@@ -25,11 +25,10 @@ from repro.debug.errors import ERROR_KINDS
 from repro.debug.strategies import STRATEGY_REGISTRY
 from repro.errors import SpecError
 from repro.pnr.effort import EFFORT_PRESETS
+from repro.resilience.chaos import STAGE_NAMES
 
 ENGINE_NAMES = ("compiled", "interpreted")
 CACHE_POLICIES = ("shared", "private", "off")
-#: pipeline stages a per-stage budget (``stage_timeouts``) may target
-STAGE_NAMES = ("detect", "localize", "correct", "verify", "diagnose")
 #: how VerifyStage judges the fix: stimulus replay, bounded SAT proof
 #: (miter per output cone, counterexample on failure), or both
 VERIFY_MODES = ("simulate", "prove", "both")

@@ -55,13 +55,8 @@ def apply_correction(
             netlist.set_input(inst, pin, netlist.net(record.undo["old_net"]))
         else:
             raise DebugFlowError(f"no corrector for error kind {record.kind!r}")
-    changes = rec.changes
-    assert changes is not None
-    if record.kind in ("table_bit", "wrong_function", "output_invert"):
-        # a pure params change is connectivity-invisible to the recorder
-        # only if the table happened to match; make the touch explicit
-        changes.changed_instances.add(record.instance)
-    return changes
+    assert rec.changes is not None
+    return rec.changes
 
 
 @dataclass
@@ -176,12 +171,9 @@ def synthesize_lut_fix(
                 netlist.set_params(
                     netlist.instance(name), {"table": table}
                 )
-        changes = rec.changes
-        assert changes is not None
-        # params-only edits are connectivity-invisible to the recorder
-        changes.changed_instances.update(group)
+        assert rec.changes is not None
         return FixSynthesis(
-            changes=changes,
+            changes=rec.changes,
             instance=group[0],
             table=outcome.tables[0],
             iterations=outcome.iterations,

@@ -15,8 +15,9 @@ packing and tile-confined re-place-and-route:
   signal when enabled ("control logic is introduced into the circuit
   to induce certain states artificially").
 
-Both return the :class:`ChangeSet` the tiling manager consumes, plus
-the names of the fresh IO ports.
+Both return the :class:`ChangeSet` of the step (recorded from the
+netlist's edit log, with no instance walk), plus the names of the
+fresh IO ports.
 """
 
 from __future__ import annotations
@@ -52,42 +53,25 @@ def add_observation_point(
     """
     if not watch_nets:
         raise DebugFlowError("observation point needs at least one net")
-    # observation logic is purely additive (existing cells keep their
-    # kind, wiring and tables), so the changeset is built directly from
-    # the created names instead of diffing the whole netlist — probe
-    # commits are the localization hot loop
-    base_revision = netlist.revision
-    created: set[str] = set()
-    nets = [netlist.net(n) for n in watch_nets]
-    parity = _parity_tree(netlist, nets, prefix=f"obs_{name}", created=created)
-    if expected_parity:
-        flip = netlist.add_lut(
-            [parity], 0b01, name=f"obs_{name}_pol"
-        )
-        created.add(flip.name)
-        parity = flip.output
-
     outputs = [f"obs_probe_{name}"]
-    created.add(netlist.add_output(f"obs_probe_{name}", parity).name)
-    if sticky:
-        flag_q = netlist.add_net(f"obs_{name}_flag_q")
-        hold = netlist.add_lut(
-            [parity, flag_q], _OR2, name=f"obs_{name}_hold"
-        )
-        created.add(hold.name)
-        ff = netlist.add_dff(
-            hold.output, name=f"obs_{name}_ff", output=flag_q
-        )
-        created.add(ff.name)
-        created.add(netlist.add_output(f"obs_flag_{name}", flag_q).name)
-        outputs.append(f"obs_flag_{name}")
-    changes = ChangeSet(
-        description=f"observe {name}",
-        new_instances=created,
-        base_revision=base_revision,
-        end_revision=netlist.revision,
-    )
-    return changes, outputs
+    with ChangeRecorder(netlist, f"observe {name}") as rec:
+        nets = [netlist.net(n) for n in watch_nets]
+        parity = _parity_tree(netlist, nets, prefix=f"obs_{name}")
+        if expected_parity:
+            parity = netlist.add_lut(
+                [parity], 0b01, name=f"obs_{name}_pol"
+            ).output
+        netlist.add_output(outputs[0], parity)
+        if sticky:
+            flag_q = netlist.add_net(f"obs_{name}_flag_q")
+            hold = netlist.add_lut(
+                [parity, flag_q], _OR2, name=f"obs_{name}_hold"
+            )
+            netlist.add_dff(hold.output, name=f"obs_{name}_ff", output=flag_q)
+            netlist.add_output(f"obs_flag_{name}", flag_q)
+            outputs.append(f"obs_flag_{name}")
+    assert rec.changes is not None
+    return rec.changes, outputs
 
 
 def remove_observation_points(
@@ -107,7 +91,6 @@ def remove_observation_points(
 
     Returns the removal :class:`ChangeSet` (empty when nothing matched).
     """
-    base_revision = netlist.revision
     # one scan; an instance goes to the first name (in the given order)
     # whose namespace holds it, as if each name were retired in turn
     groups: dict[str, list] = {name: [] for name in names}
@@ -120,30 +103,24 @@ def remove_observation_points(
             ):
                 groups[name].append(inst)
                 break
-    removed: set[str] = set()
-    for targets in groups.values():
-        # sinks (output markers, FF, hold) before drivers (parity tree)
-        # keeps every intermediate state a valid netlist
-        targets.sort(
-            key=lambda i: (0 if i.kind is CellKind.OUTPUT else 1, i.name)
-        )
-        for inst in targets:
-            netlist.remove_instance(inst)
-            removed.add(inst.name)
-    if removed:
-        netlist.prune_dangling()
-    return ChangeSet(
-        description=f"retire {len(names)} observation point(s)",
-        removed_instances=removed,
-        base_revision=base_revision,
-        end_revision=netlist.revision,
-    )
+    with ChangeRecorder(
+        netlist, f"retire {len(names)} observation point(s)"
+    ) as rec:
+        for targets in groups.values():
+            # sinks (output markers, FF, hold) before drivers (parity
+            # tree) keeps every intermediate state a valid netlist
+            targets.sort(
+                key=lambda i: (0 if i.kind is CellKind.OUTPUT else 1, i.name)
+            )
+            for inst in targets:
+                netlist.remove_instance(inst)
+        if any(groups.values()):
+            netlist.prune_dangling()
+    assert rec.changes is not None
+    return rec.changes
 
 
-def _parity_tree(
-    netlist: Netlist, nets: list[Net], prefix: str,
-    created: set[str] | None = None,
-) -> Net:
+def _parity_tree(netlist: Netlist, nets: list[Net], prefix: str) -> Net:
     layer = list(nets)
     stage = 0
     while len(layer) > 1:
@@ -159,8 +136,6 @@ def _parity_tree(
             lut = netlist.add_lut(
                 chunk, table, name=f"{prefix}_x{stage}_{i // 4}"
             )
-            if created is not None:
-                created.add(lut.name)
             nxt.append(lut.output)
         layer = nxt
         stage += 1

@@ -318,14 +318,8 @@ class ConeLocalizer:
                         emulator = Emulator(
                             self.strategy.layout, engine=self.engine
                         )
-                        if self.engine == "compiled":
-                            # sync the kernel incrementally, not by a
-                            # full recompile on first use
-                            emulator.refresh(changes=changes)
                     else:
-                        emulator.refresh(
-                            layout=self.strategy.layout, changes=changes
-                        )
+                        emulator.refresh(layout=self.strategy.layout)
                     mismatch = verdicts[probe] = self._probe_disagrees(
                         emulator, probe_net, f"loc{probe_no}", record
                     )

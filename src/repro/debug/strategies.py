@@ -207,7 +207,7 @@ class QuickEcoStrategy(BaseStrategy):
     def commit(self, changes: ChangeSet, anchor_instance: str | None = None
                ) -> EffortMeter:
         meter = EffortMeter()
-        absorb_changes(self.packed, self._layout, changes)
+        absorb_changes(self.packed, self._layout)
         self._layout = full_place_and_route(
             self.packed, self.device, seed=self._next_seed(),
             preset=self.preset, meter=meter, strict_routing=False,
@@ -226,9 +226,7 @@ class IncrementalStrategy(BaseStrategy):
     def commit(self, changes: ChangeSet, anchor_instance: str | None = None
                ) -> EffortMeter:
         meter = EffortMeter()
-        changed, fresh, net_ids = absorb_changes(
-            self.packed, self._layout, changes
-        )
+        changed, fresh, net_ids = absorb_changes(self.packed, self._layout)
         anchor_blocks = set(changed)
         if not anchor_blocks and anchor_instance is not None:
             block = self.packed.block_of_instance.get(anchor_instance)

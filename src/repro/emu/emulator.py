@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.errors import EmulationError
 from repro.netlist.simulate import initial_state, make_engine
 from repro.pnr.flow import Layout
-from repro.tiling.eco import ChangeSet
 
 
 class Emulator:
@@ -59,15 +58,13 @@ class Emulator:
                     "re-pack before emulating"
                 )
 
-    def refresh(
-        self, layout: Layout | None = None, changes: ChangeSet | None = None
-    ) -> None:
+    def refresh(self, layout: Layout | None = None) -> None:
         """Track a committed ECO without rebuilding the emulator.
 
         ``layout`` replaces the emulated layout (strategies may hand out
         a new object after a commit) but must implement the same
-        netlist; ``changes`` lets the compiled kernel re-lower only the
-        affected fanout region.
+        netlist.  The compiled kernel re-lowers only the fanout region
+        of the netlist's edits since its last sync.
         """
         if layout is not None:
             if layout.packed.netlist is not self.netlist:
@@ -80,8 +77,8 @@ class Emulator:
         if self.engine == "interpreted":
             # re-levelize: the interpreted engine snapshots topo order
             self._comb = make_engine(self.netlist, self.engine)
-        elif changes is not None:
-            self._comb.apply_changeset(changes)
+        else:
+            self._comb.ensure_current()
 
     def cone_runner(self, ports, record):
         """A fanin-sliced sequential runner for ``ports``, if the

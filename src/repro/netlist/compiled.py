@@ -41,14 +41,16 @@ engine.
 Incremental recompile
 =====================
 
-ECO edits arrive as :class:`~repro.tiling.eco.ChangeSet` deltas.
-:meth:`CompiledKernel.apply_changeset` re-lowers **only the combinational
-fanout region** of the touched instances: because that region is
-fanout-closed, its old tape entries can be dropped and the freshly
-lowered region appended after the surviving prefix while preserving
-topological validity.  Mutations made without a changeset are caught by
-the :class:`~repro.netlist.core.Netlist` revision counter and trigger a
-full recompile, so the kernel can never silently run stale.
+The kernel syncs itself on every use (:meth:`CompiledKernel.ensure_current`):
+when the netlist revision moved, it reads the netlist's edit log
+(:meth:`~repro.netlist.core.Netlist.edits_since` its last revision), so
+every edit is seen, recorded in a :class:`~repro.tiling.eco.ChangeSet`
+or not, and re-lowers **only the combinational fanout region** of the
+touched instances: because that region is fanout-closed, its old tape
+entries can be dropped and the freshly lowered region appended after
+the surviving prefix while preserving topological validity.  Only a
+region that cannot be re-lowered (a combinational loop mid-edit) costs
+a full recompile, so the kernel can never silently run stale.
 
 Cone slicing
 ============
@@ -419,41 +421,27 @@ class CompiledKernel:
     # -- incremental recompile -----------------------------------------
 
     def ensure_current(self) -> None:
-        """Full recompile if the netlist mutated behind our back."""
-        if self.netlist.revision != self._revision:
-            self._compile_full()
+        """Catch up with every netlist edit since the last sync.
 
-    def apply_changeset(self, changes) -> None:
-        """Re-lower only the combinational fanout region of a ChangeSet.
-
-        ``changes`` is a :class:`repro.tiling.eco.ChangeSet`.  The
-        incremental path is taken only when ``changes.base_revision``
-        matches the revision this kernel last synchronized to — i.e.
-        the changeset provably covers every mutation since then.  A
-        gap (untracked edits between syncs), an unknown provenance, or
-        a delta that cannot be applied (e.g. a combinational loop
-        introduced mid-edit) all fall back to a full recompile, so a
-        partial changeset can never silently leave a stale tape.
+        Re-lowers only the combinational fanout region of the netlist's
+        :meth:`~repro.netlist.core.Netlist.edits_since` this kernel's
+        revision; recompiles fully only when that fails (e.g. a
+        combinational loop introduced mid-edit).
         """
-        nl = self.netlist
-        if nl.revision == self._revision:
-            return
-        base = getattr(changes, "base_revision", None)
-        if base is None or base != self._revision:
-            self._compile_full()
+        if self.netlist.revision == self._revision:
             return
         try:
-            self._apply_incremental(changes)
-        except Exception:
+            self._apply_incremental(
+                *self.netlist.edits_since(self._revision)
+            )
+        except NetlistError:
             self._compile_full()
 
-    def _apply_incremental(self, changes) -> None:
+    def _apply_incremental(
+        self, changed: set[str], new: set[str], removed: set[str]
+    ) -> None:
         nl = self.netlist
-        touched = changes.changed_instances | changes.new_instances
-        seeds = [nl.instance(n) for n in touched if nl.has_instance(n)]
-        gone = set(changes.removed_instances) | {
-            n for n in touched if not nl.has_instance(n)
-        }
+        seeds = [nl.instance(n) for n in changed | new]
         # the comb fanout region; every tape entry reading a region
         # output is itself in the region, so the region can be re-lowered
         # and appended after the surviving (still topologically sorted)
@@ -462,12 +450,9 @@ class CompiledKernel:
         # additive: only new cells, none feeding an existing one, so no
         # existing slot's words change and a SlotRecord stays exact; no
         # new cell is on the tape yet, so the tape keeps every entry
-        additive = (
-            not changes.changed_instances and not gone
-            and region <= changes.new_instances
-        )
+        additive = not changed and not removed and region <= new
         if not additive:
-            drop = region | gone
+            drop = region | removed
             kept = [
                 (entry, name)
                 for entry, name in zip(self._tape, self._instr_names)

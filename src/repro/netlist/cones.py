@@ -18,7 +18,7 @@ falls out of the same pass because FF nodes simply keep no fanin edges.
 The index snapshots the netlist at construction.  Inserting observation
 logic only *adds* instances and sinks — it never rewires an existing
 instance's fanin — so a localizer may keep using one index across probe
-rounds; :attr:`revision` records the snapshot for staleness checks.
+rounds.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ class ConeIndex:
 
     def __init__(self, netlist: Netlist, stop_at_ffs: bool = False) -> None:
         self.netlist = netlist
-        self.stop_at_ffs = stop_at_ffs
-        self.revision = netlist.revision
         adj = netlist.adjacency()
         self._names = adj.names
         self._index = adj.index

@@ -18,10 +18,17 @@ Mutation API used by the debug flow:
   (inserting observation/control logic in series),
 * :meth:`Netlist.remove_instance` / :meth:`Netlist.prune_dangling` —
   delete logic during tile clearing and correction.
+
+Every instance mutation also appends ``(revision, instance name, kind)``
+to an edit log (three parallel arrays; net-only edits and no-op rewires
+log nothing), which :meth:`Netlist.edits_since` folds for every consumer
+that syncs to the netlist: change recorders, the kernel, the packing.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -150,6 +157,9 @@ class Adjacency:
 #: O(IO + FFs) rather than a scan of every instance
 _REGISTERED_KINDS = (CellKind.INPUT, CellKind.OUTPUT, CellKind.DFF)
 
+#: edit-log entry kinds
+_ADDED, _EDITED, _REMOVED = 0, 1, 2
+
 
 class Netlist:
     """A mutable flat netlist with consistent connectivity tables.
@@ -178,6 +188,9 @@ class Netlist:
         self._topo_cache: list[Instance] | None = None
         self._levels_cache: dict[str, int] | None = None
         self._adj_cache: Adjacency | None = None
+        self._log_revisions = array("q")
+        self._log_names: list[str] = []
+        self._log_kinds = bytearray()
 
     @property
     def revision(self) -> int:
@@ -189,6 +202,42 @@ class Netlist:
         self._topo_cache = None
         self._levels_cache = None
         self._adj_cache = None
+
+    def _logged(self, kind: int, *names: str) -> None:
+        """Bump the revision and log ``kind`` for each instance name."""
+        self._mutated()
+        for name in names:
+            self._log_revisions.append(self._revision)
+            self._log_names.append(name)
+            self._log_kinds.append(kind)
+
+    def edits_since(self, revision: int) -> tuple[set[str], set[str], set[str]]:
+        """(changed, new, removed) instance names since ``revision``.
+
+        An instance present at ``revision`` and now is *changed* if any
+        edit touched it (a ``set_params``/``change_kind`` that writes
+        the value already there counts; removed and re-added under the
+        same name counts); one added since is *new*; one present then
+        and gone now is *removed*; one added and removed inside the
+        window is in no set.  Costs O(edits since ``revision``).
+        """
+        if not 0 <= revision <= self._revision:
+            raise NetlistError(
+                f"revision {revision} is not in {self.name!r}'s history"
+            )
+        start = bisect_right(self._log_revisions, revision)
+        first: dict[str, int] = {}
+        for name, kind in zip(
+            self._log_names[start:], self._log_kinds[start:]
+        ):
+            first.setdefault(name, kind)
+        changed, new, removed = set(), set(), set()
+        for name, kind in first.items():
+            if name in self._instances:
+                (new if kind == _ADDED else changed).add(name)
+            elif kind != _ADDED:
+                removed.add(name)
+        return changed, new, removed
 
     def _next_serial(self) -> int:
         self._serial += 1
@@ -256,7 +305,7 @@ class Netlist:
             output.driver = inst
         for idx, net in enumerate(input_list):
             net.sinks.append((inst, idx))
-        self._mutated()
+        self._logged(_ADDED, name)
         return inst
 
     def add_input(self, name: str) -> Net:
@@ -370,7 +419,7 @@ class Netlist:
         old.sinks.remove((inst, index))
         inst.inputs[index] = net
         net.sinks.append((inst, index))
-        self._mutated()
+        self._logged(_EDITED, inst.name)
 
     def change_kind(
         self, inst: Instance, kind: CellKind, params: dict | None = None
@@ -398,7 +447,7 @@ class Netlist:
                 )
         inst.kind = kind
         inst.params = params if params is not None else {}
-        self._mutated()
+        self._logged(_EDITED, inst.name)
 
     def set_params(self, inst: Instance, params: dict) -> None:
         """Replace an instance's params, bumping the revision counter.
@@ -408,7 +457,7 @@ class Netlist:
         """
         self._require_instance(inst)
         inst.params = dict(params)
-        self._mutated()
+        self._logged(_EDITED, inst.name)
 
     def transfer_sinks(
         self,
@@ -427,7 +476,7 @@ class Netlist:
         self._require_net(target)
         if source is target:
             raise NetlistError("cannot transfer a net onto itself")
-        moved = 0
+        moved: list[str] = []
         remaining: list[tuple[Instance, int]] = []
         for inst, idx in list(source.sinks):
             if keep is not None and keep(inst, idx):
@@ -435,11 +484,11 @@ class Netlist:
                 continue
             inst.inputs[idx] = target
             target.sinks.append((inst, idx))
-            moved += 1
+            moved.append(inst.name)
         source.sinks = remaining
         if moved:
-            self._mutated()
-        return moved
+            self._logged(_EDITED, *moved)
+        return len(moved)
 
     def remove_instance(self, inst: Instance) -> None:
         """Delete an instance; its output net loses its driver."""
@@ -452,7 +501,7 @@ class Netlist:
         registry = self._by_kind.get(inst.kind)
         if registry is not None:
             del registry[inst.name]
-        self._mutated()
+        self._logged(_REMOVED, inst.name)
 
     def remove_net(self, net: Net) -> None:
         self._require_net(net)
@@ -471,18 +520,21 @@ class Netlist:
         return len(dangling)
 
     def rename_instance(self, inst: Instance, new_name: str) -> None:
+        """Rename ``inst``; the log sees the old name go, the new come."""
         self._require_instance(inst)
         if new_name in self._instances:
             raise NetlistError(f"instance {new_name!r} already exists")
-        del self._instances[inst.name]
+        old_name = inst.name
+        del self._instances[old_name]
         registry = self._by_kind.get(inst.kind)
         if registry is not None:
-            del registry[inst.name]
+            del registry[old_name]
             registry[new_name] = inst
         inst.name = new_name
         inst.serial = self._next_serial()
         self._instances[new_name] = inst
-        self._mutated()
+        self._logged(_REMOVED, old_name)
+        self._logged(_ADDED, new_name)
 
     # ------------------------------------------------------------------
     # analysis

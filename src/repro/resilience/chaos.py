@@ -72,7 +72,10 @@ def in_supervised_worker() -> bool:
     """True inside a process spawned by the campaign supervisor."""
     return bool(os.environ.get(WORKER_ENV))
 
-_STAGE_NAMES = ("detect", "localize", "correct", "verify", "diagnose")
+
+#: pipeline stages a chaos fault or a per-stage budget
+#: (``RunSpec.stage_timeouts``) may target
+STAGE_NAMES = ("detect", "localize", "correct", "verify", "diagnose")
 
 #: spec fields a fault's ``match`` clause may constrain
 _MATCH_FIELDS = (
@@ -118,10 +121,10 @@ class ChaosFault:
                 + ", ".join(CHAOS_KINDS)
             )
         stage = data.get("stage", "localize")
-        if stage not in _STAGE_NAMES:
+        if stage not in STAGE_NAMES:
             raise SpecError(
                 f"unknown chaos stage {stage!r}; valid stages: "
-                + ", ".join(_STAGE_NAMES)
+                + ", ".join(STAGE_NAMES)
             )
         hang_s = data.get("hang_s", 30.0)
         if not (isinstance(hang_s, (int, float)) and hang_s > 0):

@@ -110,9 +110,9 @@ class PackedDesign:
     and kept current by every refresh) answers which nets touch a set
     of blocks without a walk over every net.  ``revision`` is the
     netlist revision the block nets reflect: a refresh sets it to the
-    netlist's revision, and a changeset that starts there (its
-    ``base_revision``) may be absorbed by re-deriving only the nets it
-    can have touched.
+    netlist's revision, and the netlist's edits since then
+    (:meth:`~repro.netlist.core.Netlist.edits_since`) are absorbed by
+    re-deriving only the nets they can have touched.
     """
 
     def __init__(
@@ -549,7 +549,8 @@ def refresh_block_nets(
     Returns (new, changed, removed) net indices.  Unchanged nets keep
     their index *and* identity so existing routes remain valid.
     :func:`refresh_touched_nets` is the same refresh restricted to the
-    nets a changeset can have touched.
+    nets the edits can have touched; this full walk stays as its
+    reference.
     """
     netlist = packed.netlist
     gone = [
@@ -565,13 +566,13 @@ def refresh_touched_nets(
     """:func:`refresh_block_nets` restricted to the nets an ECO touched.
 
     Re-derives the input and output nets of ``instance_names`` (the
-    changeset's new and changed instances) and every block net with a
+    new and changed instances) and every block net with a
     terminal in ``block_indices`` (the blocks of changed and removed
     instances, and the new blocks), in netlist net order, so fresh
-    indices match the full walk.  Valid when ``packed.revision`` is the
-    changeset's base revision and the changeset covers every edit
-    since: then no other net's driver, sinks or blocks moved, and the
-    returned indices and the packing equal the full refresh's.
+    indices match the full walk.  Valid when the instances and blocks
+    cover every netlist edit since ``packed.revision`` (the edit log's
+    fold does): then no other net's driver, sinks or blocks moved, and
+    the returned indices and the packing equal the full refresh's.
     """
     netlist = packed.netlist
     names: set[str] = set()

@@ -30,10 +30,9 @@ evicted (bounded LRU) because a lookup can only hit when the current
 block connectivity, placement and locked routes present byte-identical
 context.  The whole-design keys (:func:`full_pnr_key`) follow the same
 rule: connectivity, device, preset, seed and constraints, never logic.
-On top of that, the tiling manager skips the cache outright when a
-:class:`~repro.tiling.eco.ChangeSet` reports a ``base_revision`` that
-does not line up with the last committed netlist revision (untracked
-mutations).
+A commit absorbs every netlist edit since the last one (recorded in its
+:class:`~repro.tiling.eco.ChangeSet` or not), so its key always
+describes the live connectivity.
 
 Every replay — whole-design P&R (:func:`cached_full_place_and_route`)
 and tile commits alike — crosses one path,

@@ -47,7 +47,6 @@ from repro.resilience.chaos import replay_denied
 from repro.synth.pack import (
     PackedDesign,
     extend_packing,
-    refresh_block_nets,
     refresh_touched_nets,
     retire_instances,
 )
@@ -120,39 +119,30 @@ def replay_or_compute(
 
 
 def absorb_changes(
-    packed: PackedDesign, layout: Layout | None, changes: ChangeSet
+    packed: PackedDesign, layout: Layout | None
 ) -> tuple[set[int], set[int], list[int]]:
-    """Back-annotate ``changes`` into the packing and ``layout``.
+    """Back-annotate every netlist edit since the packing's last refresh
+    into the packing and ``layout``.
 
-    Resolves the changed blocks, retires removed instances, packs new
-    ones into new blocks, re-derives the block nets and drops the routes
-    of retired nets.  Every strategy's commit starts here.
-
-    The block-net refresh costs O(change) when ``changes`` provably is
-    every netlist mutation since the packing's last refresh: its
-    ``base_revision`` is ``packed.revision`` and its ``end_revision``
-    the netlist's current revision.  Then only the nets of new and
-    changed instances and the block nets touching changed, retired or
-    new blocks are re-derived (:func:`refresh_touched_nets`), with the
-    same result as the full walk.  Otherwise every net is re-derived
-    (:func:`refresh_block_nets`).
+    Reads :meth:`~repro.netlist.core.Netlist.edits_since`
+    ``packed.revision``, resolves the changed blocks, retires removed
+    instances, packs new ones into new blocks, re-derives the block
+    nets and drops the routes of retired nets.  Every strategy's commit
+    starts here.  Only the nets of new and changed instances and the
+    block nets touching changed, retired or new blocks are re-derived
+    (:func:`refresh_touched_nets`): the log names every instance edit,
+    so the result equals the full walk (:func:`refresh_block_nets`) at
+    O(change).
 
     Returns (changed blocks, new blocks, net indices needing routes).
     """
-    changed_blocks = packed.blocks_of_instances(changes.touched_existing())
-    covered = (
-        changes.base_revision == packed.revision
-        and changes.end_revision == packed.netlist.revision
+    changed, new, removed = packed.netlist.edits_since(packed.revision)
+    changed_blocks = packed.blocks_of_instances(changed | removed)
+    retire_instances(packed, removed)
+    new_blocks = extend_packing(packed, new)
+    new_ids, changed_ids, removed_ids = refresh_touched_nets(
+        packed, changed | new, changed_blocks | new_blocks
     )
-    retire_instances(packed, changes.removed_instances)
-    new_blocks = extend_packing(packed, changes.new_instances)
-    if covered:
-        new_ids, changed_ids, removed_ids = refresh_touched_nets(
-            packed, changes.changed_instances | changes.new_instances,
-            changed_blocks | new_blocks,
-        )
-    else:
-        new_ids, changed_ids, removed_ids = refresh_block_nets(packed)
     if layout is not None:
         for idx in removed_ids:
             old = layout.routes.pop(idx, None)
@@ -192,9 +182,6 @@ class TiledLayout:
             for b in tile.blocks:
                 self.tile_of_block[b] = tile.index
         self._neighbor_cache: dict[int, list[int]] | None = None
-        #: netlist revision at the end of the last commit — lets the
-        #: ChangeSet.base_revision guard spot untracked mutations
-        self._synced_revision: int = layout.packed.netlist.revision
 
     # ------------------------------------------------------------------
     # construction (paper steps 4-8)
@@ -344,6 +331,10 @@ class TiledLayout:
     ) -> CommitReport:
         """Clear and re-place-and-route only the affected tiles.
 
+        The commit absorbs every netlist edit since the last one
+        (:func:`absorb_changes`), whether ``changes`` recorded it or
+        not; ``changes`` names the step in the report.
+
         1. back-annotate: changed/removed instances → blocks → tiles;
         2. pack any new instances into new blocks;
         3. expand to neighbor tiles while slack is insufficient;
@@ -366,7 +357,7 @@ class TiledLayout:
         packed = self.packed
 
         changed_blocks, new_blocks, extra = absorb_changes(
-            packed, self.layout, changes
+            packed, self.layout
         )
         new_clbs = {
             b for b in new_blocks if packed.blocks[b].is_clb
@@ -404,11 +395,8 @@ class TiledLayout:
             {net.index for net in packed.nets_touching_blocks(movable)}
             | set(extra)
         )
-        cache = self.tile_cache
-        if changes.stale_for(self._synced_revision):
-            cache = None  # untracked mutations: never replay, never store
         key = None
-        if cache is not None:
+        if self.tile_cache is not None:
             key = self._commit_key(
                 movable, regions, affected_ids, seed, preset
             )
@@ -427,11 +415,9 @@ class TiledLayout:
             return self.layout
 
         _, cache_hit = replay_or_compute(
-            cache, key, self.layout, movable, new_iobs, affected_ids,
-            regions, meter, fresh,
+            self.tile_cache, key, self.layout, movable, new_iobs,
+            affected_ids, regions, meter, fresh,
         )
-
-        self._synced_revision = packed.netlist.revision
 
         self._rebuild_membership(affected, movable)
         return CommitReport(

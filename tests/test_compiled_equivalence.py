@@ -4,12 +4,12 @@ The compiled instruction-tape kernel must be bit-exact against the
 interpreted reference on outputs, probe words and next-FF-state — for
 randomized designs, across error kinds and stimulus seeds, before and
 after ECO edits (error injection, observation-point insertion, control
-points, correction), and whether the edits reach the kernel
-incrementally or force a full recompile.  Its cone-sliced probe
-runners must agree with full replay on the sliced ports, also when they
-share a round record of slot words, and the golden trace's output
-projection and detection on an unmodified layout must equal a plain
-replay.  Every LUT micro-kernel must equal the minterm reference
+points, correction), recorded in a changeset or not, which the kernel
+re-lowers incrementally from the netlist's edit log.  Its cone-sliced
+probe runners must agree with full replay on the sliced ports, also
+when they share a round record of slot words, and the golden trace's
+output projection and detection on an unmodified layout must equal a
+plain replay.  Every LUT micro-kernel must equal the minterm reference
 ``eval_lut`` with no more operators than the minterm sum-of-products
 (:func:`_sop_source`, kept here as the reference).
 """
@@ -136,22 +136,20 @@ def test_engine_replay_identity(seed, kind, stim_seed):
 )
 @settings(max_examples=15, deadline=None)
 def test_engines_agree_across_eco_edits(seed, kind):
-    """Inject → observe → control → correct, applied incrementally."""
+    """Inject → observe → control → correct, each edit followed by a use
+    of the kernel, which re-lowers it incrementally."""
     netlist = _random_design(seed, mapped=True)
     kernel = CompiledKernel(netlist)
     _assert_equivalent(netlist, kernel, seed)
 
-    with ChangeRecorder(netlist, "inject") as rec:
-        try:
-            record = inject_error(netlist, kind, seed=seed)
-        except DebugFlowError:
-            assume(False)  # e.g. only symmetric LUTs for input_swap
-    kernel.apply_changeset(rec.changes)
+    try:
+        record = inject_error(netlist, kind, seed=seed)
+    except DebugFlowError:
+        assume(False)  # e.g. only symmetric LUTs for input_swap
     _assert_equivalent(netlist, kernel, seed + 1)
 
     watch = netlist.primary_outputs()[0].inputs[0].name
-    changes, _ = add_observation_point(netlist, [watch], "eq", sticky=True)
-    kernel.apply_changeset(changes)
+    add_observation_point(netlist, [watch], "eq", sticky=True)
     _assert_equivalent(netlist, kernel, seed + 2)
 
     target = next(
@@ -159,12 +157,10 @@ def test_engines_agree_across_eco_edits(seed, kind):
         for i in netlist.instances()
         if i.is_lut and i.output.sinks
     )
-    changes, _ = add_control_point(netlist, target, "eqc")
-    kernel.apply_changeset(changes)
+    add_control_point(netlist, target, "eqc")
     _assert_equivalent(netlist, kernel, seed + 3)
 
-    changes = apply_correction(netlist, record)
-    kernel.apply_changeset(changes)
+    apply_correction(netlist, record)
     _assert_equivalent(netlist, kernel, seed + 4)
 
     # every edit above must have gone through the incremental path
@@ -178,9 +174,9 @@ def test_incremental_matches_full_recompile(seed):
     """The incrementally patched kernel equals a from-scratch lowering."""
     netlist = _random_design(seed, mapped=True)
     kernel = CompiledKernel(netlist)
-    with ChangeRecorder(netlist, "inject") as rec:
-        inject_error(netlist, "table_bit", seed=seed)
-    kernel.apply_changeset(rec.changes)
+    inject_error(netlist, "table_bit", seed=seed)
+    kernel.ensure_current()
+    assert (kernel.compile_count, kernel.incremental_count) == (1, 1)
     fresh = CompiledKernel(netlist)
     rng = make_rng(seed, "ifull")
     names = _input_names(netlist)
@@ -194,14 +190,19 @@ def test_incremental_matches_full_recompile(seed):
 
 @given(seed=st.integers(0, 5_000))
 @settings(max_examples=8, deadline=None)
-def test_untracked_mutations_trigger_full_recompile(seed):
-    """Edits made without a changeset are caught by the revision check."""
+def test_unrecorded_edits_are_relowered_incrementally(seed):
+    """An edit made outside any recorder, here after a recorded one, is
+    read from the netlist's edit log: the next use re-lowers both
+    incrementally and agrees with the interpreted engine."""
     netlist = _random_design(seed, mapped=True)
     kernel = CompiledKernel(netlist)
+    lut = next(i for i in netlist.instances() if i.is_lut and i.inputs)
+    with ChangeRecorder(netlist, "retable"):
+        netlist.set_params(lut, {"table": lut.params["table"] ^ 1})
     inject_error(netlist, "output_invert", seed=seed)
-    # no apply_changeset: next use must notice the revision bump
     _assert_equivalent(netlist, kernel, seed)
-    assert kernel.compile_count == 2
+    assert kernel.compile_count == 1
+    assert kernel.incremental_count == 1
 
 
 def _window(netlist, seed, n_cycles=6, n_patterns=32):
@@ -254,10 +255,7 @@ def test_cone_runner_matches_full_replay(seed):
         ("crs", [other], True),
     )
     for name, nets, sticky in points:
-        changes, ports = add_observation_point(
-            netlist, nets, name, sticky=sticky
-        )
-        kernel.apply_changeset(changes)
+        _, ports = add_observation_point(netlist, nets, name, sticky=sticky)
         before = dict(record.words)
         runner = kernel.cone_runner(tuple(ports), record)
         assert runner is not None
@@ -272,13 +270,17 @@ def test_cone_runner_matches_full_replay(seed):
     assert kernel.compile_count == 1
 
 
-@given(seed=st.integers(0, 5_000), edit=st.sampled_from(("full", "eco")))
+@given(
+    seed=st.integers(0, 5_000),
+    edit=st.sampled_from(("full", "recorded", "unrecorded")),
+)
 @settings(max_examples=10, deadline=None)
 def test_stale_record_is_emptied(seed, edit):
-    """A full recompile, or a changeset that changes an instance, between
-    probes empties the round record, and the next slice still matches
-    full replay.  The edit complements the table of the LUT driving the
-    observed net, so a kept record would serve inverted words."""
+    """A full recompile, or an edit that changes an instance (recorded
+    or not), between probes empties the round record, and the next slice
+    still matches full replay.  The edit complements the table of the
+    LUT driving the observed net, so a kept record would serve inverted
+    words."""
     netlist = _random_design(seed, mapped=True)
     kernel = CompiledKernel(netlist)
     stimulus = _window(netlist, seed)
@@ -286,8 +288,7 @@ def test_stale_record_is_emptied(seed, edit):
     watch = netlist.primary_outputs()[0].inputs[0].name
     driver = netlist.net(watch).driver
     assume(driver.is_lut)
-    changes, ports = add_observation_point(netlist, [watch], "st0", False)
-    kernel.apply_changeset(changes)
+    _, ports = add_observation_point(netlist, [watch], "st0", False)
     runner = kernel.cone_runner(tuple(ports), record)
     _replay_matches(netlist, runner, ports, stimulus)
     assert record.words
@@ -295,14 +296,15 @@ def test_stale_record_is_emptied(seed, edit):
 
     full_table = (1 << (1 << len(driver.inputs))) - 1
     flipped = {**driver.params, "table": driver.params["table"] ^ full_table}
-    if edit == "eco":
-        with ChangeRecorder(netlist, "flip") as rec:
+    if edit == "recorded":
+        with ChangeRecorder(netlist, "flip"):
             netlist.set_params(driver, flipped)
-        kernel.apply_changeset(rec.changes)
     else:
-        netlist.set_params(driver, flipped)  # untracked: full recompile
+        netlist.set_params(driver, flipped)
+    if edit == "full":
+        kernel._compile_full()
     runner = kernel.cone_runner(tuple(ports), record)
-    assert kernel.compile_count == (1 if edit == "eco" else 2)
+    assert kernel.compile_count == (2 if edit == "full" else 1)
     assert kernel.generation != generation
     assert not record.words
     _replay_matches(netlist, runner, ports, stimulus)
@@ -318,8 +320,7 @@ def test_record_publishes_whole_windows_only():
     stimulus = _window(netlist, 7)
     record = SlotRecord(len(stimulus))
     watch = netlist.primary_outputs()[0].inputs[0].name
-    changes, ports = add_observation_point(netlist, [watch], "pw", False)
-    kernel.apply_changeset(changes)
+    _, ports = add_observation_point(netlist, [watch], "pw", False)
     runner = kernel.cone_runner(tuple(ports), record)
     assert runner._tape
     runner.reset(32)
@@ -364,7 +365,7 @@ def test_additive_edit_keeps_the_tape(seed):
     generation = kernel.generation
     watch = [po.inputs[0].name for po in netlist.primary_outputs()[:3]]
     changes, _ = add_observation_point(netlist, watch, "add", sticky=True)
-    kernel.apply_changeset(changes)
+    kernel.ensure_current()
     assert kernel.generation == generation
     assert all(a is b for a, b in zip(kernel._tape, tape))
     assert kernel._instr_names[: len(names)] == names
@@ -376,13 +377,14 @@ def test_additive_edit_keeps_the_tape(seed):
         for i in netlist.instances()
         if i.is_lut and i.output.sinks and not i.name.startswith("obs_")
     )
-    changes, _ = add_control_point(netlist, target, "rw")
-    kernel.apply_changeset(changes)
+    add_control_point(netlist, target, "rw")
+    kernel.ensure_current()
     assert kernel.generation != generation
     _assert_equivalent(netlist, kernel, seed + 1)
 
     generation = kernel.generation
-    kernel.apply_changeset(remove_observation_points(netlist, ["add"]))
+    remove_observation_points(netlist, ["add"])
+    kernel.ensure_current()
     assert kernel.generation != generation
     assert not any(name.startswith("obs_add_") for name in kernel._instr_names)
     _assert_equivalent(netlist, kernel, seed + 2)

@@ -56,7 +56,7 @@ def test_lock_invariant_across_debug_session():
     rects = [t.rect for t in tiled.tiles]
     before = frames_for_tiles(tiled.layout, rects)
     with ChangeRecorder(netlist, "post-session touch") as rec:
-        lut.params = {"table": lut.params["table"] ^ 1}
+        netlist.set_params(lut, {"table": lut.params["table"] ^ 1})
     commit = tiled.apply_changeset(
         rec.changes, seed=9, preset=EFFORT_PRESETS["fast"]
     )

@@ -89,7 +89,9 @@ class TestCommits:
         )
         with ChangeRecorder(mapped, "flip") as rec:
             size = 1 << len(lut.inputs)
-            lut.params = {"table": lut.params["table"] ^ (size - 1)}
+            mapped.set_params(
+                lut, {"table": lut.params["table"] ^ (size - 1)}
+            )
         return lut, rec.changes
 
     def test_commit_confines_frames(self, tiled_ctx):

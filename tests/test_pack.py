@@ -137,42 +137,32 @@ def _reference_block_map(nets):
     return table
 
 
-class _RefreshSpy:
-    """Wraps the two refreshes ``absorb_changes`` can call."""
+def _absorb_both(packed, twin, monkeypatch):
+    """Absorb the netlist's pending edits into ``packed`` through
+    ``absorb_changes``, which must not walk every net, and into ``twin``
+    through the full walk; return both refresh results."""
+    from repro.synth.pack import refresh_touched_nets, retire_instances
+    from repro.tiling import manager
 
-    def __init__(self, monkeypatch):
-        from repro.tiling import manager
+    netlist = packed.netlist
+    _, new, removed = netlist.edits_since(twin.revision)
+    got = []
 
-        self.touched = []
-        self.full = 0
-        touched, full = manager.refresh_touched_nets, manager.refresh_block_nets
+    def spy_touched(*args):
+        got.append(refresh_touched_nets(*args))
+        return got[-1]
 
-        def spy_touched(*args):
-            result = touched(*args)
-            self.touched.append(result)
-            return result
+    def no_full_walk():
+        raise AssertionError("absorb_changes walked every net")
 
-        def spy_full(packed):
-            self.full += 1
-            return full(packed)
-
-        monkeypatch.setattr(manager, "refresh_touched_nets", spy_touched)
-        monkeypatch.setattr(manager, "refresh_block_nets", spy_full)
-
-
-def _absorb_both(packed, twin, changes, spy):
-    """Absorb ``changes`` into ``packed`` through ``absorb_changes`` and
-    into ``twin`` through the full walk; return both refresh results."""
-    from repro.synth.pack import retire_instances
-    from repro.tiling.manager import absorb_changes
-
-    n_touched = len(spy.touched)
-    absorb_changes(packed, None, changes)
-    retire_instances(twin, changes.removed_instances)
-    extend_packing(twin, changes.new_instances)
-    expected = refresh_block_nets(twin)
-    got = spy.touched[-1] if len(spy.touched) > n_touched else None
-    return got, expected
+    with monkeypatch.context() as patch:
+        patch.setattr(manager, "refresh_touched_nets", spy_touched)
+        patch.setattr(netlist, "nets", no_full_walk)
+        manager.absorb_changes(packed, None)
+    retire_instances(twin, removed)
+    extend_packing(twin, new)
+    (result,) = got
+    return result, refresh_block_nets(twin)
 
 
 def _assert_same_packing(packed, twin):
@@ -261,64 +251,64 @@ def _random_eco(netlist, rng, step, live, pending):
 
 @pytest.mark.parametrize("design", ["9sym", "s9234"])
 def test_incremental_refresh_matches_full_walk(design, monkeypatch):
-    """After every commit of a seeded ECO sequence, ``absorb_changes``
-    (incremental: it re-derives only the changeset's nets) leaves the
-    same block nets, indices and block → nets map as the full walk on a
-    twin packing, and reports the same (new, changed, removed) sets."""
+    """After every commit of a seeded ECO sequence (one or two debugging
+    edits between commits), ``absorb_changes`` re-derives only the
+    edited nets, never walking every net, and leaves the same block
+    nets, indices and block → nets map as the full walk on a twin
+    packing, and reports the same (new, changed, removed) sets."""
     from repro.generators import build_design
     from repro.rng import make_rng
 
     packed = build_design(design).packed
     netlist = packed.netlist
     twin = pack_netlist(netlist)
-    spy = _RefreshSpy(monkeypatch)
     rng = make_rng(7, "eco-refresh", design)
     live, pending = [], []
     seen_nonempty = set()
     for step in range(24):
-        changes = _random_eco(netlist, rng, step, live, pending)
-        got, expected = _absorb_both(packed, twin, changes, spy)
-        assert got == expected, changes.description
+        descriptions = [
+            _random_eco(netlist, rng, 2 * step + k, live, pending).description
+            for k in range(rng.randint(1, 2))
+        ]
+        got, expected = _absorb_both(packed, twin, monkeypatch)
+        assert got == expected, descriptions
         _assert_same_packing(packed, twin)
         seen_nonempty.update(
             label for label, ids in zip(("new", "changed", "removed"), got)
             if ids
         )
-    assert spy.full == 0
-    assert len(spy.touched) == 24
     assert seen_nonempty == {"new", "changed", "removed"}
 
 
-def test_untracked_edit_takes_the_full_refresh(monkeypatch):
+def test_unrecorded_edits_skip_the_full_refresh(monkeypatch):
     """A mutation no changeset records — before the changeset starts or
-    after it ends — sends ``absorb_changes`` down the full walk, which
-    still matches the twin."""
+    after it ends — is read from the netlist's edit log: the commit
+    absorbs it without the full walk and still matches the twin."""
     from repro.debug.instrument import add_observation_point
     from repro.generators import build_design
 
     packed = build_design("9sym").packed
     netlist = packed.netlist
     twin = pack_netlist(netlist)
-    spy = _RefreshSpy(monkeypatch)
     luts = [i for i in netlist.instances() if i.is_lut]
     watch = [luts[0].output.name, luts[1].output.name]
 
-    changes, _ = add_observation_point(netlist, watch, "ok")
-    got, expected = _absorb_both(packed, twin, changes, spy)
-    assert got == expected and spy.full == 0
+    add_observation_point(netlist, watch, "ok")
+    got, expected = _absorb_both(packed, twin, monkeypatch)
+    assert got == expected
 
-    # untracked retable between commits: the next changeset is stale
+    # unrecorded retable before the next changeset
     netlist.set_params(luts[2], {"table": luts[2].params["table"] ^ 1})
-    changes, _ = add_observation_point(netlist, watch, "before")
-    assert changes.base_revision != packed.revision
-    got, _ = _absorb_both(packed, twin, changes, spy)
-    assert got is None and spy.full == 1
+    add_observation_point(netlist, watch, "before")
+    got, expected = _absorb_both(packed, twin, monkeypatch)
+    assert got == expected
     _assert_same_packing(packed, twin)
 
-    # untracked rewire after the changeset ends
-    changes, _ = add_observation_point(netlist, watch, "after")
+    # unrecorded rewire after the changeset ends
+    add_observation_point(netlist, watch, "after")
     lut = luts[3]
     netlist.set_input(lut, 0, netlist.net(watch[0]))
-    got, _ = _absorb_both(packed, twin, changes, spy)
-    assert got is None and spy.full == 2
+    got, expected = _absorb_both(packed, twin, monkeypatch)
+    assert got == expected
+    assert got[1], "the rewire moved a block net"
     _assert_same_packing(packed, twin)

@@ -5,8 +5,8 @@ These tests exist so cache-invalidation bugs fail fast:
 * non-mutating analysis/simulation must not bump the netlist revision
   or recompute the memoized ``topo_order()``/``levels()``/adjacency;
 * every mutation class must bump the revision and drop the caches;
-* the compiled kernel must stay on the incremental path for
-  changeset-tracked ECOs and recompile fully for untracked ones;
+* the compiled kernel must stay on the incremental path for every
+  ECO, recorded in a changeset or not (it reads the netlist's edit log);
 * the bitset cone engine must agree with the BFS reference.
 """
 
@@ -111,30 +111,30 @@ class TestCompiledKernelGuard:
         mapped = map_to_luts(netlist)
         kernel = CompiledKernel(mapped)
         watch = mapped.primary_outputs()[0].inputs[0].name
-        changes, _ = add_observation_point(mapped, [watch], "g0")
-        kernel.apply_changeset(changes)
+        add_observation_point(mapped, [watch], "g0")
+        kernel.ensure_current()
         assert kernel.compile_count == 1
         assert kernel.incremental_count == 1
 
-    def test_partial_changeset_forces_full_recompile(self):
-        """A changeset that doesn't start at the kernel's synced
-        revision (untracked edits slipped in between) must not be
-        applied incrementally over the gap."""
+    def test_partial_changeset_stays_incremental(self):
+        """An untracked edit before a recorded changeset is not lost:
+        the kernel reads both from the netlist's edit log and re-lowers
+        them in one incremental pass."""
         netlist = make_adder_netlist(6, registered=True)
         from repro.synth import map_to_luts
 
         mapped = map_to_luts(netlist)
         kernel = CompiledKernel(mapped)
-        # untracked edit: bumps the revision without a changeset
+        # untracked edit: no changeset records it
         lut = next(i for i in mapped.instances() if i.is_lut and i.inputs)
         mapped.set_params(lut, {"table": lut.params["table"] ^ 1})
         # tracked edit recorded after the gap
         watch = mapped.primary_outputs()[0].inputs[0].name
-        changes, _ = add_observation_point(mapped, [watch], "g1")
-        kernel.apply_changeset(changes)
-        assert kernel.compile_count == 2
-        assert kernel.incremental_count == 0
-        # and the recompiled tape must reflect the untracked retable
+        add_observation_point(mapped, [watch], "g1")
+        kernel.ensure_current()
+        assert kernel.compile_count == 1
+        assert kernel.incremental_count == 1
+        # and the re-lowered tape must reflect the untracked retable
         fresh = CompiledKernel(mapped)
         inputs = {
             pi.name.split(":", 1)[-1]: 0b1011
@@ -144,7 +144,7 @@ class TestCompiledKernelGuard:
             inputs, 4, {}
         )
 
-    def test_untracked_eco_forces_full_recompile(self):
+    def test_untracked_eco_stays_incremental(self):
         netlist = make_adder_netlist(6, registered=True)
         from repro.synth import map_to_luts
 
@@ -156,7 +156,63 @@ class TestCompiledKernelGuard:
             {pi.name.split(":", 1)[-1]: 0
              for pi in mapped.primary_inputs()}, 1
         )
-        assert kernel.compile_count == 2
+        assert kernel.compile_count == 1
+        assert kernel.incremental_count == 1
+
+
+    def test_failed_relower_falls_back_to_full_recompile(
+        self, monkeypatch
+    ):
+        """An edit the incremental pass cannot re-lower is recompiled
+        in full, and the tape still matches a fresh kernel."""
+        from repro.errors import NetlistError
+        from repro.synth import map_to_luts
+
+        mapped = map_to_luts(make_adder_netlist(6, registered=True))
+        kernel = CompiledKernel(mapped)
+        lut = next(i for i in mapped.instances() if i.is_lut and i.inputs)
+        mapped.set_params(lut, {"table": lut.params["table"] ^ 1})
+
+        def refuse(*edits):
+            raise NetlistError("cannot re-lower")
+
+        monkeypatch.setattr(kernel, "_apply_incremental", refuse)
+        inputs = {
+            pi.name.split(":", 1)[-1]: 0b0110
+            for pi in mapped.primary_inputs()
+        }
+        assert kernel.next_state(inputs, 4, {}) == CompiledKernel(
+            mapped
+        ).next_state(inputs, 4, {})
+        assert (kernel.compile_count, kernel.incremental_count) == (2, 0)
+
+
+class TestChangeRecording:
+    def test_observation_point_records_without_an_instance_walk(
+        self, monkeypatch
+    ):
+        """A probe's changeset is folded from the netlist's edit log:
+        on des, ``add_observation_point`` never walks every instance."""
+        from repro.generators import build_design
+        from repro.netlist.core import Netlist
+
+        netlist = build_design("des").packed.netlist
+        watch = [i.output.name for i in netlist.logic_instances()[:5]]
+
+        def no_walk(self):
+            raise AssertionError("walked every instance")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Netlist, "instances", no_walk)
+            changes, ports = add_observation_point(netlist, watch, "w")
+        added = {
+            i.name for i in netlist.instances()
+            if i.name.startswith(("obs_w_", "po:obs_"))
+        }
+        assert changes.new_instances == added
+        assert {f"po:{port}" for port in ports} <= added
+        assert not changes.changed_instances
+        assert not changes.removed_instances
 
 
 class TestConeEngine:

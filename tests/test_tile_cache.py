@@ -43,7 +43,7 @@ def flip_first_lut(mapped):
     )
     with ChangeRecorder(mapped, "flip") as rec:
         size = 1 << len(lut.inputs)
-        lut.params = {"table": lut.params["table"] ^ (size - 1)}
+        mapped.set_params(lut, {"table": lut.params["table"] ^ (size - 1)})
     return rec.changes
 
 
@@ -100,23 +100,31 @@ def test_different_seed_misses():
     assert not r2.cache_hit
 
 
-def test_stale_changeset_bypasses_cache():
+def test_unrecorded_edit_reaches_the_commit():
+    """A ``set_params`` outside the ChangeSet handed to the commit is
+    still absorbed: its tile is affected, so the commit cannot hit the
+    entry its twin stored without that edit."""
     cache = TileConfigCache()
     mapped1, _, tiled1 = build_tiled(cache)
-    tiled1.apply_changeset(
+    r1 = tiled1.apply_changeset(
         flip_first_lut(mapped1), seed=4, preset=EFFORT_PRESETS["fast"]
     )
     mapped2, _, tiled2 = build_tiled(cache)
     changes = flip_first_lut(mapped2)
-    lookups_before = cache.hits + cache.misses
-    # forge a base revision that cannot line up with the manager's
-    # last-synced revision: the commit must skip the cache entirely
-    changes.base_revision = (tiled2._synced_revision or 0) + 1000
+    other = next(
+        i for i in mapped2.instances()
+        if i.kind is CellKind.LUT and i.inputs
+        and tiled2.tile_of_instance(i.name) not in r1.affected_tiles
+    )
+    mapped2.set_params(other, {"table": other.params["table"] ^ 1})
+    assert other.name not in changes.changed_instances
+    hits = cache.hits
     r2 = tiled2.apply_changeset(
         changes, seed=4, preset=EFFORT_PRESETS["fast"]
     )
-    assert not r2.cache_hit
-    assert cache.hits + cache.misses == lookups_before
+    assert tiled2.tile_of_instance(other.name) in r2.affected_tiles
+    assert set(r1.affected_tiles) < set(r2.affected_tiles)
+    assert not r2.cache_hit and cache.hits == hits
     assert_layout_legal(tiled2.layout, check_capacity=False)
 
 
