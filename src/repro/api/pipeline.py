@@ -51,6 +51,7 @@ from repro.debug.localize import ConeLocalizer, LocalizationResult
 from repro.debug.strategies import BaseStrategy, make_strategy
 from repro.debug.testgen import random_stimulus
 from repro.netlist.core import Netlist
+from repro.netlist.simulate import Trace
 from repro.netlist.validate import check_netlist
 from repro.errors import DeadlineExceeded, LocalizationDrained
 from repro.obs.collector import run_scope
@@ -164,6 +165,10 @@ class RunContext:
     #: the golden model's response to the current stimulus; every
     #: stimulus change (widened retry, proof re-arm) installs a new one
     trace: GoldenTrace | None = None
+    #: the DUT's trace on ``trace``'s stimulus, kept by every detection
+    #: (:func:`~repro.debug.detect.detect_on_layout`); probe verdicts
+    #: read it
+    dut_trace: Trace | None = None
     #: random-stimulus golden traces by ``(n_cycles, n_patterns, seed,
     #: engine)``: the run's own dict, or its design memo entry's
     #: (:class:`~repro.api.design.GoldenTraces`), shared across runs
@@ -247,8 +252,15 @@ class RunContext:
         return [e for e in self.errors if e.instance not in done]
 
     def detect(self) -> list[Mismatch]:
-        """Golden-vs-layout comparison on the current stimulus."""
-        return detect_on_layout(self.strategy.layout, self.trace)
+        """Golden-vs-layout comparison on the current stimulus; keeps
+        the DUT's trace in ``dut_trace``."""
+        # the old trace dies before the new one is recorded, so the two
+        # are never held at once
+        self.dut_trace = None
+        mismatches, self.dut_trace = detect_on_layout(
+            self.strategy.layout, self.trace
+        )
+        return mismatches
 
     def golden_trace(self, n_cycles: int, seed: int) -> GoldenTrace:
         """The golden trace of the ``(n_cycles, seed)`` random stimulus.
@@ -395,7 +407,8 @@ class LocalizeStage(Stage):
         self._retire_stale_probes(ctx)
         remaining = max(1, ctx.spec.n_errors - len(ctx.corrected))
         localizer = ConeLocalizer(
-            ctx.strategy, ctx.trace, goal_size=ctx.spec.goal_size,
+            ctx.strategy, ctx.trace, ctx.dut_trace,
+            goal_size=ctx.spec.goal_size,
             n_errors=remaining, tolerate_drain=ctx.spec.n_errors > 1,
             want_pairs=ctx.spec.correction == "cegis",
         )

@@ -2,15 +2,21 @@
 
 One reference judges every verdict of the debug loop: the golden
 model's response to the stimulus.  :class:`GoldenTrace` simulates it
-once per stimulus, through the engine's all-net ``probe`` view, and
-serves both views the loop reads — every net's word per cycle (probe
-verdicts, SAT observations) and the primary-output projection
+once per stimulus and keeps the run's
+:class:`~repro.netlist.simulate.Trace` (each cycle's row of every
+slot's word), which serves both views the loop reads: a net's words
+per cycle (probe verdicts, SAT observations) and the primary outputs
 (detection, fix checks).  A new stimulus is a new trace.
 
-Detection compares the DUT's emulated outputs with the trace's
-outputs cycle by cycle and pattern by pattern.  The result is a list of
-:class:`Mismatch` records — which output, which cycle, which patterns —
-the raw material localization works from.
+Detection runs the DUT through the same stepping loop
+(:func:`repro.netlist.simulate.record` over an
+:class:`~repro.emu.Emulator`), compares its outputs with the golden
+trace's cycle by cycle and pattern by pattern, and hands back the DUT's
+own trace with the result: a list of :class:`Mismatch` records — which
+output, which cycle, which patterns — the raw material localization
+works from.  The DUT trace is bound to its kernel's generation, so
+localization reads probe verdicts from it while probe commits leave it
+current.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.emu.emulator import Emulator
-from repro.netlist.core import Netlist, port_name
-from repro.netlist.simulate import initial_state, make_engine, stimulus_inputs
+from repro.netlist.core import Netlist
+from repro.netlist.simulate import Run, Trace, record
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,8 @@ class Mismatch:
 class GoldenTrace:
     """The golden model's response to one stimulus, simulated once.
 
-    The simulation runs lazily, on first read of :attr:`nets` or
-    :attr:`outputs`.  The stimulus is shaped by
+    The simulation runs lazily, on first read of :attr:`recorded`,
+    :attr:`outputs` or :meth:`words`.  The stimulus is shaped by
     :func:`repro.netlist.simulate.stimulus_inputs`: input ports missing
     from a cycle's map read 0.
     """
@@ -58,31 +64,24 @@ class GoldenTrace:
         self.engine = engine
 
     @cached_property
-    def nets(self) -> list[dict[str, int]]:
-        """Golden word on every net, per cycle."""
-        comb = make_engine(self.golden, self.engine)
-        state = initial_state(self.golden, self.n_patterns)
-        flops = self.golden.flip_flops()
-        history = []
-        for inputs in stimulus_inputs(self.golden, self.stimulus):
-            values = comb.probe(inputs, self.n_patterns, state)
-            history.append(values)
-            # the probe view already carries every FF's D-net word, so
-            # the next state comes for free (no second full evaluation)
-            state = {ff.name: values[ff.inputs[0].name] for ff in flops}
-        return history
+    def recorded(self) -> Trace:
+        """The golden run from reset: each cycle's row and outputs."""
+        return record(
+            Run(self.golden, self.engine), self.stimulus, self.n_patterns
+        )
 
-    @cached_property
+    @property
     def outputs(self) -> list[dict[str, int]]:
         """Golden primary-output words, per cycle."""
-        ports = [
-            (port_name(po), po.inputs[0].name)
-            for po in self.golden.primary_outputs()
-        ]
-        return [
-            {port: values[net] for port, net in ports}
-            for values in self.nets
-        ]
+        return self.recorded.outputs
+
+    def words(self, net: str) -> list[int] | None:
+        """Golden word on ``net`` per cycle; None when the golden model
+        drives no such net (such a net is never judged)."""
+        golden = self.golden
+        if not golden.has_net(net) or golden.net(net).driver is None:
+            return None
+        return self.recorded.words(net)
 
 
 def compare_runs(
@@ -103,20 +102,19 @@ def compare_runs(
     return mismatches
 
 
-def detect_on_layout(layout, trace: GoldenTrace) -> list[Mismatch]:
+def detect_on_layout(
+    layout, trace: GoldenTrace
+) -> tuple[list[Mismatch], Trace]:
     """Emulate the layout on the trace's stimulus and compare.
 
-    The DUT's stimulus is shaped by
-    :func:`repro.netlist.simulate.stimulus_inputs` (control inputs
-    missing from it read 0, disabled), and observation outputs are
-    excluded by :func:`compare_runs`.  The DUT runs on the trace's
+    Returns the mismatches and the DUT's trace.  The DUT's stimulus is
+    shaped by :func:`repro.netlist.simulate.stimulus_inputs` (control
+    inputs missing from it read 0, disabled), and observation outputs
+    are excluded by :func:`compare_runs`.  The DUT runs on the trace's
     engine (see :func:`repro.netlist.make_engine`).
     """
-    n_patterns = trace.n_patterns
-    emulator = Emulator(layout, engine=trace.engine)
-    emulator.reset(n_patterns)
-    dut_out = [
-        emulator.step(inputs, n_patterns)
-        for inputs in stimulus_inputs(layout.packed.netlist, trace.stimulus)
-    ]
-    return compare_runs(dut_out, trace.outputs)
+    dut = record(
+        Emulator(layout, engine=trace.engine), trace.stimulus,
+        trace.n_patterns,
+    )
+    return compare_runs(dut.outputs, trace.outputs), dut

@@ -14,11 +14,15 @@ the error lies upstream.  The localizer mechanizes the designer:
    logic does not change within a round);
 3. stop when the candidates fit the goal size or probes run out.
 
-A probe verdict compares the observed net with the golden model's word
-on it, read from the round's :class:`~repro.debug.detect.GoldenTrace`
-— the one golden simulation of the stimulus that detection, SAT pruning
-and correction also read.  The localizer never simulates the golden
-model itself.
+A probe verdict compares the observed net's DUT words with the golden
+model's words on it.  The golden side is the round's
+:class:`~repro.debug.detect.GoldenTrace` — the one golden simulation
+of the stimulus that detection, SAT pruning and correction also read;
+the localizer never simulates the golden model itself.  The DUT side is
+the DUT :class:`~repro.netlist.simulate.Trace` detection recorded: a
+probe's output marker reads the probed net itself, and a probe commit
+only adds logic, so the trace still holds the probe port's words and
+the verdict is read off it with no emulation.
 
 **Multiple interacting faults** break the intersection step: outputs
 failing because of *different* errors share no common cone.  Seeding is
@@ -50,18 +54,15 @@ agree on every verdict and candidate set:
   one precomputed big int, so probe selection is O(V+E) per round
   instead of O(V·E).  One shared instruction-tape kernel
   (:mod:`repro.netlist.compiled`) is kept current across probe commits
-  via incremental recompile, and each probe verdict replays a **cone
-  slice** of the tape — only the sequential fanin of the observed
-  probe output — instead of the whole design.  The round keeps one
-  :class:`~repro.netlist.compiled.SlotRecord` of DUT words: a probe's
-  slice skips the logic earlier probes of the round already emulated
-  and reads those nets' recorded per-cycle words instead (probe commits
-  only add logic, so the DUT's words cannot change within a round).
-  After a mismatch every later candidate lies in the recorded cone, so
-  later probes evaluate nothing but their observation logic;
+  via incremental recompile, and its generation tells whether the DUT
+  trace is still current: a probe commit keeps it, while a removal or
+  rewire since recording (the previous round's retire commit) renews
+  it, and the first verdict after that records the trace again with
+  the detection pass's loop, once for the round;
 * ``engine="interpreted"`` — the retained baseline: candidates are a
   set of instance names, each cone query a BFS walk, and each verdict
-  a full replay on the instance-walking simulator.
+  a full replay on the instance-walking simulator (its traces are never
+  current), the reference the compiled verdicts must equal.
 
 Per-phase wall-clock (seed / pick / emulate / commit) accumulates in
 ``LocalizationResult.timings`` for the performance benchmark.  The
@@ -75,17 +76,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.debug.detect import GoldenTrace, Mismatch
 from repro.debug.instrument import add_observation_point
 from repro.debug.strategies import BaseStrategy
 from repro.emu.emulator import Emulator
 from repro.errors import DebugFlowError, LocalizationDrained
-from repro.netlist.compiled import SlotRecord
 from repro.netlist.cones import ConeIndex
 from repro.netlist.core import Netlist, port_name
-from repro.netlist.simulate import stimulus_inputs
+from repro.netlist.simulate import Trace, record
 from repro.obs.metrics import METRICS
 from repro.obs.trace import maybe_span
 from repro.resilience.budget import check_deadline
@@ -140,16 +139,18 @@ class LocalizationResult:
 class ConeLocalizer:
     """Drives observation-point bisection on top of a strategy.
 
-    ``trace`` is the golden model's response to the round's stimulus;
-    probe verdicts compare against its per-net words, and the DUT runs
-    on its engine.  ``n_errors`` is the number of faults still believed
-    live in the DUT; it sizes the SAT pruner's cardinality bound.
+    ``trace`` is the golden model's response to the round's stimulus
+    and ``dut`` the DUT's trace on it (detection's); probe verdicts
+    compare the two, and the DUT runs on the golden trace's engine.
+    ``n_errors`` is the number of faults still believed live in the
+    DUT; it sizes the SAT pruner's cardinality bound.
     """
 
     def __init__(
         self,
         strategy: BaseStrategy,
         trace: GoldenTrace,
+        dut: Trace,
         goal_size: int = 4,
         n_errors: int = 1,
         *,
@@ -158,6 +159,7 @@ class ConeLocalizer:
     ) -> None:
         self.strategy = strategy
         self.trace = trace
+        self.dut = dut
         self.engine = trace.engine
         self.goal_size = goal_size
         self.n_errors = max(1, n_errors)
@@ -260,8 +262,6 @@ class ConeLocalizer:
             group_outputs=group, deferred_outputs=deferred,
         )
         emulator: Emulator | None = None
-        #: the round's DUT words per slot, shared by its probe verdicts
-        record = SlotRecord(len(self.trace.stimulus))
 
         pruner = None
         group_mismatches = [m for m in mismatches if m.output in group]
@@ -321,7 +321,7 @@ class ConeLocalizer:
                     else:
                         emulator.refresh(layout=self.strategy.layout)
                     mismatch = verdicts[probe] = self._probe_disagrees(
-                        emulator, probe_net, f"loc{probe_no}", record
+                        emulator, probe_net
                     )
                     timings["emulate"] += time.perf_counter() - t0
 
@@ -370,42 +370,27 @@ class ConeLocalizer:
             result.sat_subsets_refuted = pruner.n_subset_refuted
         return result
 
-    @cached_property
-    def _dut_stimulus(self) -> list[dict[str, int]]:
-        """The round's stimulus over the DUT's input ports, shaped once
-        for every probe verdict (probes add outputs, never inputs)."""
-        return stimulus_inputs(
-            self.strategy.packed.netlist, self.trace.stimulus
-        )
+    def _probe_disagrees(self, emulator: Emulator, probe_net: str) -> bool:
+        """Whether the probe port's DUT words differ from the golden
+        net's on some cycle.
 
-    def _probe_disagrees(
-        self, emulator: Emulator, probe_net: str, obs_name: str,
-        record: SlotRecord,
-    ) -> bool:
-        """Emulate and compare the probe output to the golden net value."""
-        probe_port = f"obs_probe_{obs_name}"
-        # replay only the sequential fanin slice of the observed output,
-        # minus what the round's record holds, when the engine offers
-        # one — bit-identical verdict (the slice is fanin-closed), a
-        # fraction of the evaluation; otherwise the whole design steps.
-        # A slice steps the whole window so it can publish its words
-        runner = emulator.cone_runner((probe_port,), record)
-        full_window = runner is not None
-        runner = runner or emulator
-        n_patterns = self.trace.n_patterns
-        runner.reset(n_patterns)
-        disagrees = False
-        for inputs, golden_nets in zip(self._dut_stimulus, self.trace.nets):
-            outputs = runner.step(inputs, n_patterns)
-            probe_value = outputs.get(probe_port)
-            golden_value = golden_nets.get(probe_net)
-            if probe_value is None or golden_value is None:
-                continue
-            if probe_value != golden_value:
-                disagrees = True
-                if not full_window:
-                    break
-        return disagrees
+        The port's marker reads ``probe_net``, so the port's words are
+        the net's words in the DUT trace.  A trace the engine no longer
+        holds current (an edit other than an addition since it was
+        recorded, or any interpreted trace) is recorded again by the
+        emulator first: a full replay of the round's stimulus.
+        """
+        golden = self.trace.words(probe_net)
+        if golden is None:
+            return False  # a net the golden model does not drive
+        dut = self.dut
+        words = dut.words(probe_net) if dut.current(emulator.view) else None
+        if words is None:
+            self.dut = dut = record(
+                emulator, self.trace.stimulus, self.trace.n_patterns
+            )
+            words = dut.words(probe_net)
+        return words != golden
 
 
 class _BitsetCandidates:

@@ -8,6 +8,12 @@ golden model (hardware emulation is functionally exact; that is the
 point of emulation), so any output divergence from the golden reference
 is a *design error*, not an artifact.
 
+The emulator is a :class:`~repro.netlist.simulate.Run` on a checked
+layout: each :meth:`Emulator.step` evaluates one clock cycle and keeps
+its row of every slot's word, so detection's pass
+(:func:`repro.netlist.simulate.record`) leaves the DUT's whole trace
+behind, and localization reads its probe verdicts from that trace.
+
 Observation flags: instrumentation (:mod:`repro.debug.instrument`) adds
 primary outputs named ``obs_flag*`` and ``obs_probe_*``.
 :meth:`Emulator.step` returns them with the functional outputs, and
@@ -18,17 +24,16 @@ outputs the golden model also has.
 from __future__ import annotations
 
 from repro.errors import EmulationError
-from repro.netlist.simulate import initial_state, make_engine
+from repro.netlist.simulate import Run, make_engine
 from repro.pnr.flow import Layout
 
 
-class Emulator:
+class Emulator(Run):
     """Executes a placed-and-routed design cycle by cycle.
 
     ``engine`` selects the combinational evaluator: ``"compiled"`` (the
-    instruction-tape kernel, shared per netlist, kept current across
-    ECO edits, and able to replay cone slices) or ``"interpreted"``
-    (the retained reference engine).
+    instruction-tape kernel, shared per netlist and kept current across
+    ECO edits) or ``"interpreted"`` (the retained reference engine).
     Long-lived consumers like the localizer construct one emulator and
     call :meth:`refresh` after each committed change instead of
     rebuilding — construction re-checks the whole configuration and
@@ -37,12 +42,8 @@ class Emulator:
 
     def __init__(self, layout: Layout, engine: str = "compiled") -> None:
         self.layout = layout
-        self.engine = engine
         self._check_configuration()
-        self.netlist = layout.packed.netlist
-        self._comb = make_engine(self.netlist, engine)
-        self.state: dict[str, int] = {}
-        self.reset()
+        super().__init__(layout.packed.netlist, engine)
 
     def _check_configuration(self) -> None:
         packed = self.layout.packed
@@ -76,24 +77,16 @@ class Emulator:
         self._check_configuration()
         if self.engine == "interpreted":
             # re-levelize: the interpreted engine snapshots topo order
-            self._comb = make_engine(self.netlist, self.engine)
+            self.view = make_engine(self.netlist, self.engine)
         else:
-            self._comb.ensure_current()
-
-    def cone_runner(self, ports, record):
-        """A fanin-sliced sequential runner for ``ports``, if the
-        active engine supports one (compiled does); ``None`` otherwise.
-        ``record`` is the engine's slot record shared by the runners of
-        one stimulus window (:class:`repro.netlist.compiled.SlotRecord`).
-        """
-        maker = getattr(self._comb, "cone_runner", None)
-        return None if maker is None else maker(tuple(ports), record)
-
-    def reset(self, n_patterns: int = 1) -> None:
-        self.state = initial_state(self.netlist, n_patterns)
+            self.view.ensure_current()
 
     def step(self, inputs: dict[str, int], n_patterns: int = 1) -> dict[str, int]:
-        outputs, self.state = self._comb.next_state(
-            inputs, n_patterns, self.state
-        )
-        return outputs
+        """One emulated clock cycle: the functional and observation
+        outputs; ``row`` keeps every slot's word.
+
+        Defined here rather than inherited so that emulation steps are
+        a method of their own, timed apart from golden and replay runs
+        (perfbench's ``emu.step`` layer wraps this attribute).
+        """
+        return super().step(inputs, n_patterns)

@@ -16,8 +16,7 @@ Lowering assigns every net a dense integer *slot* in a flat value array
 interpreted engine).  Each combinational instance becomes one tape entry
 ``(fn, srcs, dest)``: its code-generated evaluator (below), the tuple of
 its operand slots (input pin order) and its output slot.  A parallel
-list holds the instance names, which incremental recompiles and cone
-slicing filter on.
+list holds the instance names, which incremental recompiles filter on.
 
 Primary inputs and DFF Q values are *leaves*: their slots are filled
 from the stimulus/state dicts before the tape runs, so the tape itself
@@ -52,29 +51,19 @@ the surviving prefix while preserving topological validity.  Only a
 region that cannot be re-lowered (a combinational loop mid-edit) costs
 a full recompile, so the kernel can never silently run stale.
 
-Cone slicing
-============
+Generations and traces
+======================
 
-:meth:`CompiledKernel.cone_runner` restricts sequential replay to the
-fanin cone of a set of observed output ports.  The returned
-:class:`ConeRunner` holds the cone's tape entries (in tape order, so
-still topologically valid) and its own FF state, which lets a
-localization probe verdict replay only the logic that can reach the
-probe — with the same verdict as full replay.
-
-A :class:`SlotRecord` shared by the runners of one stimulus window
-(one localization round) narrows the slice further.  It maps a slot to
-its word on every cycle of the window.  A runner built against it
-drops every tape entry, FF and primary input whose slot is recorded and
-reads the recorded slots its remaining logic, its FFs' D pins and its
-ports need as per-cycle leaves; once it has stepped the whole window it
-publishes the slots it computed.  Recorded cones are fanin-closed, so
-the slice stays exact, and a probe whose cone earlier runners covered
-evaluates nothing.  A record is exact only while the kernel's edits are
-additive (no changed or removed instance feeds recorded logic), so it
-binds to :attr:`CompiledKernel.generation`, which a full compile or a
-non-additive incremental edit renews; :meth:`~CompiledKernel.cone_runner`
-empties a record whose generation is stale.
+One evaluated cycle is the *row* ``v`` itself: every slot's word.  A
+:class:`~repro.netlist.simulate.Trace` keeps each cycle's row of a run
+from reset, bound to :attr:`CompiledKernel.generation`.  An additive
+edit (new cells, none feeding an existing one) changes no existing
+slot's words and only appends slots, so the generation holds and a
+trace recorded before it still gives every recorded net's words; a
+full compile (slots renumber) or a non-additive incremental edit (a
+changed or removed instance) renews the generation, which marks every
+earlier trace stale.  Localization reads probe verdicts off the DUT
+trace this way instead of re-emulating.
 """
 
 from __future__ import annotations
@@ -324,8 +313,9 @@ def _fn_for(op: int, k: int, table: int | None):
 class CompiledKernel:
     """Lowered, replayable form of one netlist.
 
-    Offers the same two views as :class:`CombinationalSimulator`
-    (``next_state``, ``probe``) and is bit-exact against it.  Use
+    Offers the same interface as :class:`CombinationalSimulator`
+    (``slots``, ``row``, ``outputs_of``, ``state_of``, ``next_state``)
+    and is bit-exact against it.  Use
     :func:`kernel_for` to share one kernel per netlist across the
     emulator, :func:`~repro.netlist.simulate.replay_outputs`, the golden
     trace and the localizer.
@@ -361,8 +351,8 @@ class CompiledKernel:
             self._append_instr(inst)
         self._rebuild_metadata()
         self._revision = nl.revision
-        #: renewed whenever slot words computed before may be stale:
-        #: here (slots renumber) and on a non-additive incremental edit
+        #: renewed whenever rows computed before may be stale: here
+        #: (slots renumber) and on a non-additive incremental edit
         self.generation = next(_GENERATIONS)
         self.compile_count += 1
         METRICS.inc("repro_kernel_compiles_total", kind="full")
@@ -414,8 +404,6 @@ class CompiledKernel:
             (port_name(po), self._slot(po.inputs[0].name))
             for po in nl.primary_outputs()
         ]
-        # the all-instance probe view is built on the first probe()
-        self._probe_slots: list[tuple[str, int]] | None = None
         self._n_slots = len(self._slot_of_net)
 
     # -- incremental recompile -----------------------------------------
@@ -448,7 +436,7 @@ class CompiledKernel:
         # prefix
         region = nl.fanout_cone(seeds, stop_at_ffs=True) if seeds else set()
         # additive: only new cells, none feeding an existing one, so no
-        # existing slot's words change and a SlotRecord stays exact; no
+        # existing slot's words change and a trace stays exact; no
         # new cell is on the tape yet, so the tape keeps every entry
         additive = not changed and not removed and region <= new
         if not additive:
@@ -535,6 +523,24 @@ class CompiledKernel:
             v[d] = fn(v, s, mask)
         return v
 
+    @property
+    def slots(self) -> dict[str, int]:
+        """Net name → slot; within a generation slots are only added."""
+        return self._slot_of_net
+
+    def row(
+        self, inputs: dict[str, int], n_patterns: int, state: dict[str, int]
+    ) -> list[int]:
+        """Every slot's word for one clock cycle."""
+        self.ensure_current()
+        return self._evaluate(inputs, n_patterns, state)
+
+    def outputs_of(self, row: list[int]) -> dict[str, int]:
+        return {name: row[slot] for name, slot in self._outputs}
+
+    def state_of(self, row: list[int]) -> dict[str, int]:
+        return {name: row[slot_d] for name, _, _, slot_d in self._ffs}
+
     def next_state(
         self,
         inputs: dict[str, int],
@@ -542,179 +548,8 @@ class CompiledKernel:
         state: dict[str, int],
     ) -> tuple[dict[str, int], dict[str, int]]:
         """(outputs, next FF state) for one clock cycle."""
-        self.ensure_current()
-        v = self._evaluate(inputs, n_patterns, state)
-        outputs = {name: v[slot] for name, slot in self._outputs}
-        nxt = {name: v[slot_d] for name, _, _, slot_d in self._ffs}
-        return outputs, nxt
-
-    def probe(
-        self,
-        inputs: dict[str, int],
-        n_patterns: int,
-        state: dict[str, int] | None = None,
-    ) -> dict[str, int]:
-        """The word on every driven net — read by the golden trace."""
-        self.ensure_current()
-        if self._probe_slots is None:
-            # mirrors the interpreted engine: the output net of every
-            # non-OUTPUT instance
-            self._probe_slots = [
-                (inst.output.name, self._slot_of_net[inst.output.name])
-                for inst in self.netlist.instances()
-                if inst.kind is not CellKind.OUTPUT
-            ]
-        v = self._evaluate(inputs, n_patterns, state or {})
-        return {name: v[slot] for name, slot in self._probe_slots}
-
-    # -- cone slicing --------------------------------------------------
-
-    def cone_runner(
-        self, ports, record: SlotRecord
-    ) -> ConeRunner | None:
-        """Sliced runner for the sequential fanin cone of ``ports``.
-
-        The runner replays the subset of this revision's tape whose
-        instances reach a port, so a localization probe verdict
-        evaluates only the logic that can affect the probe.  Logic
-        whose slots ``record`` already holds is not replayed but read
-        from it (the record is emptied first if its generation is
-        stale; an empty record gives the whole cone).  ``None`` when a
-        port is not a primary output of the netlist.
-        """
-        self.ensure_current()
-        nl = self.netlist
-        by_port = {port_name(po): po for po in nl.primary_outputs()}
-        if any(port not in by_port for port in ports):
-            return None
-        if record.generation != self.generation:
-            record.words.clear()
-            record.generation = self.generation
-        known = record.words
-        cone = nl.fanin_cone(
-            [by_port[port] for port in ports], stop_at_ffs=False
-        )
-        tape = [
-            entry for entry, name in zip(self._tape, self._instr_names)
-            if name in cone and entry[2] not in known
-        ]
-        inputs = [
-            (port_name(pi), slot)
-            for pi in nl.primary_inputs()
-            if pi.name in cone
-            and (slot := self._slot_of_net[pi.output.name]) not in known
-        ]
-        ffs = [
-            entry for entry in self._ffs
-            if entry[0] in cone and entry[1] not in known
-        ]
-        outs = [
-            (port, self._slot_of_net[by_port[port].inputs[0].name])
-            for port in ports
-        ]
-        read = {slot for _, srcs, _ in tape for slot in srcs}
-        read.update(slot_d for _, _, _, slot_d in ffs)
-        read.update(slot for _, slot in outs)
-        leaves = [(slot, known[slot]) for slot in read if slot in known]
-        return ConeRunner(
-            tape, inputs, ffs, outs, self._n_slots, leaves,
-            record, self.generation,
-        )
-
-
-class SlotRecord:
-    """Slot words of one kernel over one stimulus window.
-
-    ``words`` maps a slot to its word on each of the window's
-    ``n_cycles`` cycles, as stepped from reset on one stimulus at one
-    pattern width — the caller's contract: every runner sharing a
-    record is stepped on the same stimulus.  ``generation`` is the
-    kernel generation the words belong to (``None`` until first use).
-    """
-
-    def __init__(self, n_cycles: int) -> None:
-        self.n_cycles = n_cycles
-        self.words: dict[int, tuple[int, ...]] = {}
-        self.generation: int | None = None
-
-
-class ConeRunner:
-    """Sequential replay restricted to one observed-port fanin slice.
-
-    Bit-identical to stepping the full kernel and reading the same
-    ports: the sequential fanin cone is closed under fanin, so every
-    value a slice gate or slice FF reads is itself computed by the
-    slice, filled from a leaf, or read from the shared
-    :class:`SlotRecord`.  Holds its own FF state — callers ``reset``
-    then ``step`` it exactly like an emulator, for at most the record's
-    window; once it has stepped the whole window it publishes the slots
-    it computed to the record.
-    """
-
-    def __init__(
-        self, tape, inputs, ffs, outs, n_slots: int, leaves,
-        record: SlotRecord, generation: int,
-    ) -> None:
-        self._tape = tape  # [(micro_fn, srcs, dest)], a kernel tape slice
-        self._inputs = inputs  # [(port, slot)]
-        self._ffs = ffs  # [(name, slot_q, init, slot_d)]
-        self._outs = outs  # [(port, slot)]
-        self._n_slots = n_slots
-        self._leaves = leaves  # [(slot, recorded words)]
-        self._record = record
-        self._generation = generation
-        # every slot this slice writes, published to the record
-        self._computed = (
-            [d for _, _, d in tape]
-            + [slot_q for _, slot_q, _, _ in ffs]
-            + [slot for _, slot in inputs]
-        )
-        self._rows: list[list[int]] = []
-        self.state: dict[str, int] = {}
-
-    def reset(self, n_patterns: int = 1) -> None:
-        mask = (1 << n_patterns) - 1
-        self.state = {
-            name: (mask if init else 0)
-            for name, _, init, _ in self._ffs
-        }
-        self._rows = []
-
-    def step(
-        self, inputs: dict[str, int], n_patterns: int = 1
-    ) -> dict[str, int]:
-        if n_patterns < 1:
-            raise NetlistError("need at least one pattern")
-        record = self._record
-        cycle = len(self._rows)
-        if cycle >= record.n_cycles:
-            raise NetlistError("stepped past the recorded window")
-        mask = (1 << n_patterns) - 1
-        v = [0] * self._n_slots
-        for slot, words in self._leaves:
-            v[slot] = words[cycle]
-        for port, slot in self._inputs:
-            v[slot] = inputs.get(port, 0) & mask
-        state = self.state
-        for name, slot_q, init, _ in self._ffs:
-            word = state.get(name)
-            if word is None:
-                word = mask if init else 0
-            else:
-                word &= mask
-            v[slot_q] = word
-        for fn, s, d in self._tape:
-            v[d] = fn(v, s, mask)
-        self.state = {
-            name: v[slot_d] for name, _, _, slot_d in self._ffs
-        }
-        self._rows.append([v[slot] for slot in self._computed])
-        if (
-            cycle + 1 == record.n_cycles
-            and record.generation == self._generation
-        ):
-            record.words.update(zip(self._computed, zip(*self._rows)))
-        return {port: v[slot] for port, slot in self._outs}
+        row = self.row(inputs, n_patterns, state)
+        return self.outputs_of(row), self.state_of(row)
 
 
 # ----------------------------------------------------------------------

@@ -72,7 +72,7 @@ class SuspectPruner:
 
     ``trace`` is the golden model's response to the round's stimulus:
     the encoding unrolls its golden netlist under its stimulus and
-    reads its per-net words as the observed golden values.
+    reads its net words as the observed golden values.
     ``n_errors`` is the number of faults the diagnosis must account for
     simultaneously — the cardinality bound of the relaxation.
     ``max_relax`` caps the multi-fault encoding: when the golden
@@ -284,22 +284,29 @@ class SuspectPruner:
     ) -> None:
         """Unit-clause everything the DUT run actually showed us."""
         p = self.pattern
+        words = self.trace.words
+        outputs = [
+            (port, words(self._out_net[port]))
+            for port in sorted(self._out_net)
+        ]
+        # a "match" probe verdict certifies the DUT carried the golden
+        # value on this net at every cycle and pattern (a net the golden
+        # model does not drive reads 0)
+        probes = [
+            (net, words(net))
+            for net in sorted(set(matched_probes))
+            if self.golden.has_net(net)
+        ]
         for t in range(self.cycle + 1):
-            values = self.trace.nets[t]
-            for port in sorted(self._out_net):
-                net = self._out_net[port]
-                bit = (values[net] >> p) & 1
+            for port, port_words in outputs:
+                bit = (port_words[t] >> p) & 1
                 diff = self._diff.get((t, port), 0)
                 if (diff >> p) & 1:
                     bit ^= 1  # the DUT disagreed here — observe *its* value
                 lit = enc.output_lit(port, t)
                 gb.clause([lit] if bit else [-lit])
-            for net in sorted(set(matched_probes)):
-                # a "match" probe verdict certifies the DUT carried the
-                # golden value on this net at every cycle and pattern
-                if not self.golden.has_net(net):
-                    continue
-                bit = (values.get(net, 0) >> p) & 1
+            for net, net_words in probes:
+                bit = (net_words[t] >> p) & 1 if net_words else 0
                 lit = enc.net_lit(net, t)
                 gb.clause([lit] if bit else [-lit])
 

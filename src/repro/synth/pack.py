@@ -509,6 +509,28 @@ def retire_instances(packed: PackedDesign, removed_names) -> set[int]:
     return touched
 
 
+def miscast_instances(packed: PackedDesign, names) -> set[str]:
+    """Instances among ``names`` packed in a BLE role their kind no
+    longer fills: a LUT held as a BLE's flip-flop or a flip-flop held as
+    its LUT.  The netlist's edit log reports an instance removed and
+    re-added under the same name as changed, so a kind swap arrives
+    here; :func:`repro.tiling.manager.absorb_changes` retires and
+    re-packs each one."""
+    netlist = packed.netlist
+    found: set[str] = set()
+    for name in names:
+        idx = packed.block_of_instance.get(name)
+        if idx is None or not packed.blocks[idx].is_clb:
+            continue
+        kind = netlist.instance(name).kind
+        for ble in packed._clb_by_name[packed.blocks[idx].name].bles:
+            if (ble.lut == name and kind is not CellKind.LUT) or (
+                ble.ff == name and kind is not CellKind.DFF
+            ):
+                found.add(name)
+    return found
+
+
 def _resync_nets(
     packed: PackedDesign, nets, gone: list[str]
 ) -> tuple[set[int], set[int], set[int]]:

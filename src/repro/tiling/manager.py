@@ -47,6 +47,7 @@ from repro.resilience.chaos import replay_denied
 from repro.synth.pack import (
     PackedDesign,
     extend_packing,
+    miscast_instances,
     refresh_touched_nets,
     retire_instances,
 )
@@ -132,14 +133,17 @@ def absorb_changes(
     block nets touching changed, retired or new blocks are re-derived
     (:func:`refresh_touched_nets`): the log names every instance edit,
     so the result equals the full walk (:func:`refresh_block_nets`) at
-    O(change).
+    O(change).  A changed instance whose kind no longer fills its BLE
+    role (removed and re-added under its name as another kind) is
+    retired and packed again like a new one.
 
     Returns (changed blocks, new blocks, net indices needing routes).
     """
     changed, new, removed = packed.netlist.edits_since(packed.revision)
+    recast = miscast_instances(packed, changed)
     changed_blocks = packed.blocks_of_instances(changed | removed)
-    retire_instances(packed, removed)
-    new_blocks = extend_packing(packed, new)
+    retire_instances(packed, removed | recast)
+    new_blocks = extend_packing(packed, new | recast)
     new_ids, changed_ids, removed_ids = refresh_touched_nets(
         packed, changed | new, changed_blocks | new_blocks
     )

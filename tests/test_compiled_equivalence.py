@@ -1,17 +1,20 @@
 """Compiled-vs-interpreted engine equivalence (property-based).
 
 The compiled instruction-tape kernel must be bit-exact against the
-interpreted reference on outputs, probe words and next-FF-state — for
-randomized designs, across error kinds and stimulus seeds, before and
-after ECO edits (error injection, observation-point insertion, control
-points, correction), recorded in a changeset or not, which the kernel
-re-lowers incrementally from the netlist's edit log.  Its cone-sliced
-probe runners must agree with full replay on the sliced ports, also
-when they share a round record of slot words, and the golden trace's
-output projection and detection on an unmodified layout must equal a
-plain replay.  Every LUT micro-kernel must equal the minterm reference
-``eval_lut`` with no more operators than the minterm sum-of-products
-(:func:`_sop_source`, kept here as the reference).
+interpreted reference on outputs, every driven net's word and
+next-FF-state — for randomized designs, across error kinds and stimulus
+seeds, before and after ECO edits (error injection, observation-point
+insertion, control points, retables, retired observation points,
+correction), recorded in a changeset or not, which the kernel re-lowers
+incrementally from the netlist's edit log.  A trace of a run from reset
+must give the interpreted engine's words on every driven net and cycle;
+it stays current across additive edits only (a probe), and a retable,
+a removal or a full compile makes it stale.  The golden trace's outputs
+and detection on an unmodified layout must equal a plain replay, with
+the DUT trace equal to the golden one.  Every LUT micro-kernel must
+equal the minterm reference ``eval_lut`` with no more operators than
+the minterm sum-of-products (:func:`_sop_source`, kept here as the
+reference).
 """
 
 import ast
@@ -23,22 +26,23 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.arch import pick_device
 from repro.debug import ERROR_KINDS, apply_correction, inject_error
 from repro.debug.detect import GoldenTrace, detect_on_layout
-from repro.debug.instrument import add_control_point, add_observation_point
-from repro.emu import Emulator
+from repro.debug.instrument import (
+    add_control_point,
+    add_observation_point,
+    remove_observation_points,
+)
 from repro.errors import DebugFlowError, NetlistError
 from repro.generators import build_design
 from repro.generators.random_logic import random_sequential_netlist
-from repro.netlist import CombinationalSimulator, CompiledKernel, initial_state
-from repro.netlist.cells import CellKind, eval_lut
-from repro.netlist.compiled import (
-    OP_LUT,
-    SlotRecord,
-    _build_fn,
-    _function,
-    _gen_source,
+from repro.netlist import (
+    CombinationalSimulator,
+    CompiledKernel,
+    initial_state,
+    kernel_for,
 )
-from repro.netlist.core import port_name
-from repro.netlist.simulate import replay_outputs
+from repro.netlist.cells import CellKind, eval_lut
+from repro.netlist.compiled import OP_LUT, _build_fn, _function, _gen_source
+from repro.netlist.simulate import Run, record, replay_outputs
 from repro.pnr import EFFORT_PRESETS, full_place_and_route
 from repro.rng import make_rng
 from repro.synth import map_to_luts, pack_netlist
@@ -58,8 +62,40 @@ def _input_names(netlist):
     return {pi.name.split(":", 1)[-1] for pi in netlist.primary_inputs()}
 
 
+def _driven_words(view, netlist, row):
+    """Every driven net's word in one row, by net name."""
+    return {
+        net.name: row[view.slots[net.name]]
+        for net in netlist.nets() if net.driver is not None
+    }
+
+
+def _window(netlist, seed, n_cycles=6, n_patterns=32):
+    """One stimulus window over the netlist's input ports."""
+    rng = make_rng(seed, "cone-stim")
+    names = sorted(_input_names(netlist))
+    return [
+        {n: rng.getrandbits(n_patterns) for n in names}
+        for _ in range(n_cycles)
+    ]
+
+
+def _traces_agree(netlist, stimulus, n_patterns=32):
+    """A compiled trace equals an interpreted one on the outputs and on
+    every driven net and cycle; returns the compiled trace."""
+    compiled = record(Run(netlist, "compiled"), stimulus, n_patterns)
+    interpreted = record(Run(netlist, "interpreted"), stimulus, n_patterns)
+    assert compiled.outputs == interpreted.outputs
+    for net in netlist.nets():
+        if net.driver is not None:
+            words = interpreted.words(net.name)
+            assert compiled.words(net.name) == words, net.name
+    return compiled
+
+
 def _assert_equivalent(netlist, kernel, seed, n_patterns=64, n_cycles=3):
-    """Outputs, probe words and FF next-state agree for a few cycles."""
+    """Outputs, driven-net words and FF next-state agree for a few
+    cycles."""
     interp = CombinationalSimulator(netlist)
     rng = make_rng(seed, "eq-stim")
     names = _input_names(netlist)
@@ -70,8 +106,10 @@ def _assert_equivalent(netlist, kernel, seed, n_patterns=64, n_cycles=3):
         out_c, next_c = kernel.next_state(inputs, n_patterns, state)
         assert out_i == out_c
         assert next_i == next_c
-        assert interp.probe(inputs, n_patterns, state) == kernel.probe(
-            inputs, n_patterns, state
+        assert _driven_words(
+            interp, netlist, interp.row(inputs, n_patterns, state)
+        ) == _driven_words(
+            kernel, netlist, kernel.row(inputs, n_patterns, state)
         )
         state = next_i
 
@@ -115,57 +153,141 @@ def test_engine_replay_identity(seed, kind, stim_seed):
         packed, device, seed=seed, preset=EFFORT_PRESETS["fast"],
         strict_routing=False,
     )
+    golden = GoldenTrace(netlist, stim, 48, "interpreted")
     for engine, replay in zip(ALL_ENGINES, replays):
         trace = GoldenTrace(netlist, stim, 48, engine)
         assert trace.outputs == replay
-        assert detect_on_layout(layout, trace) == []
-    # a probe verdict's slice of each output port, sharing one record
-    emulator = Emulator(layout, engine="compiled")
-    record = SlotRecord(len(stim))
-    for po in netlist.primary_outputs():
-        port = port_name(po)
-        runner = emulator.cone_runner((port,), record)
-        runner.reset(48)
-        sliced = [runner.step(cycle, 48)[port] for cycle in stim]
-        assert sliced == [cycle[port] for cycle in replays[0]]
+        mismatches, dut = detect_on_layout(layout, trace)
+        assert mismatches == []
+        assert dut.outputs == replay
+        # the DUT trace holds every driven net's words, as the golden
+        # model computes them on the interpreted reference
+        for net in netlist.nets():
+            if net.driver is not None:
+                assert dut.words(net.name) == golden.words(net.name)
+
+
+#: debugging edits and whether each only adds cells (keeps a trace)
+_EDITS = {
+    "observe": True, "sticky": True,
+    "control": False, "retable": False, "retire": False,
+}
+
+
+def _edit(netlist, edit, step, rng, live):
+    """Apply one debugging edit; a retire with nothing live observes."""
+    if edit == "retire" and live:
+        remove_observation_points(netlist, live)
+        live.clear()
+        return
+    luts = sorted(
+        i.name for i in netlist.instances()
+        if i.is_lut and i.output.sinks and not i.name.startswith("obs_")
+    )
+    target = netlist.instance(rng.choice(luts))
+    if edit == "control":
+        add_control_point(netlist, target.output.name, f"c{step}")
+    elif edit == "retable":
+        netlist.set_params(
+            target, {**target.params, "table": target.params["table"] ^ 1}
+        )
+    else:
+        add_observation_point(
+            netlist, [target.output.name], f"o{step}",
+            sticky=edit == "sticky",
+        )
+        live.append(f"o{step}")
 
 
 @given(
     seed=st.integers(0, 5_000),
     kind=st.sampled_from(ERROR_KINDS),
+    edits=st.lists(st.sampled_from(sorted(_EDITS)), min_size=1, max_size=5),
 )
 @settings(max_examples=15, deadline=None)
-def test_engines_agree_across_eco_edits(seed, kind):
-    """Inject → observe → control → correct, each edit followed by a use
-    of the kernel, which re-lowers it incrementally."""
+def test_engines_agree_across_eco_edits(seed, kind, edits):
+    """Inject, a random sequence of additive (observation points) and
+    non-additive (control point, retable, retired observation points)
+    edits, then correct; each edit followed by a use of the kernel,
+    which re-lowers it incrementally.  After every edit a compiled trace
+    gives the interpreted engine's words on every driven net and cycle,
+    and the trace recorded before the edit is still current, with the
+    same words on every net its rows hold, exactly when the edit was
+    additive."""
     netlist = _random_design(seed, mapped=True)
-    kernel = CompiledKernel(netlist)
+    kernel = kernel_for(netlist)
     _assert_equivalent(netlist, kernel, seed)
 
     try:
-        record = inject_error(netlist, kind, seed=seed)
+        error = inject_error(netlist, kind, seed=seed)
     except DebugFlowError:
         assume(False)  # e.g. only symmetric LUTs for input_swap
     _assert_equivalent(netlist, kernel, seed + 1)
+    stimulus = _window(netlist, seed)
+    before = _traces_agree(netlist, stimulus)
 
-    watch = netlist.primary_outputs()[0].inputs[0].name
-    add_observation_point(netlist, [watch], "eq", sticky=True)
-    _assert_equivalent(netlist, kernel, seed + 2)
+    rng = make_rng(seed, "eco-edits")
+    live: list[str] = []
+    for step, edit in enumerate(edits):
+        additive = _EDITS[edit] or (edit == "retire" and not live)
+        _edit(netlist, edit, step, rng, live)
+        assert before.current(kernel) == additive, edit
+        after = _traces_agree(netlist, stimulus)
+        if additive:
+            width = len(before.rows[0])
+            for net, slot in before.slots.items():
+                if slot < width:
+                    assert before.words(net) == after.words(net), net
+        _assert_equivalent(netlist, kernel, seed + 2 + step)
+        before = after
 
-    target = next(
-        i.output.name
-        for i in netlist.instances()
-        if i.is_lut and i.output.sinks
-    )
-    add_control_point(netlist, target, "eqc")
-    _assert_equivalent(netlist, kernel, seed + 3)
-
-    apply_correction(netlist, record)
-    _assert_equivalent(netlist, kernel, seed + 4)
-
+    apply_correction(netlist, error)
+    _assert_equivalent(netlist, kernel, seed + 9)
+    _traces_agree(netlist, stimulus)
     # every edit above must have gone through the incremental path
     assert kernel.compile_count == 1
-    assert kernel.incremental_count == 4
+
+
+@given(seed=st.integers(0, 5_000))
+@settings(max_examples=10, deadline=None)
+def test_trace_matches_full_replay_across_observation_points(seed):
+    """A compiled trace reproduces full-replay port words through a
+    sequence of observation points: a single net, a 3-net parity point
+    inside the first one's fan-in cone and a sticky point on another
+    output (a new DFF).  Each point is additive, so the trace recorded
+    before it stays current with every word it holds unchanged."""
+    netlist = _random_design(seed, mapped=True)
+    inject_error(netlist, "table_bit", seed=seed)
+    kernel = kernel_for(netlist)
+    stimulus = _window(netlist, seed)
+    first, other = (po.inputs[0].name for po in netlist.primary_outputs()[:2])
+    cone = netlist.fanin_cone([netlist.net(first).driver], stop_at_ffs=False)
+    inside = sorted(name for name in cone if netlist.instance(name).is_lut)
+    assume(len(inside) >= 3)
+    inside = [netlist.instance(name).output.name for name in inside[:3]]
+    points = (
+        ("cr", [first], False),
+        ("crp", inside, False),
+        ("crs", [other], True),
+    )
+    before = _traces_agree(netlist, stimulus)
+    for name, nets, sticky in points:
+        _, ports = add_observation_point(netlist, nets, name, sticky=sticky)
+        assert before.current(kernel), name
+        after = _traces_agree(netlist, stimulus)
+        full = replay_outputs(netlist, stimulus, 32, engine="interpreted")
+        for out_trace, out_full in zip(after.outputs, full):
+            for port in ports:
+                assert out_trace[port] == out_full[port], port
+        width = len(before.rows[0])
+        # a single watched net is its own parity: no new cell to record
+        assert (len(after.rows[0]) > width) == (name != "cr"), name
+        for net, slot in before.slots.items():
+            if slot < width:
+                assert before.words(net) == after.words(net), net
+        before = after
+    assert after.words("obs_crs_flag_q") is not None
+    assert kernel.compile_count == 1
 
 
 @given(seed=st.integers(0, 5_000))
@@ -182,7 +304,9 @@ def test_incremental_matches_full_recompile(seed):
     names = _input_names(netlist)
     inputs = {n: rng.getrandbits(64) for n in names}
     state = initial_state(netlist, 64)
-    assert kernel.probe(inputs, 64, state) == fresh.probe(inputs, 64, state)
+    assert _driven_words(
+        kernel, netlist, kernel.row(inputs, 64, state)
+    ) == _driven_words(fresh, netlist, fresh.row(inputs, 64, state))
     assert kernel.next_state(inputs, 64, state) == fresh.next_state(
         inputs, 64, state
     )
@@ -205,136 +329,70 @@ def test_unrecorded_edits_are_relowered_incrementally(seed):
     assert kernel.incremental_count == 1
 
 
-def _window(netlist, seed, n_cycles=6, n_patterns=32):
-    """One stimulus window: every runner sharing a record steps it."""
-    rng = make_rng(seed, "cone-stim")
-    names = sorted(_input_names(netlist))
-    return [
-        {n: rng.getrandbits(n_patterns) for n in names}
-        for _ in range(n_cycles)
-    ]
-
-
-def _replay_matches(netlist, runner, ports, stimulus, n_patterns=32):
-    """Each port's word on every cycle equals the interpreted replay."""
-    full = replay_outputs(netlist, stimulus, n_patterns, engine="interpreted")
-    runner.reset(n_patterns)
-    for inputs, out_full in zip(stimulus, full):
-        out_slice = runner.step(inputs, n_patterns)
-        for port in ports:
-            assert out_slice[port] == out_full[port]
-
-
-def _observed_cone_luts(netlist, watch):
-    cone = netlist.fanin_cone([netlist.net(watch).driver], stop_at_ffs=False)
-    return sorted(
-        name for name in cone if netlist.instance(name).is_lut
-    )
-
-
-@given(seed=st.integers(0, 5_000))
-@settings(max_examples=10, deadline=None)
-def test_cone_runner_matches_full_replay(seed):
-    """Cone-sliced probe runners sharing one round record reproduce
-    full-replay port words through a sequence of observation points: a
-    single net, a 3-net parity point inside the recorded cone (its
-    slice is the parity LUT alone) and a sticky point on another output
-    (a new DFF, so the slice steps unrecorded flip-flops)."""
-    netlist = _random_design(seed, mapped=True)
-    inject_error(netlist, "table_bit", seed=seed)
-    kernel = CompiledKernel(netlist)
-    stimulus = _window(netlist, seed)
-    record = SlotRecord(len(stimulus))
-    first, other = (po.inputs[0].name for po in netlist.primary_outputs()[:2])
-    inside = _observed_cone_luts(netlist, first)
-    assume(len(inside) >= 3)
-    inside = [netlist.instance(name).output.name for name in inside[:3]]
-    points = (
-        ("cr", [first], False),
-        ("crp", inside, False),
-        ("crs", [other], True),
-    )
-    for name, nets, sticky in points:
-        _, ports = add_observation_point(netlist, nets, name, sticky=sticky)
-        before = dict(record.words)
-        runner = kernel.cone_runner(tuple(ports), record)
-        assert runner is not None
-        _replay_matches(netlist, runner, ports, stimulus)
-        # additive edits keep every recorded word; the runner adds its own
-        assert before.items() <= record.words.items()
-        assert len(record.words) > len(before)
-        if name == "crp":
-            assert len(runner._tape) == 1 and not runner._ffs
-        if name == "crs":
-            assert "obs_crs_ff" in {ff[0] for ff in runner._ffs}
-    assert kernel.compile_count == 1
-
-
 @given(
     seed=st.integers(0, 5_000),
-    edit=st.sampled_from(("full", "recorded", "unrecorded")),
+    edit=st.sampled_from(("probe", "retable", "removal", "full")),
 )
-@settings(max_examples=10, deadline=None)
-def test_stale_record_is_emptied(seed, edit):
-    """A full recompile, or an edit that changes an instance (recorded
-    or not), between probes empties the round record, and the next slice
-    still matches full replay.  The edit complements the table of the
-    LUT driving the observed net, so a kept record would serve inverted
-    words."""
+@settings(max_examples=12, deadline=None)
+def test_trace_stays_current_across_additions_only(seed, edit):
+    """An additive probe keeps a trace current and its words exact; a
+    retable, a removal or a full compile renews the kernel generation,
+    so the trace is stale, and recording again matches the interpreted
+    engine.  The retable complements the table of the LUT driving the
+    observed net, so a kept trace would serve stale words: on the first
+    cycle, before any flip-flop carries the change, their inverse."""
     netlist = _random_design(seed, mapped=True)
-    kernel = CompiledKernel(netlist)
+    kernel = kernel_for(netlist)
     stimulus = _window(netlist, seed)
-    record = SlotRecord(len(stimulus))
     watch = netlist.primary_outputs()[0].inputs[0].name
     driver = netlist.net(watch).driver
     assume(driver.is_lut)
-    _, ports = add_observation_point(netlist, [watch], "st0", False)
-    runner = kernel.cone_runner(tuple(ports), record)
-    _replay_matches(netlist, runner, ports, stimulus)
-    assert record.words
+    add_observation_point(netlist, [watch], "st0", sticky=False)
+    trace = _traces_agree(netlist, stimulus)
     generation = kernel.generation
 
-    full_table = (1 << (1 << len(driver.inputs))) - 1
-    flipped = {**driver.params, "table": driver.params["table"] ^ full_table}
-    if edit == "recorded":
-        with ChangeRecorder(netlist, "flip"):
-            netlist.set_params(driver, flipped)
+    if edit == "probe":
+        add_observation_point(netlist, [watch], "st1", sticky=True)
+    elif edit == "retable":
+        full_table = (1 << (1 << len(driver.inputs))) - 1
+        netlist.set_params(
+            driver, {**driver.params,
+                     "table": driver.params["table"] ^ full_table}
+        )
+    elif edit == "removal":
+        remove_observation_points(netlist, ["st0"])
     else:
-        netlist.set_params(driver, flipped)
-    if edit == "full":
         kernel._compile_full()
-    runner = kernel.cone_runner(tuple(ports), record)
+    assert trace.current(kernel) == (edit == "probe")
+    assert (kernel.generation == generation) == (edit == "probe")
     assert kernel.compile_count == (2 if edit == "full" else 1)
-    assert kernel.generation != generation
-    assert not record.words
-    _replay_matches(netlist, runner, ports, stimulus)
-    assert record.words
+    again = _traces_agree(netlist, stimulus)
+    if edit == "probe":
+        assert again.words(watch) == trace.words(watch)
+    elif edit == "retable":
+        mask = (1 << 32) - 1
+        assert again.words(watch)[0] == trace.words(watch)[0] ^ mask
 
 
-def test_record_publishes_whole_windows_only():
-    """A runner publishes once it has stepped the record's whole window,
-    never earlier, and cannot step past it; a later runner on the same
-    ports then reads every word from the record."""
+def test_trace_holds_only_its_recorded_slots():
+    """A net created after recording has a slot past the trace's rows:
+    the trace gives no words for it (a probe verdict records again),
+    while every net it holds keeps its words and slot."""
     netlist = _random_design(7, mapped=True)
-    kernel = CompiledKernel(netlist)
+    kernel = kernel_for(netlist)
     stimulus = _window(netlist, 7)
-    record = SlotRecord(len(stimulus))
-    watch = netlist.primary_outputs()[0].inputs[0].name
-    _, ports = add_observation_point(netlist, [watch], "pw", False)
-    runner = kernel.cone_runner(tuple(ports), record)
-    assert runner._tape
-    runner.reset(32)
-    for inputs in stimulus[:-1]:
-        runner.step(inputs, 32)
-    assert not record.words
-    # a reset drops the partial window: it takes a whole one to publish
-    _replay_matches(netlist, runner, ports, stimulus)
-    assert record.words
-    with pytest.raises(NetlistError, match="past the recorded window"):
-        runner.step(stimulus[0], 32)
-    again = kernel.cone_runner(tuple(ports), record)
-    assert not again._tape and not again._ffs
-    _replay_matches(netlist, again, ports, stimulus)
+    trace = _traces_agree(netlist, stimulus)
+    width = len(trace.rows[0])
+    held = {net: trace.words(net) for net in list(trace.slots)}
+    watch = [po.inputs[0].name for po in netlist.primary_outputs()[:3]]
+    add_observation_point(netlist, watch, "pw", sticky=True)
+    assert trace.current(kernel)
+    assert trace.words("obs_pw_flag_q") is None
+    assert kernel.slots["obs_pw_flag_q"] >= width
+    again = _traces_agree(netlist, stimulus)
+    assert len(again.rows[0]) > width
+    assert all(again.words(net) == words for net, words in held.items())
+    assert again.words("obs_pw_flag_q") is not None
 
 
 @given(seed=st.integers(0, 5_000))

@@ -239,29 +239,51 @@ def test_repeat_probe_reuses_its_verdict():
     assert len(result.candidates) == 319
 
 
-def test_probe_inside_recorded_cones_evaluates_nothing(monkeypatch):
-    """Probe verdicts of one round share a record of the DUT's words:
-    after a mismatch every later candidate lies inside the mismatching
-    probe's recorded cone, so each later probe's slice holds zero tape
-    entries (9sym error seed 1: two mismatches, then three matches)."""
+def test_round_verdicts_read_the_dut_trace(monkeypatch):
+    """Probe commits only add logic, so round 1's verdicts read the DUT
+    trace detection recorded: on 9sym error seed 1 the five verdicts
+    (two mismatches, then three matches) record no trace and make no
+    ``Emulator.step`` and no ``CompiledKernel._evaluate`` call."""
     from repro.api import RunSpec, run_spec
+    from repro.debug import localize
+    from repro.debug.localize import ConeLocalizer
     from repro.emu.emulator import Emulator
+    from repro.netlist.compiled import CompiledKernel
 
-    slices = []
-    cone_runner = Emulator.cone_runner
+    counts = {"verdicts": 0, "records": 0, "steps": 0, "evaluations": 0}
+    inside = [False]
 
-    def logged(self, ports, record):
-        runner = cone_runner(self, ports, record)
-        slices.append(len(runner._tape))
-        return runner
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(Emulator, "cone_runner", logged)
+    verdict = ConeLocalizer._probe_disagrees
+
+    def judged(self, *args):
+        counts["verdicts"] += 1
+        inside[0] = True
+        try:
+            return verdict(self, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Emulator, "step", counted(Emulator.step, "steps"))
+    monkeypatch.setattr(CompiledKernel, "_evaluate",
+                        counted(CompiledKernel._evaluate, "evaluations"))
+    monkeypatch.setattr(ConeLocalizer, "_probe_disagrees", judged)
+    monkeypatch.setattr(localize, "record",
+                        counted(localize.record, "records"))
     result = run_spec(RunSpec(
         design="9sym", error_seed=1, preset="fast", cache="private",
     ))
     assert [s["mismatch"] for s in result.probe_trajectory] == [
         True, True, False, False, False,
     ]
-    assert slices[0] > 0
-    assert slices[1:] == [0, 0, 0, 0]
+    assert {s["round"] for s in result.probe_trajectory} == {1}
+    assert counts == {
+        "verdicts": 5, "records": 0, "steps": 0, "evaluations": 0,
+    }
     assert result.localized and result.fixed

@@ -56,21 +56,21 @@ def golden_simulations(monkeypatch):
                 and getattr(module, "make_engine", None) is real_make_engine):
             monkeypatch.setattr(module, "make_engine", make_engine)
 
-    real_nets = vars(detect.GoldenTrace)["nets"].func
+    real_recorded = vars(detect.GoldenTrace)["recorded"].func
 
-    def nets(trace):
+    def recorded(trace):
         passes.append((
             _stimulus_key(trace), isinstance(trace, _CounterexampleTrace)
         ))
         inside[0] = True
         try:
-            return real_nets(trace)
+            return real_recorded(trace)
         finally:
             inside[0] = False
 
-    recorded = cached_property(nets)
-    recorded.__set_name__(detect.GoldenTrace, "nets")
-    monkeypatch.setattr(detect.GoldenTrace, "nets", recorded)
+    hooked = cached_property(recorded)
+    hooked.__set_name__(detect.GoldenTrace, "recorded")
+    monkeypatch.setattr(detect.GoldenTrace, "recorded", hooked)
     monkeypatch.setattr(equiv, "GoldenTrace", _CounterexampleTrace)
 
     def run(spec):

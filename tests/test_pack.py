@@ -312,3 +312,28 @@ def test_unrecorded_edits_skip_the_full_refresh(monkeypatch):
     assert got == expected
     assert got[1], "the rewire moved a block net"
     _assert_same_packing(packed, twin)
+
+
+def test_kind_swap_under_one_name_is_repacked():
+    """An instance removed and re-added under its name as another kind
+    reads as changed in the edit log; the commit retires it from its
+    LUT role and packs it as a flip-flop (9sym: LUT ``xor$61`` becomes
+    a DFF on the same output net)."""
+    from repro.generators import build_design
+    from repro.tiling.manager import absorb_changes
+
+    packed = build_design("9sym").packed
+    netlist = packed.netlist
+    lut = netlist.instance("xor$61")
+    data, out = lut.inputs[0], lut.output
+    netlist.remove_instance(lut)
+    netlist.add_dff(data, name="xor$61", output=out)
+    absorb_changes(packed, None)
+    roles = [
+        (ble.lut, ble.ff) for clb in packed.clbs for ble in clb.bles
+        if "xor$61" in (ble.lut, ble.ff)
+    ]
+    assert roles == [(None, "xor$61")]
+    block = packed.blocks[packed.block_of_instance["xor$61"]]
+    assert "xor$61" in block.instances
+    assert packed.revision == netlist.revision

@@ -101,7 +101,7 @@ class TestCompiledKernelGuard:
         rng = make_rng(0, "guard")
         inputs = {n: rng.getrandbits(16) for n in names}
         kernel.next_state(inputs, 16, {})
-        kernel.probe(inputs, 16)
+        kernel.row(inputs, 16, {})
         assert kernel.compile_count == count
 
     def test_tracked_eco_stays_incremental(self):
@@ -152,9 +152,9 @@ class TestCompiledKernelGuard:
         kernel = CompiledKernel(mapped)
         lut = next(i for i in mapped.instances() if i.is_lut and i.inputs)
         mapped.set_params(lut, {"table": lut.params["table"] ^ 1})
-        kernel.probe(
+        kernel.row(
             {pi.name.split(":", 1)[-1]: 0
-             for pi in mapped.primary_inputs()}, 1
+             for pi in mapped.primary_inputs()}, 1, {}
         )
         assert kernel.compile_count == 1
         assert kernel.incremental_count == 1

@@ -207,5 +207,5 @@ class TestCegisCorrection:
         assert fix.changes.changed_instances == {fix.instance}
         # the applied retable clears every mismatch on the stimulus
         ctx.strategy.commit(fix.changes, anchor_instance=fix.instance)
-        remaining = detect_on_layout(ctx.strategy.layout, ctx.trace)
+        remaining, _ = detect_on_layout(ctx.strategy.layout, ctx.trace)
         assert remaining == []

@@ -37,8 +37,8 @@ def test_bit_parallel_equals_serial(adder4):
 def test_probe_returns_internal_nets(adder4):
     sim = CombinationalSimulator(adder4)
     ins = {f"a[{i}]": 0 for i in range(4)} | {f"b[{i}]": 0 for i in range(4)}
-    values = sim.probe(ins, 1)
-    assert len(values) > 8  # internal nets included
+    row = sim.row(ins, 1, {})
+    assert len(row) == len(sim.slots) > 8  # internal nets included
 
 
 def test_sequential_state_advances(adder4_registered):
