@@ -167,7 +167,7 @@ class RunContext:
     trace: GoldenTrace | None = None
     #: the DUT's trace on ``trace``'s stimulus, kept by every detection
     #: (:func:`~repro.debug.detect.detect_on_layout`); probe verdicts
-    #: read it
+    #: read it, and the diagnose loop drops it when it exits
     dut_trace: Trace | None = None
     #: random-stimulus golden traces by ``(n_cycles, n_patterns, seed,
     #: engine)``: the run's own dict, or its design memo entry's
@@ -618,50 +618,55 @@ class DiagnoseLoop(Stage):
     round_stages = (LocalizeStage(), CorrectStage())
 
     def run(self, ctx: RunContext, hooks: PipelineHooks) -> None:
-        budget = ctx.spec.effective_max_rounds()
-        while True:
-            check_deadline("diagnose.round")
-            round_no = len(ctx.rounds) + 1
-            ctx.probes_retired_this_round = 0
-            with maybe_span("round", category="diagnose", round=round_no):
-                for stage in self.round_stages:
-                    run_timed_stage(stage, ctx, hooks)
-                if not ctx.detected:
-                    return
-                residual = ctx.detect()
-                ctx.remaining = residual
-                loc = ctx.localization
-                ctx.rounds.append(RoundRecord(
-                    round=round_no,
-                    n_mismatches=len(ctx.round_mismatches),
-                    group_outputs=list(loc.group_outputs) if loc else [],
-                    deferred_outputs=list(loc.deferred_outputs)
-                    if loc else [],
-                    n_probes=loc.n_probes if loc else 0,
-                    candidates=sorted(loc.candidates) if loc else [],
-                    corrected=list(ctx.round_corrected),
-                    sat_eliminated=loc.sat_eliminated if loc else 0,
-                    probes_retired=ctx.probes_retired_this_round,
-                    residual_mismatches=len(residual),
-                    drained=bool(loc.drained) if loc else False,
-                ))
-                if not residual:
-                    if (
-                        ctx.spec.verify in ("prove", "both")
-                        and len(ctx.rounds) < budget
-                    ):
-                        residual = self._proof_redetect(ctx)
-                    if not residual:
+        try:
+            budget = ctx.spec.effective_max_rounds()
+            while True:
+                check_deadline("diagnose.round")
+                round_no = len(ctx.rounds) + 1
+                ctx.probes_retired_this_round = 0
+                with maybe_span("round", category="diagnose", round=round_no):
+                    for stage in self.round_stages:
+                        run_timed_stage(stage, ctx, hooks)
+                    if not ctx.detected:
                         return
-                if len(ctx.rounds) >= budget:
-                    if budget > 1:
-                        ctx.notes.append(
-                            f"{len(residual)} mismatches persist after "
-                            f"{len(ctx.rounds)} diagnosis rounds "
-                            "(round budget exhausted)"
-                        )
-                    return
-                ctx.round_mismatches = residual
+                    residual = ctx.detect()
+                    ctx.remaining = residual
+                    loc = ctx.localization
+                    ctx.rounds.append(RoundRecord(
+                        round=round_no,
+                        n_mismatches=len(ctx.round_mismatches),
+                        group_outputs=list(loc.group_outputs) if loc else [],
+                        deferred_outputs=list(loc.deferred_outputs)
+                        if loc else [],
+                        n_probes=loc.n_probes if loc else 0,
+                        candidates=sorted(loc.candidates) if loc else [],
+                        corrected=list(ctx.round_corrected),
+                        sat_eliminated=loc.sat_eliminated if loc else 0,
+                        probes_retired=ctx.probes_retired_this_round,
+                        residual_mismatches=len(residual),
+                        drained=bool(loc.drained) if loc else False,
+                    ))
+                    if not residual:
+                        if (
+                            ctx.spec.verify in ("prove", "both")
+                            and len(ctx.rounds) < budget
+                        ):
+                            residual = self._proof_redetect(ctx)
+                        if not residual:
+                            return
+                    if len(ctx.rounds) >= budget:
+                        if budget > 1:
+                            ctx.notes.append(
+                                f"{len(residual)} mismatches persist after "
+                                f"{len(ctx.rounds)} diagnosis rounds "
+                                "(round budget exhausted)"
+                            )
+                        return
+                    ctx.round_mismatches = residual
+        finally:
+            # localization, the DUT trace's last reader, is over; the
+            # verify stage and the result never read it
+            ctx.dut_trace = None
 
     @staticmethod
     def _proof_redetect(ctx: RunContext):

@@ -83,7 +83,10 @@ class RunResult:
     n_commit_cache_hits: int = 0
     #: {"stages": {stage: seconds}, "localization": {phase: seconds}}
     timings: dict = field(default_factory=dict)
-    #: {"initial": EffortMeter.snapshot(), "debug": ...}
+    #: {"initial": EffortMeter.snapshot(), "debug": ...}; ``initial``
+    #: meters the untiled placement alone for ``tiled`` and ``sat`` (they
+    #: never route it) and its placement and routing for ``incremental``
+    #: and ``quick_eco``; ``debug`` sums the strategy's commits
     effort: dict = field(default_factory=dict)
     #: tile-cache counter delta over this run (None when cache is off)
     cache: dict | None = None

@@ -15,6 +15,15 @@ interface:
 
 Each commit returns an :class:`EffortMeter`; histories accumulate in
 ``commit_history`` for the experiment drivers.
+
+:meth:`BaseStrategy.build_initial` implements the original design
+(step 2).  Only the strategies that commit against its routes
+(``reads_initial_routes``: ``quick_eco`` and ``incremental``) route it;
+``tiled`` and ``sat`` read only its placement, which seeds the tiling,
+so they place it and route nothing.  The meter handed to
+``build_initial`` (a run's ``effort["initial"]``) therefore counts
+placement only for ``tiled`` and ``sat``, and placement plus routing
+for the other two.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from repro.rng import derive_seed
 from repro.synth.pack import PackedDesign
 from repro.tiling.cache import (
     TileConfigCache,
+    cached_full_place,
     cached_full_place_and_route,
 )
 from repro.tiling.eco import ChangeSet
@@ -56,6 +66,9 @@ class BaseStrategy:
     #: strategies may opt the localizer into SAT-guided candidate
     #: pruning (see :class:`repro.sat.diagnose.SuspectPruner`)
     sat_localization = False
+    #: whether commits read the untiled routes, so that
+    #: :meth:`build_initial` must route the design and not only place it
+    reads_initial_routes = True
 
     def __init__(
         self,
@@ -87,18 +100,26 @@ class BaseStrategy:
     # -- construction --------------------------------------------------
 
     def build_initial(self, meter: EffortMeter | None = None) -> Layout:
-        """Step 2: the original place-and-route (not a debugging cost).
+        """Step 2: the original implementation (not a debugging cost).
 
-        Served from the whole-design configuration cache when the
-        identical implementation was computed before (e.g. the same
-        campaign re-run under another simulation engine).
+        Placed and routed when the strategy ``reads_initial_routes``,
+        placed only otherwise.  Served from the whole-design
+        configuration cache when the identical implementation was
+        computed before (e.g. the same campaign re-run under another
+        simulation engine).
         """
         meter = meter if meter is not None else EffortMeter()
-        self._layout = cached_full_place_and_route(
-            self.packed, self.device, seed=self.seed, preset=self.preset,
-            meter=meter, strict_routing=False, context="initial",
-            cache=self.tile_cache,
-        )
+        if self.reads_initial_routes:
+            self._layout = cached_full_place_and_route(
+                self.packed, self.device, seed=self.seed,
+                preset=self.preset, meter=meter, strict_routing=False,
+                context="initial", cache=self.tile_cache,
+            )
+        else:
+            self._layout = cached_full_place(
+                self.packed, self.device, seed=self.seed,
+                preset=self.preset, meter=meter, cache=self.tile_cache,
+            )
         return self._layout
 
     @property
@@ -135,6 +156,8 @@ class TiledStrategy(BaseStrategy):
     """The paper's approach."""
 
     name = "tiled"
+    #: the tiling reads the initial placement, never its routes
+    reads_initial_routes = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

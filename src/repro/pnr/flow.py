@@ -1,11 +1,17 @@
 """Back-end flows: full P&R, region-confined re-P&R, incremental baseline.
 
-Three entry points, all effort-metered:
+Four entry points, all effort-metered:
 
 * :func:`full_place_and_route` — place and route a packed design from
   scratch (the non-tiled baseline; also what Quick_ECO does to an
   affected *functional block*, which per paper §6 is the whole design in
   these experiments);
+* :func:`full_place` — the placement half alone, with no routes: the
+  original implementation of a ``tiled`` or ``sat`` run, whose tiling
+  reads only the placement's locality.  A run's ``effort["initial"]``
+  therefore meters placement only for those strategies, and placement
+  plus routing for ``incremental`` and ``quick_eco``, which commit
+  against the untiled routes;
 * :func:`replace_region` — rip up and re-place/re-route only the blocks
   in a set of rectangles, keeping everything else locked.  With
   ``confine_routing`` the reroute preserves route fragments outside the
@@ -98,6 +104,30 @@ def full_place_and_route(
     finally:
         meter.end_invocation()
     return Layout(packed, device, placement, routes, state)
+
+
+def full_place(
+    packed: PackedDesign,
+    device: Device,
+    seed: int = 1,
+    preset: EffortPreset | None = None,
+    meter: EffortMeter | None = None,
+) -> Layout:
+    """Place from scratch and route nothing; one metered tool invocation.
+
+    The placement equals :func:`full_place_and_route`'s for the same
+    arguments; the layout holds no routes and an empty routing state.
+    """
+    preset = preset or EFFORT_PRESETS["normal"]
+    meter = meter if meter is not None else EffortMeter()
+    meter.begin_invocation()
+    try:
+        placement = place_design(
+            packed, device, seed=seed, preset=preset, meter=meter,
+        )
+    finally:
+        meter.end_invocation()
+    return Layout(packed, device, placement, {}, RoutingState(device))
 
 
 # ----------------------------------------------------------------------

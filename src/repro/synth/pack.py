@@ -100,11 +100,11 @@ class BlockNet:
 class PackedDesign:
     """The placeable view of a mapped netlist.
 
-    ``nets`` is keyed by a stable integer index: ECO refreshes
-    (:func:`refresh_block_nets`, :func:`refresh_touched_nets`) keep the
-    index of an unchanged net so existing routes stay valid, retire
-    removed nets, and allocate fresh indices for new ones, in netlist
-    net order; ``nets`` therefore iterates in ascending index order.
+    ``nets`` is keyed by a stable integer index: an ECO refresh
+    (:func:`refresh_touched_nets`) keeps the index *and* identity of an
+    unchanged net so existing routes stay valid, retires removed nets,
+    and allocates fresh indices for new ones, in netlist net order;
+    ``nets`` therefore iterates in ascending index order.
 
     A block → net-index map (built on the first :meth:`nets_touching_blocks`
     and kept current by every refresh) answers which nets touch a set
@@ -563,38 +563,21 @@ def _resync_nets(
     return new_ids, changed_ids, removed_ids
 
 
-def refresh_block_nets(
-    packed: PackedDesign,
-) -> tuple[set[int], set[int], set[int]]:
-    """Re-derive every block net after netlist ECO edits.
-
-    Returns (new, changed, removed) net indices.  Unchanged nets keep
-    their index *and* identity so existing routes remain valid.
-    :func:`refresh_touched_nets` is the same refresh restricted to the
-    nets the edits can have touched; this full walk stays as its
-    reference.
-    """
-    netlist = packed.netlist
-    gone = [
-        name for name in packed._net_index_of_name
-        if not netlist.has_net(name)
-    ]
-    return _resync_nets(packed, netlist.nets(), gone)
-
-
 def refresh_touched_nets(
     packed: PackedDesign, instance_names, block_indices
 ) -> tuple[set[int], set[int], set[int]]:
-    """:func:`refresh_block_nets` restricted to the nets an ECO touched.
+    """Re-derive the block nets an ECO touched; returns (new, changed,
+    removed) net indices.
 
     Re-derives the input and output nets of ``instance_names`` (the
     new and changed instances) and every block net with a
     terminal in ``block_indices`` (the blocks of changed and removed
     instances, and the new blocks), in netlist net order, so fresh
-    indices match the full walk.  Valid when the instances and blocks
-    cover every netlist edit since ``packed.revision`` (the edit log's
-    fold does): then no other net's driver, sinks or blocks moved, and
-    the returned indices and the packing equal the full refresh's.
+    indices match a walk over every net.  Valid when the instances and
+    blocks cover every netlist edit since ``packed.revision`` (the edit
+    log's fold does): then no other net's driver, sinks or blocks
+    moved, and the returned indices and the packing equal the full
+    walk's (``tests/conftest.py::refresh_block_nets``, the reference).
     """
     netlist = packed.netlist
     names: set[str] = set()

@@ -34,8 +34,9 @@ A commit absorbs every netlist edit since the last one (recorded in its
 :class:`~repro.tiling.eco.ChangeSet` or not), so its key always
 describes the live connectivity.
 
-Every replay — whole-design P&R (:func:`cached_full_place_and_route`)
-and tile commits alike — crosses one path,
+Every replay — whole-design P&R (:func:`cached_full_place_and_route`),
+the routeless placement of a tiled run (:func:`cached_full_place`) and
+tile commits alike — crosses one path,
 :func:`repro.tiling.manager.replay_or_compute`.  It trusts a stored
 entry only after :func:`repro.pnr.flow.apply_region_config` has verified
 site legality, terminal membership and channel capacity against the
@@ -661,21 +662,19 @@ def cached_full_place_and_route(
 ):
     """:func:`repro.pnr.flow.full_place_and_route` behind the config cache.
 
-    The initial implementation and the slack-aware tiled re-implementation
-    are deterministic in their inputs, so a repeat of the same
-    precomputation (e.g. the same campaign re-run under another
-    simulation engine) replays the stored whole-design configuration —
-    placement and routes — instead of annealing and maze-routing again.
+    The routed initial implementation (strategies that read its routes)
+    and the slack-aware tiled re-implementation are deterministic in
+    their inputs, so a repeat of the same precomputation (e.g. the same
+    campaign re-run under another simulation engine) replays the stored
+    whole-design configuration — placement and routes — instead of
+    annealing and maze-routing again.
     The replay crosses the same path as a tile reconfiguration
     (:func:`repro.tiling.manager.replay_or_compute`): every block is
     movable onto an empty layout, so a verified replay places every
     block, and any mismatch falls back to the fresh path.
     """
     from repro.pnr.effort import EFFORT_PRESETS, EffortMeter
-    from repro.pnr.flow import Layout, full_place_and_route
-    from repro.pnr.placement import Placement
-    from repro.pnr.router import RoutingState
-    from repro.tiling.manager import replay_or_compute
+    from repro.pnr.flow import full_place_and_route
 
     preset = preset or EFFORT_PRESETS["normal"]
     meter = meter if meter is not None else EffortMeter()
@@ -685,6 +684,48 @@ def cached_full_place_and_route(
             packed, device, seed, preset, constraints=constraints,
             context=context, strict_routing=strict_routing,
         )
+    return _replay_or_compute_full(
+        packed, device, cache, key, sorted(packed.nets), meter,
+        lambda: full_place_and_route(
+            packed, device, seed=seed, preset=preset, meter=meter,
+            constraints=constraints, strict_routing=strict_routing,
+        ),
+    )
+
+
+def cached_full_place(packed, device, seed: int = 1, preset=None,
+                      meter=None, cache: TileConfigCache | None = None):
+    """:func:`repro.pnr.flow.full_place` behind the config cache.
+
+    The untiled placement a tiled run reads, with no routes.  Its entry
+    holds sites only, under a key context of its own (``placement``), so
+    it never replays where a routed layout is looked up, nor a routed
+    entry here.
+    """
+    from repro.pnr.effort import EFFORT_PRESETS, EffortMeter
+    from repro.pnr.flow import full_place
+
+    preset = preset or EFFORT_PRESETS["normal"]
+    meter = meter if meter is not None else EffortMeter()
+    key = None
+    if cache is not None:
+        key = full_pnr_key(packed, device, seed, preset, context="placement")
+    return _replay_or_compute_full(
+        packed, device, cache, key, [], meter,
+        lambda: full_place(packed, device, seed=seed, preset=preset,
+                           meter=meter),
+    )
+
+
+def _replay_or_compute_full(packed, device, cache, key, net_ids, meter,
+                            fresh):
+    """Replay ``key``'s whole-design entry onto an empty layout, or run
+    ``fresh()``; the entry holds the routes of ``net_ids``."""
+    from repro.pnr.flow import Layout
+    from repro.pnr.placement import Placement
+    from repro.pnr.router import RoutingState
+    from repro.tiling.manager import replay_or_compute
+
     empty = Layout(
         packed, device, Placement(device, packed), {}, RoutingState(device),
     )
@@ -692,10 +733,6 @@ def cached_full_place_and_route(
         cache, key, empty,
         {b.index for b in packed.clb_blocks()},
         {b.index for b in packed.io_blocks()},
-        sorted(packed.nets), [device.clb_region], meter,
-        lambda: full_place_and_route(
-            packed, device, seed=seed, preset=preset, meter=meter,
-            constraints=constraints, strict_routing=strict_routing,
-        ),
+        net_ids, [device.clb_region], meter, fresh,
     )
     return layout

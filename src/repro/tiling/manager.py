@@ -13,7 +13,8 @@ This is the paper's global flow (§3.1) made executable:
   behind Figures 3 and 4;
 * :func:`replay_or_compute` — the one precomputed-configuration path.
   Tile commits and whole-design P&R
-  (:func:`repro.tiling.cache.cached_full_place_and_route`) both replay a
+  (:func:`repro.tiling.cache.cached_full_place_and_route`, and the
+  unrouted :func:`repro.tiling.cache.cached_full_place`) all replay a
   stored :class:`~repro.tiling.cache.TileConfig` through it, or compute,
   capture and store a fresh one; it records each verdict once, after
   verification, and is where the ``replay_reject`` chaos fault denies a
@@ -54,6 +55,7 @@ from repro.synth.pack import (
 from repro.tiling.cache import (
     TileConfig,
     TileConfigCache,
+    cached_full_place,
     cached_full_place_and_route,
     pnr_key_header,
 )
@@ -132,10 +134,11 @@ def absorb_changes(
     starts here.  Only the nets of new and changed instances and the
     block nets touching changed, retired or new blocks are re-derived
     (:func:`refresh_touched_nets`): the log names every instance edit,
-    so the result equals the full walk (:func:`refresh_block_nets`) at
-    O(change).  A changed instance whose kind no longer fills its BLE
-    role (removed and re-added under its name as another kind) is
-    retired and packed again like a new one.
+    so the result equals a walk over every net (the tests' reference,
+    ``tests/conftest.py::refresh_block_nets``) at O(change).  A changed
+    instance whose kind no longer fills its BLE role (removed and
+    re-added under its name as another kind) is retired and packed
+    again like a new one.
 
     Returns (changed blocks, new blocks, net indices needing routes).
     """
@@ -206,17 +209,19 @@ class TiledLayout:
         """Tile a design: plan boundaries, re-place with slack, lock.
 
         ``initial_layout`` (the pre-error untiled implementation) seeds
-        the block-to-tile assignment with its locality; without one, a
-        fast untiled placement is run first, mirroring the paper's flow
-        where tiling happens after the original place-and-route.
+        the block-to-tile assignment with its placement's locality; its
+        routes are never read.  Without one, the untiled design is
+        placed first (:func:`cached_full_place`, unrouted, as a tiled
+        run's ``build_initial`` places it), mirroring the paper's flow
+        where tiling happens after the original implementation.
         """
         preset = preset or EFFORT_PRESETS["normal"]
         meter = meter if meter is not None else EffortMeter()
 
         if initial_layout is None:
-            initial_layout = cached_full_place_and_route(
+            initial_layout = cached_full_place(
                 packed, device, seed=seed, preset=preset, meter=meter,
-                strict_routing=False, cache=tile_cache, context="initial",
+                cache=tile_cache,
             )
 
         rects = plan_tile_grid(packed.n_clbs, device, options)

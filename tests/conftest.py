@@ -10,6 +10,7 @@ from repro.netlist import Netlist, NetlistBuilder
 from repro.netlist.simulate import replay_outputs
 from repro.pnr import EFFORT_PRESETS, full_place_and_route
 from repro.synth import map_to_luts, pack_netlist
+from repro.synth.pack import PackedDesign, _resync_nets
 
 
 def pytest_configure(config):
@@ -23,6 +24,24 @@ def comb_outputs(netlist: Netlist, inputs: dict, n_patterns: int) -> dict:
     """Primary outputs of one interpreted cycle from reset."""
     (out,) = replay_outputs(netlist, [inputs], n_patterns, engine="interpreted")
     return out
+
+
+def refresh_block_nets(
+    packed: PackedDesign,
+) -> tuple[set[int], set[int], set[int]]:
+    """Re-derive every block net after netlist ECO edits: the full walk
+    that :func:`repro.synth.pack.refresh_touched_nets` (which re-derives
+    only the nets the edits can have touched) must equal.
+
+    Returns (new, changed, removed) net indices.  Unchanged nets keep
+    their index *and* identity so existing routes remain valid.
+    """
+    netlist = packed.netlist
+    gone = [
+        name for name in packed._net_index_of_name
+        if not netlist.has_net(name)
+    ]
+    return _resync_nets(packed, netlist.nets(), gone)
 
 
 def make_adder_netlist(width: int = 4, registered: bool = False) -> Netlist:

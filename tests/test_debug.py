@@ -287,3 +287,39 @@ def test_round_verdicts_read_the_dut_trace(monkeypatch):
         "verdicts": 5, "records": 0, "steps": 0, "evaluations": 0,
     }
     assert result.localized and result.fixed
+
+
+def test_the_dut_trace_dies_with_the_diagnose_loop():
+    """Localization is the DUT trace's last reader: the trace is live
+    when a localize stage ends and gone once the run returns, and the
+    des error seed 1 run keeps its pinned outcome."""
+    import hashlib
+    import json
+
+    from repro.api import PipelineHooks, RunSpec, run_spec
+
+    live = []
+
+    class Watch(PipelineHooks):
+        def on_stage_end(self, stage, ctx, seconds):
+            if stage.name == "localize":
+                live.append(ctx.dut_trace is not None)
+
+    result, ctx = run_spec(
+        RunSpec(design="des", error_seed=1, preset="fast"),
+        hooks=Watch(), return_context=True,
+    )
+    assert live == [True]
+    assert ctx.dut_trace is None
+
+    def digest(value):
+        text = json.dumps(value, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert (result.status, result.n_commits) == ("ok", 9)
+    assert digest(result.candidates) == (
+        "55adbd0c6c5d4529dadf812cbe2a6d6ca1947ca74f49e7e186aa7092af50926a"
+    )
+    assert digest(result.probe_trajectory) == (
+        "f65886a591df193438a979f6feaa78d5b1bcd5c12588bfa63c7afdc52e861fdc"
+    )

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import SynthesisError
 from repro.netlist import CellKind
 from repro.synth import map_to_luts, pack_netlist
-from repro.synth.pack import extend_packing, refresh_block_nets
-from tests.conftest import make_adder_netlist
+from repro.synth.pack import extend_packing
+from tests.conftest import make_adder_netlist, refresh_block_nets
 
 
 def packed_adder(width=4, registered=True):

@@ -889,7 +889,7 @@ def implement_9sym(cache, kind=None, error_seed=1):
     from repro.api import RunSpec
     from repro.api.pipeline import RunContext
     from repro.debug.errors import inject_errors
-    from repro.synth.pack import refresh_block_nets
+    from tests.conftest import refresh_block_nets
 
     ctx = RunContext.from_spec(
         RunSpec(design="9sym", preset="fast"), tile_cache=cache
@@ -965,3 +965,80 @@ def test_every_route_tree_carries_edge_ids():
         assert_layout_legal(tiled.layout, check_capacity=False)
     assert hits == [False, True]
     assert cache.stats()["hits"] >= 3
+
+
+# ----------------------------------------------------------------------
+# placement-only initial entries: a tiled run routes no untiled layout
+# ----------------------------------------------------------------------
+
+def test_placement_entry_never_replays_for_a_routed_lookup(
+    tmp_path, monkeypatch
+):
+    """A tiled run stores its untiled placement with no routes; the
+    ``incremental`` and ``quick_eco`` runs after it in the same cache
+    still get a routed untiled layout, and every outcome and route equals
+    that of a run with no cache.  The placement-only entry persists,
+    passes ``cache verify`` and replays from the store."""
+    from perfbench.checks import comparable
+    from repro.api import RunSpec, run_spec
+    from repro.api.cli import main as cli_main
+    from repro.debug.strategies import BaseStrategy
+    from repro.tiling.cache import (
+        load_tile_cache,
+        save_tile_cache,
+        verify_cache_store,
+    )
+
+    initial = []
+    build = BaseStrategy.build_initial
+
+    def recording(self, meter=None):
+        layout = build(self, meter)
+        initial.append((placement_by_name(layout), routes_by_name(layout)))
+        return layout
+
+    monkeypatch.setattr(BaseStrategy, "build_initial", recording)
+
+    def run(strategy, cache):
+        initial.clear()
+        result, ctx = run_spec(
+            RunSpec(design="9sym", error_seed=1, preset="fast",
+                    strategy=strategy),
+            tile_cache=cache, return_context=True,
+        )
+        ((placement, routes),) = initial
+        return result, placement, routes, routes_by_name(ctx.strategy.layout)
+
+    shared = TileConfigCache()
+    tiled, placement, routes, _ = run("tiled", shared)
+    assert tiled.status == "ok" and routes == {}
+    assert tiled.effort["initial"]["route_expansions"] == 0
+    assert [c.routes for c in shared._entries.values()].count({}) == 1
+
+    for strategy, hits in (("incremental", 0), ("quick_eco", 1)):
+        result, placed, routed, final = run(strategy, shared)
+        twin = run(strategy, None)
+        # the initial lookup never even finds the placement entry (a
+        # found one would fail verification: rejected), and quick_eco
+        # replays the routed entry incremental stored
+        assert (result.cache["hits"], result.cache["rejected"]) == (hits, 0)
+        assert routed and placed == placement
+        assert comparable(result) == comparable(twin[0])
+        assert (placed, routed, final) == twin[1:]
+
+    cache_dir = str(tmp_path / "cache")
+    assert save_tile_cache(shared, cache_dir) == len(shared)
+    report = verify_cache_store(cache_dir)
+    assert report["valid"] == len(shared)
+    assert report["corrupt"] == report["quarantined"] == []
+    assert cli_main(["cache", "verify", cache_dir]) == 0
+
+    warm = load_tile_cache(cache_dir)
+    replayed, placement_again, routes_again, _ = run("tiled", warm)
+    assert warm.rejected == 0 and warm.misses == 0
+    assert (placement_again, routes_again) == (placement, {})
+    outcome = comparable(replayed)
+    assert outcome.pop("n_commit_cache_hits") == replayed.n_commits
+    expected = comparable(tiled)
+    expected.pop("n_commit_cache_hits")
+    assert outcome == expected

@@ -438,3 +438,32 @@ def test_commit_key_outside_filter_matches_tuple_filter(monkeypatch):
     assert result.n_commits > 1
     assert len(outside_sizes) > 100
     assert 0 in outside_sizes and max(outside_sizes) > 0
+
+
+@pytest.mark.parametrize("design", ["9sym", "s9234", "des", "mips"])
+def test_only_route_reading_strategies_route_the_untiled_design(design):
+    """``tiled`` places the untiled design and routes nothing (its tiling
+    reads only the placement), yet its tiled layout is fully routed
+    within channel capacity; ``incremental``, which commits against the
+    untiled routes, still gets them all."""
+    from repro.api import RunSpec
+    from repro.api.pipeline import RunContext
+    from repro.pnr import layout_legality_errors
+
+    def strategy(name):
+        spec = RunSpec(design=design, preset="fast", strategy=name)
+        return RunContext.from_spec(spec, tile_cache=None).strategy
+
+    tiled = strategy("tiled")
+    untiled = tiled.build_initial()
+    untiled.placement.check_complete()
+    assert untiled.routes == {} and untiled.state.usage == {}
+    assert layout_legality_errors(untiled) == []
+    tiled.prepare_for_debug()
+    assert set(tiled.layout.routes) == set(tiled.packed.nets)
+    assert layout_legality_errors(tiled.layout, check_capacity=True) == []
+
+    incremental = strategy("incremental")
+    routed = incremental.build_initial()
+    assert set(routed.routes) == set(incremental.packed.nets)
+    assert layout_legality_errors(routed, check_capacity=True) == []
