@@ -17,7 +17,8 @@ construction, plus device and preset — and hold:
 
 * the pristine bundle, never handed out: the pipeline injects errors
   and observation logic into ``packed.netlist``, so every run gets a
-  :func:`fork_bundle` of it;
+  :func:`fork_bundle` of it, a clone of its netlist and packing (the
+  design is packed once, on the entry's build);
 * the device, whose ``_Fabric`` routing tables stay warm;
 * the read-only golden model, shared, so its compiled kernel (keyed by
   netlist object in :func:`~repro.netlist.compiled.kernel_for`) is
@@ -52,7 +53,6 @@ from repro.generators.registry import (
 from repro.netlist.compiled import kernel_for
 from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
-from repro.synth.pack import pack_netlist
 
 #: Generators that accept keyword parameters (``RunSpec.design_params``)
 #: for non-registry variants — e.g. a reduced 2-round DES demo.
@@ -181,13 +181,14 @@ def fork_bundle(bundle: DesignBundle) -> DesignBundle:
 
     Deep-copying the whole bundle via pickle overflows the recursion
     limit on real netlists (instance↔net cross-links); instead the fork
-    re-derives the mutable half — copy the mapped netlist, re-pack it —
-    which is deterministic, structurally identical, and far cheaper
-    than a full generate → map → pack.
+    clones the mutable half: a :meth:`~repro.netlist.core.Netlist.copy`
+    of the mapped netlist and a
+    :meth:`~repro.synth.pack.PackedDesign.fork` of the packing over it,
+    equal to re-packing the copy without running the packer.
     """
     mapped = bundle.mapped.copy(bundle.mapped.name)
     return dataclasses.replace(bundle, mapped=mapped,
-                               packed=pack_netlist(mapped))
+                               packed=bundle.packed.fork(mapped))
 
 
 class GoldenTraces:

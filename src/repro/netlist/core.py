@@ -23,6 +23,7 @@ Every instance mutation also appends ``(revision, instance name, kind)``
 to an edit log (three parallel arrays; net-only edits and no-op rewires
 log nothing), which :meth:`Netlist.edits_since` folds for every consumer
 that syncs to the netlist: change recorders, the kernel, the packing.
+A :meth:`Netlist.copy` starts its log empty, at the copy's revision.
 """
 
 from __future__ import annotations
@@ -188,6 +189,9 @@ class Netlist:
         self._topo_cache: list[Instance] | None = None
         self._levels_cache: dict[str, int] | None = None
         self._adj_cache: Adjacency | None = None
+        #: revision the edit log starts at (a copy's log starts at
+        #: the copy)
+        self._log_base = 0
         self._log_revisions = array("q")
         self._log_names: list[str] = []
         self._log_kinds = bytearray()
@@ -220,10 +224,13 @@ class Netlist:
         same name counts); one added since is *new*; one present then
         and gone now is *removed*; one added and removed inside the
         window is in no set.  Costs O(edits since ``revision``).
+        A revision before the log's start (a copy's log starts at the
+        copy) or past the current one raises :class:`NetlistError`.
         """
-        if not 0 <= revision <= self._revision:
+        if not self._log_base <= revision <= self._revision:
             raise NetlistError(
-                f"revision {revision} is not in {self.name!r}'s history"
+                f"revision {revision} is not in {self.name!r}'s edit log "
+                f"({self._log_base}..{self._revision})"
             )
         start = bisect_right(self._log_revisions, revision)
         first: dict[str, int] = {}
@@ -725,19 +732,41 @@ class Netlist:
     # ------------------------------------------------------------------
 
     def copy(self, name: str | None = None) -> "Netlist":
-        """Deep structural copy (instances, nets, params)."""
+        """Deep structural copy (instances, nets, params).
+
+        The clone's tables are built directly, with what building it
+        through :meth:`add_net` then :meth:`add_instance` would give:
+        the same net and instance order, nets numbered 1..N and
+        instances N+1..N+M, each net's sinks in instance order, and a
+        revision of N+M.  Its edit log starts empty at that revision
+        (no construction entries), so :meth:`edits_since` any earlier
+        revision raises.
+        """
         clone = Netlist(name or self.name)
         clone._uid = self._uid
+        nets = clone._nets
+        serial = 0
         for net in self._nets.values():
-            clone.add_net(net.name)
-        for inst in self._instances.values():
-            clone.add_instance(
-                inst.kind,
-                [clone.net(n.name) for n in inst.inputs],
-                name=inst.name,
-                output=clone.net(inst.output.name) if inst.output else None,
-                params=dict(inst.params),
+            serial += 1
+            nets[net.name] = Net(net.name, serial)
+        instances = clone._instances
+        by_kind = clone._by_kind
+        for old in self._instances.values():
+            serial += 1
+            inputs = [nets[net.name] for net in old.inputs]
+            output = nets[old.output.name] if old.output is not None else None
+            inst = Instance(
+                old.name, old.kind, inputs, output, dict(old.params), serial
             )
+            instances[old.name] = inst
+            registry = by_kind.get(old.kind)
+            if registry is not None:
+                registry[old.name] = inst
+            if output is not None:
+                output.driver = inst
+            for idx, net in enumerate(inputs):
+                net.sinks.append((inst, idx))
+        clone._serial = clone._revision = clone._log_base = serial
         return clone
 
     # ------------------------------------------------------------------

@@ -113,6 +113,9 @@ class PackedDesign:
     netlist's revision, and the netlist's edits since then
     (:meth:`~repro.netlist.core.Netlist.edits_since`) are absorbed by
     re-deriving only the nets they can have touched.
+
+    :meth:`fork` gives a run its own packing of a netlist copy without
+    packing again: :func:`pack_netlist` runs once per design.
     """
 
     def __init__(
@@ -133,6 +136,39 @@ class PackedDesign:
         self._next_net_index = max(nets, default=-1) + 1
         self._clb_by_name = {clb.name: clb for clb in clbs}
         self._nets_of_block: dict[int, set[int]] | None = None
+
+    def fork(self, netlist: Netlist) -> "PackedDesign":
+        """This packing over ``netlist``, a copy of its own netlist
+        (:meth:`~repro.netlist.core.Netlist.copy`): equal to
+        :func:`pack_netlist` of the copy when this packing is one.
+
+        Shares the frozen :class:`Block` and :class:`BlockNet` records
+        and copies every mutable one (the CLB and BLE lists, the
+        ``nets`` dict, the name maps), so edits to either side stay
+        there.  Raises :class:`SynthesisError` if this packing lags its
+        netlist (a fork would carry its stale nets) or ``netlist`` holds
+        an unmapped instance.
+        """
+        if self.revision != self.netlist.revision:
+            raise SynthesisError(
+                f"cannot fork the packing of {self.netlist.name!r}: it "
+                f"reflects revision {self.revision}, the netlist is at "
+                f"{self.netlist.revision}"
+            )
+        _check_mapped(netlist)
+        clbs = [
+            CLB(clb.name, [
+                BLE(ble.lut, ble.ff, ble.output_net, ble.input_nets)
+                for ble in clb.bles
+            ])
+            for clb in self.clbs
+        ]
+        fork = PackedDesign(
+            netlist, clbs, list(self.blocks), dict(self.nets),
+            dict(self.block_of_instance),
+        )
+        fork._next_net_index = self._next_net_index
+        return fork
 
     @property
     def n_clbs(self) -> int:

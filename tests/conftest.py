@@ -44,6 +44,68 @@ def refresh_block_nets(
     return _resync_nets(packed, netlist.nets(), gone)
 
 
+def reference_copy(netlist: Netlist, name: str | None = None) -> Netlist:
+    """The copy built one :meth:`Netlist.add_net` /
+    :meth:`Netlist.add_instance` call per object: the reference that
+    :meth:`Netlist.copy` (which builds the clone's tables directly)
+    must equal, its log's construction entries apart."""
+    clone = Netlist(name or netlist.name)
+    clone._uid = netlist._uid
+    for net in netlist.nets():
+        clone.add_net(net.name)
+    for inst in netlist.instances():
+        clone.add_instance(
+            inst.kind,
+            [clone.net(n.name) for n in inst.inputs],
+            name=inst.name,
+            output=clone.net(inst.output.name) if inst.output else None,
+            params=dict(inst.params),
+        )
+    return clone
+
+
+def netlist_signature(netlist: Netlist, log_after: int = 0) -> tuple:
+    """Everything a netlist copy must reproduce, as plain values in
+    order: nets (serial, driver, each net's sink order), instances
+    (kind, serial, pins, params), the revision and counters, the
+    per-kind registries and the edit-log entries past ``log_after``."""
+    log = [
+        entry
+        for entry in zip(
+            netlist._log_revisions, netlist._log_names, netlist._log_kinds
+        )
+        if entry[0] > log_after
+    ]
+    return (
+        netlist.name,
+        netlist.revision,
+        netlist._serial,
+        netlist._uid,
+        [
+            (
+                net.name,
+                net.serial,
+                net.driver.name if net.driver else None,
+                [(sink.name, idx) for sink, idx in net.sinks],
+            )
+            for net in netlist.nets()
+        ],
+        [
+            (
+                inst.name,
+                inst.kind,
+                inst.serial,
+                [net.name for net in inst.inputs],
+                inst.output.name if inst.output else None,
+                sorted(inst.params.items()),
+            )
+            for inst in netlist.instances()
+        ],
+        {kind: list(registry) for kind, registry in netlist._by_kind.items()},
+        log,
+    )
+
+
 def make_adder_netlist(width: int = 4, registered: bool = False) -> Netlist:
     """A ripple adder, optionally with an output register."""
     netlist = Netlist(f"adder{width}{'r' if registered else ''}")

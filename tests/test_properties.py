@@ -1,9 +1,10 @@
 """Property-based tests over the core invariants (hypothesis)."""
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.debug import ERROR_KINDS, apply_correction, inject_error
-from repro.errors import DebugFlowError
+from repro.errors import DebugFlowError, NetlistError
 from repro.generators.random_logic import (
     random_combinational_netlist,
     random_sequential_netlist,
@@ -13,7 +14,7 @@ from repro.netlist.blif import read_blif, write_blif
 from repro.netlist.simulate import replay_outputs
 from repro.rng import make_rng
 from repro.synth import map_to_luts, pack_netlist
-from tests.conftest import comb_outputs
+from tests.conftest import comb_outputs, netlist_signature, reference_copy
 
 
 @given(seed=st.integers(0, 10_000))
@@ -246,8 +247,13 @@ def test_edit_log_fold_matches_the_snapshot_diff(data, seed):
     touched: set[str] = set()
     for _ in range(data.draw(st.integers(1, 25))):
         _random_edit(netlist, data, gone, touched)
-    after = _snapshot(netlist)
+    _assert_fold_matches(netlist, revision, before, touched)
 
+
+def _assert_fold_matches(netlist, revision, before, touched):
+    """``edits_since(revision)`` equals the snapshot diff from
+    ``before`` plus every touched name present at both ends."""
+    after = _snapshot(netlist)
     changed, new, removed = netlist.edits_since(revision)
     both = before.keys() & after.keys()
     diff = {name for name in both if before[name] != after[name]}
@@ -256,3 +262,32 @@ def test_edit_log_fold_matches_the_snapshot_diff(data, seed):
     assert new == after.keys() - before.keys()
     assert removed == before.keys() - after.keys()
     assert netlist.edits_since(netlist.revision) == (set(), set(), set())
+
+
+@given(data=st.data(), seed=st.integers(0, 1000))
+@settings(max_examples=40, deadline=None)
+def test_copy_equals_the_reference_copy_after_random_edits(data, seed):
+    """``Netlist.copy`` equals the ``add_instance``-built reference copy
+    after random edits (sinks reordered by ``transfer_sinks`` and
+    ``set_input``, renames, removals), and the clone's log starts at
+    the copy: an earlier revision raises, and the fold over the clone's
+    own edits still equals the snapshot diff."""
+    netlist = map_to_luts(random_sequential_netlist(
+        f"copy{seed}", n_inputs=4, n_outputs=3, n_ffs=2, n_gates=10,
+        seed=seed,
+    ))
+    gone: set[str] = set()
+    for _ in range(data.draw(st.integers(0, 25))):
+        _random_edit(netlist, data, gone, set())
+    clone = netlist.copy()
+    base = clone.revision
+    assert netlist_signature(clone) == netlist_signature(
+        reference_copy(netlist), base
+    )
+    with pytest.raises(NetlistError):
+        clone.edits_since(base - 1)
+    before = _snapshot(clone)
+    touched: set[str] = set()
+    for _ in range(data.draw(st.integers(1, 10))):
+        _random_edit(clone, data, gone, touched)
+    _assert_fold_matches(clone, base, before, touched)
