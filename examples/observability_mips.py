@@ -13,8 +13,8 @@ This example answers both on the real MIPS core layout, then actually
 inserts a 16-CLB counter probe (the paper's "large counter" example)
 next to the register file and commits it tile-confined.
 
-Run:  python examples/observability_mips.py          (about a minute)
-      REPRO_SMALL=1 ... (reduced 8-bit core, a few seconds)
+Run:  python examples/observability_mips.py          (a few seconds)
+      REPRO_SMALL=1 ... (reduced 8-bit core)
 """
 
 import os
@@ -71,11 +71,12 @@ def main() -> None:
         inst for inst in mapped.instances()
         if inst.name.startswith("pc") and inst.output is not None
     )
-    changes = test_logic_block(
+    test_logic_block(
         mapped, n_clbs=16, attach_net=anchor.output.name, name="pc_probe"
     )
     report = tiled.apply_changeset(
-        changes, seed=4, preset=EFFORT_PRESETS["fast"],
+        "test logic pc_probe (16 CLBs)", seed=4,
+        preset=EFFORT_PRESETS["fast"],
         anchor_instance=anchor.name,
     )
     print(f"   affected tiles: {report.affected_tiles} "

@@ -31,7 +31,6 @@ from repro.netlist.cells import CellKind
 from repro.pnr.effort import EffortMeter, EFFORT_PRESETS, EffortPreset
 from repro.pnr.flow import Layout, full_place_and_route, incremental_update
 from repro.rng import derive_seed
-from repro.tiling.eco import ChangeRecorder
 from repro.tiling.manager import TiledLayout
 from repro.tiling.partition import TilingOptions
 
@@ -331,12 +330,10 @@ def _measure_single_tile_change(
     """Retable one LUT and commit; the effort of that commit."""
     netlist = ctx.bundle.mapped
     inst = netlist.instance(target)
-    with ChangeRecorder(netlist, "fig5 small change") as rec:
-        size = 1 << len(inst.inputs)
-        netlist.set_params(inst, {"table": inst.params["table"] ^ (size - 1)})
-    assert rec.changes is not None
+    size = 1 << len(inst.inputs)
+    netlist.set_params(inst, {"table": inst.params["table"] ^ (size - 1)})
     report = tiled.apply_changeset(
-        rec.changes, seed=seed, preset=ctx.config.preset,
+        "fig5 small change", seed=seed, preset=ctx.config.preset,
         anchor_instance=target,
     )
     return report.effort

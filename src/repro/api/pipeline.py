@@ -68,7 +68,6 @@ from repro.resilience.budget import Deadline, check_deadline, deadline_scope
 from repro.resilience.chaos import chaos_stage_event
 from repro.synth.pack import PackedDesign
 from repro.tiling.cache import DEFAULT_TILE_CACHE, TileConfigCache
-from repro.tiling.eco import ChangeSet
 from repro.tiling.manager import absorb_changes
 
 #: ``run_spec``'s default cache: the run resolves its own from the
@@ -433,12 +432,12 @@ class LocalizeStage(Stage):
         if not ctx.live_probes:
             return
         netlist = ctx.packed.netlist
-        changes = remove_observation_points(netlist, ctx.live_probes)
+        removed = remove_observation_points(netlist, ctx.live_probes)
         retired = len(ctx.live_probes)
         ctx.live_probes = []
-        if changes.is_empty:
+        if not removed:
             return
-        ctx.strategy.commit(changes)
+        ctx.strategy.commit(f"retire {retired} observation point(s)")
         ctx.notes.append(f"retired {retired} stale observation point(s)")
         ctx.probes_retired_this_round = retired
 
@@ -466,12 +465,12 @@ class CorrectStage(Stage):
         assert ctx.errors
         netlist = ctx.packed.netlist
         ctx.round_corrected = []
-        fix: ChangeSet | None = None
+        fix: str | None = None
         anchor: str | None = None
         if ctx.spec.correction == "cegis":
             synthesized = self._synthesize(ctx)
             if synthesized is not None:
-                fix = synthesized.changes
+                fix = synthesized.description
                 anchor = synthesized.instance
                 info = synthesized.to_dict()
                 ctx.corrections.append(info)
@@ -501,7 +500,8 @@ class CorrectStage(Stage):
                     "skipping the fix"
                 )
                 return
-            fix = apply_correction(netlist, target)
+            apply_correction(netlist, target)
+            fix = f"fix {target.kind} @ {target.instance}"
             anchor = target.instance
             if target.instance not in ctx.corrected:
                 ctx.corrected.append(target.instance)

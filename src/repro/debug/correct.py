@@ -1,7 +1,8 @@
 """Error correction (paper steps 11-13).
 
-Two routes produce the fix :class:`ChangeSet` whose commit the paper's
-Figure 5 measures:
+Two routes produce the fix whose commit the paper's Figure 5 measures.
+Both edit the mapped netlist in place; the netlist's edit log carries
+the delta to the next strategy commit:
 
 * **back-annotation** (:func:`apply_correction`) — the designer fixes
   the bug at the HDL level and the inverse of the injected error is
@@ -19,7 +20,7 @@ Figure 5 measures:
   (a rewired input pin, say) come back unfixable and the caller falls
   back to back-annotation.
 
-Multi-error sessions stack corrections: each round's fix ChangeSet is
+Multi-error sessions stack corrections: each round's fix is
 independent, and stacked :func:`apply_correction` calls undo a stack of
 injections when replayed in reverse order.
 """
@@ -34,37 +35,31 @@ from repro.debug.errors import ErrorRecord
 from repro.errors import DebugFlowError
 from repro.netlist.cells import CellKind
 from repro.netlist.core import Netlist
-from repro.tiling.eco import ChangeRecorder, ChangeSet
 
 
-def apply_correction(
-    netlist: Netlist, record: ErrorRecord
-) -> ChangeSet:
-    """Undo the injected error; returns the netlist delta."""
+def apply_correction(netlist: Netlist, record: ErrorRecord) -> None:
+    """Undo the injected error."""
     inst = netlist.instance(record.instance)
-    with ChangeRecorder(netlist, f"fix {record.kind} @ {record.instance}") as rec:
-        if record.kind in ("table_bit", "wrong_function", "output_invert"):
-            netlist.set_params(inst, {"table": record.undo["table"]})
-        elif record.kind == "input_swap":
-            a, b = record.undo["pins"]
-            net_a, net_b = inst.inputs[a], inst.inputs[b]
-            netlist.set_input(inst, a, net_b)
-            netlist.set_input(inst, b, net_a)
-        elif record.kind == "wrong_source":
-            pin = record.undo["pin"]
-            netlist.set_input(inst, pin, netlist.net(record.undo["old_net"]))
-        else:
-            raise DebugFlowError(f"no corrector for error kind {record.kind!r}")
-    assert rec.changes is not None
-    return rec.changes
+    if record.kind in ("table_bit", "wrong_function", "output_invert"):
+        netlist.set_params(inst, {"table": record.undo["table"]})
+    elif record.kind == "input_swap":
+        a, b = record.undo["pins"]
+        net_a, net_b = inst.inputs[a], inst.inputs[b]
+        netlist.set_input(inst, a, net_b)
+        netlist.set_input(inst, b, net_a)
+    elif record.kind == "wrong_source":
+        pin = record.undo["pin"]
+        netlist.set_input(inst, pin, netlist.net(record.undo["old_net"]))
+    else:
+        raise DebugFlowError(f"no corrector for error kind {record.kind!r}")
 
 
 @dataclass
 class FixSynthesis:
     """A verified CEGIS repair, ready to commit."""
 
-    #: netlist delta applying the synthesized table(s)
-    changes: ChangeSet
+    #: the commit's description (``cegis retable @ <instances>``)
+    description: str
     #: the (first) LUT that was retabled
     instance: str
     #: the (first) replacement truth table
@@ -165,15 +160,10 @@ def synthesize_lut_fix(
         )
         if not outcome.succeeded:
             continue
-        label = "+".join(group)
-        with ChangeRecorder(netlist, f"cegis retable @ {label}") as rec:
-            for name, table in zip(group, outcome.tables):
-                netlist.set_params(
-                    netlist.instance(name), {"table": table}
-                )
-        assert rec.changes is not None
+        for name, table in zip(group, outcome.tables):
+            netlist.set_params(netlist.instance(name), {"table": table})
         return FixSynthesis(
-            changes=rec.changes,
+            description=f"cegis retable @ {'+'.join(group)}",
             instance=group[0],
             table=outcome.tables[0],
             iterations=outcome.iterations,

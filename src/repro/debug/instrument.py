@@ -15,9 +15,9 @@ packing and tile-confined re-place-and-route:
   signal when enabled ("control logic is introduced into the circuit
   to induce certain states artificially").
 
-Both return the :class:`ChangeSet` of the step (recorded from the
-netlist's edit log, with no instance walk), plus the names of the
-fresh IO ports.
+Both return the names of the fresh IO ports.  The edits themselves
+land in the netlist's edit log, which the next strategy commit absorbs
+(:func:`repro.tiling.manager.absorb_changes`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from repro.errors import DebugFlowError
 from repro.netlist.cells import CellKind
 from repro.netlist.core import Net, Netlist
-from repro.tiling.eco import ChangeRecorder, ChangeSet
 
 #: LUT3 table for out = en ? val : orig with inputs (orig, val, en)
 #: minterm = orig | val<<1 | en<<2
@@ -44,39 +43,37 @@ def add_observation_point(
     name: str,
     sticky: bool = True,
     expected_parity: int = 0,
-) -> tuple[ChangeSet, list[str]]:
+) -> list[str]:
     """Insert observation logic over ``watch_nets``.
 
     The compactor computes the parity of the watched nets; a mismatch
     against ``expected_parity`` raises the (optionally sticky) flag.
-    Returns (changeset, new primary-output names).
+    Returns the new primary-output names.
     """
     if not watch_nets:
         raise DebugFlowError("observation point needs at least one net")
     outputs = [f"obs_probe_{name}"]
-    with ChangeRecorder(netlist, f"observe {name}") as rec:
-        nets = [netlist.net(n) for n in watch_nets]
-        parity = _parity_tree(netlist, nets, prefix=f"obs_{name}")
-        if expected_parity:
-            parity = netlist.add_lut(
-                [parity], 0b01, name=f"obs_{name}_pol"
-            ).output
-        netlist.add_output(outputs[0], parity)
-        if sticky:
-            flag_q = netlist.add_net(f"obs_{name}_flag_q")
-            hold = netlist.add_lut(
-                [parity, flag_q], _OR2, name=f"obs_{name}_hold"
-            )
-            netlist.add_dff(hold.output, name=f"obs_{name}_ff", output=flag_q)
-            netlist.add_output(f"obs_flag_{name}", flag_q)
-            outputs.append(f"obs_flag_{name}")
-    assert rec.changes is not None
-    return rec.changes, outputs
+    nets = [netlist.net(n) for n in watch_nets]
+    parity = _parity_tree(netlist, nets, prefix=f"obs_{name}")
+    if expected_parity:
+        parity = netlist.add_lut(
+            [parity], 0b01, name=f"obs_{name}_pol"
+        ).output
+    netlist.add_output(outputs[0], parity)
+    if sticky:
+        flag_q = netlist.add_net(f"obs_{name}_flag_q")
+        hold = netlist.add_lut(
+            [parity, flag_q], _OR2, name=f"obs_{name}_hold"
+        )
+        netlist.add_dff(hold.output, name=f"obs_{name}_ff", output=flag_q)
+        netlist.add_output(f"obs_flag_{name}", flag_q)
+        outputs.append(f"obs_flag_{name}")
+    return outputs
 
 
 def remove_observation_points(
     netlist: Netlist, names: list[str]
-) -> ChangeSet:
+) -> int:
     """Retire observation points by name — the inverse of
     :func:`add_observation_point`.
 
@@ -89,7 +86,7 @@ def remove_observation_points(
     tile-configuration cache replays the restore commit the same way it
     replays the insertion.
 
-    Returns the removal :class:`ChangeSet` (empty when nothing matched).
+    Returns how many instances it removed (0 when nothing matched).
     """
     # one scan; an instance goes to the first name (in the given order)
     # whose namespace holds it, as if each name were retired in turn
@@ -103,21 +100,19 @@ def remove_observation_points(
             ):
                 groups[name].append(inst)
                 break
-    with ChangeRecorder(
-        netlist, f"retire {len(names)} observation point(s)"
-    ) as rec:
-        for targets in groups.values():
-            # sinks (output markers, FF, hold) before drivers (parity
-            # tree) keeps every intermediate state a valid netlist
-            targets.sort(
-                key=lambda i: (0 if i.kind is CellKind.OUTPUT else 1, i.name)
-            )
-            for inst in targets:
-                netlist.remove_instance(inst)
-        if any(groups.values()):
-            netlist.prune_dangling()
-    assert rec.changes is not None
-    return rec.changes
+    removed = 0
+    for targets in groups.values():
+        # sinks (output markers, FF, hold) before drivers (parity
+        # tree) keeps every intermediate state a valid netlist
+        targets.sort(
+            key=lambda i: (0 if i.kind is CellKind.OUTPUT else 1, i.name)
+        )
+        for inst in targets:
+            netlist.remove_instance(inst)
+        removed += len(targets)
+    if removed:
+        netlist.prune_dangling()
+    return removed
 
 
 def _parity_tree(netlist: Netlist, nets: list[Net], prefix: str) -> Net:
@@ -144,35 +139,33 @@ def _parity_tree(netlist: Netlist, nets: list[Net], prefix: str) -> Net:
 
 def add_control_point(
     netlist: Netlist, net_name: str, name: str
-) -> tuple[ChangeSet, list[str]]:
+) -> list[str]:
     """Splice a force mux into ``net_name``.
 
-    Returns (changeset, new primary-input names).  All original sinks
-    now read the spliced value; the splice LUT reads the original net.
+    Returns the new primary-input names.  All original sinks now read
+    the spliced value; the splice LUT reads the original net.
     """
-    with ChangeRecorder(netlist, f"control {name}") as rec:
-        original = netlist.net(net_name)
-        if original.driver is None:
-            raise DebugFlowError(f"net {net_name!r} has no driver to hijack")
-        enable = netlist.add_input(f"ctl_en_{name}")
-        value = netlist.add_input(f"ctl_val_{name}")
-        splice = netlist.add_lut(
-            [original, value, enable], _MUX_TABLE, name=f"ctl_{name}_mux"
-        )
-        moved = netlist.transfer_sinks(
-            original,
-            splice.output,
-            keep=lambda inst, idx: inst is splice,
-        )
-        if moved == 0:
-            raise DebugFlowError(f"net {net_name!r} had no sinks to control")
-    assert rec.changes is not None
-    return rec.changes, [f"ctl_en_{name}", f"ctl_val_{name}"]
+    original = netlist.net(net_name)
+    if original.driver is None:
+        raise DebugFlowError(f"net {net_name!r} has no driver to hijack")
+    enable = netlist.add_input(f"ctl_en_{name}")
+    value = netlist.add_input(f"ctl_val_{name}")
+    splice = netlist.add_lut(
+        [original, value, enable], _MUX_TABLE, name=f"ctl_{name}_mux"
+    )
+    moved = netlist.transfer_sinks(
+        original,
+        splice.output,
+        keep=lambda inst, idx: inst is splice,
+    )
+    if moved == 0:
+        raise DebugFlowError(f"net {net_name!r} had no sinks to control")
+    return [f"ctl_en_{name}", f"ctl_val_{name}"]
 
 
 def test_logic_block(
     netlist: Netlist, n_clbs: int, attach_net: str, name: str
-) -> ChangeSet:
+) -> None:
     """A parameterized block of test logic (the paper's "large counter").
 
     Builds a ripple counter chain sized to roughly ``n_clbs`` CLBs
@@ -185,23 +178,18 @@ def test_logic_block(
     # bit i costs one merged LUT+FF BLE plus (below the MSB) one carry
     # LUT: 2n-1 BLEs for n bits = exactly n CLBs after pairing
     n_bits = n_clbs
-    with ChangeRecorder(netlist, f"test logic {name} ({n_clbs} CLBs)") as rec:
-        gate = netlist.net(attach_net)
-        qs: list[Net] = [
-            netlist.add_net(f"tl_{name}_q{i}") for i in range(n_bits)
-        ]
-        carry = gate
-        for i in range(n_bits):
-            # toggle bit while carry is high: d = q XOR carry
-            lut = netlist.add_lut(
-                [qs[i], carry], _XOR2, name=f"tl_{name}_x{i}"
+    gate = netlist.net(attach_net)
+    qs: list[Net] = [
+        netlist.add_net(f"tl_{name}_q{i}") for i in range(n_bits)
+    ]
+    carry = gate
+    for i in range(n_bits):
+        # toggle bit while carry is high: d = q XOR carry
+        lut = netlist.add_lut([qs[i], carry], _XOR2, name=f"tl_{name}_x{i}")
+        netlist.add_dff(lut.output, name=f"tl_{name}_ff{i}", output=qs[i])
+        if i + 1 < n_bits:
+            and_lut = netlist.add_lut(
+                [qs[i], carry], 0b1000, name=f"tl_{name}_c{i}"
             )
-            netlist.add_dff(lut.output, name=f"tl_{name}_ff{i}", output=qs[i])
-            if i + 1 < n_bits:
-                and_lut = netlist.add_lut(
-                    [qs[i], carry], 0b1000, name=f"tl_{name}_c{i}"
-                )
-                carry = and_lut.output
-        netlist.add_output(f"tl_{name}_msb", qs[-1])
-    assert rec.changes is not None
-    return rec.changes
+            carry = and_lut.output
+    netlist.add_output(f"tl_{name}_msb", qs[-1])

@@ -306,10 +306,12 @@ class ConeLocalizer:
                 mismatch = verdicts.get(probe)
                 if mismatch is None:
                     t0 = time.perf_counter()
-                    changes, _ = add_observation_point(
+                    add_observation_point(
                         netlist, [probe_net], f"loc{probe_no}", sticky=False
                     )
-                    self.strategy.commit(changes, anchor_instance=probe)
+                    self.strategy.commit(
+                        f"observe loc{probe_no}", anchor_instance=probe
+                    )
                     timings["commit"] += time.perf_counter() - t0
                     result.probe_points.append(f"loc{probe_no}")
 

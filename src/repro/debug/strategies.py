@@ -43,7 +43,6 @@ from repro.tiling.cache import (
     cached_full_place,
     cached_full_place_and_route,
 )
-from repro.tiling.eco import ChangeSet
 from repro.tiling.manager import TiledLayout, absorb_changes
 from repro.tiling.partition import TilingOptions
 
@@ -135,8 +134,16 @@ class BaseStrategy:
         self._commit_count += 1
         return derive_seed(self.seed, self.name, self._commit_count)
 
-    def commit(self, changes: ChangeSet, anchor_instance: str | None = None
+    def commit(self, description: str, anchor_instance: str | None = None
                ) -> EffortMeter:
+        """Push every netlist edit since the last commit into the layout.
+
+        The edits come from the netlist's edit log
+        (:func:`~repro.tiling.manager.absorb_changes`); ``description``
+        names the step in the :class:`CommitRecord`, and
+        ``anchor_instance`` locates a change that touched no placed
+        block (a purely additive probe, say).
+        """
         raise NotImplementedError
 
     def _record_commit(self, record: CommitRecord) -> None:
@@ -179,13 +186,13 @@ class TiledStrategy(BaseStrategy):
         )
         self._layout = self.tiled.layout
 
-    def commit(self, changes: ChangeSet, anchor_instance: str | None = None
+    def commit(self, description: str, anchor_instance: str | None = None
                ) -> EffortMeter:
         if self.tiled is None:
             self.prepare_for_debug()
         assert self.tiled is not None
         report = self.tiled.apply_changeset(
-            changes, seed=self._next_seed(), preset=self.preset,
+            description, seed=self._next_seed(), preset=self.preset,
             anchor_instance=anchor_instance,
         )
         self._layout = self.tiled.layout
@@ -194,7 +201,7 @@ class TiledStrategy(BaseStrategy):
             self.cache_hits += 1
             detail += " (cached config)"
         self._record_commit(CommitRecord(
-            changes.description, report.effort, detail=detail,
+            description, report.effort, detail=detail,
             cache_hit=report.cache_hit,
         ))
         return report.effort
@@ -227,7 +234,7 @@ class QuickEcoStrategy(BaseStrategy):
 
     name = "quick_eco"
 
-    def commit(self, changes: ChangeSet, anchor_instance: str | None = None
+    def commit(self, description: str, anchor_instance: str | None = None
                ) -> EffortMeter:
         meter = EffortMeter()
         absorb_changes(self.packed, self._layout)
@@ -236,7 +243,7 @@ class QuickEcoStrategy(BaseStrategy):
             preset=self.preset, meter=meter, strict_routing=False,
         )
         self._record_commit(
-            CommitRecord(changes.description, meter, detail="whole block")
+            CommitRecord(description, meter, detail="whole block")
         )
         return meter
 
@@ -246,7 +253,7 @@ class IncrementalStrategy(BaseStrategy):
 
     name = "incremental"
 
-    def commit(self, changes: ChangeSet, anchor_instance: str | None = None
+    def commit(self, description: str, anchor_instance: str | None = None
                ) -> EffortMeter:
         meter = EffortMeter()
         changed, fresh, net_ids = absorb_changes(self.packed, self._layout)
@@ -267,7 +274,7 @@ class IncrementalStrategy(BaseStrategy):
             extra_nets=net_ids,
         )
         self._record_commit(
-            CommitRecord(changes.description, meter, detail=f"window {window}")
+            CommitRecord(description, meter, detail=f"window {window}")
         )
         return meter
 

@@ -43,8 +43,8 @@ Incremental recompile
 The kernel syncs itself on every use (:meth:`CompiledKernel.ensure_current`):
 when the netlist revision moved, it reads the netlist's edit log
 (:meth:`~repro.netlist.core.Netlist.edits_since` its last revision), so
-every edit is seen, recorded in a :class:`~repro.tiling.eco.ChangeSet`
-or not, and re-lowers **only the combinational fanout region** of the
+every edit is seen, whoever made it, and re-lowers **only the
+combinational fanout region** of the
 touched instances: because that region is fanout-closed, its old tape
 entries can be dropped and the freshly lowered region appended after
 the surviving prefix while preserving topological validity.  Only a

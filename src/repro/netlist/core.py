@@ -22,7 +22,8 @@ Mutation API used by the debug flow:
 Every instance mutation also appends ``(revision, instance name, kind)``
 to an edit log (three parallel arrays; net-only edits and no-op rewires
 log nothing), which :meth:`Netlist.edits_since` folds for every consumer
-that syncs to the netlist: change recorders, the kernel, the packing.
+that syncs to the netlist: the compiled kernel and the packing (every
+strategy commit).
 A :meth:`Netlist.copy` starts its log empty, at the copy's revision.
 """
 

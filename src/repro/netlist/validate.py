@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.errors import ValidationError
 from repro.netlist.cells import CellKind
-from repro.netlist.core import Netlist
+from repro.netlist.core import Instance, Net, Netlist
 
 
 def check_netlist(netlist: Netlist, strict: bool = True) -> list[str]:
@@ -43,20 +43,27 @@ def check_netlist(netlist: Netlist, strict: bool = True) -> list[str]:
 def _check_backrefs(netlist: Netlist) -> list[str]:
     problems = []
     drivers_seen: dict[str, str] = {}
+    # each live net (registered under its own name) with its sink pins
+    # as a set, built once: a scan of the sink list per pin would cost
+    # O(fanout) each
+    pins_of: dict[Net, set[tuple[Instance, int]]] = {
+        net: set(net.sinks)
+        for net in netlist.nets()
+        if netlist.has_net(net.name) and netlist.net(net.name) is net
+    }
     for inst in netlist.instances():
         for idx, net in enumerate(inst.inputs):
-            if not netlist.has_net(net.name) or netlist.net(net.name) is not net:
+            pins = pins_of.get(net)
+            if pins is None:
                 problems.append(
                     f"{inst.name} input {idx} reads ghost net {net.name}"
                 )
-            if (inst, idx) not in net.sinks:
+                pins = net.sinks
+            if (inst, idx) not in pins:
                 problems.append(
                     f"pin {inst.name}[{idx}] not registered on net {net.name}"
                 )
-        if inst.output is not None and (
-            not netlist.has_net(inst.output.name)
-            or netlist.net(inst.output.name) is not inst.output
-        ):
+        if inst.output is not None and inst.output not in pins_of:
             problems.append(
                 f"{inst.name} drives ghost net {inst.output.name}"
             )

@@ -8,9 +8,10 @@ interfaces and deliberate resource slack:
   planning, block assignment, min-cut boundary refinement);
 * :mod:`repro.tiling.manager` — :class:`TiledLayout`: slack-aware tiled
   placement, affected-tile identification with neighbor expansion,
-  tile-confined re-place-and-route, interface re-locking;
-* :mod:`repro.tiling.eco` — change descriptors linking netlist-level
-  debugging changes to physical tiles (back-annotation, paper §5.1);
+  tile-confined re-place-and-route, interface re-locking; and
+  ``absorb_changes``, which traces every debugging change in the
+  netlist's edit log down to its blocks and tiles (the paper's §5.1
+  back-annotation);
 * :mod:`repro.tiling.cache` — precomputed tile configurations keyed by
   logic content and locked interface signature, so repeated
   reconfigurations skip place-and-route entirely (the paper's
@@ -26,7 +27,6 @@ from repro.tiling.partition import (
 )
 from repro.tiling.cache import TileConfig, TileConfigCache
 from repro.tiling.manager import TiledLayout
-from repro.tiling.eco import ChangeSet
 
 __all__ = [
     "Tile",
@@ -38,5 +38,4 @@ __all__ = [
     "TileConfig",
     "TileConfigCache",
     "TiledLayout",
-    "ChangeSet",
 ]

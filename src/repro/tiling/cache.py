@@ -30,9 +30,8 @@ evicted (bounded LRU) because a lookup can only hit when the current
 block connectivity, placement and locked routes present byte-identical
 context.  The whole-design keys (:func:`full_pnr_key`) follow the same
 rule: connectivity, device, preset, seed and constraints, never logic.
-A commit absorbs every netlist edit since the last one (recorded in its
-:class:`~repro.tiling.eco.ChangeSet` or not), so its key always
-describes the live connectivity.
+A commit absorbs every netlist edit since the last one from the
+netlist's edit log, so its key always describes the live connectivity.
 
 Every replay — whole-design P&R (:func:`cached_full_place_and_route`),
 the routeless placement of a tiled run (:func:`cached_full_place`) and

@@ -59,7 +59,6 @@ from repro.tiling.cache import (
     cached_full_place_and_route,
     pnr_key_header,
 )
-from repro.tiling.eco import ChangeSet
 from repro.tiling.partition import (
     TilingOptions,
     assign_blocks_to_tiles,
@@ -164,7 +163,6 @@ class CommitReport:
 
     description: str
     affected_tiles: list[int]
-    new_blocks: set[int]
     effort: EffortMeter
     expanded: bool  # neighbor tiles were pulled in for extra slack
     cache_hit: bool = False  # served by a precomputed tile configuration
@@ -333,16 +331,16 @@ class TiledLayout:
 
     def apply_changeset(
         self,
-        changes: ChangeSet,
+        description: str,
         seed: int = 1,
         preset: EffortPreset | None = None,
         anchor_instance: str | None = None,
     ) -> CommitReport:
         """Clear and re-place-and-route only the affected tiles.
 
-        The commit absorbs every netlist edit since the last one
-        (:func:`absorb_changes`), whether ``changes`` recorded it or
-        not; ``changes`` names the step in the report.
+        The commit absorbs every netlist edit since the last one from
+        the netlist's edit log (:func:`absorb_changes`);
+        ``description`` names the step in the report.
 
         1. back-annotate: changed/removed instances → blocks → tiles;
         2. pack any new instances into new blocks;
@@ -430,9 +428,8 @@ class TiledLayout:
 
         self._rebuild_membership(affected, movable)
         return CommitReport(
-            description=changes.description,
+            description=description,
             affected_tiles=sorted(affected),
-            new_blocks=new_blocks,
             effort=meter,
             expanded=expanded,
             cache_hit=cache_hit,

@@ -64,6 +64,55 @@ def reference_copy(netlist: Netlist, name: str | None = None) -> Netlist:
     return clone
 
 
+def reference_backrefs(netlist: Netlist) -> list[str]:
+    """The back-reference check that scans each pin's net sink list:
+    the reference :func:`repro.netlist.validate._check_backrefs` (which
+    builds each net's sink set once per check) must equal, problem for
+    problem and in order."""
+    problems = []
+    drivers_seen: dict[str, str] = {}
+    for inst in netlist.instances():
+        for idx, net in enumerate(inst.inputs):
+            if not netlist.has_net(net.name) or netlist.net(net.name) is not net:
+                problems.append(
+                    f"{inst.name} input {idx} reads ghost net {net.name}"
+                )
+            if (inst, idx) not in net.sinks:
+                problems.append(
+                    f"pin {inst.name}[{idx}] not registered on net {net.name}"
+                )
+        if inst.output is not None and (
+            not netlist.has_net(inst.output.name)
+            or netlist.net(inst.output.name) is not inst.output
+        ):
+            problems.append(
+                f"{inst.name} drives ghost net {inst.output.name}"
+            )
+        if inst.output is not None:
+            if inst.output.driver is not inst:
+                problems.append(
+                    f"net {inst.output.name} does not point back to driver "
+                    f"{inst.name}"
+                )
+            if inst.output.name in drivers_seen:
+                problems.append(
+                    f"net {inst.output.name} driven by both "
+                    f"{drivers_seen[inst.output.name]} and {inst.name}"
+                )
+            drivers_seen[inst.output.name] = inst.name
+    for net in netlist.nets():
+        for sink_inst, idx in net.sinks:
+            if not netlist.has_instance(sink_inst.name):
+                problems.append(
+                    f"net {net.name} lists removed sink {sink_inst.name}"
+                )
+            elif sink_inst.inputs[idx] is not net:
+                problems.append(
+                    f"net {net.name} sink {sink_inst.name}[{idx}] disagrees"
+                )
+    return problems
+
+
 def netlist_signature(netlist: Netlist, log_after: int = 0) -> tuple:
     """Everything a netlist copy must reproduce, as plain values in
     order: nets (serial, driver, each net's sink order), instances

@@ -46,7 +46,6 @@ from repro.netlist.simulate import Run, record, replay_outputs
 from repro.pnr import EFFORT_PRESETS, full_place_and_route
 from repro.rng import make_rng
 from repro.synth import map_to_luts, pack_netlist
-from repro.tiling.eco import ChangeRecorder
 
 ALL_ENGINES = ("interpreted", "compiled")
 
@@ -272,7 +271,7 @@ def test_trace_matches_full_replay_across_observation_points(seed):
     )
     before = _traces_agree(netlist, stimulus)
     for name, nets, sticky in points:
-        _, ports = add_observation_point(netlist, nets, name, sticky=sticky)
+        ports = add_observation_point(netlist, nets, name, sticky=sticky)
         assert before.current(kernel), name
         after = _traces_agree(netlist, stimulus)
         full = replay_outputs(netlist, stimulus, 32, engine="interpreted")
@@ -315,14 +314,14 @@ def test_incremental_matches_full_recompile(seed):
 @given(seed=st.integers(0, 5_000))
 @settings(max_examples=8, deadline=None)
 def test_unrecorded_edits_are_relowered_incrementally(seed):
-    """An edit made outside any recorder, here after a recorded one, is
-    read from the netlist's edit log: the next use re-lowers both
-    incrementally and agrees with the interpreted engine."""
+    """Bare edits between two uses, here a retable and then an injected
+    error, are read from the netlist's edit log: the next use re-lowers
+    both in one incremental pass and agrees with the interpreted
+    engine."""
     netlist = _random_design(seed, mapped=True)
     kernel = CompiledKernel(netlist)
     lut = next(i for i in netlist.instances() if i.is_lut and i.inputs)
-    with ChangeRecorder(netlist, "retable"):
-        netlist.set_params(lut, {"table": lut.params["table"] ^ 1})
+    netlist.set_params(lut, {"table": lut.params["table"] ^ 1})
     inject_error(netlist, "output_invert", seed=seed)
     _assert_equivalent(netlist, kernel, seed)
     assert kernel.compile_count == 1
@@ -422,12 +421,14 @@ def test_additive_edit_keeps_the_tape(seed):
     tape, names = list(kernel._tape), list(kernel._instr_names)
     generation = kernel.generation
     watch = [po.inputs[0].name for po in netlist.primary_outputs()[:3]]
-    changes, _ = add_observation_point(netlist, watch, "add", sticky=True)
+    rev = netlist.revision
+    add_observation_point(netlist, watch, "add", sticky=True)
+    _, added, _ = netlist.edits_since(rev)
     kernel.ensure_current()
     assert kernel.generation == generation
     assert all(a is b for a, b in zip(kernel._tape, tape))
     assert kernel._instr_names[: len(names)] == names
-    assert set(kernel._instr_names[len(names):]) <= changes.new_instances
+    assert set(kernel._instr_names[len(names):]) <= added
     _assert_equivalent(netlist, kernel, seed)
 
     target = next(

@@ -108,11 +108,12 @@ class TestInstrumentation:
     def test_observation_point_exports_flag(self):
         n = mapped_adder()
         watch = [n.primary_outputs()[0].inputs[0].name]
-        changes, outputs = add_observation_point(n, watch, "w0")
+        rev = n.revision
+        outputs = add_observation_point(n, watch, "w0")
         check_netlist(n)
         assert "obs_probe_w0" in outputs
         assert "obs_flag_w0" in outputs
-        assert changes.new_instances
+        assert n.edits_since(rev)[1]
 
     def test_sticky_flag_latches(self):
         n = mapped_adder(3, registered=False)
@@ -129,8 +130,9 @@ class TestInstrumentation:
     def test_control_point_forces_value(self):
         n = mapped_adder(3, registered=False)
         target_net = n.primary_outputs()[0].inputs[0].name
-        changes, inputs = add_control_point(n, target_net, "c")
+        inputs = add_control_point(n, target_net, "c")
         check_netlist(n)
+        assert inputs == ["ctl_en_c", "ctl_val_c"]
         base = {f"a[{i}]": 0 for i in range(3)}
         base |= {f"b[{i}]": 0 for i in range(3)}
         # un-forced: s[0] = 0; forced: s[0] = 1
@@ -142,7 +144,9 @@ class TestInstrumentation:
     def test_test_logic_block_size(self):
         n = mapped_adder()
         anchor = n.primary_outputs()[0].inputs[0].name
-        changes = make_test_logic_block(n, n_clbs=5, attach_net=anchor, name="t")
+        rev = n.revision
+        make_test_logic_block(n, n_clbs=5, attach_net=anchor, name="t")
+        _, added, _ = n.edits_since(rev)
         check_netlist(n)
         packed = pack_netlist(n)
         # the new cells pack to exactly the requested CLB count
@@ -150,7 +154,7 @@ class TestInstrumentation:
 
         new_clbs = {
             packed.block_of_instance[i]
-            for i in changes.new_instances
+            for i in added
             if not i.startswith("po:")
         }
         assert len(new_clbs) == 5

@@ -20,7 +20,6 @@ from repro.netlist.compiled import kernel_for
 from repro.netlist.simulate import replay_outputs
 from repro.rng import make_rng
 from repro.synth.pack import PackedDesign, pack_netlist
-from repro.tiling.eco import ChangeRecorder
 from repro.tiling.manager import absorb_changes
 from tests.conftest import (
     fresh_packed_design,
@@ -168,7 +167,7 @@ def test_fork_refuses_a_stale_packing_and_an_unmapped_netlist():
 
 def test_a_kernel_on_a_copy_syncs_incrementally(entries):
     """A copy's log holds no construction entries, yet a kernel lowered
-    on it syncs later edits incrementally, recorded or not."""
+    on it syncs later edits incrementally, one edit or several."""
     copy = entries["9sym"].bundle.mapped.copy()
     rng = make_rng(1, "fork-kernel")
     ports = [pi.name.split(":", 1)[1] for pi in copy.primary_inputs()]
@@ -176,9 +175,9 @@ def test_a_kernel_on_a_copy_syncs_incrementally(entries):
     kernel = kernel_for(copy)
     replay_outputs(copy, stimulus, 64)
     luts = [i for i in copy.instances() if i.is_lut]
-    with ChangeRecorder(copy, "recorded retable") as recorder:
-        copy.set_params(luts[0], {"table": luts[0].params["table"] ^ 1})
-    assert recorder.changes.changed_instances == {luts[0].name}
+    rev = copy.revision
+    copy.set_params(luts[0], {"table": luts[0].params["table"] ^ 1})
+    assert copy.edits_since(rev)[0] == {luts[0].name}
     for lut in luts[1:4]:
         copy.set_params(lut, {"table": lut.params["table"] ^ 1})
     assert replay_outputs(copy, stimulus, 64) == replay_outputs(

@@ -1,8 +1,12 @@
 """End-to-end integration: the paper's full flow on a real benchmark."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.api import CampaignRunner, RunSpec, expand_matrix, run_spec
+from repro.api.pipeline import PipelineHooks
 from repro.emu import frames_for_tiles
 from repro.pnr.effort import EFFORT_PRESETS
 
@@ -46,7 +50,6 @@ def test_lock_invariant_across_debug_session():
 
     # one more committed change with frame snapshots around it
     from repro.netlist.cells import CellKind
-    from repro.tiling.eco import ChangeRecorder
 
     netlist = ctx.packed.netlist
     lut = next(
@@ -55,10 +58,9 @@ def test_lock_invariant_across_debug_session():
     )
     rects = [t.rect for t in tiled.tiles]
     before = frames_for_tiles(tiled.layout, rects)
-    with ChangeRecorder(netlist, "post-session touch") as rec:
-        netlist.set_params(lut, {"table": lut.params["table"] ^ 1})
+    netlist.set_params(lut, {"table": lut.params["table"] ^ 1})
     commit = tiled.apply_changeset(
-        rec.changes, seed=9, preset=EFFORT_PRESETS["fast"]
+        "post-session touch", seed=9, preset=EFFORT_PRESETS["fast"]
     )
     after = frames_for_tiles(tiled.layout, rects)
     changed = {i for i, (a, b) in enumerate(zip(before, after)) if a != b}
@@ -73,3 +75,36 @@ def test_incremental_strategy_end_to_end():
     ))
     assert result.detected
     assert result.fixed
+
+
+class _CommitLog(PipelineHooks):
+    def __init__(self) -> None:
+        self.records = []
+
+    def on_commit(self, ctx, record) -> None:
+        self.records.append(
+            [record.description, record.detail, record.cache_hit]
+        )
+
+
+@pytest.mark.parametrize("fields, n_commits, digest", [
+    (dict(error_seed=6, n_errors=2, max_probes=4), 11, "2c9a82e7c4f7da86"),
+    (dict(error_seed=1, correction="cegis"), 6, "0eaac7d547d9a82c"),
+    (dict(error_seed=1, strategy="incremental"), 6, "72ce05aa1889058f"),
+    (dict(error_seed=3, strategy="quick_eco"), 5, "d89a9949034c4554"),
+], ids=["two-fault", "cegis", "incremental", "quick-eco"])
+def test_commit_records_pinned(fields, n_commits, digest):
+    """Every commit's (description, detail, cache hit), pinned per spec:
+    between them the specs cover every strategy and the observe,
+    retire, oracle-fix and CEGIS commit descriptions."""
+    hooks = _CommitLog()
+    result = run_spec(
+        RunSpec(design="9sym", preset="fast", cache="private", **fields),
+        hooks=hooks,
+    )
+    assert result.status == "ok", result.status
+    records = hooks.records
+    text = json.dumps(records)
+    assert (len(records), hashlib.sha256(text.encode()).hexdigest()[:16]) == (
+        n_commits, digest
+    ), records

@@ -9,7 +9,6 @@ from repro.netlist.cells import CellKind
 from repro.pnr import EFFORT_PRESETS
 from repro.synth import map_to_luts, pack_netlist
 from repro.tiling import TiledLayout, TilingOptions
-from repro.tiling.eco import ChangeRecorder
 from tests.conftest import make_adder_netlist
 
 
@@ -87,20 +86,17 @@ class TestCommits:
             i for i in mapped.instances()
             if i.kind is CellKind.LUT and i.inputs
         )
-        with ChangeRecorder(mapped, "flip") as rec:
-            size = 1 << len(lut.inputs)
-            mapped.set_params(
-                lut, {"table": lut.params["table"] ^ (size - 1)}
-            )
-        return lut, rec.changes
+        size = 1 << len(lut.inputs)
+        mapped.set_params(lut, {"table": lut.params["table"] ^ (size - 1)})
+        return lut
 
     def test_commit_confines_frames(self, tiled_ctx):
         mapped, packed, tiled = tiled_ctx
         rects = [t.rect for t in tiled.tiles]
         before = frames_for_tiles(tiled.layout, rects)
-        lut, changes = self._flip_lut(mapped)
+        self._flip_lut(mapped)
         report = tiled.apply_changeset(
-            changes, seed=4, preset=EFFORT_PRESETS["fast"],
+            "flip", seed=4, preset=EFFORT_PRESETS["fast"],
         )
         after = frames_for_tiles(tiled.layout, rects)
         diffs = {
@@ -110,9 +106,9 @@ class TestCommits:
 
     def test_commit_reports_effort(self, tiled_ctx):
         mapped, packed, tiled = tiled_ctx
-        lut, changes = self._flip_lut(mapped)
+        self._flip_lut(mapped)
         report = tiled.apply_changeset(
-            changes, seed=4, preset=EFFORT_PRESETS["fast"],
+            "flip", seed=4, preset=EFFORT_PRESETS["fast"],
         )
         assert report.effort.work_units > 0
         assert report.effort.invocations == 1
@@ -125,12 +121,12 @@ class TestCommits:
             i for i in mapped.instances() if i.kind is CellKind.LUT
         )
         slack0 = tiled.tiles[tiled.tile_of_instance(anchor.name)].slack
-        changes = test_logic_block(
+        test_logic_block(
             mapped, n_clbs=slack0 + 2, attach_net=anchor.output.name,
             name="big",
         )
         report = tiled.apply_changeset(
-            changes, seed=5, preset=EFFORT_PRESETS["fast"],
+            "test logic big", seed=5, preset=EFFORT_PRESETS["fast"],
             anchor_instance=anchor.name,
         )
         assert report.expanded
@@ -138,8 +134,8 @@ class TestCommits:
 
     def test_commit_keeps_layout_legal(self, tiled_ctx):
         mapped, packed, tiled = tiled_ctx
-        lut, changes = self._flip_lut(mapped)
-        tiled.apply_changeset(changes, seed=6, preset=EFFORT_PRESETS["fast"])
+        self._flip_lut(mapped)
+        tiled.apply_changeset("flip", seed=6, preset=EFFORT_PRESETS["fast"])
         tiled.layout.placement.check_complete()
         # every net still fully connected
         for idx, tree in tiled.layout.routes.items():

@@ -163,12 +163,15 @@ class TestObservationPointRemoval:
             n.name for n in netlist.nets() if n.driver is not None
             and not n.driver.is_io
         )[:5]
-        added, outputs = add_observation_point(
-            netlist, nets, "probe0", sticky=True
-        )
+        rev = netlist.revision
+        add_observation_point(netlist, nets, "probe0", sticky=True)
+        _, added, _ = netlist.edits_since(rev)
         assert netlist_digest(netlist) != before
-        removed = remove_observation_points(netlist, ["probe0"])
-        assert removed.removed_instances == added.new_instances
+        rev = netlist.revision
+        n_removed = remove_observation_points(netlist, ["probe0"])
+        _, _, removed = netlist.edits_since(rev)
+        assert removed == added
+        assert n_removed == len(added)
         assert netlist_digest(netlist) == before
 
     def test_removal_only_touches_named_point(self):
@@ -185,8 +188,9 @@ class TestObservationPointRemoval:
 
     def test_unknown_name_is_a_noop(self):
         netlist = build_design("9sym").packed.netlist
-        changes = remove_observation_points(netlist, ["nonesuch"])
-        assert changes.is_empty
+        rev = netlist.revision
+        assert remove_observation_points(netlist, ["nonesuch"]) == 0
+        assert netlist.edits_since(rev) == (set(), set(), set())
 
     def test_one_scan_keeps_the_per_name_removal_order(self):
         """Names in the given order, and within a name output markers

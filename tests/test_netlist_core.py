@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import NetlistError, ValidationError
+from repro.generators import build_design
 from repro.netlist import CellKind, Netlist, check_netlist
+from repro.netlist.core import Net
+from repro.netlist.validate import _check_backrefs
+from tests.conftest import reference_backrefs
 
 
 def tiny():
@@ -249,3 +253,60 @@ class TestKindRegistries:
         n.change_kind(buf, CellKind.DFF, {"init": 0})
         assert [i.name for i in n.flip_flops()] == ["ff", "late", "ff_last"]
         self._assert_registries_match(n)
+
+
+def _pin_missing(n: Netlist) -> None:
+    n.net("c").sinks.remove((n.instance("g2"), 1))
+
+
+def _sink_disagrees(n: Netlist) -> None:
+    n.net("c").sinks.append((n.instance("g1"), 0))
+
+
+def _removed_sink(n: Netlist) -> None:
+    gone = n.add_instance(CellKind.AND, [n.net("a"), n.net("b")], name="gone")
+    n.remove_instance(gone)
+    n.net("a").sinks.append((gone, 0))
+
+
+def _ghost_net(n: Netlist) -> None:
+    # an input reading a net no netlist owns, an output driving one,
+    # and a net registered under a name it no longer carries
+    n.instance("g1").inputs[1] = Net("ghost_in")
+    n.instance("g2").output = Net("ghost_out")
+    n.net("c").name = "c_renamed"
+
+
+def _double_driver(n: Netlist) -> None:
+    n.instance("g1").output = n.instance("g2").output
+
+
+BREAKAGES = [_pin_missing, _sink_disagrees, _removed_sink, _ghost_net,
+             _double_driver]
+
+
+class TestBackrefCheck:
+    """The back-reference check builds each net's sink set once; its
+    problem list must equal the per-pin list scan's, in order."""
+
+    @pytest.mark.parametrize("breakage", BREAKAGES,
+                             ids=lambda f: f.__name__.strip("_"))
+    def test_each_breakage_matches_the_reference(self, breakage):
+        n = tiny()
+        assert _check_backrefs(n) == reference_backrefs(n) == []
+        breakage(n)
+        problems = _check_backrefs(n)
+        assert problems, breakage.__name__
+        assert problems == reference_backrefs(n)
+
+    def test_every_breakage_at_once_matches_the_reference(self):
+        n = tiny()
+        for breakage in BREAKAGES:
+            breakage(n)
+        assert len(_check_backrefs(n)) >= len(BREAKAGES)
+        assert _check_backrefs(n) == reference_backrefs(n)
+
+    @pytest.mark.parametrize("design", ["9sym", "mips"])
+    def test_clean_designs_report_nothing(self, design):
+        netlist = build_design(design).packed.netlist
+        assert _check_backrefs(netlist) == reference_backrefs(netlist) == []

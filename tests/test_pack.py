@@ -181,7 +181,7 @@ def _assert_same_packing(packed, twin):
 
 
 def _random_eco(netlist, rng, step, live, pending):
-    """One seeded debugging edit; returns its ChangeSet."""
+    """One seeded debugging edit; returns its description."""
     from repro.debug.correct import apply_correction
     from repro.debug.errors import inject_error
     from repro.debug.instrument import (
@@ -191,7 +191,6 @@ def _random_eco(netlist, rng, step, live, pending):
         test_logic_block,
     )
     from repro.errors import DebugFlowError
-    from repro.tiling.eco import ChangeRecorder
 
     driven = sorted(
         n.name for n in netlist.nets()
@@ -205,48 +204,47 @@ def _random_eco(netlist, rng, step, live, pending):
         names = rng.sample(live, rng.randint(1, len(live)))
         for name in names:
             live.remove(name)
-        return remove_observation_points(netlist, names + ["never_added"])
+        remove_observation_points(netlist, names + ["never_added"])
+        return f"retire {len(names) + 1} observation point(s)"
     if op == "control":
         spliceable = [
             name for name in driven
             if netlist.net(name).sinks and not name.startswith("ctl_")
         ]
-        changes, _ = add_control_point(
-            netlist, rng.choice(spliceable), f"c{step}"
-        )
-        return changes
+        add_control_point(netlist, rng.choice(spliceable), f"c{step}")
+        return f"control c{step}"
     if op == "logic":
-        return test_logic_block(
-            netlist, rng.randint(1, 2), rng.choice(driven), f"t{step}"
-        )
+        n_clbs = rng.randint(1, 2)
+        test_logic_block(netlist, n_clbs, rng.choice(driven), f"t{step}")
+        return f"test logic t{step} ({n_clbs} CLBs)"
     if op == "retable":
         # a CEGIS-style truth-table repair of one LUT
         lut = netlist.instance(rng.choice(sorted(
             i.name for i in netlist.instances() if i.is_lut
         )))
         table = lut.params["table"] ^ 1
-        with ChangeRecorder(netlist, f"retable {lut.name}") as rec:
-            netlist.set_params(lut, {**lut.params, "table": table})
-        return rec.changes
+        netlist.set_params(lut, {**lut.params, "table": table})
+        return f"retable {lut.name}"
     if op == "inject":
         kind = rng.choice(("wrong_source", "input_swap", "table_bit"))
-        with ChangeRecorder(netlist, f"inject {kind}") as rec:
-            try:
-                pending.append(inject_error(netlist, kind, seed=step))
-            except DebugFlowError:
-                pass
-        return rec.changes
+        try:
+            pending.append(inject_error(netlist, kind, seed=step))
+        except DebugFlowError:
+            pass
+        return f"inject {kind}"
     if op == "fix" and pending:
         # the oracle's back-annotated inverse (a retable or a rewire)
-        return apply_correction(netlist, pending.pop())
+        record = pending.pop()
+        apply_correction(netlist, record)
+        return f"fix {record.kind} @ {record.instance}"
     name = f"p{step}"
     watch = rng.sample(driven, rng.randint(1, 5))
-    changes, _ = add_observation_point(
+    add_observation_point(
         netlist, watch, name, sticky=rng.random() < 0.5,
         expected_parity=rng.randint(0, 1),
     )
     live.append(name)
-    return changes
+    return f"observe {name}"
 
 
 @pytest.mark.parametrize("design", ["9sym", "s9234"])
@@ -267,7 +265,7 @@ def test_incremental_refresh_matches_full_walk(design, monkeypatch):
     seen_nonempty = set()
     for step in range(24):
         descriptions = [
-            _random_eco(netlist, rng, 2 * step + k, live, pending).description
+            _random_eco(netlist, rng, 2 * step + k, live, pending)
             for k in range(rng.randint(1, 2))
         ]
         got, expected = _absorb_both(packed, twin, monkeypatch)
@@ -281,9 +279,10 @@ def test_incremental_refresh_matches_full_walk(design, monkeypatch):
 
 
 def test_unrecorded_edits_skip_the_full_refresh(monkeypatch):
-    """A mutation no changeset records — before the changeset starts or
-    after it ends — is read from the netlist's edit log: the commit
-    absorbs it without the full walk and still matches the twin."""
+    """A bare netlist mutation made around an instrument helper — just
+    before one or just after it — is read from the netlist's edit log
+    like the helper's own edits: the commit absorbs it without the full
+    walk and still matches the twin."""
     from repro.debug.instrument import add_observation_point
     from repro.generators import build_design
 
@@ -297,14 +296,14 @@ def test_unrecorded_edits_skip_the_full_refresh(monkeypatch):
     got, expected = _absorb_both(packed, twin, monkeypatch)
     assert got == expected
 
-    # unrecorded retable before the next changeset
+    # a bare retable before the next observation point
     netlist.set_params(luts[2], {"table": luts[2].params["table"] ^ 1})
     add_observation_point(netlist, watch, "before")
     got, expected = _absorb_both(packed, twin, monkeypatch)
     assert got == expected
     _assert_same_packing(packed, twin)
 
-    # unrecorded rewire after the changeset ends
+    # a bare rewire after the observation point
     add_observation_point(netlist, watch, "after")
     lut = luts[3]
     netlist.set_input(lut, 0, netlist.net(watch[0]))

@@ -191,8 +191,9 @@ class TestChangeRecording:
     def test_observation_point_records_without_an_instance_walk(
         self, monkeypatch
     ):
-        """A probe's changeset is folded from the netlist's edit log:
-        on des, ``add_observation_point`` never walks every instance."""
+        """A probe's delta is folded from the netlist's edit log: on
+        des, neither ``add_observation_point`` nor the fold
+        (``Netlist.edits_since``) walks every instance."""
         from repro.generators import build_design
         from repro.netlist.core import Netlist
 
@@ -204,15 +205,17 @@ class TestChangeRecording:
 
         with monkeypatch.context() as patch:
             patch.setattr(Netlist, "instances", no_walk)
-            changes, ports = add_observation_point(netlist, watch, "w")
+            rev = netlist.revision
+            ports = add_observation_point(netlist, watch, "w")
+            changed, new, removed = netlist.edits_since(rev)
         added = {
             i.name for i in netlist.instances()
             if i.name.startswith(("obs_w_", "po:obs_"))
         }
-        assert changes.new_instances == added
+        assert new == added
         assert {f"po:{port}" for port in ports} <= added
-        assert not changes.changed_instances
-        assert not changes.removed_instances
+        assert not changed
+        assert not removed
 
 
 class TestConeEngine:

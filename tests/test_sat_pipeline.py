@@ -199,13 +199,15 @@ class TestCegisCorrection:
         for stage in (DetectStage(), LocalizeStage()):
             run_timed_stage(stage, ctx, PipelineHooks())
         assert ctx.detected and ctx.localization is not None
+        rev = ctx.packed.netlist.revision
         fix = synthesize_lut_fix(
             ctx.packed.netlist, ctx.trace,
             sorted(ctx.localization.candidates), ctx.mismatches,
         )
         assert fix is not None
-        assert fix.changes.changed_instances == {fix.instance}
+        changed, _, _ = ctx.packed.netlist.edits_since(rev)
+        assert changed == {fix.instance}
         # the applied retable clears every mismatch on the stimulus
-        ctx.strategy.commit(fix.changes, anchor_instance=fix.instance)
+        ctx.strategy.commit(fix.description, anchor_instance=fix.instance)
         remaining, _ = detect_on_layout(ctx.strategy.layout, ctx.trace)
         assert remaining == []

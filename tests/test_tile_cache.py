@@ -18,7 +18,6 @@ from repro.tiling.cache import (
     TileConfigCache,
     cached_full_place_and_route,
 )
-from repro.tiling.eco import ChangeRecorder
 from tests.conftest import make_adder_netlist
 from tests.test_replace_region import assert_layout_legal
 
@@ -38,13 +37,13 @@ def build_tiled(cache):
 
 
 def flip_first_lut(mapped):
+    """Invert the first LUT's table; returns the commit's description."""
     lut = next(
         i for i in mapped.instances() if i.kind is CellKind.LUT and i.inputs
     )
-    with ChangeRecorder(mapped, "flip") as rec:
-        size = 1 << len(lut.inputs)
-        mapped.set_params(lut, {"table": lut.params["table"] ^ (size - 1)})
-    return rec.changes
+    size = 1 << len(lut.inputs)
+    mapped.set_params(lut, {"table": lut.params["table"] ^ (size - 1)})
+    return "flip"
 
 
 def placement_by_name(layout):
@@ -101,26 +100,28 @@ def test_different_seed_misses():
 
 
 def test_unrecorded_edit_reaches_the_commit():
-    """A ``set_params`` outside the ChangeSet handed to the commit is
-    still absorbed: its tile is affected, so the commit cannot hit the
-    entry its twin stored without that edit."""
+    """A ``set_params`` made after the flip, outside the step the commit
+    is named for, is still absorbed: its tile is affected, so the commit
+    cannot hit the entry its twin stored without that edit."""
     cache = TileConfigCache()
     mapped1, _, tiled1 = build_tiled(cache)
     r1 = tiled1.apply_changeset(
         flip_first_lut(mapped1), seed=4, preset=EFFORT_PRESETS["fast"]
     )
     mapped2, _, tiled2 = build_tiled(cache)
-    changes = flip_first_lut(mapped2)
+    rev = mapped2.revision
+    description = flip_first_lut(mapped2)
+    flipped, _, _ = mapped2.edits_since(rev)
     other = next(
         i for i in mapped2.instances()
         if i.kind is CellKind.LUT and i.inputs
         and tiled2.tile_of_instance(i.name) not in r1.affected_tiles
     )
     mapped2.set_params(other, {"table": other.params["table"] ^ 1})
-    assert other.name not in changes.changed_instances
+    assert other.name not in flipped
     hits = cache.hits
     r2 = tiled2.apply_changeset(
-        changes, seed=4, preset=EFFORT_PRESETS["fast"]
+        description, seed=4, preset=EFFORT_PRESETS["fast"]
     )
     assert tiled2.tile_of_instance(other.name) in r2.affected_tiles
     assert set(r1.affected_tiles) < set(r2.affected_tiles)
@@ -218,8 +219,9 @@ def test_save_load_round_trip(tmp_path):
 
     cache = TileConfigCache()
     mapped, packed, tiled = build_tiled(cache)
-    changes = flip_first_lut(mapped)
-    tiled.apply_changeset(changes, seed=5, preset=EFFORT_PRESETS["fast"])
+    tiled.apply_changeset(
+        flip_first_lut(mapped), seed=5, preset=EFFORT_PRESETS["fast"]
+    )
     assert cache.stores > 0
     cache_dir = str(tmp_path / "cache")
     assert save_tile_cache(cache, cache_dir) == len(cache)
@@ -229,8 +231,9 @@ def test_save_load_round_trip(tmp_path):
 
     mapped2, packed2, tiled2 = build_tiled(fresh)
     before = fresh.hits
-    changes2 = flip_first_lut(mapped2)
-    tiled2.apply_changeset(changes2, seed=5, preset=EFFORT_PRESETS["fast"])
+    tiled2.apply_changeset(
+        flip_first_lut(mapped2), seed=5, preset=EFFORT_PRESETS["fast"]
+    )
     assert fresh.hits > before
     assert placement_by_name(tiled2.layout) == placement_by_name(tiled.layout)
     assert routes_by_name(tiled2.layout) == routes_by_name(tiled.layout)
