@@ -56,6 +56,7 @@ from repro.api.pipeline import run_spec  # noqa: E402
 from repro.api.spec import RunSpec  # noqa: E402
 from repro.debug.errors import ERROR_KINDS  # noqa: E402
 from repro.pnr import flow  # noqa: E402
+from repro.pnr.router import fabric_of  # noqa: E402
 from repro.tiling import manager  # noqa: E402
 
 
@@ -79,15 +80,18 @@ def sweep_specs() -> list[dict]:
 
 
 def _routes_shape(routes, args):
+    edge_tuple = fabric_of(args[1]).edge_tuple
     return [
-        (idx, sorted(t.cells), sorted(t.edges), sorted(t.sink_hops.items()))
+        (idx, sorted(t.cells), sorted(map(edge_tuple, t.eids)),
+         sorted(t.sink_hops.items()))
         for idx, t in sorted(routes.items())
     ]
 
 
 def _steiner_shape(result, args):
-    cells, edges, hops = result[:3]
-    return sorted(cells), sorted(edges), sorted(hops.items())
+    cells, hops, eids = result[0], result[-2], result[-1]
+    edges = sorted(map(fabric_of(args[0]).edge_tuple, eids))
+    return sorted(cells), edges, sorted(hops.items())
 
 
 def _place_shape(placement, args):

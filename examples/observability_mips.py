@@ -75,9 +75,7 @@ def main() -> None:
         mapped, n_clbs=16, attach_net=anchor.output.name, name="pc_probe"
     )
     report = tiled.apply_changeset(
-        "test logic pc_probe (16 CLBs)", seed=4,
-        preset=EFFORT_PRESETS["fast"],
-        anchor_instance=anchor.name,
+        seed=4, preset=EFFORT_PRESETS["fast"], anchor_instance=anchor.name,
     )
     print(f"   affected tiles: {report.affected_tiles} "
           f"(neighbor expansion: {report.expanded})")

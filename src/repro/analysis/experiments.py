@@ -333,8 +333,7 @@ def _measure_single_tile_change(
     size = 1 << len(inst.inputs)
     netlist.set_params(inst, {"table": inst.params["table"] ^ (size - 1)})
     report = tiled.apply_changeset(
-        "fig5 small change", seed=seed, preset=ctx.config.preset,
-        anchor_instance=target,
+        seed=seed, preset=ctx.config.preset, anchor_instance=target,
     )
     return report.effort
 

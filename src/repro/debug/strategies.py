@@ -192,7 +192,7 @@ class TiledStrategy(BaseStrategy):
             self.prepare_for_debug()
         assert self.tiled is not None
         report = self.tiled.apply_changeset(
-            description, seed=self._next_seed(), preset=self.preset,
+            seed=self._next_seed(), preset=self.preset,
             anchor_instance=anchor_instance,
         )
         self._layout = self.tiled.layout

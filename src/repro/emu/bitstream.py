@@ -79,8 +79,9 @@ class Bitstream:
     def _attach_intra_tile_routing(self) -> None:
         """Fold each route edge into the config of the sites it touches."""
         extra: dict[tuple[int, int], list[bytes]] = {}
+        edge_tuple = self.layout.state.fabric.edge_tuple
         for tree in self.layout.routes.values():
-            for a, b in sorted(tree.edges):
+            for a, b in sorted(map(edge_tuple, tree.eids)):
                 tag = f"r{a[0]},{a[1]}-{b[0]},{b[1]}".encode()
                 extra.setdefault(a, []).append(tag)
         for site, tags in extra.items():

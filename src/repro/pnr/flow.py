@@ -33,7 +33,6 @@ from repro.pnr.effort import EffortMeter, EffortPreset, EFFORT_PRESETS
 from repro.pnr.placement import PlaceConstraints, Placement
 from repro.pnr.placer import place_design
 from repro.pnr.router import (
-    Edge,
     RouteTree,
     RoutingState,
     grow_steiner_tree,
@@ -279,7 +278,8 @@ def _reroute_with_locked_interface(
     """
     packed = layout.packed
     net = packed.nets[net_idx]
-    h = layout.state.fabric.h
+    fab = layout.state.fabric
+    h = fab.h
 
     def inside(cell: tuple[int, int]) -> bool:
         return mask[(cell[0] + 1) * h + cell[1] + 1]
@@ -287,31 +287,27 @@ def _reroute_with_locked_interface(
     # a brand-new terminal outside the region (e.g. a fresh observation
     # pin on the IOB ring) cannot hang off the kept fragment — reroute
     # the whole net instead
-    for sink in net.sinks:
-        site = layout.placement.site_of(sink)
+    driver_site = layout.placement.site_of(net.driver)
+    for site in (driver_site, *map(layout.placement.site_of, net.sinks)):
         if site not in old.cells and not inside(site):
             return None
-    driver_site_check = layout.placement.site_of(net.driver)
-    if driver_site_check not in old.cells and not inside(driver_site_check):
-        return None
 
-    # the kept edges keep their tuples: a rebuilt tuple would outlive the
-    # commit in layouts and captured configurations
-    outside_edges = {e for e in old.edges if not (inside(e[0]) and inside(e[1]))}
+    kept = fab.outside_eids(old.eids, mask)
+    if not kept:
+        return None
     # boundary anchors: cells of kept edges that sit inside the region,
-    # plus outside fragment cells adjacent to the region
+    # plus outside fragment cells adjacent to the region.  The walk is
+    # over a set of cell pairs, not over ``kept``: the anchors' set
+    # order picks which of two equally distant anchors is reached first
     anchors: set[tuple[int, int]] = set()
     outside_cells: set[tuple[int, int]] = set()
-    for a, b in outside_edges:
+    for a, b in {fab.edge_tuple(e) for e in kept}:
         for cell in (a, b):
             if inside(cell):
                 anchors.add(cell)
             else:
                 outside_cells.add(cell)
-    if not outside_edges:
-        return None
 
-    driver_site = layout.placement.site_of(net.driver)
     inside_sinks = [
         layout.placement.site_of(s)
         for s in net.sinks
@@ -329,19 +325,17 @@ def _reroute_with_locked_interface(
         targets = inside_sinks + [a for a in anchors if a not in seeds]
 
     try:
-        cells, edges, hops, eids = grow_steiner_tree(
+        cells, hops, eids = grow_steiner_tree(
             layout.device, seeds, targets, layout.state,
             region=union_region, meter=meter,
         )
     except RoutingError:
         return None
 
-    kept = tuple(layout.state.fabric.outside_eids(old.eids, mask))
     tree = RouteTree(net_idx)
     tree.cells = cells | outside_cells | anchors
-    tree.edges = edges | outside_edges
-    tree.eids = eids + kept
-    if len(tree.eids) != len(tree.edges):
+    tree.eids = eids + tuple(kept)
+    if len(set(tree.eids)) != len(tree.eids):
         # the new part ran along a kept edge outside the regions but
         # inside their bounding rectangle
         tree.eids = tuple(set(tree.eids))
@@ -362,10 +356,11 @@ def layout_legality_errors(
 ) -> list[str]:
     """Full legality audit; returns human-readable violations (empty = legal).
 
-    Checks placement completeness, every routed net's terminal
-    connectivity over unit-length edges, that each tree's stored edge
-    ids match its edges, channel-usage bookkeeping consistency against
-    a recount, and (optionally) channel capacity.
+    Checks placement completeness, every routed net's terminals on its
+    tree's cells, that each tree's edges join two of its cells and are
+    listed once, channel-usage bookkeeping consistency against a
+    recount by edge id, and (optionally) channel capacity.  An edge id
+    always names two adjacent cells, so adjacency needs no check.
     Shared by the perf benchmark's ``routed_legal`` gate and the tests.
     """
     errors: list[str] = []
@@ -374,8 +369,9 @@ def layout_legality_errors(
     except PlacementError as exc:
         errors.append(str(exc))
     pos = layout.placement.pos
-    edge_id = layout.state.fabric.edge_id
-    recount: dict[Edge, int] = {}
+    state = layout.state
+    edge_tuple = state.fabric.edge_tuple
+    recount: dict[int, int] = {}
     for idx, tree in layout.routes.items():
         net = layout.packed.nets.get(idx)
         if net is None:
@@ -388,16 +384,14 @@ def layout_legality_errors(
                 errors.append(f"net {net.name}: sink {sink} disconnected")
             if sink not in tree.sink_hops:
                 errors.append(f"net {net.name}: sink {sink} missing hops")
-        for a, b in tree.edges:
-            if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-                errors.append(f"net {net.name}: non-adjacent edge {a}-{b}")
+        for eid in tree.eids:
+            a, b = edge_tuple(eid)
             if a not in tree.cells or b not in tree.cells:
                 errors.append(f"net {net.name}: edge {a}-{b} off tree cells")
-            key = (a, b) if a <= b else (b, a)
-            recount[key] = recount.get(key, 0) + 1
-        if sorted(tree.eids) != sorted(edge_id(a, b) for a, b in tree.edges):
-            errors.append(f"net {net.name}: edge ids differ from edges")
-    if recount != layout.state.usage:
+            recount[eid] = recount.get(eid, 0) + 1
+        if len(set(tree.eids)) != len(tree.eids):
+            errors.append(f"net {net.name}: an edge listed twice")
+    if recount != {eid: state._usage[eid] for eid in state._used}:
         errors.append("channel-usage bookkeeping diverged from routes")
     if check_capacity:
         cap = layout.device.channel_width
@@ -421,10 +415,12 @@ def capture_region_config(
 
     Returns ``(sites, io_slots, routes, over_allow)`` keyed by block/net
     *names* so the snapshot resolves against an identically built
-    sibling design.  ``over_allow`` records the capture-time occupancy
-    of any over-capacity edge the routes touch — region re-routes run
-    non-strict, so a replay is allowed to reproduce exactly the overuse
-    the fresh path produced, and no more.
+    sibling design.  A route is ``(cells, hops, eids)``: its cells, its
+    sorted ``(sink name, hops)`` pairs and its edge ids.  ``over_allow``
+    records the capture-time occupancy of any over-capacity edge the
+    routes touch — region re-routes run non-strict, so a replay is
+    allowed to reproduce exactly the overuse the fresh path produced,
+    and no more.
     """
     packed = layout.packed
     sites = {
@@ -452,9 +448,7 @@ def capture_region_config(
             )
         )
         eids = tree.eids
-        routes[net.name] = (
-            frozenset(tree.cells), frozenset(tree.edges), hops, eids,
-        )
+        routes[net.name] = (frozenset(tree.cells), hops, eids)
         for eid in eids:
             u = usage[eid]
             if u > cap:
@@ -477,9 +471,12 @@ def apply_region_config(
 
     Every check runs *before* any mutation, so a False return leaves the
     layout untouched and the caller falls back to a fresh re-place-and-
-    route.  Checks: block/net name correspondence, site legality inside
-    the regions, IOB slot capacity, terminal membership on the cached
-    trees, and channel capacity after swapping the affected routes.
+    route.  ``routes`` holds :func:`capture_region_config`'s
+    ``(cells, hops, eids)`` triples; the installed trees take them as
+    they are.  Checks: block/net name correspondence, site legality
+    inside the regions, IOB slot capacity, terminal membership on the
+    cached trees, and channel capacity after swapping the affected
+    routes.
     """
     packed, device = layout.packed, layout.device
     placement = layout.placement
@@ -550,9 +547,7 @@ def apply_region_config(
     sink_index_of: dict[int, dict[str, int]] = {}
     for idx in affected:
         net = packed.nets[idx]
-        cells, edges, hops, eids = routes[net_name_of[idx]]
-        if len(eids) != len(edges):
-            return False
+        cells, hops, eids = routes[net_name_of[idx]]
         for b in (net.driver, *net.sinks):
             site = site_of_terminal(b)
             if site is None or site not in cells:
@@ -570,7 +565,7 @@ def apply_region_config(
             for eid in tree.eids:
                 removed[eid] = removed.get(eid, 0) + 1
     added: dict[int, int] = {}
-    for cells, edges, hops, eids in routes.values():
+    for cells, hops, eids in routes.values():
         for eid in eids:
             added[eid] = added.get(eid, 0) + 1
     cap = device.channel_width
@@ -592,12 +587,11 @@ def apply_region_config(
     for b, slot in io_target.items():
         placement.place_io(b, slot)
     for idx in affected:
-        cells, edges, hops, eids = routes[net_name_of[idx]]
+        cells, hops, eids = routes[net_name_of[idx]]
         by_name = sink_index_of[idx]
         tree = RouteTree(
             idx,
             cells,
-            edges,
             {by_name[name]: h for name, h in hops},
             eids,
         )

@@ -18,9 +18,11 @@ the neighbor's coordinates, and region masks — and
 plus an *incrementally maintained* over-capacity set, so congestion
 lookups inside A* are two list reads and convergence checks never scan
 the edge universe.  A* records the
-edge id it crossed into each cell, so every tree the router builds
-carries its edge ids (:attr:`RouteTree.eids`) and occupancy updates,
-negotiation and tile commits never convert edge tuples back to ids.
+edge id it crossed into each cell, and a route records its edges only
+as those ids (:attr:`RouteTree.eids`): occupancy updates, negotiation,
+tile commits and stored configurations read the ids, and
+:meth:`_Fabric.edge_tuple` names an id's two cells where a caller
+needs them.
 A* seeds its sources lazily: their heuristics come from per-device
 distance tables, one stable sort orders them, and only the next
 source waits in the heap, so a search that ends after a few dozen
@@ -52,10 +54,6 @@ from repro.synth.pack import PackedDesign
 Edge = tuple[tuple[int, int], tuple[int, int]]
 
 _INF = float("inf")
-
-
-def _edge(a: tuple[int, int], b: tuple[int, int]) -> Edge:
-    return (a, b) if a <= b else (b, a)
 
 
 def _distance_table(n: int) -> list[list[int]]:
@@ -216,30 +214,29 @@ def fabric_of(device: Device) -> _Fabric:
 
 @dataclass
 class RouteTree:
-    """One net's route: tree cells, edges, and per-sink path lengths.
+    """One net's route: tree cells, per-sink path lengths, edge ids.
 
-    ``eids`` holds the fabric edge ids of ``edges`` as a matching (but
-    unordered) multiset.  Every tree built by routing, tile commits or
-    configuration replay carries it; occupancy bookkeeping reads only
-    it, so a hand-built tree must set it too (:meth:`_Fabric.edge_id`).
-    Nothing edits ``edges`` of a built tree in place.
+    ``eids`` lists the fabric ids of the tree's edges, each once, in no
+    particular order; it is the route's only edge record (occupancy,
+    legality, captured configurations and bitstream frames all read
+    it), and :meth:`_Fabric.edge_tuple` turns an id back into its cell
+    pair.  A hand-built tree sets it with :meth:`_Fabric.edge_id`.
+    Nothing edits a built tree's ``eids`` in place.
     """
 
     net_index: int
     cells: set[tuple[int, int]] = field(default_factory=set)
-    edges: set[Edge] = field(default_factory=set)
     sink_hops: dict[int, int] = field(default_factory=dict)
-    eids: tuple[int, ...] | None = None
+    eids: tuple[int, ...] = ()
 
     @property
     def wirelength(self) -> int:
-        return len(self.edges)
+        return len(self.eids)
 
     def copy(self) -> "RouteTree":
         # eids stays valid: trees are replaced, never edited in place
         return RouteTree(
-            self.net_index, set(self.cells), set(self.edges),
-            dict(self.sink_hops), self.eids,
+            self.net_index, set(self.cells), dict(self.sink_hops), self.eids,
         )
 
 
@@ -247,9 +244,9 @@ class RoutingState:
     """Shared channel-usage bookkeeping across all routed nets.
 
     Occupancy and history live in dense edge-indexed arrays; the set of
-    over-capacity edges is maintained incrementally by :meth:`add` /
-    :meth:`remove`, so feasibility checks are O(1) and
-    :meth:`overused_edges` never scans the edge universe.  The mapping
+    over-capacity edges (``overused_ids``) is maintained incrementally
+    by :meth:`add` / :meth:`remove`, so feasibility checks are O(1) and
+    never scan the edge universe.  The mapping
     view :attr:`usage` is materialized on demand for inspection and
     tests — hot paths read the arrays directly.
     """
@@ -297,10 +294,6 @@ class RoutingState:
                 used_discard(eid)
             if u == cap:  # independent: both fire when cap == 0
                 over_discard(eid)
-
-    def overused_edges(self) -> list[Edge]:
-        tup = self.fabric.edge_tuple
-        return [tup(eid) for eid in sorted(self.overused_ids)]
 
     def bump_history(self, hist_fac: float = 0.4) -> None:
         history = self._history
@@ -398,19 +391,18 @@ def grow_steiner_tree(
     pres_fac: float = 2.0,
     meter: EffortMeter | None = None,
 ) -> tuple[
-    set[tuple[int, int]], set[Edge], dict[tuple[int, int], int],
-    tuple[int, ...],
+    set[tuple[int, int]], dict[tuple[int, int], int], tuple[int, ...],
 ]:
     """Grow a tree from ``seed_cells`` reaching every target cell.
 
     This is the primitive behind interface-preserving tile reroutes: the
     seeds are the locked boundary-crossing cells (or the driver site) and
     the targets are the sinks inside the tile plus the remaining
-    crossings.  Returns (cells, edges, hops per target, edge ids).
+    crossings.  Returns (cells, hops per target, edge ids); each path
+    leaves the tree at its first cell, so no id is listed twice.
     """
     meter = meter if meter is not None else EffortMeter()
     cells = set(seed_cells)
-    edges: set[Edge] = set()
     eids: list[int] = []
     hops: dict[tuple[int, int], int] = {}
     for target in sorted(
@@ -427,13 +419,9 @@ def grow_steiner_tree(
             )
         path, path_eids = found
         hops[target] = len(path) - 1
-        prev = path[0]
-        for cell in path[1:]:
-            edges.add(_edge(prev, cell))
-            cells.add(cell)
-            prev = cell
+        cells.update(path)
         eids += path_eids
-    return cells, edges, hops, tuple(eids)
+    return cells, hops, tuple(eids)
 
 
 def _route_one(
@@ -469,11 +457,7 @@ def _route_one(
             )
         path, path_eids = found
         tree.sink_hops[sink_block] = len(path) - 1
-        prev = path[0]
-        for cell in path[1:]:
-            tree.edges.add(_edge(prev, cell))
-            tree.cells.add(cell)
-            prev = cell
+        tree.cells.update(path)
         eids += path_eids
     tree.eids = tuple(eids)
     return tree

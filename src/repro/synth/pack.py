@@ -26,7 +26,7 @@ from enum import Enum
 
 from repro.errors import SynthesisError
 from repro.netlist.cells import CellKind
-from repro.netlist.core import Netlist
+from repro.netlist.core import Instance, Netlist
 
 
 class BlockKind(str, Enum):
@@ -265,7 +265,8 @@ class PackedDesign:
 def pack_netlist(mapped: Netlist) -> PackedDesign:
     """Pack a mapped (LUT/DFF/IO-only) netlist into CLB blocks."""
     _check_mapped(mapped)
-    bles = _form_bles(mapped)
+    luts = [i for i in mapped.instances() if i.kind is CellKind.LUT]
+    bles = _form_bles(mapped.flip_flops(), luts)
     clbs = _pair_bles(mapped, bles)
     return _build_blocks(mapped, clbs)
 
@@ -284,49 +285,27 @@ def _check_mapped(netlist: Netlist) -> None:
             )
 
 
-def _form_bles(netlist: Netlist) -> list[BLE]:
-    bles: list[BLE] = []
-    absorbed_luts: set[str] = set()
+def _form_bles(ffs: list[Instance], luts: list[Instance]) -> list[BLE]:
+    """One BLE per FF, then one per LUT no FF absorbed.
 
-    for ff in netlist.flip_flops():
+    An FF whose D net has fanout 1 and is driven by one of ``luts`` (by
+    name) absorbs that LUT into its BLE, the first such FF only.
+    """
+    free = {lut.name for lut in luts}
+    bles: list[BLE] = []
+    for ff in ffs:
         d_net = ff.inputs[0]
         driver = d_net.driver
-        if (
-            driver is not None
-            and driver.kind is CellKind.LUT
-            and d_net.fanout == 1
-            and driver.name not in absorbed_luts
-        ):
-            bles.append(
-                BLE(
-                    lut=driver.name,
-                    ff=ff.name,
-                    output_net=ff.output.name,
-                    input_nets=tuple(n.name for n in driver.inputs),
-                )
-            )
-            absorbed_luts.add(driver.name)
+        if driver is not None and driver.name in free and d_net.fanout == 1:
+            free.discard(driver.name)
+            bles.append(BLE(driver.name, ff.name, ff.output.name,
+                            tuple(n.name for n in driver.inputs)))
         else:
-            bles.append(
-                BLE(
-                    lut=None,
-                    ff=ff.name,
-                    output_net=ff.output.name,
-                    input_nets=(d_net.name,),
-                )
-            )
-
-    for inst in netlist.instances():
-        if inst.kind is not CellKind.LUT or inst.name in absorbed_luts:
-            continue
-        bles.append(
-            BLE(
-                lut=inst.name,
-                ff=None,
-                output_net=inst.output.name,
-                input_nets=tuple(n.name for n in inst.inputs),
-            )
-        )
+            bles.append(BLE(None, ff.name, ff.output.name, (d_net.name,)))
+    for lut in luts:
+        if lut.name in free:
+            bles.append(BLE(lut.name, None, lut.output.name,
+                            tuple(n.name for n in lut.inputs)))
     return bles
 
 
@@ -463,28 +442,7 @@ def extend_packing(packed: PackedDesign, new_instance_names: set[str]) -> set[in
             + ", ".join(f"{i.name}({i.kind})" for i in other[:5])
         )
 
-    bles: list[BLE] = []
-    absorbed: set[str] = set()
-    for ff in ffs:
-        d_net = ff.inputs[0]
-        driver = d_net.driver
-        if (
-            driver is not None
-            and driver.kind is CellKind.LUT
-            and driver in luts
-            and d_net.fanout == 1
-            and driver.name not in absorbed
-        ):
-            bles.append(BLE(driver.name, ff.name, ff.output.name,
-                            tuple(n.name for n in driver.inputs)))
-            absorbed.add(driver.name)
-        else:
-            bles.append(BLE(None, ff.name, ff.output.name, (d_net.name,)))
-    for lut in luts:
-        if lut.name not in absorbed:
-            bles.append(BLE(lut.name, None, lut.output.name,
-                            tuple(n.name for n in lut.inputs)))
-
+    bles = _form_bles(ffs, luts)
     for i in range(0, len(bles), 2):
         members = bles[i : i + 2]
         clb = CLB(name=f"clb{len(packed.clbs)}", bles=list(members))

@@ -70,7 +70,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 #: Bumped whenever the on-disk payload layout changes; files written by
 #: another version are quarantined on load.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 _ENTRY_FORMAT_NAME = "repro-tile-config-entry"
 
@@ -88,16 +88,18 @@ class TileConfig:
     Everything is stored by *name* (block names, net names) so a hit
     from an identically-built sibling design — e.g. the same campaign
     re-run under another simulation engine — resolves cleanly even
-    though its block/net index spaces are distinct objects.
+    though its block/net index spaces are distinct objects.  A route
+    records its edges once, as fabric edge ids (format version 2;
+    version 1 also stored them as cell pairs).
     """
 
     #: movable CLB block name → grid site
     sites: dict[str, tuple[int, int]]
     #: freshly placed IOB block name → ring slot
     io_slots: dict[str, tuple[int, int]]
-    #: net name → (cells, edges, ((sink block name, hops), ...),
-    #: precomputed fabric edge ids)
-    routes: dict[str, tuple[frozenset, frozenset, tuple, tuple]]
+    #: net name → (cells, ((sink block name, hops), ...), fabric edge
+    #: ids, each edge listed once)
+    routes: dict[str, tuple[frozenset, tuple, tuple]]
     #: capture-time occupancy of over-capacity edges (replay may match
     #: the fresh path's non-strict overuse, but never exceed it)
     over_allow: dict = field(default_factory=dict)

@@ -161,7 +161,6 @@ def absorb_changes(
 class CommitReport:
     """Result of one tile-confined debugging change."""
 
-    description: str
     affected_tiles: list[int]
     effort: EffortMeter
     expanded: bool  # neighbor tiles were pulled in for extra slack
@@ -331,7 +330,6 @@ class TiledLayout:
 
     def apply_changeset(
         self,
-        description: str,
         seed: int = 1,
         preset: EffortPreset | None = None,
         anchor_instance: str | None = None,
@@ -339,8 +337,7 @@ class TiledLayout:
         """Clear and re-place-and-route only the affected tiles.
 
         The commit absorbs every netlist edit since the last one from
-        the netlist's edit log (:func:`absorb_changes`);
-        ``description`` names the step in the report.
+        the netlist's edit log (:func:`absorb_changes`).
 
         1. back-annotate: changed/removed instances → blocks → tiles;
         2. pack any new instances into new blocks;
@@ -428,7 +425,6 @@ class TiledLayout:
 
         self._rebuild_membership(affected, movable)
         return CommitReport(
-            description=description,
             affected_tiles=sorted(affected),
             effort=meter,
             expanded=expanded,

@@ -59,9 +59,7 @@ def test_lock_invariant_across_debug_session():
     rects = [t.rect for t in tiled.tiles]
     before = frames_for_tiles(tiled.layout, rects)
     netlist.set_params(lut, {"table": lut.params["table"] ^ 1})
-    commit = tiled.apply_changeset(
-        "post-session touch", seed=9, preset=EFFORT_PRESETS["fast"]
-    )
+    commit = tiled.apply_changeset(seed=9, preset=EFFORT_PRESETS["fast"])
     after = frames_for_tiles(tiled.layout, rects)
     changed = {i for i, (a, b) in enumerate(zip(before, after)) if a != b}
     assert changed <= set(commit.affected_tiles)

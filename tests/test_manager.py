@@ -95,9 +95,7 @@ class TestCommits:
         rects = [t.rect for t in tiled.tiles]
         before = frames_for_tiles(tiled.layout, rects)
         self._flip_lut(mapped)
-        report = tiled.apply_changeset(
-            "flip", seed=4, preset=EFFORT_PRESETS["fast"],
-        )
+        report = tiled.apply_changeset(seed=4, preset=EFFORT_PRESETS["fast"])
         after = frames_for_tiles(tiled.layout, rects)
         diffs = {
             i for i, (x, y) in enumerate(zip(before, after)) if x != y
@@ -107,9 +105,7 @@ class TestCommits:
     def test_commit_reports_effort(self, tiled_ctx):
         mapped, packed, tiled = tiled_ctx
         self._flip_lut(mapped)
-        report = tiled.apply_changeset(
-            "flip", seed=4, preset=EFFORT_PRESETS["fast"],
-        )
+        report = tiled.apply_changeset(seed=4, preset=EFFORT_PRESETS["fast"])
         assert report.effort.work_units > 0
         assert report.effort.invocations == 1
 
@@ -126,7 +122,7 @@ class TestCommits:
             name="big",
         )
         report = tiled.apply_changeset(
-            "test logic big", seed=5, preset=EFFORT_PRESETS["fast"],
+            seed=5, preset=EFFORT_PRESETS["fast"],
             anchor_instance=anchor.name,
         )
         assert report.expanded
@@ -135,7 +131,7 @@ class TestCommits:
     def test_commit_keeps_layout_legal(self, tiled_ctx):
         mapped, packed, tiled = tiled_ctx
         self._flip_lut(mapped)
-        tiled.apply_changeset("flip", seed=6, preset=EFFORT_PRESETS["fast"])
+        tiled.apply_changeset(seed=6, preset=EFFORT_PRESETS["fast"])
         tiled.layout.placement.check_complete()
         # every net still fully connected
         for idx, tree in tiled.layout.routes.items():

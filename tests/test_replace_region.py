@@ -51,8 +51,10 @@ def test_untouched_routes_byte_identical():
         if net.driver not in movable
         and not any(s in movable for s in net.sinks)
     }
+    edge_tuple = layout.state.fabric.edge_tuple
     before = {
-        idx: (set(layout.routes[idx].cells), set(layout.routes[idx].edges),
+        idx: (set(layout.routes[idx].cells),
+              set(map(edge_tuple, layout.routes[idx].eids)),
               dict(layout.routes[idx].sink_hops))
         for idx in untouched
     }
@@ -63,7 +65,7 @@ def test_untouched_routes_byte_identical():
     for idx, (cells, edges, hops) in before.items():
         tree = layout.routes[idx]
         assert set(tree.cells) == cells
-        assert set(tree.edges) == edges
+        assert set(map(edge_tuple, tree.eids)) == edges
         assert dict(tree.sink_hops) == hops
 
 
@@ -72,6 +74,11 @@ def test_crossing_nets_reconnect_at_old_interface():
 
     def inside(cell):
         return region.contains(*cell)
+
+    edge_tuple = layout.state.fabric.edge_tuple
+
+    def edges(tree):
+        return set(map(edge_tuple, tree.eids))
 
     affected = {
         net.index for net in packed.nets_touching_blocks(movable)
@@ -82,7 +89,7 @@ def test_crossing_nets_reconnect_at_old_interface():
         if tree is None:
             continue
         outside = {
-            e for e in tree.edges if not (inside(e[0]) and inside(e[1]))
+            e for e in edges(tree) if not (inside(e[0]) and inside(e[1]))
         }
         if outside and any(inside(c) for c in tree.cells):
             old_outside[idx] = outside
@@ -95,7 +102,7 @@ def test_crossing_nets_reconnect_at_old_interface():
     for idx, outside in old_outside.items():
         tree = layout.routes[idx]
         # the outside fragment survives byte-for-byte ...
-        assert outside <= set(tree.edges), (
+        assert outside <= edges(tree), (
             f"net {idx} lost its locked outside fragment"
         )
         # ... and the interface cells (outside-fragment endpoints inside
@@ -141,9 +148,12 @@ def test_stale_edge_ids_are_reported():
     idx, tree = next(
         (i, t) for i, t in layout.routes.items() if len(t.eids) >= 2
     )
+    # occupancy follows the stale ids, so only the tree itself is wrong
+    layout.state.remove(tree)
     tree.eids = tree.eids[:1] * 2 + tree.eids[2:]
+    layout.state.add(tree)
     assert layout_legality_errors(layout) == [
-        f"net {packed.nets[idx].name}: edge ids differ from edges"
+        f"net {packed.nets[idx].name}: an edge listed twice"
     ]
 
 
@@ -174,10 +184,10 @@ def test_reroute_along_a_kept_edge_counts_it_once():
     state = RoutingState(device)
     old = RouteTree(net.index)
     old.cells = set(path) | set(branch)
-    old.edges = {
+    old_edges = sorted(
         (a, b) for cells in (path, branch) for a, b in zip(cells, cells[1:])
-    }
-    old.eids = tuple(state.fabric.edge_id(*e) for e in old.edges)
+    )
+    old.eids = tuple(state.fabric.edge_id(*e) for e in old_edges)
     old.sink_hops = {net.sinks[0]: 2, net.sinks[1]: 4}
     state.add(old)
     layout = Layout(packed, device, placement, {net.index: old}, state)
@@ -187,7 +197,7 @@ def test_reroute_along_a_kept_edge_counts_it_once():
         Rect(0, 0, 1, 2), True, EFFORT_PRESETS["fast"], EffortMeter(),
     )
     tree = layout.routes[net.index]
-    assert tree.edges == old.edges
-    fab = state.fabric
-    assert sorted(tree.eids) == sorted(fab.edge_id(*e) for e in tree.edges)
-    assert state.usage == {e: 1 for e in tree.edges}
+    edges = sorted(map(state.fabric.edge_tuple, tree.eids))
+    assert edges == old_edges
+    assert len(set(tree.eids)) == len(tree.eids)
+    assert state.usage == {e: 1 for e in edges}

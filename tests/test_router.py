@@ -7,7 +7,7 @@ from repro.errors import RoutingError
 from repro.geometry import Rect
 from repro.pnr import EFFORT_PRESETS, EffortMeter, RoutingState, route_nets
 from repro.pnr.placer import place_design
-from repro.pnr.router import grow_steiner_tree
+from repro.pnr.router import fabric_of, grow_steiner_tree
 from tests.conftest import fresh_packed_design
 
 
@@ -35,8 +35,9 @@ def test_all_nets_routed_and_connected():
 def test_routes_use_adjacent_cells_only():
     packed, device, placement = placed_design()
     routes = route_nets(packed, device, placement)
+    edge_tuple = fabric_of(device).edge_tuple
     for tree in routes.values():
-        for a, b in tree.edges:
+        for a, b in map(edge_tuple, tree.eids):
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 
 
@@ -89,11 +90,12 @@ def test_expansions_metered():
 def test_grow_steiner_tree_reaches_targets():
     device = custom_device(8, 8)
     state = RoutingState(device)
-    cells, edges, hops, eids = grow_steiner_tree(
+    cells, hops, eids = grow_steiner_tree(
         device, {(0, 0)}, [(4, 4), (7, 0)], state
     )
     assert (4, 4) in cells and (7, 0) in cells
-    assert sorted(eids) == sorted(state.fabric.edge_id(*e) for e in edges)
+    assert len(set(eids)) == len(eids)
+    edges = [state.fabric.edge_tuple(e) for e in eids]
     # hop counts measure the path from the *tree*, so each is at least 1
     # and the first-reached target is at least its Manhattan distance
     assert min(hops.values()) >= 1
@@ -119,10 +121,10 @@ def test_zero_capacity_channels_track_overuse():
     device = custom_device(4, 4, channel_width=0)
     state = RoutingState(device)
     tree = RouteTree(0)
-    tree.edges = {((0, 0), (0, 1))}
-    tree.eids = tuple(state.fabric.edge_id(*e) for e in tree.edges)
+    tree.eids = (state.fabric.edge_id((0, 0), (0, 1)),)
     state.add(tree)
-    assert state.overused_edges() == [((0, 0), (0, 1))]
+    over = [state.fabric.edge_tuple(e) for e in sorted(state.overused_ids)]
+    assert over == [((0, 0), (0, 1))]
     state.remove(tree)
     assert not state.overused_ids and not state.usage
 
@@ -133,8 +135,10 @@ def test_routing_state_add_remove_roundtrip():
     from repro.pnr.router import RouteTree
 
     tree = RouteTree(0)
-    tree.edges = {((0, 0), (0, 1)), ((0, 1), (0, 2))}
-    tree.eids = tuple(state.fabric.edge_id(*e) for e in tree.edges)
+    tree.eids = tuple(
+        state.fabric.edge_id(*e)
+        for e in (((0, 0), (0, 1)), ((0, 1), (0, 2)))
+    )
     state.add(tree)
     assert state.usage[((0, 0), (0, 1))] == 1
     state.remove(tree)
@@ -149,8 +153,13 @@ def test_concurrent_routing_on_one_fabric_matches_serial():
 
     packed, device, placement = placed_design()
 
+    edge_tuple = fabric_of(device).edge_tuple
+
     def edges_by_net(routes):
-        return {idx: sorted(tree.edges) for idx, tree in routes.items()}
+        return {
+            idx: sorted(map(edge_tuple, tree.eids))
+            for idx, tree in routes.items()
+        }
 
     expected = edges_by_net(route_nets(packed, device, placement))
     got, errors = [], []
@@ -329,9 +338,10 @@ def test_route_fingerprint_pinned():
     from repro.generators import build_design
     from repro.pnr.flow import Layout, replace_region
 
-    def fingerprint(routes, meter):
+    def fingerprint(routes, meter, edge_tuple):
         text = repr([
-            (idx, sorted(tree.edges), sorted(tree.sink_hops.items()))
+            (idx, sorted(map(edge_tuple, tree.eids)),
+             sorted(tree.sink_hops.items()))
             for idx, tree in sorted(routes.items())
         ])
         return (
@@ -350,7 +360,8 @@ def test_route_fingerprint_pinned():
         meter = EffortMeter()
         routes = route_nets(packed, device, placement, state=state,
                             preset=fast, meter=meter)
-        full = fingerprint(routes, meter)
+        edge_tuple = fabric_of(device).edge_tuple
+        full = fingerprint(routes, meter, edge_tuple)
         layout = Layout(packed, device, placement, routes, state)
         window_meter = EffortMeter()
         replace_region(
@@ -358,5 +369,7 @@ def test_route_fingerprint_pinned():
             seed=seed, preset=fast, meter=window_meter,
             confine_routing=True,
         )
-        got[name, seed] = (full, fingerprint(layout.routes, window_meter))
+        got[name, seed] = (
+            full, fingerprint(layout.routes, window_meter, edge_tuple)
+        )
     assert got == ROUTE_PINS

@@ -37,13 +37,12 @@ def build_tiled(cache):
 
 
 def flip_first_lut(mapped):
-    """Invert the first LUT's table; returns the commit's description."""
+    """Invert the first LUT's table."""
     lut = next(
         i for i in mapped.instances() if i.kind is CellKind.LUT and i.inputs
     )
     size = 1 << len(lut.inputs)
     mapped.set_params(lut, {"table": lut.params["table"] ^ (size - 1)})
-    return "flip"
 
 
 def placement_by_name(layout):
@@ -54,10 +53,15 @@ def placement_by_name(layout):
     }
 
 
+def edges_of(layout, tree):
+    """A route's edges as cell pairs."""
+    return set(map(layout.state.fabric.edge_tuple, tree.eids))
+
+
 def routes_by_name(layout):
     packed = layout.packed
     return {
-        packed.nets[idx].name: (set(t.cells), set(t.edges))
+        packed.nets[idx].name: (set(t.cells), edges_of(layout, t))
         for idx, t in layout.routes.items()
     }
 
@@ -65,15 +69,13 @@ def routes_by_name(layout):
 def test_identical_commit_replays_from_cache():
     cache = TileConfigCache()
     mapped1, packed1, tiled1 = build_tiled(cache)
-    r1 = tiled1.apply_changeset(
-        flip_first_lut(mapped1), seed=4, preset=EFFORT_PRESETS["fast"]
-    )
+    flip_first_lut(mapped1)
+    r1 = tiled1.apply_changeset(seed=4, preset=EFFORT_PRESETS["fast"])
     assert not r1.cache_hit  # first time: computed and stored
 
     mapped2, packed2, tiled2 = build_tiled(cache)
-    r2 = tiled2.apply_changeset(
-        flip_first_lut(mapped2), seed=4, preset=EFFORT_PRESETS["fast"]
-    )
+    flip_first_lut(mapped2)
+    r2 = tiled2.apply_changeset(seed=4, preset=EFFORT_PRESETS["fast"])
     assert r2.cache_hit
     assert r2.affected_tiles == r1.affected_tiles
     # the replayed configuration is byte-identical to the computed one
@@ -89,28 +91,25 @@ def test_identical_commit_replays_from_cache():
 def test_different_seed_misses():
     cache = TileConfigCache()
     mapped1, _, tiled1 = build_tiled(cache)
-    tiled1.apply_changeset(
-        flip_first_lut(mapped1), seed=4, preset=EFFORT_PRESETS["fast"]
-    )
+    flip_first_lut(mapped1)
+    tiled1.apply_changeset(seed=4, preset=EFFORT_PRESETS["fast"])
     mapped2, _, tiled2 = build_tiled(cache)
-    r2 = tiled2.apply_changeset(
-        flip_first_lut(mapped2), seed=5, preset=EFFORT_PRESETS["fast"]
-    )
+    flip_first_lut(mapped2)
+    r2 = tiled2.apply_changeset(seed=5, preset=EFFORT_PRESETS["fast"])
     assert not r2.cache_hit
 
 
 def test_unrecorded_edit_reaches_the_commit():
-    """A ``set_params`` made after the flip, outside the step the commit
-    is named for, is still absorbed: its tile is affected, so the commit
-    cannot hit the entry its twin stored without that edit."""
+    """A second ``set_params`` made after the flip is still absorbed:
+    its tile is affected, so the commit cannot hit the entry its twin
+    stored without that edit."""
     cache = TileConfigCache()
     mapped1, _, tiled1 = build_tiled(cache)
-    r1 = tiled1.apply_changeset(
-        flip_first_lut(mapped1), seed=4, preset=EFFORT_PRESETS["fast"]
-    )
+    flip_first_lut(mapped1)
+    r1 = tiled1.apply_changeset(seed=4, preset=EFFORT_PRESETS["fast"])
     mapped2, _, tiled2 = build_tiled(cache)
     rev = mapped2.revision
-    description = flip_first_lut(mapped2)
+    flip_first_lut(mapped2)
     flipped, _, _ = mapped2.edits_since(rev)
     other = next(
         i for i in mapped2.instances()
@@ -120,9 +119,7 @@ def test_unrecorded_edit_reaches_the_commit():
     mapped2.set_params(other, {"table": other.params["table"] ^ 1})
     assert other.name not in flipped
     hits = cache.hits
-    r2 = tiled2.apply_changeset(
-        description, seed=4, preset=EFFORT_PRESETS["fast"]
-    )
+    r2 = tiled2.apply_changeset(seed=4, preset=EFFORT_PRESETS["fast"])
     assert tiled2.tile_of_instance(other.name) in r2.affected_tiles
     assert set(r1.affected_tiles) < set(r2.affected_tiles)
     assert not r2.cache_hit and cache.hits == hits
@@ -132,9 +129,8 @@ def test_unrecorded_edit_reaches_the_commit():
 def test_corrupted_entry_is_rejected_and_recomputed():
     cache = TileConfigCache()
     mapped1, _, tiled1 = build_tiled(cache)
-    tiled1.apply_changeset(
-        flip_first_lut(mapped1), seed=4, preset=EFFORT_PRESETS["fast"]
-    )
+    flip_first_lut(mapped1)
+    tiled1.apply_changeset(seed=4, preset=EFFORT_PRESETS["fast"])
     # corrupt every stored tile configuration: off-device sites can
     # never pass apply-time verification
     for config in cache._entries.values():
@@ -143,9 +139,8 @@ def test_corrupted_entry_is_rejected_and_recomputed():
             config.sites[name] = (999, 999)
 
     mapped2, _, tiled2 = build_tiled(cache)
-    r2 = tiled2.apply_changeset(
-        flip_first_lut(mapped2), seed=4, preset=EFFORT_PRESETS["fast"]
-    )
+    flip_first_lut(mapped2)
+    r2 = tiled2.apply_changeset(seed=4, preset=EFFORT_PRESETS["fast"])
     assert not r2.cache_hit
     assert cache.rejected >= 1
     assert_layout_legal(tiled2.layout, check_capacity=False)
@@ -182,9 +177,9 @@ def test_whole_design_pnr_replay():
         packed2.blocks[b].name: s for b, s in layout2.placement.pos.items()
     }
     assert by_name1 == by_name2
-    assert {packed1.nets[i].name: set(t.edges)
+    assert {packed1.nets[i].name: edges_of(layout1, t)
             for i, t in layout1.routes.items()} == {
-        packed2.nets[i].name: set(t.edges)
+        packed2.nets[i].name: edges_of(layout2, t)
         for i, t in layout2.routes.items()
     }
     assert_layout_legal(layout2, check_capacity=False)
@@ -219,9 +214,8 @@ def test_save_load_round_trip(tmp_path):
 
     cache = TileConfigCache()
     mapped, packed, tiled = build_tiled(cache)
-    tiled.apply_changeset(
-        flip_first_lut(mapped), seed=5, preset=EFFORT_PRESETS["fast"]
-    )
+    flip_first_lut(mapped)
+    tiled.apply_changeset(seed=5, preset=EFFORT_PRESETS["fast"])
     assert cache.stores > 0
     cache_dir = str(tmp_path / "cache")
     assert save_tile_cache(cache, cache_dir) == len(cache)
@@ -231,9 +225,8 @@ def test_save_load_round_trip(tmp_path):
 
     mapped2, packed2, tiled2 = build_tiled(fresh)
     before = fresh.hits
-    tiled2.apply_changeset(
-        flip_first_lut(mapped2), seed=5, preset=EFFORT_PRESETS["fast"]
-    )
+    flip_first_lut(mapped2)
+    tiled2.apply_changeset(seed=5, preset=EFFORT_PRESETS["fast"])
     assert fresh.hits > before
     assert placement_by_name(tiled2.layout) == placement_by_name(tiled.layout)
     assert routes_by_name(tiled2.layout) == routes_by_name(tiled.layout)
@@ -280,6 +273,27 @@ def _append_to_payload(path):
     with open(path, "rb") as fh:
         payload = pickle.load(fh)["payload"]
     _rewrap(path, payload=payload + b"tamper")
+
+
+def _as_format_1(edge_tuple):
+    """Damage: rewrite an intact entry as format version 1 wrote it,
+    routes as ``(cells, edge tuples, hops, edge ids)``, under a valid
+    payload digest."""
+    def damage(path):
+        import hashlib
+        import pickle
+
+        from repro.tiling.cache import TileConfigStore
+
+        _, config = TileConfigStore.read_entry(path)
+        config.routes = {
+            name: (cells, frozenset(map(edge_tuple, eids)), hops, eids)
+            for name, (cells, hops, eids) in config.routes.items()
+        }
+        payload = pickle.dumps(config)
+        _rewrap(path, version=1, payload=payload,
+                sha256=hashlib.sha256(payload).hexdigest())
+    return damage
 
 
 def assert_damaged_entry_is_contained(tmp_path, damage):
@@ -347,6 +361,17 @@ def test_load_version_mismatch_is_ignored(tmp_path):
 
     assert_damaged_entry_is_contained(
         tmp_path, lambda path: _rewrap(path, version=CACHE_FORMAT_VERSION + 1)
+    )
+
+
+def test_load_format_1_entry_is_ignored(tmp_path):
+    """An entry written before routes dropped their edge tuples fails
+    the version check, its digest intact."""
+    from repro.arch import custom_device
+    from repro.pnr.router import fabric_of
+
+    assert_damaged_entry_is_contained(
+        tmp_path, _as_format_1(fabric_of(custom_device(4, 4)).edge_tuple)
     )
 
 
@@ -788,10 +813,14 @@ def test_run_reads_only_its_own_entries(tmp_path, monkeypatch):
 
 
 def test_damaged_entry_read_by_a_run_is_quarantined(tmp_path):
-    """Each damage kind, hit through a run's lookup, is a miss: the run
+    """Each damage kind, a format-1 entry among them, is corrupt to
+    ``cache verify``; hit through a run's lookup it is a miss: the run
     recomputes that configuration, stays ``ok`` with the cold run's
     outcome, quarantines the file and writes a good one back."""
     from repro.api import RunSpec, run_spec
+    from repro.api.design import device_for
+    from repro.generators import build_design
+    from repro.pnr.router import fabric_of
     from repro.tiling.cache import (
         CACHE_FORMAT_VERSION,
         TileConfigStore,
@@ -805,6 +834,9 @@ def test_damaged_entry_read_by_a_run_is_quarantined(tmp_path):
         _append_to_payload,
         lambda path: _rewrap(path, format="some-other-tool"),
         _overwrite(b""), _flip_payload_byte,
+        _as_format_1(
+            fabric_of(device_for(build_design("9sym").packed)).edge_tuple
+        ),
     )
     cache_dir = str(tmp_path / "cache")
     store = TileConfigStore(cache_file_path(cache_dir))
@@ -813,14 +845,17 @@ def test_damaged_entry_read_by_a_run_is_quarantined(tmp_path):
     cold = run_spec(spec)
     paths = store.entry_files()
     assert len(paths) >= 2
-    # an identical rerun looks up every entry the cold run stored
-    first = paths[0]
+    # an identical rerun looks up every entry the cold run stored; the
+    # damaged one holds routes, so its format-1 rewrite has edge tuples
+    first = next(p for p in paths if TileConfigStore.read_entry(p)[1].routes)
+    other = next(p for p in paths if p != first)
     misfiled = lambda path: _rewrap(  # noqa: E731
-        path, key=TileConfigStore.read_entry(paths[1])[0])
+        path, key=TileConfigStore.read_entry(other)[0])
     for damage in damages + (misfiled,):
         damage(first)
         with open(first, "rb") as fh:
             damaged = fh.read()
+        assert verify_cache_store(cache_dir)["corrupt"] == [first]
         warm = run_spec(spec)
         assert warm.status == "ok"
         assert warm.cache["misses"] >= 1 and warm.cache["hits"] >= 1
@@ -945,8 +980,9 @@ def test_new_error_replays_clean_twin_pnr(kind, clean_9sym_entries):
 
 
 def test_every_route_tree_carries_edge_ids():
-    """Fresh and replayed builds and commits leave every tree with edge
-    ids that match its edges (the legality audit compares them)."""
+    """Fresh and replayed builds and commits leave every tree that spans
+    more than one cell with edge ids, each listed once and joining two of
+    its cells (the legality audit checks both)."""
     from repro.api.design import device_for
     from repro.generators import build_design
 
@@ -959,12 +995,15 @@ def test_every_route_tree_carries_edge_ids():
             bundle.packed, device_for(bundle.packed),
             TilingOptions(n_tiles=10), seed=1, preset=fast, tile_cache=cache,
         )
-        assert all(t.eids is not None for t in tiled.layout.routes.values())
-        report = tiled.apply_changeset(
-            flip_first_lut(bundle.mapped), seed=1, preset=fast
+        assert all(
+            t.eids or len(t.cells) == 1 for t in tiled.layout.routes.values()
         )
+        flip_first_lut(bundle.mapped)
+        report = tiled.apply_changeset(seed=1, preset=fast)
         hits.append(report.cache_hit)
-        assert all(t.eids is not None for t in tiled.layout.routes.values())
+        assert all(
+            t.eids or len(t.cells) == 1 for t in tiled.layout.routes.values()
+        )
         assert_layout_legal(tiled.layout, check_capacity=False)
     assert hits == [False, True]
     assert cache.stats()["hits"] >= 3

@@ -307,11 +307,9 @@ def _commit_args(tiled, t):
 
 
 def _replace_edge(tiled, idx, old_eid, new_eid):
-    """Swap one edge id of net ``idx``'s route, keeping edges in step."""
-    fab = tiled.layout.state.fabric
+    """Swap one edge id of net ``idx``'s route."""
     tree = tiled.layout.routes[idx].copy()
     tree.eids = tuple(new_eid if e == old_eid else e for e in tree.eids)
-    tree.edges = {fab.edge_tuple(e) for e in tree.eids}
     tiled.layout.routes[idx] = tree
 
 
@@ -427,7 +425,8 @@ def test_commit_key_outside_filter_matches_tuple_filter(monkeypatch):
             got = sorted(
                 fab.edge_tuple(e) for e in fab.outside_eids(tree.eids, mask)
             )
-            assert got == _reference_outside_edges(fab, regions, tree.edges)
+            edges = map(fab.edge_tuple, tree.eids)
+            assert got == _reference_outside_edges(fab, regions, edges)
             outside_sizes.append(len(got))
         return real_key(self, movable, regions, affected_ids, seed, preset)
 
